@@ -101,7 +101,7 @@ let hardware_spread_jobs =
             if n <= 100 then
               Stopwatch.Host.after client (Time.ms 50) (fun () ->
                   Stopwatch.Host.send client ~dst:(Cloud.vm_address d) ~size:100
-                    (Sw_apps.Probe.Probe_ping n);
+                    (Sw_net.Packet.App (Sw_net.Msg.Probe_ping n));
                   ping (n + 1))
           in
           ping 1;

@@ -72,7 +72,7 @@ let ping_cloud () =
   in
   let client = Stopwatch.Cloud.add_host cloud () in
   Stopwatch.Host.send client ~dst:(Stopwatch.Cloud.vm_address d) ~size:100
-    (Sw_apps.Probe.Probe_ping 1);
+    (Sw_net.Packet.App (Sw_net.Msg.Probe_ping 1));
   Stopwatch.Cloud.run cloud ~until:(Sw_sim.Time.ms 100)
 
 let tests =

@@ -30,7 +30,7 @@ let run () =
               Host.after client (Time.ms 25) (fun () ->
                   incr pings_sent;
                   Host.send client ~dst:(Cloud.vm_address d) ~size:100
-                    (Sw_apps.Probe.Probe_ping n);
+                    (Sw_net.Packet.App (Sw_net.Msg.Probe_ping n));
                   ping (n + 1))
           in
           ping 1)

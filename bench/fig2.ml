@@ -24,7 +24,7 @@ let run () =
   let client = Cloud.add_host cloud () in
   Stopwatch.Host.after client (Time.ms 100) (fun () ->
       Stopwatch.Host.send client ~dst:(Cloud.vm_address d) ~size:100
-        (Sw_apps.Probe.Probe_ping 1));
+        (Sw_net.Packet.App (Sw_net.Msg.Probe_ping 1)));
   let now () = Sw_sim.Engine.now (Cloud.engine cloud) in
   Trace.span trace ~now ~name:"fig2.simulation" (fun () ->
       Cloud.run cloud ~until:(Time.ms 400));

@@ -9,20 +9,21 @@ module Cloud = Stopwatch.Cloud
 module Host = Stopwatch.Host
 module App = Sw_vm.App
 module Packet = Sw_net.Packet
-
-(* Application payloads are ordinary extensible-variant cases. *)
-type Packet.payload += Ping of int | Pong of int
+module Msg = Sw_net.Msg
 
 (* A guest application is a deterministic state machine: events in, actions
-   out. This one echoes every ping after a little compute. *)
+   out. This one echoes every ping after a little compute. Packet payloads
+   are one closed type: a datagram carries an application message
+   ([Packet.App]) from [Sw_net.Msg.t], here the probe ping and echo. *)
 let echo : App.factory =
   App.stateful ~init:() ~handle:(fun () ~virt_now:_ event ->
       match event with
-      | App.Packet_in { Packet.payload = Ping n; src; _ } ->
+      | App.Packet_in { Packet.payload = Packet.App (Msg.Probe_ping n); src; _ } ->
           ( (),
             [
               App.Compute 50_000L (* ~50 us of guest work *);
-              App.Send { dst = src; size = 100; payload = Pong n };
+              App.Send
+                { dst = src; size = 100; payload = Packet.App (Msg.Probe_echo n) };
             ] )
       | _ -> ((), []))
 
@@ -34,14 +35,15 @@ let measure_rtts ~label ~deploy =
   let sent_at = Hashtbl.create 16 in
   Host.set_handler client (fun pkt ->
       match pkt.Packet.payload with
-      | Pong n ->
+      | Packet.App (Msg.Probe_echo n) ->
           let t0 = Hashtbl.find sent_at n in
           rtts := Time.to_float_ms (Time.sub (Host.now client) t0) :: !rtts
       | _ -> ());
   for n = 1 to 10 do
     Host.after client (Time.ms (100 * n)) (fun () ->
         Hashtbl.replace sent_at n (Host.now client);
-        Host.send client ~dst:(Cloud.vm_address vm) ~size:100 (Ping n))
+        Host.send client ~dst:(Cloud.vm_address vm) ~size:100
+          (Packet.App (Msg.Probe_ping n)))
   done;
   Cloud.run cloud ~until:(Time.s 2);
   let n = List.length !rtts in

@@ -1,10 +1,6 @@
 module App = Sw_vm.App
-module Packet = Sw_net.Packet
+module Msg = Sw_net.Msg
 module Time = Sw_sim.Time
-
-type Packet.payload +=
-  | Http_get of { file : int; size : int }
-  | Http_response of { file : int }
 
 type request = {
   key : Tcp_guest.conn_key;
@@ -52,7 +48,7 @@ let server ?tcp ?(chunk_bytes = 256 * 1024) () () =
         req.sent_offset <- req.read_offset;
         let send =
           Tcp_guest.send st.tcp req.key
-            ~payload:(Http_response { file = req.file })
+            ~payload:(Msg.Http_response { file = req.file })
             ~bytes:(chunk_len + if first then header_bytes else 0)
         in
         if req.read_offset < req.size then begin
@@ -67,7 +63,7 @@ let server ?tcp ?(chunk_bytes = 256 * 1024) () () =
   in
   let handle_conn_event ev =
     match ev with
-    | Tcp_guest.Msg { key; payload = Http_get { file; size }; _ } ->
+    | Tcp_guest.Msg { key; payload = Msg.Http_get { file; size }; _ } ->
         start_request key file size
     | Tcp_guest.Msg _ | Tcp_guest.Accepted _ | Tcp_guest.Conn_closed _ -> []
   in
@@ -90,7 +86,7 @@ let download t ~dst ~file ~size ~on_done () =
   let received = ref 0 in
   let on_msg ~payload ~bytes =
     match payload with
-    | Http_response { file = f } when f = file ->
+    | Msg.Http_response { file = f } when f = file ->
         received := !received + bytes;
         if !received >= size + header_bytes then begin
           let elapsed_ms =
@@ -106,14 +102,8 @@ let download t ~dst ~file ~size ~on_done () =
       ~on_connected:(fun () ->
         match !conn_ref with
         | Some c ->
-            Tcp_host.send c ~payload:(Http_get { file; size }) ~bytes:header_bytes
+            Tcp_host.send c ~payload:(Msg.Http_get { file; size }) ~bytes:header_bytes
         | None -> ())
       ~on_msg ()
   in
   conn_ref := Some conn
-
-let () =
-  List.iter Sw_sim.Graft.register
-    [
-      [%extension_constructor Http_get]; [%extension_constructor Http_response];
-    ]

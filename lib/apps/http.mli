@@ -5,10 +5,6 @@
     in the paper) and streams the response over the connection. The client
     measures wall-clock retrieval time at an external host. *)
 
-type Sw_net.Packet.payload +=
-  | Http_get of { file : int; size : int }
-  | Http_response of { file : int }
-
 (** [server ?tcp ?chunk_bytes ()] builds the server guest application.
     [chunk_bytes] is the disk-read granularity (default 1 MiB). *)
 val server : ?tcp:Tcp.config -> ?chunk_bytes:int -> unit -> Sw_vm.App.factory

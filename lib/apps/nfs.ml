@@ -1,9 +1,9 @@
 module App = Sw_vm.App
-module Packet = Sw_net.Packet
+module Msg = Sw_net.Msg
 module Time = Sw_sim.Time
 module Host = Stopwatch.Host
 
-type op = Setattr | Lookup | Write | Getattr | Read | Create
+type op = Msg.nfs_op = Setattr | Lookup | Write | Getattr | Read | Create
 
 let paper_mix =
   [
@@ -14,10 +14,6 @@ let paper_mix =
     (Read, 0.3234);
     (Create, 0.1237);
   ]
-
-type Packet.payload +=
-  | Nfs_call of { xid : int; op : op }
-  | Nfs_reply of { xid : int; op : op }
 
 let transfer_bytes = 8192
 
@@ -49,7 +45,7 @@ let server ?(tcp = server_tcp_config) () () =
   let next_tag = ref 0 in
   let reply p =
     Tcp_guest.send tcpd p.key
-      ~payload:(Nfs_reply { xid = p.xid; op = p.op })
+      ~payload:(Msg.Nfs_reply { xid = p.xid; op = p.op })
       ~bytes:(reply_bytes p.op)
   in
   (* Server model mirrors a real NFS server's I/O behaviour: reads hit the
@@ -74,7 +70,8 @@ let server ?(tcp = server_tcp_config) () () =
     | Lookup | Getattr -> compute :: reply p
   in
   let handle_conn_event = function
-    | Tcp_guest.Msg { key; payload = Nfs_call { xid; op }; _ } -> handle_call key xid op
+    | Tcp_guest.Msg { key; payload = Msg.Nfs_call { xid; op }; _ } ->
+        handle_call key xid op
     | Tcp_guest.Msg _ | Tcp_guest.Accepted _ | Tcp_guest.Conn_closed _ -> []
   in
   {
@@ -124,7 +121,7 @@ let run_client t ~dst ~rate_per_s ~procs ~ops ?(mix = paper_mix) ?(seed = 0x4E_F
         Tcp_host.connect t ~dst
           ~on_msg:(fun ~payload ~bytes:_ ->
             match payload with
-            | Nfs_reply { xid; _ } -> (
+            | Msg.Nfs_reply { xid; _ } -> (
                 match Hashtbl.find_opt starts xid with
                 | Some t0 ->
                     Hashtbl.remove starts xid;
@@ -144,7 +141,7 @@ let run_client t ~dst ~rate_per_s ~procs ~ops ?(mix = paper_mix) ?(seed = 0x4E_F
           let conn = conns.(n mod procs) in
           Hashtbl.replace starts xid (Host.now host);
           incr issued;
-          Tcp_host.send conn ~payload:(Nfs_call { xid; op }) ~bytes:(call_bytes op);
+          Tcp_host.send conn ~payload:(Msg.Nfs_call { xid; op }) ~bytes:(call_bytes op);
           issue (n + 1))
   in
   issue 0;
@@ -154,7 +151,3 @@ let run_client t ~dst ~rate_per_s ~procs ~ops ?(mix = paper_mix) ?(seed = 0x4E_F
       completed = !completed;
       latencies_ms = Sw_sim.Samples.to_array latencies;
     }
-
-let () =
-  List.iter Sw_sim.Graft.register
-    [ [%extension_constructor Nfs_call]; [%extension_constructor Nfs_reply] ]

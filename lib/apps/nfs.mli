@@ -6,15 +6,11 @@
     operation mix; it records per-operation latency. Packets per operation
     come from the network's per-pair counters. *)
 
-type op = Setattr | Lookup | Write | Getattr | Read | Create
+type op = Sw_net.Msg.nfs_op = Setattr | Lookup | Write | Getattr | Read | Create
 
 (** The paper's extracted mix: 11.37% setattr, 24.07% lookup, 11.92% write,
     7.93% getattr, 32.34% read, 12.37% create. *)
 val paper_mix : (op * float) list
-
-type Sw_net.Packet.payload +=
-  | Nfs_call of { xid : int; op : op }
-  | Nfs_reply of { xid : int; op : op }
 
 (** Server guest application. Reads fetch 8 KiB from disk on a buffer-cache
     miss (70% hit rate, deterministic per xid); writes/creates/setattrs

@@ -9,8 +9,6 @@ type profile = {
   write_fraction : float;
 }
 
-type Sw_net.Packet.payload += Job_done of { name : string }
-
 (* compute_branches are calibrated so the simulated baseline runtimes land
    near Fig. 7(a)'s baseline bars (171/177/1530/3730/290 ms) given the
    default disk model (avg random access ~3.7 ms, sequential ~0.25 ms);
@@ -91,7 +89,11 @@ let app profile ~collector () =
           (Int64.sub profile.compute_branches
              (Int64.mul compute_per_phase (Int64.of_int profile.io_count)));
         App.Send
-          { dst = collector; size = 64; payload = Job_done { name = profile.name } };
+          {
+            dst = collector;
+            size = 64;
+            payload = Sw_net.Packet.App (Sw_net.Msg.Job_done { name = profile.name });
+          };
       ]
     else []
   in
@@ -103,5 +105,3 @@ let app profile ~collector () =
         | App.Disk_done _ -> next_actions ()
         | _ -> []);
   }
-
-let () = Sw_sim.Graft.register [%extension_constructor Job_done]

@@ -8,7 +8,7 @@
     emerges from the disk-interrupt delivery machinery (delta_d), which is
     the paper's explanation of the overhead.
 
-    The app signals completion by sending a [Job_done] packet to a collector
+    The app signals completion by sending a [Sw_net.Msg.Job_done] packet to a collector
     host, so experiments measure completion in real time — through the
     egress median in StopWatch mode, exactly like an external observer. *)
 
@@ -20,8 +20,6 @@ type profile = {
   random_io_fraction : float;  (** Fraction of non-sequential requests. *)
   write_fraction : float;  (** Fraction of writes among requests. *)
 }
-
-type Sw_net.Packet.payload += Job_done of { name : string }
 
 (** The five applications used in the paper, with Fig. 7(b)'s interrupt
     counts: ferret 31, blackscholes 38, canneal 183, dedup 293,

@@ -1,7 +1,6 @@
 module App = Sw_vm.App
 module Packet = Sw_net.Packet
-
-type Packet.payload += Probe_ping of int | Probe_echo of int | Stream_data of int
+module Msg = Sw_net.Msg
 
 let receiver ?echo_to ?(echo_every = 1) () () =
   if echo_every < 1 then invalid_arg "Probe.receiver: echo_every must be >= 1";
@@ -16,7 +15,8 @@ let receiver ?echo_to ?(echo_every = 1) () () =
             | Some dst when !count mod echo_every = 0 ->
                 [
                   App.Compute 20_000L;
-                  App.Send { dst; size = 100; payload = Probe_echo !count };
+                  App.Send
+                    { dst; size = 100; payload = Packet.App (Msg.Probe_echo !count) };
                 ]
             | _ -> [ App.Compute 20_000L ])
         | _ -> []);
@@ -32,7 +32,12 @@ let streamer ~sink ~period ~burst ~bytes_per_packet ?(disk_every = 4) () () =
       (List.init n (fun i ->
            [
              App.Compute 5_000L;
-             App.Send { dst = sink; size = bytes_per_packet; payload = Stream_data i };
+             App.Send
+               {
+                 dst = sink;
+                 size = bytes_per_packet;
+                 payload = Packet.App (Msg.Stream_data i);
+               };
            ]))
   in
   {
@@ -70,17 +75,10 @@ let load_generator ?sink ?(period = Sw_sim.Time.ms 5) ?(burst = 8) ?(disk_every 
               match sink with
               | Some dst ->
                   List.init burst (fun i ->
-                      App.Send { dst; size = 1400; payload = Stream_data i })
+                      App.Send
+                        { dst; size = 1400; payload = Packet.App (Msg.Stream_data i) })
               | None -> []
             in
             (App.Set_timer { after = period; tag = timer_tag } :: disk) @ net
         | _ -> []);
   }
-
-let () =
-  List.iter Sw_sim.Graft.register
-    [
-      [%extension_constructor Probe_ping];
-      [%extension_constructor Probe_echo];
-      [%extension_constructor Stream_data];
-    ]

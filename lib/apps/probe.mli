@@ -11,8 +11,6 @@
     timer tick it reads from disk and pushes datagrams to a sink, loading its
     machine's CPU, disk, and NIC. *)
 
-type Sw_net.Packet.payload += Probe_ping of int | Probe_echo of int | Stream_data of int
-
 (** [receiver ?echo_to ?echo_every ()] builds the attacker guest app. *)
 val receiver :
   ?echo_to:Sw_net.Address.t -> ?echo_every:int -> unit -> Sw_vm.App.factory

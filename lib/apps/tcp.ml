@@ -1,4 +1,5 @@
 module Time = Sw_sim.Time
+open Sw_net.Msg
 
 type config = {
   mss : int;
@@ -21,31 +22,18 @@ let default_config =
     nagle = false;
   }
 
-type kind = Syn | Synack | Data | Ack | Fin | Finack
-
-type seg = {
-  conn : int;
-  kind : kind;
-  seq : int;
-  len : int;
-  ack : int;
-  msg_end : Sw_net.Packet.payload option;
-}
-
-type Sw_net.Packet.payload += Tcp of seg
-
 let seg_size config seg = config.header + seg.len
 
 type input =
   | Open
   | Seg_in of seg
-  | Send_msg of { payload : Sw_net.Packet.payload; bytes : int }
+  | Send_msg of { payload : Sw_net.Msg.t; bytes : int }
   | Timer_fired of int
   | Close
 
 type output =
   | Emit of seg
-  | Deliver of { payload : Sw_net.Packet.payload; bytes : int }
+  | Deliver of { payload : Sw_net.Msg.t; bytes : int }
   | Set_timer of { id : int; after : Sw_sim.Time.t }
   | Connected
   | Closed
@@ -61,7 +49,7 @@ type t = {
   mutable snd_sent : int;  (** Stream bytes emitted in segments. *)
   mutable snd_una : int;  (** Lowest unacknowledged byte. *)
   mutable cwnd : int;
-  mutable msg_ends : (int * Sw_net.Packet.payload) list;
+  mutable msg_ends : (int * Sw_net.Msg.t) list;
       (** Pending message boundaries (stream offset, payload), ascending. *)
   mutable fin_pending : bool;
   mutable fin_sent : bool;
@@ -276,5 +264,3 @@ let step t input =
               [ Closed ]
             end
             else [])
-
-let () = Sw_sim.Graft.register [%extension_constructor Tcp]

@@ -30,33 +30,20 @@ type config = {
 
 val default_config : config
 
-type kind = Syn | Synack | Data | Ack | Fin | Finack
-
-type seg = {
-  conn : int;
-  kind : kind;
-  seq : int;  (** First data byte (Data). *)
-  len : int;
-  ack : int;  (** Cumulative ACK, piggybacked on everything after Syn. *)
-  msg_end : Sw_net.Packet.payload option;
-      (** Message completing at [seq + len]. *)
-}
-
-type Sw_net.Packet.payload += Tcp of seg
-
-(** Wire size of a segment. *)
-val seg_size : config -> seg -> int
+(** Wire size of a segment ({!Sw_net.Msg.seg}, carried as
+    [Sw_net.Packet.Tcp]). *)
+val seg_size : config -> Sw_net.Msg.seg -> int
 
 type input =
   | Open  (** Active open (initiator side). *)
-  | Seg_in of seg
-  | Send_msg of { payload : Sw_net.Packet.payload; bytes : int }
+  | Seg_in of Sw_net.Msg.seg
+  | Send_msg of { payload : Sw_net.Msg.t; bytes : int }
   | Timer_fired of int
   | Close
 
 type output =
-  | Emit of seg
-  | Deliver of { payload : Sw_net.Packet.payload; bytes : int }
+  | Emit of Sw_net.Msg.seg
+  | Deliver of { payload : Sw_net.Msg.t; bytes : int }
   | Set_timer of { id : int; after : Sw_sim.Time.t }
   | Connected
   | Closed

@@ -6,7 +6,7 @@ type conn_key = { peer : Address.t; conn : int }
 
 type conn_event =
   | Accepted of conn_key
-  | Msg of { key : conn_key; payload : Packet.payload; bytes : int }
+  | Msg of { key : conn_key; payload : Sw_net.Msg.t; bytes : int }
   | Conn_closed of conn_key
 
 let tag_base = 1_000_000
@@ -32,7 +32,11 @@ let run_outputs t key outputs =
       | Tcp.Emit seg ->
           actions :=
             App.Send
-              { dst = key.peer; size = Tcp.seg_size t.config seg; payload = Tcp.Tcp seg }
+              {
+                dst = key.peer;
+                size = Tcp.seg_size t.config seg;
+                payload = Packet.Tcp seg;
+              }
             :: !actions
       | Tcp.Deliver { payload; bytes } -> events := Msg { key; payload; bytes } :: !events
       | Tcp.Set_timer { id; after } ->
@@ -62,9 +66,9 @@ let handle t event =
   match event with
   | App.Packet_in pkt -> (
       match pkt.Packet.payload with
-      | Tcp.Tcp seg -> (
-          let key = { peer = pkt.Packet.src; conn = seg.Tcp.conn } in
-          match endpoint_for t key ~create_passive:(seg.Tcp.kind = Tcp.Syn) with
+      | Packet.Tcp seg -> (
+          let key = { peer = pkt.Packet.src; conn = seg.conn } in
+          match endpoint_for t key ~create_passive:(seg.kind = Sw_net.Msg.Syn) with
           | None -> Some ([], [])
           | Some ep -> Some (run_outputs t key (Tcp.step ep (Tcp.Seg_in seg))))
       | _ -> None)

@@ -10,7 +10,7 @@ type conn_key = { peer : Sw_net.Address.t; conn : int }
 
 type conn_event =
   | Accepted of conn_key  (** A passive-open connection completed. *)
-  | Msg of { key : conn_key; payload : Sw_net.Packet.payload; bytes : int }
+  | Msg of { key : conn_key; payload : Sw_net.Msg.t; bytes : int }
   | Conn_closed of conn_key
 
 type t
@@ -25,7 +25,7 @@ val tag_base : int
 val handle : t -> Sw_vm.App.event -> (conn_event list * Sw_vm.App.action list) option
 
 (** [send t key ~payload ~bytes] enqueues an application message. *)
-val send : t -> conn_key -> payload:Sw_net.Packet.payload -> bytes:int -> Sw_vm.App.action list
+val send : t -> conn_key -> payload:Sw_net.Msg.t -> bytes:int -> Sw_vm.App.action list
 
 val close : t -> conn_key -> Sw_vm.App.action list
 

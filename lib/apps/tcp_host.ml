@@ -8,7 +8,7 @@ type conn = {
   ep : Tcp.t;
   on_connected : unit -> unit;
   on_closed : unit -> unit;
-  on_msg : payload:Packet.payload -> bytes:int -> unit;
+  on_msg : payload:Sw_net.Msg.t -> bytes:int -> unit;
 }
 
 and t = {
@@ -26,7 +26,7 @@ let rec run_outputs c outputs =
       | Tcp.Emit seg ->
           Host.send c.registry.host ~dst:c.dst
             ~size:(Tcp.seg_size c.registry.config seg)
-            (Tcp.Tcp seg)
+            (Packet.Tcp seg)
       | Tcp.Deliver { payload; bytes } -> c.on_msg ~payload ~bytes
       | Tcp.Set_timer { id; after } ->
           Host.after c.registry.host after (fun () ->
@@ -39,8 +39,8 @@ let rec run_outputs c outputs =
 
 let handle t pkt =
   match pkt.Packet.payload with
-  | Tcp.Tcp seg -> (
-      match Hashtbl.find_opt t.conns seg.Tcp.conn with
+  | Packet.Tcp seg -> (
+      match Hashtbl.find_opt t.conns seg.conn with
       | Some c -> run_outputs c (Tcp.step c.ep (Tcp.Seg_in seg))
       | None -> () (* Late segment for a closed connection. *))
   | _ -> t.fallback pkt

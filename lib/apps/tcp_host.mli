@@ -22,11 +22,11 @@ val connect :
   dst:Sw_net.Address.t ->
   ?on_connected:(unit -> unit) ->
   ?on_closed:(unit -> unit) ->
-  on_msg:(payload:Sw_net.Packet.payload -> bytes:int -> unit) ->
+  on_msg:(payload:Sw_net.Msg.t -> bytes:int -> unit) ->
   unit ->
   conn
 
-val send : conn -> payload:Sw_net.Packet.payload -> bytes:int -> unit
+val send : conn -> payload:Sw_net.Msg.t -> bytes:int -> unit
 val close : conn -> unit
 val is_established : conn -> bool
 val conn_id : conn -> int

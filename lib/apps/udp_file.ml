@@ -1,12 +1,8 @@
 module App = Sw_vm.App
 module Packet = Sw_net.Packet
+module Msg = Sw_net.Msg
 module Time = Sw_sim.Time
 module Host = Stopwatch.Host
-
-type Packet.payload +=
-  | Udp_request of { file : int; size : int }
-  | Udp_data of { file : int; offset : int; len : int; last : bool }
-  | Udp_nak of { file : int; from_offset : int }
 
 let datagram_bytes = 1400
 let header = 28
@@ -38,7 +34,7 @@ let stream st tr ~from ~upto =
           {
             dst = tr.client;
             size = len + header;
-            payload = Udp_data { file = tr.file; offset; len; last };
+            payload = Packet.App (Msg.Udp_data { file = tr.file; offset; len; last });
           }
       in
       go (offset + len) (send :: App.Compute st.inter_send_branches :: acc)
@@ -81,7 +77,7 @@ let server ?(chunk_bytes = 256 * 1024) ?(inter_send_branches = 2000L) () () =
         match event with
         | App.Packet_in pkt -> (
             match pkt.Packet.payload with
-            | Udp_request { file; size } ->
+            | Packet.App (Msg.Udp_request { file; size }) ->
                 let tag = st.next_tag in
                 st.next_tag <- tag + 1;
                 let tr =
@@ -92,7 +88,7 @@ let server ?(chunk_bytes = 256 * 1024) ?(inter_send_branches = 2000L) () () =
                 Hashtbl.replace st.transfers tag tr;
                 Hashtbl.replace by_file file tr;
                 [ App.Disk_read { bytes = chunk; sequential = false; tag } ]
-            | Udp_nak { file; from_offset } -> (
+            | Packet.App (Msg.Udp_nak { file; from_offset }) -> (
                 (* Resend whatever has already been read. *)
                 match Hashtbl.find_opt by_file file with
                 | Some tr when tr.sent_offset > from_offset ->
@@ -122,13 +118,15 @@ let fetch host ~dst ~file ~size ?(nak_delay = Time.ms 20) ~on_done () =
     Host.after host nak_delay (fun () ->
         if (not !finished) && !next_expected = expected_at_arm then begin
           incr naks;
-          Host.send host ~dst ~size:64 (Udp_nak { file; from_offset = !next_expected });
+          Host.send host ~dst ~size:64
+            (Packet.App (Msg.Udp_nak { file; from_offset = !next_expected }));
           watchdog !next_expected
         end)
   in
   Host.set_handler host (fun pkt ->
       match pkt.Packet.payload with
-      | Udp_data { file = f; offset; len; _ } when f = file && not !finished ->
+      | Packet.App (Msg.Udp_data { file = f; offset; len; _ })
+        when f = file && not !finished ->
           if offset > !next_expected then begin
             Hashtbl.replace stashed offset
               (Stdlib.max (offset + len)
@@ -145,12 +143,5 @@ let fetch host ~dst ~file ~size ?(nak_delay = Time.ms 20) ~on_done () =
             on_done ~elapsed_ms ~naks:!naks
           end
       | _ -> ());
-  Host.send host ~dst ~size:(64 + header) (Udp_request { file; size })
-
-let () =
-  List.iter Sw_sim.Graft.register
-    [
-      [%extension_constructor Udp_request];
-      [%extension_constructor Udp_data];
-      [%extension_constructor Udp_nak];
-    ]
+  Host.send host ~dst ~size:(64 + header)
+    (Packet.App (Msg.Udp_request { file; size }))

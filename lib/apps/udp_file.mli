@@ -5,11 +5,6 @@
     The client sends one request; the server reads the file and streams
     datagrams; the client NAKs only on detected gaps (go-back-N resend). *)
 
-type Sw_net.Packet.payload +=
-  | Udp_request of { file : int; size : int }
-  | Udp_data of { file : int; offset : int; len : int; last : bool }
-  | Udp_nak of { file : int; from_offset : int }
-
 (** Datagram payload bytes per packet. *)
 val datagram_bytes : int
 

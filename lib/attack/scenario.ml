@@ -116,7 +116,8 @@ let run spec =
     let gap = Sw_sim.Prng.exponential rng ~rate:spec.ping_rate_per_s in
     Host.after pinger (Time.of_float_s gap) (fun () ->
         incr count;
-        Host.send pinger ~dst:attacker_addr ~size:100 (Probe.Probe_ping !count);
+        Host.send pinger ~dst:attacker_addr ~size:100
+          (Sw_net.Packet.App (Sw_net.Msg.Probe_ping !count));
         ping ())
   in
   ping ();

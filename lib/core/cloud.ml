@@ -613,15 +613,10 @@ let install_faults ?trace t schedule =
 
 (* --- Checkpoint / restore ---------------------------------------------- *)
 
-type restore_error =
-  | Incompatible_image of string
-  | Unregistered_extensions of string list
+type restore_error = Incompatible_image of string
 
-let pp_restore_error fmt = function
-  | Incompatible_image msg -> Format.fprintf fmt "incompatible image: %s" msg
-  | Unregistered_extensions names ->
-      Format.fprintf fmt "image uses unregistered payload constructors: %s"
-        (String.concat ", " names)
+let pp_restore_error fmt (Incompatible_image msg) =
+  Format.fprintf fmt "incompatible image: %s" msg
 
 let checkpoint t ~extra =
   (* [Closures] serializes the event closures in the wheels (and everything
@@ -631,24 +626,21 @@ let checkpoint t ~extra =
   Marshal.to_string (t, extra) [ Marshal.Closures ]
 
 let restore bytes =
-  match (Marshal.from_string bytes 0 : t * _) with
+  let len = String.length bytes in
+  match
+    if len < Marshal.header_size
+       || len < Marshal.total_size (Bytes.unsafe_of_string bytes) 0
+    then failwith "truncated image";
+    (Marshal.from_string bytes 0 : t * _)
+  with
   | exception Failure msg -> Error (Incompatible_image msg)
-  | root -> (
-      (* Re-point every extension-constructor slot (packet payloads) at the
-         live constructors: Marshal copies the slot blocks, and extensible-
-         variant matching compares slots by physical identity, so without
-         this pass every restored in-flight packet would silently fall into
-         the [_ -> drop] arm of its handler. *)
-      match Sw_sim.Graft.repair (Obj.repr root) with
-      | Error names -> Error (Unregistered_extensions names)
-      | Ok _ ->
-          let t, extra = root in
-          (* The multicast group-id allocator is process-global, outside
-             the marshaled graph: advance it past every restored group so
-             post-restore deployments cannot collide. *)
-          Array.iter
-            (fun sh ->
-              Sw_net.Multicast.reserve_group_ids
-                (Sw_net.Ingress.max_mcast_group sh.sh_ingress))
-            t.shards;
-          Ok (t, extra))
+  | t, extra ->
+      (* The multicast group-id allocator is process-global, outside the
+         marshaled graph: advance it past every restored group so
+         post-restore deployments cannot collide. *)
+      Array.iter
+        (fun sh ->
+          Sw_net.Multicast.reserve_group_ids
+            (Sw_net.Ingress.max_mcast_group sh.sh_ingress))
+        t.shards;
+      Ok (t, extra)

@@ -206,16 +206,18 @@ val run_span : t -> Sw_sim.Time.t -> unit
     with closures, so it is only loadable by the {e same binary} that wrote
     it (the runtime's code digest enforces this); [Sw_ckpt.Image] wraps
     these bytes in a versioned, checksummed, atomically-written container
-    and is what every tool above this layer uses. *)
+    and is what every tool above this layer uses.
+
+    The checkpointed graph must contain no extensible-variant values,
+    exceptions included: [Marshal] copies their constructor slots, and
+    pattern matching compares slots by physical identity, so a restored
+    copy would match none of its handler's cases. Packet payloads are a
+    closed variant ({!Sw_net.Packet.payload}) for this reason. *)
 
 type restore_error =
   | Incompatible_image of string
       (** The bytes were not produced by {!checkpoint} in this exact
-          binary (or were truncated/corrupted past recognition). *)
-  | Unregistered_extensions of string list
-      (** The image contains packet-payload constructors this process
-          never registered with [Sw_sim.Graft] — matching them would
-          silently fail, so the restore is refused. *)
+          binary, or were truncated or corrupted past recognition. *)
 
 val pp_restore_error : Format.formatter -> restore_error -> unit
 
@@ -229,7 +231,6 @@ val checkpoint : t -> extra:'a -> string
     is trusted from the caller's context — feed this only bytes whose
     provenance (same binary, same scenario) has been checked, e.g. via
     [Sw_ckpt.Image]'s digest and metadata. On success the restored cloud
-    is fully live: extension-constructor slots are re-grafted
-    ([Sw_sim.Graft]) and the multicast group-id allocator advanced past
-    every restored group. *)
+    is fully live: the multicast group-id allocator is advanced past every
+    restored group. *)
 val restore : string -> (t * 'a, restore_error) result

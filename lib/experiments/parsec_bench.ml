@@ -19,7 +19,7 @@ let run ?(config = parsec_config) ?(seed = default_seed) ~stopwatch profile =
   let done_at = ref nan in
   Stopwatch.Host.set_handler collector (fun pkt ->
       match pkt.Sw_net.Packet.payload with
-      | Sw_apps.Parsec.Job_done _ ->
+      | Sw_net.Packet.App (Sw_net.Msg.Job_done _) ->
           if Float.is_nan !done_at then
             done_at := Time.to_float_ms (Stopwatch.Host.now collector)
       | _ -> ());

@@ -1,8 +1,8 @@
 type vm_entry = {
   mutable replicas : int;
-  (* Copies received so far and a structural digest of the first copy,
-     keyed by the guest's deterministic packet sequence number. *)
-  pending : (int, int * int) Hashtbl.t;
+  (* Copies received so far and the first copy, keyed by the guest's
+     deterministic packet sequence number. *)
+  pending : (int, int * Packet.t) Hashtbl.t;
 }
 
 type t = {
@@ -43,19 +43,23 @@ let handle t (pkt : Packet.t) =
       | None -> Sw_obs.Registry.Counter.incr t.m_dropped
       | Some entry ->
           let key = inner.Packet.seq in
-          let digest = Hashtbl.hash (inner.Packet.dst, inner.Packet.size, inner.Packet.payload) in
-          let seen, first_digest =
+          let seen, first =
             match Hashtbl.find_opt entry.pending key with
-            | Some (n, d) -> (n, d)
-            | None -> (0, digest)
+            | Some (n, first) -> (n, first)
+            | None -> (0, inner)
           in
           (* Output vote: replicas are deterministic, so all copies of one
-             sequence number must be structurally identical. *)
-          if digest <> first_digest then Sw_obs.Registry.Counter.incr t.m_mismatches;
+             sequence number must be structurally identical. Payloads are
+             immutable, function-free data, so [=] compares them whole. *)
+          if
+            inner.Packet.dst <> first.Packet.dst
+            || inner.Packet.size <> first.Packet.size
+            || inner.Packet.payload <> first.Packet.payload
+          then Sw_obs.Registry.Counter.incr t.m_mismatches;
           let seen = seen + 1 in
           let release_rank = (entry.replicas + 1) / 2 in
           if seen >= entry.replicas then Hashtbl.remove entry.pending key
-          else Hashtbl.replace entry.pending key (seen, first_digest);
+          else Hashtbl.replace entry.pending key (seen, first);
           if seen = 1 && seen < entry.replicas then
             schedule_expiry t entry key;
           if seen = release_rank then begin

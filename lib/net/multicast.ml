@@ -1,20 +1,16 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
 
-type Packet.payload +=
-  | Mcast_data of { group : int; mseq : int; inner : Packet.payload }
-  | Mcast_nak of { group : int; origin : Address.t; from_mseq : int; to_mseq : int }
-  | Mcast_heartbeat of { group : int; last_mseq : int }
-
 let is_mcast (pkt : Packet.t) =
   match pkt.payload with
-  | Mcast_data _ | Mcast_nak _ | Mcast_heartbeat _ -> true
+  | Packet.Mcast_data _ | Packet.Mcast_nak _ | Packet.Mcast_heartbeat _ -> true
   | _ -> false
 
 let group_of_packet (pkt : Packet.t) =
   match pkt.payload with
-  | Mcast_data { group; _ } | Mcast_nak { group; _ } | Mcast_heartbeat { group; _ }
-    ->
+  | Packet.Mcast_data { group; _ }
+  | Packet.Mcast_nak { group; _ }
+  | Packet.Mcast_heartbeat { group; _ } ->
       Some group
   | _ -> None
 
@@ -97,7 +93,8 @@ let start_heartbeat e period =
              List.iter
                (fun dst ->
                  send_to e ~dst ~size:64
-                   (Mcast_heartbeat { group = e.g.group_id; last_mseq = e.next_mseq - 1 }))
+                   (Packet.Mcast_heartbeat
+                      { group = e.g.group_id; last_mseq = e.next_mseq - 1 }))
                (peers e);
            tick ()))
   in
@@ -141,7 +138,7 @@ let endpoint g ~self ?transmit ~deliver () =
 let publish e ~size payload =
   let mseq = e.next_mseq in
   e.next_mseq <- mseq + 1;
-  let wrapped = Mcast_data { group = e.g.group_id; mseq; inner = payload } in
+  let wrapped = Packet.Mcast_data { group = e.g.group_id; mseq; inner = payload } in
   List.iter
     (fun dst ->
       let pkt =
@@ -218,7 +215,7 @@ let rec nak_cycle e origin rx =
            else begin
              Sw_obs.Registry.Counter.incr e.m_naks;
              send_to e ~dst:origin ~size:64
-               (Mcast_nak
+               (Packet.Mcast_nak
                   {
                     group = e.g.group_id;
                     origin;
@@ -245,7 +242,7 @@ let handle e (pkt : Packet.t) =
   if e.partitioned then Sw_obs.Registry.Counter.incr e.m_partition_drops
   else
   match pkt.payload with
-  | Mcast_data { group; mseq; inner } ->
+  | Packet.Mcast_data { group; mseq; inner } ->
       if group <> e.g.group_id then ()
       else begin
         let rx = rx_state e pkt.src in
@@ -257,7 +254,7 @@ let handle e (pkt : Packet.t) =
           flush e rx
         end
       end
-  | Mcast_nak { group; from_mseq; to_mseq; _ } ->
+  | Packet.Mcast_nak { group; from_mseq; to_mseq; _ } ->
       if group <> e.g.group_id then ()
       else
         for mseq = from_mseq to to_mseq do
@@ -271,7 +268,7 @@ let handle e (pkt : Packet.t) =
               in
               xmit e pkt'
         done
-  | Mcast_heartbeat { group; last_mseq } ->
+  | Packet.Mcast_heartbeat { group; last_mseq } ->
       if group <> e.g.group_id then ()
       else begin
         let rx = rx_state e pkt.src in
@@ -286,14 +283,6 @@ let gaps_abandoned e = Sw_obs.Registry.Counter.value e.m_abandoned
 let partition_drops e = Sw_obs.Registry.Counter.value e.m_partition_drops
 let set_partitioned e on = e.partitioned <- on
 let partitioned e = e.partitioned
-
-let () =
-  List.iter Sw_sim.Graft.register
-    [
-      [%extension_constructor Mcast_data];
-      [%extension_constructor Mcast_nak];
-      [%extension_constructor Mcast_heartbeat];
-    ]
 
 let rec reserve_group_ids n =
   let cur = Atomic.get group_counter in

@@ -1,10 +1,10 @@
 (** Network packets.
 
-    The payload is an extensible variant: infrastructure cases are declared
-    here, applications (HTTP, NFS, ...) add their own. Payloads must be
-    immutable values so that replicated copies stay identical. *)
-
-type payload = ..
+    The payload is a closed variant: the infrastructure cases (replication,
+    multicast, liveness) are declared here and every application message is
+    an {!Msg.t}, carried directly ([App]) or in a TCP segment ([Tcp]).
+    Payloads must be immutable values so that replicated copies stay
+    identical. *)
 
 type t = {
   src : Address.t;
@@ -14,7 +14,7 @@ type t = {
   payload : payload;
 }
 
-type payload +=
+and payload =
   | Empty
   | Guest_bound of { vm : int; ingress_seq : int; inner : t }
       (** An inbound guest packet, replicated by the ingress to each replica's
@@ -27,6 +27,16 @@ type payload +=
   | Epoch_report of { vm : int; replica : int; epoch : int; d : Sw_sim.Time.t; r : Sw_sim.Time.t }
       (** Per-epoch (duration, real time) report for virtual-time resync. *)
   | Background of int  (** Subnet broadcast noise (ARP-like). *)
+  | Mcast_data of { group : int; mseq : int; inner : payload }
+      (** A payload published on a {!Multicast} group. *)
+  | Mcast_nak of { group : int; origin : Address.t; from_mseq : int; to_mseq : int }
+  | Mcast_heartbeat of { group : int; last_mseq : int }
+  | Vmm_alive of { vm : int; replica : int }
+      (** A VMM's liveness heartbeat to its replica group: the watchdog tells
+          a dead replica from an epoch-blocked one by these, since a blocked
+          guest stops exiting but its VMM keeps beating. *)
+  | Tcp of Msg.seg
+  | App of Msg.t  (** An application datagram. *)
 
 (** [make ~src ~dst ~size ~seq payload]. [size] must be positive. *)
 val make : src:Address.t -> dst:Address.t -> size:int -> seq:int -> payload -> t

@@ -34,11 +34,6 @@ type log_entry =
   | L_timers
   | L_slope of int64 * float
 
-(* Liveness heartbeat multicast by each replica's VMM to the group: the
-   watchdog distinguishes a dead replica from a merely blocked one by these,
-   since an epoch-blocked guest stops exiting but its VMM keeps beating. *)
-type Packet.payload += Vmm_alive of { vm : int; replica : int }
-
 type instance = {
   vm_id : int;
   group : Replica_group.t;
@@ -530,7 +525,7 @@ let handle_packet t (pkt : Packet.t) =
             Replica_group.receive_report i.group ~at:i.member
               ~from_replica:replica ~epoch ~d ~r
       | None -> Registry.Counter.incr t.m_unknown)
-  | Vmm_alive { vm; replica } -> (
+  | Packet.Vmm_alive { vm; replica } -> (
       match Hashtbl.find_opt t.instances vm with
       | Some i -> note_peer_seen i replica
       | None -> Registry.Counter.incr t.m_unknown)
@@ -670,7 +665,7 @@ let start_heartbeat (i : instance) period =
     ignore
       (Engine.schedule_after ~kind:"vmm.heartbeat" engine period (fun () ->
            if not i.crashed then begin
-             let payload = Vmm_alive { vm = i.vm_id; replica = my_id } in
+             let payload = Packet.Vmm_alive { vm = i.vm_id; replica = my_id } in
              (match i.channel with
              | Some ep -> Sw_net.Multicast.publish ep ~size:64 payload
              | None ->
@@ -855,5 +850,3 @@ let host ?channel ?start t ~group ~app ~peers =
     };
   Option.iter (start_heartbeat i) config.Config.vmm_heartbeat;
   i
-
-let () = Sw_sim.Graft.register [%extension_constructor Vmm_alive]

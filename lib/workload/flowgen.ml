@@ -40,7 +40,7 @@ type slot = {
   mutable used : int;
   mutable inflight : int;
   mutable retiring : bool;
-  backlog : (Sw_net.Packet.payload * int) Queue.t;
+  backlog : (Sw_net.Msg.t * int) Queue.t;
 }
 
 type meters = {
@@ -146,7 +146,7 @@ let on_response t ~seq ~tier =
 
 let handle_msg t ~payload ~bytes:_ =
   match payload with
-  | Kv.Wl_resp { seq; tier } -> on_response t ~seq ~tier
+  | Sw_net.Msg.Wl_resp { seq; tier } -> on_response t ~seq ~tier
   | _ -> ()
 
 let open_slot t s =
@@ -186,7 +186,7 @@ let issue t =
   let slot_idx = seq mod t.config.pool in
   let s = t.slots.(slot_idx) in
   let payload =
-    Kv.Wl_get
+    Sw_net.Msg.Wl_get
       { cls = cls_idx; key; seq; resp_bytes = cl.resp_bytes; cached = cl.cached }
   in
   t.issued <- t.issued + 1;

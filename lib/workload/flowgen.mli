@@ -66,7 +66,7 @@ val launch :
 val issued : t -> int
 val completed : t -> int
 
-(** Responses whose tier was [>= 0] / [-1] (see {!Kv.Wl_resp}). *)
+(** Responses whose tier was [>= 0] / [-1] (see {!Sw_net.Msg.Wl_resp}). *)
 val hits : t -> int
 
 val misses : t -> int

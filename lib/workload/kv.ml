@@ -1,16 +1,7 @@
 module App = Sw_vm.App
 module Time = Sw_sim.Time
 module Tcp_guest = Sw_apps.Tcp_guest
-
-type Sw_net.Packet.payload +=
-  | Wl_get of {
-      cls : int;
-      key : int;
-      seq : int;
-      resp_bytes : int;
-      cached : bool;
-    }
-  | Wl_resp of { seq : int; tier : int }
+module Msg = Sw_net.Msg
 
 type config = {
   cache : Cache.config;
@@ -83,7 +74,7 @@ let server (config : config) () =
   let respond tag p ~tier =
     Hashtbl.remove st.pending tag;
     Tcp_guest.send st.tcp p.conn
-      ~payload:(Wl_resp { seq = p.seq; tier })
+      ~payload:(Msg.Wl_resp { seq = p.seq; tier })
       ~bytes:(p.resp_bytes + st.config.header_bytes)
   in
   let start conn (cls, key, seq, resp_bytes, cached) =
@@ -105,8 +96,8 @@ let server (config : config) () =
           [ parse; App.Set_timer { after = cost; tag } ]
   in
   let handle_conn_event = function
-    | Tcp_guest.Msg { key; payload = Wl_get { cls; key = k; seq; resp_bytes; cached }; _ }
-      ->
+    | Tcp_guest.Msg
+        { key; payload = Msg.Wl_get { cls; key = k; seq; resp_bytes; cached }; _ } ->
         start key (cls, k, seq, resp_bytes, cached)
     | Tcp_guest.Msg _ | Tcp_guest.Accepted _ | Tcp_guest.Conn_closed _ -> []
   in
@@ -138,7 +129,3 @@ let server (config : config) () =
             actions @ List.concat_map handle_conn_event conn_events
         | None -> own_event event);
   }
-
-let () =
-  List.iter Sw_sim.Graft.register
-    [ [%extension_constructor Wl_get]; [%extension_constructor Wl_resp] ]

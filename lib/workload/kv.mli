@@ -13,18 +13,6 @@
     Deterministic by construction: state depends only on the delivered
     event stream, so all replicas of the service stay in lockstep. *)
 
-type Sw_net.Packet.payload +=
-  | Wl_get of {
-      cls : int;  (** Request-class index (client-side mix position). *)
-      key : int;
-      seq : int;  (** Client-chosen correlation id, echoed back. *)
-      resp_bytes : int;  (** Response body size. *)
-      cached : bool;  (** Whether this class goes through the cache. *)
-    }
-  | Wl_resp of { seq : int; tier : int }
-      (** [tier >= 0]: served from that cache tier; [-1]: origin (miss or
-          uncached class). *)
-
 type config = {
   cache : Cache.config;
   compute_branches : int64;  (** Per-request CPU cost (request parsing). *)

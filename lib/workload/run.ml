@@ -101,7 +101,7 @@ let prepare_single (w : Dsl.workload) =
           Host.after pinger (Time.of_float_s gap) (fun () ->
               incr count;
               Host.send pinger ~dst:attacker_addr ~size:100
-                (Probe.Probe_ping !count);
+                (Sw_net.Packet.App (Sw_net.Msg.Probe_ping !count));
               ping ())
         in
         ping ();

@@ -4,17 +4,17 @@
 
 module Time = Sw_sim.Time
 module Tcp = Sw_apps.Tcp
+module Msg = Sw_net.Msg
 module App = Sw_vm.App
 module Cloud = Stopwatch.Cloud
 module Host = Stopwatch.Host
 
-type Sw_net.Packet.payload += Blob of int
 
 (* --- In-memory duplex harness for the pure TCP machine --------------------- *)
 
 type side = {
   ep : Tcp.t;
-  mutable delivered : (Sw_net.Packet.payload * int) list;
+  mutable delivered : (Msg.t * int) list;
   mutable timers : (int * Time.t) list;
   mutable connected : bool;
   mutable closed : bool;
@@ -77,9 +77,9 @@ let test_tcp_handshake () =
 let test_tcp_small_message () =
   let client, server = connect () in
   perform client server
-    (Tcp.step client.ep (Tcp.Send_msg { payload = Blob 7; bytes = 100 }));
+    (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data 7; bytes = 100 }));
   (match server.delivered with
-  | [ (Blob 7, 100) ] -> ()
+  | [ (Msg.Stream_data 7, 100) ] -> ()
   | _ -> Alcotest.fail "message must arrive once with exact size");
   Alcotest.(check int) "bytes delivered" 100 (Tcp.bytes_delivered server.ep)
 
@@ -87,10 +87,10 @@ let test_tcp_large_message_segments () =
   let client, server = connect () in
   let size = 100_000 in
   perform client server
-    (Tcp.step client.ep (Tcp.Send_msg { payload = Blob 1; bytes = size }));
+    (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data 1; bytes = size }));
   settle client server;
   (match server.delivered with
-  | [ (Blob 1, n) ] -> Alcotest.(check int) "full size" size n
+  | [ (Msg.Stream_data 1, n) ] -> Alcotest.(check int) "full size" size n
   | _ -> Alcotest.fail "one message expected");
   Alcotest.(check int) "acked back to sender" size (Tcp.bytes_acked client.ep)
 
@@ -98,27 +98,27 @@ let test_tcp_many_messages_in_order () =
   let client, server = connect () in
   for i = 1 to 20 do
     perform client server
-      (Tcp.step client.ep (Tcp.Send_msg { payload = Blob i; bytes = 500 + i }))
+      (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data i; bytes = 500 + i }))
   done;
   settle client server;
   let got = List.map (fun (p, b) -> (p, b)) server.delivered in
-  let expected = List.init 20 (fun i -> (Blob (i + 1), 501 + i)) in
+  let expected = List.init 20 (fun i -> (Msg.Stream_data (i + 1), 501 + i)) in
   if got <> expected then Alcotest.fail "messages must arrive in order with sizes"
 
 let test_tcp_bidirectional () =
   let client, server = connect () in
   perform client server
-    (Tcp.step client.ep (Tcp.Send_msg { payload = Blob 1; bytes = 10 }));
+    (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data 1; bytes = 10 }));
   perform server client
-    (Tcp.step server.ep (Tcp.Send_msg { payload = Blob 2; bytes = 20 }));
+    (Tcp.step server.ep (Tcp.Send_msg { payload = Msg.Stream_data 2; bytes = 20 }));
   (match (server.delivered, client.delivered) with
-  | [ (Blob 1, 10) ], [ (Blob 2, 20) ] -> ()
+  | [ (Msg.Stream_data 1, 10) ], [ (Msg.Stream_data 2, 20) ] -> ()
   | _ -> Alcotest.fail "both directions deliver")
 
 let test_tcp_close () =
   let client, server = connect () in
   perform client server
-    (Tcp.step client.ep (Tcp.Send_msg { payload = Blob 1; bytes = 10 }));
+    (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data 1; bytes = 10 }));
   settle client server;
   perform client server (Tcp.step client.ep Tcp.Close);
   Alcotest.(check bool) "client closed" true client.closed;
@@ -133,7 +133,7 @@ let test_tcp_nagle_coalesces () =
   List.iter
     (fun i ->
       perform client server
-        (Tcp.step client.ep (Tcp.Send_msg { payload = Blob i; bytes = 50 })))
+        (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data i; bytes = 50 })))
     [ 1; 2; 3 ];
   let data_emitted = client.emitted - before in
   Alcotest.(check int) "only the first flies" 1 data_emitted;
@@ -153,18 +153,20 @@ let test_tcp_ooo_reassembly () =
   let sink = make_side ~config ~conn:1 ~initiator:true in
   (* Handshake manually: Syn, then Ack. *)
   perform server sink (Tcp.step server.ep (Tcp.Seg_in
-    { Tcp.conn = 1; kind = Tcp.Syn; seq = 0; len = 0; ack = 0; msg_end = None }));
+    { Msg.conn = 1; kind = Msg.Syn; seq = 0; len = 0; ack = 0; msg_end = None }));
   perform server sink (Tcp.step server.ep (Tcp.Seg_in
-    { Tcp.conn = 1; kind = Tcp.Ack; seq = 0; len = 0; ack = 0; msg_end = None }));
+    { Msg.conn = 1; kind = Msg.Ack; seq = 0; len = 0; ack = 0; msg_end = None }));
   let seg ~seq ~len ~msg_end =
-    { Tcp.conn = 1; kind = Tcp.Data; seq; len; ack = 0; msg_end }
+    { Msg.conn = 1; kind = Msg.Data; seq; len; ack = 0; msg_end }
   in
   (* Two segments delivered in reverse order; message ends at byte 200. *)
-  perform server sink (Tcp.step server.ep (Tcp.Seg_in (seg ~seq:100 ~len:100 ~msg_end:(Some (Blob 5)))));
+  perform server sink
+    (Tcp.step server.ep
+       (Tcp.Seg_in (seg ~seq:100 ~len:100 ~msg_end:(Some (Msg.Stream_data 5)))));
   Alcotest.(check int) "held until gap fills" 0 (List.length server.delivered);
   perform server sink (Tcp.step server.ep (Tcp.Seg_in (seg ~seq:0 ~len:100 ~msg_end:None)));
   match server.delivered with
-  | [ (Blob 5, 200) ] -> ()
+  | [ (Msg.Stream_data 5, 200) ] -> ()
   | _ -> Alcotest.fail "reassembled message expected"
 
 let prop_tcp_random_message_sizes =
@@ -176,13 +178,13 @@ let prop_tcp_random_message_sizes =
       List.iteri
         (fun i bytes ->
           perform client server
-            (Tcp.step client.ep (Tcp.Send_msg { payload = Blob i; bytes })))
+            (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data i; bytes })))
         sizes;
       settle client server;
       let got = server.delivered in
       List.length got = List.length sizes
       && List.for_all2
-           (fun (p, b) (i, expected) -> p = Blob i && b = expected)
+           (fun (p, b) (i, expected) -> p = Msg.Stream_data i && b = expected)
            got
            (List.mapi (fun i s -> (i, s)) sizes))
 
@@ -299,7 +301,6 @@ let test_http_concurrent_clients () =
   Alcotest.(check int) "no divergences" 0 (Cloud.divergences d)
 
 (* A guest echo service over TCP, for end-to-end stream testing. *)
-type Sw_net.Packet.payload += Echo_req of int | Echo_rep of int
 
 let tcp_echo_server : Sw_vm.App.factory =
  fun () ->
@@ -312,8 +313,8 @@ let tcp_echo_server : Sw_vm.App.factory =
             actions
             @ List.concat_map
                 (function
-                  | Sw_apps.Tcp_guest.Msg { key; payload = Echo_req n; bytes } ->
-                      Sw_apps.Tcp_guest.send tcpd key ~payload:(Echo_rep n) ~bytes
+                  | Sw_apps.Tcp_guest.Msg { key; payload = Msg.Probe_ping n; bytes } ->
+                      Sw_apps.Tcp_guest.send tcpd key ~payload:(Msg.Probe_echo n) ~bytes
                   | _ -> [])
                 conn_events
         | None -> []);
@@ -337,12 +338,12 @@ let prop_guest_tcp_echo_roundtrip =
             | Some c ->
                 List.iteri
                   (fun i bytes ->
-                    Sw_apps.Tcp_host.send c ~payload:(Echo_req i) ~bytes)
+                    Sw_apps.Tcp_host.send c ~payload:(Msg.Probe_ping i) ~bytes)
                   sizes
             | None -> ())
           ~on_msg:(fun ~payload ~bytes ->
             match payload with
-            | Echo_rep n -> got := (n, bytes) :: !got
+            | Msg.Probe_echo n -> got := (n, bytes) :: !got
             | _ -> ())
           ()
       in

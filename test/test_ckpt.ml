@@ -7,7 +7,6 @@
 
 module Time = Sw_sim.Time
 module Prng = Sw_sim.Prng
-module Graft = Sw_sim.Graft
 module Cloud = Stopwatch.Cloud
 module Dsl = Sw_workload.Dsl
 module Run = Sw_workload.Run
@@ -147,20 +146,108 @@ let test_sharded_roundtrip () =
     (contract_bytes r1.Run.metrics)
     (contract_bytes r4.Run.metrics)
 
-(* Extension-constructor slots lose physical identity through Marshal;
-   Graft.repair points them back at this process's live slots, which is
-   what makes restored payloads pattern-match again. *)
-let test_graft_repairs_slots () =
-  let bytes = Marshal.to_string Sw_net.Packet.Empty [ Marshal.Closures ] in
-  let boxed = ref (Marshal.from_string bytes 0 : Sw_net.Packet.payload) in
-  (match Graft.repair (Obj.repr boxed) with
-  | Ok stats ->
-      Alcotest.(check bool) "patched a slot" true (stats.Graft.patched >= 1)
-  | Error names ->
-      Alcotest.failf "unregistered slots: %s" (String.concat ", " names));
-  match !boxed with
-  | Sw_net.Packet.Empty -> ()
-  | _ -> Alcotest.fail "repaired payload does not match Empty"
+(* Payloads are a closed variant, so a plain Marshal round-trip restores
+   every constructor, nested ones included, with no repair step. [shape]
+   names each constructor down to the innermost message; being exhaustive,
+   it breaks the build when a constructor is added without a case here. *)
+let rec shape : Sw_net.Packet.payload -> string = function
+  | Empty -> "Empty"
+  | Guest_bound { inner; _ } -> "Guest_bound/" ^ shape inner.payload
+  | Proposal _ -> "Proposal"
+  | Egress_tunnel { inner; _ } -> "Egress_tunnel/" ^ shape inner.payload
+  | Epoch_report _ -> "Epoch_report"
+  | Background _ -> "Background"
+  | Mcast_data { inner; _ } -> "Mcast_data/" ^ shape inner
+  | Mcast_nak _ -> "Mcast_nak"
+  | Mcast_heartbeat _ -> "Mcast_heartbeat"
+  | Vmm_alive _ -> "Vmm_alive"
+  | Tcp { kind; msg_end; _ } ->
+      let kind =
+        match kind with
+        | Syn -> "Syn" | Synack -> "Synack" | Data -> "Data"
+        | Ack -> "Ack" | Fin -> "Fin" | Finack -> "Finack"
+      in
+      "Tcp." ^ kind ^ Option.fold ~none:"" ~some:(fun m -> "/" ^ msg_shape m) msg_end
+  | App m -> "App/" ^ msg_shape m
+
+and msg_shape : Sw_net.Msg.t -> string = function
+  | Http_get _ -> "Http_get"
+  | Http_response _ -> "Http_response"
+  | Nfs_call _ -> "Nfs_call"
+  | Nfs_reply _ -> "Nfs_reply"
+  | Udp_request _ -> "Udp_request"
+  | Udp_data _ -> "Udp_data"
+  | Udp_nak _ -> "Udp_nak"
+  | Probe_ping _ -> "Probe_ping"
+  | Probe_echo _ -> "Probe_echo"
+  | Stream_data _ -> "Stream_data"
+  | Job_done _ -> "Job_done"
+  | Wl_get _ -> "Wl_get"
+  | Wl_resp _ -> "Wl_resp"
+
+let test_payloads_survive_marshal () =
+  let module P = Sw_net.Packet in
+  let module M = Sw_net.Msg in
+  let packet payload =
+    P.make ~src:(Sw_net.Address.Host 1) ~dst:(Sw_net.Address.Vm 2) ~size:100
+      ~seq:4 payload
+  in
+  let seg ?msg_end kind =
+    P.Tcp { M.conn = 1; kind; seq = 0; len = 10; ack = 0; msg_end }
+  in
+  let msgs =
+    [
+      M.Http_get { file = 1; size = 2 };
+      Http_response { file = 1 };
+      Nfs_reply { xid = 3; op = Write };
+      Udp_request { file = 1; size = 2 };
+      Udp_data { file = 1; offset = 0; len = 2; last = true };
+      Udp_nak { file = 1; from_offset = 0 };
+      Probe_ping 1;
+      Probe_echo 2;
+      Stream_data 3;
+      Job_done { name = "ferret" };
+      Wl_get { cls = 0; key = 1; seq = 2; resp_bytes = 3; cached = true };
+      Wl_resp { seq = 5; tier = -1 };
+    ]
+    @ List.map (fun (op, _) -> M.Nfs_call { xid = 3; op }) Sw_apps.Nfs.paper_mix
+  in
+  let cases =
+    [
+      P.Empty;
+      Background 7;
+      Proposal { vm = 1; ingress_seq = 2; proposer = 0; virt = Time.ms 3 };
+      Epoch_report { vm = 1; replica = 2; epoch = 3; d = Time.ms 4; r = Time.ms 5 };
+      Mcast_nak { group = 1; origin = Sw_net.Address.Vmm 0; from_mseq = 2; to_mseq = 3 };
+      Mcast_heartbeat { group = 1; last_mseq = 2 };
+      Vmm_alive { vm = 1; replica = 2 };
+    ]
+    @ List.map seg [ M.Syn; Synack; Data; Ack; Fin; Finack ]
+    @ List.concat_map
+        (fun m ->
+          [
+            P.App m;
+            seg ~msg_end:m Data;
+            Mcast_data
+              {
+                group = 1;
+                mseq = 2;
+                inner =
+                  Guest_bound
+                    { vm = 1; ingress_seq = 2; inner = packet (seg ~msg_end:m Data) };
+              };
+            Egress_tunnel { vm = 1; replica = 0; inner = packet (App m) };
+          ])
+        msgs
+  in
+  List.iter
+    (fun p ->
+      let back : P.payload =
+        Marshal.from_string (Marshal.to_string p [ Marshal.Closures ]) 0
+      in
+      Alcotest.(check string) "same constructors" (shape p) (shape back);
+      if back <> p then Alcotest.failf "%s: restored value differs" (shape p))
+    cases
 
 (* --- image framing --------------------------------------------------------- *)
 
@@ -214,7 +301,19 @@ let test_image_truncated () =
       expect_read_error "img_trunc.img" (function
         | Image.Truncated -> true
         | _ -> false))
-    [ String.length bytes - 100; 40; 3 ]
+    [ String.length bytes - 100; 40; 3 ];
+  (* Cloud.restore answers short or cut bytes with a typed error. *)
+  let image = Cloud.checkpoint (Cloud.create ~machines:3 ()) ~extra:() in
+  List.iter
+    (fun bytes ->
+      match (Cloud.restore bytes : (Cloud.t * unit, _) result) with
+      | Error (Cloud.Incompatible_image _) -> ()
+      | Ok _ -> Alcotest.fail "restored a truncated image")
+    [
+      "abc";
+      String.sub image 0 (String.length image / 2);
+      String.init 64 (fun i -> Char.chr (i * 37 mod 256));
+    ]
 
 let test_image_corrupt () =
   let payload = String.make 2048 'x' in
@@ -472,8 +571,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_restore_roundtrip;
           Alcotest.test_case "sharded restore (4 shards, vs 1)" `Slow
             test_sharded_roundtrip;
-          Alcotest.test_case "graft repairs marshalled slots" `Quick
-            test_graft_repairs_slots;
+          Alcotest.test_case "payloads survive Marshal" `Quick
+            test_payloads_survive_marshal;
         ] );
       ( "image",
         [

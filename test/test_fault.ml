@@ -143,7 +143,7 @@ let test_crash_lifecycle () =
     Host.after client (Time.ms 5) (fun () ->
         incr n;
         Host.send client ~dst:(Cloud.vm_address d) ~size:100
-          (Sw_apps.Probe.Probe_ping !n);
+          (Sw_net.Packet.App (Sw_net.Msg.Probe_ping !n));
         ping ())
   in
   ping ();
@@ -233,7 +233,7 @@ let test_egress_bounded_under_total_loss () =
     Host.after client (Time.ms 2) (fun () ->
         incr n;
         Host.send client ~dst:(Cloud.vm_address d) ~size:100
-          (Sw_apps.Probe.Probe_ping !n);
+          (Sw_net.Packet.App (Sw_net.Msg.Probe_ping !n));
         ping ())
   in
   ping ();

@@ -8,19 +8,22 @@ module Cloud = Stopwatch.Cloud
 module Host = Stopwatch.Host
 module App = Sw_vm.App
 module Packet = Sw_net.Packet
+module Msg = Sw_net.Msg
 
-type Packet.payload += Ping of int | Pong of int
+(* Probe datagrams: clients ping, echo guests answer. *)
+let ping n = Packet.App (Msg.Probe_ping n)
+let pong n = Packet.App (Msg.Probe_echo n)
 
 let echo_app : App.factory =
   App.stateful ~init:0 ~handle:(fun count ~virt_now:_ ev ->
       match ev with
       | App.Packet_in pkt -> (
           match pkt.Packet.payload with
-          | Ping n ->
+          | Packet.App (Msg.Probe_ping n) ->
               ( count + 1,
                 [
                   App.Compute 10_000L;
-                  App.Send { dst = pkt.Packet.src; size = 100; payload = Pong n };
+                  App.Send { dst = pkt.Packet.src; size = 100; payload = pong n };
                 ] )
           | _ -> (count, []))
       | _ -> (count, []))
@@ -36,11 +39,11 @@ let ping_run ?(machines = 3) ?(pings = 20) ?(deploy = `Stopwatch) ?(seed = 1L) (
   let pongs = ref [] in
   Host.set_handler client (fun pkt ->
       match pkt.Packet.payload with
-      | Pong n -> pongs := (n, Host.now client) :: !pongs
+      | Packet.App (Msg.Probe_echo n) -> pongs := (n, Host.now client) :: !pongs
       | _ -> ());
   for n = 1 to pings do
     Host.after client (Time.ms (50 * n)) (fun () ->
-        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
   done;
   Cloud.run cloud ~until:(Time.s 3);
   (cloud, d, List.rev !pongs)
@@ -127,10 +130,12 @@ let test_background_noise_keeps_determinism () =
     let client = Cloud.add_host cloud () in
     let pongs = ref 0 in
     Host.set_handler client (fun pkt ->
-        match pkt.Packet.payload with Pong _ -> incr pongs | _ -> ());
+        match pkt.Packet.payload with
+        | Packet.App (Msg.Probe_echo _) -> incr pongs
+        | _ -> ());
     for n = 1 to 10 do
       Host.after client (Time.ms (40 * n)) (fun () ->
-          Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+          Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
     done;
     Cloud.run cloud ~until:(Time.s 2);
     let virt r = Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest r) in
@@ -152,7 +157,7 @@ let prop_lockstep_any_seed =
       let client = Cloud.add_host cloud () in
       for n = 1 to 5 do
         Host.after client (Time.ms (30 * n)) (fun () ->
-            Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+            Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
       done;
       Cloud.run cloud ~until:(Time.ms 600);
       match Cloud.replicas d with
@@ -187,11 +192,13 @@ let test_deploy_plan () =
       let client = Cloud.add_host cloud () in
       let pongs = ref 0 in
       Host.set_handler client (fun pkt ->
-          match pkt.Packet.payload with Pong _ -> incr pongs | _ -> ());
+          match pkt.Packet.payload with
+          | Packet.App (Msg.Probe_echo _) -> incr pongs
+          | _ -> ());
       List.iteri
         (fun i d ->
           Host.after client (Time.ms (10 * (i + 1))) (fun () ->
-              Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping i)))
+              Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping i)))
         deployments;
       Cloud.run cloud ~until:(Time.s 2);
       Alcotest.(check int) "every VM answered" 9 !pongs
@@ -203,10 +210,12 @@ let test_five_replicas_end_to_end () =
   let client = Cloud.add_host cloud () in
   let pongs = ref 0 in
   Host.set_handler client (fun pkt ->
-      match pkt.Packet.payload with Pong _ -> incr pongs | _ -> ());
+      match pkt.Packet.payload with
+      | Packet.App (Msg.Probe_echo _) -> incr pongs
+      | _ -> ());
   for n = 1 to 5 do
     Host.after client (Time.ms (50 * n)) (fun () ->
-        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
   done;
   Cloud.run cloud ~until:(Time.s 2);
   Alcotest.(check int) "pongs with 5 replicas" 5 !pongs;
@@ -222,17 +231,17 @@ let test_divergence_on_tiny_delta_n () =
   let client = Cloud.add_host cloud () in
   let pongs = ref 0 in
   Host.set_handler client (fun pkt ->
-      match pkt.Packet.payload with Pong _ -> incr pongs | _ -> ());
+      match pkt.Packet.payload with
+      | Packet.App (Msg.Probe_echo _) -> incr pongs
+      | _ -> ());
   for n = 1 to 10 do
     Host.after client (Time.ms (30 * n)) (fun () ->
-        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
   done;
   Cloud.run cloud ~until:(Time.s 2);
   if Cloud.divergences d = 0 then
     Alcotest.fail "expected synchrony violations with a 100 us delta_n";
   Alcotest.(check int) "pings still delivered" 10 !pongs
-
-type Packet.payload += Dma_report of { completions : int; virt_ms : float }
 
 let test_dma_end_to_end () =
   (* A guest chaining DMA transfers: completions arrive at virt + delta_d,
@@ -244,36 +253,35 @@ let test_dma_end_to_end () =
         | App.Dma_done { tag } when tag < 4 ->
             (n + 1, [ App.Dma_transfer { bytes = 1 lsl 20; tag = tag + 1 } ])
         | App.Dma_done _ ->
+            (* Report the completion count and the virtual time (ns) as two
+               datagrams. *)
             ( n + 1,
-              [
-                App.Send
-                  {
-                    dst = Sw_net.Address.Host 0;
-                    size = 64;
-                    payload =
-                      Dma_report
-                        { completions = n + 1; virt_ms = Time.to_float_ms virt_now };
-                  };
-              ] )
+              List.map
+                (fun msg ->
+                  App.Send
+                    { dst = Sw_net.Address.Host 0; size = 64; payload = Packet.App msg })
+                [ Msg.Stream_data (n + 1); Msg.Probe_echo (Int64.to_int virt_now) ] )
         | _ -> (n, []))
   in
   let cloud = Cloud.create ~machines:3 () in
   let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app in
   let collector = Cloud.add_host cloud () in
-  let report = ref None in
+  let completions = ref None and virt_ms = ref None in
   Host.set_handler collector (fun pkt ->
       match pkt.Packet.payload with
-      | Dma_report { completions; virt_ms } -> report := Some (completions, virt_ms)
+      | Packet.App (Msg.Stream_data n) -> completions := Some n
+      | Packet.App (Msg.Probe_echo ns) ->
+          virt_ms := Some (Time.to_float_ms (Int64.of_int ns))
       | _ -> ());
   Cloud.run cloud ~until:(Time.s 2);
-  (match !report with
-  | Some (5, virt_ms) ->
+  (match (!completions, !virt_ms) with
+  | Some 5, Some virt_ms ->
       (* Five chained transfers, each delivered at issue + delta_d (12 ms):
          the last completion lands near 60 ms of virtual time. *)
       if virt_ms < 59. || virt_ms > 75. then
         Alcotest.failf "unexpected completion virt %f ms" virt_ms
-  | Some (n, _) -> Alcotest.failf "expected 5 completions, got %d" n
-  | None -> Alcotest.fail "no report received");
+  | Some n, _ when n <> 5 -> Alcotest.failf "expected 5 completions, got %d" n
+  | _ -> Alcotest.fail "no report received");
   (match Cloud.replicas d with
   | first :: rest ->
       List.iter
@@ -303,11 +311,13 @@ let test_lossy_fabric_pgm_recovery () =
   let client = Cloud.add_host cloud ~link:Sw_net.Network.wan () in
   let pongs = ref 0 in
   Host.set_handler client (fun pkt ->
-      match pkt.Packet.payload with Pong _ -> incr pongs | _ -> ());
+      match pkt.Packet.payload with
+      | Packet.App (Msg.Probe_echo _) -> incr pongs
+      | _ -> ());
   let pings = 30 in
   for n = 1 to pings do
     Host.after client (Time.ms (40 * n)) (fun () ->
-        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
   done;
   Cloud.run cloud ~until:(Time.s 4);
   (match Cloud.replicas d with
@@ -354,8 +364,6 @@ let test_epoch_resync_in_cloud () =
   let drift = Float.abs (Time.to_float_ms (Time.sub virt (Cloud.engine cloud |> Sw_sim.Engine.now))) in
   if drift > 50. then Alcotest.failf "drift %f ms not contained" drift
 
-type Packet.payload += Leak of int
-
 let test_nondeterministic_app_caught_by_vote () =
   (* A buggy application that violates the determinism contract: its factory
      captures one shared counter, so the three replicas emit different
@@ -369,7 +377,14 @@ let test_nondeterministic_app_caught_by_vote () =
           match ev with
           | App.Packet_in pkt ->
               incr shared;
-              [ App.Send { dst = pkt.Packet.src; size = 100; payload = Leak !shared } ]
+              [
+                App.Send
+                  {
+                    dst = pkt.Packet.src;
+                    size = 100;
+                    payload = Packet.App (Msg.Stream_data !shared);
+                  };
+              ]
           | _ -> []);
     }
   in
@@ -377,7 +392,7 @@ let test_nondeterministic_app_caught_by_vote () =
   let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:buggy in
   let client = Cloud.add_host cloud () in
   Host.set_handler client (fun _ -> ());
-  Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping 1);
+  Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping 1);
   Cloud.run cloud ~until:(Time.ms 500);
   if Sw_net.Egress.mismatches (Cloud.egress cloud) = 0 then
     Alcotest.fail "output vote must catch a nondeterministic guest"
@@ -393,11 +408,11 @@ let test_heterogeneous_hardware () =
   let pongs = ref [] in
   Host.set_handler client (fun pkt ->
       match pkt.Packet.payload with
-      | Pong n -> pongs := n :: !pongs
+      | Packet.App (Msg.Probe_echo n) -> pongs := n :: !pongs
       | _ -> ());
   for n = 1 to 20 do
     Host.after client (Time.ms (50 * n)) (fun () ->
-        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
   done;
   Cloud.run cloud ~until:(Time.s 3);
   Alcotest.(check (list int)) "all pongs in order"
@@ -436,10 +451,12 @@ let test_clock_offsets_start_negotiation () =
   let client = Cloud.add_host cloud () in
   let pongs = ref 0 in
   Host.set_handler client (fun pkt ->
-      match pkt.Packet.payload with Pong _ -> incr pongs | _ -> ());
+      match pkt.Packet.payload with
+      | Packet.App (Msg.Probe_echo _) -> incr pongs
+      | _ -> ());
   for n = 1 to 10 do
     Host.after client (Time.ms (40 * n)) (fun () ->
-        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
   done;
   Cloud.run cloud ~until:(Time.s 1);
   Alcotest.(check int) "all pongs" 10 !pongs;
@@ -463,10 +480,12 @@ let test_replay_recovery () =
   let client = Cloud.add_host cloud () in
   let pongs = ref 0 in
   Host.set_handler client (fun pkt ->
-      match pkt.Packet.payload with Pong _ -> incr pongs | _ -> ());
+      match pkt.Packet.payload with
+      | Packet.App (Msg.Probe_echo _) -> incr pongs
+      | _ -> ());
   for n = 1 to 20 do
     Host.after client (Time.ms (40 * n)) (fun () ->
-        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+        Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
   done;
   (* First half of the run. *)
   Cloud.run cloud ~until:(Time.ms 450);
@@ -510,7 +529,7 @@ let random_app ~app_seed : App.factory =
               [
                 App.Compute (Int64.of_int (1000 + (pick * 997)));
                 App.Send
-                  { dst = pkt.Packet.src; size = 80 + pick; payload = Pong events };
+                  { dst = pkt.Packet.src; size = 80 + pick; payload = pong events };
               ]
             else if pick < 50 then
               [ App.Disk_read { bytes = 512 + (pick * 64); sequential = pick mod 2 = 0; tag = events } ]
@@ -522,7 +541,7 @@ let random_app ~app_seed : App.factory =
             [
               App.Compute 2000L;
               App.Send
-                { dst = Sw_net.Address.Host 0; size = 64; payload = Pong events };
+                { dst = Sw_net.Address.Host 0; size = 64; payload = pong events };
             ]
         | App.Timer _ -> [ App.Compute 12_345L ]
         | App.Boot | App.Tick -> []
@@ -539,7 +558,7 @@ let prop_random_apps_stay_in_lockstep =
       Host.set_handler client (fun _ -> ());
       for n = 1 to pings do
         Host.after client (Time.ms (17 * n)) (fun () ->
-            Host.send client ~dst:(Cloud.vm_address d) ~size:100 (Ping n))
+            Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
       done;
       Cloud.run cloud ~until:(Time.ms (17 * pings) |> Time.add (Time.ms 400));
       Sw_net.Egress.mismatches (Cloud.egress cloud) = 0

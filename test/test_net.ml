@@ -8,8 +8,6 @@ module Net = Sw_net.Network
 module Packet = Sw_net.Packet
 module Address = Sw_net.Address
 
-type Packet.payload += Tag of int
-
 let quiet_link =
   { Net.latency = Time.ms 1; jitter = Time.zero; bandwidth_bps = 0; loss = 0. }
 
@@ -27,7 +25,7 @@ let test_latency () =
   let engine, net = setup () in
   let arrival = ref Time.zero in
   Net.register net (Address.Host 1) (fun _ -> arrival := Engine.now engine);
-  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Tag 1);
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 1);
   Engine.run engine;
   Alcotest.(check int64) "latency applied" (Time.ms 1) !arrival
 
@@ -41,8 +39,8 @@ let test_serialisation () =
   Net.register net2 (Address.Host 1) (fun _ ->
       arrivals := Engine.now engine :: !arrivals);
   (* 1000-byte packets at 8 Mb/s serialize in 1 ms each, FIFO. *)
-  send net2 ~src:(Address.Host 0) ~dst:(Address.Host 1) ~size:1000 (Tag 1);
-  send net2 ~src:(Address.Host 0) ~dst:(Address.Host 1) ~size:1000 (Tag 2);
+  send net2 ~src:(Address.Host 0) ~dst:(Address.Host 1) ~size:1000 (Packet.Background 1);
+  send net2 ~src:(Address.Host 0) ~dst:(Address.Host 1) ~size:1000 (Packet.Background 2);
   Engine.run engine;
   ignore net;
   Alcotest.(check (list int64)) "back-to-back serialisation"
@@ -57,9 +55,11 @@ let test_fifo_no_reorder () =
   let net = Net.create engine ~default in
   let order = ref [] in
   Net.register net (Address.Host 1) (fun pkt ->
-      match pkt.Packet.payload with Tag n -> order := n :: !order | _ -> ());
+      match pkt.Packet.payload with
+      | Packet.Background n -> order := n :: !order
+      | _ -> ());
   for i = 1 to 50 do
-    send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Tag i)
+    send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background i)
   done;
   Engine.run engine;
   Alcotest.(check (list int)) "jitter never reorders a link"
@@ -72,7 +72,7 @@ let test_loss () =
   let net = Net.create engine ~default in
   let got = ref 0 in
   Net.register net (Address.Host 1) (fun _ -> incr got);
-  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Tag 1);
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 1);
   Engine.run engine;
   Alcotest.(check int) "all lost" 0 !got;
   Alcotest.(check int) "loss counted" 1 (Net.lost net)
@@ -85,18 +85,18 @@ let test_route_rewrite () =
   Net.register net Address.Ingress (fun _ -> incr at_ingress);
   Net.register net (Address.Vm 3) (fun _ -> incr at_vm);
   Net.set_route net ~dst:(Address.Vm 3) ~via:Address.Ingress;
-  send net ~src:(Address.Host 0) ~dst:(Address.Vm 3) (Tag 1);
+  send net ~src:(Address.Host 0) ~dst:(Address.Vm 3) (Packet.Background 1);
   Engine.run engine;
   Alcotest.(check int) "delivered via ingress" 1 !at_ingress;
   Alcotest.(check int) "vm handler bypassed" 0 !at_vm;
   Net.clear_route net ~dst:(Address.Vm 3);
-  send net ~src:(Address.Host 0) ~dst:(Address.Vm 3) (Tag 2);
+  send net ~src:(Address.Host 0) ~dst:(Address.Vm 3) (Packet.Background 2);
   Engine.run engine;
   Alcotest.(check int) "after clear, direct" 1 !at_vm
 
 let test_undeliverable () =
   let engine, net = setup () in
-  send net ~src:(Address.Host 0) ~dst:(Address.Host 9) (Tag 1);
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 9) (Packet.Background 1);
   Engine.run engine;
   Alcotest.(check int) "undeliverable counted" 1 (Net.undeliverable net)
 
@@ -104,7 +104,7 @@ let test_counters () =
   let engine, net = setup () in
   Net.register net (Address.Host 1) (fun _ -> ());
   for _ = 1 to 3 do
-    send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Tag 0)
+    send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 0)
   done;
   Engine.run engine;
   Alcotest.(check int) "pair count" 3
@@ -120,7 +120,7 @@ let test_broadcast () =
   List.iter
     (fun i -> Net.register net (Address.Host i) (fun _ -> got := i :: !got))
     [ 0; 1; 2 ];
-  send net ~src:(Address.Host 0) ~dst:Address.Broadcast_addr (Tag 1);
+  send net ~src:(Address.Host 0) ~dst:Address.Broadcast_addr (Packet.Background 1);
   Engine.run engine;
   Alcotest.(check (list int)) "everyone but sender" [ 1; 2 ]
     (List.sort compare !got)
@@ -131,7 +131,7 @@ let test_node_link_override () =
     { quiet_link with Net.latency = Time.ms 10 };
   let arrival = ref Time.zero in
   Net.register net (Address.Host 1) (fun _ -> arrival := Engine.now engine);
-  send net ~src:(Address.Vm 5) ~dst:(Address.Host 1) (Tag 1);
+  send net ~src:(Address.Vm 5) ~dst:(Address.Host 1) (Packet.Background 1);
   Engine.run engine;
   Alcotest.(check int64) "node override used" (Time.ms 10) !arrival
 
@@ -165,8 +165,8 @@ let mcast_setup ?(loss = 0.) ?heartbeat () =
 let test_mcast_basic () =
   let engine, endpoints, received = mcast_setup () in
   let _, ep0 = List.hd endpoints in
-  Sw_net.Multicast.publish ep0 ~size:100 (Tag 1);
-  Sw_net.Multicast.publish ep0 ~size:100 (Tag 2);
+  Sw_net.Multicast.publish ep0 ~size:100 (Packet.Background 1);
+  Sw_net.Multicast.publish ep0 ~size:100 (Packet.Background 2);
   Engine.run engine;
   List.iter
     (fun self ->
@@ -175,7 +175,7 @@ let test_mcast_basic () =
         (Address.to_string self ^ " got both")
         2 (List.length payloads);
       match payloads with
-      | [ Tag 1; Tag 2 ] -> ()
+      | [ Packet.Background 1; Packet.Background 2 ] -> ()
       | _ -> Alcotest.fail "in-order delivery expected")
     [ Address.Vmm 1; Address.Vmm 2 ];
   Alcotest.(check bool) "sender does not self-deliver" true
@@ -186,13 +186,15 @@ let test_mcast_loss_recovery () =
   let engine, endpoints, received = mcast_setup ~loss:0.3 ~heartbeat:(Time.ms 5) () in
   let _, ep0 = List.hd endpoints in
   for i = 1 to 20 do
-    Sw_net.Multicast.publish ep0 ~size:100 (Tag i)
+    Sw_net.Multicast.publish ep0 ~size:100 (Packet.Background i)
   done;
   Engine.run ~until:(Time.s 2) engine;
   List.iter
     (fun self ->
       let payloads = List.rev (Hashtbl.find received self) in
-      let tags = List.filter_map (function Tag n -> Some n | _ -> None) payloads in
+      let tags =
+        List.filter_map (function Packet.Background n -> Some n | _ -> None) payloads
+      in
       Alcotest.(check (list int))
         (Address.to_string self ^ " complete in-order stream")
         (List.init 20 (fun i -> i + 1))
@@ -207,7 +209,7 @@ let test_mcast_rejects_foreign () =
       try
         Sw_net.Multicast.handle ep0
           (Packet.make ~src:(Address.Vmm 1) ~dst:(Address.Vmm 0) ~size:10 ~seq:1
-             (Tag 1))
+             (Packet.Background 1))
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
 (* --- Ingress / egress ------------------------------------------------------------ *)
@@ -226,12 +228,12 @@ let test_ingress_replicates () =
     [ 0; 1; 2 ];
   Sw_net.Ingress.register_vm ingress ~vm:7
     ~replica_vmms:[ Address.Vmm 0; Address.Vmm 1; Address.Vmm 2 ];
-  send net ~src:(Address.Host 0) ~dst:(Address.Vm 7) (Tag 42);
+  send net ~src:(Address.Host 0) ~dst:(Address.Vm 7) (Packet.Background 42);
   Engine.run engine;
   List.iter
     (fun m ->
       match Hashtbl.find_opt got m with
-      | Some (7, 0, Tag 42) -> ()
+      | Some (7, 0, Packet.Background 42) -> ()
       | _ -> Alcotest.failf "machine %d did not get the replica" m)
     [ 0; 1; 2 ];
   Alcotest.(check int) "replicated count" 1 (Sw_net.Ingress.replicated ingress)
@@ -240,7 +242,7 @@ let test_ingress_drops_unknown () =
   let engine, net = setup () in
   let ingress = Sw_net.Ingress.create net in
   Net.set_route net ~dst:(Address.Vm 9) ~via:Address.Ingress;
-  send net ~src:(Address.Host 0) ~dst:(Address.Vm 9) (Tag 1);
+  send net ~src:(Address.Host 0) ~dst:(Address.Vm 9) (Packet.Background 1);
   Engine.run engine;
   Alcotest.(check int) "dropped" 1 (Sw_net.Ingress.dropped ingress)
 
@@ -262,16 +264,16 @@ let test_egress_releases_on_second_copy () =
       arrivals := (Engine.now engine, pkt.Packet.payload) :: !arrivals);
   (* Copies from the three replicas at 0, 5 and 9 ms: the median (2nd) copy
      at 5 ms must trigger the single forward. *)
-  egress_copy net ~vm:7 ~replica:0 ~seq:0 (Tag 1);
+  egress_copy net ~vm:7 ~replica:0 ~seq:0 (Packet.Background 1);
   ignore
     (Engine.schedule_at engine (Time.ms 5) (fun () ->
-         egress_copy net ~vm:7 ~replica:1 ~seq:0 (Tag 1)));
+         egress_copy net ~vm:7 ~replica:1 ~seq:0 (Packet.Background 1)));
   ignore
     (Engine.schedule_at engine (Time.ms 9) (fun () ->
-         egress_copy net ~vm:7 ~replica:2 ~seq:0 (Tag 1)));
+         egress_copy net ~vm:7 ~replica:2 ~seq:0 (Packet.Background 1)));
   Engine.run engine;
   (match !arrivals with
-  | [ (at, Tag 1) ] ->
+  | [ (at, Packet.Background 1) ] ->
       (* 5 ms (second copy sent) + 1 ms to egress + 1 ms to host. *)
       Alcotest.(check int64) "released at median" (Time.ms 7) at
   | _ -> Alcotest.fail "exactly one forward expected");
@@ -286,7 +288,7 @@ let test_egress_five_replicas () =
   for r = 0 to 4 do
     ignore
       (Engine.schedule_at engine (Time.ms r) (fun () ->
-           egress_copy net ~vm:7 ~replica:r ~seq:0 (Tag 1)))
+           egress_copy net ~vm:7 ~replica:r ~seq:0 (Packet.Background 1)))
   done;
   Engine.run engine;
   Alcotest.(check int) "one release from five copies" 1 !count
@@ -296,14 +298,33 @@ let test_egress_output_vote () =
   let egress = Sw_net.Egress.create net in
   Sw_net.Egress.register_vm egress ~vm:7 ~replicas:3;
   Net.register net (Address.Host 1) (fun _ -> ());
-  egress_copy net ~vm:7 ~replica:0 ~seq:0 (Tag 1);
-  egress_copy net ~vm:7 ~replica:1 ~seq:0 (Tag 1);
+  egress_copy net ~vm:7 ~replica:0 ~seq:0 (Packet.Background 1);
+  egress_copy net ~vm:7 ~replica:1 ~seq:0 (Packet.Background 1);
   (* The third replica diverged and emitted different content. *)
-  egress_copy net ~vm:7 ~replica:2 ~seq:0 (Tag 999);
+  egress_copy net ~vm:7 ~replica:2 ~seq:0 (Packet.Background 999);
   Engine.run engine;
   Alcotest.(check int) "vote failure detected" 1 (Sw_net.Egress.mismatches egress);
   Alcotest.(check int) "still released on median copy" 1
-    (Sw_net.Egress.forwarded egress)
+    (Sw_net.Egress.forwarded egress);
+  (* Copies that differ only deep inside a TCP segment's message: the vote
+     compares whole payloads, not a bounded hash of their first words. *)
+  let reply tier =
+    Packet.Tcp
+      {
+        Sw_net.Msg.conn = 1;
+        kind = Sw_net.Msg.Data;
+        seq = 0;
+        len = 64;
+        ack = 0;
+        msg_end = Some (Sw_net.Msg.Wl_resp { seq = 5; tier });
+      }
+  in
+  egress_copy net ~vm:7 ~replica:0 ~seq:1 (reply 1);
+  egress_copy net ~vm:7 ~replica:1 ~seq:1 (reply 1);
+  egress_copy net ~vm:7 ~replica:2 ~seq:1 (reply 2);
+  Engine.run engine;
+  Alcotest.(check int) "divergent segment message detected" 2
+    (Sw_net.Egress.mismatches egress)
 
 let test_egress_even_replicas_rejected () =
   let _, net = setup () in

@@ -6,6 +6,7 @@ module Time = Sw_sim.Time
 module Vt = Sw_vm.Virtual_time
 module App = Sw_vm.App
 module Guest = Sw_vm.Guest
+module Packet = Sw_net.Packet
 
 (* --- Virtual time ----------------------------------------------------------- *)
 
@@ -89,7 +90,6 @@ let make_guest ?pit_period app_handle =
   let guest = Guest.create ~app:{ App.handle = app_handle } ~vt ?pit_period ~sinks () in
   (guest, events)
 
-type Sw_net.Packet.payload += Dummy
 
 let test_guest_idle_spins () =
   let guest, _ = make_guest (fun ~virt_now:_ _ -> []) in
@@ -105,9 +105,9 @@ let test_guest_compute_then_send () =
         | App.Boot ->
             [
               App.Compute 500L;
-              App.Send { dst = Sw_net.Address.Host 0; size = 64; payload = Dummy };
+              App.Send { dst = Sw_net.Address.Host 0; size = 64; payload = Packet.Empty };
               App.Compute 200L;
-              App.Send { dst = Sw_net.Address.Host 0; size = 65; payload = Dummy };
+              App.Send { dst = Sw_net.Address.Host 0; size = 65; payload = Packet.Empty };
             ]
         | _ -> [])
   in
@@ -126,7 +126,7 @@ let test_guest_compute_spans_slices () =
         | App.Boot ->
             [
               App.Compute 1500L;
-              App.Send { dst = Sw_net.Address.Host 0; size = 64; payload = Dummy };
+              App.Send { dst = Sw_net.Address.Host 0; size = 64; payload = Packet.Empty };
             ]
         | _ -> [])
   in
@@ -241,9 +241,9 @@ let prop_guest_deterministic_replicas =
         | App.Boot ->
             [
               App.Compute 1000L;
-              App.Send { dst = Sw_net.Address.Host 0; size = 10; payload = Dummy };
+              App.Send { dst = Sw_net.Address.Host 0; size = 10; payload = Packet.Empty };
               App.Compute 5000L;
-              App.Send { dst = Sw_net.Address.Host 0; size = 11; payload = Dummy };
+              App.Send { dst = Sw_net.Address.Host 0; size = 11; payload = Packet.Empty };
             ]
         | _ -> []
       in
