@@ -14,26 +14,12 @@ module Run = Sw_workload.Run
 module Export = Sw_obs.Export
 open Sw_experiments
 
-let scn_path file =
-  let exe_dir = Filename.dirname Sys.executable_name in
-  let candidates =
-    [
-      Filename.concat "examples" file;
-      Filename.concat "../examples" file;
-      Filename.concat "../../examples" file;
-      Filename.concat exe_dir (Filename.concat "../examples" file);
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> failwith (Printf.sprintf "ckpt: cannot locate examples/%s" file)
-
 let workload duration_ms =
-  match Dsl.load_file (scn_path "kv_skew.scn") with
-  | Ok { Dsl.kind = Dsl.Workload w; _ } ->
-      { w with Dsl.duration = Time.ms duration_ms; load_multipliers = [ 1. ] }
-  | Ok _ -> failwith "kv_skew.scn: expected kind = \"workload\""
-  | Error e -> failwith e
+  match
+    Scenarios.load ~seconds:(float_of_int duration_ms /. 1e3) "kv_skew.scn"
+  with
+  | { Dsl.kind = Dsl.Workload w; _ } -> { w with Dsl.load_multipliers = [ 1. ] }
+  | _ -> failwith "kv_skew.scn: expected kind = \"workload\""
 
 let bytes_of (r : Run.result) = Export.to_json_string r.Run.metrics
 

@@ -1,31 +1,19 @@
 (* `main.exe leak`: the Fig. 4 distinguisher grid through the sw_leak audit.
 
-   Runs the victim / no-victim scenario pair once under StopWatch and once
-   under the baseline VMM, extracts every lineage-attributed observation
-   series (Scenario.leak_series), and sweeps the full detector battery over
-   each pair. Printed per config: the guest-visible verdict (detectors
-   flagging any attacker-observable series) and per-series p-values; the
-   full audit lands in BENCH_results.json under "leakage". [-quick]
-   shrinks the runs to the CI smoke duration. *)
+   Audits examples/fig4.scn (victim vs no-victim, once under StopWatch and
+   once under the baseline VMM) through the same pipeline as `stopwatch
+   leak`: Run.audits extracts every lineage-attributed observation series
+   (Scenario.leak_series) and sweeps the full detector battery over each
+   pair. Printed per config: the guest-visible verdict (detectors flagging
+   any attacker-observable series) and per-series p-values; the full audit
+   lands in BENCH_results.json under "leakage". [-quick] shrinks the runs
+   to the CI smoke duration. *)
 
 open Sw_experiments
-module Time = Sw_sim.Time
-module Scenario = Sw_attack.Scenario
-module Runner = Sw_runner.Runner
 module Detector = Sw_leak.Detector
 module Audit = Sw_leak.Audit
 
 let quick = ref false
-
-let starts_with p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let guest_leaking (a : Audit.t) =
-  List.sort_uniq compare
-    (List.concat_map
-       (fun (f : Audit.finding) ->
-         if starts_with "attacker/" f.Audit.f_key then f.Audit.leaking else [])
-       a.Audit.findings)
 
 let p_cell p =
   if Float.is_nan p then "-"
@@ -36,42 +24,11 @@ let run ?pool () =
   Tables.section
     (if !quick then "Leak audit (fig4 grid, quick)"
      else "Leak audit — fig4 grid through the detector battery");
-  let duration = if !quick then Time.s 2 else Time.s 20 in
-  let base = { Scenario.default with Scenario.duration } in
-  let jobs =
-    List.concat_map
-      (fun baseline ->
-        List.map
-          (fun victim ->
-            let key =
-              Printf.sprintf "leak/%s/%s"
-                (if baseline then "base" else "sw")
-                (if victim then "victim" else "no-victim")
-            in
-            Sw_runner.Job.make ~key (fun ~seed:_ ->
-                Scenario.leak_series { base with Scenario.baseline; victim }))
-          [ false; true ])
-      [ false; true ]
+  let scenario =
+    Scenarios.load ~seconds:(if !quick then 2. else 20.) "fig4.scn"
   in
-  let results = List.map Runner.get (Runner.map ?pool jobs) in
   let registry = Sw_obs.Registry.create () in
-  let paired null alt =
-    List.filter_map
-      (fun (key, null_xs) ->
-        Option.map
-          (fun alt_xs -> { Audit.key; null = null_xs; alt = alt_xs })
-          (List.assoc_opt key alt))
-      null
-  in
-  let audits =
-    match results with
-    | [ sw_null; sw_alt; base_null; base_alt ] ->
-        [
-          Audit.run ~registry ~label:"stopwatch" (paired sw_null sw_alt);
-          Audit.run ~registry ~label:"baseline" (paired base_null base_alt);
-        ]
-    | _ -> []
-  in
+  let audits = Sw_workload.Run.audits ?pool ~registry scenario in
   let detector_names =
     List.map (fun (d : Detector.t) -> d.Detector.name) Detector.all
   in
@@ -79,7 +36,7 @@ let run ?pool () =
     (fun (a : Audit.t) ->
       Tables.subsection
         (Printf.sprintf "%s: %s" a.Audit.label
-           (match guest_leaking a with
+           (match Audit.guest_leaking a with
            | [] -> "guest-visible channel clean"
            | ds ->
                Printf.sprintf "guest-visible channel LEAKS (%s)"

@@ -50,7 +50,7 @@ let observations_table ~lambda' ~label =
           Tables.f1 without_sw;
           Tables.f1 (with_sw /. without_sw);
         ])
-    Sw_attack.Distinguisher.confidence_grid
+    Sw_leak.Detector.confidence_grid
 
 let run () =
   Tables.section "Fig. 1 — justification for the median (analytic)";

@@ -29,7 +29,7 @@ let run () =
   Trace.span trace ~now ~name:"fig2.simulation" (fun () ->
       Cloud.run cloud ~until:(Time.ms 400));
   (* Keep the protocol steps (proposals, median adoption, delivery) and the
-     surrounding span; drop device interrupts and free-form messages. *)
+     surrounding span; drop device interrupts, faults and degradation events. *)
   Trace.iter trace (fun entry ->
       match entry.Trace.event with
       | Event.Packet_proposed _ | Event.Median_adopted _
@@ -37,7 +37,7 @@ let run () =
       | Event.Egress_released _ | Event.Divergence _ | Event.Span_begin _
       | Event.Span_end _ ->
           Format.printf "%a@." Trace.pp_entry entry
-      | Event.Vm_exit _ | Event.Disk_irq _ | Event.Dma_irq _ | Event.Message _
+      | Event.Vm_exit _ | Event.Disk_irq _ | Event.Dma_irq _
       | Event.Fault_injected _ | Event.Fault_cleared _
       | Event.Fault_replica_crash _ | Event.Fault_replica_restart _
       | Event.Degrade_suspected _ | Event.Degrade_ejected _

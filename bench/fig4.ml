@@ -15,30 +15,13 @@ open Sw_experiments
 module Scenario = Sw_attack.Scenario
 module Runner = Sw_runner.Runner
 module Report = Sw_runner.Report
-
-(* The bench runs from the repo root under `dune exec` and from
-   _build/default/bench under aliases; probe both, plus the executable's own
-   location for out-of-tree invocations. *)
-let scn_path file =
-  let exe_dir = Filename.dirname Sys.executable_name in
-  let candidates =
-    [
-      Filename.concat "examples" file;
-      Filename.concat "../examples" file;
-      Filename.concat "../../examples" file;
-      Filename.concat exe_dir (Filename.concat "../examples" file);
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> failwith (Printf.sprintf "fig4: cannot locate examples/%s" file)
+module Detector = Sw_leak.Detector
 
 let load_specs () =
-  match Sw_workload.Dsl.load_file (scn_path "fig4.scn") with
-  | Error e -> failwith e
-  | Ok { Sw_workload.Dsl.kind = Sw_workload.Dsl.Attack a; _ } ->
+  match Scenarios.load "fig4.scn" with
+  | { Sw_workload.Dsl.kind = Sw_workload.Dsl.Attack a; _ } ->
       Sw_workload.Dsl.attack_specs a
-  | Ok _ -> failwith "fig4.scn: expected kind = \"attack\""
+  | _ -> failwith "fig4.scn: expected kind = \"attack\""
 
 let cdf_table sw_no sw_yes =
   Tables.subsection
@@ -86,40 +69,38 @@ let run ?pool () =
     sw_yes.Scenario.attacker_inter_delivery_ms;
   Tables.subsection "Fig. 4(b): observations needed to detect the victim (chi-square)";
   Tables.header ~width:12 [ "confidence"; "with SW"; "without SW" ];
-  let sw =
-    Sw_attack.Distinguisher.sweep_empirical
-      ~null:sw_no.Scenario.attacker_inter_delivery_ms
-      ~alt:sw_yes.Scenario.attacker_inter_delivery_ms ()
+  let chi = Detector.chi_square () and ks = Detector.ks () in
+  let needed (d : Detector.t) ~confidence null alt =
+    d.Detector.observations_needed ~null ~alt ~confidence
   in
-  let bl =
-    Sw_attack.Distinguisher.sweep_empirical
-      ~null:bl_no.Scenario.attacker_inter_delivery_ms
-      ~alt:bl_yes.Scenario.attacker_inter_delivery_ms ()
-  in
-  List.iter2
-    (fun (c, w) (_, wo) ->
-      Tables.row ~width:12 [ Tables.f2 c; Tables.f0 w; Tables.f0 wo ])
-    sw bl;
+  List.iter
+    (fun c ->
+      let delivery = needed chi ~confidence:c in
+      Tables.row ~width:12
+        [
+          Tables.f2 c;
+          Tables.f0
+            (delivery sw_no.Scenario.attacker_inter_delivery_ms
+               sw_yes.Scenario.attacker_inter_delivery_ms);
+          Tables.f0
+            (delivery bl_no.Scenario.attacker_inter_delivery_ms
+               bl_yes.Scenario.attacker_inter_delivery_ms);
+        ])
+    Detector.confidence_grid;
   Tables.subsection "Cross-check: Kolmogorov-Smirnov distinguisher at 0.95";
-  let ks null alt =
-    Sw_attack.Distinguisher.ks_observations_needed
-      ~null:null.Scenario.attacker_inter_delivery_ms
-      ~alt:alt.Scenario.attacker_inter_delivery_ms ~confidence:0.95
+  let ks95 null alt =
+    needed ks ~confidence:0.95 null.Scenario.attacker_inter_delivery_ms
+      alt.Scenario.attacker_inter_delivery_ms
   in
-  let ks_sw = ks sw_no sw_yes and ks_bl = ks bl_no bl_yes in
+  let ks_sw = ks95 sw_no sw_yes and ks_bl = ks95 bl_no bl_yes in
   Printf.printf "  with StopWatch: %.0f observations; without: %.0f\n" ks_sw ks_bl;
   Tables.subsection
     "External observer (Sec. VI): real inter-arrival times of attacker output";
-  let ks_ext null alt =
-    Sw_attack.Distinguisher.ks_observations_needed
-      ~null:null.Scenario.observer_inter_arrival_ms
-      ~alt:alt.Scenario.observer_inter_arrival_ms ~confidence:0.95
+  let observer d null alt =
+    needed d ~confidence:0.95 null.Scenario.observer_inter_arrival_ms
+      alt.Scenario.observer_inter_arrival_ms
   in
-  let chi_ext null alt =
-    Sw_attack.Distinguisher.empirical
-      ~null:null.Scenario.observer_inter_arrival_ms
-      ~alt:alt.Scenario.observer_inter_arrival_ms ~confidence:0.95 ()
-  in
+  let ks_ext = observer ks and chi_ext = observer chi in
   Printf.printf
     "  chi-square@0.95: with SW %.0f obs, without %.0f; KS@0.95: with %.0f, \
      without %.0f\n"

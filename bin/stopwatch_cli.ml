@@ -8,9 +8,140 @@
                            reconstruct causal lineage
      stopwatch workload -- check/run declarative .scn scenarios (DSL)
      stopwatch soak     -- checkpointed, crash-resumable scenario run
-     stopwatch bisect   -- first divergence between two soak timelines  *)
+     stopwatch bisect   -- first divergence between two soak timelines
+     stopwatch leak     -- leakage audit of a .scn scenario's config pairs
+
+   Scenario loading, validation, overrides, variant runs and leak audits
+   live in the library (Sw_workload.Dsl and Run); the subcommands parse
+   arguments, make one library call and print. *)
 
 open Cmdliner
+module Time = Sw_sim.Time
+module Dsl = Sw_workload.Dsl
+module Wrun = Sw_workload.Run
+module Scenario = Sw_attack.Scenario
+module Audit = Sw_leak.Audit
+module Report = Sw_runner.Report
+
+(* --- Shared terms and printers ------------------------------------------ *)
+
+(* Shared -j/--jobs option: shard a command's independent simulations over
+   a sw_runner domain pool. Per-job seeds are fixed before dispatch, so any
+   worker count reports the same numbers. *)
+let jobs_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "j"; "jobs" ]
+        ~doc:"Worker domains for independent runs (1 = sequential).")
+
+let error msg =
+  Printf.eprintf "error: %s\n" msg;
+  1
+
+let with_pool jobs f =
+  if jobs < 1 then error "--jobs must be >= 1"
+  else if jobs = 1 then f None
+  else Sw_runner.Pool.with_pool ~workers:jobs (fun pool -> f (Some pool))
+
+let file_arg =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:".scn file.")
+
+(* Any value goes through Dsl.override, which rejects a non-positive
+   duration with a one-line error instead of running an empty scenario. *)
+let seconds_arg default =
+  Arg.(
+    value
+    & opt (some float) default
+    & info [ "seconds" ] ~docv:"S"
+        ~doc:"Simulated duration in seconds (> 0). On a .scn file it \
+              overrides the scenario's own duration.")
+
+let output_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"PATH"
+        ~doc:"Write the JSON report (for $(b,trace), the export) to $(docv).")
+
+let smoke_arg =
+  Arg.(
+    value & flag
+    & info [ "smoke" ]
+        ~doc:"Check the run against the command's smoke contract and exit \
+              non-zero when it fails: $(b,trace) validates the chrome export \
+              (parses, has flow arrows, orphan count matches the fault \
+              schedule); $(b,workload run) checks that the JSON report \
+              parses and every variant completed requests; $(b,leak) \
+              asserts that every baseline config pair leaks under all five \
+              detectors and every StopWatch pair under none.")
+
+let shards_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "shards" ]
+        ~doc:"Conservative-parallel shard count for scenarios with a \
+              topology block (overrides the block's own count; 1 runs the \
+              whole cloud on one engine, byte-identically). Scenarios \
+              without a topology block, and attack scenarios, always run \
+              unsharded; the per-variant $(b,-j) pool composes with this \
+              (each variant's cloud uses its own shard gang).")
+
+(* A .scn file with the command-line overrides applied and validated;
+   every error names the file. *)
+let load ?seconds ?shards ?partition file =
+  Result.bind (Dsl.load_file file) (fun t ->
+      Result.map_error
+        (fun e -> file ^ ": " ^ e)
+        (Dsl.override ?seconds ?shards ?partition t))
+
+let write_output output data =
+  match output with
+  | None -> print_string data
+  | Some path ->
+      let oc = open_out path in
+      output_string oc data;
+      close_out oc
+
+(* The one attack result line, for `attack` and for attack scenarios under
+   `workload run`. *)
+let run_attack ?pool (a : Dsl.attack) =
+  List.iter
+    (fun (key, (r : Scenario.result)) ->
+      let obs = r.Scenario.attacker_inter_delivery_ms in
+      let n = Array.length obs in
+      let mean =
+        if n = 0 then 0. else Array.fold_left ( +. ) 0. obs /. float_of_int n
+      in
+      Printf.printf
+        "%s: %d deliveries, mean inter-delivery %.2f ms, divergences %d\n" key
+        r.Scenario.deliveries mean r.Scenario.divergences)
+    (Wrun.map_variants ?pool Scenario.run (Dsl.attack_specs a));
+  0
+
+(* The workload result line and report, for `workload run` and `soak`. *)
+let print_workload (key, (r : Wrun.result)) =
+  Printf.printf
+    "%s: issued %d, completed %d (hits %d / misses %d), p50 %.2f ms, p99 \
+     %.2f ms\n"
+    key r.Wrun.issued r.Wrun.completed r.Wrun.hits r.Wrun.misses r.Wrun.p50_ms
+    r.Wrun.p99_ms
+
+let workload_report results =
+  Report.Obj
+    (List.map
+       (fun (key, (r : Wrun.result)) ->
+         ( key,
+           Report.Obj
+             [
+               ("issued", Report.Int r.Wrun.issued);
+               ("completed", Report.Int r.Wrun.completed);
+               ("hits", Report.Int r.Wrun.hits);
+               ("misses", Report.Int r.Wrun.misses);
+               ("p50_ms", Report.Float r.Wrun.p50_ms);
+               ("p99_ms", Report.Float r.Wrun.p99_ms);
+             ] ))
+       results)
 
 (* --- plan -------------------------------------------------------------- *)
 
@@ -54,23 +185,6 @@ let plan_cmd =
     Term.(const run $ n $ c $ greedy)
 
 (* --- download ----------------------------------------------------------- *)
-
-(* Shared -j/--jobs option: shard a command's independent simulations over
-   a sw_runner domain pool. Per-job seeds are fixed before dispatch, so any
-   worker count reports the same numbers. *)
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ]
-        ~doc:"Worker domains for independent runs (1 = sequential).")
-
-let with_pool jobs f =
-  if jobs < 1 then begin
-    Printf.eprintf "error: --jobs must be >= 1\n";
-    1
-  end
-  else if jobs = 1 then f None
-  else Sw_runner.Pool.with_pool ~workers:jobs (fun pool -> f (Some pool))
 
 let download_cmd =
   let run size_kb udp baseline runs jobs =
@@ -160,39 +274,50 @@ let parsec_cmd =
 
 (* --- attack ------------------------------------------------------------------- *)
 
-let attack_cmd =
-  let run seconds baseline victim colluder replicas =
-    let module S = Sw_attack.Scenario in
-    let spec =
-      S.with_replicas
-        {
-          S.default with
-          S.duration = Sw_sim.Time.s seconds;
-          baseline;
-          victim;
-          colluder;
-        }
-        replicas
+(* The attack flags [attack] and [trace] share. They describe a one-variant
+   attack scenario that goes the way of a .scn file: validated by
+   Dsl.override, compiled by Dsl.attack_specs. The variant key names the
+   configuration and heads the result line. *)
+let attack_term ~seconds =
+  let build seconds baseline victim colluder replicas =
+    let d = Scenario.default in
+    let key =
+      Printf.sprintf "%s replicas=%d victim=%b colluder=%b"
+        (if baseline then "baseline" else "stopwatch")
+        replicas victim colluder
     in
-    let r = S.run spec in
-    let obs = r.S.attacker_inter_delivery_ms in
-    let n = Array.length obs in
-    let mean = Array.fold_left ( +. ) 0. obs /. float_of_int n in
-    Printf.printf
-      "%s replicas=%d victim=%b colluder=%b: %d deliveries, mean inter-delivery \
-       %.2f ms, divergences %d\n"
-      (if baseline then "baseline" else "stopwatch")
-      replicas victim colluder r.S.deliveries mean r.S.divergences;
-    0
+    let attack =
+      {
+        Dsl.seed = d.Scenario.seed;
+        duration = d.Scenario.duration;
+        replicas;
+        ping_rate_per_s = d.Scenario.ping_rate_per_s;
+        colluder_burst = d.Scenario.colluder_burst;
+        background_rate_per_s = d.Scenario.background_rate_per_s;
+        variants = [ { Dsl.key; baseline; victim; colluder } ];
+      }
+    in
+    Result.bind
+      (Dsl.override ?seconds { Dsl.name = "attack"; kind = Dsl.Attack attack })
+      (function
+        | { Dsl.kind = Dsl.Attack a; _ } -> Ok a
+        | { Dsl.kind = Dsl.Workload _; _ } -> Error "not an attack scenario")
   in
-  let seconds = Arg.(value & opt int 20 & info [ "seconds" ] ~doc:"Duration.") in
   let baseline = Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified Xen.") in
   let victim = Arg.(value & flag & info [ "victim" ] ~doc:"Coresident victim.") in
   let colluder = Arg.(value & flag & info [ "colluder" ] ~doc:"Sec. IX colluder.") in
-  let replicas = Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count.") in
+  let replicas =
+    Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count (odd).")
+  in
+  Term.(
+    const build $ seconds_arg (Some seconds) $ baseline $ victim $ colluder
+    $ replicas)
+
+let attack_cmd =
+  let run = function Error e -> error e | Ok a -> run_attack a in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run a timing-attack scenario (Fig. 4 / Sec. IX)")
-    Term.(const run $ seconds $ baseline $ victim $ colluder $ replicas)
+    Term.(const run $ attack_term ~seconds:20.)
 
 (* --- trace -------------------------------------------------------------- *)
 
@@ -273,14 +398,6 @@ let parse_filters filters =
       in
       Ok pass
 
-let write_output output data =
-  match output with
-  | None -> print_string data
-  | Some path ->
-      let oc = open_out path in
-      output_string oc data;
-      close_out oc
-
 (* Structural validation of a chrome export through the in-tree JSON
    reader: parses, has a traceEvents array, and carries at least one
    lineage flow edge. *)
@@ -325,21 +442,22 @@ let smoke_check ~crash ~lineage_data json =
             end)
 
 let trace_cmd =
-  let run seconds seed replicas baseline victim colluder capacity export output
-      lineage filters crash profile_on smoke =
-    let module S = Sw_attack.Scenario in
-    match parse_filters filters with
-    | Error f ->
-        Printf.eprintf
-          "error: bad --filter %S (expected vm=N, replica=N or kind=LABEL)\n" f;
-        1
-    | Ok pass ->
+  let run attack seed capacity export output lineage filters crash profile_on
+      smoke =
+    match (attack, parse_filters filters) with
+    | Error e, _ -> error e
+    | _, Error f ->
+        error
+          (Printf.sprintf
+             "bad --filter %S (expected vm=N, replica=N or kind=LABEL)" f)
+    | Ok a, Ok pass ->
+        let seed = Int64.of_int seed in
+        let spec = snd (List.hd (Dsl.attack_specs { a with Dsl.seed })) in
         let tr = Sw_obs.Trace.create ~capacity () in
         let profile =
           if profile_on then Some (Sw_obs.Profile.create ~enabled:true ())
           else None
         in
-        let duration = Sw_sim.Time.s seconds in
         let faults =
           if crash then
             (* Kill replica 0 of the attacker VM a quarter into the run, no
@@ -349,37 +467,25 @@ let trace_cmd =
                report tags. *)
             [
               Sw_fault.Schedule.at
-                (Sw_sim.Time.of_float_s (float_of_int seconds *. 0.25))
+                (Time.div_int spec.Scenario.duration 4)
                 (Sw_fault.Fault.Replica_crash
                    { vm = 0; replica = 0; restart_after = None });
             ]
           else Sw_fault.Schedule.empty
         in
-        let spec =
-          S.with_replicas
-            {
-              S.default with
-              S.duration;
-              seed = Int64.of_int seed;
-              baseline;
-              victim;
-              colluder;
-              faults;
-              trace = Some tr;
-              profile;
-            }
-            replicas
-        in
-        ignore (S.run spec);
+        ignore
+          (Scenario.run { spec with Scenario.faults; trace = Some tr; profile });
         let entries = List.filter pass (Sw_obs.Trace.entries tr) in
         let lineage_data =
           Sw_obs.Lineage.of_entries ~dropped:(Sw_obs.Trace.dropped tr) entries
         in
         let meta =
-          Sw_obs.Export.meta ~seed:(Int64.of_int seed)
+          Sw_obs.Export.meta ~seed
             ~scenario:
-              (Printf.sprintf "attack m=%d baseline=%b victim=%b colluder=%b crash=%b"
-                 replicas baseline victim colluder crash)
+              (Printf.sprintf
+                 "attack m=%d baseline=%b victim=%b colluder=%b crash=%b"
+                 a.Dsl.replicas spec.Scenario.baseline spec.Scenario.victim
+                 spec.Scenario.colluder crash)
             ~trace_capacity:capacity
             ~trace_dropped:(Sw_obs.Trace.dropped tr) ~registry_enabled:true ()
         in
@@ -403,14 +509,9 @@ let trace_cmd =
           | Error () -> 1
         else 0
   in
-  let seconds = Arg.(value & opt int 2 & info [ "seconds" ] ~doc:"Duration.") in
   let seed =
     Arg.(value & opt int 0xA77ACC & info [ "seed" ] ~doc:"Simulation seed.")
   in
-  let replicas = Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count.") in
-  let baseline = Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified Xen.") in
-  let victim = Arg.(value & flag & info [ "victim" ] ~doc:"Coresident victim.") in
-  let colluder = Arg.(value & flag & info [ "colluder" ] ~doc:"Sec. IX colluder.") in
   let capacity =
     Arg.(value & opt int 65536 & info [ "capacity" ] ~doc:"Trace ring capacity.")
   in
@@ -422,12 +523,6 @@ let trace_cmd =
           ~doc:"Export format: $(b,chrome) (Perfetto-loadable trace-event \
                 JSON with lineage flow arrows) or $(b,jsonl) (one event per \
                 line).")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the export here (default stdout).")
   in
   let lineage =
     Arg.(
@@ -459,73 +554,27 @@ let trace_cmd =
                 tracks. Non-deterministic — leave off when comparing \
                 exports byte for byte.")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Validate the chrome export structurally (parses, has flow \
-                arrows, orphan count matches the fault schedule); exit \
-                non-zero on failure.")
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Record a traced scenario; export Perfetto/JSONL and reconstruct \
              causal lineage")
     Term.(
-      const run $ seconds $ seed $ replicas $ baseline $ victim $ colluder
-      $ capacity $ export $ output $ lineage $ filters $ crash $ profile_on
-      $ smoke)
+      const run $ attack_term ~seconds:2. $ seed $ capacity $ export
+      $ output_arg $ lineage $ filters $ crash $ profile_on $ smoke_arg)
 
 (* --- workload ------------------------------------------------------------ *)
 
 (* `stopwatch workload check FILES...` parses and validates .scn scenario
    files (reporting the DSL's line/column/field-path errors); `stopwatch
-   workload run FILE` compiles and runs one, sharding its independent
-   variants (load multipliers, attack variants) over -j worker domains. *)
-
-module Dsl = Sw_workload.Dsl
-module Wrun = Sw_workload.Run
-
-let validate_scenario (t : Dsl.t) =
-  match t.Dsl.kind with
-  | Dsl.Attack _ -> Ok t
-  | Dsl.Workload w -> (
-      match Dsl.check_topology w with
-      | Error e -> Error e
-      | Ok () -> (
-      (* Surface config errors at check time, not at run time. *)
-      match
-        Sw_workload.Flowgen.validate
-          {
-            Sw_workload.Flowgen.arrival = w.Dsl.arrival;
-            classes = w.Dsl.classes;
-            keyspace =
-              Sw_workload.Keyspace.create ~keys:w.Dsl.keys ~theta:w.Dsl.theta;
-            pool = w.Dsl.pool;
-            max_per_conn = w.Dsl.max_per_conn;
-            request_bytes = w.Dsl.request_bytes;
-            until = w.Dsl.duration;
-          };
-        Sw_workload.Cache.validate_config w.Dsl.cache;
-        Sw_fault.Schedule.validate w.Dsl.faults
-      with
-      | () -> Ok t
-      | exception Invalid_argument e -> Error e))
-
-let load_scenario file =
-  match Dsl.load_file file with
-  | Error e -> Error e
-  | Ok t -> (
-      match validate_scenario t with
-      | Ok t -> Ok t
-      | Error e -> Error (Printf.sprintf "%s: %s" file e))
+   workload run FILE` runs one, sharding its independent variants (load
+   multipliers, attack variants) over -j worker domains. *)
 
 let workload_check_cmd =
   let run files =
     let failures =
       List.filter_map
         (fun file ->
-          match load_scenario file with
+          match load file with
           | Ok t ->
               let kind =
                 match t.Dsl.kind with
@@ -559,199 +608,75 @@ let workload_check_cmd =
     (Cmd.info "check" ~doc:"Parse and validate .scn scenario files")
     Term.(const run $ files)
 
-let workload_report results =
-  Sw_runner.Report.Obj
-    (List.map
-       (fun (key, (r : Wrun.result)) ->
-         ( key,
-           Sw_runner.Report.Obj
-             [
-               ("issued", Sw_runner.Report.Int r.Wrun.issued);
-               ("completed", Sw_runner.Report.Int r.Wrun.completed);
-               ("hits", Sw_runner.Report.Int r.Wrun.hits);
-               ("misses", Sw_runner.Report.Int r.Wrun.misses);
-               ("p50_ms", Sw_runner.Report.Float r.Wrun.p50_ms);
-               ("p99_ms", Sw_runner.Report.Float r.Wrun.p99_ms);
-             ] ))
-       results)
-
-let run_variants ~pool ~make jobs_list =
-  let jobs =
-    List.map
-      (fun (key, spec) ->
-        Sw_runner.Job.make ~key (fun ~seed:_ -> make spec))
-      jobs_list
+(* Warm start: restore the prepared t=0 cloud from the cache (or build and
+   checkpoint it on first use), then advance it — byte-identical to the
+   cold path, which the warm-start smoke pins. The key is the digest of the
+   re-printed variant, which covers seed, duration, multiplier scaling and
+   the (overridden) topology block, so any change to what gets built
+   misses the cache. *)
+let warm_run ~dir ~name (w : Dsl.workload) =
+  let key =
+    Printf.sprintf "workload:%s:shards=%d"
+      (Digest.to_hex
+         (Digest.string (Dsl.print { Dsl.name; kind = Dsl.Workload w })))
+      (Dsl.shards w)
   in
-  List.map2
-    (fun (key, _) r -> (key, Sw_runner.Runner.get r))
-    jobs_list
-    (Sw_runner.Runner.map ?pool jobs)
+  match
+    Sw_ckpt.Warm.load_or_build ~dir ~key ~seed:w.Dsl.seed ~shards:(Dsl.shards w)
+      ~build:(fun () -> Wrun.prepare w)
+  with
+  | Error e -> failwith ("warm-start cache: " ^ e)
+  | Ok (h, _) ->
+      Stopwatch.Cloud.run h.Wrun.cloud ~until:h.Wrun.until;
+      h.Wrun.finish ()
 
-(* One warm-start cache entry per (variant workload, shards, partition):
-   the digest of the re-printed scenario already covers seed, duration,
-   multiplier scaling, and the topology block, so any change to what gets
-   built changes the key and misses the cache. *)
-let warm_key ~name (w : Dsl.workload) ~shards ~partition =
-  Printf.sprintf "workload:%s:shards=%d:partition=%s"
-    (Digest.to_hex
-       (Digest.string (Dsl.print { Dsl.name; kind = Dsl.Workload w })))
-    (match (shards, w.Dsl.topology) with
-    | Some s, Some _ -> s
-    | _, Some t -> t.Dsl.shards
-    | _, None -> 1)
-    (match partition with
-    | Some `Affinity -> "affinity"
-    | Some `Contiguous -> "contiguous"
-    | Some (`Assign _) -> "assign"  (* not reachable from the CLI *)
-    | None -> "scenario")
+(* Smoke contract: the emitted JSON round-trips through the in-tree reader
+   and every variant actually served traffic. *)
+let workload_smoke report results =
+  let ok_json =
+    match Sw_obs.Json.parse report with
+    | Ok _ -> true
+    | Error e ->
+        Printf.eprintf "workload smoke: report does not parse: %s\n" e;
+        false
+  in
+  let idle = List.filter (fun (_, r) -> r.Wrun.completed = 0) results in
+  List.iter
+    (fun (key, _) ->
+      Printf.eprintf "workload smoke: %s completed 0 requests\n" key)
+    idle;
+  if ok_json && idle = [] then begin
+    Printf.printf "workload smoke OK: %d variant(s)\n" (List.length results);
+    0
+  end
+  else 1
 
 let workload_run_cmd =
   let run file seconds jobs shards partition warm output smoke =
     with_pool jobs (fun pool ->
-        match load_scenario file with
-        | Error e ->
-            Printf.eprintf "error: %s\n" e;
-            1
-        | Ok { Dsl.name; kind = Dsl.Attack a } ->
-            let a =
-              match seconds with
-              | None -> a
-              | Some s -> { a with Dsl.duration = Sw_sim.Time.of_float_s s }
-            in
-            let results =
-              run_variants ~pool ~make:Sw_attack.Scenario.run
-                (Dsl.attack_specs a)
-            in
-            List.iter
-              (fun (key, (r : Sw_attack.Scenario.result)) ->
-                let obs = r.Sw_attack.Scenario.attacker_inter_delivery_ms in
-                let n = Array.length obs in
-                let mean =
-                  if n = 0 then 0.
-                  else Array.fold_left ( +. ) 0. obs /. float_of_int n
-                in
-                Printf.printf
-                  "%s: %d deliveries, mean inter-delivery %.2f ms, divergences %d\n"
-                  key r.Sw_attack.Scenario.deliveries mean
-                  r.Sw_attack.Scenario.divergences)
-              results;
-            ignore name;
-            0
-        | Ok { Dsl.name; kind = Dsl.Workload w } -> (
-            let w =
-              match seconds with
-              | None -> w
-              | Some s -> { w with Dsl.duration = Sw_sim.Time.of_float_s s }
-            in
-            (* Pre-flight the --shards override here, where it can fail with
-               a one-line message instead of a runner job-failure trace. *)
-            let overridden =
-              match (shards, w.Dsl.topology) with
-              | Some s, Some t ->
-                  { w with Dsl.topology = Some { t with Dsl.shards = s } }
-              | _ -> w
-            in
-            match Dsl.check_topology overridden with
-            | Error e ->
-                Printf.eprintf "error: %s\n" e;
-                1
-            | Ok () ->
-            let make w =
+        match load ?seconds ?shards ?partition file with
+        | Error e -> error e
+        | Ok { Dsl.kind = Dsl.Attack a; _ } -> run_attack ?pool a
+        | Ok { Dsl.name; kind = Dsl.Workload w } ->
+            let make =
               match warm with
-              | None -> Wrun.run ?shards ?partition w
-              | Some dir -> (
-                  (* Warm start: restore the prepared t=0 cloud from the
-                     cache (or build and checkpoint it on first use), then
-                     advance it — byte-identical to the cold path, which
-                     the warm-start smoke pins. *)
-                  let eff =
-                    match (shards, w.Dsl.topology) with
-                    | Some s, Some _ -> s
-                    | _, Some t -> t.Dsl.shards
-                    | _, None -> 1
-                  in
-                  match
-                    Sw_ckpt.Warm.load_or_build ~dir
-                      ~key:(warm_key ~name w ~shards ~partition)
-                      ~seed:w.Dsl.seed ~shards:eff
-                      ~build:(fun () -> Wrun.prepare ?shards ?partition w)
-                  with
-                  | Error e -> failwith ("warm-start cache: " ^ e)
-                  | Ok (h, _) ->
-                      Stopwatch.Cloud.run h.Wrun.cloud ~until:h.Wrun.until;
-                      h.Wrun.finish ())
+              | None -> fun w -> Wrun.run w
+              | Some dir -> warm_run ~dir ~name
             in
             let results =
-              run_variants ~pool ~make (Dsl.workload_variants ~name w)
+              Wrun.map_variants ?pool make (Dsl.workload_variants ~name w)
             in
-            List.iter
-              (fun (key, (r : Wrun.result)) ->
-                Printf.printf
-                  "%s: issued %d, completed %d (hits %d / misses %d), p50 %.2f \
-                   ms, p99 %.2f ms\n"
-                  key r.Wrun.issued r.Wrun.completed r.Wrun.hits r.Wrun.misses
-                  r.Wrun.p50_ms r.Wrun.p99_ms)
-              results;
-            let report = Sw_runner.Report.to_string (workload_report results) in
+            List.iter print_workload results;
+            let report = Report.to_string (workload_report results) in
             Option.iter (fun path -> write_output (Some path) (report ^ "\n")) output;
-            if not smoke then 0
-            else begin
-              (* Smoke contract: the emitted JSON round-trips through the
-                 in-tree reader and every variant actually served traffic. *)
-              let ok_json =
-                match Sw_obs.Json.parse report with
-                | Ok _ -> true
-                | Error e ->
-                    Printf.eprintf "workload smoke: report does not parse: %s\n" e;
-                    false
-              in
-              let idle =
-                List.filter (fun (_, r) -> r.Wrun.completed = 0) results
-              in
-              List.iter
-                (fun (key, _) ->
-                  Printf.eprintf "workload smoke: %s completed 0 requests\n" key)
-                idle;
-              if ok_json && idle = [] then begin
-                Printf.printf "workload smoke OK: %d variant(s)\n"
-                  (List.length results);
-                0
-              end
-              else 1
-            end))
-  in
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:".scn file.")
-  in
-  let seconds =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "seconds" ] ~doc:"Override the scenario duration.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the per-variant JSON report here.")
-  in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ]
-          ~doc:"Conservative-parallel shard count for scenarios with a \
-                topology block (overrides the block's own count; 1 runs the \
-                whole cloud on one engine, byte-identically). Scenarios \
-                without a topology block, and attack scenarios, always run \
-                unsharded; the per-variant $(b,-j) pool composes with this \
-                (each variant's cloud uses its own shard gang).")
+            if smoke then workload_smoke report results else 0)
   in
   let partition =
     Arg.(
       value
       & opt
-          (some (enum [ ("contiguous", `Contiguous); ("affinity", `Affinity) ]))
+          (some
+             (enum [ ("contiguous", Dsl.Contiguous); ("affinity", Dsl.Affinity) ]))
           None
       & info [ "partition" ]
           ~doc:"Cell-to-shard placement for sharded topology scenarios, \
@@ -774,19 +699,11 @@ let workload_run_cmd =
                 Images are same-binary artifacts; stale ones are rebuilt \
                 transparently.")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Validate the run: the JSON report parses with the in-tree \
-                reader and every variant completed requests; exit non-zero \
-                otherwise.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and run a .scn scenario")
     Term.(
-      const run $ file $ seconds $ jobs_arg $ shards $ partition $ warm
-      $ output $ smoke)
+      const run $ file_arg $ seconds_arg None $ jobs_arg $ shards_arg
+      $ partition $ warm $ output_arg $ smoke_arg)
 
 let workload_cmd =
   Cmd.group
@@ -803,20 +720,11 @@ let killed_exit = 70
 
 let soak_cmd =
   let run file dir every_s seconds shards kill_after keep output quiet =
-    match load_scenario file with
-    | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        1
+    match load ?seconds ?shards file with
+    | Error e -> error e
     | Ok { Dsl.kind = Dsl.Attack _; _ } ->
-        Printf.eprintf "error: %s: soak needs a workload scenario\n" file;
-        1
-    | Ok ({ Dsl.kind = Dsl.Workload w; _ } as scn) -> (
-        let w =
-          match seconds with
-          | None -> w
-          | Some s -> { w with Dsl.duration = Sw_sim.Time.of_float_s s }
-        in
-        let scn = { scn with Dsl.kind = Dsl.Workload w } in
+        error (file ^ ": soak needs a workload scenario")
+    | Ok scn -> (
         let on_event ev =
           if not quiet then
             match ev with
@@ -837,42 +745,27 @@ let soak_cmd =
                 Printf.eprintf "  [soak] finished at %Ldns\n%!" sim_ns
         in
         match
-          Sw_ckpt.Soak.run ~scenario:scn ?shards ~dir
-            ~every:(Sw_sim.Time.of_float_s every_s)
+          Sw_ckpt.Soak.run ~scenario:scn ~dir ~every:(Time.of_float_s every_s)
             ?kill_after ?keep ~on_event ()
         with
         | exception Sw_ckpt.Soak.Killed { checkpoints; sim_ns } ->
             Printf.eprintf "  [soak] killed after %d checkpoint(s) at %Ldns\n%!"
               checkpoints sim_ns;
             killed_exit
-        | exception Invalid_argument e ->
-            Printf.eprintf "error: %s\n" e;
-            1
-        | Error e ->
-            Printf.eprintf "error: %s\n"
-              (Format.asprintf "%a" Sw_ckpt.Soak.pp_error e);
-            1
+        | exception Invalid_argument e -> error e
+        | Error e -> error (Format.asprintf "%a" Sw_ckpt.Soak.pp_error e)
         | Ok o ->
-            let r = o.Sw_ckpt.Soak.result in
             (* Same line and report shape as `workload run`, and nothing
                about the recovery path in either: an interrupted-and-resumed
                soak must byte-match an uninterrupted one. *)
-            Printf.printf
-              "%s: issued %d, completed %d (hits %d / misses %d), p50 %.2f \
-               ms, p99 %.2f ms\n"
-              scn.Dsl.name r.Wrun.issued r.Wrun.completed r.Wrun.hits
-              r.Wrun.misses r.Wrun.p50_ms r.Wrun.p99_ms;
+            let results = [ (scn.Dsl.name, o.Sw_ckpt.Soak.result) ] in
+            List.iter print_workload results;
             Option.iter
               (fun path ->
                 write_output (Some path)
-                  (Sw_runner.Report.to_string
-                     (workload_report [ (scn.Dsl.name, r) ])
-                  ^ "\n"))
+                  (Report.to_string (workload_report results) ^ "\n"))
               output;
             0)
-  in
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:".scn file.")
   in
   let dir =
     Arg.(
@@ -886,19 +779,6 @@ let soak_cmd =
       & info [ "every" ]
           ~doc:"Checkpoint interval in simulated seconds (absolute grid: a \
                 resumed run captures the same instants as a straight one).")
-  in
-  let seconds =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "seconds" ] ~doc:"Override the scenario duration.")
-  in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ]
-          ~doc:"Shard-count override for scenarios with a topology block.")
   in
   let kill_after =
     Arg.(
@@ -915,12 +795,6 @@ let soak_cmd =
       & opt (some int) None
       & info [ "keep" ] ~doc:"Prune the timeline to the newest N images.")
   in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the final JSON report here.")
-  in
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"No per-checkpoint progress.")
   in
@@ -930,249 +804,107 @@ let soak_cmd =
              the newest valid image after a crash; the final report is \
              byte-identical however often the run was interrupted")
     Term.(
-      const run $ file $ dir $ every $ seconds $ shards $ kill_after $ keep
-      $ output $ quiet)
+      const run $ file_arg $ dir $ every $ seconds_arg None $ shards_arg
+      $ kill_after $ keep $ output_arg $ quiet)
 
 (* --- leak ------------------------------------------------------------------ *)
 
-(* Pair the two configs' series by key (keys present on both sides only:
-   the victim's own VM exists in just one run and has no counterpart). *)
-let paired_series null alt =
-  List.filter_map
-    (fun (key, null_xs) ->
-      match List.assoc_opt key alt with
-      | Some alt_xs ->
-          Some { Sw_leak.Audit.key; null = null_xs; alt = alt_xs }
-      | None -> None)
-    null
+(* Smoke contract: every StopWatch config hides the channel from all five
+   detectors; every baseline config is caught by all five (across the
+   attacker-observable series). *)
+let leak_smoke audits =
+  let names =
+    List.sort_uniq compare
+      (List.map (fun (d : Sw_leak.Detector.t) -> d.Sw_leak.Detector.name)
+         Sw_leak.Detector.all)
+  in
+  let failures =
+    List.filter_map
+      (fun (a : Audit.t) ->
+        let leaking = Audit.guest_leaking a in
+        (* Exact group names only ("baseline", "stopwatch", "...+colluder")
+           — the workload kind's comparison label also begins with
+           "stopwatch" but carries no masked/unmasked contrast to assert. *)
+        let is_group g =
+          a.Audit.label = g
+          || String.starts_with ~prefix:(g ^ "+") a.Audit.label
+        in
+        if is_group "baseline" then
+          if leaking <> names then
+            Some
+              (Printf.sprintf
+                 "%s: guest channel flagged by [%s], want all of [%s]"
+                 a.Audit.label
+                 (String.concat ", " leaking)
+                 (String.concat ", " names))
+          else None
+        else if is_group "stopwatch" then
+          if leaking <> [] then
+            Some
+              (Printf.sprintf "%s: guest channel flagged by [%s], want none"
+                 a.Audit.label
+                 (String.concat ", " leaking))
+          else None
+        else
+          Some
+            (Printf.sprintf
+               "%s: smoke needs an attack scenario's baseline/stopwatch \
+                config pairs"
+               a.Audit.label))
+      audits
+  in
+  if failures = [] then begin
+    Printf.printf "leak smoke OK: %d config pair(s), %d detectors\n"
+      (List.length audits) (List.length names);
+    0
+  end
+  else begin
+    List.iter (fun msg -> Printf.eprintf "leak smoke: FAIL: %s\n" msg) failures;
+    1
+  end
 
 let leak_cmd =
-  let module S = Sw_attack.Scenario in
-  let module Detector = Sw_leak.Detector in
-  let module Audit = Sw_leak.Audit in
   let run file seconds jobs output smoke =
     with_pool jobs (fun pool ->
-        match load_scenario file with
-        | Error e ->
-            Printf.eprintf "error: %s\n" e;
-            1
-        | Ok { Dsl.name; kind } ->
+        match load ?seconds file with
+        | Error e -> error e
+        | Ok t -> (
             let registry = Sw_obs.Registry.create () in
-            let audits =
-              match kind with
-              | Dsl.Attack a ->
-                  let a =
-                    match seconds with
-                    | None -> a
-                    | Some s -> { a with Dsl.duration = Sw_sim.Time.of_float_s s }
-                  in
-                  let specs = Dsl.attack_specs a in
-                  let series =
-                    run_variants ~pool ~make:Sw_attack.Scenario.leak_series
-                      specs
-                  in
-                  (* Group variants by configuration and audit victim (alt)
-                     against no-victim (null) within each group. *)
-                  let group_of (s : S.spec) =
-                    (if s.S.baseline then "baseline" else "stopwatch")
-                    ^ if s.S.colluder then "+colluder" else ""
-                  in
-                  let labels =
-                    List.fold_left
-                      (fun acc (_, spec) ->
-                        let g = group_of spec in
-                        if List.mem g acc then acc else acc @ [ g ])
-                      [] specs
-                  in
-                  let tagged = List.combine specs series in
-                  List.filter_map
-                    (fun label ->
-                      let side victim =
-                        List.find_map
-                          (fun ((_, spec), (_, xs)) ->
-                            if group_of spec = label && spec.S.victim = victim
-                            then Some xs
-                            else None)
-                          tagged
-                      in
-                      match (side false, side true) with
-                      | Some null, Some alt ->
-                          Some
-                            (Audit.run ~registry ~label
-                               (paired_series null alt))
-                      | _ -> None)
-                    labels
-              | Dsl.Workload w ->
-                  let w =
-                    match seconds with
-                    | None -> w
-                    | Some s -> { w with Dsl.duration = Sw_sim.Time.of_float_s s }
-                  in
-                  let w = { w with Dsl.leak_audit = true } in
-                  let variants =
+            match Wrun.audits ?pool ~registry t with
+            | [] ->
+                error
+                  (file
+                 ^ " has no auditable config pair (need both a victim and a \
+                    no-victim variant)")
+            | audits ->
+                List.iter
+                  (fun (a : Audit.t) ->
+                    Printf.printf "%s: %s\n" a.Audit.label
+                      (match Audit.guest_leaking a with
+                      | [] -> "guest-visible channel clean (no detector flags)"
+                      | ds ->
+                          Printf.sprintf "guest-visible channel LEAKS (%s)"
+                            (String.concat ", " ds));
+                    List.iter
+                      (fun (key, ds) ->
+                        Printf.printf "  attribution: %s <- %s\n" key
+                          (String.concat ", " ds))
+                      (Audit.attribution a))
+                  audits;
+                let report =
+                  Report.Obj
                     [
-                      ("leak/stopwatch-on", { w with Dsl.stopwatch = true });
-                      ("leak/stopwatch-off", { w with Dsl.stopwatch = false });
+                      ("name", Report.String t.Dsl.name);
+                      ("leakage", Report.List (List.map Audit.to_report audits));
+                      ( "metrics",
+                        Report.of_metrics (Sw_obs.Registry.snapshot registry) );
                     ]
-                  in
-                  let results =
-                    run_variants ~pool
-                      ~make:(fun wv -> (Wrun.run wv).Wrun.leak_series)
-                      variants
-                  in
-                  (match results with
-                  | [ (_, null); (_, alt) ] ->
-                      [
-                        Audit.run ~registry
-                          ~label:"stopwatch-off vs stopwatch-on"
-                          (paired_series null alt);
-                      ]
-                  | _ -> [])
-            in
-            if audits = [] then begin
-              Printf.eprintf
-                "error: %s has no auditable config pair (need both a victim \
-                 and a no-victim variant)\n"
-                file;
-              1
-            end
-            else begin
-              (* The guest-visible verdict: detectors that flagged any
-                 attacker-observable series. The vm*/... lineage series are
-                 attribution — they say where a (possibly masked) host-level
-                 signal lives, not what the guest can read. *)
-              let starts_with p s =
-                String.length s >= String.length p
-                && String.sub s 0 (String.length p) = p
-              in
-              let guest_leaking (a : Audit.t) =
-                List.sort_uniq compare
-                  (List.concat_map
-                     (fun (f : Audit.finding) ->
-                       if starts_with "attacker/" f.Audit.f_key then
-                         f.Audit.leaking
-                       else [])
-                     a.Audit.findings)
-              in
-              List.iter
-                (fun (a : Audit.t) ->
-                  let verdict =
-                    match guest_leaking a with
-                    | [] -> "guest-visible channel clean (no detector flags)"
-                    | ds ->
-                        Printf.sprintf "guest-visible channel LEAKS (%s)"
-                          (String.concat ", " ds)
-                  in
-                  Printf.printf "%s: %s\n" a.Audit.label verdict;
-                  List.iter
-                    (fun (key, ds) ->
-                      Printf.printf "  attribution: %s <- %s\n" key
-                        (String.concat ", " ds))
-                    (Audit.attribution a))
-                audits;
-              let report =
-                Sw_runner.Report.Obj
-                  [
-                    ("name", Sw_runner.Report.String name);
-                    ( "leakage",
-                      Sw_runner.Report.List (List.map Audit.to_report audits) );
-                    ( "metrics",
-                      Sw_runner.Report.of_metrics
-                        (Sw_obs.Registry.snapshot registry) );
-                  ]
-              in
-              Option.iter
-                (fun path ->
-                  write_output (Some path)
-                    (Sw_runner.Report.to_string report ^ "\n"))
-                output;
-              if not smoke then 0
-              else begin
-                (* Smoke contract: every StopWatch config hides the channel
-                   from all five detectors; every baseline config is caught
-                   by all five (across the attacker-observable series). *)
-                let names =
-                  List.sort_uniq compare
-                    (List.map
-                       (fun (d : Detector.t) -> d.Detector.name)
-                       Detector.all)
                 in
-                let failures =
-                  List.filter_map
-                    (fun (a : Audit.t) ->
-                      let leaking = guest_leaking a in
-                      (* Exact group names only ("baseline", "stopwatch",
-                         "...+colluder") — the workload kind's comparison
-                         label also begins with "stopwatch" but carries no
-                         masked/unmasked contrast to assert. *)
-                      let is_group g =
-                        a.Audit.label = g || starts_with (g ^ "+") a.Audit.label
-                      in
-                      if is_group "baseline" then begin
-                        if leaking <> names then
-                          Some
-                            (Printf.sprintf
-                               "%s: guest channel flagged by [%s], want all \
-                                of [%s]"
-                               a.Audit.label
-                               (String.concat ", " leaking)
-                               (String.concat ", " names))
-                        else None
-                      end
-                      else if is_group "stopwatch" then begin
-                        if leaking <> [] then
-                          Some
-                            (Printf.sprintf
-                               "%s: guest channel flagged by [%s], want none"
-                               a.Audit.label
-                               (String.concat ", " leaking))
-                        else None
-                      end
-                      else
-                        Some
-                          (Printf.sprintf
-                             "%s: smoke needs an attack scenario's \
-                              baseline/stopwatch config pairs"
-                             a.Audit.label))
-                    audits
-                in
-                if failures = [] then begin
-                  Printf.printf "leak smoke OK: %d config pair(s), %d detectors\n"
-                    (List.length audits) (List.length names);
-                  0
-                end
-                else begin
-                  List.iter
-                    (fun msg -> Printf.eprintf "leak smoke: FAIL: %s\n" msg)
-                    failures;
-                  1
-                end
-              end
-            end)
-  in
-  let file =
-    Arg.(
-      required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:".scn file.")
-  in
-  let seconds =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "seconds" ] ~doc:"Override the scenario duration.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the JSON leakage report here.")
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Assert the expected verdicts: every baseline config pair \
-                leaks under all five detectors and every StopWatch pair \
-                under none; exit non-zero otherwise.")
+                Option.iter
+                  (fun path ->
+                    write_output (Some path) (Report.to_string report ^ "\n"))
+                  output;
+                if smoke then leak_smoke audits else 0))
   in
   Cmd.v
     (Cmd.info "leak"
@@ -1182,7 +914,9 @@ let leak_cmd =
              detector battery over every lineage-attributed observation \
              series, and report per-detector p-values, effect sizes and \
              observations-needed curves")
-    Term.(const run $ file $ seconds $ jobs_arg $ output $ smoke)
+    Term.(
+      const run $ file_arg $ seconds_arg None $ jobs_arg $ output_arg
+      $ smoke_arg)
 
 (* --- bisect ---------------------------------------------------------------- *)
 

@@ -11,7 +11,7 @@
    Run with: dune exec examples/timing_attack.exe *)
 
 module Scenario = Sw_attack.Scenario
-module D = Sw_attack.Distinguisher
+module Detector = Sw_leak.Detector
 
 let describe label (obs : float array) =
   let n = Array.length obs in
@@ -37,15 +37,15 @@ let () =
   describe "victim coresident" sw_yes.Scenario.attacker_inter_delivery_ms;
   print_endline "\nObservations the attacker needs to detect the victim (chi-square):";
   Printf.printf "  %-12s %14s %14s\n" "confidence" "without SW" "with SW";
-  let bl =
-    D.sweep_empirical ~null:bl_no.Scenario.attacker_inter_delivery_ms
-      ~alt:bl_yes.Scenario.attacker_inter_delivery_ms ()
+  let chi = Detector.chi_square () in
+  let needed ~confidence (null : Scenario.result) (alt : Scenario.result) =
+    chi.Detector.observations_needed ~confidence
+      ~null:null.Scenario.attacker_inter_delivery_ms
+      ~alt:alt.Scenario.attacker_inter_delivery_ms
   in
-  let sw =
-    D.sweep_empirical ~null:sw_no.Scenario.attacker_inter_delivery_ms
-      ~alt:sw_yes.Scenario.attacker_inter_delivery_ms ()
-  in
-  List.iter2
-    (fun (c, without_sw) (_, with_sw) ->
-      Printf.printf "  %-12.2f %14.0f %14.0f\n" c without_sw with_sw)
-    bl sw
+  List.iter
+    (fun c ->
+      Printf.printf "  %-12.2f %14.0f %14.0f\n" c
+        (needed ~confidence:c bl_no bl_yes)
+        (needed ~confidence:c sw_no sw_yes))
+    Detector.confidence_grid

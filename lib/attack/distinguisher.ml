@@ -1,6 +1,5 @@
 module Dist = Sw_stats.Dist
 module Chi_square = Sw_stats.Chi_square
-module Detector = Sw_leak.Detector
 
 let analytic ~null ~alt ?(bins = 10) ~confidence () =
   let edges = Chi_square.equiprobable_edges null ~bins in
@@ -8,24 +7,7 @@ let analytic ~null ~alt ?(bins = 10) ~confidence () =
   let alt_probs = Chi_square.bin_probs ~edges alt.Dist.cdf in
   Chi_square.observations_needed ~null_probs ~alt_probs ~confidence
 
-(* The empirical computations live in Sw_leak.Detector now (chi_square and
-   ks instances); these wrappers keep the historical entry points — and
-   their exact values — for the figure benches. *)
-let empirical ~null ~alt ?(bins = 10) ~confidence () =
-  if Array.length null = 0 || Array.length alt = 0 then
-    invalid_arg "Distinguisher.empirical: empty sample";
-  (Detector.chi_square ~bins ()).Detector.observations_needed ~null ~alt
-    ~confidence
-
-let confidence_grid = Detector.confidence_grid
-
 let sweep_analytic ~null ~alt ?bins () =
-  List.map (fun c -> (c, analytic ~null ~alt ?bins ~confidence:c ())) confidence_grid
-
-let sweep_empirical ~null ~alt ?bins () =
-  List.map (fun c -> (c, empirical ~null ~alt ?bins ~confidence:c ())) confidence_grid
-
-let ks_observations_needed ~null ~alt ~confidence =
-  if Array.length null = 0 || Array.length alt = 0 then
-    invalid_arg "Distinguisher.ks_observations_needed: empty sample";
-  (Detector.ks ()).Detector.observations_needed ~null ~alt ~confidence
+  List.map
+    (fun c -> (c, analytic ~null ~alt ?bins ~confidence:c ()))
+    Sw_leak.Detector.confidence_grid

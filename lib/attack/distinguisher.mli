@@ -1,6 +1,8 @@
-(** The attacker's statistical test: how many timing observations are needed
-    to tell "coresident with the victim" from "not coresident", at a given
-    confidence — the y-axis of Figs. 1(b), 1(c) and 4(b). *)
+(** The attacker's statistical test on known distributions: how many timing
+    observations are needed to tell "coresident with the victim" from "not
+    coresident", at a given confidence — the y-axis of Figs. 1(b) and
+    1(c). The same computation from raw samples is
+    {!Sw_leak.Detector.chi_square}'s [observations_needed]. *)
 
 (** [analytic ~null ~alt ~bins ~confidence] bins the null distribution into
     [bins] equiprobable bins and returns the expected observation count for a
@@ -8,28 +10,6 @@
 val analytic :
   null:Sw_stats.Dist.t -> alt:Sw_stats.Dist.t -> ?bins:int -> confidence:float -> unit -> float
 
-(** [empirical ~null ~alt ~bins ~confidence] is the same computation from raw
-    samples: bin edges are the null sample's quantiles; bin probabilities are
-    the empirical frequencies. Requires both samples non-empty. A thin
-    wrapper over [Sw_leak.Detector.chi_square] — new callers should use the
-    detector API directly, which also carries verdicts and p-values. *)
-val empirical :
-  null:float array -> alt:float array -> ?bins:int -> confidence:float -> unit -> float
-
-(** Convenience sweep over the paper's confidence grid
-    (0.70, 0.75, ..., 0.95, 0.99). *)
-val confidence_grid : float list
-
+(** {!analytic} over {!Sw_leak.Detector.confidence_grid}. *)
 val sweep_analytic :
   null:Sw_stats.Dist.t -> alt:Sw_stats.Dist.t -> ?bins:int -> unit -> (float * float) list
-
-val sweep_empirical :
-  null:float array -> alt:float array -> ?bins:int -> unit -> (float * float) list
-
-(** Kolmogorov–Smirnov alternative: observations until the two-sample KS
-    statistic of an [n]-sample from the alternative exceeds the critical
-    value at [confidence] against the null — a cross-check that the defence
-    does not merely fool the chi-square binning. Wraps
-    [Sw_leak.Detector.ks]. *)
-val ks_observations_needed :
-  null:float array -> alt:float array -> confidence:float -> float

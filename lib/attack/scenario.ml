@@ -17,7 +17,6 @@ type spec = {
   faults : Sw_fault.Schedule.t;
   trace : Sw_obs.Trace.t option;
   profile : Sw_obs.Profile.t option;
-  shards : int;
 }
 
 let default =
@@ -34,14 +33,7 @@ let default =
     faults = Sw_fault.Schedule.empty;
     trace = None;
     profile = None;
-    shards = 1;
   }
-
-(* The whole testbed is one partition atom — the attacker shares machine
-   m-1 with the victim and machine 0 with the colluder, so no machine
-   block boundary can separate the deployments. Any requested shard count
-   therefore clamps to 1 instead of tripping the partition rule. *)
-let effective_shards spec = if spec.shards > 1 then 1 else max 1 spec.shards
 
 let with_replicas spec m =
   { spec with config = { spec.config with Sw_vmm.Config.replicas = m } }
@@ -55,6 +47,33 @@ type result = {
   metrics : Sw_obs.Snapshot.t;
 }
 
+(* --- The probe rig, shared with workload scenarios' attack placement ---- *)
+
+let start_pings pinger ~dst ~seed ~rate_per_s =
+  let rng = Sw_sim.Prng.create (Int64.add seed 17L) in
+  let count = ref 0 in
+  let rec ping () =
+    let gap = Sw_sim.Prng.exponential rng ~rate:rate_per_s in
+    Host.after pinger (Time.of_float_s gap) (fun () ->
+        incr count;
+        Host.send pinger ~dst ~size:100
+          (Sw_net.Packet.App (Sw_net.Msg.Probe_ping !count));
+        ping ())
+  in
+  ping ()
+
+let observed_replica attacker ~baseline ~replicas =
+  let machine = if baseline then 0 else replicas - 1 in
+  match Cloud.replica_on attacker ~machine with
+  | Some i -> i
+  | None -> List.hd (Cloud.replicas attacker)
+
+let lineage_series tr =
+  List.map
+    (fun ((vm, mech), xs) ->
+      (Printf.sprintf "vm%d/%s" vm (Sw_obs.Lineage.mechanism_label mech), xs))
+    (Sw_obs.Lineage.observations (Sw_obs.Lineage.of_trace tr))
+
 (* Machine layout (StopWatch mode, m replicas):
    - attacker on 0 .. m-1
    - victim on m-1 .. 2m-2        (shares exactly machine m-1)
@@ -65,7 +84,7 @@ let run spec =
   let machines = if spec.baseline then 1 else (3 * m) - 2 in
   let cloud =
     Cloud.create ~config:spec.config ~seed:spec.seed ?profile:spec.profile
-      ~machines ~shards:(effective_shards spec) ()
+      ~machines ()
   in
   (* Attach before deploying so the edge nodes and every replica emit into
      the same sink; recording starts immediately. *)
@@ -108,28 +127,10 @@ let run spec =
     Cloud.start_background cloud ~rate_per_s:spec.background_rate_per_s ();
   if spec.faults <> Sw_fault.Schedule.empty then
     ignore (Cloud.install_faults cloud spec.faults);
-  (* Poisson ping stream toward the attacker VM. *)
-  let rng = Sw_sim.Prng.create (Int64.add spec.seed 17L) in
-  let attacker_addr = Cloud.vm_address attacker in
-  let count = ref 0 in
-  let rec ping () =
-    let gap = Sw_sim.Prng.exponential rng ~rate:spec.ping_rate_per_s in
-    Host.after pinger (Time.of_float_s gap) (fun () ->
-        incr count;
-        Host.send pinger ~dst:attacker_addr ~size:100
-          (Sw_net.Packet.App (Sw_net.Msg.Probe_ping !count));
-        ping ())
-  in
-  ping ();
+  start_pings pinger ~dst:(Cloud.vm_address attacker) ~seed:spec.seed
+    ~rate_per_s:spec.ping_rate_per_s;
   Cloud.run cloud ~until:spec.duration;
-  (* All replicas observe identical virtual delivery times; read the one
-     coresident with the victim when present, else the first. *)
-  let instance =
-    let observed_machine = if spec.baseline then 0 else m - 1 in
-    match Cloud.replica_on attacker ~machine:observed_machine with
-    | Some i -> i
-    | None -> List.hd (Cloud.replicas attacker)
-  in
+  let instance = observed_replica attacker ~baseline:spec.baseline ~replicas:m in
   let metrics = Cloud.metrics_snapshot cloud in
   let prefix = Sw_vmm.Vmm.metric_prefix instance in
   let median_share =
@@ -177,15 +178,14 @@ let leak_series spec =
      series is promoted to the headline key (the pinger is the attack
      apparatus's own agent, so send times are known to the attacker even
      though the ingress stamp is not guest-visible). *)
+  let promoted =
+    "vm0/" ^ Sw_obs.Lineage.mechanism_label Sw_obs.Lineage.Ingress_latency
+  in
   let lineage =
     List.map
-      (fun ((vm, mech), xs) ->
-        if vm = 0 && mech = Sw_obs.Lineage.Ingress_latency then
-          (headline_key, xs)
-        else
-          ( Printf.sprintf "vm%d/%s" vm (Sw_obs.Lineage.mechanism_label mech),
-            xs ))
-      (Sw_obs.Lineage.observations (Sw_obs.Lineage.of_trace tr))
+      (fun (key, xs) ->
+        if String.equal key promoted then (headline_key, xs) else (key, xs))
+      (lineage_series tr)
   in
   let jitter_series =
     match List.assoc_opt headline_key lineage with

@@ -32,18 +32,11 @@ type spec = {
   profile : Sw_obs.Profile.t option;
       (** Wall-clock self-profiling instance handed to the engine; [None]
           (the default) times nothing. *)
-  shards : int;
-      (** Requested shard count, accepted for DSL/CLI uniformity but
-          clamped to 1 (see {!effective_shards}): the attack layout is a
-          single partition atom. Default [1]. *)
 }
 
+(** The runs are unsharded: attacker, victim and colluder deliberately
+    share machines, so the whole testbed is one partition atom. *)
 val default : spec
-
-(** The shard count {!run} actually uses — always [1]: attacker, victim,
-    and colluder deliberately share machines, so no partition boundary
-    can separate their replica groups. *)
-val effective_shards : spec -> int
 
 (** [with_replicas spec m] adjusts the attacker/victim replica count
     (Sec. IX's 3-vs-5 comparison). *)
@@ -66,6 +59,36 @@ type result = {
 }
 
 val run : spec -> result
+
+(** {2 The probe rig}
+
+    The attacker-side apparatus, shared with the attack placement of
+    workload scenarios ([Sw_workload.Run]) so both read the channel the
+    same way. *)
+
+(** [start_pings pinger ~dst ~seed ~rate_per_s] starts the Poisson ping
+    stream: [pinger] sends [dst] numbered [Probe_ping]s at exponential
+    gaps drawn from a generator seeded with [seed + 17]. *)
+val start_pings :
+  Stopwatch.Host.t ->
+  dst:Sw_net.Address.t ->
+  seed:int64 ->
+  rate_per_s:float ->
+  unit
+
+(** The attacker replica whose virtual clock the experiment reads: the one
+    on machine [replicas - 1] (the victim-shared machine) under StopWatch,
+    the single instance under [baseline]. All replicas observe identical
+    virtual delivery times. *)
+val observed_replica :
+  Stopwatch.Cloud.deployment ->
+  baseline:bool ->
+  replicas:int ->
+  Sw_vmm.Vmm.instance
+
+(** Every per-(vm, mechanism) lineage observation series in a trace, keyed
+    ["vm<i>/<mechanism>"] for attribution. *)
+val lineage_series : Sw_obs.Trace.t -> (string * float array) list
 
 (** Key under which {!leak_series} reports the attacker's end-to-end ping
     latency (ingress stamp → delivery on the guest's virtual clock) — the

@@ -23,7 +23,7 @@
 type meta = {
   scenario : string;
       (** Identity of the run — scenario name plus the digest of its
-          compiled workload, see [Soak.scenario_id]. *)
+          compiled workload and its shard count, see [Soak.run]. *)
   seed : int64;
   shards : int;
   index : int;  (** Position in the checkpoint timeline, from 0. *)

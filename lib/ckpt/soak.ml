@@ -34,26 +34,11 @@ type outcome = {
 
 exception Killed of { checkpoints : int; sim_ns : int64 }
 
-let effective_shards (w : Dsl.workload) ~shards =
-  match w.topology with
-  | None -> 1
-  | Some topo -> ( match shards with Some s -> s | None -> topo.Dsl.shards)
-
-let scenario_id (scn : Dsl.t) ~shards =
-  let w =
-    match scn.Dsl.kind with
-    | Dsl.Workload w -> w
-    | Dsl.Attack _ -> invalid_arg "Soak.scenario_id: scenario is not a workload"
-  in
-  Printf.sprintf "%s:%s:shards=%d" scn.Dsl.name
-    (Digest.to_hex (Digest.string (Dsl.print scn)))
-    (effective_shards w ~shards)
-
 let ( let* ) = Result.bind
 
 let now_ns cloud = Sw_sim.Engine.now (Cloud.engine cloud)
 
-let run ~scenario ?shards ~dir ~every ?kill_after ?keep
+let run ~scenario ~dir ~every ?kill_after ?keep
     ?(on_event = fun (_ : event) -> ()) () =
   let w =
     match scenario.Dsl.kind with
@@ -62,14 +47,19 @@ let run ~scenario ?shards ~dir ~every ?kill_after ?keep
   in
   if Time.compare every Time.zero <= 0 then
     invalid_arg "Soak.run: checkpoint interval must be positive";
-  let sid = scenario_id scenario ~shards in
+  (* The scenario identity stamped into (and checked against) every image. *)
+  let sid =
+    Printf.sprintf "%s:%s:shards=%d" scenario.Dsl.name
+      (Digest.to_hex (Digest.string (Dsl.print scenario)))
+      (Dsl.shards w)
+  in
   let* () =
     Result.map_error (fun e -> Image_error e) (Store.ensure_dir dir)
   in
   (* Recover: newest fully-verified image, or a fresh handle. *)
   let* (handle : Run.handle), first_index, resumed_from, images_skipped =
     match Store.latest_valid dir with
-    | None -> Ok (Run.prepare ?shards w, 0, None, 0)
+    | None -> Ok (Run.prepare w, 0, None, 0)
     | Some (entry, payload, rejected) ->
         List.iter
           (fun (path, error) -> on_event (Skipped_image { path; error }))
@@ -143,7 +133,7 @@ let run ~scenario ?shards ~dir ~every ?kill_after ?keep
         {
           Image.scenario = sid;
           seed = w.Dsl.seed;
-          shards = effective_shards w ~shards;
+          shards = Dsl.shards w;
           index = !index;
           sim_ns;
           fingerprint = Bisect.fingerprint cloud;

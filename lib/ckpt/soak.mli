@@ -62,24 +62,22 @@ type outcome = {
     {!run} again to exercise resumption. *)
 exception Killed of { checkpoints : int; sim_ns : int64 }
 
-(** The scenario identity stamped into (and checked against) every image:
-    scenario name, digest of the printed scenario, and the effective shard
-    count. *)
-val scenario_id : Sw_workload.Dsl.t -> shards:int option -> string
-
 (** [run ~scenario ~dir ~every ()] drives [scenario] (which must be a
     [Workload]; [Invalid_argument] otherwise) to completion with a
     checkpoint every [every] of simulated time (the run end is always
     aligned to the scenario's own horizon, not to the grid).
 
-    [shards] overrides the topology block's shard count, exactly like
-    [Run.run]. [kill_after n] aborts the process-visible run by raising
-    {!Killed} after the [n]-th checkpoint {e written by this process}.
+    Every image is stamped with the scenario's identity (name, digest of
+    the printed scenario, shard count), and a directory holding another
+    scenario's images is refused. Command-line overrides (duration, shard
+    count) are applied to [scenario] beforehand with
+    {!Sw_workload.Dsl.override}, so they are part of that identity.
+    [kill_after n] aborts the process-visible run by raising {!Killed}
+    after the [n]-th checkpoint {e written by this process}.
     [keep] prunes the timeline to the newest [keep] images after each
     write (default: keep everything). [on_event] observes progress. *)
 val run :
   scenario:Sw_workload.Dsl.t ->
-  ?shards:int ->
   dir:string ->
   every:Sw_sim.Time.t ->
   ?kill_after:int ->

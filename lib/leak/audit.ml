@@ -52,6 +52,14 @@ let run ?(detectors = Detector.all) ?registry ~label series =
   in
   { label; findings }
 
+let pair ~null ~alt =
+  List.filter_map
+    (fun (key, null_xs) ->
+      Option.map
+        (fun alt_xs -> { key; null = null_xs; alt = alt_xs })
+        (List.assoc_opt key alt))
+    null
+
 let split_half ?detectors ?registry ~label series =
   let halves =
     List.filter_map
@@ -70,6 +78,14 @@ let attribution t =
   List.filter_map
     (fun f -> if f.leaking = [] then None else Some (f.f_key, f.leaking))
     t.findings
+
+let guest_leaking t =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun f ->
+         if String.starts_with ~prefix:"attacker/" f.f_key then f.leaking
+         else [])
+       t.findings)
 
 let leak t = List.exists (fun f -> f.leaking <> []) t.findings
 

@@ -36,6 +36,14 @@ val run :
   series list ->
   t
 
+(** [pair ~null ~alt] pairs two configurations' observation series by key,
+    in [null]'s order; keys present on one side only are dropped (the
+    victim's own VM exists in just one run and has no counterpart). *)
+val pair :
+  null:(string * float array) list ->
+  alt:(string * float array) list ->
+  series list
+
 (** [split_half ~label series] audits each single series against itself —
     first half as null, second half as alt — the drift probe the soak
     driver samples at every checkpoint grid point. Series shorter than 2
@@ -49,6 +57,12 @@ val split_half :
 
 (** Series that leaked, with the detectors that flagged them. *)
 val attribution : t -> (string * string list) list
+
+(** The guest-visible verdict: the detectors (sorted, deduplicated) that
+    flagged any attacker-observable [attacker/*] series. The [vm*/...]
+    lineage series are attribution: they say where a possibly masked
+    host-level signal lives, not what the guest can read. *)
+val guest_leaking : t -> string list
 
 (** True when any series leaked under any detector. *)
 val leak : t -> bool

@@ -9,8 +9,8 @@
 
     Five instances cover the repo's battery: Welch's t-test, Cohen's d,
     label mutual information (G-test), two-sample KS, and the chi-square
-    distinguisher of Figs. 1(b)/4(b) — the last two being the historical
-    [Sw_attack.Distinguisher] computations behind the shared API. *)
+    distinguisher of Fig. 4(b) — the last two being the empirical
+    observations-needed computations the figure benches call. *)
 
 type report = {
   detector : string;
@@ -59,8 +59,8 @@ val mutual_info : ?alpha:float -> ?bins:int -> unit -> t
 val ks : ?alpha:float -> unit -> t
 
 (** Two-sample chi-square homogeneity verdict; its observations-needed
-    curve is byte-identical to the historical
-    [Sw_attack.Distinguisher.empirical] computation. *)
+    curve is the Fig. 4(b) distinguisher: bin edges are the null sample's
+    quantiles, bin probabilities the empirical frequencies. *)
 val chi_square : ?alpha:float -> ?bins:int -> unit -> t
 
 (** The full battery at default thresholds, in report order:

@@ -168,8 +168,7 @@ let to_json ?meta ?profile entries =
       match e.Trace.event with
       | Event.Ingress_replicated _ | Event.Egress_released _ -> used_net := true
       | Event.Fault_injected _ | Event.Fault_cleared _ -> used_fault := true
-      | Event.Span_begin _ | Event.Span_end _ | Event.Message _ ->
-          used_span := true
+      | Event.Span_begin _ | Event.Span_end _ -> used_span := true
       | _ -> ())
     entries;
   (* Track-naming metadata, in sorted track order. *)
@@ -329,10 +328,7 @@ let to_json ?meta ?profile entries =
               ("pid", int span_pid);
               ("tid", int 1);
               ("args", args [ ("elapsed_ns", i64 elapsed_ns) ]);
-            ]
-      | Event.Message { label; text } ->
-          instant em ~name:label ~at ~pid:span_pid ~tid:1
-            [ ("text", str text) ])
+            ])
     entries;
   (* Profile counter tracks: one cumulative sample per timer at the end of
      the trace. Wall-clock data — keep out of byte-compared exports. *)

@@ -37,7 +37,6 @@ type t =
   | Degrade_reintegrated of { vm : int; replica : int; quorum : int }
   | Span_begin of { name : string }
   | Span_end of { name : string; elapsed_ns : int64 }
-  | Message of { label : string; text : string }
 
 let label = function
   | Packet_proposed _ -> "proposal"
@@ -58,7 +57,6 @@ let label = function
   | Degrade_reintegrated _ -> "degrade-reintegrate"
   | Span_begin _ -> "span-begin"
   | Span_end _ -> "span-end"
-  | Message _ -> "message"
 
 let vm_of = function
   | Packet_proposed { vm; _ }
@@ -76,9 +74,7 @@ let vm_of = function
   | Degrade_ejected { vm; _ }
   | Degrade_reintegrated { vm; _ } ->
       Some vm
-  | Fault_injected _ | Fault_cleared _ | Span_begin _ | Span_end _ | Message _
-    ->
-      None
+  | Fault_injected _ | Fault_cleared _ | Span_begin _ | Span_end _ -> None
 
 let replica_of = function
   | Packet_proposed { observer; _ } -> Some observer
@@ -95,7 +91,7 @@ let replica_of = function
   | Degrade_reintegrated { replica; _ } ->
       Some replica
   | Ingress_replicated _ | Egress_released _ | Fault_injected _
-  | Fault_cleared _ | Span_begin _ | Span_end _ | Message _ ->
+  | Fault_cleared _ | Span_begin _ | Span_end _ ->
       None
 
 let pp_ns fmt t =
@@ -166,4 +162,3 @@ let pp fmt = function
   | Span_begin { name } -> Format.fprintf fmt "span %s begins" name
   | Span_end { name; elapsed_ns } ->
       Format.fprintf fmt "span %s ends after %a" name pp_ns elapsed_ns
-  | Message { label; text } -> Format.fprintf fmt "%-18s %s" label text

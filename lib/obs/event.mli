@@ -61,8 +61,6 @@ type t =
       (** A restarted replica resynced and rejoined; quorum restored. *)
   | Span_begin of { name : string }
   | Span_end of { name : string; elapsed_ns : int64 }
-  | Message of { label : string; text : string }
-      (** Freeform legacy entry (the [Sw_sim.Trace] shim emits these). *)
 
 (** Short kind tag, e.g. ["proposal"], ["median"], ["vm-exit"]. *)
 val label : t -> string

@@ -83,9 +83,7 @@ val unknown_packets : t -> int
     ({!Sw_obs.Event.Packet_proposed}, [Median_adopted], [Packet_delivered],
     [Vm_exit], [Disk_irq]/[Dma_irq], [Divergence]) into [tr] — used by the
     Fig. 2 reproduction and by protocol tests. Emission is lazy: with no
-    sink attached, or the sink disabled, nothing is allocated or formatted.
-    ([Sw_sim.Trace.t] is an alias of [Sw_obs.Trace.t], so sinks from either
-    API work.) *)
+    sink attached, or the sink disabled, nothing is allocated or formatted. *)
 val set_trace : instance -> Sw_obs.Trace.t -> unit
 
 (** [rebuild i] reconstructs the replica's guest by deterministic replay of

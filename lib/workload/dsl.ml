@@ -548,6 +548,208 @@ let attack_to_json (a : attack) =
            a.variants) );
   ]
 
+(* The shard partition rule, checked before any cloud is built: cells
+   (one replica group + its client hosts) are the partition atoms, and
+   Cloud.create's contiguous machine blocks align with cell boundaries
+   exactly when cells divide evenly into shards. *)
+let check_topology (w : workload) =
+  match w.topology with
+  | None -> Ok ()
+  | Some t ->
+      if not w.stopwatch then
+        Error "topology: requires stopwatch = true (baseline is single-machine)"
+      else if w.attack <> None then
+        Error "topology: attack probes are not supported on a datacenter run"
+      else if t.hosts < w.replicas then
+        Error
+          (Printf.sprintf "topology.hosts: %d hosts cannot place %d replicas"
+             t.hosts w.replicas)
+      else if t.hosts mod w.replicas <> 0 then
+        Error
+          (Printf.sprintf
+             "topology.hosts: %d is not a multiple of replicas (%d)" t.hosts
+             w.replicas)
+      else if t.shards < 1 then Error "topology.shards: must be >= 1"
+      else if t.hosts / w.replicas mod t.shards <> 0 then
+        Error
+          (Printf.sprintf
+             "topology.shards: %d cells (hosts/replicas) do not divide into \
+              %d shards; replica groups would cross shard blocks"
+             (t.hosts / w.replicas) t.shards)
+      else if t.east_west_rate_per_s < 0. then
+        Error "topology.east_west_rate_per_s: must be >= 0"
+      else if t.east_west_stride < 1 then
+        Error "topology.east_west_stride: must be >= 1"
+      else if
+        match t.replica_link_us with Some us -> us <= 0. | None -> false
+      then Error "topology.replica_link_us: must be > 0"
+      else if match t.quantum_us with Some us -> us <= 0. | None -> false
+      then Error "topology.quantum_us: must be > 0"
+      else if t.shards > 1 && w.faults <> [] then
+        Error "topology: fault schedules are not supported on a sharded run"
+      else if t.shards > 1 && w.trace then
+        Error "topology: tracing is not supported on a sharded run"
+      else if t.shards > 1 && w.leak_audit then
+        Error
+          "topology: leak audits (which trace) are not supported on a \
+           sharded run"
+      else Ok ()
+
+(* --- Validation ---------------------------------------------------------- *)
+
+(* Value checks only: no keyspace, cloud or digest is built. A field path
+   is a thunk, and a message is formatted only on failure, so a valid
+   scenario validates without formatting anything. *)
+
+let sub path name () = path () ^ "." ^ name
+let nth path i () = Printf.sprintf "%s[%d]" (path ()) i
+let fail path what got = bad (path ()) (Printf.sprintf "%s (got %s)" what got)
+
+let positive path x =
+  if not (x > 0.) then fail path "must be > 0" (Printf.sprintf "%g" x)
+
+let non_negative path x =
+  if not (x >= 0.) then fail path "must be >= 0" (Printf.sprintf "%g" x)
+
+let within path ~lo ~hi x =
+  if not (x >= lo && x <= hi) then
+    fail path
+      (Printf.sprintf "must lie in [%g, %g]" lo hi)
+      (Printf.sprintf "%g" x)
+
+let at_least n path x =
+  if x < n then fail path (Printf.sprintf "must be >= %d" n) (string_of_int x)
+
+let positive_span path t = positive path (Time.to_float_s t)
+let non_negative_span path t = non_negative path (Time.to_float_s t)
+
+let replicas path m =
+  if m < 1 || m mod 2 = 0 then
+    fail path "must be odd and positive" (string_of_int m)
+
+let not_empty path = function [] -> bad (path ()) "must not be empty" | _ -> ()
+
+let validate_arrival path = function
+  | Arrival.Constant { rate_per_s } | Arrival.Poisson { rate_per_s } ->
+      non_negative (sub path "rate_per_s") rate_per_s
+  | Arrival.Diurnal { base_per_s; amplitude; period } ->
+      non_negative (sub path "base_per_s") base_per_s;
+      within (sub path "amplitude") ~lo:0. ~hi:1. amplitude;
+      positive_span (sub path "period_s") period
+  | Arrival.Flash { base_per_s; peak_per_s; at; ramp; hold } ->
+      non_negative (sub path "base_per_s") base_per_s;
+      if peak_per_s < base_per_s then
+        fail (sub path "peak_per_s") "must be >= base_per_s"
+          (Printf.sprintf "%g" peak_per_s);
+      non_negative_span (sub path "at_s") at;
+      non_negative_span (sub path "ramp_s") ramp;
+      non_negative_span (sub path "hold_s") hold
+  | Arrival.Replay { points } ->
+      ignore
+        (List.fold_left
+           (fun (i, prev) (at, rate) ->
+             let p = nth (sub path "points") i in
+             non_negative_span p at;
+             non_negative p rate;
+             (match prev with
+             | Some t when Time.compare at t <= 0 ->
+                 bad (p ()) "instants must be strictly increasing"
+             | _ -> ());
+             (i + 1, Some at))
+           (0, None) points)
+
+let validate_fault path (w : Sw_fault.Schedule.spec) =
+  non_negative_span (sub path "at_ms") w.Sw_fault.Schedule.at;
+  non_negative_span (sub path "span_ms") w.span;
+  let index name = at_least 0 (sub path name) in
+  match w.fault with
+  | Sw_fault.Fault.Link_loss { p; _ } -> within (sub path "p") ~lo:0. ~hi:1. p
+  | Sw_fault.Fault.Link_latency { extra; _ } ->
+      non_negative_span (sub path "extra_us") extra
+  | Sw_fault.Fault.Machine_stall { machine }
+  | Sw_fault.Fault.Dom0_pause { machine } ->
+      index "machine" machine
+  | Sw_fault.Fault.Machine_slowdown { machine; factor } ->
+      index "machine" machine;
+      if factor < 1. then
+        fail (sub path "factor") "must be >= 1" (Printf.sprintf "%g" factor)
+  | Sw_fault.Fault.Mcast_partition { vm; replica } ->
+      index "vm" vm;
+      index "replica" replica
+  | Sw_fault.Fault.Replica_crash { vm; replica; restart_after } ->
+      index "vm" vm;
+      index "replica" replica;
+      Option.iter (positive_span (sub path "restart_after_ms")) restart_after
+
+let validate_workload path (w : workload) =
+  positive_span (sub path "duration_s") w.duration;
+  replicas (sub path "replicas") w.replicas;
+  validate_arrival (sub path "arrival") w.arrival;
+  let service = sub path "service" in
+  not_empty (sub service "classes") w.classes;
+  List.iteri
+    (fun i (c : Flowgen.cls) ->
+      let p = nth (sub service "classes") i in
+      non_negative (sub p "weight") c.Flowgen.weight;
+      at_least 1 (sub p "resp_bytes") c.resp_bytes)
+    w.classes;
+  if List.for_all (fun (c : Flowgen.cls) -> c.Flowgen.weight = 0.) w.classes
+  then bad (sub service "classes" ()) "all weights are zero";
+  at_least 1 (sub service "keys") w.keys;
+  non_negative (sub service "zipf_theta") w.theta;
+  at_least 1 (sub service "request_bytes") w.request_bytes;
+  at_least 0 (sub service "compute_branches") w.compute_branches;
+  at_least 0 (sub service "header_bytes") w.header_bytes;
+  let cache = sub path "cache" in
+  not_empty (sub cache "tiers") w.cache.Cache.tiers;
+  List.iteri
+    (fun i (t : Cache.tier) ->
+      let p = nth (sub cache "tiers") i in
+      at_least 1 (sub p "capacity") t.Cache.capacity;
+      non_negative_span (sub p "hit_us") t.hit_cost)
+    w.cache.Cache.tiers;
+  non_negative_span (sub cache "origin_us") w.cache.Cache.origin_cost;
+  at_least 1 (sub path "connections.pool") w.pool;
+  at_least 0 (sub path "connections.max_per_conn") w.max_per_conn;
+  List.iteri (fun i f -> validate_fault (nth (sub path "faults") i) f) w.faults;
+  Option.iter
+    (fun (a : attack_probe) ->
+      positive (sub path "attack.ping_rate_per_s") a.ping_rate_per_s)
+    w.attack;
+  List.iteri
+    (fun i m -> non_negative (nth (sub path "load_multipliers") i) m)
+    w.load_multipliers;
+  match check_topology w with
+  | Ok () -> ()
+  | Error e -> raise (Bad (path () ^ "." ^ e))
+
+let validate_attack path (a : attack) =
+  positive_span (sub path "duration_s") a.duration;
+  replicas (sub path "replicas") a.replicas;
+  positive (sub path "ping_rate_per_s") a.ping_rate_per_s;
+  at_least 0 (sub path "colluder_burst") a.colluder_burst;
+  non_negative (sub path "background_rate_per_s") a.background_rate_per_s;
+  not_empty (sub path "variants") a.variants;
+  ignore
+    (List.fold_left
+       (fun (i, seen) v ->
+         if List.mem v.key seen then
+           bad
+             (sub (nth (sub path "variants") i) "key" ())
+             (Printf.sprintf "duplicate key %S" v.key);
+         (i + 1, v.key :: seen))
+       (0, []) a.variants)
+
+let validate t =
+  let root () = "scenario" in
+  match
+    match t.kind with
+    | Workload w -> validate_workload root w
+    | Attack a -> validate_attack root a
+  with
+  | () -> Ok t
+  | exception Bad msg -> Error msg
+
 (* --- Top level ----------------------------------------------------------- *)
 
 let of_json json =
@@ -562,7 +764,7 @@ let of_json json =
     in
     { name; kind }
   with
-  | t -> Ok t
+  | t -> validate t
   | exception Bad msg -> Error msg
 
 let to_json t =
@@ -611,52 +813,30 @@ let attack_specs (a : attack) =
         } ))
     a.variants
 
-(* The shard partition rule, checked before any cloud is built: cells
-   (one replica group + its client hosts) are the partition atoms, and
-   Cloud.create's contiguous machine blocks align with cell boundaries
-   exactly when cells divide evenly into shards. *)
-let check_topology (w : workload) =
-  match w.topology with
-  | None -> Ok ()
-  | Some t ->
-      if not w.stopwatch then
-        Error "topology: requires stopwatch = true (baseline is single-machine)"
-      else if w.attack <> None then
-        Error "topology: attack probes are not supported on a datacenter run"
-      else if t.hosts < w.replicas then
-        Error
-          (Printf.sprintf "topology.hosts: %d hosts cannot place %d replicas"
-             t.hosts w.replicas)
-      else if t.hosts mod w.replicas <> 0 then
-        Error
-          (Printf.sprintf
-             "topology.hosts: %d is not a multiple of replicas (%d)" t.hosts
-             w.replicas)
-      else if t.shards < 1 then Error "topology.shards: must be >= 1"
-      else if t.hosts / w.replicas mod t.shards <> 0 then
-        Error
-          (Printf.sprintf
-             "topology.shards: %d cells (hosts/replicas) do not divide into \
-              %d shards; replica groups would cross shard blocks"
-             (t.hosts / w.replicas) t.shards)
-      else if t.east_west_rate_per_s < 0. then
-        Error "topology.east_west_rate_per_s: must be >= 0"
-      else if t.east_west_stride < 1 then
-        Error "topology.east_west_stride: must be >= 1"
-      else if
-        match t.replica_link_us with Some us -> us <= 0. | None -> false
-      then Error "topology.replica_link_us: must be > 0"
-      else if match t.quantum_us with Some us -> us <= 0. | None -> false
-      then Error "topology.quantum_us: must be > 0"
-      else if t.shards > 1 && w.faults <> [] then
-        Error "topology: fault schedules are not supported on a sharded run"
-      else if t.shards > 1 && w.trace then
-        Error "topology: tracing is not supported on a sharded run"
-      else if t.shards > 1 && w.leak_audit then
-        Error
-          "topology: leak audits (which trace) are not supported on a \
-           sharded run"
-      else Ok ()
+let override ?seconds ?shards ?partition t =
+  let duration d =
+    match seconds with None -> d | Some s -> Time.of_float_s s
+  in
+  let kind =
+    match t.kind with
+    | Attack a -> Attack { a with duration = duration a.duration }
+    | Workload w ->
+        let topology =
+          Option.map
+            (fun (topo : topology) ->
+              {
+                topo with
+                shards = Option.value shards ~default:topo.shards;
+                partition = Option.value partition ~default:topo.partition;
+              })
+            w.topology
+        in
+        Workload { w with duration = duration w.duration; topology }
+  in
+  validate { t with kind }
+
+let shards (w : workload) =
+  match w.topology with Some t -> t.shards | None -> 1
 
 let scaled w m =
   let arrival =

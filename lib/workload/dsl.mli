@@ -109,8 +109,10 @@ type workload = {
 type kind = Attack of attack | Workload of workload
 type t = { name : string; kind : kind }
 
-(** Structured decode with field-path error context (e.g.
-    ["arrival.process: unknown process \"diurnl\""]). *)
+(** Structured decode plus the value checks of {!override}, with
+    field-path error context
+    (e.g. ["scenario.arrival.process: unknown process \"diurnl\""],
+    ["scenario.replicas: must be odd and positive (got 2)"]). *)
 val of_json : Sw_obs.Json.t -> (t, string) result
 
 (** Re-emits every field explicitly (defaults included). *)
@@ -129,11 +131,24 @@ val load_file : string -> (t, string) result
     order. *)
 val attack_specs : attack -> (string * Sw_attack.Scenario.spec) list
 
-(** Validates the topology block against the partition rule (hosts a
+(** The command-line overrides, applied in this one place: [seconds]
+    replaces the duration of either kind; [shards] and [partition] replace
+    the topology block's own fields (a scenario without a topology block
+    runs unsharded and ignores them). The result is validated as
+    {!of_json} validates a file: every semantic error of either kind is
+    rejected with a field-path message — non-positive durations, even or
+    non-positive replica counts, negative rates, sizes and spans,
+    malformed caches, service mixes and fault windows, duplicate attack
+    variant keys, and the topology block's partition rule (hosts a
     multiple of replicas; cells dividing evenly into shards; no faults,
-    trace, or attack probe on a sharded run). [Ok ()] when there is no
-    topology block. *)
-val check_topology : workload -> (unit, string) result
+    trace, leak audit or attack probe on a sharded run). Only values are
+    checked, so validating costs microseconds. With no override this is
+    validation alone. *)
+val override :
+  ?seconds:float -> ?shards:int -> ?partition:partition -> t -> (t, string) result
+
+(** The shard count a workload runs on: its topology block's, else 1. *)
+val shards : workload -> int
 
 (** [scaled w m] multiplies every arrival rate by [m]. *)
 val scaled : workload -> float -> workload

@@ -4,7 +4,10 @@ module Affinity = Sw_placement.Affinity
 module Cloud = Stopwatch.Cloud
 module Host = Stopwatch.Host
 module Probe = Sw_apps.Probe
+module Scenario = Sw_attack.Scenario
 module Snapshot = Sw_obs.Snapshot
+module Audit = Sw_leak.Audit
+module Runner = Sw_runner.Runner
 
 type result = {
   issued : int;
@@ -93,18 +96,8 @@ let prepare_single (w : Dsl.workload) =
           deploy_guest
             ~app:(Probe.receiver ~echo_to:(Host.address observer) ~echo_every:1 ())
         in
-        let rng = Prng.create (Int64.add w.seed 17L) in
-        let attacker_addr = Cloud.vm_address attacker in
-        let count = ref 0 in
-        let rec ping () =
-          let gap = Prng.exponential rng ~rate:ping_rate_per_s in
-          Host.after pinger (Time.of_float_s gap) (fun () ->
-              incr count;
-              Host.send pinger ~dst:attacker_addr ~size:100
-                (Sw_net.Packet.App (Sw_net.Msg.Probe_ping !count));
-              ping ())
-        in
-        ping ();
+        Scenario.start_pings pinger ~dst:(Cloud.vm_address attacker) ~seed:w.seed
+          ~rate_per_s:ping_rate_per_s;
         Some attacker
   in
   if w.faults <> [] then ignore (Cloud.install_faults cloud w.faults);
@@ -127,13 +120,9 @@ let prepare_single (w : Dsl.workload) =
     match probe with
     | None -> [||]
     | Some attacker ->
-        let observed_machine = if w.stopwatch then m - 1 else 0 in
-        let instance =
-          match Cloud.replica_on attacker ~machine:observed_machine with
-          | Some i -> i
-          | None -> List.hd (Cloud.replicas attacker)
-        in
-        Sw_vmm.Vmm.inter_delivery_virts_ms instance
+        Sw_vmm.Vmm.inter_delivery_virts_ms
+          (Scenario.observed_replica attacker ~baseline:(not w.stopwatch)
+             ~replicas:m)
   in
   (* The leak-observation extraction: the probe's guest-visible series plus
      every per-(vm, mechanism) lineage series, keyed for attribution. Safe
@@ -142,15 +131,7 @@ let prepare_single (w : Dsl.workload) =
     if not w.leak_audit then []
     else begin
       let lineage_series =
-        match trace with
-        | None -> []
-        | Some tr ->
-            List.map
-              (fun ((vm, mech), xs) ->
-                ( Printf.sprintf "vm%d/%s" vm
-                    (Sw_obs.Lineage.mechanism_label mech),
-                  xs ))
-              (Sw_obs.Lineage.observations (Sw_obs.Lineage.of_trace tr))
+        match trace with None -> [] | Some tr -> Scenario.lineage_series tr
       in
       let head =
         match attacker_series () with
@@ -215,23 +196,8 @@ let traffic_graph (w : Dsl.workload) =
    generator is derived from [(seed, purpose, cell)] alone. The remaining
    cross-shard reordering is between same-instant events of *different*
    cells, which share no state. *)
-let prepare_datacenter ?shards ?partition ?lookahead (w : Dsl.workload)
+let prepare_datacenter ?assign ?lookahead (w : Dsl.workload)
     (topo : Dsl.topology) =
-  let topo =
-    match shards with
-    | None -> topo
-    | Some s -> { topo with Dsl.shards = s }
-  in
-  let topo =
-    match partition with
-    | None | Some (`Assign _) -> topo
-    | Some `Contiguous -> { topo with Dsl.partition = Dsl.Contiguous }
-    | Some `Affinity -> { topo with Dsl.partition = Dsl.Affinity }
-  in
-  let w = { w with Dsl.topology = Some topo } in
-  (match Dsl.check_topology w with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Run: " ^ e));
   let r = w.replicas in
   let cells = topo.Dsl.hosts / r in
   let config =
@@ -283,15 +249,15 @@ let prepare_datacenter ?shards ?partition ?lookahead (w : Dsl.workload)
      is the test hook: any explicit cell map, e.g. a random one from the
      partition-independence property test. *)
   let cell_assign =
-    match partition with
-    | Some (`Assign a) ->
+    match assign with
+    | Some a ->
         if Array.length a <> cells then
           invalid_arg
             (Printf.sprintf
                "Run: partition assigns %d cells, topology has %d"
                (Array.length a) cells);
         Some (Array.copy a)
-    | _ -> (
+    | None -> (
         match topo.Dsl.partition with
         | Dsl.Contiguous -> None
         | Dsl.Affinity ->
@@ -430,11 +396,88 @@ let prepare_datacenter ?shards ?partition ?lookahead (w : Dsl.workload)
   { cloud; until = Time.add w.duration drain; finish; observe = (fun () -> []) }
 
 let prepare ?shards ?partition ?lookahead (w : Dsl.workload) =
-  match w.topology with
-  | Some topo -> prepare_datacenter ?shards ?partition ?lookahead w topo
-  | None -> prepare_single w
+  let assign, partition =
+    match partition with
+    | None -> (None, None)
+    | Some (`Assign a) -> (Some a, None)
+    | Some `Contiguous -> (None, Some Dsl.Contiguous)
+    | Some `Affinity -> (None, Some Dsl.Affinity)
+  in
+  match
+    Dsl.override ?shards ?partition { Dsl.name = ""; kind = Dsl.Workload w }
+  with
+  | Error e -> invalid_arg ("Run: " ^ e)
+  | Ok { Dsl.kind = Dsl.Attack _; _ } -> assert false (* override keeps kinds *)
+  | Ok { Dsl.kind = Dsl.Workload w; _ } -> (
+      match w.topology with
+      | Some topo -> prepare_datacenter ?assign ?lookahead w topo
+      | None -> prepare_single w)
 
 let run ?shards ?partition ?lookahead (w : Dsl.workload) =
   let h = prepare ?shards ?partition ?lookahead w in
   Cloud.run h.cloud ~until:h.until;
   h.finish ()
+
+let map_variants ?pool make variants =
+  let jobs =
+    List.map
+      (fun (key, v) -> Sw_runner.Job.make ~key (fun ~seed:_ -> make v))
+      variants
+  in
+  List.map2
+    (fun (key, _) r -> (key, Runner.get r))
+    variants
+    (Runner.map ?pool jobs)
+
+(* Attack variants group by backend and colluder; within each group the
+   victim run is the alternative and the no-victim run the null. *)
+let attack_audits ?pool ~registry (a : Dsl.attack) =
+  let specs = Dsl.attack_specs a in
+  let series = map_variants ?pool Scenario.leak_series specs in
+  let group_of (s : Scenario.spec) =
+    (if s.Scenario.baseline then "baseline" else "stopwatch")
+    ^ if s.Scenario.colluder then "+colluder" else ""
+  in
+  let labels =
+    List.fold_left
+      (fun acc (_, spec) ->
+        let g = group_of spec in
+        if List.mem g acc then acc else acc @ [ g ])
+      [] specs
+  in
+  List.filter_map
+    (fun label ->
+      let side victim =
+        List.find_map
+          (fun ((_, spec), (_, xs)) ->
+            if group_of spec = label && spec.Scenario.victim = victim then
+              Some xs
+            else None)
+          (List.combine specs series)
+      in
+      match (side false, side true) with
+      | Some null, Some alt ->
+          Some (Audit.run ~registry ~label (Audit.pair ~null ~alt))
+      | _ -> None)
+    labels
+
+let audits ?pool ~registry (t : Dsl.t) =
+  match t.Dsl.kind with
+  | Dsl.Attack a -> attack_audits ?pool ~registry a
+  | Dsl.Workload w -> (
+      let w = { w with Dsl.leak_audit = true } in
+      let series =
+        map_variants ?pool
+          (fun w -> (run w).leak_series)
+          [
+            ("leak/stopwatch-on", { w with Dsl.stopwatch = true });
+            ("leak/stopwatch-off", { w with Dsl.stopwatch = false });
+          ]
+      in
+      match series with
+      | [ (_, null); (_, alt) ] ->
+          [
+            Audit.run ~registry ~label:"stopwatch-off vs stopwatch-on"
+              (Audit.pair ~null ~alt);
+          ]
+      | _ -> [])

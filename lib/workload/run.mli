@@ -92,12 +92,34 @@ val prepare :
     scenario is zero-draw (no jitter, no loss, no disk seek) and every
     generator is key-derived, so the result is byte-identical across
     shard counts, partitions, and lookahead modes outside the [sim.*]
-    metric namespace. Raises [Invalid_argument] when
-    {!Dsl.check_topology} rejects the (possibly overridden) block or an
-    [`Assign] map is malformed. *)
+    metric namespace. [?shards] and [?partition] go through
+    {!Dsl.override}; raises [Invalid_argument] when {!Dsl.validate}
+    rejects the (possibly overridden) workload or an [`Assign] map is
+    malformed. *)
 val run :
   ?shards:int ->
   ?partition:[ `Contiguous | `Affinity | `Assign of int array ] ->
   ?lookahead:[ `Global | `Pairwise ] ->
   Dsl.workload ->
   result
+
+(** [map_variants ?pool f variants] runs [f] over keyed variants as
+    independent runner jobs (sharded over [pool] when given), keeping the
+    keys and their order; any worker count gives the same results. *)
+val map_variants :
+  ?pool:Sw_runner.Pool.t -> ('a -> 'b) -> (string * 'a) list -> (string * 'b) list
+
+(** The scenario's leak audits, the pairing of the paper's Fig. 4
+    experiment (Sec. V-B). Attack scenarios: within each backend (and
+    colluder) group, the victim run (alt) against the no-victim run
+    (null), labelled ["stopwatch"], ["baseline"], ["...+colluder"] in
+    first-appearance order. Workload scenarios: StopWatch off (alt)
+    against on (null) with [leak_audit] forced on, labelled
+    ["stopwatch-off vs stopwatch-on"]. Series pair by key
+    ({!Sw_leak.Audit.pair}); [registry] receives the detector counters.
+    Empty when no group has both sides. *)
+val audits :
+  ?pool:Sw_runner.Pool.t ->
+  registry:Sw_obs.Registry.t ->
+  Dsl.t ->
+  Sw_leak.Audit.t list

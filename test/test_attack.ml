@@ -40,14 +40,18 @@ let test_empirical_roundtrip () =
   let sample rate n = Array.init n (fun _ -> Sw_sim.Prng.exponential rng ~rate) in
   let null = sample 1.0 5000 in
   let alt = sample 0.5 5000 in
-  let n = D.empirical ~null ~alt ~confidence:0.9 () in
+  let chi = Sw_leak.Detector.chi_square () in
+  let needed ~alt =
+    chi.Sw_leak.Detector.observations_needed ~null ~alt ~confidence:0.9
+  in
+  let n = needed ~alt in
   if n > 100. then Alcotest.failf "clearly distinct samples: %f too large" n;
   let null2 = sample 1.0 5000 in
-  let same = D.empirical ~null ~alt:null2 ~confidence:0.9 () in
+  let same = needed ~alt:null2 in
   if not (same > 5. *. n) then Alcotest.fail "same distribution must look similar"
 
 let test_sweep_shapes () =
-  let grid = D.confidence_grid in
+  let grid = Sw_leak.Detector.confidence_grid in
   Alcotest.(check int) "grid size" 7 (List.length grid);
   let null = Dist.exponential ~rate:1. in
   let alt = Dist.exponential ~rate:0.6 in
@@ -136,34 +140,6 @@ let test_scenario_baseline_smoke () =
   let r = Sw_attack.Scenario.run spec in
   if r.Sw_attack.Scenario.deliveries < 100 then Alcotest.fail "too few deliveries"
 
-(* A fig4-style spec asking for shards is clamped back to one: the attack
-   layout (attacker sharing machines with victim and colluder) is a single
-   partition atom, so the run must be byte-identical to the unsharded one. *)
-let test_scenario_shard_clamp () =
-  let spec =
-    {
-      Sw_attack.Scenario.default with
-      Sw_attack.Scenario.duration = Time.s 2;
-      ping_rate_per_s = 50.;
-      victim = true;
-    }
-  in
-  let sharded = { spec with Sw_attack.Scenario.shards = 4 } in
-  Alcotest.(check int) "clamped to one shard" 1
-    (Sw_attack.Scenario.effective_shards sharded);
-  let r1 = Sw_attack.Scenario.run spec in
-  let r4 = Sw_attack.Scenario.run sharded in
-  Alcotest.(check int) "deliveries" r1.Sw_attack.Scenario.deliveries
-    r4.Sw_attack.Scenario.deliveries;
-  Alcotest.(check int) "divergences" r1.Sw_attack.Scenario.divergences
-    r4.Sw_attack.Scenario.divergences;
-  Alcotest.(check (array (float 0.))) "inter-delivery observations"
-    r1.Sw_attack.Scenario.attacker_inter_delivery_ms
-    r4.Sw_attack.Scenario.attacker_inter_delivery_ms;
-  Alcotest.(check string) "metrics bytes"
-    (Sw_obs.Export.to_json_string r1.Sw_attack.Scenario.metrics)
-    (Sw_obs.Export.to_json_string r4.Sw_attack.Scenario.metrics)
-
 let test_scenario_five_replicas () =
   let spec =
     Sw_attack.Scenario.with_replicas
@@ -199,7 +175,5 @@ let () =
           Alcotest.test_case "baseline + colluder smoke" `Quick
             test_scenario_baseline_smoke;
           Alcotest.test_case "five replicas" `Quick test_scenario_five_replicas;
-          Alcotest.test_case "shard request clamps to one" `Slow
-            test_scenario_shard_clamp;
         ] );
     ]

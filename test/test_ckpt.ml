@@ -554,7 +554,7 @@ let test_trace_dropped_mirror () =
   Trace.enable tr;
   for i = 1 to 10 do
     Trace.emit tr ~at_ns:(Int64.of_int i)
-      (Event.Message { label = "m"; text = "x" })
+      (Event.Span_begin { name = "m" })
   done;
   let mirror () = Snapshot.counter (Registry.snapshot reg) "trace.dropped" in
   Alcotest.(check int) "ring counted drops" 6 (Trace.dropped tr);

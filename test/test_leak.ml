@@ -2,8 +2,7 @@
    Welch's t and Cohen's d against closed-form values, binned mutual
    information calibration (independent ≈ 0, identical ≈ H(X)), KS
    p-values, false-positive calibration of the whole battery on
-   same-distribution pairs, shifted-mean detection, byte-identity of the
-   detector API with the historical Distinguisher wrappers, lineage
+   same-distribution pairs, shifted-mean detection, lineage
    observation extraction on a synthetic trace, and the audit driver's
    verdict, attribution and counters. *)
 
@@ -168,39 +167,6 @@ let test_undersized_verdict () =
       Alcotest.(check bool) (d.Detector.name ^ " no leak") false r.Detector.leak)
     Detector.all
 
-(* --- Byte-identity with the historical Distinguisher wrappers ------------ *)
-
-let test_distinguisher_identity () =
-  let rng = Prng.create 0xD157L in
-  let null = draw rng 80 ~mean:20. ~stddev:3. in
-  let alt = draw rng 80 ~mean:22. ~stddev:4. in
-  let ks = Detector.ks () and chi = Detector.chi_square () in
-  List.iter
-    (fun confidence ->
-      let via_wrapper =
-        Sw_attack.Distinguisher.ks_observations_needed ~null ~alt ~confidence
-      in
-      let via_detector = ks.Detector.observations_needed ~null ~alt ~confidence in
-      Alcotest.(check bool)
-        (Printf.sprintf "ks identical at %.2f" confidence)
-        true
-        (Int64.equal (Int64.bits_of_float via_wrapper)
-           (Int64.bits_of_float via_detector));
-      let via_wrapper =
-        Sw_attack.Distinguisher.empirical ~null ~alt ~confidence ()
-      in
-      let via_detector =
-        (Detector.chi_square ~bins:10 ()).Detector.observations_needed ~null
-          ~alt ~confidence
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "chi identical at %.2f" confidence)
-        true
-        (Int64.equal (Int64.bits_of_float via_wrapper)
-           (Int64.bits_of_float via_detector));
-      ignore (chi.Detector.observations_needed ~null ~alt ~confidence))
-    Detector.confidence_grid
-
 (* --- Lineage observation extraction --------------------------------------- *)
 
 let entry at_ns event = { Trace.at_ns; event }
@@ -328,8 +294,6 @@ let () =
             test_battery_false_positives;
           Alcotest.test_case "shifted mean" `Quick test_battery_shifted_mean;
           Alcotest.test_case "undersized" `Quick test_undersized_verdict;
-          Alcotest.test_case "distinguisher identity" `Quick
-            test_distinguisher_identity;
         ] );
       ( "lineage",
         [ Alcotest.test_case "observations" `Quick test_lineage_observations ] );

@@ -448,41 +448,6 @@ let test_samples_histogram () =
   (* Outliers clamp into end bins. *)
   Alcotest.(check (array int)) "bins" [| 3; 3 |] h
 
-(* --- Trace --------------------------------------------------------------- *)
-
-let test_trace_disabled_noop () =
-  let tr = Sw_sim.Trace.create () in
-  Sw_sim.Trace.emit tr ~at:Time.zero ~label:"x" "hello";
-  Alcotest.(check int) "disabled" 0 (Sw_sim.Trace.length tr)
-
-let test_trace_ring () =
-  let tr = Sw_sim.Trace.create ~capacity:3 () in
-  Sw_sim.Trace.enable tr;
-  for i = 1 to 5 do
-    Sw_sim.Trace.emit tr ~at:(Time.ms i) ~label:"t" (string_of_int i)
-  done;
-  let messages = List.map (fun e -> e.Sw_sim.Trace.message) (Sw_sim.Trace.entries tr) in
-  Alcotest.(check (list string)) "last 3 kept" [ "3"; "4"; "5" ] messages
-
-let test_trace_iter_fold_shim () =
-  (* The legacy module is a shim over Sw_obs.Trace ([t] is the same type):
-     typed events emitted through sw_obs read back here as rendered
-     strings, and iter/fold agree with entries. *)
-  let tr = Sw_sim.Trace.create () in
-  Sw_sim.Trace.enable tr;
-  Sw_sim.Trace.emit tr ~at:(Time.ms 1) ~label:"legacy" "one";
-  Sw_obs.Trace.emit tr ~at_ns:(Time.ms 2)
-    (Sw_obs.Event.Message { label = "typed"; text = "two" });
-  let n = Sw_sim.Trace.fold (fun acc _ -> acc + 1) 0 tr in
-  Alcotest.(check int) "fold count" 2 n;
-  let labels = ref [] in
-  Sw_sim.Trace.iter tr (fun e -> labels := e.Sw_sim.Trace.label :: !labels);
-  Alcotest.(check (list string)) "iter order (oldest first)"
-    [ "legacy"; "typed" ] (List.rev !labels);
-  Alcotest.(check (list string)) "entries agree with iter"
-    [ "one"; "two" ]
-    (List.map (fun e -> e.Sw_sim.Trace.message) (Sw_sim.Trace.entries tr))
-
 (* --- Conductor ----------------------------------------------------------- *)
 
 module Conductor = Sw_sim.Conductor
@@ -753,12 +718,5 @@ let () =
             test_conductor_parallel_matches_sequential;
           Alcotest.test_case "matrix parallel matches sequential" `Quick
             test_conductor_matrix_parallel_matches_sequential;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled is noop" `Quick test_trace_disabled_noop;
-          Alcotest.test_case "ring keeps most recent" `Quick test_trace_ring;
-          Alcotest.test_case "iter/fold over the sw_obs shim" `Quick
-            test_trace_iter_fold_shim;
         ] );
     ]

@@ -234,7 +234,46 @@ let test_error_positions () =
   expect_error ~substring:"faults[0]"
     {|{ "name": "x", "kind": "workload",
        "arrival": { "process": "poisson", "rate_per_s": 10 },
-       "faults": [ { "at_ms": 5, "kind": "warp-core-breach" } ] }|}
+       "faults": [ { "at_ms": 5, "kind": "warp-core-breach" } ] }|};
+  (* Semantic errors of either kind, and the command-line duration
+     override, are named by field path too. *)
+  let attack fields =
+    Printf.sprintf
+      {|{ "name": "x", "kind": "attack", %s "variants": [ { "key": "a" } ] }|}
+      fields
+  in
+  let workload fields =
+    Printf.sprintf
+      {|{ "name": "x", "kind": "workload", %s
+         "arrival": { "process": "poisson", "rate_per_s": 10 } }|}
+      fields
+  in
+  expect_error ~substring:"scenario.replicas: must be odd and positive"
+    (attack {|"replicas": 2,|});
+  expect_error ~substring:"scenario.duration_s: must be > 0"
+    (attack {|"duration_s": -5,|});
+  expect_error ~substring:"scenario.duration_s: must be > 0"
+    (workload {|"duration_s": 0,|});
+  expect_error ~substring:"scenario.duration_s: must be > 0"
+    (workload {|"duration_s": -1,|});
+  expect_error ~substring:"scenario.replicas" (workload {|"replicas": 4,|});
+  expect_error ~substring:"scenario.arrival.rate_per_s"
+    {|{ "name": "x", "kind": "workload",
+       "arrival": { "process": "poisson", "rate_per_s": -3 } }|};
+  expect_error ~substring:"scenario.faults[0].p"
+    (workload
+       {|"faults": [ { "at_ms": 5, "kind": "link-loss", "p": 1.5 } ],|});
+  expect_error ~substring:"scenario.variants[1].key"
+    {|{ "name": "x", "kind": "attack",
+       "variants": [ { "key": "a" }, { "key": "a", "victim": true } ] }|};
+  List.iter
+    (fun (file, seconds) ->
+      match Dsl.override ~seconds (load file) with
+      | Ok _ -> Alcotest.failf "%s: --seconds %g accepted" file seconds
+      | Error e ->
+          if not (String.starts_with ~prefix:"scenario.duration_s" e) then
+            Alcotest.failf "%s: %S does not name the field" file e)
+    [ ("fig4.scn", 0.); ("diurnal.scn", -1.); ("kv_skew.scn", 0.) ]
 
 let test_fig4_scn_matches_bench () =
   (* The DSL-compiled fig4 family must be structurally identical to the
@@ -446,7 +485,9 @@ let test_topology_rejects () =
   let w = datacenter_workload () in
   let bad topology = { w with Dsl.topology = Some topology } in
   let rejected w =
-    match Dsl.check_topology w with Ok () -> false | Error _ -> true
+    match Dsl.override { Dsl.name = "dc"; kind = Dsl.Workload w } with
+    | Ok _ -> false
+    | Error _ -> true
   in
   Alcotest.(check bool) "hosts not a replica multiple" true
     (rejected (bad (topo ~hosts:13 ~shards:1 ~east_west_rate_per_s:40. ())));
