@@ -70,7 +70,9 @@ let smoke_arg =
         ~doc:"Check the run against the command's smoke contract and exit \
               non-zero when it fails: $(b,trace) validates the chrome export \
               (parses, has flow arrows, orphan count matches the fault \
-              schedule); $(b,workload run) checks that the JSON report \
+              schedule) and, with $(b,--export jsonl), that every JSONL \
+              line parses and there is one per trace entry plus the meta \
+              line; $(b,workload run) checks that the JSON report \
               parses and every variant completed requests; $(b,leak) \
               asserts that every baseline config pair leaks under all five \
               detectors and every StopWatch pair under none.")
@@ -321,39 +323,28 @@ let attack_cmd =
 
 (* --- trace -------------------------------------------------------------- *)
 
-let escape_json buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-(* One object per line: timestamp, kind tag, structured fields rendered to
-   the event's canonical one-line description. *)
+(* One object per line: a meta header, then per entry its timestamp, kind
+   tag and the event's canonical one-line description. *)
 let jsonl_of_entries ~meta entries =
+  let module J = Sw_obs.Json in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"meta\":";
-  Buffer.add_string buf (Sw_obs.Export.meta_json meta);
-  Buffer.add_string buf "}\n";
+  let line json =
+    Buffer.add_string buf (J.to_string json);
+    Buffer.add_char buf '\n'
+  in
+  line (J.Obj [ ("meta", Sw_obs.Export.meta_json meta) ]);
   List.iter
     (fun (e : Sw_obs.Trace.entry) ->
-      Buffer.add_string buf "{\"at_ns\":";
-      Buffer.add_string buf (Int64.to_string e.Sw_obs.Trace.at_ns);
-      Buffer.add_string buf ",\"kind\":";
-      escape_json buf (Sw_obs.Event.label e.Sw_obs.Trace.event);
-      Buffer.add_string buf ",\"text\":";
-      escape_json buf
-        (Format.asprintf "%a" Sw_obs.Event.pp e.Sw_obs.Trace.event);
-      Buffer.add_string buf "}\n")
+      line
+        (J.Obj
+           [
+             ("at_ns", J.of_int64 e.Sw_obs.Trace.at_ns);
+             ("kind", J.String (Sw_obs.Event.label e.Sw_obs.Trace.event));
+             ( "text",
+               J.String
+                 (Format.asprintf "%a" Sw_obs.Event.pp e.Sw_obs.Trace.event)
+             );
+           ]))
     entries;
   Buffer.contents buf
 
@@ -398,39 +389,36 @@ let parse_filters filters =
       in
       Ok pass
 
+let smoke_fail msg =
+  Printf.eprintf "trace smoke: FAIL: %s\n" msg;
+  Error ()
+
 (* Structural validation of a chrome export through the in-tree JSON
    reader: parses, has a traceEvents array, and carries at least one
    lineage flow edge. *)
 let smoke_check ~crash ~lineage_data json =
   let module J = Sw_obs.Json in
-  let fail msg =
-    Printf.eprintf "trace smoke: FAIL: %s\n" msg;
-    Error ()
-  in
   match J.parse json with
-  | Error e -> fail (Printf.sprintf "chrome export does not parse: %s" e)
+  | Error e -> smoke_fail ("chrome export does not parse: " ^ e)
   | Ok root -> (
-      match Option.bind (J.member "traceEvents" root) J.to_list with
-      | None -> fail "no traceEvents array"
-      | Some events ->
+      match J.member "traceEvents" root with
+      | Some (J.List events) ->
           let flows =
             List.length
               (List.filter
-                 (fun ev ->
-                   match Option.bind (J.member "ph" ev) J.as_string with
-                   | Some "s" -> true
-                   | _ -> false)
+                 (fun ev -> J.member "ph" ev = Some (J.String "s"))
                  events)
           in
-          if flows = 0 then fail "no lineage flow arrows in export"
+          if flows = 0 then smoke_fail "no lineage flow arrows in export"
           else
             let orphans =
               List.length (Sw_obs.Lineage.orphans lineage_data)
             in
             if crash && orphans = 0 then
-              fail "crash schedule produced no orphans"
+              smoke_fail "crash schedule produced no orphans"
             else if (not crash) && orphans > 0 then
-              fail (Printf.sprintf "fault-free run has %d orphans" orphans)
+              smoke_fail
+                (Printf.sprintf "fault-free run has %d orphans" orphans)
             else begin
               Printf.printf
                 "trace smoke OK: %d trace events, %d flow edges, %d chains, \
@@ -439,7 +427,29 @@ let smoke_check ~crash ~lineage_data json =
                 (Sw_obs.Lineage.total lineage_data)
                 orphans;
               Ok ()
-            end)
+            end
+      | _ -> smoke_fail "no traceEvents array")
+
+(* The JSONL export's smoke contract: a meta line plus one line per entry,
+   each parsing through the in-tree reader. *)
+let jsonl_smoke_check ~entries jsonl =
+  (* Drop the final newline so the split leaves no empty tail. *)
+  let lines =
+    String.split_on_char '\n' (String.sub jsonl 0 (String.length jsonl - 1))
+  in
+  let n = List.length lines and expected = List.length entries + 1 in
+  match
+    List.find_map
+      (fun l ->
+        match Sw_obs.Json.parse l with Ok _ -> None | Error e -> Some e)
+      lines
+  with
+  | Some e -> smoke_fail ("jsonl line does not parse: " ^ e)
+  | None when n <> expected ->
+      smoke_fail (Printf.sprintf "%d jsonl lines, expected %d" n expected)
+  | None ->
+      Printf.printf "trace smoke OK: %d jsonl lines parse\n" n;
+      Ok ()
 
 let trace_cmd =
   let run attack seed capacity export output lineage filters crash profile_on
@@ -504,7 +514,16 @@ let trace_cmd =
           Format.fprintf summary_fmt "%a@?" Sw_obs.Lineage.pp_summary
             lineage_data;
         if smoke then
-          match smoke_check ~crash ~lineage_data (chrome ()) with
+          let jsonl_ok =
+            match export with
+            | Some `Jsonl ->
+                jsonl_smoke_check ~entries (jsonl_of_entries ~meta entries)
+            | Some `Chrome | None -> Ok ()
+          in
+          match
+            Result.bind jsonl_ok (fun () ->
+                smoke_check ~crash ~lineage_data (chrome ()))
+          with
           | Ok () -> 0
           | Error () -> 1
         else 0

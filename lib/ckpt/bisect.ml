@@ -1,6 +1,7 @@
 module Cloud = Stopwatch.Cloud
 module Snapshot = Sw_obs.Snapshot
 module Export = Sw_obs.Export
+module Json = Sw_obs.Json
 module Trace = Sw_obs.Trace
 module Event = Sw_obs.Event
 module Lineage = Sw_obs.Lineage
@@ -64,7 +65,7 @@ let load_cloud path =
 
 let render_data = function
   | Snapshot.Counter n -> string_of_int n
-  | Snapshot.Sum x | Snapshot.Gauge x -> Export.float_repr x
+  | Snapshot.Sum x | Snapshot.Gauge x -> Json.to_string (Json.Float x)
   | Snapshot.Histogram h ->
       Printf.sprintf "histogram(count=%d,total=%Ldns)" h.Snapshot.count
         h.Snapshot.total

@@ -29,37 +29,9 @@ let add_ts buf ns =
   Buffer.add_string buf
     (Printf.sprintf "%Ld.%03Ld" (Int64.div ns 1000L) (Int64.rem ns 1000L))
 
-let add_escaped buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 type emitter = { buf : Buffer.t; mutable first : bool }
 
-let event em fields =
-  if em.first then em.first <- false else Buffer.add_char em.buf ',';
-  Buffer.add_char em.buf '{';
-  List.iteri
-    (fun i (k, emit_v) ->
-      if i > 0 then Buffer.add_char em.buf ',';
-      add_escaped em.buf k;
-      Buffer.add_char em.buf ':';
-      emit_v em.buf)
-    fields;
-  Buffer.add_char em.buf '}'
-
-let str s buf = add_escaped buf s
+let str s buf = Json.escape buf s
 let int n buf = Buffer.add_string buf (string_of_int n)
 let i64 n buf = Buffer.add_string buf (Int64.to_string n)
 let ts ns buf = add_ts buf ns
@@ -70,11 +42,15 @@ let args fields buf =
   List.iteri
     (fun i (k, emit_v) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_escaped buf k;
+      Json.escape buf k;
       Buffer.add_char buf ':';
       emit_v buf)
     fields;
   Buffer.add_char buf '}'
+
+let event em fields =
+  if em.first then em.first <- false else Buffer.add_char em.buf ',';
+  args fields em.buf
 
 let metadata em ~name ~pid ?tid ~value () =
   let tid_field = match tid with None -> [] | Some t -> [ ("tid", int t) ] in
@@ -356,6 +332,6 @@ let to_json ?meta ?profile entries =
   | None -> ()
   | Some m ->
       Buffer.add_string em.buf ",\"otherData\":";
-      Buffer.add_string em.buf (Export.meta_json m));
+      Buffer.add_string em.buf (Json.to_string (Export.meta_json m)));
   Buffer.add_string em.buf "}";
   Buffer.contents em.buf

@@ -17,7 +17,8 @@
 
     Determinism: timestamps are simulated nanoseconds printed as exact
     microsecond decimals, flow ids are assigned by a deterministic walk of
-    the entries, and object fields print in fixed order — so the export is
+    the entries, object fields print in fixed order, and strings and
+    [otherData] go through {!Json}'s writer — so the export is
     a pure function of the trace (plus [profile], which carries wall-clock
     data and must be [None] for byte-compared artifacts). *)
 

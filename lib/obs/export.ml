@@ -1,69 +1,3 @@
-let float_repr f =
-  if Float.is_nan f then "\"nan\""
-  else if f = Float.infinity then "\"inf\""
-  else if f = Float.neg_infinity then "\"-inf\""
-  else
-    (* Shortest representation that round-trips, so serialisation is a
-       function of the float's bits alone. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let emit_data buf (data : Snapshot.data) =
-  match data with
-  | Snapshot.Counter v ->
-      Buffer.add_string buf "{\"kind\":\"counter\",\"value\":";
-      Buffer.add_string buf (string_of_int v);
-      Buffer.add_char buf '}'
-  | Snapshot.Sum v ->
-      Buffer.add_string buf "{\"kind\":\"sum\",\"value\":";
-      Buffer.add_string buf (float_repr v);
-      Buffer.add_char buf '}'
-  | Snapshot.Gauge v ->
-      Buffer.add_string buf "{\"kind\":\"gauge\",\"value\":";
-      Buffer.add_string buf (float_repr v);
-      Buffer.add_char buf '}'
-  | Snapshot.Histogram h ->
-      Buffer.add_string buf "{\"kind\":\"histogram\",\"count\":";
-      Buffer.add_string buf (string_of_int h.Snapshot.count);
-      Buffer.add_string buf ",\"total\":";
-      Buffer.add_string buf (Int64.to_string h.Snapshot.total);
-      let bound name v =
-        Buffer.add_string buf (Printf.sprintf ",%S:" name);
-        if h.Snapshot.count = 0 then Buffer.add_string buf "null"
-        else Buffer.add_string buf (Int64.to_string v)
-      in
-      bound "min" h.Snapshot.min;
-      bound "max" h.Snapshot.max;
-      Buffer.add_string buf ",\"buckets\":[";
-      List.iteri
-        (fun i (idx, n) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '[';
-          let b = Buckets.bound idx in
-          if Int64.equal b Int64.max_int then Buffer.add_string buf "null"
-          else Buffer.add_string buf (Int64.to_string b);
-          Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int n);
-          Buffer.add_char buf ']')
-        h.Snapshot.buckets;
-      Buffer.add_string buf "]}"
-
 type meta = {
   seed : int64 option;
   scenario : string option;
@@ -75,62 +9,59 @@ type meta = {
 let meta ?seed ?scenario ?trace_capacity ?trace_dropped ?registry_enabled () =
   { seed; scenario; trace_capacity; trace_dropped; registry_enabled }
 
-let emit_meta buf m =
-  let first = ref true in
-  let field name emit_value =
-    if !first then first := false else Buffer.add_char buf ',';
-    escape buf name;
-    Buffer.add_char buf ':';
-    emit_value ()
-  in
-  Buffer.add_char buf '{';
-  (match m.seed with
-  | Some s -> field "seed" (fun () -> Buffer.add_string buf (Int64.to_string s))
-  | None -> ());
-  (match m.scenario with
-  | Some s -> field "scenario" (fun () -> escape buf s)
-  | None -> ());
-  (match m.trace_capacity with
-  | Some c ->
-      field "trace_capacity" (fun () -> Buffer.add_string buf (string_of_int c))
-  | None -> ());
-  (match m.trace_dropped with
-  | Some d ->
-      field "trace_dropped" (fun () -> Buffer.add_string buf (string_of_int d))
-  | None -> ());
-  (match m.registry_enabled with
-  | Some b ->
-      field "registry_enabled" (fun () ->
-          Buffer.add_string buf (if b then "true" else "false"))
-  | None -> ());
-  Buffer.add_char buf '}'
-
 let meta_json m =
-  let buf = Buffer.create 128 in
-  emit_meta buf m;
-  Buffer.contents buf
+  let field name f = Option.map (fun v -> (name, f v)) in
+  Json.Obj
+    (List.filter_map Fun.id
+       [
+         field "seed" Json.of_int64 m.seed;
+         field "scenario" (fun s -> Json.String s) m.scenario;
+         field "trace_capacity" (fun c -> Json.Int c) m.trace_capacity;
+         field "trace_dropped" (fun d -> Json.Int d) m.trace_dropped;
+         field "registry_enabled" (fun b -> Json.Bool b) m.registry_enabled;
+       ])
 
-let emit_snapshot buf snapshot =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, data) ->
-      if i > 0 then Buffer.add_char buf ',';
-      escape buf name;
-      Buffer.add_char buf ':';
-      emit_data buf data)
-    (Snapshot.to_list snapshot);
-  Buffer.add_char buf '}'
+let histogram_json (h : Snapshot.histogram) =
+  let bound v = if h.Snapshot.count = 0 then Json.Null else Json.of_int64 v in
+  let bucket (idx, n) =
+    let b = Buckets.bound idx in
+    Json.List
+      [
+        (if Int64.equal b Int64.max_int then Json.Null else Json.of_int64 b);
+        Json.Int n;
+      ]
+  in
+  Json.Obj
+    [
+      ("kind", Json.String "histogram");
+      ("count", Json.Int h.Snapshot.count);
+      ("total", Json.of_int64 h.Snapshot.total);
+      ("min", bound h.Snapshot.min);
+      ("max", bound h.Snapshot.max);
+      ("buckets", Json.List (List.map bucket h.Snapshot.buckets));
+    ]
 
-let to_json_string ?meta snapshot =
-  let buf = Buffer.create 1024 in
-  (match meta with
-  | None -> emit_snapshot buf snapshot
+let data_json = function
+  | Snapshot.Counter v ->
+      Json.Obj [ ("kind", Json.String "counter"); ("value", Json.Int v) ]
+  | Snapshot.Sum v ->
+      Json.Obj [ ("kind", Json.String "sum"); ("value", Json.Float v) ]
+  | Snapshot.Gauge v ->
+      Json.Obj [ ("kind", Json.String "gauge"); ("value", Json.Float v) ]
+  | Snapshot.Histogram h -> histogram_json h
+
+let to_json ?meta snapshot =
+  let metrics =
+    Json.Obj
+      (List.map
+         (fun (name, data) -> (name, data_json data))
+         (Snapshot.to_list snapshot))
+  in
+  match meta with
+  | None -> metrics
   | Some m ->
       (* Self-describing form: the metric object moves under "metrics" and
          the run's identity rides along. *)
-      Buffer.add_string buf "{\"meta\":";
-      emit_meta buf m;
-      Buffer.add_string buf ",\"metrics\":";
-      emit_snapshot buf snapshot;
-      Buffer.add_char buf '}');
-  Buffer.contents buf
+      Json.Obj [ ("meta", meta_json m); ("metrics", metrics) ]
+
+let to_json_string ?meta snapshot = Json.to_string (to_json ?meta snapshot)

@@ -1,10 +1,10 @@
-(** Deterministic JSON rendering of a {!Snapshot}.
+(** Deterministic JSON encoding of a {!Snapshot}, written by {!Json}.
 
     The output is a pure function of the snapshot's contents: metric names
-    appear in ascending order, integers print exactly, and floats use the
-    shortest representation that round-trips. Two registries that merged to
-    equal snapshots therefore serialise byte-identically — the property the
-    bench [-j 1] vs [-j N] comparison relies on.
+    appear in ascending order, integers print exactly, and floats follow
+    {!Json}'s number rule. Two registries that merged to equal snapshots
+    therefore serialise byte-identically — the property the bench [-j 1]
+    vs [-j N] comparison relies on.
 
     Schema: a single object mapping each metric path to
     {v
@@ -40,17 +40,17 @@ val meta :
   unit ->
   meta
 
-(** The meta object alone, rendered canonically (fields in declaration
-    order, [None]s omitted) — shared with {!Chrome}'s [otherData]. *)
-val meta_json : meta -> string
+(** The meta object alone (fields in declaration order, [None]s omitted,
+    the seed through {!Json.of_int64}) — shared with {!Chrome}'s
+    [otherData] and the JSONL trace export's first line. *)
+val meta_json : meta -> Json.t
 
-(** Canonical JSON for one snapshot (no trailing newline). Without [meta]
-    the output is the flat metric object documented above; with [meta] it
-    becomes [{"meta":{...},"metrics":{<flat object>}}], so artifacts carry
-    their seed, scenario and truncation state. *)
+(** The one snapshot encoder. Without [meta] the result is the flat metric
+    object documented above; with [meta] it becomes
+    [{"meta":{...},"metrics":{<flat object>}}], so artifacts carry their
+    seed, scenario and truncation state. [Sw_runner.Report.of_metrics] is
+    this function without [meta]. *)
+val to_json : ?meta:meta -> Snapshot.t -> Json.t
+
+(** [Json.to_string (to_json ?meta snapshot)] (no trailing newline). *)
 val to_json_string : ?meta:meta -> Snapshot.t -> string
-
-(** [float_repr f] is the shortest decimal representation of [f] that parses
-    back to the same float ("nan"/"inf" quoted). Exposed so other emitters
-    can match this module byte-for-byte. *)
-val float_repr : float -> string

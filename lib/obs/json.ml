@@ -1,10 +1,11 @@
 type t =
   | Null
   | Bool of bool
-  | Number of float
+  | Int of int
+  | Float of float
   | String of string
-  | Array of t list
-  | Object of (string * t) list
+  | List of t list
+  | Obj of (string * t) list
 
 exception Error of string
 
@@ -89,19 +90,9 @@ let parse_string_body st =
                   with _ -> fail st "bad \\u escape"
                 in
                 st.pos <- st.pos + 4;
-                (* Keep it simple: encode the code point as UTF-8; surrogate
-                   pairs in test artifacts are out of scope, stored raw. *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
+                (* Lone surrogates (pairs are out of scope) become U+FFFD. *)
+                Buffer.add_utf_8_uchar buf
+                  (if Uchar.is_valid code then Uchar.of_int code else Uchar.rep)
             | _ -> fail st "bad escape");
             go ())
     | Some c ->
@@ -114,22 +105,52 @@ let parse_string_body st =
 
 let parse_number st =
   let start = st.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
+  let integral = ref true in
   let rec go () =
     match peek st with
-    | Some c when is_num_char c ->
+    | Some ('0' .. '9' | '-' | '+') ->
+        advance st;
+        go ()
+    | Some ('.' | 'e' | 'E') ->
+        integral := false;
         advance st;
         go ()
     | _ -> ()
   in
   go ();
   let s = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Number f
-  | None -> fail st (Printf.sprintf "bad number %S" s)
+  match if !integral then int_of_string_opt s else None with
+  | Some i -> Int i
+  | None -> (
+      (* A fraction, an exponent, or an integer too wide for [int]. *)
+      match float_of_string_opt s with
+      | Some f when Float.is_finite f -> Float f
+      | Some _ ->
+          st.pos <- start;
+          fail st "number out of range"
+      | None -> fail st (Printf.sprintf "bad number %S" s))
+
+(* Comma-separated items up to [close], called just past the opener. *)
+let sequence st close item =
+  skip_ws st;
+  if peek st = Some close then begin
+    advance st;
+    []
+  end
+  else
+    let rec go acc =
+      let acc = item st :: acc in
+      skip_ws st;
+      match peek st with
+      | Some ',' ->
+          advance st;
+          go acc
+      | Some c when c = close ->
+          advance st;
+          List.rev acc
+      | _ -> fail st (Printf.sprintf "expected ',' or '%c'" close)
+    in
+    go []
 
 let rec parse_value st =
   skip_ws st;
@@ -137,55 +158,10 @@ let rec parse_value st =
   | None -> fail st "unexpected end of input"
   | Some '{' ->
       advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        advance st;
-        Object []
-      end
-      else begin
-        let members = ref [] in
-        let rec member () =
-          skip_ws st;
-          expect st '"';
-          let key = parse_string_body st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          members := (key, v) :: !members;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              member ()
-          | Some '}' -> advance st
-          | _ -> fail st "expected ',' or '}'"
-        in
-        member ();
-        Object (List.rev !members)
-      end
+      Obj (sequence st '}' parse_member)
   | Some '[' ->
       advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        advance st;
-        Array []
-      end
-      else begin
-        let items = ref [] in
-        let rec item () =
-          let v = parse_value st in
-          items := v :: !items;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              item ()
-          | Some ']' -> advance st
-          | _ -> fail st "expected ',' or ']'"
-        in
-        item ();
-        Array (List.rev !items)
-      end
+      List (sequence st ']' parse_value)
   | Some '"' ->
       advance st;
       String (parse_string_body st)
@@ -194,6 +170,14 @@ let rec parse_value st =
   | Some 'n' -> literal st "null" Null
   | Some ('-' | '0' .. '9') -> parse_number st
   | Some c -> fail st (Printf.sprintf "unexpected character '%c'" c)
+
+and parse_member st =
+  skip_ws st;
+  expect st '"';
+  let key = parse_string_body st in
+  skip_ws st;
+  expect st ':';
+  (key, parse_value st)
 
 let parse s =
   let st = { src = s; pos = 0 } in
@@ -207,12 +191,24 @@ let parse s =
   | exception Error msg -> Error msg
 
 let member name = function
-  | Object fields -> List.assoc_opt name fields
+  | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
-let to_list = function Array items -> Some items | _ -> None
-let as_string = function String s -> Some s | _ -> None
-let to_number = function Number f -> Some f | _ -> None
+let to_number = function
+  | Int i -> Some (float_of_int i)
+  | Float f -> Some f
+  | _ -> None
+
+let of_int64 v =
+  let i = Int64.to_int v in
+  if Int64.equal (Int64.of_int i) v then Int i else String (Int64.to_string v)
+
+let to_int64 = function
+  | Int i -> Some (Int64.of_int i)
+  | Float f when Float.is_integer f && Float.abs f < 0x1p53 ->
+      Some (Int64.of_float f)
+  | String s -> Int64.of_string_opt s
+  | _ -> None
 
 (* --- Writer ------------------------------------------------------------- *)
 
@@ -232,21 +228,24 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
-let number_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+let add_float buf f =
+  if Float.is_nan f then Buffer.add_string buf "\"nan\""
+  else if f = Float.infinity then Buffer.add_string buf "\"inf\""
+  else if f = Float.neg_infinity then Buffer.add_string buf "\"-inf\""
   else
     (* Shortest representation that round-trips, so serialisation is a
-       function of the float's bits alone (same discipline as
-       [Sw_runner.Report]). *)
+       function of the float's bits alone. *)
     let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    Buffer.add_string buf
+      (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Number f -> Buffer.add_string buf (number_repr f)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> add_float buf f
   | String s -> escape buf s
-  | Array items ->
+  | List items ->
       Buffer.add_char buf '[';
       List.iteri
         (fun i item ->
@@ -254,7 +253,7 @@ let rec emit buf = function
           emit buf item)
         items;
       Buffer.add_char buf ']'
-  | Object fields ->
+  | Obj fields ->
       Buffer.add_char buf '{';
       List.iteri
         (fun i (k, v) ->
@@ -266,6 +265,6 @@ let rec emit buf = function
       Buffer.add_char buf '}'
 
 let to_string json =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create 1024 in
   emit buf json;
   Buffer.contents buf

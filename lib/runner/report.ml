@@ -1,4 +1,4 @@
-type t =
+type t = Sw_obs.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -7,61 +7,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let float_repr f =
-  if Float.is_nan f then "\"nan\""
-  else if f = Float.infinity then "\"inf\""
-  else if f = Float.neg_infinity then "\"-inf\""
-  else
-    (* Shortest representation that round-trips, so serialisation is a
-       function of the float's bits alone. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
-  | String s -> escape buf s
-  | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit buf item)
-        items;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
-          Buffer.add_char buf ':';
-          emit buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-let to_string json =
-  let buf = Buffer.create 1024 in
-  emit buf json;
-  Buffer.contents buf
+let to_string = Sw_obs.Json.to_string
 
 let write path json =
   let oc = open_out path in
@@ -105,39 +51,7 @@ let of_outcome value = function
   | Ok v -> Obj [ ("status", String "ok"); ("value", value v) ]
   | Error f -> of_failure f
 
-let of_metrics snapshot =
-  let module Snapshot = Sw_obs.Snapshot in
-  let histogram (h : Snapshot.histogram) =
-    let bound v = if h.Snapshot.count = 0 then Null else Int (Int64.to_int v) in
-    Obj
-      [
-        ("kind", String "histogram");
-        ("count", Int h.Snapshot.count);
-        ("total", Int (Int64.to_int h.Snapshot.total));
-        ("min", bound h.Snapshot.min);
-        ("max", bound h.Snapshot.max);
-        ( "buckets",
-          List
-            (List.map
-               (fun (i, n) ->
-                 let b = Sw_obs.Buckets.bound i in
-                 List
-                   [
-                     (if Int64.equal b Int64.max_int then Null
-                      else Int (Int64.to_int b));
-                     Int n;
-                   ])
-               h.Snapshot.buckets) );
-      ]
-  in
-  let data = function
-    | Snapshot.Counter v ->
-        Obj [ ("kind", String "counter"); ("value", Int v) ]
-    | Snapshot.Sum v -> Obj [ ("kind", String "sum"); ("value", Float v) ]
-    | Snapshot.Gauge v -> Obj [ ("kind", String "gauge"); ("value", Float v) ]
-    | Snapshot.Histogram h -> histogram h
-  in
-  Obj (List.map (fun (name, d) -> (name, data d)) (Snapshot.to_list snapshot))
+let of_metrics snapshot = Sw_obs.Export.to_json snapshot
 
 let bench_file ?metrics ?perf ~workers ~wall_s ~timings ~experiments () =
   let metrics_field =

@@ -1,14 +1,12 @@
-(** Minimal deterministic JSON emission for machine-readable benchmark
-    results ([BENCH_results.json]).
+(** The runner's JSON builders for machine-readable results
+    ([BENCH_results.json], per-job outcomes).
 
-    No external JSON dependency; the serializer is deliberately tiny and —
-    important for the runner's determinism contract — byte-stable: equal
-    values always serialise to equal strings, so parallel and sequential
-    sweeps can be compared with [String.equal]. Non-finite floats (which
-    JSON cannot carry) serialise as the strings ["nan"] / ["inf"] /
-    ["-inf"]. *)
+    [t] is {!Sw_obs.Json.t} and serialisation is {!Sw_obs.Json.to_string},
+    so — important for the runner's determinism contract — equal values
+    always serialise to equal bytes, and parallel and sequential sweeps can
+    be compared with [String.equal]. *)
 
-type t =
+type t = Sw_obs.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -17,7 +15,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(** Compact (single-line) serialisation. *)
+(** Compact (single-line) serialisation: {!Sw_obs.Json.to_string}. *)
 val to_string : t -> string
 
 (** [write path json] writes [to_string json] plus a trailing newline. *)
@@ -41,12 +39,7 @@ val of_failure : Runner.failure -> t
     {!of_failure}'s object. *)
 val of_outcome : ('a -> t) -> 'a Runner.outcome -> t
 
-(** One metrics snapshot as an object keyed by metric path; each value is
-    [{"kind", "value"}] (counter/sum/gauge) or the histogram object
-    [{"kind","count","total","min","max","buckets"}], with buckets as
-    [[upper_bound_ns, count]] pairs (the catch-all bound is [Null]). Same
-    schema as [Sw_obs.Export.to_json_string], so equal snapshots serialise
-    to equal bytes either way. *)
+(** One metrics snapshot: [Sw_obs.Export.to_json] without meta. *)
 val of_metrics : Sw_obs.Snapshot.t -> t
 
 (** [bench_file ?metrics ?perf ~workers ~wall_s ~timings ~experiments ()]

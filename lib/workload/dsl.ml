@@ -67,12 +67,11 @@ exception Bad of string
 let bad path msg = raise (Bad (Printf.sprintf "%s: %s" path msg))
 
 let as_obj path = function
-  | Json.Object fields -> fields
+  | Json.Obj fields -> fields
   | _ -> bad path "expected an object"
 
-let as_num path = function
-  | Json.Number f -> f
-  | _ -> bad path "expected a number"
+let as_num path v =
+  match Json.to_number v with Some f -> f | None -> bad path "expected a number"
 
 let as_bool path = function
   | Json.Bool b -> b
@@ -83,26 +82,23 @@ let as_str path = function
   | _ -> bad path "expected a string"
 
 let as_arr path = function
-  | Json.Array items -> items
+  | Json.List items -> items
   | _ -> bad path "expected an array"
 
-let as_int path v =
-  let f = as_num path v in
-  if Float.is_integer f then int_of_float f else bad path "expected an integer"
+let as_int path = function
+  | Json.Int i -> i
+  | Json.Float f when Float.is_integer f -> int_of_float f
+  | _ -> bad path "expected an integer"
 
-(* Seeds: a JSON number (exact below 2^53), or a string accepted by
-   [Int64.of_string] — so full-width hex seeds like "0xDEADBEEFCAFEF00D"
-   stay representable. *)
-let as_seed path = function
-  | Json.Number f ->
-      if Float.is_integer f && Float.abs f < 9.007199254740992e15 then
-        Int64.of_float f
-      else bad path "seed must be an integer below 2^53 (or a string)"
-  | Json.String s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None -> bad path "unparsable seed string")
-  | _ -> bad path "expected a seed (number or string)"
+(* Seeds go through [Json]'s int64 codec: an integer, or a string accepted
+   by [Int64.of_string] — so full-width hex seeds like "0xDEADBEEFCAFEF00D"
+   stay representable, and print back exactly. *)
+let as_seed path v =
+  match (Json.to_int64 v, v) with
+  | Some s, _ -> s
+  | None, Json.Float _ -> bad path "seed must be an integer (or a string)"
+  | None, Json.String _ -> bad path "unparsable seed string"
+  | None, _ -> bad path "expected a seed (number or string)"
 
 let field fields name = List.assoc_opt name fields
 
@@ -155,7 +151,7 @@ let arrival_of_json path v =
           (fun i point ->
             let p = Printf.sprintf "%s.points[%d]" path i in
             match point with
-            | Json.Array [ at; rate ] ->
+            | Json.List [ at; rate ] ->
                 (time_of_s (as_num p at), as_num p rate)
             | _ -> bad p "expected a [seconds, rate_per_s] pair")
           (req fields path "points" as_arr)
@@ -165,38 +161,38 @@ let arrival_of_json path v =
 
 let arrival_to_json = function
   | Arrival.Constant { rate_per_s } ->
-      Json.Object
-        [ ("process", String "constant"); ("rate_per_s", Number rate_per_s) ]
+      Json.Obj
+        [ ("process", String "constant"); ("rate_per_s", Float rate_per_s) ]
   | Arrival.Poisson { rate_per_s } ->
-      Json.Object
-        [ ("process", String "poisson"); ("rate_per_s", Number rate_per_s) ]
+      Json.Obj
+        [ ("process", String "poisson"); ("rate_per_s", Float rate_per_s) ]
   | Arrival.Diurnal { base_per_s; amplitude; period } ->
-      Json.Object
+      Json.Obj
         [
           ("process", String "diurnal");
-          ("base_per_s", Number base_per_s);
-          ("amplitude", Number amplitude);
-          ("period_s", Number (Time.to_float_s period));
+          ("base_per_s", Float base_per_s);
+          ("amplitude", Float amplitude);
+          ("period_s", Float (Time.to_float_s period));
         ]
   | Arrival.Flash { base_per_s; peak_per_s; at; ramp; hold } ->
-      Json.Object
+      Json.Obj
         [
           ("process", String "flash");
-          ("base_per_s", Number base_per_s);
-          ("peak_per_s", Number peak_per_s);
-          ("at_s", Number (Time.to_float_s at));
-          ("ramp_s", Number (Time.to_float_s ramp));
-          ("hold_s", Number (Time.to_float_s hold));
+          ("base_per_s", Float base_per_s);
+          ("peak_per_s", Float peak_per_s);
+          ("at_s", Float (Time.to_float_s at));
+          ("ramp_s", Float (Time.to_float_s ramp));
+          ("hold_s", Float (Time.to_float_s hold));
         ]
   | Arrival.Replay { points } ->
-      Json.Object
+      Json.Obj
         [
           ("process", String "replay");
           ( "points",
-            Array
+            List
               (List.map
                  (fun (at, r) ->
-                   Json.Array [ Number (Time.to_float_s at); Number r ])
+                   Json.List [ Float (Time.to_float_s at); Float r ])
                  points) );
         ]
 
@@ -241,32 +237,32 @@ let fault_of_json path fields =
 let fault_to_json = function
   | Sw_fault.Fault.Link_loss { target; p } ->
       [ ("kind", Json.String "link-loss"); ("target", target_to_json target);
-        ("p", Json.Number p) ]
+        ("p", Json.Float p) ]
   | Sw_fault.Fault.Link_latency { target; extra } ->
       [ ("kind", Json.String "link-latency"); ("target", target_to_json target);
-        ("extra_us", Json.Number (Time.to_float_us extra)) ]
+        ("extra_us", Json.Float (Time.to_float_us extra)) ]
   | Sw_fault.Fault.Machine_stall { machine } ->
       [ ("kind", Json.String "machine-stall");
-        ("machine", Json.Number (float_of_int machine)) ]
+        ("machine", Json.Int machine) ]
   | Sw_fault.Fault.Machine_slowdown { machine; factor } ->
       [ ("kind", Json.String "machine-slowdown");
-        ("machine", Json.Number (float_of_int machine));
-        ("factor", Json.Number factor) ]
+        ("machine", Json.Int machine);
+        ("factor", Json.Float factor) ]
   | Sw_fault.Fault.Dom0_pause { machine } ->
       [ ("kind", Json.String "dom0-pause");
-        ("machine", Json.Number (float_of_int machine)) ]
+        ("machine", Json.Int machine) ]
   | Sw_fault.Fault.Mcast_partition { vm; replica } ->
       [ ("kind", Json.String "mcast-partition");
-        ("vm", Json.Number (float_of_int vm));
-        ("replica", Json.Number (float_of_int replica)) ]
+        ("vm", Json.Int vm);
+        ("replica", Json.Int replica) ]
   | Sw_fault.Fault.Replica_crash { vm; replica; restart_after } ->
       [ ("kind", Json.String "replica-crash");
-        ("vm", Json.Number (float_of_int vm));
-        ("replica", Json.Number (float_of_int replica)) ]
+        ("vm", Json.Int vm);
+        ("replica", Json.Int replica) ]
       @
       (match restart_after with
       | None -> []
-      | Some t -> [ ("restart_after_ms", Json.Number (Time.to_float_ms t)) ])
+      | Some t -> [ ("restart_after_ms", Json.Float (Time.to_float_ms t)) ])
 
 let schedule_of_json path v =
   List.mapi
@@ -282,13 +278,13 @@ let schedule_of_json path v =
     (as_arr path v)
 
 let schedule_to_json schedule =
-  Json.Array
+  Json.List
     (List.map
        (fun (w : Sw_fault.Schedule.spec) ->
-         Json.Object
+         Json.Obj
            ([
-              ("at_ms", Json.Number (Time.to_float_ms w.Sw_fault.Schedule.at));
-              ("span_ms", Json.Number (Time.to_float_ms w.span));
+              ("at_ms", Json.Float (Time.to_float_ms w.Sw_fault.Schedule.at));
+              ("span_ms", Json.Float (Time.to_float_ms w.span));
             ]
            @ fault_to_json w.fault))
        schedule)
@@ -305,11 +301,11 @@ let class_of_json path v =
   }
 
 let class_to_json (c : Flowgen.cls) =
-  Json.Object
+  Json.Obj
     [
       ("name", String c.Flowgen.name);
-      ("weight", Number c.weight);
-      ("resp_bytes", Number (float_of_int c.resp_bytes));
+      ("weight", Float c.weight);
+      ("resp_bytes", Int c.resp_bytes);
       ("cached", Bool c.cached);
     ]
 
@@ -332,19 +328,19 @@ let cache_of_json path v =
   }
 
 let cache_to_json (c : Cache.config) =
-  Json.Object
+  Json.Obj
     [
       ( "tiers",
-        Array
+        List
           (List.map
              (fun (t : Cache.tier) ->
-               Json.Object
+               Json.Obj
                  [
-                   ("capacity", Number (float_of_int t.Cache.capacity));
-                   ("hit_us", Number (Time.to_float_us t.hit_cost));
+                   ("capacity", Int t.Cache.capacity);
+                   ("hit_us", Float (Time.to_float_us t.hit_cost));
                  ])
              c.Cache.tiers) );
-      ("origin_us", Number (Time.to_float_us c.origin_cost));
+      ("origin_us", Float (Time.to_float_us c.origin_cost));
     ]
 
 let default_classes =
@@ -428,29 +424,29 @@ let workload_of_json path fields =
 
 let workload_to_json (w : workload) =
   [
-    ("seed", Json.Number (Int64.to_float w.seed));
-    ("duration_s", Json.Number (Time.to_float_s w.duration));
-    ("replicas", Json.Number (float_of_int w.replicas));
+    ("seed", Json.of_int64 w.seed);
+    ("duration_s", Json.Float (Time.to_float_s w.duration));
+    ("replicas", Json.Int w.replicas);
     ("stopwatch", Json.Bool w.stopwatch);
     ("arrival", arrival_to_json w.arrival);
     ( "service",
-      Json.Object
+      Json.Obj
         [
-          ("classes", Array (List.map class_to_json w.classes));
-          ("keys", Number (float_of_int w.keys));
-          ("zipf_theta", Number w.theta);
-          ("request_bytes", Number (float_of_int w.request_bytes));
-          ("compute_branches", Number (float_of_int w.compute_branches));
-          ("header_bytes", Number (float_of_int w.header_bytes));
+          ("classes", List (List.map class_to_json w.classes));
+          ("keys", Int w.keys);
+          ("zipf_theta", Float w.theta);
+          ("request_bytes", Int w.request_bytes);
+          ("compute_branches", Int w.compute_branches);
+          ("header_bytes", Int w.header_bytes);
         ] );
     ("cache", cache_to_json w.cache);
     ( "connections",
-      Json.Object
+      Json.Obj
         [
-          ("pool", Number (float_of_int w.pool));
-          ("max_per_conn", Number (float_of_int w.max_per_conn));
+          ("pool", Int w.pool);
+          ("max_per_conn", Int w.max_per_conn);
         ] );
-    ("load_multipliers", Json.Array (List.map (fun m -> Json.Number m) w.load_multipliers));
+    ("load_multipliers", Json.List (List.map (fun m -> Json.Float m) w.load_multipliers));
     ("faults", schedule_to_json w.faults);
   ]
   @ (match w.attack with
@@ -458,20 +454,20 @@ let workload_to_json (w : workload) =
     | Some a ->
         [
           ( "attack",
-            Json.Object [ ("ping_rate_per_s", Number a.ping_rate_per_s) ] );
+            Json.Obj [ ("ping_rate_per_s", Float a.ping_rate_per_s) ] );
         ])
   @ (match w.topology with
     | None -> []
     | Some t ->
         [
           ( "topology",
-            Json.Object
+            Json.Obj
               ([
-                 ("hosts", Json.Number (float_of_int t.hosts));
-                 ("shards", Json.Number (float_of_int t.shards));
-                 ("east_west_rate_per_s", Json.Number t.east_west_rate_per_s);
+                 ("hosts", Json.Int t.hosts);
+                 ("shards", Json.Int t.shards);
+                 ("east_west_rate_per_s", Json.Float t.east_west_rate_per_s);
                  ( "east_west_stride",
-                   Json.Number (float_of_int t.east_west_stride) );
+                   Json.Int t.east_west_stride );
                  ( "partition",
                    Json.String
                      (match t.partition with
@@ -481,11 +477,11 @@ let workload_to_json (w : workload) =
               @
               (match t.replica_link_us with
               | None -> []
-              | Some us -> [ ("replica_link_us", Json.Number us) ])
+              | Some us -> [ ("replica_link_us", Json.Float us) ])
               @
               match t.quantum_us with
               | None -> []
-              | Some us -> [ ("quantum_us", Json.Number us) ]) );
+              | Some us -> [ ("quantum_us", Json.Float us) ]) );
         ])
   @ [
       ("trace", Json.Bool w.trace);
@@ -528,17 +524,17 @@ let attack_of_json path fields =
 
 let attack_to_json (a : attack) =
   [
-    ("seed", Json.Number (Int64.to_float a.seed));
-    ("duration_s", Json.Number (Time.to_float_s a.duration));
-    ("replicas", Json.Number (float_of_int a.replicas));
-    ("ping_rate_per_s", Json.Number a.ping_rate_per_s);
-    ("colluder_burst", Json.Number (float_of_int a.colluder_burst));
-    ("background_rate_per_s", Json.Number a.background_rate_per_s);
+    ("seed", Json.of_int64 a.seed);
+    ("duration_s", Json.Float (Time.to_float_s a.duration));
+    ("replicas", Json.Int a.replicas);
+    ("ping_rate_per_s", Json.Float a.ping_rate_per_s);
+    ("colluder_burst", Json.Int a.colluder_burst);
+    ("background_rate_per_s", Json.Float a.background_rate_per_s);
     ( "variants",
-      Json.Array
+      Json.List
         (List.map
            (fun v ->
-             Json.Object
+             Json.Obj
                [
                  ("key", String v.key);
                  ("baseline", Bool v.baseline);
@@ -773,7 +769,7 @@ let to_json t =
     | Workload w -> ("workload", workload_to_json w)
     | Attack a -> ("attack", attack_to_json a)
   in
-  Json.Object
+  Json.Obj
     ((("name", Json.String t.name) :: ("kind", Json.String kind) :: []) @ rest)
 
 let parse s = Result.bind (Json.parse s) of_json

@@ -21,24 +21,111 @@ let test_json_parse () =
   (match Json.parse {| {"a":[1,2.5,-3e2],"b":"x\n\"y","c":true,"d":null} |} with
   | Error e -> Alcotest.fail ("valid JSON rejected: " ^ e)
   | Ok v ->
-      (match Option.bind (Json.member "a" v) Json.to_list with
-      | Some [ x; y; z ] ->
+      (match Json.member "a" v with
+      | Some (Json.List [ x; y; z ]) ->
+          Alcotest.(check bool) "int literal stays exact" true (x = Json.Int 1);
           Alcotest.(check (option (float 0.))) "int" (Some 1.) (Json.to_number x);
           Alcotest.(check (option (float 0.))) "frac" (Some 2.5) (Json.to_number y);
           Alcotest.(check (option (float 0.))) "exp" (Some (-300.))
             (Json.to_number z)
       | _ -> Alcotest.fail "array shape");
-      Alcotest.(check (option string)) "escapes" (Some "x\n\"y")
-        (Option.bind (Json.member "b" v) Json.as_string);
+      Alcotest.(check bool) "escapes" true
+        (Json.member "b" v = Some (Json.String "x\n\"y"));
       Alcotest.(check bool) "bool member" true
         (Json.member "c" v = Some (Json.Bool true));
       Alcotest.(check bool) "null member" true (Json.member "d" v = Some Json.Null));
+  (* Integers wider than [int] fall back to a float; finite only. *)
+  Alcotest.(check bool) "wide integer" true
+    (Json.parse "9223372036854775807" = Ok (Json.Float 9223372036854775807.));
   List.iter
     (fun bad ->
       match Json.parse bad with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" bad)
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
+    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; "1e999";
+      "-1e999" ];
+  match Json.parse "[1,\n 1e999]" with
+  | Ok _ -> Alcotest.fail "accepted an infinite literal"
+  | Error e ->
+      Alcotest.(check string) "positioned range error"
+        "number out of range at line 2, column 2 (offset 5)" e
+
+(* Trees the writer must round-trip: nested containers, strings with
+   quotes, backslashes and control bytes, the extreme ints, and finite
+   floats including exponents, denormals and negative zero. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size ~gen:(oneofl [ 'a'; 'z'; '"'; '\\'; '\n'; '\t'; '\001'; '\031'; ' ' ])
+      (0 -- 6)
+  in
+  let num =
+    oneof
+      [
+        map (fun i -> Json.Int i) (oneof [ int; oneofl [ min_int; max_int; 0 ] ]);
+        map
+          (fun f -> Json.Float f)
+          (oneof
+             [
+               float_range (-1e6) 1e6;
+               oneofl [ 1e12; 5e-324; -0.; 0.1; 1e300; -2.5e-7; 3. ];
+               map (fun f -> if Float.is_finite f then f else 0.) float;
+             ]);
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun s -> Json.String s) str;
+        num;
+      ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n - 1)))) );
+             ])
+
+(* Equality up to the one normalisation json.mli allows: an integral
+   float may read back as the equal [Int]. Floats otherwise compare by
+   bits. *)
+let rec same written read =
+  match (written, read) with
+  | Json.Float f, Json.Int i -> float_of_int i = f
+  | Json.Float f, Json.Float g ->
+      Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+  | Json.List l, Json.List l' -> List.equal same l l'
+  | Json.Obj l, Json.Obj l' ->
+      List.equal (fun (k, v) (k', v') -> String.equal k k' && same v v') l l'
+  | a, b -> a = b
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string v) = v"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v ->
+      match Json.parse (Json.to_string v) with
+      | Ok v' -> same v v'
+      | Error _ -> false)
+
+let test_json_non_finite () =
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check bool)
+        (text ^ " prints as a string")
+        true
+        (Json.parse (Json.to_string (Json.List [ Json.Float f ]))
+        = Ok (Json.List [ Json.String text ])))
+    [ (Float.nan, "nan"); (Float.infinity, "inf"); (Float.neg_infinity, "-inf") ]
 
 let test_json_roundtrips_export () =
   (* The reader accepts what our own emitters produce. *)
@@ -50,9 +137,9 @@ let test_json_roundtrips_export () =
   match Json.parse s with
   | Error e -> Alcotest.fail ("export does not parse: " ^ e)
   | Ok v ->
-      Alcotest.(check (option (float 0.))) "meta.seed" (Some 42.)
-        (Option.bind (Json.member "meta" v) (fun m ->
-             Option.bind (Json.member "seed" m) Json.to_number));
+      Alcotest.(check bool) "meta.seed" true
+        (Option.bind (Json.member "meta" v) (Json.member "seed")
+        = Some (Json.Int 42));
       Alcotest.(check bool) "metrics present" true
         (Option.is_some
            (Option.bind (Json.member "metrics" v) (Json.member "net.delivered")))
@@ -90,16 +177,34 @@ let test_export_meta_shape () =
   in
   Alcotest.(check string) "meta object, declaration order"
     "{\"seed\":7,\"scenario\":\"x\",\"trace_capacity\":16,\"trace_dropped\":2,\"registry_enabled\":true}"
-    (Export.meta_json m);
+    (Json.to_string (Export.meta_json m));
   Alcotest.(check string) "absent fields omitted" "{}"
-    (Export.meta_json (Export.meta ()));
+    (Json.to_string (Export.meta_json (Export.meta ())));
+  (* Seeds past 2^53 print exactly (an int), and past [int] as a decimal
+     string; both read back to the same int64. *)
+  List.iter
+    (fun (seed, text) ->
+      let printed = Json.to_string (Export.meta_json (Export.meta ~seed ())) in
+      Alcotest.(check string) "wide seed printed exactly"
+        (Printf.sprintf "{\"seed\":%s}" text)
+        printed;
+      Alcotest.(check (option int64)) "wide seed reads back" (Some seed)
+        (match Json.parse printed with
+        | Ok v -> Option.bind (Json.member "seed" v) Json.to_int64
+        | Error e -> Alcotest.fail e))
+    [
+      (9007199254740993L, "9007199254740993");
+      (Int64.max_int, "\"9223372036854775807\"");
+    ];
   let r = Registry.create () in
   Registry.Counter.incr (Registry.counter r "a");
   let flat = Export.to_json_string (Registry.snapshot r) in
   Alcotest.(check string) "no meta: flat object unchanged"
     "{\"a\":{\"kind\":\"counter\",\"value\":1}}" flat;
   Alcotest.(check string) "with meta: wrapped"
-    (Printf.sprintf "{\"meta\":%s,\"metrics\":%s}" (Export.meta_json m) flat)
+    (Printf.sprintf "{\"meta\":%s,\"metrics\":%s}"
+       (Json.to_string (Export.meta_json m))
+       flat)
     (Export.to_json_string ~meta:m (Registry.snapshot r))
 
 (* --- Lineage: synthetic well-formed streams -------------------------------- *)
@@ -272,15 +377,11 @@ let test_chrome_structure () =
   | Error e -> Alcotest.fail ("chrome export does not parse: " ^ e)
   | Ok root ->
       let events =
-        match Option.bind (Json.member "traceEvents" root) Json.to_list with
-        | Some l -> l
-        | None -> Alcotest.fail "no traceEvents"
+        match Json.member "traceEvents" root with
+        | Some (Json.List l) -> l
+        | _ -> Alcotest.fail "no traceEvents"
       in
-      let ph p ev =
-        match Option.bind (Json.member "ph" ev) Json.as_string with
-        | Some x -> String.equal x p
-        | None -> false
-      in
+      let ph p ev = Json.member "ph" ev = Some (Json.String p) in
       let count p = List.length (List.filter (ph p) events) in
       Alcotest.(check bool) "has process metadata" true (count "M" > 0);
       Alcotest.(check bool) "has protocol slices" true (count "X" > 0);
@@ -370,6 +471,8 @@ let () =
           Alcotest.test_case "parse and access" `Quick test_json_parse;
           Alcotest.test_case "roundtrips our exports" `Quick
             test_json_roundtrips_export;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "non-finite floats" `Quick test_json_non_finite;
         ] );
       ( "trace",
         [ Alcotest.test_case "dropped accounting" `Quick test_trace_dropped ] );

@@ -205,7 +205,47 @@ let test_roundtrip () =
     [
       "fig4.scn"; "diurnal.scn"; "flash_crowd.scn"; "kv_skew.scn";
       "trace_replay.scn";
-    ]
+    ];
+  (* Full-width seeds, inline and for both kinds: each re-parses to an
+     equal scenario, and distinct seeds print distinct bytes (the printed
+     form is the soak identity and the warm-start cache key). *)
+  let scenario kind seed =
+    match kind with
+    | `Workload ->
+        Printf.sprintf
+          {|{ "name": "s", "kind": "workload", "seed": "%s",
+             "arrival": { "process": "poisson", "rate_per_s": 10 } }|}
+          seed
+    | `Attack ->
+        Printf.sprintf
+          {|{ "name": "s", "kind": "attack", "seed": "%s",
+             "variants": [ { "key": "a" } ] }|}
+          seed
+  in
+  List.iter
+    (fun kind ->
+      let printed =
+        List.map
+          (fun seed ->
+            let t =
+              match Dsl.parse (scenario kind seed) with
+              | Ok t -> t
+              | Error e -> Alcotest.failf "seed %s rejected: %s" seed e
+            in
+            let printed = Dsl.print t in
+            (match Dsl.parse printed with
+            | Ok t' when t = t' -> ()
+            | Ok _ -> Alcotest.failf "seed %s: reprint differs" seed
+            | Error e -> Alcotest.failf "seed %s: reprint rejected: %s" seed e);
+            printed)
+          [ "0xDEADBEEFCAFEF00D"; "0xDEADBEEFCAFEF00E"; "0x7FFFFFFFFFFFFFFF" ]
+      in
+      match printed with
+      | a :: b :: _ ->
+          Alcotest.(check bool) "distinct seeds, distinct bytes" false
+            (String.equal a b)
+      | _ -> assert false)
+    [ `Workload; `Attack ]
 
 let expect_error ~substring source =
   match Dsl.parse source with
@@ -223,6 +263,9 @@ let test_error_positions () =
   (* Lexical error: the reader reports line and column. *)
   expect_error ~substring:"line 3" "{\n  \"name\": \"x\",\n  \"kind\": }\n";
   expect_error ~substring:"column 11" "{\n  \"name\": \"x\",\n  \"kind\": }\n";
+  (* A literal that overflows to infinity is refused where it stands. *)
+  expect_error ~substring:"number out of range at line 2, column 17"
+    "{ \"name\": \"x\", \"kind\": \"workload\",\n  \"duration_s\": 1e999 }";
   (* Structural errors: the decoder reports the field path. *)
   expect_error ~substring:"scenario.kind"
     {|{ "name": "x", "kind": "neither" }|};
