@@ -38,17 +38,17 @@ let run () =
         in
         let h = Run.prepare w in
         Cloud.run h.Run.cloud ~until:(Time.scale h.Run.until 0.5);
-        let t0 = Sw_sim.Wall.now_s () in
+        let t0 = Sw_obs.Profile.now_ns () in
         let image = Cloud.checkpoint h.Run.cloud ~extra:h in
-        let ckpt_ms = 1000. *. Sw_sim.Wall.elapsed_s t0 in
-        let t1 = Sw_sim.Wall.now_s () in
+        let ckpt_ms = float_of_int (Sw_obs.Profile.now_ns () - t0) /. 1e6 in
+        let t1 = Sw_obs.Profile.now_ns () in
         let h' =
           match Cloud.restore image with
           | Ok (_, (h' : Run.handle)) -> h'
           | Error e ->
               failwith (Format.asprintf "%a" Cloud.pp_restore_error e)
         in
-        let restore_ms = 1000. *. Sw_sim.Wall.elapsed_s t1 in
+        let restore_ms = float_of_int (Sw_obs.Profile.now_ns () - t1) /. 1e6 in
         Cloud.run h'.Run.cloud ~until:h'.Run.until;
         let resumed = bytes_of (h'.Run.finish ()) in
         if resumed <> straight then

@@ -99,9 +99,9 @@ let measure name n run =
   (* A small warm-up run keeps allocator/GC start-up noise out of the
      measured window. *)
   ignore (run (n / 20));
-  let t0 = Sw_sim.Wall.now_s () in
+  let t0 = Sw_obs.Profile.now_ns () in
   let fired = run n in
-  let wall = Sw_sim.Wall.elapsed_s t0 in
+  let wall = float_of_int (Sw_obs.Profile.now_ns () - t0) /. 1e9 in
   let eps = float_of_int fired /. wall in
   Printf.printf "  %-13s %9d events  %7.3f s  %11.0f events/s\n%!" name fired
     wall eps;

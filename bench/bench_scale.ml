@@ -36,9 +36,9 @@ let run () =
           ping 1)
         deployments;
       (* Wall clock, not Sys.time: CPU time overcounts under Domains. *)
-      let t0 = Sw_sim.Wall.now_s () in
+      let t0 = Sw_obs.Profile.now_ns () in
       Cloud.run cloud ~until:(Time.s 2);
-      let wall = Sw_sim.Wall.elapsed_s t0 in
+      let wall = float_of_int (Sw_obs.Profile.now_ns () - t0) /. 1e9 in
       let events = Sw_sim.Engine.fired (Cloud.engine cloud) in
       Tables.row ~width:12
         [

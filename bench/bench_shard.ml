@@ -107,9 +107,7 @@ let workload ?(east_west = 10.) ?(replica_link = 100.) ?quantum_us ~hosts
   }
 
 let contract_bytes metrics =
-  Export.to_json_string
-    (Snapshot.filter metrics ~f:(fun name ->
-         not (String.length name >= 4 && String.sub name 0 4 = "sim.")))
+  Export.to_json_string (Snapshot.without_sim metrics)
 
 (* P(two uniformly random [replicas]-machine groups intersect) out of [n]
    machines — the attacker co-residency probability the paper's Sec. VIII
@@ -200,7 +198,7 @@ let run_config ~w (cfg : config) =
     Run.prepare ~shards:cfg.shards ~partition:cfg.partition
       ~lookahead:cfg.lookahead w
   in
-  let t0 = Sw_sim.Wall.now_s () in
+  let t0 = Sw_obs.Profile.now_ns () in
   let handle, warm =
     if !quick then (prepare (), "cold")
     else begin
@@ -241,16 +239,16 @@ let run_config ~w (cfg : config) =
               (prepare (), "built"))
     end
   in
-  let prep_s = Sw_sim.Wall.elapsed_s t0 in
-  let t1 = Sw_sim.Wall.now_s () in
+  let prep_s = float_of_int (Sw_obs.Profile.now_ns () - t0) /. 1e9 in
+  let t1 = Sw_obs.Profile.now_ns () in
   Cloud.run handle.Run.cloud ~until:handle.Run.until;
-  let run_s = Sw_sim.Wall.elapsed_s t1 in
+  let run_s = float_of_int (Sw_obs.Profile.now_ns () - t1) /. 1e9 in
   let r = handle.Run.finish () in
   let windows = Snapshot.counter r.Run.metrics "sim.shard.windows" in
   let barrier_share =
-    match Snapshot.histogram r.Run.metrics "sim.shard.barrier_wait_ns" with
-    | None -> 0.
-    | Some h -> Int64.to_float h.Snapshot.total /. 1e9 /. run_s
+    let profile = Sw_sim.Engine.profile (Cloud.engine handle.Run.cloud) in
+    let barrier = Sw_obs.Profile.timer profile "conductor.barrier" in
+    float_of_int (Sw_obs.Profile.total_ns barrier) /. 1e9 /. run_s
   in
   {
     cfg;

@@ -105,17 +105,17 @@ let () =
     if jobs > 1 then Some (Sw_runner.Pool.create ~workers:jobs ()) else None
   in
   if jobs > 1 then Printf.printf "[running on %d worker domains]\n%!" jobs;
-  let t0 = Sw_sim.Wall.now_s () in
+  let t0 = Sw_obs.Profile.now_ns () in
   List.iter
     (fun name ->
       let f = List.assoc name experiments in
-      let t = Sw_sim.Wall.now_s () in
+      let t = Sw_obs.Profile.now_ns () in
       f ~pool;
-      let wall = Sw_sim.Wall.elapsed_s t in
+      let wall = float_of_int (Sw_obs.Profile.now_ns () - t) /. 1e9 in
       Bench_report.add_timing name wall;
       Printf.printf "\n[%s done in %.1f s]\n%!" name wall)
     requested;
-  let total = Sw_sim.Wall.elapsed_s t0 in
+  let total = float_of_int (Sw_obs.Profile.now_ns () - t0) /. 1e9 in
   Option.iter Sw_runner.Pool.shutdown pool;
   Printf.printf "\nTotal: %.1f s\n" total;
   Bench_report.write ~workers:jobs ~wall_s:total

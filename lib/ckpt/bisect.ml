@@ -6,9 +6,7 @@ module Trace = Sw_obs.Trace
 module Event = Sw_obs.Event
 module Lineage = Sw_obs.Lineage
 
-let observational cloud =
-  Snapshot.filter (Cloud.metrics_snapshot cloud) ~f:(fun name ->
-      not (String.starts_with ~prefix:"sim." name))
+let observational cloud = Snapshot.without_sim (Cloud.metrics_snapshot cloud)
 
 let fingerprint cloud =
   Digest.to_hex (Digest.string (Export.to_json_string (observational cloud)))

@@ -35,7 +35,7 @@ let record_ns tm ns =
   tm.total_ns <- tm.total_ns + ns;
   tm.count <- tm.count + 1
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let time t tm f =
   (* One load and one branch when profiling is off: no clock read, no
@@ -44,7 +44,7 @@ let time t tm f =
   else begin
     let t0 = now_ns () in
     let finish v =
-      record_ns tm (max 0 (now_ns () - t0));
+      record_ns tm (now_ns () - t0);
       v
     in
     match f () with
@@ -70,13 +70,3 @@ let reset t =
       tm.total_ns <- 0;
       tm.count <- 0)
     t.timers
-
-let pp fmt t =
-  List.iter
-    (fun (name, total, count) ->
-      let mean = if count = 0 then 0. else float_of_int total /. float_of_int count in
-      Format.fprintf fmt "%-24s %10.3f ms over %8d calls (%7.0f ns/call)@."
-        name
-        (float_of_int total /. 1e6)
-        count mean)
-    (to_list t)

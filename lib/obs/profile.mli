@@ -1,18 +1,22 @@
-(** Wall-clock self-profiling: per-subsystem accumulating timers.
+(** Wall-clock self-profiling: per-subsystem accumulating timers, read
+    from the project's one wall clock.
 
-    Where {!Registry} measures the simulated world (counters and histograms
-    of simulated nanoseconds), [Profile] measures the simulator itself:
-    real time spent in engine dispatch, network delivery, the VMM's median
-    machinery, disk completions. Each subsystem obtains a named {!timer}
-    at construction and wraps its hot section in {!time}.
+    Where {!Registry} measures the simulated world, [Profile] measures the
+    simulator itself: real time spent in engine dispatch, network delivery,
+    the VMM's median machinery, disk completions, and, under the parallel
+    conductor driver, the barrier wait ([conductor.barrier] on shard 0's
+    engine profile). Each subsystem obtains a named {!timer} at
+    construction and wraps its hot section in {!time}.
 
-    Profiling is {b off} by default and follows the same master-switch
-    contract as {!Registry.enabled}: a disabled profile costs one load and
-    one branch per wrapped call — no clock read, no accumulation. Because
-    the clock is the wall clock ([Unix.gettimeofday]), profile data is
-    inherently non-deterministic and must never feed byte-compared exports;
-    {!Chrome.to_json} renders it as separate counter tracks, and the
-    deterministic golden tests leave profiling disabled. *)
+    {!now_ns} is the only function in the libraries that reads wall time.
+    It is monotonic, so spans never run backwards. Wall time is
+    non-deterministic: it lives here, never in a {!Registry}, and never
+    feeds byte-compared exports ({!Chrome.to_json} renders it as separate
+    counter tracks).
+
+    Profiling is {b off} by default: a disabled profile costs one load and
+    one branch per {!time} call — no clock read, no accumulation.
+    {!record_ns} accumulates whatever the flag says. *)
 
 type t
 
@@ -35,6 +39,9 @@ val timer : t -> string -> timer
     even when [f] raises. *)
 val time : t -> timer -> (unit -> 'a) -> 'a
 
+(** The monotonic clock in nanoseconds; only differences mean anything. *)
+val now_ns : unit -> int
+
 (** [record_ns tm ns] adds an externally measured duration (one call). *)
 val record_ns : timer -> int -> unit
 
@@ -46,5 +53,3 @@ val to_list : t -> (string * int * int) list
 
 (** Zero every accumulator in place (handles stay valid). *)
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -104,7 +104,8 @@ let merge a b =
   go a b
 
 let merge_all = List.fold_left merge empty
-let filter t ~f = List.filter (fun (name, _) -> f name) t
+let without_sim t =
+  List.filter (fun (name, _) -> not (String.starts_with ~prefix:"sim." name)) t
 
 let pp_data fmt = function
   | Counter v -> Format.fprintf fmt "%d" v

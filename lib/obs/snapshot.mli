@@ -57,11 +57,10 @@ val merge : t -> t -> t
 
 val merge_all : t list -> t
 
-(** [filter t ~f] keeps the metrics whose name satisfies [f]. Determinism
-    comparisons across shard layouts use this to drop [sim.*] — the
-    execution substrate's own bookkeeping (queue-depth watermarks,
-    per-kind scheduling-delay histograms), which legitimately depends on
-    how the one logical run is partitioned into engines. *)
-val filter : t -> f:(string -> bool) -> t
+(** [without_sim t] drops [sim.*], the execution substrate's bookkeeping
+    (event counts, queue watermarks, scheduling delays, conductor rounds):
+    deterministic for a given shard layout but different across layouts.
+    Comparisons across layouts use this; same-layout ones keep [sim.*]. *)
+val without_sim : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,3 @@
-module Wall = Sw_sim.Wall
-
 type reason = Exn of string | Timed_out of float
 type failure = { key : string; attempts : int; reason : reason }
 type 'a outcome = ('a, failure) result
@@ -45,12 +43,12 @@ let run_one ~emit ~timeout_s ~retries ~backoff_s index job =
   let key = Job.key job in
   let rec attempt k =
     emit (Started { index; key; attempt = k });
-    let t0 = Wall.now_s () in
+    let t0 = Sw_obs.Profile.now_ns () in
     let result =
       try Ok (Job.run_attempt job ~attempt:k)
       with e -> Error (Exn (Printexc.to_string e))
     in
-    let wall_s = Wall.elapsed_s t0 in
+    let wall_s = float_of_int (Sw_obs.Profile.now_ns () - t0) /. 1e9 in
     let status =
       match result with
       | Error _ -> result

@@ -5,7 +5,8 @@
     Determinism contract: results come back in job-list order and each
     job's seed is fixed before dispatch ({!Job}), so the outcome list —
     and anything aggregated from it — is byte-identical whether the fleet
-    runs on 1 worker or 16. Only wall-clock fields ([wall_s]) vary. *)
+    runs on 1 worker or 16. Only wall-clock fields ([wall_s], [Timed_out])
+    vary; they are read from the monotonic {!Sw_obs.Profile.now_ns}. *)
 
 (** Why a job (after all its attempts) was abandoned. *)
 type reason =

@@ -143,12 +143,11 @@ type t = {
   inbox : buf array;  (* per-destination, merge-sorted at the barrier *)
   merge_head : int array;  (* scratch cursor per source during the merge *)
   mutable exchanged : int;
-  (* sim.shard instruments, registered on shard 0's registry: the sim
-     namespace sits outside every byte-compared section, and they are
-     written only by the driving domain at the barrier. *)
+  (* sim.shard instruments, registered on shard 0's registry and written
+     only by the driving domain at the barrier. *)
   m_windows : Sw_obs.Registry.Counter.t;
-  m_barrier_wait : Sw_obs.Registry.Histogram.t;
   m_exchanged : Sw_obs.Registry.Counter.t array;  (* flat n*n, src*n + dst *)
+  barrier : Sw_obs.Profile.timer;  (* on shard 0's engine profile *)
 }
 
 (* The per-[run] domain gang. [go] counts released rounds (workers run a
@@ -218,8 +217,9 @@ let create ?(parallel = true) ?matrix ~lookahead engines =
     merge_head = Array.make n 0;
     exchanged = 0;
     m_windows = Sw_obs.Registry.counter registry "sim.shard.windows";
-    m_barrier_wait = Sw_obs.Registry.histogram registry "sim.shard.barrier_wait_ns";
     m_exchanged;
+    barrier =
+      Sw_obs.Profile.timer (Engine.profile engines.(0)) "conductor.barrier";
   }
 
 let shards t = Array.length t.engines
@@ -392,11 +392,11 @@ let worker t g i =
   loop 0
 
 (* Main-domain side of the barrier: spin for the stragglers, then sleep.
-   The wait (spin and sleep alike) is the barrier tax the instrumentation
-   reports — wall clock, so strictly a [sim.*] metric. *)
+   The wait (spin and sleep alike) is the barrier tax. It is wall time, so
+   it goes to shard 0's profile, which only the main domain touches. *)
 let await_workers t g =
   let n = Array.length t.engines in
-  let t0 = Wall.now_s () in
+  let t0 = Sw_obs.Profile.now_ns () in
   let rec spin k =
     if Atomic.get g.arrived < n - 1 then
       if k < spin_budget then begin
@@ -414,8 +414,7 @@ let await_workers t g =
       end
   in
   spin 0;
-  Sw_obs.Registry.Histogram.observe t.m_barrier_wait
-    (Int64.of_float ((Wall.now_s () -. t0) *. 1e9))
+  Sw_obs.Profile.record_ns t.barrier (Sw_obs.Profile.now_ns () - t0)
 
 let run t ~until =
   let n = Array.length t.engines in

@@ -33,11 +33,13 @@
     returns, so a conductor holds no threads while idle; the barrier is a
     hybrid sense barrier (bounded spin on atomics, then a condvar sleep).
 
-    {b Instrumentation.} Rounds, barrier wait (wall-clock, parallel driver
-    only), and per-pair exchanged-message counts are recorded on shard 0's
-    registry under [sim.shard.windows], [sim.shard.barrier_wait_ns], and
-    [sim.shard.exchanged.s<i>.s<j>] — the [sim.*] namespace every
-    byte-comparison already excludes.
+    {b Instrumentation.} Rounds and per-pair exchanged-message counts go
+    to shard 0's registry as [sim.shard.windows] (a {!run} ending inside a
+    window adds a round) and [sim.shard.exchanged.s<i>.s<j>]; like all of
+    [sim.*] they differ across shard layouts ({!Sw_obs.Snapshot.without_sim}).
+    The parallel driver adds its barrier wait, wall time, to the
+    [conductor.barrier] timer of shard 0's engine profile
+    ({!Sw_obs.Profile.record_ns}), never to a registry.
 
     {b Checkpointability.} A quiescent conductor (between {!run} calls) is
     plain marshalable data: the barrier's atomics, mutex and condition

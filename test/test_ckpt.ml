@@ -100,9 +100,7 @@ let prop_restore_roundtrip =
       straight = paused && straight = restored)
 
 let contract_bytes metrics =
-  Export.to_json_string
-    (Snapshot.filter metrics ~f:(fun name ->
-         not (String.length name >= 4 && String.sub name 0 4 = "sim.")))
+  Export.to_json_string (Snapshot.without_sim metrics)
 
 let datacenter_workload () =
   let w = small_workload () in

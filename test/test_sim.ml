@@ -515,6 +515,12 @@ let test_conductor_post_violation_names_pair () =
         true (contains !message needle))
     [ "shard 0 -> shard 1"; "arrival 500.000us"; "window end 1.000ms" ]
 
+(* Shard 0's whole registry, [sim.*] included: the conductor's rounds and
+   exchange counts live there, and no wall-clock value may. *)
+let registry_bytes engines =
+  Sw_obs.Export.to_json_string
+    (Sw_obs.Registry.snapshot (Engine.metrics engines.(0)))
+
 (* The parallel-matches-sequential contract again, under an asymmetric
    per-pair matrix: each direction posts at its own bound, windows differ
    per pair, and the domain gang must still reproduce the round-robin
@@ -553,13 +559,17 @@ let test_conductor_matrix_parallel_matches_sequential () =
       done
     done;
     Conductor.run c ~until:horizon;
-    (logs, Conductor.exchanged c, Array.map Engine.now engines)
+    ( logs,
+      Conductor.exchanged c,
+      Array.map Engine.now engines,
+      registry_bytes engines )
   in
-  let logs_p, exch_p, now_p = build ~parallel:true in
-  let logs_s, exch_s, now_s = build ~parallel:false in
+  let logs_p, exch_p, now_p, reg_p = build ~parallel:true in
+  let logs_s, exch_s, now_s, reg_s = build ~parallel:false in
   Alcotest.(check int) "messages exchanged" exch_s exch_p;
   Alcotest.(check bool) "some cross-shard traffic" true (exch_s > 0);
   Alcotest.(check (array int64)) "clocks parked" now_s now_p;
+  Alcotest.(check string) "shard 0 registry" reg_s reg_p;
   for i = 0 to n - 1 do
     Alcotest.(check (list (pair int64 string)))
       (Printf.sprintf "shard %d firing order" i)
@@ -608,47 +618,83 @@ let test_conductor_post_lookahead_violation () =
    by the domain-per-shard driver fires in exactly the order the sequential
    round-robin driver produces. Event plans are drawn up front from a seed;
    handlers touch only their own shard's log cell, so the parallel run is
-   race-free and any divergence is a protocol bug, not a test artifact. *)
-let test_conductor_parallel_matches_sequential () =
+   race-free and any divergence is a protocol bug, not a test artifact.
+   The fixture stops at each of [cuts] before running on to the horizon. *)
+let conductor_lookahead = Time.ms 1
+let conductor_horizon = Time.ms 40
+
+let run_conductor_fixture ?(cuts = []) ~parallel () =
   let n = 4 in
-  let lookahead = Time.ms 1 in
-  let horizon = Time.ms 40 in
-  let build ~parallel =
-    let engines = Array.init n (fun _ -> Engine.create ()) in
-    let c = Conductor.create ~parallel ~lookahead engines in
-    let logs = Array.make n [] in
-    let rng = Prng.create 0xC0D0C7L in
-    for src = 0 to n - 1 do
-      for k = 0 to 39 do
-        let at = Time.us (10 + Prng.int rng 39_000) in
-        let tag = Printf.sprintf "s%de%d" src k in
-        ignore
-          (Engine.schedule_at engines.(src) at (fun () ->
-               logs.(src) <- (Engine.now engines.(src), tag) :: logs.(src);
-               if k mod 2 = 0 then begin
-                 let dst = (src + 1 + (k mod (n - 1))) mod n in
-                 let arrival = Time.add (Engine.now engines.(src)) lookahead in
-                 Conductor.post c ~src ~dst ~at:arrival (fun () ->
-                     logs.(dst) <-
-                       (Engine.now engines.(dst), tag ^ "x") :: logs.(dst))
-               end))
-      done
-    done;
-    Conductor.run c ~until:horizon;
-    let fired = Array.map Engine.fired engines in
-    (logs, Conductor.exchanged c, fired, Array.map Engine.now engines)
+  let lookahead = conductor_lookahead in
+  let engines = Array.init n (fun _ -> Engine.create ()) in
+  let c = Conductor.create ~parallel ~lookahead engines in
+  let logs = Array.make n [] in
+  let rng = Prng.create 0xC0D0C7L in
+  for src = 0 to n - 1 do
+    for k = 0 to 39 do
+      let at = Time.us (10 + Prng.int rng 39_000) in
+      let tag = Printf.sprintf "s%de%d" src k in
+      ignore
+        (Engine.schedule_at engines.(src) at (fun () ->
+             logs.(src) <- (Engine.now engines.(src), tag) :: logs.(src);
+             if k mod 2 = 0 then begin
+               let dst = (src + 1 + (k mod (n - 1))) mod n in
+               let arrival = Time.add (Engine.now engines.(src)) lookahead in
+               Conductor.post c ~src ~dst ~at:arrival (fun () ->
+                   logs.(dst) <-
+                     (Engine.now engines.(dst), tag ^ "x") :: logs.(dst))
+             end))
+    done
+  done;
+  List.iter (fun until -> Conductor.run c ~until) cuts;
+  Conductor.run c ~until:conductor_horizon;
+  let fired = Array.map Engine.fired engines in
+  ( logs,
+    Conductor.exchanged c,
+    fired,
+    Array.map Engine.now engines,
+    registry_bytes engines )
+
+let test_conductor_parallel_matches_sequential () =
+  let logs_p, exch_p, fired_p, now_p, reg_p =
+    run_conductor_fixture ~parallel:true ()
   in
-  let logs_p, exch_p, fired_p, now_p = build ~parallel:true in
-  let logs_s, exch_s, fired_s, now_s = build ~parallel:false in
+  let logs_s, exch_s, fired_s, now_s, reg_s =
+    run_conductor_fixture ~parallel:false ()
+  in
   Alcotest.(check int) "messages exchanged" exch_s exch_p;
   Alcotest.(check bool) "some cross-shard traffic" true (exch_s > 0);
   Alcotest.(check (array int)) "events fired per shard" fired_s fired_p;
   Alcotest.(check (array int64)) "clocks parked" now_s now_p;
-  for i = 0 to n - 1 do
+  Alcotest.(check string) "shard 0 registry" reg_s reg_p;
+  for i = 0 to Array.length logs_s - 1 do
     Alcotest.(check (list (pair int64 string)))
       (Printf.sprintf "shard %d firing order" i)
       logs_s.(i) logs_p.(i)
   done
+
+(* Stopping and resuming is invisible: 1-4 intermediate [run] calls, under
+   each driver, give the straight sequential run's firing logs, exchange
+   count and shard-0 registry bytes. Cuts sit on the round grid (multiples
+   of the lookahead): a [run] that stops off the grid caps its last window
+   there and so adds a round, which [sim.shard.windows] rightly counts. *)
+let prop_conductor_split_runs =
+  let steps = Int64.to_int (Int64.div conductor_horizon conductor_lookahead) in
+  let straight = lazy (run_conductor_fixture ~parallel:false ()) in
+  QCheck.Test.make ~name:"split runs equal a straight run" ~count:20
+    QCheck.(list_of_size Gen.(int_range 1 4) (int_range 1 steps))
+    (fun ks ->
+      let cuts =
+        List.map (Time.mul_int conductor_lookahead) (List.sort compare ks)
+      in
+      let logs, exch, _, _, reg = Lazy.force straight in
+      List.for_all
+        (fun parallel ->
+          let logs', exch', _, _, reg' =
+            run_conductor_fixture ~cuts ~parallel ()
+          in
+          logs' = logs && exch' = exch && reg' = reg)
+        [ true; false ])
 
 let () =
   Alcotest.run "sw_sim"
@@ -718,5 +764,6 @@ let () =
             test_conductor_parallel_matches_sequential;
           Alcotest.test_case "matrix parallel matches sequential" `Quick
             test_conductor_matrix_parallel_matches_sequential;
+          QCheck_alcotest.to_alcotest prop_conductor_split_runs;
         ] );
     ]

@@ -413,9 +413,7 @@ let test_j1_j4_bytes () =
    event counts split differently across shards); everything else must be
    byte-identical. *)
 let contract_bytes metrics =
-  Export.to_json_string
-    (Snapshot.filter metrics ~f:(fun name ->
-         not (String.length name >= 4 && String.sub name 0 4 = "sim.")))
+  Export.to_json_string (Snapshot.without_sim metrics)
 
 let topo ?(stride = 1) ?(partition = Dsl.Contiguous) ?replica_link_us
     ?quantum_us ~hosts ~shards ~east_west_rate_per_s () =
