@@ -2,16 +2,16 @@
    3-replica service cells, east-west traffic at a stride that straddles
    contiguous shard boundaries, and a 100 us rack-local replica
    interconnect below the 500 us fabric) simulated across shard counts and
-   partition/lookahead modes.
+   partitions, contiguous against affinity at each shard count.
 
-   The sweep is built to show exactly the two effects the conductor's fast
-   path exists for:
+   The sweep is built to show the two effects the conductor's fast path
+   exists for:
    - the stride makes every east-west edge cross a contiguous block cut,
      while the affinity partitioner packs the stride cycles co-shard (cut
      weight 0) — so partition choice moves real cross-shard message load;
-   - the fast replica links drag the legacy global lookahead to 100 us,
-     while the per-pair matrix keeps every cross-shard floor at 500 us —
-     5x wider windows, 5x fewer barriers.
+   - the fast replica links are intra-shard, so the conductor's per-pair
+     lookahead matrix keeps every cross-shard floor at the 500 us fabric
+     latency rather than the 100 us replica link.
 
    Two kinds of output, kept strictly apart:
    - "shard_scale" under "experiments": per configuration, the workload
@@ -101,9 +101,7 @@ let workload ?(east_west = 10.) ?(replica_link = 100.) ?quantum_us ~hosts
           quantum_us;
         };
     load_multipliers = [ 1. ];
-    trace = false;
     leak_audit = false;
-    profile = false;
   }
 
 let contract_bytes metrics =
@@ -146,23 +144,17 @@ type config = {
   label : string;
   shards : int;
   partition : [ `Contiguous | `Affinity | `Assign of int array ];
-  lookahead : [ `Global | `Pairwise ];
 }
 
 (* Per configuration: the baseline single shard, then for each shard count
-   the legacy combination (contiguous blocks, one global lookahead scalar)
-   against the fast path (affinity packing, per-pair matrix) — the speedup
-   the perf block records is between those two at equal shard count. *)
+   contiguous blocks against affinity packing, both under the per-pair
+   lookahead bound — the speedup the perf block records is between those
+   two at equal shard count. *)
 let sweep () =
   let counts =
     match !shards_override with Some s when s > 1 -> [ s ] | _ -> [ 2; 4 ]
   in
-  {
-    label = "shards1";
-    shards = 1;
-    partition = `Contiguous;
-    lookahead = `Pairwise;
-  }
+  { label = "shards1"; shards = 1; partition = `Contiguous }
   :: List.concat_map
        (fun s ->
          [
@@ -170,13 +162,11 @@ let sweep () =
              label = Printf.sprintf "shards%d_contiguous" s;
              shards = s;
              partition = `Contiguous;
-             lookahead = `Global;
            };
            {
              label = Printf.sprintf "shards%d_affinity" s;
              shards = s;
              partition = `Affinity;
-             lookahead = `Pairwise;
            };
          ])
        counts
@@ -194,10 +184,7 @@ type outcome = {
 }
 
 let run_config ~w (cfg : config) =
-  let prepare () =
-    Run.prepare ~shards:cfg.shards ~partition:cfg.partition
-      ~lookahead:cfg.lookahead w
-  in
+  let prepare () = Run.prepare ~shards:cfg.shards ~partition:cfg.partition w in
   let t0 = Sw_obs.Profile.now_ns () in
   let handle, warm =
     if !quick then (prepare (), "cold")
@@ -304,16 +291,15 @@ let run () =
   let stride = cells / 4 in
   let duration = Time.ms 300 in
   (* Quick keeps the default 200 us quantum, the 100 us rack links, and a
-     light east-west trickle (the windows/lookahead effect shows up cleanly
-     at 48 hosts). The 10k-host form models the regime the fast path was
-     built for: a 2 ms scheduler quantum so simulation cost follows the
-     traffic under study rather than idle slices (at 200 us the fleet fires
-     ~50M slice events over the 800 ms horizon and everything else vanishes
-     into them), RDMA-class 2 us replica interconnects (which drag the
-     legacy global-min lookahead to 2 us — 250x more barriers than the
-     500 us cross-shard floor the per-pair matrix recovers), and enough
-     east-west traffic that the partition choice moves real cross-shard
-     message volume. *)
+     light east-west trickle (the partition effect shows up cleanly at 48
+     hosts). The 10k-host form models the regime the fast path was built
+     for: a 2 ms scheduler quantum so simulation cost follows the traffic
+     under study rather than idle slices (at 200 us the fleet fires ~50M
+     slice events over the 800 ms horizon and everything else vanishes
+     into them), RDMA-class 2 us replica interconnects (intra-shard, so the
+     per-pair matrix keeps the cross-shard windows at the 500 us fabric
+     floor instead of 2 us), and enough east-west traffic that the
+     partition choice moves real cross-shard message volume. *)
   let w =
     if !quick then workload ~hosts ~stride ~duration ()
     else
@@ -371,8 +357,8 @@ let run () =
           "shard-scale: %s metrics differ from shards=1 outside sim.*\n%!"
           o.cfg.label)
     rows;
-  (* Affinity + per-pair lookahead against contiguous + global scalar, at
-     equal shard count — the headline number of the fast path. *)
+  (* Affinity against contiguous at equal shard count, under the same
+     per-pair lookahead — the headline number of the partitioner. *)
   let affinity_speedups =
     List.filter_map
       (fun s ->
@@ -390,8 +376,7 @@ let run () =
   in
   List.iter
     (fun (s, ratio) ->
-      Printf.printf "shards=%d: affinity+pairwise %.2fx contiguous+global\n" s
-        ratio)
+      Printf.printf "shards=%d: affinity %.2fx contiguous\n" s ratio)
     affinity_speedups;
   Bench_report.add "shard_scale"
     (Report.Obj

@@ -45,9 +45,7 @@ let workload ~arrival ~stopwatch ~duration ~multipliers : Dsl.workload =
     attack = None;
     topology = None;
     load_multipliers = multipliers;
-    trace = false;
     leak_audit = false;
-    profile = false;
   }
 
 let shapes duration =

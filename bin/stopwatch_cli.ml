@@ -294,8 +294,6 @@ let attack_term ~seconds =
         duration = d.Scenario.duration;
         replicas;
         ping_rate_per_s = d.Scenario.ping_rate_per_s;
-        colluder_burst = d.Scenario.colluder_burst;
-        background_rate_per_s = d.Scenario.background_rate_per_s;
         variants = [ { Dsl.key; baseline; victim; colluder } ];
       }
     in

@@ -18,9 +18,6 @@ val paper_mix : (op * float) list
     lookups/getattrs are compute-only. *)
 val server : ?tcp:Tcp.config -> unit -> Sw_vm.App.factory
 
-(** Default server TCP configuration (immediate ACKs). *)
-val server_tcp_config : Tcp.config
-
 (** Recommended client TCP configuration: Nagle enabled, so small RPC calls
     coalesce under load — the mechanism behind Fig. 6(b)'s falling
     client-to-server packet count. *)

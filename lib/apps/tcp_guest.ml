@@ -21,8 +21,6 @@ type t = {
 let create ?(config = Tcp.default_config) () =
   { config; conns = Hashtbl.create 8; timers = Hashtbl.create 8; next_tag = tag_base }
 
-let open_conns t = Hashtbl.length t.conns
-
 (* Translate TCP outputs into guest actions + connection events. *)
 let run_outputs t key outputs =
   let events = ref [] and actions = ref [] in

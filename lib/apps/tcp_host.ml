@@ -65,4 +65,3 @@ let connect t ~dst ?(on_connected = fun () -> ()) ?(on_closed = fun () -> ())
 let send c ~payload ~bytes = run_outputs c (Tcp.step c.ep (Tcp.Send_msg { payload; bytes }))
 let close c = run_outputs c (Tcp.step c.ep Tcp.Close)
 let is_established c = Tcp.is_established c.ep
-let conn_id c = c.id

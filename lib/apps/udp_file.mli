@@ -5,9 +5,6 @@
     The client sends one request; the server reads the file and streams
     datagrams; the client NAKs only on detected gaps (go-back-N resend). *)
 
-(** Datagram payload bytes per packet. *)
-val datagram_bytes : int
-
 (** [server ?chunk_bytes ?inter_send_branches ()] builds the server guest
     application. [inter_send_branches] models the per-datagram send-loop CPU
     cost (default 2000). *)

@@ -14,13 +14,9 @@ type spec = {
   baseline : bool;  (** Unmodified Xen instead of StopWatch. *)
   victim : bool;
   colluder : bool;
-  colluder_burst : int;
-      (** Packets per 1 ms burst the colluder pushes through its machine's
-          device models; sized to out-load the victim (Sec. IX). *)
   ping_rate_per_s : float;
   duration : Sw_sim.Time.t;
   seed : int64;
-  background_rate_per_s : float;  (** ARP-like broadcast noise; 0 disables. *)
   faults : Sw_fault.Schedule.t;
       (** Deterministic fault schedule installed against the scenario's
           cloud before it runs; {!Sw_fault.Schedule.empty} (the default)
@@ -90,13 +86,6 @@ val observed_replica :
     ["vm<i>/<mechanism>"] for attribution. *)
 val lineage_series : Sw_obs.Trace.t -> (string * float array) list
 
-(** Key under which {!leak_series} reports the attacker's end-to-end ping
-    latency (ingress stamp → delivery on the guest's virtual clock) — the
-    headline attacker-observable series of a leak audit. The pinger is the
-    attack apparatus's own agent, so send times are known to the attacker
-    even though the ingress stamp is not guest-visible. *)
-val headline_key : string
-
 (** Successive-difference jitter [|x(i+1) - x(i)|] — the dispersion view
     of a timing series. A contention channel that reshapes a distribution
     without moving its mean still moves the mean of the jitter, putting it
@@ -107,7 +96,11 @@ val jitter : float array -> float array
 (** [leak_series spec] runs the scenario with a trace sink attached and
     distils every leak-audit observation series, keyed for lineage
     attribution: [attacker/inter-delivery] (guest-visible gaps),
-    {!headline_key} and its [attacker/ping-jitter] dispersion view, and
+    [attacker/ping-latency] — the attacker's end-to-end ping latency
+    (ingress stamp → delivery on the guest's virtual clock; the pinger is
+    the attack apparatus's own agent, so send times are known to the
+    attacker even though the ingress stamp is not guest-visible) — and its
+    [attacker/ping-jitter] dispersion view, and
     one [vmN/<mechanism>] series per {!Sw_obs.Lineage.mechanism}. Returns
     plain data only, so results marshal across runner domains. *)
 val leak_series : spec -> (string * float array) list

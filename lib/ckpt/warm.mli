@@ -6,8 +6,8 @@
     per configuration. This module caches the {e prepared-but-unrun}
     {!Sw_workload.Run.handle} at simulated t=0 as a {!Image} on disk,
     keyed by an opaque [key] string (callers bake in everything that
-    shapes the build: scenario digest, shard count, partition, lookahead
-    mode). Subsequent runs of the same configuration
+    shapes the build: scenario digest, shard count, partition).
+    Subsequent runs of the same configuration
     [Cloud.restore] the image instead of rebuilding — the restored handle
     is fully live and byte-equivalent to a cold build, which the
     warm-start smoke pins by diffing their reports.

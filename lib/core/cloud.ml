@@ -5,7 +5,6 @@ module Address = Sw_net.Address
 
 type deployment = {
   vm : int;
-  shard : int;
   group : Sw_vmm.Replica_group.t;
   instances : (int * Sw_vmm.Vmm.instance) list;  (** (machine id, instance) *)
   watchdog : Sw_vmm.Watchdog.t option;
@@ -26,7 +25,6 @@ type t = {
   config : Sw_vmm.Config.t;
   shards : shard_ctx array;
   parallel : bool;
-  lookahead_mode : [ `Global | `Pairwise ];
   block : int array;  (* machine id -> owning shard *)
   machines : Sw_vmm.Machine.t array;
   vmms : Sw_vmm.Vmm.t array;
@@ -96,7 +94,7 @@ let check_assignment assign ~machines ~shards =
 let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
     ?(default_link = Sw_net.Network.lan) ?(rate_spread = 0.)
     ?(clock_spread = Time.zero) ?profile ?(shards = 1) ?parallel
-    ?(partition = `Contiguous) ?(lookahead = `Pairwise) ~machines () =
+    ?(partition = `Contiguous) ~machines () =
   let parallel =
     match parallel with Some p -> p | None -> Lazy.force default_parallel
   in
@@ -148,7 +146,6 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
       config;
       shards = [| shard |];
       parallel;
-      lookahead_mode = lookahead;
       block = Array.make machines 0;
       machines = machine_arr;
       vmms;
@@ -221,7 +218,6 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
         config;
         shards = shard_arr;
         parallel;
-        lookahead_mode = lookahead;
         block;
         machines = machine_arr;
         vmms;
@@ -258,7 +254,6 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
 let shard_count t = Array.length t.shards
 let shard_of_machine t m = t.block.(m)
 let shard_registry t i = Engine.metrics t.shards.(i).sh_engine
-let shard_engine t i = t.shards.(i).sh_engine
 
 let cross_shard_exchanged t =
   match t.conductor with Some c -> Conductor.exchanged c | None -> 0
@@ -304,7 +299,6 @@ let machine t i =
     invalid_arg "Cloud.machine: index out of range";
   t.machines.(i)
 
-let machine_count t = Array.length t.machines
 let ingress t = t.shards.(0).sh_ingress
 let egress t = t.shards.(0).sh_egress
 
@@ -402,7 +396,7 @@ let deploy ?config t ~on ~app =
     | None -> None
     | Some _ -> Some (Sw_vmm.Watchdog.create sh.sh_engine group)
   in
-  let d = { vm; shard; group; instances; watchdog } in
+  let d = { vm; group; instances; watchdog } in
   (match t.trace with
   | Some tr -> List.iter (fun (_, i) -> Sw_vmm.Vmm.set_trace i tr) instances
   | None -> ());
@@ -425,7 +419,7 @@ let deploy_baseline ?config t ~on ~app =
   let instance = Sw_vmm.Vmm.host t.vmms.(on) ~group ~app ~peers:[] in
   (* Baseline traffic routes straight to the hosting machine. *)
   Sw_net.Network.set_route sh.sh_network ~dst:(Address.Vm vm) ~via:(Address.Vmm on);
-  let d = { vm; shard; group; instances = [ (on, instance) ]; watchdog = None } in
+  let d = { vm; group; instances = [ (on, instance) ]; watchdog = None } in
   (match t.trace with
   | Some tr -> Sw_vmm.Vmm.set_trace instance tr
   | None -> ());
@@ -444,7 +438,6 @@ let deploy_plan t ~plan ~app =
 
 let vm_id d = d.vm
 let vm_address d = Address.Vm d.vm
-let shard_of d = d.shard
 let replicas d = List.map snd d.instances
 
 let replica_on d ~machine =
@@ -512,36 +505,24 @@ let start_background t ~rate_per_s ?(size = 64) () =
 (* Lookahead for the conservative windows, computed when the conductor is
    first needed, so links installed after [create] (host access links,
    overrides) are accounted for; links added later may only violate the
-   bound, which [Conductor.post] then reports.
-
-   [`Global] is the legacy bound — the smallest propagation latency any
-   link anywhere could impose on a hop, one scalar for every shard pair.
-   [`Pairwise] (the default) asks each shard's fabric for its
-   per-destination-shard floors instead ({!Sw_net.Network.min_latency_to}),
-   so a fast rack-local link only tightens the windows of the pairs that
-   can actually traverse it. *)
+   bound, which [Conductor.post] then reports. Each shard's fabric gives its
+   per-destination-shard floors ({!Sw_net.Network.min_latency_to}), so a
+   fast rack-local link only tightens the windows of the pairs that can
+   actually traverse it. The matrix replaces the conductor's scalar bound. *)
 let conductor t =
   match t.conductor with
   | Some c -> c
   | None ->
       let engines = Array.map (fun sh -> sh.sh_engine) t.shards in
       let n = Array.length t.shards in
-      let global =
-        Array.fold_left
-          (fun acc sh -> Time.min acc (Sw_net.Network.min_latency sh.sh_network))
-          Int64.max_int t.shards
+      let matrix =
+        Array.init n (fun j ->
+            Sw_net.Network.min_latency_to t.shards.(j).sh_network
+              ~locate:(locate t j) ~self:j ~shards:n)
       in
       let c =
-        match t.lookahead_mode with
-        | `Global -> Conductor.create ~parallel:t.parallel ~lookahead:global engines
-        | `Pairwise ->
-            let matrix =
-              Array.init n (fun j ->
-                  Sw_net.Network.min_latency_to t.shards.(j).sh_network
-                    ~locate:(locate t j) ~self:j ~shards:n)
-            in
-            Conductor.create ~parallel:t.parallel ~matrix ~lookahead:global
-              engines
+        Conductor.create ~parallel:t.parallel ~matrix ~lookahead:Time.zero
+          engines
       in
       t.conductor <- Some c;
       c

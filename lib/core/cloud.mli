@@ -32,11 +32,9 @@ type deployment
     windowed protocol round-robin, byte-identical; the default picks the
     round-robin driver when the host reports a single core, where a
     domain gang could only time-slice) under conservative lookahead
-    synchronisation — see {!Sw_sim.Conductor}. [lookahead] picks how the
-    conductor's bound is computed: [`Pairwise] (default) builds a
-    per-shard-pair matrix from each fabric's
-    {!Sw_net.Network.min_latency_to}, [`Global] the legacy single
-    worst-case scalar. Neither partition nor lookahead mode can change
+    synchronisation — see {!Sw_sim.Conductor}. The conductor's bound is a
+    per-shard-pair matrix built from each fabric's
+    {!Sw_net.Network.min_latency_to}. The partition cannot change
     results: per-link PRNG streams are key-derived so no draw depends on
     the partition; DESIGN.md "Sharded simulation" states the exact
     determinism contract. {!attach_trace} and {!install_faults} are
@@ -59,7 +57,6 @@ val create :
   ?shards:int ->
   ?parallel:bool ->
   ?partition:[ `Contiguous | `Affinity of int array ] ->
-  ?lookahead:[ `Global | `Pairwise ] ->
   machines:int ->
   unit ->
   t
@@ -76,9 +73,6 @@ val shard_of_machine : t -> int -> int
     registry: registries are plain mutable cells and shards run on
     separate domains. *)
 val shard_registry : t -> int -> Sw_obs.Registry.t
-
-(** Shard [i]'s engine. Own it only between {!run} calls. *)
-val shard_engine : t -> int -> Sw_sim.Engine.t
 
 (** Cross-shard packets exchanged at barriers so far (0 when unsharded). *)
 val cross_shard_exchanged : t -> int
@@ -110,7 +104,6 @@ val metrics : t -> Sw_obs.Registry.t
 val metrics_snapshot : t -> Sw_obs.Snapshot.t
 val config : t -> Sw_vmm.Config.t
 val machine : t -> int -> Sw_vmm.Machine.t
-val machine_count : t -> int
 val ingress : t -> Sw_net.Ingress.t
 val egress : t -> Sw_net.Egress.t
 
@@ -148,9 +141,6 @@ val watchdog : deployment -> Sw_vmm.Watchdog.t option
 
 (** Synchrony violations recorded for this VM (paper footnote 4). *)
 val divergences : deployment -> int
-
-(** The shard a deployment's replica group lives on (0 when unsharded). *)
-val shard_of : deployment -> int
 
 (** [add_host t ?link ?shard ()] creates an external host with a fresh id,
     attached to [shard]'s fabric (default 0). Packets it sends to VMs or

@@ -17,14 +17,6 @@ let default_params =
     sequential_seek_fraction = 0.05;
   }
 
-let ssd_params =
-  {
-    max_seek = Time.us 60;
-    max_rotation = Time.zero;
-    transfer_bps = 500_000_000;
-    sequential_seek_fraction = 1.0;
-  }
-
 type kind = Read | Write
 
 type t = {

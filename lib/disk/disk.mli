@@ -17,10 +17,6 @@ type params = {
 
 val default_params : params
 
-(** Parameters resembling an SSD (tiny seek/rotation, fast transfer) — used
-    by the Sec. VII-D conjecture bench about shrinking Δd. *)
-val ssd_params : params
-
 type t
 
 (** [create engine ?params ?path ()] models one disk. [path] (default

@@ -8,11 +8,6 @@ type outcome = {
   metrics : Sw_obs.Snapshot.t;  (** Full cloud metrics snapshot. *)
 }
 
-(** Config used by Fig. 7: delta_d at the low end of the paper's 8-15 ms
-    range (their disk's maximum observed access time was small for these
-    workloads' mostly-small requests). *)
-val parsec_config : Sw_vmm.Config.t
-
 val run :
   ?config:Sw_vmm.Config.t ->
   ?seed:int64 ->

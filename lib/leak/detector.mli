@@ -42,9 +42,6 @@ type t = {
     observations-needed curve. *)
 val confidence_grid : float list
 
-(** Significance threshold the p-value detectors flag at (0.01). *)
-val default_alpha : float
-
 (** [skipped r] is true when the verdict declined to test (series shorter
     than [min_samples]); such reports never flag a leak. *)
 val skipped : report -> bool
@@ -55,7 +52,6 @@ val welch : ?alpha:float -> unit -> t
     "medium"). The p-value reported is Welch's. *)
 val cohens_d : ?threshold:float -> unit -> t
 
-val mutual_info : ?alpha:float -> ?bins:int -> unit -> t
 val ks : ?alpha:float -> unit -> t
 
 (** Two-sample chi-square homogeneity verdict; its observations-needed

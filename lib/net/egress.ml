@@ -13,7 +13,6 @@ type t = {
   m_dropped : Sw_obs.Registry.Counter.t;
   m_mismatches : Sw_obs.Registry.Counter.t;
   m_expired : Sw_obs.Registry.Counter.t;
-  mutable tap : (vm:int -> Packet.t -> Sw_sim.Time.t -> unit) option;
   mutable trace : Sw_obs.Trace.t option;
 }
 
@@ -69,9 +68,6 @@ let handle t (pkt : Packet.t) =
                 ~at_ns:(Sw_sim.Engine.now (Network.engine t.network))
                 (Sw_obs.Event.Egress_released
                    { vm; seq = key; rank = release_rank; copies = entry.replicas });
-            (match t.tap with
-            | Some f -> f ~vm inner (Sw_sim.Engine.now (Network.engine t.network))
-            | None -> ());
             Network.send t.network inner
           end)
   | _ -> Sw_obs.Registry.Counter.incr t.m_dropped
@@ -87,7 +83,6 @@ let create ?vote_expiry network =
       m_dropped = Sw_obs.Registry.counter metrics "net.egress.dropped";
       m_mismatches = Sw_obs.Registry.counter metrics "net.egress.mismatches";
       m_expired = Sw_obs.Registry.counter metrics "net.egress.expired_votes";
-      tap = None;
       trace = None;
     }
   in
@@ -125,4 +120,3 @@ let forwarded t = Sw_obs.Registry.Counter.value t.m_forwarded
 let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
 let mismatches t = Sw_obs.Registry.Counter.value t.m_mismatches
 let expired_votes t = Sw_obs.Registry.Counter.value t.m_expired
-let on_forward t f = t.tap <- Some f

@@ -51,10 +51,6 @@ val mismatches : t -> int
     arrived. *)
 val expired_votes : t -> int
 
-(** [on_forward t f] installs a tap invoked with (vm, packet, real release
-    time) at each forward — used by external-observer experiments. *)
-val on_forward : t -> (vm:int -> Packet.t -> Sw_sim.Time.t -> unit) -> unit
-
 (** Attach a trace sink: each median-timed release emits
     {!Sw_obs.Event.Egress_released} when the sink is enabled. *)
 val set_trace : t -> Sw_obs.Trace.t -> unit

@@ -278,7 +278,6 @@ let handle e (pkt : Packet.t) =
   | _ -> invalid_arg "Multicast.handle: not a multicast packet"
 
 let retransmissions e = Sw_obs.Registry.Counter.value e.m_retransmissions
-let naks_sent e = Sw_obs.Registry.Counter.value e.m_naks
 let gaps_abandoned e = Sw_obs.Registry.Counter.value e.m_abandoned
 let partition_drops e = Sw_obs.Registry.Counter.value e.m_partition_drops
 let set_partitioned e on = e.partitioned <- on

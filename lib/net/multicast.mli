@@ -64,9 +64,6 @@ val group_of_packet : Packet.t -> int option
 (** Number of retransmissions this endpoint has served (test observability). *)
 val retransmissions : endpoint -> int
 
-(** Number of NAKs this endpoint has sent. *)
-val naks_sent : endpoint -> int
-
 (** Number of gaps this endpoint has abandoned after exhausting NAK retries. *)
 val gaps_abandoned : endpoint -> int
 

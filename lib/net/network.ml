@@ -267,13 +267,6 @@ let deliver_via t ~target (pkt : Packet.t) =
 let set_remote t ~shard ~locate ~post =
   t.remote <- Some { shard; locate; post }
 
-let min_latency t =
-  let best = ref t.default.latency in
-  let consider p = if Time.(p.latency < !best) then best := p.latency in
-  Pair_tbl.iter (fun _ p -> consider p) t.link_overrides;
-  Addr_tbl.iter (fun _ p -> consider p) t.node_overrides;
-  !best
-
 (* Per-destination-shard latency floors, for a conductor's lookahead
    matrix. A hop from this network into shard [d <> self] can only be
    priced by the default, a pair override whose delivery target locates to
@@ -327,7 +320,6 @@ let count t ~src ~dst =
 let delivered t = Registry.Counter.value t.m_delivered
 let undeliverable t = Registry.Counter.value t.m_undeliverable
 let lost t = Registry.Counter.value t.m_lost
-let fault_lost t = Registry.Counter.value t.m_fault_lost
 
 let reset_counters t =
   (* Reset handles in place: the registry keeps the same counter cells, so

@@ -82,10 +82,6 @@ val set_fault_all : t -> disturbance option -> unit
     inbound connectivity. Composes with the fabric-wide disturbance. *)
 val set_fault_to : t -> Address.t -> disturbance option -> unit
 
-(** Packets dropped by an injected disturbance ([net.fault.lost]), counted
-    separately from organic link loss so experiments can tell them apart. *)
-val fault_lost : t -> int
-
 (** [set_remote t ~shard ~locate ~post] marks this network as shard
     [shard] of a partitioned cloud. [locate a] names the shard owning
     delivery target [a] (per-shard addresses — Ingress, Egress — must map
@@ -109,18 +105,14 @@ val set_remote :
     without a handler count as undeliverable. *)
 val inject : t -> target:Address.t -> Packet.t -> unit
 
-(** Minimum propagation latency over the default and every installed
-    override — this network's contribution to a global-minimum conductor
-    lookahead. *)
-val min_latency : t -> Sw_sim.Time.t
-
-(** [min_latency_to t ~locate ~self ~shards] refines {!min_latency} per
-    destination shard: element [d] is the smallest propagation latency any
-    hop from this network (shard [self]) into shard [d] could see, i.e.
-    this network's row of a conductor's lookahead matrix. Overrides whose
-    delivery target locates to [self] are intra-shard and excluded (a
-    node override on one of [self]'s own nodes still applies source-side,
-    to every destination); element [self] is the plain default. *)
+(** [min_latency_to t ~locate ~self ~shards]: element [d] is the smallest
+    propagation latency, over the default and every installed override,
+    that any hop from this network (shard [self]) into shard [d] could
+    see, i.e. this network's row of a conductor's lookahead matrix.
+    Overrides whose delivery target locates to [self] are intra-shard and
+    excluded (a node override on one of [self]'s own nodes still applies
+    source-side, to every destination); element [self] is the plain
+    default. *)
 val min_latency_to :
   t -> locate:(Address.t -> int) -> self:int -> shards:int -> Sw_sim.Time.t array
 

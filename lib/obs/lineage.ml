@@ -365,7 +365,6 @@ let in_flight t = t.in_flight
 let propose_to_adopt t = t.propose_to_adopt
 let adopt_to_deliver t = t.adopt_to_deliver
 let negative_lags t = t.negative_lags
-let skew_series t = t.skew_series
 let dropped t = t.dropped
 
 let mechanism_rank = function

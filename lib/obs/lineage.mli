@@ -68,8 +68,6 @@ type orphan = {
   kind : orphan_kind;
 }
 
-val orphan_kind_label : orphan_kind -> string
-
 (** The delivery-pipeline mechanism a timing series is attributed to —
     the "which masking layer failed" axis of a leak audit. *)
 type mechanism =
@@ -95,8 +93,6 @@ type hist = {
   max_ns : int64;  (** Meaningless when [count = 0]. *)
   buckets : (int64 * int) list;
 }
-
-val hist_mean_ns : hist -> float
 
 type t
 
@@ -132,10 +128,6 @@ val negative_lags : t -> int
 (** [(replica, share)] of median adoptions credited to each replica's
     proposal, shares summing to 1 (ties split). *)
 val median_wins : t -> (int * float) list
-
-(** [(at_ns, spread_ns)] per chain: the proposal spread its first adoption
-    saw, in time order. *)
-val skew_series : t -> (int64 * int64) list
 
 (** Ring drops carried from the source trace. *)
 val dropped : t -> int

@@ -23,7 +23,6 @@ let create ?(capacity = 65536) ?metrics () =
   }
 
 let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let enabled t = t.enabled
 let active = function Some t -> t.enabled | None -> false
 

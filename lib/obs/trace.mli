@@ -25,7 +25,6 @@ type entry = { at_ns : int64; event : Event.t }
 val create : ?capacity:int -> ?metrics:Registry.t -> unit -> t
 
 val enable : t -> unit
-val disable : t -> unit
 val enabled : t -> bool
 
 (** [active trace] is true when a sink is attached and enabled — the guard

@@ -11,8 +11,6 @@ type t = {
 let workers t = t.workers
 let escaped_exceptions t = Atomic.get t.escaped
 
-let recommended_workers () = max 1 (Domain.recommended_domain_count ())
-
 let worker_loop t =
   let rec next () =
     Mutex.lock t.mutex;

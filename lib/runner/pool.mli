@@ -18,9 +18,6 @@ val create : workers:int -> unit -> t
 
 val workers : t -> int
 
-(** A sensible worker count for this machine. *)
-val recommended_workers : unit -> int
-
 (** [submit t task] enqueues [task]. Raises [Invalid_argument] after
     {!shutdown}. *)
 val submit : t -> (unit -> unit) -> unit

@@ -47,10 +47,6 @@ let of_failure (f : Runner.failure) =
     @ detail
     @ [ ("reason", reason) ])
 
-let of_outcome value = function
-  | Ok v -> Obj [ ("status", String "ok"); ("value", value v) ]
-  | Error f -> of_failure f
-
 let of_metrics snapshot = Sw_obs.Export.to_json snapshot
 
 let bench_file ?metrics ?perf ~workers ~wall_s ~timings ~experiments () =

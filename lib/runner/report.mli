@@ -34,11 +34,6 @@ val of_summary : Sw_sim.Summary.t -> t
     rendering. *)
 val of_failure : Runner.failure -> t
 
-(** [of_outcome value outcome] renders a job's final status:
-    [{"status": "ok", "value": ...}] on success (via [value]), else
-    {!of_failure}'s object. *)
-val of_outcome : ('a -> t) -> 'a Runner.outcome -> t
-
 (** One metrics snapshot: [Sw_obs.Export.to_json] without meta. *)
 val of_metrics : Sw_obs.Snapshot.t -> t
 

@@ -5,9 +5,6 @@
     invariant that makes parallel and sequential sweeps aggregate to
     identical results. *)
 
-(** The base seed used when a sweep doesn't supply one. *)
-val default_base : int64
-
 (** [of_key ?base key] hashes [key] (FNV-1a 64) and finalises it with the
     SplitMix64 mixer against [base]. Equal keys and bases give equal seeds;
     distinct keys give independent-looking seeds. *)

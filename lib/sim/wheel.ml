@@ -395,11 +395,6 @@ let advance t now =
     if h > t.horizon then t.horizon <- h
   end
 
-let peek_key t =
-  ensure_ready t;
-  if t.ready_len = 0 then None
-  else Some (Int64.of_int t.slab.(t.ready.(0)).key)
-
 let next_at_or_before t limit =
   ensure_ready t;
   t.ready_len > 0 && t.slab.(t.ready.(0)).key <= Int64.to_int limit

@@ -58,11 +58,8 @@ val cancel : t -> handle -> bool
     there is nothing to reorder against. *)
 val advance : t -> int64 -> unit
 
-(** Key of the earliest pending (uncancelled) event, if any. *)
-val peek_key : t -> int64 option
-
 (** [next_at_or_before t limit] is [true] when a pending event with
-    [key <= limit] exists — an allocation-free [peek_key] for bounded run
+    [key <= limit] exists — an allocation-free peek for bounded run
     loops. *)
 val next_at_or_before : t -> int64 -> bool
 

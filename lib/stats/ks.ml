@@ -9,6 +9,9 @@ let distance ?(grid = 4096) ~lo ~hi f g =
   done;
   !best
 
+(* Kolmogorov's limiting tail Q(lambda) = 2 sum_j (-1)^(j-1) exp(-2 j^2
+   lambda^2): the asymptotic probability of a KS statistic this large under
+   the null, clamped to [0, 1]. *)
 let kolmogorov_q lambda =
   if lambda <= 0. then 1.
   else begin

@@ -9,12 +9,6 @@ val distance :
 (** Two-sample KS statistic from raw observations. *)
 val two_sample : float array -> float array -> float
 
-(** Kolmogorov's limiting tail function
-    [Q(lambda) = 2 sum_j (-1)^(j-1) exp(-2 j^2 lambda^2)] — the asymptotic
-    probability of a KS statistic this large under the null. Clamped to
-    [[0, 1]]; [1.] for [lambda <= 0]. *)
-val kolmogorov_q : float -> float
-
 (** Asymptotic two-sample p-value of {!two_sample}, with the standard
     finite-sample correction on the effective sample size. *)
 val p_value : float array -> float array -> float

@@ -75,8 +75,6 @@ let gamma_p a x =
   else if x < a +. 1. then gamma_p_series a x
   else 1. -. gamma_q_cf a x
 
-let gamma_q a x = 1. -. gamma_p a x
-
 (* Abramowitz & Stegun 7.1.26, max error 1.5e-7; adequate for tests. *)
 let erf x =
   let sign = if x < 0. then -1. else 1. in

@@ -6,12 +6,6 @@ val log_gamma : float -> float
 (** Regularised lower incomplete gamma [P(a, x)], for [a > 0], [x >= 0]. *)
 val gamma_p : float -> float -> float
 
-(** Regularised upper incomplete gamma [Q(a, x) = 1 - P(a, x)]. *)
-val gamma_q : float -> float -> float
-
-(** Natural log of the (complete) beta function [B(a, b)]. *)
-val log_beta : float -> float -> float
-
 (** Regularised incomplete beta [I_x(a, b)] (continued fraction), for
     [a, b > 0] and [x] in [[0, 1]] — the tail function behind Student's t
     p-values. *)

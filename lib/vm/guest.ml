@@ -179,5 +179,4 @@ let deliver_due_timers t =
   loop ()
 
 let set_muted t muted = t.muted <- muted
-let has_work t = not (Queue.is_empty t.actions)
 let sent_packets t = t.sent

@@ -69,10 +69,6 @@ val next_timer_virt : t -> Sw_sim.Time.t option
 (** Delivers every timer and PIT tick whose deadline has been reached. *)
 val deliver_due_timers : t -> unit
 
-(** True when the guest has real work queued (as opposed to idle spin) —
-    used for CPU accounting, never for scheduling decisions. *)
-val has_work : t -> bool
-
 (** Packets emitted so far. *)
 val sent_packets : t -> int
 

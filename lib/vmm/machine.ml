@@ -116,7 +116,6 @@ let set_slowdown t factor =
   t.slowdown <- factor
 
 let slowdown t = t.slowdown
-let stalled_until t = t.stalled_until
 
 (* Dom0 runs the device models for every resident on one shared thread; work
    is served FIFO — the queueing delay coresident VMs impose on each other
@@ -148,8 +147,6 @@ let transmit t pkt =
       ignore
         (Engine.schedule_at t.engine depart (fun () ->
              Sw_net.Network.send t.network pkt)))
-
-let account_inbound t = dom0_work t t.config.Config.dom0_per_packet
 
 let dma_execute t ~bytes k =
   if bytes <= 0 then invalid_arg "Machine.dma_execute: bytes must be positive";

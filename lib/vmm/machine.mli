@@ -64,9 +64,6 @@ val dom0_work : t -> Sw_sim.Time.t -> unit
     serialises the packet out of the NIC FIFO. *)
 val transmit : t -> Sw_net.Packet.t -> unit
 
-(** Charges Dom0 for an inbound packet (the VMM's receive-path work). *)
-val account_inbound : t -> unit
-
 (** [dma_execute t ~bytes k] queues a transfer on the machine's DMA engine
     (FIFO, [dma_bps]); [k] runs at completion. Coresident VMs' transfers
     queue behind each other, like the disk. *)
@@ -100,4 +97,3 @@ val pause_dom0 : t -> until:Sw_sim.Time.t -> unit
 val set_slowdown : t -> float -> unit
 
 val slowdown : t -> float
-val stalled_until : t -> Sw_sim.Time.t

@@ -135,8 +135,6 @@ let quorum_ids t =
     t.members;
   List.rev !ids
 
-let in_quorum t m = m.active && List.mem m.replica_id (quorum_ids t)
-
 let blocked _t m = m.blocked_skew || m.blocked_epoch
 
 (* Deschedule the strictly fastest member when it leads the second fastest

@@ -110,9 +110,6 @@ val quorum : t -> int
     the lowest ids, ascending. *)
 val quorum_ids : t -> int list
 
-(** Whether this member currently votes. *)
-val in_quorum : t -> member -> bool
-
 (** [eject t m ~now] removes [m] from the voting population: recomputes skew
     over the survivors, re-attempts epoch resolution over the new quorum, and
     notifies {!on_membership_change} listeners. Idempotent. *)

@@ -91,14 +91,10 @@ let disk_interrupts i = Registry.Counter.value i.m_disk_irq
 let dma_interrupts i = Registry.Counter.value i.m_dma_irq
 let inter_delivery_virts_ms i = Sw_sim.Samples.to_array i.inter_delivery
 let delta_d_violations i = Registry.Counter.value i.m_delta_d
-let unknown_packets t = Registry.Counter.value t.m_unknown
-let instance_of_vm t vm = Hashtbl.find_opt t.instances vm
 let set_trace i tr = i.trace <- Some tr
 
 let log_op i entry =
   if i.config.Config.replay_log then i.log_rev <- entry :: i.log_rev
-
-let median_source_counts i = Array.map Registry.Sum.value i.m_median_sources
 
 (* Guard every emission with [trace_on] so a disabled (or absent) sink costs
    one branch: no event payload is allocated and nothing is formatted. *)

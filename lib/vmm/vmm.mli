@@ -42,8 +42,6 @@ val host :
   peers:Sw_net.Address.t list ->
   instance
 
-val instance_of_vm : t -> int -> instance option
-
 (** The registry path prefix this replica's metrics live under:
     ["vmm.<machine>.vm<vm>"] (e.g. [<prefix>.net_deliveries],
     [<prefix>.median.source.r<k>]) — for reading them back out of a
@@ -69,15 +67,6 @@ val inter_delivery_virts_ms : instance -> float array
 
 (** Times data was not ready by its virtual disk-delivery time. *)
 val delta_d_violations : instance -> int
-
-(** Per replica id, how many network-interrupt medians adopted that
-    replica's proposal (ties split evenly). A collaborating attacker loading
-    one machine tries to push that replica out of this distribution
-    (paper Sec. IX). *)
-val median_source_counts : instance -> float array
-
-(** Packets this VMM could not attribute to a hosted guest. *)
-val unknown_packets : t -> int
 
 (** [set_trace i tr] makes the replica emit typed protocol events
     ({!Sw_obs.Event.Packet_proposed}, [Median_adopted], [Packet_delivered],

@@ -10,7 +10,6 @@ type t = {
   suspicions : (int, int) Hashtbl.t;
   mutable stopped : bool;
   mutable trace : Sw_obs.Trace.t option;
-  mutable on_eject : (Replica_group.member -> unit) list;
 }
 
 let trace_on t = Sw_obs.Trace.active t.trace
@@ -48,8 +47,7 @@ let sweep t =
               if trace_on t then
                 emit t
                   (Event.Degrade_ejected
-                     { vm; replica = id; quorum = Replica_group.quorum t.group });
-              List.iter (fun f -> f m) (List.rev t.on_eject)
+                     { vm; replica = id; quorum = Replica_group.quorum t.group })
             end
           end
           else Hashtbl.remove t.suspicions id
@@ -73,7 +71,6 @@ let create engine group =
           suspicions = Hashtbl.create 8;
           stopped = false;
           trace = None;
-          on_eject = [];
         }
       in
       let rec tick () =
@@ -89,5 +86,4 @@ let create engine group =
       t
 
 let set_trace t tr = t.trace <- Some tr
-let on_eject t f = t.on_eject <- f :: t.on_eject
 let stop t = t.stopped <- true

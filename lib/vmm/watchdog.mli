@@ -26,12 +26,5 @@ val create : Sw_sim.Engine.t -> Replica_group.t -> t
 (** Emit [Degrade_*] events into [tr]. *)
 val set_trace : t -> Sw_obs.Trace.t -> unit
 
-(** [on_eject t f] registers [f] to run after each ejection (after group
-    listeners), e.g. to schedule a restart. *)
-val on_eject : t -> (Replica_group.member -> unit) -> unit
-
-(** Consecutive suspicious sweeps currently held against replica [id]. *)
-val suspicion : t -> int -> int
-
 (** Stops the sweep loop permanently. *)
 val stop : t -> unit

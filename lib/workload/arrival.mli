@@ -43,15 +43,9 @@ type t =
     [peak < base], negative spans, or a non-increasing replay table. *)
 val validate : t -> unit
 
-(** Instantaneous rate (arrivals per second) at instant [t]. *)
-val rate_at : t -> Sw_sim.Time.t -> float
-
-(** The least upper bound of [rate_at] — the thinning envelope. *)
-val peak_rate : t -> float
-
 (** [mean_count t ~until] is the exact expected number of arrivals in
-    [[0, until)) — the analytic integral of [rate_at], the reference the
-    property tests compare sampled counts against. *)
+    [[0, until)) — the analytic integral of the instantaneous rate, the
+    reference the property tests compare sampled counts against. *)
 val mean_count : t -> until:Sw_sim.Time.t -> float
 
 (** A stateful enumerator of arrival instants. *)

@@ -14,8 +14,6 @@ type attack = {
   duration : Time.t;
   replicas : int;
   ping_rate_per_s : float;
-  colluder_burst : int;
-  background_rate_per_s : float;
   variants : attack_variant list;
 }
 
@@ -52,9 +50,7 @@ type workload = {
   attack : attack_probe option;
   topology : topology option;
   load_multipliers : float list;
-  trace : bool;
   leak_audit : bool;
-  profile : bool;
 }
 
 type kind = Attack of attack | Workload of workload
@@ -417,9 +413,7 @@ let workload_of_json path fields =
     load_multipliers =
       opt fields path "load_multipliers" ~default:[ 1. ] (fun p v ->
           List.map (as_num p) (as_arr p v));
-    trace = opt fields path "trace" ~default:false as_bool;
     leak_audit = opt fields path "leak_audit" ~default:false as_bool;
-    profile = opt fields path "profile" ~default:false as_bool;
   }
 
 let workload_to_json (w : workload) =
@@ -483,11 +477,7 @@ let workload_to_json (w : workload) =
               | None -> []
               | Some us -> [ ("quantum_us", Json.Float us) ]) );
         ])
-  @ [
-      ("trace", Json.Bool w.trace);
-      ("leak_audit", Json.Bool w.leak_audit);
-      ("profile", Json.Bool w.profile);
-    ]
+  @ [ ("leak_audit", Json.Bool w.leak_audit) ]
 
 (* --- Attack -------------------------------------------------------------- *)
 
@@ -503,11 +493,6 @@ let attack_of_json path fields =
     ping_rate_per_s =
       opt fields path "ping_rate_per_s" ~default:d.Scenario.ping_rate_per_s
         as_num;
-    colluder_burst =
-      opt fields path "colluder_burst" ~default:d.Scenario.colluder_burst as_int;
-    background_rate_per_s =
-      opt fields path "background_rate_per_s"
-        ~default:d.Scenario.background_rate_per_s as_num;
     variants =
       List.mapi
         (fun i v ->
@@ -528,8 +513,6 @@ let attack_to_json (a : attack) =
     ("duration_s", Json.Float (Time.to_float_s a.duration));
     ("replicas", Json.Int a.replicas);
     ("ping_rate_per_s", Json.Float a.ping_rate_per_s);
-    ("colluder_burst", Json.Int a.colluder_burst);
-    ("background_rate_per_s", Json.Float a.background_rate_per_s);
     ( "variants",
       Json.List
         (List.map
@@ -583,8 +566,6 @@ let check_topology (w : workload) =
       then Error "topology.quantum_us: must be > 0"
       else if t.shards > 1 && w.faults <> [] then
         Error "topology: fault schedules are not supported on a sharded run"
-      else if t.shards > 1 && w.trace then
-        Error "topology: tracing is not supported on a sharded run"
       else if t.shards > 1 && w.leak_audit then
         Error
           "topology: leak audits (which trace) are not supported on a \
@@ -723,8 +704,6 @@ let validate_attack path (a : attack) =
   positive_span (sub path "duration_s") a.duration;
   replicas (sub path "replicas") a.replicas;
   positive (sub path "ping_rate_per_s") a.ping_rate_per_s;
-  at_least 0 (sub path "colluder_burst") a.colluder_burst;
-  non_negative (sub path "background_rate_per_s") a.background_rate_per_s;
   not_empty (sub path "variants") a.variants;
   ignore
     (List.fold_left
@@ -736,17 +715,46 @@ let validate_attack path (a : attack) =
          (i + 1, v.key :: seen))
        (0, []) a.variants)
 
+let root () = "scenario"
+
+let check_values t =
+  match t.kind with
+  | Workload w -> validate_workload root w
+  | Attack a -> validate_attack root a
+
 let validate t =
-  let root () = "scenario" in
-  match
-    match t.kind with
-    | Workload w -> validate_workload root w
-    | Attack a -> validate_attack root a
-  with
-  | () -> Ok t
-  | exception Bad msg -> Error msg
+  match check_values t with () -> Ok t | exception Bad msg -> Error msg
 
 (* --- Top level ----------------------------------------------------------- *)
+
+let to_json t =
+  let kind, rest =
+    match t.kind with
+    | Workload w -> ("workload", workload_to_json w)
+    | Attack a -> ("attack", attack_to_json a)
+  in
+  Json.Obj
+    ((("name", Json.String t.name) :: ("kind", Json.String kind) :: []) @ rest)
+
+(* [to_json] re-emits every field the decoders read, so a key of the input
+   that is absent at the same path of [to_json decoded] is one no decoder
+   read: a typo or a field that does not exist. Paths are thunks, as in
+   validation. *)
+let rec check_known path input known =
+  match (input, known) with
+  | Json.Obj fields, Json.Obj known ->
+      List.iter
+        (fun (k, v) ->
+          match List.assoc_opt k known with
+          | Some kv -> check_known (sub path k) v kv
+          | None -> bad (sub path k ()) "unknown field")
+        fields
+  | Json.List items, Json.List known
+    when List.compare_lengths items known = 0 ->
+      List.iteri
+        (fun i (v, kv) -> check_known (nth path i) v kv)
+        (List.combine items known)
+  | _ -> ()
 
 let of_json json =
   match
@@ -758,19 +766,15 @@ let of_json json =
       | "attack" -> Attack (attack_of_json "scenario" fields)
       | k -> bad "scenario.kind" (Printf.sprintf "unknown kind %S" k)
     in
-    { name; kind }
+    let t = { name; kind } in
+    check_values t;
+    (* A top-level "comment" string is the one free-form key. *)
+    ignore (opt fields "scenario" "comment" ~default:"" as_str);
+    check_known root (Json.Obj (List.remove_assoc "comment" fields)) (to_json t);
+    t
   with
-  | t -> validate t
+  | t -> Ok t
   | exception Bad msg -> Error msg
-
-let to_json t =
-  let kind, rest =
-    match t.kind with
-    | Workload w -> ("workload", workload_to_json w)
-    | Attack a -> ("attack", attack_to_json a)
-  in
-  Json.Obj
-    ((("name", Json.String t.name) :: ("kind", Json.String kind) :: []) @ rest)
 
 let parse s = Result.bind (Json.parse s) of_json
 let print t = Json.to_string (to_json t)
@@ -793,8 +797,6 @@ let attack_specs (a : attack) =
         Scenario.duration = a.duration;
         seed = a.seed;
         ping_rate_per_s = a.ping_rate_per_s;
-        colluder_burst = a.colluder_burst;
-        background_rate_per_s = a.background_rate_per_s;
       }
       a.replicas
   in

@@ -4,7 +4,7 @@
     {!Sw_obs.Json} reader, so malformed files report line/column) that
     describes a complete scenario as data — arrival process, service mix,
     cache tiers, connection policy, fault schedule, attack placement,
-    trace/profile flags, duration — and compiles into the existing
+    leak audit, duration — and compiles into the existing
     in-tree spec types. Two kinds exist:
 
     - [kind = "workload"]: an open-loop traffic scenario compiled into a
@@ -18,7 +18,11 @@
 
     Omitted fields take documented defaults, so minimal files stay small;
     {!to_json} always re-emits every field, and [parse -> print -> parse]
-    is the identity (the round-trip property the tests pin). *)
+    is the identity (the round-trip property the tests pin). A key the
+    decoder does not know is an error, never silently ignored
+    (["scenario.variants[0].vicitm: unknown field"]): a misspelt
+    ["victim"] would otherwise run the no-victim configuration. The one
+    free-form key is a top-level ["comment"] string. *)
 
 type attack_variant = {
   key : string;  (** Runner job key, e.g. ["fig4/sw/victim"]. *)
@@ -32,8 +36,6 @@ type attack = {
   duration : Sw_sim.Time.t;
   replicas : int;
   ping_rate_per_s : float;
-  colluder_burst : int;
-  background_rate_per_s : float;
   variants : attack_variant list;
 }
 
@@ -97,28 +99,25 @@ type workload = {
   attack : attack_probe option;
   topology : topology option;
   load_multipliers : float list;
-  trace : bool;
   leak_audit : bool;
       (** Record leak-observation series during the run: forces the trace
           sink on and fills {!Run.result}'s [leak_series] from the lineage
           [observations] fold plus the attack probe's inter-delivery
           series. *)
-  profile : bool;
 }
 
 type kind = Attack of attack | Workload of workload
 type t = { name : string; kind : kind }
 
-(** Structured decode plus the value checks of {!override}, with
-    field-path error context
-    (e.g. ["scenario.arrival.process: unknown process \"diurnl\""],
-    ["scenario.replicas: must be odd and positive (got 2)"]). *)
-val of_json : Sw_obs.Json.t -> (t, string) result
-
 (** Re-emits every field explicitly (defaults included). *)
 val to_json : t -> Sw_obs.Json.t
 
-(** [parse s] = JSON parse (line/column errors) + {!of_json}. *)
+(** [parse s] = JSON parse (line/column errors), structured decode, the
+    value checks of {!override} and the unknown-key check, each failure
+    with field-path context
+    (e.g. ["scenario.arrival.process: unknown process \"diurnl\""],
+    ["scenario.replicas: must be odd and positive (got 2)"],
+    ["scenario.leak_adit: unknown field"]). *)
 val parse : string -> (t, string) result
 
 (** [print t] = [Sw_obs.Json.to_string (to_json t)]. *)
@@ -135,13 +134,13 @@ val attack_specs : attack -> (string * Sw_attack.Scenario.spec) list
     replaces the duration of either kind; [shards] and [partition] replace
     the topology block's own fields (a scenario without a topology block
     runs unsharded and ignores them). The result is validated as
-    {!of_json} validates a file: every semantic error of either kind is
+    {!parse} validates a file: every semantic error of either kind is
     rejected with a field-path message — non-positive durations, even or
     non-positive replica counts, negative rates, sizes and spans,
     malformed caches, service mixes and fault windows, duplicate attack
     variant keys, and the topology block's partition rule (hosts a
     multiple of replicas; cells dividing evenly into shards; no faults,
-    trace, leak audit or attack probe on a sharded run). Only values are
+    leak audit or attack probe on a sharded run). Only values are
     checked, so validating costs microseconds. With no override this is
     validation alone. *)
 val override :

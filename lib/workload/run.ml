@@ -18,12 +18,14 @@ type result = {
   p99_ms : float;
   attacker_inter_delivery_ms : float array;
   leak_series : (string * float array) list;
-  trace : Sw_obs.Trace.t option;
   metrics : Snapshot.t;
   fired : int;
   cross_shard : int;
 }
 
+(* The [q]-quantile (in ms) of a snapshot histogram: the upper bound of the
+   first bucket whose cumulative count reaches [q], clamped to the observed
+   min/max; [0.] when the histogram is absent or empty. *)
 let quantile_ms snapshot name q =
   match Snapshot.histogram snapshot name with
   | None -> 0.
@@ -58,10 +60,9 @@ let prepare_single (w : Dsl.workload) =
   let m = w.replicas in
   let config = { Sw_vmm.Config.default with Sw_vmm.Config.replicas = m } in
   let machines = if w.stopwatch then m else 1 in
-  let profile = if w.profile then Some (Sw_obs.Profile.create ()) else None in
-  let cloud = Cloud.create ~config ~seed:w.seed ?profile ~machines () in
+  let cloud = Cloud.create ~config ~seed:w.seed ~machines () in
   let trace =
-    if not (w.trace || w.leak_audit) then None
+    if not w.leak_audit then None
     else begin
       let tr = Sw_obs.Trace.create ~metrics:(Cloud.metrics cloud) () in
       Cloud.attach_trace cloud tr;
@@ -153,7 +154,6 @@ let prepare_single (w : Dsl.workload) =
       p99_ms = quantile_ms metrics "workload.response_ns" 0.99;
       attacker_inter_delivery_ms;
       leak_series = observe ();
-      trace;
       metrics;
       fired = Cloud.total_fired cloud;
       cross_shard = Cloud.cross_shard_exchanged cloud;
@@ -196,7 +196,7 @@ let traffic_graph (w : Dsl.workload) =
    generator is derived from [(seed, purpose, cell)] alone. The remaining
    cross-shard reordering is between same-instant events of *different*
    cells, which share no state. *)
-let prepare_datacenter ?assign ?lookahead (w : Dsl.workload)
+let prepare_datacenter ?assign (w : Dsl.workload)
     (topo : Dsl.topology) =
   let r = w.replicas in
   let cells = topo.Dsl.hosts / r in
@@ -271,7 +271,7 @@ let prepare_datacenter ?assign ?lookahead (w : Dsl.workload)
   in
   let cloud =
     Cloud.create ~config ~seed:w.seed ~default_link ~machines:topo.Dsl.hosts
-      ~shards:topo.Dsl.shards ~partition:cloud_partition ?lookahead ()
+      ~shards:topo.Dsl.shards ~partition:cloud_partition ()
   in
   (* The rack-local replica interconnect: a fast directed link for every
      ordered VMM pair inside a cell, installed before any deployment sends a
@@ -387,7 +387,6 @@ let prepare_datacenter ?assign ?lookahead (w : Dsl.workload)
       p99_ms = quantile_ms merged "workload.response_ns" 0.99;
       attacker_inter_delivery_ms = [||];
       leak_series = [];
-      trace = None;
       metrics;
       fired = Cloud.total_fired cloud;
       cross_shard = Cloud.cross_shard_exchanged cloud;
@@ -395,7 +394,7 @@ let prepare_datacenter ?assign ?lookahead (w : Dsl.workload)
   in
   { cloud; until = Time.add w.duration drain; finish; observe = (fun () -> []) }
 
-let prepare ?shards ?partition ?lookahead (w : Dsl.workload) =
+let prepare ?shards ?partition (w : Dsl.workload) =
   let assign, partition =
     match partition with
     | None -> (None, None)
@@ -410,11 +409,11 @@ let prepare ?shards ?partition ?lookahead (w : Dsl.workload) =
   | Ok { Dsl.kind = Dsl.Attack _; _ } -> assert false (* override keeps kinds *)
   | Ok { Dsl.kind = Dsl.Workload w; _ } -> (
       match w.topology with
-      | Some topo -> prepare_datacenter ?assign ?lookahead w topo
+      | Some topo -> prepare_datacenter ?assign w topo
       | None -> prepare_single w)
 
-let run ?shards ?partition ?lookahead (w : Dsl.workload) =
-  let h = prepare ?shards ?partition ?lookahead w in
+let run ?shards ?partition (w : Dsl.workload) =
+  let h = prepare ?shards ?partition w in
   Cloud.run h.cloud ~until:h.until;
   h.finish ()
 

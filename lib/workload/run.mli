@@ -3,7 +3,7 @@
     Builds the cloud described by a {!Dsl.workload} — StopWatch replicas or
     an unmodified-Xen baseline, the {!Kv} front service, the {!Flowgen}
     open-loop client, optional co-resident attack probe, fault schedule,
-    trace/profile instrumentation — advances the simulation for the
+    leak-audit tracing — advances the simulation for the
     scenario's duration plus a fixed drain window, and distils the
     [workload.*] metrics into a result record.
 
@@ -27,20 +27,12 @@ type result = {
           ["vm<i>/<mechanism>"] series per lineage observation — the input
           an [Sw_leak.Audit] pairs across two configurations. Empty unless
           the scenario set [leak_audit]. *)
-  trace : Sw_obs.Trace.t option;
-      (** The cloud-wide trace sink, when the scenario asked for one. *)
   metrics : Sw_obs.Snapshot.t;
   fired : int;
       (** Engine events fired across all shards — the numerator of the
           events/s throughput the shard-scale bench reports. *)
   cross_shard : int;  (** Messages exchanged at shard barriers; 0 unsharded. *)
 }
-
-(** [quantile_ms snapshot name q] reads the [q]-quantile (in ms) of a
-    histogram out of a snapshot: the upper bound of the first bucket whose
-    cumulative count reaches [q], clamped to the observed min/max. [0.]
-    when the histogram is absent or empty. *)
-val quantile_ms : Sw_obs.Snapshot.t -> string -> float -> float
 
 (** A built-but-not-yet-run scenario: the cloud with all guests, clients,
     probes, and fault schedules installed, the time the load (plus drain)
@@ -68,13 +60,12 @@ type handle = {
     scenario without a topology block yields the trivial 1-cell graph. *)
 val traffic_graph : Dsl.workload -> Sw_placement.Affinity.graph
 
-(** [prepare ?shards ?partition ?lookahead w] builds the scenario without
+(** [prepare ?shards ?partition w] builds the scenario without
     advancing it; see {!run} for the scenario semantics and {!handle} for
     what to do next. *)
 val prepare :
   ?shards:int ->
   ?partition:[ `Contiguous | `Affinity | `Assign of int array ] ->
-  ?lookahead:[ `Global | `Pairwise ] ->
   Dsl.workload ->
   handle
 
@@ -87,19 +78,17 @@ val prepare :
     command line, [?partition] likewise overrides the block's cell
     placement ([`Assign a] additionally accepts an arbitrary explicit
     cell-to-shard map — the hook the partition-independence property test
-    drives with random maps), and [?lookahead] selects the conductor's
-    bound ({!Stopwatch.Cloud.create}'s parameter; default pairwise). The
-    scenario is zero-draw (no jitter, no loss, no disk seek) and every
-    generator is key-derived, so the result is byte-identical across
-    shard counts, partitions, and lookahead modes outside the [sim.*]
-    metric namespace. [?shards] and [?partition] go through
-    {!Dsl.override}; raises [Invalid_argument] when {!Dsl.validate}
-    rejects the (possibly overridden) workload or an [`Assign] map is
-    malformed. *)
+    drives with random maps). The conductor bounds each shard pair by its
+    own latency floor ({!Stopwatch.Cloud.create}). The scenario is
+    zero-draw (no jitter, no loss, no disk seek) and every generator is
+    key-derived, so the result is byte-identical across shard counts and
+    partitions outside the [sim.*] metric namespace. [?shards] and
+    [?partition] go through {!Dsl.override}; raises [Invalid_argument]
+    when it rejects the (possibly overridden) workload or an [`Assign] map
+    is malformed. *)
 val run :
   ?shards:int ->
   ?partition:[ `Contiguous | `Affinity | `Assign of int array ] ->
-  ?lookahead:[ `Global | `Pairwise ] ->
   Dsl.workload ->
   result
 

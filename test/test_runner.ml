@@ -69,6 +69,29 @@ let test_pool_shutdown_drains () =
        false
      with Invalid_argument _ -> true)
 
+(* A raising task is swallowed and counted: the one worker survives to run
+   the next task, and the escape shows in [escaped_exceptions]. *)
+let test_pool_counts_escapes () =
+  let ran_after = Atomic.make false in
+  let pool = Pool.create ~workers:1 () in
+  Pool.submit pool (fun () -> failwith "escaped");
+  Pool.submit pool (fun () -> Atomic.set ran_after true);
+  Pool.shutdown pool;
+  Alcotest.(check bool) "worker survived the raise" true (Atomic.get ran_after);
+  Alcotest.(check int) "escape counted" 1 (Pool.escaped_exceptions pool)
+
+(* Runner catches per attempt, so a raising job never reaches the pool's
+   worker loop: the counter stays 0 and the failure is the job's. *)
+let test_runner_escapes_nothing () =
+  let pool = Pool.create ~workers:1 () in
+  let out =
+    Runner.map ~pool ~backoff_s:0.
+      [ Job.make ~key:"boom" (fun ~seed:_ -> failwith "caught") ]
+  in
+  Pool.shutdown pool;
+  Alcotest.(check int) "failure recorded" 1 (List.length (Runner.failures out));
+  Alcotest.(check int) "nothing escaped" 0 (Pool.escaped_exceptions pool)
+
 (* --- Runner semantics ----------------------------------------------------- *)
 
 let int_jobs n = List.init n (fun i -> Job.make ~key:(Printf.sprintf "job%d" i) (fun ~seed:_ -> i))
@@ -333,6 +356,10 @@ let () =
         [
           Alcotest.test_case "runs all tasks" `Quick test_pool_runs_all_tasks;
           Alcotest.test_case "shutdown drains" `Quick test_pool_shutdown_drains;
+          Alcotest.test_case "escaped exceptions counted" `Quick
+            test_pool_counts_escapes;
+          Alcotest.test_case "runner escapes nothing" `Quick
+            test_runner_escapes_nothing;
         ] );
       ( "runner",
         [

@@ -309,6 +309,24 @@ let test_error_positions () =
   expect_error ~substring:"scenario.variants[1].key"
     {|{ "name": "x", "kind": "attack",
        "variants": [ { "key": "a" }, { "key": "a", "victim": true } ] }|};
+  (* A key no decoder reads is an error at its path, never ignored: a
+     misspelt "victim" would run the no-victim half of the Fig. 4 pair. *)
+  expect_error ~substring:"scenario.leak_adit: unknown field"
+    (workload {|"leak_adit": true,|});
+  expect_error ~substring:"scenario.service.zipf_thta: unknown field"
+    (workload {|"service": { "zipf_thta": 1.2 },|});
+  expect_error ~substring:"scenario.variants[0].vicitm: unknown field"
+    {|{ "name": "x", "kind": "attack",
+       "variants": [ { "key": "a", "vicitm": true } ] }|};
+  expect_error ~substring:"scenario.trace: unknown field"
+    (workload {|"trace": true,|});
+  expect_error ~substring:"scenario.colluder_burst: unknown field"
+    (attack {|"colluder_burst": 30,|});
+  expect_error ~substring:"scenario.comment: expected a string"
+    (workload {|"comment": 1,|});
+  (match Dsl.parse (workload {|"comment": "free-form",|}) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "a top-level comment was rejected: %s" e);
   List.iter
     (fun (file, seconds) ->
       match Dsl.override ~seconds (load file) with
@@ -453,11 +471,10 @@ let test_shards_1_vs_4_bytes () =
 (* The partition analogue of the shard-count contract, on the bench's
    chatty-but-splittable shape: a stride ring whose every east-west edge
    leaves its contiguous block, plus a fast rack-local replica
-   interconnect that only the per-pair lookahead matrix can keep out of
-   the cross-shard windows. Contiguous blocks under the legacy global
-   scalar, and affinity packing under the pairwise matrix, must both
+   interconnect that the per-pair lookahead matrix keeps out of the
+   cross-shard windows. Contiguous blocks and affinity packing must both
    reproduce the shards=1 bytes — while moving real cross-shard load. *)
-let test_partition_and_lookahead_bytes () =
+let test_partition_bytes () =
   let w =
     {
       (small_workload ()) with
@@ -470,13 +487,13 @@ let test_partition_and_lookahead_bytes () =
     }
   in
   let r1 = Run.run ~shards:1 w in
-  let contiguous = Run.run ~partition:`Contiguous ~lookahead:`Global w in
-  let affinity = Run.run ~partition:`Affinity ~lookahead:`Pairwise w in
+  let contiguous = Run.run ~partition:`Contiguous w in
+  let affinity = Run.run ~partition:`Affinity w in
   Alcotest.(check bool) "served traffic" true (r1.Run.completed > 0);
-  Alcotest.(check string) "contiguous+global bytes"
+  Alcotest.(check string) "contiguous bytes"
     (contract_bytes r1.Run.metrics)
     (contract_bytes contiguous.Run.metrics);
-  Alcotest.(check string) "affinity+pairwise bytes"
+  Alcotest.(check string) "affinity bytes"
     (contract_bytes r1.Run.metrics)
     (contract_bytes affinity.Run.metrics);
   (* The stride ring cuts every contiguous block boundary; affinity packs
@@ -596,8 +613,8 @@ let () =
           Alcotest.test_case "workload merge -j1 = -j4" `Slow test_j1_j4_bytes;
           Alcotest.test_case "datacenter shards=1 = shards=4" `Slow
             test_shards_1_vs_4_bytes;
-          Alcotest.test_case "partition & lookahead are execution details"
-            `Slow test_partition_and_lookahead_bytes;
+          Alcotest.test_case "partition is an execution detail" `Slow
+            test_partition_bytes;
           QCheck_alcotest.to_alcotest prop_any_partition_same_bytes;
           Alcotest.test_case "?shards is a no-op without topology" `Slow
             test_shards_noop_without_topology;
