@@ -145,7 +145,7 @@ let epoch_jobs =
                epoch_drift
                  (Some
                     {
-                      Config.interval_branches = Int64.of_int interval;
+                      Config.interval_branches = interval;
                       slope_l = 0.9;
                       slope_u = 1.1;
                     })

@@ -63,7 +63,7 @@ let schedule ~duration ~mean_gap ~mean_span =
   let machines = (3 * m) - 2 in
   let crash =
     Schedule.at
-      (Int64.div duration 3L)
+      (Time.div_int duration 3)
       (Fault.Replica_crash
          { vm = 0; replica = 1; restart_after = Some (Time.ms 250) })
   in

@@ -42,17 +42,17 @@ let trace_emit_disabled =
   let sink = Some trace in
   fun () ->
     if Sw_obs.Trace.active sink then
-      Sw_obs.Trace.emit trace ~at_ns:0L
+      Sw_obs.Trace.emit trace ~at_ns:0
         (Sw_obs.Event.Packet_delivered
-           { vm = 0; replica = 1; seq = 2; virt_ns = 3L })
+           { vm = 0; replica = 1; seq = 2; virt_ns = 3 })
 
 let trace_emit_absent =
   let sink : Sw_obs.Trace.t option = None in
   fun () ->
     if Sw_obs.Trace.active sink then
-      Sw_obs.Trace.emit (Option.get sink) ~at_ns:0L
+      Sw_obs.Trace.emit (Option.get sink) ~at_ns:0
         (Sw_obs.Event.Packet_delivered
-           { vm = 0; replica = 1; seq = 2; virt_ns = 3L })
+           { vm = 0; replica = 1; seq = 2; virt_ns = 3 })
 
 let counter_incr =
   let registry = Sw_obs.Registry.create () in
@@ -62,7 +62,7 @@ let counter_incr =
 let histogram_observe =
   let registry = Sw_obs.Registry.create () in
   let h = Sw_obs.Registry.histogram registry "bench.histogram" in
-  fun () -> Sw_obs.Registry.Histogram.observe h 12_345L
+  fun () -> Sw_obs.Registry.Histogram.observe h 12_345
 
 let ping_cloud () =
   (* One full StopWatch delivery round trip. *)

@@ -36,6 +36,7 @@ let experiments =
     ("shard", fun ~pool:_ -> Bench_shard.run ());
     ("micro", fun ~pool:_ -> Bench_micro.run ());
     ("engine", fun ~pool:_ -> Bench_engine.run ());
+    ("alloc", fun ~pool:_ -> Bench_alloc.run ());
     ("ckpt", fun ~pool:_ -> Bench_ckpt.run ());
     ("chaos", fun ~pool -> Bench_chaos.run ?pool ());
     ("leak", fun ~pool -> Bench_leak.run ?pool ());

@@ -336,7 +336,7 @@ let jsonl_of_entries ~meta entries =
       line
         (J.Obj
            [
-             ("at_ns", J.of_int64 e.Sw_obs.Trace.at_ns);
+             ("at_ns", J.Int e.Sw_obs.Trace.at_ns);
              ("kind", J.String (Sw_obs.Event.label e.Sw_obs.Trace.event));
              ( "text",
                J.String
@@ -746,27 +746,27 @@ let soak_cmd =
           if not quiet then
             match ev with
             | Sw_ckpt.Soak.Resumed { index; sim_ns } ->
-                Printf.eprintf "  [soak] resumed from checkpoint %d (t=%Ldns)\n%!"
+                Printf.eprintf "  [soak] resumed from checkpoint %d (t=%dns)\n%!"
                   index sim_ns
             | Sw_ckpt.Soak.Checkpointed { index; sim_ns; bytes; _ } ->
-                Printf.eprintf "  [soak] checkpoint %d at %Ldns (%d bytes)\n%!"
+                Printf.eprintf "  [soak] checkpoint %d at %dns (%d bytes)\n%!"
                   index sim_ns bytes
             | Sw_ckpt.Soak.Skipped_image { path; error } ->
                 Printf.eprintf "  [soak] skipped %s: %s\n%!" path
                   (Sw_ckpt.Image.error_to_string error)
             | Sw_ckpt.Soak.Leak_sampled { index; sim_ns; leak } ->
-                Printf.eprintf "  [soak] leak sample at checkpoint %d (t=%Ldns): %s\n%!"
+                Printf.eprintf "  [soak] leak sample at checkpoint %d (t=%dns): %s\n%!"
                   index sim_ns
                   (if leak then "drift flagged" else "clean")
             | Sw_ckpt.Soak.Finished { sim_ns } ->
-                Printf.eprintf "  [soak] finished at %Ldns\n%!" sim_ns
+                Printf.eprintf "  [soak] finished at %dns\n%!" sim_ns
         in
         match
           Sw_ckpt.Soak.run ~scenario:scn ~dir ~every:(Time.of_float_s every_s)
             ?kill_after ?keep ~on_event ()
         with
         | exception Sw_ckpt.Soak.Killed { checkpoints; sim_ns } ->
-            Printf.eprintf "  [soak] killed after %d checkpoint(s) at %Ldns\n%!"
+            Printf.eprintf "  [soak] killed after %d checkpoint(s) at %dns\n%!"
               checkpoints sim_ns;
             killed_exit
         | exception Invalid_argument e -> error e

@@ -21,7 +21,7 @@ let echo : App.factory =
       | App.Packet_in { Packet.payload = Packet.App (Msg.Probe_ping n); src; _ } ->
           ( (),
             [
-              App.Compute 50_000L (* ~50 us of guest work *);
+              App.Compute 50_000 (* ~50 us of guest work *);
               App.Send
                 { dst = src; size = 100; payload = Packet.App (Msg.Probe_echo n) };
             ] )

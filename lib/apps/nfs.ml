@@ -25,7 +25,7 @@ let reply_bytes = function
   | Read -> transfer_bytes + 200
   | _ -> 160
 
-let compute_of_op = function Lookup | Getattr -> 80_000L | _ -> 30_000L
+let compute_of_op = function Lookup | Getattr -> 80_000 | _ -> 30_000
 
 (* Deterministic per-xid hash in [0, 1) — identical across replicas. *)
 let xid_hash xid = float_of_int (xid * 2654435761 land 0xFFFFF) /. 1048576.

@@ -2,7 +2,7 @@ module App = Sw_vm.App
 
 type profile = {
   name : string;
-  compute_branches : int64;
+  compute_branches : int;
   io_count : int;
   io_bytes : int;
   random_io_fraction : float;
@@ -16,7 +16,7 @@ type profile = {
 let ferret =
   {
     name = "ferret";
-    compute_branches = 120_000_000L;
+    compute_branches = 120_000_000;
     io_count = 31;
     io_bytes = 16384;
     random_io_fraction = 0.3;
@@ -24,13 +24,13 @@ let ferret =
   }
 
 let blackscholes =
-  { ferret with name = "blackscholes"; compute_branches = 114_000_000L; io_count = 38 }
+  { ferret with name = "blackscholes"; compute_branches = 114_000_000; io_count = 38 }
 
 let canneal =
   {
     ferret with
     name = "canneal";
-    compute_branches = 1_228_000_000L;
+    compute_branches = 1_228_000_000;
     io_count = 183;
   }
 
@@ -38,7 +38,7 @@ let dedup =
   {
     ferret with
     name = "dedup";
-    compute_branches = 3_246_000_000L;
+    compute_branches = 3_246_000_000;
     io_count = 293;
     write_fraction = 0.4;
   }
@@ -47,7 +47,7 @@ let streamcluster =
   {
     ferret with
     name = "streamcluster";
-    compute_branches = 245_000_000L;
+    compute_branches = 245_000_000;
     io_count = 27;
   }
 
@@ -62,7 +62,7 @@ let app profile ~collector () =
   let phase = ref 0 in
   let compute_per_phase =
     if profile.io_count = 0 then profile.compute_branches
-    else Int64.div profile.compute_branches (Int64.of_int profile.io_count)
+    else profile.compute_branches / profile.io_count
   in
   let next_actions () =
     let i = !phase in
@@ -86,8 +86,7 @@ let app profile ~collector () =
     else if i = profile.io_count then
       [
         App.Compute
-          (Int64.sub profile.compute_branches
-             (Int64.mul compute_per_phase (Int64.of_int profile.io_count)));
+          (profile.compute_branches - (compute_per_phase * profile.io_count));
         App.Send
           {
             dst = collector;

@@ -14,7 +14,7 @@
 
 type profile = {
   name : string;
-  compute_branches : int64;  (** Total computation (1 branch = 1 ns here). *)
+  compute_branches : int;  (** Total computation (1 branch = 1 ns here). *)
   io_count : int;  (** Disk interrupts during the run (Fig. 7(b)). *)
   io_bytes : int;  (** Bytes per disk request. *)
   random_io_fraction : float;  (** Fraction of non-sequential requests. *)

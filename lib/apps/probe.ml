@@ -14,11 +14,11 @@ let receiver ?echo_to ?(echo_every = 1) () () =
             match echo_to with
             | Some dst when !count mod echo_every = 0 ->
                 [
-                  App.Compute 20_000L;
+                  App.Compute 20_000;
                   App.Send
                     { dst; size = 100; payload = Packet.App (Msg.Probe_echo !count) };
                 ]
-            | _ -> [ App.Compute 20_000L ])
+            | _ -> [ App.Compute 20_000 ])
         | _ -> []);
   }
 
@@ -31,7 +31,7 @@ let streamer ~sink ~period ~burst ~bytes_per_packet ?(disk_every = 4) () () =
     List.concat
       (List.init n (fun i ->
            [
-             App.Compute 5_000L;
+             App.Compute 5_000;
              App.Send
                {
                  dst = sink;

@@ -19,7 +19,7 @@ type state = {
   transfers : (int, transfer) Hashtbl.t;  (** keyed by disk tag *)
   mutable next_tag : int;
   chunk_bytes : int;
-  inter_send_branches : int64;
+  inter_send_branches : int;
 }
 
 (* Emit the stream of datagrams for byte range [from, upto). *)
@@ -42,7 +42,7 @@ let stream st tr ~from ~upto =
   in
   go from []
 
-let server ?(chunk_bytes = 256 * 1024) ?(inter_send_branches = 2000L) () () =
+let server ?(chunk_bytes = 256 * 1024) ?(inter_send_branches = 2000) () () =
   let st =
     {
       transfers = Hashtbl.create 8;

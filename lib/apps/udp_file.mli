@@ -8,7 +8,7 @@
 (** [server ?chunk_bytes ?inter_send_branches ()] builds the server guest
     application. [inter_send_branches] models the per-datagram send-loop CPU
     cost (default 2000). *)
-val server : ?chunk_bytes:int -> ?inter_send_branches:int64 -> unit -> Sw_vm.App.factory
+val server : ?chunk_bytes:int -> ?inter_send_branches:int -> unit -> Sw_vm.App.factory
 
 (** [fetch host ~dst ~file ~size ~on_done ()] requests the file and calls
     [on_done ~elapsed_ms ~naks] when all bytes have arrived. Gaps are NAKed

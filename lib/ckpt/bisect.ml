@@ -15,7 +15,7 @@ type metric_diff = string * string option * string option
 
 type divergence = {
   index : int;
-  sim_ns : int64;
+  sim_ns : Sw_sim.Time.t;
   last_common : int option;
   metric_diff : metric_diff list;
   first_event :
@@ -26,7 +26,7 @@ type divergence = {
 type error =
   | Empty_timeline of string
   | No_common_index
-  | Grid_mismatch of { index : int; a_ns : int64; b_ns : int64 }
+  | Grid_mismatch of { index : int; a_ns : Sw_sim.Time.t; b_ns : Sw_sim.Time.t }
   | No_divergence of { compared : int }
   | Image_error of { path : string; error : Image.error }
   | Unloadable of { path : string; reason : string }
@@ -37,7 +37,7 @@ let pp_error fmt = function
       Format.fprintf fmt "the two timelines share no checkpoint index"
   | Grid_mismatch { index; a_ns; b_ns } ->
       Format.fprintf fmt
-        "checkpoint %d sits at %Ldns on one side, %Ldns on the other: \
+        "checkpoint %d sits at %dns on one side, %dns on the other: \
          different checkpoint intervals"
         index a_ns b_ns
   | No_divergence { compared } ->
@@ -65,7 +65,7 @@ let render_data = function
   | Snapshot.Counter n -> string_of_int n
   | Snapshot.Sum x | Snapshot.Gauge x -> Json.to_string (Json.Float x)
   | Snapshot.Histogram h ->
-      Printf.sprintf "histogram(count=%d,total=%Ldns)" h.Snapshot.count
+      Printf.sprintf "histogram(count=%d,total=%dns)" h.Snapshot.count
         h.Snapshot.total
 
 (* Name-merge two sorted metric lists, keeping only disagreeing names. *)
@@ -156,7 +156,7 @@ let first_divergence ~a ~b =
   let grid =
     List.find_opt
       (fun (_, (ea : Store.entry), (eb : Store.entry)) ->
-        ea.meta.Image.sim_ns <> eb.meta.Image.sim_ns)
+        not (Int64.equal ea.meta.Image.sim_ns eb.meta.Image.sim_ns))
       common
   in
   let* () =
@@ -166,8 +166,8 @@ let first_divergence ~a ~b =
           (Grid_mismatch
              {
                index;
-               a_ns = ea.meta.Image.sim_ns;
-               b_ns = eb.meta.Image.sim_ns;
+               a_ns = Int64.to_int ea.meta.Image.sim_ns;
+               b_ns = Int64.to_int eb.meta.Image.sim_ns;
              })
     | None -> Ok ()
   in
@@ -204,7 +204,7 @@ let first_divergence ~a ~b =
       match last_common with
       | None -> (None, None)
       | Some lc ->
-          let until = ea.meta.Image.sim_ns in
+          let until = Int64.to_int ea.meta.Image.sim_ns in
           let replay dir =
             match replay_trace (Store.path dir ~index:lc) ~until with
             | Ok v -> v
@@ -222,7 +222,7 @@ let first_divergence ~a ~b =
     Ok
       {
         index;
-        sim_ns = ea.meta.Image.sim_ns;
+        sim_ns = Int64.to_int ea.meta.Image.sim_ns;
         last_common;
         metric_diff;
         first_event;
@@ -239,7 +239,7 @@ let pp_entry_opt fmt = function
   | None -> Format.pp_print_string fmt "(trace ended)"
 
 let pp_divergence fmt d =
-  Format.fprintf fmt "first divergent checkpoint: #%d at %Ldns" d.index
+  Format.fprintf fmt "first divergent checkpoint: #%d at %dns" d.index
     d.sim_ns;
   (match d.last_common with
   | Some i -> Format.fprintf fmt " (last agreement: #%d)" i

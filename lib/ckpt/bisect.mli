@@ -33,7 +33,7 @@ type metric_diff = string * string option * string option
 
 type divergence = {
   index : int;  (** First checkpoint index whose fingerprints differ. *)
-  sim_ns : int64;  (** Simulated time of that checkpoint. *)
+  sim_ns : Sw_sim.Time.t;  (** Simulated time of that checkpoint. *)
   last_common : int option;
       (** Newest index where both sides still agreed; [None] when they
           disagree from the very first shared checkpoint. *)
@@ -55,7 +55,7 @@ type error =
   | Empty_timeline of string  (** Directory with no readable image. *)
   | No_common_index
       (** The two timelines share no checkpoint index at all. *)
-  | Grid_mismatch of { index : int; a_ns : int64; b_ns : int64 }
+  | Grid_mismatch of { index : int; a_ns : Sw_sim.Time.t; b_ns : Sw_sim.Time.t }
       (** Same index, different simulated time: the runs were checkpointed
           on different grids and cannot be compared. *)
   | No_divergence of { compared : int }

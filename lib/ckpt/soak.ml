@@ -4,11 +4,11 @@ module Run = Sw_workload.Run
 module Cloud = Stopwatch.Cloud
 
 type event =
-  | Resumed of { index : int; sim_ns : int64 }
-  | Checkpointed of { index : int; sim_ns : int64; path : string; bytes : int }
+  | Resumed of { index : int; sim_ns : Time.t }
+  | Checkpointed of { index : int; sim_ns : Time.t; path : string; bytes : int }
   | Skipped_image of { path : string; error : Image.error }
-  | Leak_sampled of { index : int; sim_ns : int64; leak : bool }
-  | Finished of { sim_ns : int64 }
+  | Leak_sampled of { index : int; sim_ns : Time.t; leak : bool }
+  | Finished of { sim_ns : Time.t }
 
 type error =
   | Wrong_scenario of { image : string; expected : string }
@@ -25,14 +25,14 @@ let pp_error fmt = function
 
 type outcome = {
   result : Run.result;
-  sim_ns : int64;
+  sim_ns : Time.t;
   checkpoints_written : int;
   resumed_from : int option;
   images_skipped : int;
-  leak_samples : (int64 * Sw_leak.Audit.t) list;
+  leak_samples : (Time.t * Sw_leak.Audit.t) list;
 }
 
-exception Killed of { checkpoints : int; sim_ns : int64 }
+exception Killed of { checkpoints : int; sim_ns : Time.t }
 
 let ( let* ) = Result.bind
 
@@ -82,7 +82,7 @@ let run ~scenario ~dir ~every ?kill_after ?keep
                 (Resumed
                    {
                      index = entry.Store.index;
-                     sim_ns = entry.Store.meta.Image.sim_ns;
+                     sim_ns = Int64.to_int entry.Store.meta.Image.sim_ns;
                    });
               Ok
                 ( h,
@@ -121,7 +121,7 @@ let run ~scenario ~dir ~every ?kill_after ?keep
   let rec drive () =
     let now = now_ns cloud in
     let next_grid =
-      Time.mul_int every (Int64.to_int (Int64.div now every) + 1)
+      Time.mul_int every (Time.div_int now every + 1)
     in
     if Time.compare next_grid until >= 0 then Cloud.run cloud ~until
     else begin
@@ -135,7 +135,7 @@ let run ~scenario ~dir ~every ?kill_after ?keep
           seed = w.Dsl.seed;
           shards = Dsl.shards w;
           index = !index;
-          sim_ns;
+          sim_ns = Int64.of_int sim_ns;
           fingerprint = Bisect.fingerprint cloud;
           payload_digest = Digest.string "";
           payload_len = 0;

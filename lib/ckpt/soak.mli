@@ -25,14 +25,14 @@
       caller's. *)
 
 type event =
-  | Resumed of { index : int; sim_ns : int64 }
-  | Checkpointed of { index : int; sim_ns : int64; path : string; bytes : int }
+  | Resumed of { index : int; sim_ns : Sw_sim.Time.t }
+  | Checkpointed of { index : int; sim_ns : Sw_sim.Time.t; path : string; bytes : int }
   | Skipped_image of { path : string; error : Image.error }
       (** An unusable newer image was passed over during recovery. *)
-  | Leak_sampled of { index : int; sim_ns : int64; leak : bool }
+  | Leak_sampled of { index : int; sim_ns : Sw_sim.Time.t; leak : bool }
       (** A leak sample was taken at checkpoint grid point [index]
           (scenarios with [leak_audit] only). *)
-  | Finished of { sim_ns : int64 }
+  | Finished of { sim_ns : Sw_sim.Time.t }
 
 type error =
   | Wrong_scenario of { image : string; expected : string }
@@ -43,11 +43,11 @@ val pp_error : Format.formatter -> error -> unit
 
 type outcome = {
   result : Sw_workload.Run.result;
-  sim_ns : int64;  (** Simulated time at the end of the run. *)
+  sim_ns : Sw_sim.Time.t;  (** Simulated time at the end of the run. *)
   checkpoints_written : int;  (** By this process. *)
   resumed_from : int option;  (** Checkpoint index, when resuming. *)
   images_skipped : int;  (** Unusable images passed over during recovery. *)
-  leak_samples : (int64 * Sw_leak.Audit.t) list;
+  leak_samples : (Sw_sim.Time.t * Sw_leak.Audit.t) list;
       (** One split-half drift audit per checkpoint grid point reached by
           this process, oldest first, stamped with the grid instant —
           empty unless the scenario set [leak_audit]. A resumed run
@@ -60,7 +60,7 @@ type outcome = {
     checkpoint, no report — simulating a crash at a reproducible point.
     The CLI maps it to a distinctive exit code; tests catch it and call
     {!run} again to exercise resumption. *)
-exception Killed of { checkpoints : int; sim_ns : int64 }
+exception Killed of { checkpoints : int; sim_ns : Sw_sim.Time.t }
 
 (** [run ~scenario ~dir ~every ()] drives [scenario] (which must be a
     [Workload]; [Invalid_argument] otherwise) to completion with a

@@ -40,7 +40,7 @@ let load_or_build ~dir ~key ~seed ~shards ~build =
               seed;
               shards;
               index = 0;
-              sim_ns = Sw_sim.Engine.now (Cloud.engine h.Run.cloud);
+              sim_ns = Int64.of_int (Sw_sim.Engine.now (Cloud.engine h.Run.cloud));
               fingerprint = Bisect.fingerprint h.Run.cloud;
               payload_digest = Digest.string "";
               payload_len = 0;

@@ -122,10 +122,9 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
           in
           let clock_offset =
             if Time.equal clock_spread Time.zero then Time.zero
-            else begin
-              let bound = Int64.to_int clock_spread in
-              Time.ns (Sw_sim.Prng.int hw_rng ((2 * bound) + 1) - bound)
-            end
+            else
+              Time.ns
+                (Sw_sim.Prng.int hw_rng ((2 * clock_spread) + 1) - clock_spread)
           in
           Sw_vmm.Machine.create engine network ~id ~config ~rate_multiplier
             ~clock_offset ())
@@ -202,10 +201,9 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
           in
           let clock_offset =
             if Time.equal clock_spread Time.zero then Time.zero
-            else begin
-              let bound = Int64.to_int clock_spread in
-              Time.ns (Sw_sim.Prng.int hw_rng ((2 * bound) + 1) - bound)
-            end
+            else
+              Time.ns
+                (Sw_sim.Prng.int hw_rng ((2 * clock_spread) + 1) - clock_spread)
           in
           let sh = shard_arr.(block.(id)) in
           Sw_vmm.Machine.create sh.sh_engine sh.sh_network ~id ~config

@@ -60,7 +60,7 @@ let vm_counter t vm =
 
 let draw_upto rng limit =
   if Time.equal limit Time.zero then Time.zero
-  else Time.ns (Sw_sim.Prng.int rng (1 + Int64.to_int limit))
+  else Time.ns (Sw_sim.Prng.int rng (1 + limit))
 
 let service_time t ~bytes ~sequential =
   let p = t.params in
@@ -85,8 +85,7 @@ let submit t ~vm ~kind:_ ~bytes ~sequential k =
   let start = Time.max now t.free_at in
   let finish = Time.add start service in
   t.free_at <- finish;
-  (* [Time.t] is int64 nanoseconds; simulated durations fit OCaml's int. *)
-  Registry.Counter.add t.m_busy_ns (Int64.to_int service);
+  Registry.Counter.add t.m_busy_ns service;
   Registry.Histogram.observe t.m_service service;
   let vm_completed = vm_counter t vm in
   ignore
@@ -106,4 +105,4 @@ let busy_time t = Time.ns (Registry.Counter.value t.m_busy_ns)
 
 let max_service_time t =
   let m = Registry.Histogram.max t.m_service in
-  if Int64.equal m Int64.min_int then Time.zero else m
+  if m = min_int then Time.zero else m

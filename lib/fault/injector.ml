@@ -177,7 +177,7 @@ let open_window t (spec : Schedule.spec) =
       match t.env.instance_of ~vm ~replica with
       | Some i ->
           Sw_vmm.Vmm.crash i;
-          emit_injected t spec.Schedule.fault ~span:0L;
+          emit_injected t spec.Schedule.fault ~span:Time.zero;
           Option.iter
             (fun delay ->
               ignore

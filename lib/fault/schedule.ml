@@ -46,7 +46,7 @@ let windows ~seed ~until ~mean_gap ~mean_span ~make =
     invalid_arg "Schedule.windows: mean_span must be positive";
   let rng = Prng.create seed in
   let draw_ns mean =
-    Int64.of_float (Prng.exponential rng ~rate:(1. /. Int64.to_float mean))
+    int_of_float (Prng.exponential rng ~rate:(1. /. float_of_int mean))
   in
   let rec loop acc now =
     let start = Time.add now (draw_ns mean_gap) in

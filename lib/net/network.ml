@@ -232,7 +232,7 @@ let deliver_via t ~target (pkt : Packet.t) =
     state.busy_until <- depart;
     let jitter =
       if Time.equal p.jitter Time.zero then Time.zero
-      else Time.ns (Sw_sim.Prng.int state.rng (1 + Int64.to_int p.jitter))
+      else Time.ns (Sw_sim.Prng.int state.rng (1 + p.jitter))
     in
     let extra_latency =
       match dist with Some d -> d.extra_latency | None -> Time.zero

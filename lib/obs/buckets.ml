@@ -4,15 +4,15 @@
 
 let bounds =
   let decades = 13 (* 10^0 .. 10^12 *) in
-  let b = Array.make ((3 * decades) + 1) 0L in
-  let v = ref 1L in
+  let b = Array.make ((3 * decades) + 1) 0 in
+  let v = ref 1 in
   for d = 0 to decades - 1 do
     b.((3 * d) + 0) <- !v;
-    b.((3 * d) + 1) <- Int64.mul 2L !v;
-    b.((3 * d) + 2) <- Int64.mul 5L !v;
-    v := Int64.mul 10L !v
+    b.((3 * d) + 1) <- 2 * !v;
+    b.((3 * d) + 2) <- 5 * !v;
+    v := 10 * !v
   done;
-  b.(3 * decades) <- Int64.max_int;
+  b.(3 * decades) <- max_int;
   b
 
 let count = Array.length bounds
@@ -21,13 +21,13 @@ let bound i =
   if i < 0 || i >= count then invalid_arg "Buckets.bound: index out of range";
   bounds.(i)
 
-let index v =
-  (* Binary search for the first bound >= v. *)
-  let rec go lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if Int64.compare bounds.(mid) v >= 0 then go lo mid else go (mid + 1) hi
-    end
-  in
-  if Int64.compare v 1L <= 0 then 0 else go 0 (count - 1)
+(* Binary search for the first bound >= v; top-level, so a histogram
+   observation allocates no closure over [v]. *)
+let rec search (v : int) lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if bounds.(mid) >= v then search v lo mid else search v (mid + 1) hi
+  end
+
+let index v = if v <= 1 then 0 else search v 0 (count - 1)

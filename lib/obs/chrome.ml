@@ -27,13 +27,12 @@ let egress_tid = 2
 let add_ts buf ns =
   (* Microseconds with nanosecond precision, as a decimal literal. *)
   Buffer.add_string buf
-    (Printf.sprintf "%Ld.%03Ld" (Int64.div ns 1000L) (Int64.rem ns 1000L))
+    (Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000))
 
 type emitter = { buf : Buffer.t; mutable first : bool }
 
 let str s buf = Json.escape buf s
 let int n buf = Buffer.add_string buf (string_of_int n)
-let i64 n buf = Buffer.add_string buf (Int64.to_string n)
 let ts ns buf = add_ts buf ns
 let raw s buf = Buffer.add_string buf s
 
@@ -118,9 +117,9 @@ let to_json ?meta ?profile entries =
   Buffer.add_string em.buf "{\"traceEvents\":[";
   (* First pass: the causal anchors flow arrows attach to, and the tracks
      that need naming. *)
-  let own_proposal : (Key.t, int64) Hashtbl.t = Hashtbl.create 256 in
-  let adoption_at : (Key.t, int64) Hashtbl.t = Hashtbl.create 256 in
-  let ingress_at : (int * int, int64) Hashtbl.t = Hashtbl.create 256 in
+  let own_proposal : (Key.t, int) Hashtbl.t = Hashtbl.create 256 in
+  let adoption_at : (Key.t, int) Hashtbl.t = Hashtbl.create 256 in
+  let ingress_at : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
   let vm_tracks : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let used_net = ref false and used_fault = ref false in
   let used_span = ref false in
@@ -182,11 +181,11 @@ let to_json ?meta ?profile entries =
     incr next_flow;
     flow_edge em ~id ~src ~dst
   in
-  let last_ts = ref 0L in
+  let last_ts = ref 0 in
   List.iter
     (fun (e : Trace.entry) ->
       let at = e.Trace.at_ns in
-      if Int64.compare at !last_ts > 0 then last_ts := at;
+      if at > !last_ts then last_ts := at;
       match e.Trace.event with
       | Event.Packet_proposed { vm; observer; proposer; ingress_seq; virt_ns }
         ->
@@ -195,7 +194,7 @@ let to_json ?meta ?profile entries =
             [
               ("proposer", int proposer);
               ("ingress_seq", int ingress_seq);
-              ("virt_ns", i64 virt_ns);
+              ("virt_ns", int virt_ns);
             ];
           if observer = proposer then
             Option.iter
@@ -210,7 +209,7 @@ let to_json ?meta ?profile entries =
           slice em ~name:"median" ~at ~pid ~tid
             [
               ("ingress_seq", int ingress_seq);
-              ("virt_ns", i64 virt_ns);
+              ("virt_ns", int virt_ns);
               ("voters", int (List.length proposals));
             ];
           List.iter
@@ -225,7 +224,7 @@ let to_json ?meta ?profile entries =
       | Event.Packet_delivered { vm; replica; seq; virt_ns } ->
           let pid = vm_pid vm and tid = replica + 1 in
           slice em ~name:"deliver" ~at ~pid ~tid
-            [ ("ingress_seq", int seq); ("virt_ns", i64 virt_ns) ];
+            [ ("ingress_seq", int seq); ("virt_ns", int virt_ns) ];
           Option.iter
             (fun t0 -> edge ~src:(t0, pid, tid) ~dst:(at, pid, tid))
             (Hashtbl.find_opt adoption_at (vm, seq, replica))
@@ -258,18 +257,18 @@ let to_json ?meta ?profile entries =
           instant em ~name:"vm-exit" ~at ~pid:(vm_pid vm) ~tid:(replica + 1)
             [
               ("machine", int machine);
-              ("virt_ns", i64 virt_ns);
-              ("instr", i64 instr);
+              ("virt_ns", int virt_ns);
+              ("instr", int instr);
             ]
       | Event.Disk_irq { vm; replica; tag; virt_ns } ->
           instant em ~name:"disk-irq" ~at ~pid:(vm_pid vm) ~tid:(replica + 1)
-            [ ("tag", int tag); ("virt_ns", i64 virt_ns) ]
+            [ ("tag", int tag); ("virt_ns", int virt_ns) ]
       | Event.Dma_irq { vm; replica; tag; virt_ns } ->
           instant em ~name:"dma-irq" ~at ~pid:(vm_pid vm) ~tid:(replica + 1)
-            [ ("tag", int tag); ("virt_ns", i64 virt_ns) ]
+            [ ("tag", int tag); ("virt_ns", int virt_ns) ]
       | Event.Fault_injected { fault; target; span_ns } ->
           instant em ~name:"fault-inject" ~at ~pid:fault_pid ~tid:1
-            [ ("fault", str fault); ("target", str target); ("span_ns", i64 span_ns) ]
+            [ ("fault", str fault); ("target", str target); ("span_ns", int span_ns) ]
       | Event.Fault_cleared { fault; target } ->
           instant em ~name:"fault-clear" ~at ~pid:fault_pid ~tid:1
             [ ("fault", str fault); ("target", str target) ]
@@ -303,7 +302,7 @@ let to_json ?meta ?profile entries =
               ("ts", ts at);
               ("pid", int span_pid);
               ("tid", int 1);
-              ("args", args [ ("elapsed_ns", i64 elapsed_ns) ]);
+              ("args", args [ ("elapsed_ns", int elapsed_ns) ]);
             ])
     entries;
   (* Profile counter tracks: one cumulative sample per timer at the end of

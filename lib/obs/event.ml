@@ -6,16 +6,16 @@ type t =
       observer : int;
       proposer : int;
       ingress_seq : int;
-      virt_ns : int64;
+      virt_ns : int;
     }
   | Median_adopted of {
       vm : int;
       replica : int;
       ingress_seq : int;
-      virt_ns : int64;
-      proposals : (int * int64) list;
+      virt_ns : int;
+      proposals : (int * int) list;
     }
-  | Packet_delivered of { vm : int; replica : int; seq : int; virt_ns : int64 }
+  | Packet_delivered of { vm : int; replica : int; seq : int; virt_ns : int }
   | Ingress_replicated of { vm : int; ingress_seq : int; copies : int; size : int }
   | Egress_released of { vm : int; seq : int; rank : int; copies : int }
   | Divergence of { vm : int; replica : int; kind : divergence_kind }
@@ -23,12 +23,12 @@ type t =
       vm : int;
       replica : int;
       machine : int;
-      virt_ns : int64;
-      instr : int64;
+      virt_ns : int;
+      instr : int;
     }
-  | Disk_irq of { vm : int; replica : int; tag : int; virt_ns : int64 }
-  | Dma_irq of { vm : int; replica : int; tag : int; virt_ns : int64 }
-  | Fault_injected of { fault : string; target : string; span_ns : int64 }
+  | Disk_irq of { vm : int; replica : int; tag : int; virt_ns : int }
+  | Dma_irq of { vm : int; replica : int; tag : int; virt_ns : int }
+  | Fault_injected of { fault : string; target : string; span_ns : int }
   | Fault_cleared of { fault : string; target : string }
   | Fault_replica_crash of { vm : int; replica : int }
   | Fault_replica_restart of { vm : int; replica : int }
@@ -36,7 +36,7 @@ type t =
   | Degrade_ejected of { vm : int; replica : int; quorum : int }
   | Degrade_reintegrated of { vm : int; replica : int; quorum : int }
   | Span_begin of { name : string }
-  | Span_end of { name : string; elapsed_ns : int64 }
+  | Span_end of { name : string; elapsed_ns : int }
 
 let label = function
   | Packet_proposed _ -> "proposal"
@@ -95,9 +95,9 @@ let replica_of = function
       None
 
 let pp_ns fmt t =
-  let f = Int64.to_float t in
+  let f = float_of_int t in
   let af = Float.abs f in
-  if af < 1e3 then Format.fprintf fmt "%Ldns" t
+  if af < 1e3 then Format.fprintf fmt "%dns" t
   else if af < 1e6 then Format.fprintf fmt "%.3fus" (f /. 1e3)
   else if af < 1e9 then Format.fprintf fmt "%.3fms" (f /. 1e6)
   else Format.fprintf fmt "%.3fs" (f /. 1e9)
@@ -133,7 +133,7 @@ let pp fmt = function
         | Late_median -> "median in the past"
         | Delta_d_violation -> "delta_d violation")
   | Vm_exit { vm; replica; machine; virt_ns; instr } ->
-      Format.fprintf fmt "vm%d/r%d@m%d exit at virt=%a instr=%Ld" vm replica
+      Format.fprintf fmt "vm%d/r%d@m%d exit at virt=%a instr=%d" vm replica
         machine pp_ns virt_ns instr
   | Disk_irq { vm; replica; tag; virt_ns } ->
       Format.fprintf fmt "vm%d/r%d disk irq tag=%d at virt=%a" vm replica tag

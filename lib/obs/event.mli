@@ -5,8 +5,9 @@
     Rendering happens only when a consumer prints the event (e.g. the Fig. 2
     protocol trace), so emitting into a disabled {!Trace} costs a branch and
     no allocation at well-written call sites (guard with {!Trace.active}
-    before constructing the payload). Timestamps are int64 nanoseconds — the
-    representation of [Sw_sim.Time.t]. *)
+    before constructing the payload). Timestamps and branch counts are
+    immediate [int]s — nanoseconds are the representation of
+    [Sw_sim.Time.t] — so a payload holds no boxed numbers. *)
 
 type divergence_kind =
   | Late_median  (** The adopted median was already in this replica's past. *)
@@ -18,16 +19,16 @@ type t =
       observer : int;  (** Replica at which the proposal was recorded. *)
       proposer : int;
       ingress_seq : int;
-      virt_ns : int64;
+      virt_ns : int;
     }
   | Median_adopted of {
       vm : int;
       replica : int;
       ingress_seq : int;
-      virt_ns : int64;
-      proposals : (int * int64) list;  (** (proposer, proposed virt). *)
+      virt_ns : int;
+      proposals : (int * int) list;  (** (proposer, proposed virt). *)
     }
-  | Packet_delivered of { vm : int; replica : int; seq : int; virt_ns : int64 }
+  | Packet_delivered of { vm : int; replica : int; seq : int; virt_ns : int }
   | Ingress_replicated of { vm : int; ingress_seq : int; copies : int; size : int }
       (** The ingress stamped an inbound guest packet with [ingress_seq] and
           replicated it toward the VM's [copies] replica VMMs. The root of a
@@ -41,12 +42,12 @@ type t =
       vm : int;
       replica : int;
       machine : int;
-      virt_ns : int64;
-      instr : int64;
+      virt_ns : int;
+      instr : int;
     }
-  | Disk_irq of { vm : int; replica : int; tag : int; virt_ns : int64 }
-  | Dma_irq of { vm : int; replica : int; tag : int; virt_ns : int64 }
-  | Fault_injected of { fault : string; target : string; span_ns : int64 }
+  | Disk_irq of { vm : int; replica : int; tag : int; virt_ns : int }
+  | Dma_irq of { vm : int; replica : int; tag : int; virt_ns : int }
+  | Fault_injected of { fault : string; target : string; span_ns : int }
       (** An injected fault window opened ([fault] is the primitive's kind
           tag, [target] a rendered link/machine/replica description). *)
   | Fault_cleared of { fault : string; target : string }
@@ -60,7 +61,7 @@ type t =
   | Degrade_reintegrated of { vm : int; replica : int; quorum : int }
       (** A restarted replica resynced and rejoined; quorum restored. *)
   | Span_begin of { name : string }
-  | Span_end of { name : string; elapsed_ns : int64 }
+  | Span_end of { name : string; elapsed_ns : int }
 
 (** Short kind tag, e.g. ["proposal"], ["median"], ["vm-exit"]. *)
 val label : t -> string
@@ -76,6 +77,6 @@ val vm_of : t -> int option
 val replica_of : t -> int option
 
 (** Adaptive-unit nanosecond printer (["1.500ms"]), for rendering. *)
-val pp_ns : Format.formatter -> int64 -> unit
+val pp_ns : Format.formatter -> int -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -22,12 +22,12 @@ let meta_json m =
        ])
 
 let histogram_json (h : Snapshot.histogram) =
-  let bound v = if h.Snapshot.count = 0 then Json.Null else Json.of_int64 v in
+  let bound v = if h.Snapshot.count = 0 then Json.Null else Json.Int v in
   let bucket (idx, n) =
     let b = Buckets.bound idx in
     Json.List
       [
-        (if Int64.equal b Int64.max_int then Json.Null else Json.of_int64 b);
+        (if b = max_int then Json.Null else Json.Int b);
         Json.Int n;
       ]
   in
@@ -35,7 +35,7 @@ let histogram_json (h : Snapshot.histogram) =
     [
       ("kind", Json.String "histogram");
       ("count", Json.Int h.Snapshot.count);
-      ("total", Json.of_int64 h.Snapshot.total);
+      ("total", Json.Int h.Snapshot.total);
       ("min", bound h.Snapshot.min);
       ("max", bound h.Snapshot.max);
       ("buckets", Json.List (List.map bucket h.Snapshot.buckets));

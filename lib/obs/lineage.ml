@@ -1,23 +1,23 @@
 type proposal = {
   observer : int;
   proposer : int;
-  at_ns : int64;
-  virt_ns : int64;
+  at_ns : int;
+  virt_ns : int;
 }
 
 type adoption = {
   replica : int;
-  at_ns : int64;
-  virt_ns : int64;
-  proposals : (int * int64) list;
+  at_ns : int;
+  virt_ns : int;
+  proposals : (int * int) list;
 }
 
-type delivery = { replica : int; at_ns : int64; virt_ns : int64 }
+type delivery = { replica : int; at_ns : int; virt_ns : int }
 
 type chain = {
   vm : int;
   ingress_seq : int;
-  ingress_at_ns : int64 option;
+  ingress_at_ns : int option;
   proposals : proposal list;
   adoptions : adoption list;
   deliveries : delivery list;
@@ -38,18 +38,18 @@ let orphan_kind_label = function
 
 type hist = {
   count : int;
-  total_ns : int64;
-  min_ns : int64;  (** Meaningless when [count = 0]. *)
-  max_ns : int64;  (** Meaningless when [count = 0]. *)
-  buckets : (int64 * int) list;
+  total_ns : int;
+  min_ns : int;  (** Meaningless when [count = 0]. *)
+  max_ns : int;  (** Meaningless when [count = 0]. *)
+  buckets : (int * int) list;
 }
 
 let empty_hist =
   {
     count = 0;
-    total_ns = 0L;
-    min_ns = Int64.max_int;
-    max_ns = Int64.min_int;
+    total_ns = 0;
+    min_ns = max_int;
+    max_ns = min_int;
     buckets = [];
   }
 
@@ -63,9 +63,9 @@ let hist_of_lags lags =
         {
           h with
           count = h.count + 1;
-          total_ns = Int64.add h.total_ns v;
-          min_ns = (if Int64.compare v h.min_ns < 0 then v else h.min_ns);
-          max_ns = (if Int64.compare v h.max_ns > 0 then v else h.max_ns);
+          total_ns = h.total_ns + v;
+          min_ns = Int.min v h.min_ns;
+          max_ns = Int.max v h.max_ns;
         })
       empty_hist lags
   in
@@ -76,7 +76,7 @@ let hist_of_lags lags =
   { h with buckets = !buckets }
 
 let hist_mean_ns h =
-  if h.count = 0 then 0. else Int64.to_float h.total_ns /. float_of_int h.count
+  if h.count = 0 then 0. else float_of_int h.total_ns /. float_of_int h.count
 
 type mechanism =
   | Median_adoption
@@ -90,14 +90,14 @@ let mechanism_label = function
   | Egress_release -> "egress-release"
   | Ingress_latency -> "ingress-latency"
 
-let ms_of_ns v = Int64.to_float v /. 1e6
+let ms_of_ns v = float_of_int v /. 1e6
 
 (* --- Reconstruction ----------------------------------------------------- *)
 
 type builder = {
   b_vm : int;
   b_seq : int;
-  mutable b_ingress : int64 option;
+  mutable b_ingress : int option;
   mutable b_proposals : proposal list;  (** reversed *)
   mutable b_adoptions : adoption list;  (** reversed *)
   mutable b_deliveries : delivery list;  (** reversed *)
@@ -112,7 +112,7 @@ type t = {
   propose_to_adopt : hist;
   adopt_to_deliver : hist;
   median_credits : (int * float) list;
-  skew_series : (int64 * int64) list;
+  skew_series : (int * int) list;
   negative_lags : int;
   dropped : int;
   pa_ms_by_vm : (int * float array) list;
@@ -140,8 +140,8 @@ let of_entries ?(dropped = 0) entries =
   in
   (* Per-VM accumulators outside the chain structure: egress release
      instants (which have no ingress_seq) and propose->adopt lags. *)
-  let egress_at : (int, int64 list ref) Hashtbl.t = Hashtbl.create 8 in
-  let pa_vm : (int, int64 list ref) Hashtbl.t = Hashtbl.create 8 in
+  let egress_at : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
+  let pa_vm : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
   let vm_push tbl vm v =
     let cell =
       match Hashtbl.find_opt tbl vm with
@@ -202,8 +202,8 @@ let of_entries ?(dropped = 0) entries =
   let credits : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
   let skew = ref [] in
   let lag_push acc a b =
-    let d = Int64.sub b a in
-    if Int64.compare d 0L < 0 then incr negative else acc := d :: !acc
+    let d = b - a in
+    if d < 0 then incr negative else acc := d :: !acc
   in
   List.iter
     (fun c ->
@@ -256,8 +256,8 @@ let of_entries ?(dropped = 0) entries =
           in
           (match anchor with
           | Some t0 ->
-              let d = Int64.sub a.at_ns t0 in
-              if Int64.compare d 0L < 0 then incr negative
+              let d = a.at_ns - t0 in
+              if d < 0 then incr negative
               else begin
                 pa_lags := d :: !pa_lags;
                 vm_push pa_vm c.vm d
@@ -266,7 +266,7 @@ let of_entries ?(dropped = 0) entries =
           (* Median-win credit, ties split evenly — the marginalisation view
              of Sec. IX, recomputed from the trace alone. *)
           let winners =
-            List.filter (fun (_, v) -> Int64.equal v a.virt_ns) a.proposals
+            List.filter (fun (_, v) -> v = a.virt_ns) a.proposals
           in
           let share =
             match winners with
@@ -302,11 +302,10 @@ let of_entries ?(dropped = 0) entries =
           let lo, hi =
             List.fold_left
               (fun (lo, hi) (_, v) ->
-                ( (if Int64.compare v lo < 0 then v else lo),
-                  if Int64.compare v hi > 0 then v else hi ))
+                (Int.min v lo, Int.max v hi))
               (v0, v0) rest
           in
-          skew := (at_ns, Int64.sub hi lo) :: !skew
+          skew := (at_ns, hi - lo) :: !skew
       | _ -> ())
     chains;
   let orphans =
@@ -342,7 +341,7 @@ let of_entries ?(dropped = 0) entries =
     egress_gap_ms_by_vm =
       (let gaps l =
          let rec walk acc = function
-           | a :: (b :: _ as rest) -> walk (ms_of_ns (Int64.sub b a) :: acc) rest
+           | a :: (b :: _ as rest) -> walk (ms_of_ns (b - a) :: acc) rest
            | _ -> List.rev acc
          in
          Array.of_list (walk [] l)
@@ -380,7 +379,7 @@ let observations t =
      observer measures, rebuilt from the trace. *)
   let delivery_gaps =
     let by_vm : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
-    let last : (int, int64) Hashtbl.t = Hashtbl.create 8 in
+    let last : (int, int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun c ->
         match c.deliveries with
@@ -396,7 +395,7 @@ let observations t =
                       Hashtbl.add by_vm c.vm l;
                       l
                 in
-                cell := ms_of_ns (Int64.sub virt_ns prev) :: !cell
+                cell := ms_of_ns (virt_ns - prev) :: !cell
             | None -> ());
             Hashtbl.replace last c.vm virt_ns)
       t.chains;
@@ -423,7 +422,7 @@ let observations t =
                   Hashtbl.add by_vm c.vm l;
                   l
             in
-            cell := ms_of_ns (Int64.sub virt_ns t0) :: !cell
+            cell := ms_of_ns (virt_ns - t0) :: !cell
         | _ -> ())
       t.chains;
     Hashtbl.fold
@@ -457,7 +456,7 @@ let pp_hist fmt name h =
   else
     Format.fprintf fmt "  %-16s n=%-6d mean=%a  min=%a  max=%a@." name h.count
       Event.pp_ns
-      (Int64.of_float (hist_mean_ns h))
+      (int_of_float (hist_mean_ns h))
       Event.pp_ns h.min_ns Event.pp_ns h.max_ns
 
 let pp_summary fmt t =
@@ -488,16 +487,16 @@ let pp_summary fmt t =
   | series ->
       let n = List.length series in
       let sum =
-        List.fold_left (fun acc (_, s) -> Int64.add acc s) 0L series
+        List.fold_left (fun acc (_, s) -> acc + s) 0 series
       in
       let max_skew =
         List.fold_left
-          (fun acc (_, s) -> if Int64.compare s acc > 0 then s else acc)
-          0L series
+          (fun acc (_, s) -> Int.max s acc)
+          0 series
       in
       Format.fprintf fmt "  proposal skew:   mean=%a  max=%a  (%d points)@."
         Event.pp_ns
-        (Int64.div sum (Int64.of_int n))
+        (sum / n)
         Event.pp_ns max_skew n);
   List.iteri
     (fun i o ->

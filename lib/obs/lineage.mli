@@ -29,23 +29,23 @@
 type proposal = {
   observer : int;  (** Replica at which the proposal was recorded. *)
   proposer : int;
-  at_ns : int64;  (** Simulated instant of the record. *)
-  virt_ns : int64;  (** Proposed virtual delivery time. *)
+  at_ns : int;  (** Simulated instant of the record. *)
+  virt_ns : int;  (** Proposed virtual delivery time. *)
 }
 
 type adoption = {
   replica : int;
-  at_ns : int64;
-  virt_ns : int64;  (** The adopted median. *)
-  proposals : (int * int64) list;  (** The proposals it was taken over. *)
+  at_ns : int;
+  virt_ns : int;  (** The adopted median. *)
+  proposals : (int * int) list;  (** The proposals it was taken over. *)
 }
 
-type delivery = { replica : int; at_ns : int64; virt_ns : int64 }
+type delivery = { replica : int; at_ns : int; virt_ns : int }
 
 type chain = {
   vm : int;
   ingress_seq : int;
-  ingress_at_ns : int64 option;
+  ingress_at_ns : int option;
       (** When the ingress stamped the packet, when that event is in the
           trace. *)
   proposals : proposal list;  (** In emission order. *)
@@ -88,10 +88,10 @@ val mechanism_label : mechanism -> string
     bucket's upper bound (ns) with its count, ascending. *)
 type hist = {
   count : int;
-  total_ns : int64;
-  min_ns : int64;  (** Meaningless when [count = 0]. *)
-  max_ns : int64;  (** Meaningless when [count = 0]. *)
-  buckets : (int64 * int) list;
+  total_ns : int;
+  min_ns : int;  (** Meaningless when [count = 0]. *)
+  max_ns : int;  (** Meaningless when [count = 0]. *)
+  buckets : (int * int) list;
 }
 
 type t

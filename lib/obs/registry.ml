@@ -29,27 +29,27 @@ module Histogram = struct
   type t = {
     buckets : int array;
     mutable count : int;
-    mutable total : int64;
-    mutable min : int64;
-    mutable max : int64;
+    mutable total : int;
+    mutable min : int;
+    mutable max : int;
   }
 
   let make () =
     {
       buckets = Array.make Buckets.count 0;
       count = 0;
-      total = 0L;
-      min = Int64.max_int;
-      max = Int64.min_int;
+      total = 0;
+      min = max_int;
+      max = min_int;
     }
 
-  let observe t v =
+  let observe t (v : int) =
     let i = Buckets.index v in
     t.buckets.(i) <- t.buckets.(i) + 1;
     t.count <- t.count + 1;
-    t.total <- Int64.add t.total v;
-    if Int64.compare v t.min < 0 then t.min <- v;
-    if Int64.compare v t.max > 0 then t.max <- v
+    t.total <- t.total + v;
+    if v < t.min then t.min <- v;
+    if v > t.max then t.max <- v
 
   let count t = t.count
   let total t = t.total

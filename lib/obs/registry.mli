@@ -10,8 +10,10 @@
     - {b counter}: monotone int event count; merge adds.
     - {b sum}: float accumulator (e.g. fractional median credits); merge adds.
     - {b gauge}: high-watermark float (queue depths, maxima); merge takes max.
-    - {b histogram}: int64-ns values over the fixed log ladder of {!Buckets};
-      merge adds bucket-wise.
+    - {b histogram}: int-ns values over the fixed log ladder of {!Buckets};
+      merge adds bucket-wise. Values, total, min and max are immediate
+      [int]s, so an observation is a bucket search and four stores with no
+      allocation.
 
     Registries are single-domain objects: a simulation's registry lives and
     dies with its job, and only {!Snapshot} values cross domains. *)
@@ -54,17 +56,17 @@ end
 module Histogram : sig
   type t
 
-  (** [observe h v] records the int64-ns value [v]. *)
-  val observe : t -> int64 -> unit
+  (** [observe h v] records the value [v], in ns. *)
+  val observe : t -> int -> unit
 
   val count : t -> int
-  val total : t -> int64
+  val total : t -> int
 
-  (** Largest observed value; [Int64.min_int] before any observation. *)
-  val max : t -> int64
+  (** Largest observed value; [min_int] before any observation. *)
+  val max : t -> int
 
-  (** Smallest observed value; [Int64.max_int] before any observation. *)
-  val min : t -> int64
+  (** Smallest observed value; [max_int] before any observation. *)
+  val min : t -> int
 end
 
 val create : unit -> t

@@ -1,8 +1,8 @@
 type histogram = {
   count : int;
-  total : int64;
-  min : int64;
-  max : int64;
+  total : int;
+  min : int;
+  max : int;
   buckets : (int * int) list;
 }
 
@@ -75,9 +75,9 @@ let merge_histogram a b =
   else
     {
       count = a.count + b.count;
-      total = Int64.add a.total b.total;
-      min = (if Int64.compare a.min b.min <= 0 then a.min else b.min);
-      max = (if Int64.compare a.max b.max >= 0 then a.max else b.max);
+      total = a.total + b.total;
+      min = Int.min a.min b.min;
+      max = Int.max a.max b.max;
       buckets = merge_buckets a.buckets b.buckets;
     }
 
@@ -114,7 +114,7 @@ let pp_data fmt = function
   | Histogram h ->
       if h.count = 0 then Format.fprintf fmt "histogram n=0"
       else
-        Format.fprintf fmt "histogram n=%d total=%Ldns min=%Ldns max=%Ldns"
+        Format.fprintf fmt "histogram n=%d total=%dns min=%dns max=%dns"
           h.count h.total h.min h.max
 
 let pp fmt t =

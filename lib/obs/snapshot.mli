@@ -9,9 +9,9 @@
 
 type histogram = {
   count : int;
-  total : int64;  (** Sum of observed values, ns. *)
-  min : int64;  (** Meaningless when [count = 0]. *)
-  max : int64;  (** Meaningless when [count = 0]. *)
+  total : int;  (** Sum of observed values, ns. *)
+  min : int;  (** Meaningless when [count = 0]. *)
+  max : int;  (** Meaningless when [count = 0]. *)
   buckets : (int * int) list;
       (** Sparse [(bucket index, count)] pairs, ascending index; see
           {!Buckets}. *)

@@ -1,4 +1,4 @@
-type entry = { at_ns : int64; event : Event.t }
+type entry = { at_ns : int; event : Event.t }
 
 type t = {
   capacity : int;
@@ -80,7 +80,7 @@ let span t ~now ~name f =
     let finish result =
       let stop = now () in
       emit t ~at_ns:stop
-        (Event.Span_end { name; elapsed_ns = Int64.sub stop start });
+        (Event.Span_end { name; elapsed_ns = stop - start });
       result
     in
     match f () with

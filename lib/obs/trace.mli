@@ -15,7 +15,7 @@
 
 type t
 
-type entry = { at_ns : int64; event : Event.t }
+type entry = { at_ns : int; event : Event.t }
 
 (** [create ~capacity ()] keeps at most [capacity] most-recent entries
     (default 65536). With [metrics], overwrites of the oldest entry at
@@ -32,7 +32,7 @@ val enabled : t -> bool
 val active : t option -> bool
 
 (** [emit t ~at_ns ev] appends when [t] is enabled, else does nothing. *)
-val emit : t -> at_ns:int64 -> Event.t -> unit
+val emit : t -> at_ns:int -> Event.t -> unit
 
 val iter : t -> (entry -> unit) -> unit
 val fold : ('acc -> entry -> 'acc) -> 'acc -> t -> 'acc
@@ -60,6 +60,6 @@ val dropped : t -> int
 (** [span t ~now ~name f] emits [Span_begin] before and [Span_end] (with the
     elapsed simulated time) after running [f]; the span is recorded even when
     [f] raises. [now] supplies the current simulated time in ns. *)
-val span : t -> now:(unit -> int64) -> name:string -> (unit -> 'a) -> 'a
+val span : t -> now:(unit -> int) -> name:string -> (unit -> 'a) -> 'a
 
 val pp_entry : Format.formatter -> entry -> unit

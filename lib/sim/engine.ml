@@ -101,32 +101,35 @@ let cancel t id =
     end
   end
 
-let step t =
-  match Wheel.pop t.wheel with
-  | None -> false
-  | Some (at, fn) ->
-      t.now <- at;
-      t.live <- t.live - 1;
-      if Sw_obs.Registry.enabled t.metrics then begin
-        Sw_obs.Registry.Counter.incr t.m_fired;
-        Sw_obs.Registry.Gauge.observe_int t.m_depth t.live
-      end;
-      Sw_obs.Profile.time t.profile t.p_dispatch fn;
-      true
+(* Fires the earliest pending event, due at [at]; the caller has checked
+   there is one. The wheel hands back the bare closure, so firing allocates
+   nothing. *)
+let fire t at =
+  t.now <- at;
+  let fn = Wheel.pop t.wheel in
+  t.live <- t.live - 1;
+  if Sw_obs.Registry.enabled t.metrics then begin
+    Sw_obs.Registry.Counter.incr t.m_fired;
+    Sw_obs.Registry.Gauge.observe_int t.m_depth t.live
+  end;
+  Sw_obs.Profile.time t.profile t.p_dispatch fn
+
+(* [max_int] is [Wheel.next_key]'s "nothing pending". *)
+let fire_at_or_before t limit =
+  let at = Wheel.next_key t.wheel in
+  at <= limit && at < max_int
+  && begin
+       fire t at;
+       true
+     end
+
+let step t = fire_at_or_before t max_int
 
 let run ?until t =
   match until with
-  | None ->
-      let rec go () = if step t then go () in
-      go ()
+  | None -> while step t do () done
   | Some limit ->
-      let rec go () =
-        if Wheel.next_at_or_before t.wheel limit then begin
-          ignore (step t);
-          go ()
-        end
-      in
-      go ();
+      while fire_at_or_before t limit do () done;
       (* Bounded runs always land exactly on the limit, including when the
          queue drained early: simulated time still passes. The clock never
          rewinds. Snapping the drained wheel's horizon to the parked clock

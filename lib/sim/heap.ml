@@ -1,4 +1,4 @@
-type 'a entry = { key : int64; seq : int; value : 'a }
+type 'a entry = { key : int; seq : int; value : 'a }
 
 type 'a t = { mutable data : 'a entry array; mutable size : int }
 
@@ -7,9 +7,7 @@ let length h = h.size
 let is_empty h = h.size = 0
 
 let entry_lt a b =
-  match Int64.compare a.key b.key with
-  | 0 -> a.seq < b.seq
-  | c -> c < 0
+  if a.key <> b.key then a.key < b.key else a.seq < b.seq
 
 let grow h entry =
   let capacity = Array.length h.data in

@@ -1,4 +1,4 @@
-(** Binary min-heap keyed by [(int64, int)] pairs.
+(** Binary min-heap keyed by [(int, int)] pairs, compared as immediates.
 
     The secondary [int] key gives deterministic FIFO ordering among entries
     that share the same primary key; the simulation engine uses it to make
@@ -12,11 +12,11 @@ val is_empty : 'a t -> bool
 
 (** [push h ~key ~seq v] inserts [v] with primary key [key] and tiebreak
     [seq]. *)
-val push : 'a t -> key:int64 -> seq:int -> 'a -> unit
+val push : 'a t -> key:int -> seq:int -> 'a -> unit
 
 (** [pop_min h] removes and returns the minimum entry, or [None] when the
     heap is empty. *)
-val pop_min : 'a t -> (int64 * int * 'a) option
+val pop_min : 'a t -> (int * int * 'a) option
 
 (** [peek_min h] returns the minimum entry without removing it. *)
-val peek_min : 'a t -> (int64 * int * 'a) option
+val peek_min : 'a t -> (int * int * 'a) option

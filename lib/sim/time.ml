@@ -1,36 +1,36 @@
-type t = int64
+type t = int
 
-let zero = 0L
-let ns n = Int64.of_int n
-let us n = Int64.mul (Int64.of_int n) 1_000L
-let ms n = Int64.mul (Int64.of_int n) 1_000_000L
-let s n = Int64.mul (Int64.of_int n) 1_000_000_000L
-let of_float_s x = Int64.of_float (Float.round (x *. 1e9))
-let of_float_ms x = Int64.of_float (Float.round (x *. 1e6))
-let to_float_s t = Int64.to_float t /. 1e9
-let to_float_ms t = Int64.to_float t /. 1e6
-let to_float_us t = Int64.to_float t /. 1e3
-let add = Int64.add
-let sub = Int64.sub
-let mul_int t n = Int64.mul t (Int64.of_int n)
-let div_int t n = Int64.div t (Int64.of_int n)
-let scale t x = Int64.of_float (Float.round (Int64.to_float t *. x))
-let compare = Int64.compare
-let equal = Int64.equal
-let min a b = if Int64.compare a b <= 0 then a else b
-let max a b = if Int64.compare a b >= 0 then a else b
-let is_negative t = Int64.compare t 0L < 0
+let zero = 0
+let ns n = n
+let us n = n * 1_000
+let ms n = n * 1_000_000
+let s n = n * 1_000_000_000
+let of_float_s x = int_of_float (Float.round (x *. 1e9))
+let of_float_ms x = int_of_float (Float.round (x *. 1e6))
+let to_float_s t = float_of_int t /. 1e9
+let to_float_ms t = float_of_int t /. 1e6
+let to_float_us t = float_of_int t /. 1e3
+let add = Stdlib.( + )
+let sub = Stdlib.( - )
+let mul_int t n = t * n
+let div_int t n = t / n
+let scale t x = int_of_float (Float.round (float_of_int t *. x))
+let compare = Int.compare
+let equal = Int.equal
+let min (a : t) b = if a <= b then a else b
+let max (a : t) b = if a >= b then a else b
+let is_negative t = t < 0
 let ( + ) = add
 let ( - ) = sub
-let ( < ) a b = Int64.compare a b < 0
-let ( <= ) a b = Int64.compare a b <= 0
-let ( > ) a b = Int64.compare a b > 0
-let ( >= ) a b = Int64.compare a b >= 0
+let ( < ) (a : t) b = a < b
+let ( <= ) (a : t) b = a <= b
+let ( > ) (a : t) b = a > b
+let ( >= ) (a : t) b = a >= b
 
 let pp fmt t =
-  let f = Int64.to_float t in
+  let f = float_of_int t in
   let af = Float.abs f in
-  if Stdlib.( < ) af 1e3 then Format.fprintf fmt "%Ldns" t
+  if Stdlib.( < ) af 1e3 then Format.fprintf fmt "%dns" t
   else if Stdlib.( < ) af 1e6 then Format.fprintf fmt "%.3fus" (f /. 1e3)
   else if Stdlib.( < ) af 1e9 then Format.fprintf fmt "%.3fms" (f /. 1e6)
   else Format.fprintf fmt "%.3fs" (f /. 1e9)

@@ -1,13 +1,25 @@
 (** Simulated time.
 
-    A value of type {!t} is a count of nanoseconds. The same representation is
-    used both for instants (nanoseconds since the start of the simulation) and
-    for spans (durations); which one is meant is documented at each use site.
-    Virtual time (the per-guest clock of Eqn. 1 in the paper) also uses this
-    type: it is a nanosecond-denominated clock, just not synchronised with the
-    simulation's real time. *)
+    A value of type {!t} is a count of nanoseconds held in an immediate
+    [int]. The same representation is used both for instants (nanoseconds
+    since the start of the simulation) and for spans (durations); which one
+    is meant is documented at each use site. Virtual time (the per-guest
+    clock of Eqn. 1 in the paper) also uses this type: it is a
+    nanosecond-denominated clock, just not synchronised with the
+    simulation's real time.
 
-type t = int64
+    A 63-bit [int] spans [±2^62] ns, about ±146 years, which is also the
+    bound {!Wheel} assumes. Because the value is immediate, storing a time
+    in a record or passing it between modules allocates nothing. Branch
+    counts are plain [int]s for the same reason. The few products that can
+    pass [2^62] while still inside 64 bits (the virtual clock's
+    [delta * slope] and the guest clocks' [virt * rate]) are computed in a
+    function-local 64-bit expression where they occur; see
+    [Sw_vm.Virtual_time] and [Sw_vm.Clocks]. Boxed 64-bit integers remain
+    only where 64 bits are the point: PRNG seeds and state, the JSON seed
+    codec, and checkpoint image framing. *)
+
+type t = int
 
 val zero : t
 val ns : int -> t

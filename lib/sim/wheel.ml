@@ -1,11 +1,10 @@
 (* Hierarchical timer wheel + overflow heap over a pool of reusable event
    records. See wheel.mli for the tier layout and the ordering argument.
 
-   Keys are int64 nanoseconds at the interface but native ints inside:
-   simulated time is non-negative and bounded by 2^62 ns (~146 years), so
-   every key fits an OCaml immediate, and the hot paths run on unboxed
-   int compares and shifts instead of allocating Int64 temporaries
-   (this build has no flambda to unbox them).
+   Keys are {!Time.t} nanoseconds, immediate ints: simulated time is
+   non-negative and bounded by 2^62 ns (~146 years), so the hot paths run
+   on int compares and shifts and allocate nothing. The overflow heap is
+   keyed by the same ints.
 
    Invariants, maintained by every operation:
 
@@ -191,25 +190,22 @@ let slot_insert t l s i =
 
 (* File a live record by its key: ready heap when the horizon already
    passed it, else the finest wheel level whose window reaches it, else the
-   overflow heap. *)
-let insert t i =
-  let e = t.slab.(i) in
-  let key = e.key in
-  if key < t.horizon then ready_push t i
+   overflow heap. The helpers that walk levels and chains here and in
+   [refill] are top-level functions, not local closures over [t]: filing
+   and draining run for every event and allocate nothing. *)
+let rec file_from t i key l =
+  if l >= levels then Heap.push t.overflow ~key ~seq:t.slab.(i).seq i
   else begin
-    let rec go l =
-      if l >= levels then
-        Heap.push t.overflow ~key:(Int64.of_int key) ~seq:e.seq i
-      else begin
-        let sh = shift l in
-        let kt = key lsr sh in
-        if kt - (t.horizon lsr sh) < slots then
-          slot_insert t l (kt land slot_mask) i
-        else go (l + 1)
-      end
-    in
-    go 0
+    let sh = shift l in
+    let kt = key lsr sh in
+    if kt - (t.horizon lsr sh) < slots then
+      slot_insert t l (kt land slot_mask) i
+    else file_from t i key (l + 1)
   end
+
+let insert t i =
+  let key = t.slab.(i).key in
+  if key < t.horizon then ready_push t i else file_from t i key 0
 
 (* --- Cursor advance ---------------------------------------------------- *)
 
@@ -247,6 +243,35 @@ let take_slot t l s =
   t.occ.(l) <- t.occ.(l) land lnot (1 lsl s);
   head
 
+(* Move a drained level-0 chain into the ready heap. *)
+let rec drain t i =
+  if i >= 0 then begin
+    let e = t.slab.(i) in
+    let nx = e.next in
+    e.next <- -1;
+    if e.state = s_cancelled then release t i else ready_push t i;
+    drain t nx
+  end
+
+(* Re-file a cascaded coarse chain at finer levels. *)
+let rec redistribute t i =
+  if i >= 0 then begin
+    let e = t.slab.(i) in
+    let nx = e.next in
+    e.next <- -1;
+    if e.state = s_cancelled then release t i else insert t i;
+    redistribute t nx
+  end
+
+(* Pull the overflow keys below the horizon into the ready heap. *)
+let rec sweep_overflow t =
+  match Heap.peek_min t.overflow with
+  | Some (k, _, i) when k < t.horizon ->
+      ignore (Heap.pop_min t.overflow);
+      if t.slab.(i).state = s_cancelled then release t i else ready_push t i;
+      sweep_overflow t
+  | _ -> ()
+
 (* Move events into the ready heap until it is non-empty or nothing is left
    anywhere. Each round either drains the earliest level-0 slot (advancing
    the horizon past it and sweeping overflow keys the new horizon covers),
@@ -270,13 +295,12 @@ let rec refill t =
   in
   let ovf_first =
     match Heap.peek_min t.overflow with
-    | Some (k, _, _) -> Int64.to_int k < !best_start
+    | Some (k, _, _) -> k < !best_start
     | None -> false
   in
   if ovf_first then begin
     match Heap.pop_min t.overflow with
     | Some (k, _, i) ->
-        let k = Int64.to_int k in
         let e = t.slab.(i) in
         if e.state = s_cancelled then begin
           release t i;
@@ -295,44 +319,17 @@ let rec refill t =
   end
   else if !best_level < 0 then ()
   else if !best_level = 0 then begin
-    let rec drain i =
-      if i >= 0 then begin
-        let e = t.slab.(i) in
-        let nx = e.next in
-        e.next <- -1;
-        if e.state = s_cancelled then release t i else ready_push t i;
-        drain nx
-      end
-    in
-    drain (take_slot t 0 best_slot);
+    drain t (take_slot t 0 best_slot);
     t.horizon <- !best_start + (1 lsl g0_bits);
     (* Overflow keys inside the drained granule belong to this round too. *)
-    let rec sweep () =
-      match Heap.peek_min t.overflow with
-      | Some (k, _, i) when Int64.to_int k < t.horizon ->
-          ignore (Heap.pop_min t.overflow);
-          if t.slab.(i).state = s_cancelled then release t i
-          else ready_push t i;
-          sweep ()
-      | _ -> ()
-    in
-    sweep ();
+    sweep_overflow t;
     if t.ready_len = 0 && t.stored > 0 then refill t
   end
   else begin
     (* Cascade: advance the cursor to the coarse slot's start and re-file
        its chain; every event lands at a finer level (or in ready). *)
     t.horizon <- !best_start;
-    let rec redist i =
-      if i >= 0 then begin
-        let e = t.slab.(i) in
-        let nx = e.next in
-        e.next <- -1;
-        if e.state = s_cancelled then release t i else insert t i;
-        redist nx
-      end
-    in
-    redist (take_slot t !best_level best_slot);
+    redistribute t (take_slot t !best_level best_slot);
     if t.stored > 0 then refill t else ()
   end
 
@@ -358,7 +355,7 @@ let rec ensure_ready t =
 let add t ~key fn =
   let i = acquire t in
   let e = t.slab.(i) in
-  e.key <- Int64.to_int key;
+  e.key <- key;
   e.seq <- t.seq;
   t.seq <- t.seq + 1;
   e.state <- s_pending;
@@ -390,22 +387,19 @@ let advance t now =
      heap. Snapping the horizon to the parked clock keeps barrier-window
      scheduling on the O(1) wheel path. *)
   if t.stored = 0 && t.ready_len = 0 then begin
-    let k = Int64.to_int now in
-    let h = (k lsr g0_bits) lsl g0_bits in
+    let h = (now lsr g0_bits) lsl g0_bits in
     if h > t.horizon then t.horizon <- h
   end
 
-let next_at_or_before t limit =
+let next_key t =
   ensure_ready t;
-  t.ready_len > 0 && t.slab.(t.ready.(0)).key <= Int64.to_int limit
+  if t.ready_len = 0 then max_int else t.slab.(t.ready.(0)).key
 
 let pop t =
   ensure_ready t;
-  if t.ready_len = 0 then None
-  else begin
-    let i = ready_pop t in
-    let e = t.slab.(i) in
-    let key = e.key and fn = e.fn in
-    release t i;
-    Some (Int64.of_int key, fn)
-  end
+  if t.ready_len = 0 then invalid_arg "Wheel.pop: nothing pending";
+  let i = ready_pop t in
+  let e = t.slab.(i) in
+  let fn = e.fn in
+  release t i;
+  fn

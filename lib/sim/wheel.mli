@@ -38,7 +38,7 @@ val create : unit -> t
     assumed [>= ] every key already popped) and returns a handle for
     {!cancel}. Sequence numbers are assigned in call order, so equal keys
     fire FIFO. *)
-val add : t -> key:int64 -> (unit -> unit) -> handle
+val add : t -> key:Time.t -> (unit -> unit) -> handle
 
 (** [cancel t h] tombstones the event if [h] is still current and pending;
     returns [false] — and changes nothing — when the event already fired,
@@ -56,16 +56,19 @@ val cancel : t -> handle -> bool
     push every fresh event past the top level's ~550 s span and into the
     overflow heap. (time, seq) order is unaffected: the wheel is empty, so
     there is nothing to reorder against. *)
-val advance : t -> int64 -> unit
+val advance : t -> Time.t -> unit
 
-(** [next_at_or_before t limit] is [true] when a pending event with
-    [key <= limit] exists — an allocation-free peek for bounded run
-    loops. *)
-val next_at_or_before : t -> int64 -> bool
+(** [next_key t] is the key of the earliest pending event, or [max_int]
+    when nothing is pending (real keys fit in 62 bits, so the sentinel is
+    never one) — an allocation-free peek for run loops. *)
+val next_key : t -> Time.t
 
-(** Pops the earliest pending event as [(key, fn)], recycling its record
-    (the handle goes stale before [fn] is even called). *)
-val pop : t -> (int64 * (unit -> unit)) option
+(** Pops the earliest pending event, the one whose key {!next_key} gives,
+    and returns its closure, recycling its record (the handle goes stale
+    before the closure is even called). Nothing is allocated: callers
+    test for a pending event with {!next_key} instead of matching on an
+    option. Raises [Invalid_argument] when nothing is pending. *)
+val pop : t -> unit -> unit
 
 (** Number of records currently held (pending plus uncollected tombstones);
     [0] means fully drained. *)

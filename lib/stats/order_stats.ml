@@ -46,15 +46,17 @@ let sample_median samples =
 (* Allocation-free sample medians for the small odd vote counts the VMM
    takes per replicated interrupt (3 replicas, occasionally 5 with spares).
    Branch networks instead of copy + sort: a handful of compares, no
-   intermediate array, no comparator closure. *)
+   intermediate array, no comparator closure. The [int] annotations make
+   every compare a machine compare rather than a polymorphic
+   [caml_compare] call. *)
 
-let median3_int64 a b c =
+let median3_int (a : int) b c =
   if a <= b then if b <= c then b else if a <= c then c else a
   else if a <= c then a
   else if b <= c then c
   else b
 
-let median5_int64 a b c d e =
+let median5_int (a : int) b c d e =
   (* Median of five via a 6-compare network: f is the larger of the two
      pairwise minima, g the smaller of the two pairwise maxima; the median
      of {e, f, g} is the median of all five. *)
@@ -66,20 +68,20 @@ let median5_int64 a b c d e =
     let x = if a >= b then a else b and y = if c >= d then c else d in
     if x <= y then x else y
   in
-  median3_int64 e f g
+  median3_int e f g
 
-let median_int64 samples =
+let median_int (samples : int array) =
   let n = Array.length samples in
-  if n mod 2 = 0 then invalid_arg "Order_stats.median_int64: even count";
+  if n mod 2 = 0 then invalid_arg "Order_stats.median_int: even count";
   match n with
   | 1 -> samples.(0)
-  | 3 -> median3_int64 samples.(0) samples.(1) samples.(2)
+  | 3 -> median3_int samples.(0) samples.(1) samples.(2)
   | 5 ->
-      median5_int64 samples.(0) samples.(1) samples.(2) samples.(3)
+      median5_int samples.(0) samples.(1) samples.(2) samples.(3)
         samples.(4)
   | _ ->
       let sorted = Array.copy samples in
-      Array.sort Int64.compare sorted;
+      Array.sort Int.compare sorted;
       sorted.(n / 2)
 
 let median_dist dists =

@@ -27,14 +27,15 @@ val median_dist : Dist.t array -> Dist.t
 (** Sample median of an odd-length array (does not modify its argument). *)
 val sample_median : float array -> float
 
-(** Median of three via a branch network (no allocation). *)
-val median3_int64 : int64 -> int64 -> int64 -> int64
+(** Median of three via a branch network of int compares (no allocation,
+    no polymorphic compare). *)
+val median3_int : int -> int -> int -> int
 
 (** Median of five via a 6-compare network (no allocation). *)
-val median5_int64 : int64 -> int64 -> int64 -> int64 -> int64 -> int64
+val median5_int : int -> int -> int -> int -> int -> int
 
-(** Sample median of an odd-length int64 array. Lengths 1, 3 and 5 — the
+(** Sample median of an odd-length int array. Lengths 1, 3 and 5 — the
     replica vote counts — go through the branch networks without touching
     the allocator; longer odd arrays fall back to copy + sort. Raises
     [Invalid_argument] for even lengths; does not modify its argument. *)
-val median_int64 : int64 array -> int64
+val median_int : int array -> int

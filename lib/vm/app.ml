@@ -7,7 +7,7 @@ type event =
   | Tick
 
 type action =
-  | Compute of int64
+  | Compute of int
   | Disk_read of { bytes : int; sequential : bool; tag : int }
   | Disk_write of { bytes : int; sequential : bool; tag : int }
   | Dma_transfer of { bytes : int; tag : int }

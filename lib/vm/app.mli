@@ -17,7 +17,7 @@ type event =
   | Tick  (** Periodic PIT timer interrupt; most applications ignore it. *)
 
 type action =
-  | Compute of int64  (** Retire this many branches before later actions. *)
+  | Compute of int  (** Retire this many branches before later actions. *)
   | Disk_read of { bytes : int; sequential : bool; tag : int }
   | Disk_write of { bytes : int; sequential : bool; tag : int }
   | Dma_transfer of { bytes : int; tag : int }

@@ -12,23 +12,25 @@ let create ?(tsc_hz = 3.0e9) ?(pit_hz = 1_193_182.) ?(pit_reload = 4772) () =
   if pit_reload <= 0 then invalid_arg "Clocks.create: pit_reload must be positive";
   { tsc_hz; pit_hz; pit_reload }
 
+(* [virt * rate] passes 2^62 long before virt leaves the int range, so both
+   readings multiply in a function-local int64 expression (kept unboxed, no
+   allocation) and divide back into int range: exactly the int64 clock's
+   value, bit for bit. *)
+
 let rdtsc t ~virt =
   (* floor(virt_s * tsc_hz); computed in integer arithmetic to stay exact
      across replicas: ticks = virt_ns * (tsc_hz / 1e9). With tsc_hz an
      integral number of kHz this is virt_ns * khz / 1e6. *)
   let khz = Int64.of_float (Float.round (t.tsc_hz /. 1e3)) in
-  Int64.div (Int64.mul virt khz) 1_000_000L
+  Int64.to_int (Int64.div (Int64.mul (Int64.of_int virt) khz) 1_000_000L)
 
-let rtc_seconds _t ~virt = Int64.to_int (Int64.div virt 1_000_000_000L)
+let rtc_seconds _t ~virt = virt / 1_000_000_000
 
-let pit_ticks t ~virt =
+let pit_counter t ~virt =
   (* Ticks elapsed = floor(virt_s * pit_hz), again in exact integer form:
      the i8254 rate is an integral Hz value. *)
   let hz = Int64.of_float (Float.round t.pit_hz) in
-  Int64.div (Int64.mul virt hz) 1_000_000_000L
-
-let pit_counter t ~virt =
-  let ticks = pit_ticks t ~virt in
+  let ticks = Int64.div (Int64.mul (Int64.of_int virt) hz) 1_000_000_000L in
   let phase = Int64.to_int (Int64.rem ticks (Int64.of_int t.pit_reload)) in
   t.pit_reload - phase
 

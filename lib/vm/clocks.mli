@@ -23,15 +23,19 @@ type t
 val create : ?tsc_hz:float -> ?pit_hz:float -> ?pit_reload:int -> unit -> t
 
 (** [rdtsc t ~virt] is the time-stamp counter value a guest reads at virtual
-    time [virt]: [floor (virt_seconds * tsc_hz)]. *)
-val rdtsc : t -> virt:Sw_sim.Time.t -> int64
+    time [virt]: [floor (virt_seconds * tsc_hz)]. The product
+    [virt * kHz] is taken in a function-local 64-bit expression, so the
+    reading is exact (a 64-bit clock's value, bit for bit) over the whole
+    [int] range of [virt] and allocates nothing. *)
+val rdtsc : t -> virt:Sw_sim.Time.t -> int
 
 (** [rtc_seconds t ~virt] is the CMOS RTC reading (whole seconds of virtual
     time since guest start). *)
 val rtc_seconds : t -> virt:Sw_sim.Time.t -> int
 
 (** [pit_counter t ~virt] is the PIT countdown register: it decrements at
-    [pit_hz] from [pit_reload] and reloads on reaching zero. *)
+    [pit_hz] from [pit_reload] and reloads on reaching zero. The tick count
+    [virt * pit_hz / 10^9] is exact in the same way as {!rdtsc}'s. *)
 val pit_counter : t -> virt:Sw_sim.Time.t -> int
 
 (** Interrupt period implied by the PIT programming ([pit_reload / pit_hz]),

@@ -15,7 +15,7 @@
 type sinks = {
   send :
     seq:int ->
-    instr:int64 ->
+    instr:int ->
     dst:Sw_net.Address.t ->
     size:int ->
     payload:Sw_net.Packet.payload ->
@@ -27,9 +27,9 @@ type sinks = {
     bytes:int ->
     sequential:bool ->
     tag:int ->
-    instr:int64 ->
+    instr:int ->
     unit;  (** Called when the guest issues a disk request. *)
-  dma : bytes:int -> tag:int -> instr:int64 -> unit;
+  dma : bytes:int -> tag:int -> instr:int -> unit;
       (** Called when the guest starts a DMA transfer. *)
 }
 
@@ -49,14 +49,18 @@ val create :
 (** Injects {!App.Boot}; call once before the first slice. *)
 val boot : t -> unit
 
-val instr : t -> int64
+val instr : t -> int
 val virt_now : t -> Sw_sim.Time.t
 val vt : t -> Virtual_time.t
 
 (** [run_branches t n] executes [n] branches' worth of guest work (compute
     actions, emitting sends/disk requests at their exact branch offsets;
-    idle spinning when the action queue is empty). *)
-val run_branches : t -> int64 -> unit
+    idle spinning when the action queue is empty). A compute action cut by
+    the end of a slice stays at the head of the queue with its progress
+    recorded in place, so the slice boundaries never change the branch
+    offsets at which later actions run, and cutting one allocates
+    nothing. *)
+val run_branches : t -> int -> unit
 
 (** [inject t ev] delivers an interrupt's event to the application (at a VM
     exit). Immediate resulting actions (sends, disk requests, timers) execute

@@ -1,7 +1,7 @@
 module Time = Sw_sim.Time
 
 type epoch = {
-  interval_branches : int64;
+  interval_branches : int;
   slope_l : float;
   slope_u : float;
 }
@@ -38,7 +38,7 @@ type t = {
 }
 
 let slice_branches t =
-  Int64.of_float (Float.round (Int64.to_float t.quantum *. t.branches_per_ns))
+  int_of_float (Float.round (float_of_int t.quantum *. t.branches_per_ns))
 
 let default =
   {
@@ -80,7 +80,7 @@ let validate t =
   if t.proposal_size <= 0 then invalid_arg "Config: proposal_size must be positive";
   (match t.epoch with
   | Some e ->
-      if Int64.compare e.interval_branches 1L < 0 then
+      if e.interval_branches < 1 then
         invalid_arg "Config: epoch interval must be positive";
       if e.slope_l <= 0. || e.slope_u < e.slope_l then
         invalid_arg "Config: epoch slope bounds must satisfy 0 < l <= u"
@@ -108,4 +108,4 @@ let validate t =
   | Some e when Time.(e <= Time.zero) ->
       invalid_arg "Config: egress_vote_expiry must be positive"
   | _ -> ());
-  if slice_branches t < 1L then invalid_arg "Config: slice shorter than one branch"
+  if slice_branches t < 1 then invalid_arg "Config: slice shorter than one branch"

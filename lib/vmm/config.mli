@@ -7,7 +7,7 @@
     interrupts (8–15 ms). *)
 
 type epoch = {
-  interval_branches : int64;
+  interval_branches : int;
       (** The paper's I: branches per resynchronisation epoch. *)
   slope_l : float;  (** Lower clamp for the adjusted slope (ns/branch). *)
   slope_u : float;  (** Upper clamp. *)
@@ -77,7 +77,7 @@ type t = {
 }
 
 (** Slice length in branches ([quantum * branches_per_ns]). *)
-val slice_branches : t -> int64
+val slice_branches : t -> int
 
 val default : t
 

@@ -5,10 +5,16 @@ module Registry = Sw_obs.Registry
 type resident = {
   name : string;
   runnable : unit -> bool;
-  on_slice_end : slice_start:Sw_sim.Time.t -> unit;
+  on_slice_end : unit -> unit;
 }
 
-type resident_state = { r : resident; mutable running : bool }
+(* [slice_end] is the event every one of the resident's slices schedules,
+   built once at [attach] so that starting a slice allocates no closure. *)
+type resident_state = {
+  r : resident;
+  mutable running : bool;
+  slice_end : unit -> unit;
+}
 
 type t = {
   engine : Engine.t;
@@ -71,7 +77,7 @@ let dom0_time t = Time.ns (Registry.Counter.value t.m_dom0_ns)
    most (n-1)/2 guests), so resident slice loops run independently; a
    resident's loop parks itself when the replica group blocks it and is
    restarted by [wake]. *)
-let rec slice_loop t rs =
+let slice_loop t rs =
   if rs.r.runnable () then begin
     rs.running <- true;
     let slice_start = Engine.now t.engine in
@@ -80,20 +86,30 @@ let rec slice_loop t rs =
       if t.slowdown = 1.0 then t.slice_wall else Time.scale t.slice_wall t.slowdown
     in
     let finish = Time.add (Time.max slice_start t.stalled_until) wall in
-    ignore
-      (Engine.schedule_at ~kind:"vmm.slice" t.engine finish (fun () ->
-           rs.r.on_slice_end ~slice_start;
-           slice_loop t rs))
+    ignore (Engine.schedule_at ~kind:"vmm.slice" t.engine finish rs.slice_end)
   end
   else rs.running <- false
 
 let attach t r =
-  let rs = { r; running = false } in
+  let rec rs =
+    {
+      r;
+      running = false;
+      slice_end =
+        (fun () ->
+          rs.r.on_slice_end ();
+          slice_loop t rs);
+    }
+  in
   t.residents <- Array.append t.residents [| rs |];
   slice_loop t rs
 
 let wake t =
-  Array.iter (fun rs -> if not rs.running then slice_loop t rs) t.residents
+  let residents = t.residents in
+  for k = 0 to Array.length residents - 1 do
+    let rs = residents.(k) in
+    if not rs.running then slice_loop t rs
+  done
 
 (* Freeze the whole machine — guest cores, Dom0, NIC, DMA — until [until].
    Slices already in flight complete at their scheduled instant (the
@@ -125,7 +141,7 @@ let dom0_execute t ~cost k =
   let start = Time.max now t.dom0_busy_until in
   let finish = Time.add start cost in
   t.dom0_busy_until <- finish;
-  Registry.Counter.add t.m_dom0_ns (Int64.to_int cost);
+  Registry.Counter.add t.m_dom0_ns cost;
   ignore (Engine.schedule_at ~kind:"vmm.dom0" t.engine finish k)
 
 let dom0_work t span = dom0_execute t ~cost:span (fun () -> ())

@@ -13,7 +13,7 @@ type resident = {
   name : string;  (** For diagnostics. *)
   runnable : unit -> bool;
       (** Polled when the scheduler picks the next slice's owner. *)
-  on_slice_end : slice_start:Sw_sim.Time.t -> unit;
+  on_slice_end : unit -> unit;
       (** Invoked at the end of each of this resident's slices (the
           guest-caused VM exit point). *)
 }

@@ -9,7 +9,7 @@ type member = {
   replica_id : int;
   machine : int;
   wake : unit -> unit;
-  apply_slope : at_instr:int64 -> slope_ns_per_branch:float -> unit;
+  apply_slope : at_instr:int -> slope_ns_per_branch:float -> unit;
   send_report : epoch:int -> d:Time.t -> r:Time.t -> unit;
   mutable virt : Time.t;
   mutable blocked_skew : bool;
@@ -22,7 +22,7 @@ type member = {
   mutable epoch_index : int;  (** Next epoch boundary to cross. *)
   mutable epoch_start_real : Time.t;
   mutable blocked_epoch : bool;
-  mutable pending_boundary : (int64 * Time.t) option;
+  mutable pending_boundary : (int * Time.t) option;
       (** (exit instr, virt) at the boundary crossing awaiting resolution. *)
   reports : (int * int, report) Hashtbl.t;
       (** Reports received at this member, keyed by (epoch, replica). *)
@@ -107,7 +107,7 @@ let add_member t ~machine ~wake ~apply_slope ~send_report =
 let median_time times =
   if Array.length times mod 2 = 0 then
     invalid_arg "Replica_group.median_time: even count";
-  Sw_stats.Order_stats.median_int64 times
+  Sw_stats.Order_stats.median_int times
 
 let active m = m.active
 let last_seen m = m.last_seen
@@ -145,43 +145,44 @@ let update_skew t =
   (* Runs on every VM exit, so the two largest virtual times come from a
      single scan over the members — no intermediate list, array or sort.
      Duplicated maxima land in both [fastest] and [second], exactly as the
-     two head elements of a descending sort would. *)
+     two head elements of a descending sort would. [for] loops over local
+     refs, not [Array.iter] closures: the scan allocates nothing. *)
+  let members = t.members in
   let live = ref 0 in
   let fastest = ref Time.zero and second = ref Time.zero in
-  Array.iter
-    (fun m ->
-      if m.active then begin
-        incr live;
-        if !live = 1 then fastest := m.virt
-        else if Time.(m.virt > !fastest) then begin
-          second := !fastest;
-          fastest := m.virt
-        end
-        else if !live = 2 then second := m.virt
-        else if Time.(m.virt > !second) then second := m.virt
-      end)
-    t.members;
+  for i = 0 to Array.length members - 1 do
+    let m = members.(i) in
+    if m.active then begin
+      incr live;
+      if !live = 1 then fastest := m.virt
+      else if Time.(m.virt > !fastest) then begin
+        second := !fastest;
+        fastest := m.virt
+      end
+      else if !live = 2 then second := m.virt
+      else if Time.(m.virt > !second) then second := m.virt
+    end
+  done;
   if !live >= 2 then begin
     let fastest = !fastest and second = !second in
     let limit = t.config.Config.skew_bound in
-    Array.iter
-      (fun m ->
-        if m.active then begin
-          let should_block =
-            Time.equal m.virt fastest
-            && Time.(Time.sub fastest second > limit)
-          in
-          if m.blocked_skew && not should_block then begin
-            m.blocked_skew <- false;
-            m.wake ()
-          end
-          else begin
-            if should_block && not m.blocked_skew then
-              Registry.Counter.incr t.m_skew_blocks;
-            m.blocked_skew <- should_block
-          end
-        end)
-      t.members
+    for i = 0 to Array.length members - 1 do
+      let m = members.(i) in
+      if m.active then begin
+        let should_block =
+          Time.equal m.virt fastest && Time.(Time.sub fastest second > limit)
+        in
+        if m.blocked_skew && not should_block then begin
+          m.blocked_skew <- false;
+          m.wake ()
+        end
+        else begin
+          if should_block && not m.blocked_skew then
+            Registry.Counter.incr t.m_skew_blocks;
+          m.blocked_skew <- should_block
+        end
+      end
+    done
   end
 
 (* Try to resolve the epoch this member is blocked on: needs its own
@@ -214,7 +215,7 @@ let try_resolve_epoch t m =
       let raw_slope =
         Time.to_float_s (Time.add (Time.sub r_star boundary_virt) d_star)
         *. 1e9
-        /. Int64.to_float e.Config.interval_branches
+        /. float_of_int e.Config.interval_branches
       in
       let slope =
         Sw_vm.Virtual_time.clamped_slope ~l:e.Config.slope_l ~u:e.Config.slope_u
@@ -234,10 +235,8 @@ let note_epoch_crossing t m ~now ~virt ~instr =
   match t.config.Config.epoch with
   | None -> ()
   | Some e ->
-      let boundary =
-        Int64.mul (Int64.of_int (m.epoch_index + 1)) e.Config.interval_branches
-      in
-      if Int64.compare instr boundary >= 0 && m.pending_boundary = None then begin
+      let boundary = (m.epoch_index + 1) * e.Config.interval_branches in
+      if instr >= boundary && Option.is_none m.pending_boundary then begin
         let d = Time.sub now m.epoch_start_real in
         m.epoch_start_real <- now;
         m.pending_boundary <- Some (instr, virt);
@@ -294,14 +293,14 @@ let note_degraded_transition t ~now =
   match (t.degraded_since, degraded) with
   | None, true -> t.degraded_since <- Some now
   | Some since, false ->
-      Registry.Sum.add t.m_degraded_ns (Int64.to_float (Time.sub now since));
+      Registry.Sum.add t.m_degraded_ns (float_of_int (Time.sub now since));
       t.degraded_since <- None
   | _ -> ()
 
 let degraded_ns t ~now =
   let closed = Registry.Sum.value t.m_degraded_ns in
   match t.degraded_since with
-  | Some since -> closed +. Int64.to_float (Time.sub now since)
+  | Some since -> closed +. float_of_int (Time.sub now since)
   | None -> closed
 
 (* After any membership change the survivors must re-evaluate everything the

@@ -31,7 +31,7 @@ val add_member :
   t ->
   machine:int ->
   wake:(unit -> unit) ->
-  apply_slope:(at_instr:int64 -> slope_ns_per_branch:float -> unit) ->
+  apply_slope:(at_instr:int -> slope_ns_per_branch:float -> unit) ->
   send_report:(epoch:int -> d:Sw_sim.Time.t -> r:Sw_sim.Time.t -> unit) ->
   member
 
@@ -52,7 +52,7 @@ val complete : t -> bool
     emits this member's epoch report and blocks it until the epoch
     resolves. *)
 val note_exit :
-  t -> member -> now:Sw_sim.Time.t -> virt:Sw_sim.Time.t -> instr:int64 -> unit
+  t -> member -> now:Sw_sim.Time.t -> virt:Sw_sim.Time.t -> instr:int -> unit
 
 (** True when the member must not run (skew-blocked or epoch-blocked). *)
 val blocked : t -> member -> bool

@@ -32,7 +32,7 @@ type log_entry =
   | L_slice
   | L_inject of Sw_vm.App.event
   | L_timers
-  | L_slope of int64 * float
+  | L_slope of int * float
 
 type instance = {
   vm_id : int;
@@ -106,17 +106,18 @@ let emit i event =
   | Some tr ->
       Sw_obs.Trace.emit tr ~at_ns:(Engine.now (Machine.engine i.mach)) event
 
-let insert_pending i entry =
-  let precedes a b =
-    match Time.compare a.delivery b.delivery with
-    | 0 -> if a.cls <> b.cls then a.cls < b.cls else a.key < b.key
-    | c -> c < 0
-  in
-  let rec insert = function
-    | [] -> [ entry ]
-    | hd :: rest -> if precedes entry hd then entry :: hd :: rest else hd :: insert rest
-  in
-  i.pending <- insert i.pending
+let precedes a b =
+  match Time.compare a.delivery b.delivery with
+  | 0 -> if a.cls <> b.cls then a.cls < b.cls else a.key < b.key
+  | c -> c < 0
+
+let rec insert_sorted entry = function
+  | [] -> [ entry ]
+  | hd :: rest ->
+      if precedes entry hd then entry :: hd :: rest
+      else hd :: insert_sorted entry rest
+
+let insert_pending i entry = i.pending <- insert_sorted entry i.pending
 
 let is_stopwatch i =
   match Replica_group.mode i.group with
@@ -148,7 +149,7 @@ let complete_inbound i ~ingress_seq entry =
            sizes fill one array in a single pass. *)
         match votes with
         | [ (_, a); (_, b); (_, c) ] ->
-            Sw_stats.Order_stats.median3_int64 a b c
+            Sw_stats.Order_stats.median3_int a b c
         | _ ->
             let arr = Array.make (List.length votes) Time.zero in
             List.iteri (fun k (_, v) -> arr.(k) <- v) votes;
@@ -323,64 +324,67 @@ let make_sinks mach group_ref member_ref vm_id disk_cb dma_cb =
 
 (* --- Slice handling --------------------------------------------------- *)
 
+(* Injects every pending interrupt due at [virt], in (delivery, cls, key)
+   order. A top-level function rather than a local [loop] closure over [i]
+   and [virt]: it runs at every VM exit and allocates nothing when nothing
+   is due. *)
+let rec inject_due i virt =
+match i.pending with
+  | hd :: rest when Time.(hd.delivery <= virt) ->
+      i.pending <- rest;
+      log_op i (L_inject hd.event);
+      (match hd.event with
+      | Sw_vm.App.Packet_in _ ->
+          if trace_on i then
+            emit i
+              (Event.Packet_delivered
+                 {
+                   vm = i.vm_id;
+                   replica = Replica_group.replica_id i.member;
+                   seq = hd.key;
+                   virt_ns = virt;
+                 });
+          Registry.Counter.incr i.m_net;
+          (match i.last_net_virt with
+          | Some prev ->
+              let gap = Time.sub virt prev in
+              Sw_sim.Samples.add i.inter_delivery (Time.to_float_ms gap);
+              Registry.Histogram.observe i.h_inter gap
+          | None -> ());
+          i.last_net_virt <- Some virt
+      | Sw_vm.App.Disk_done { tag } ->
+          Registry.Counter.incr i.m_disk_irq;
+          if trace_on i then
+            emit i
+              (Event.Disk_irq
+                 {
+                   vm = i.vm_id;
+                   replica = Replica_group.replica_id i.member;
+                   tag;
+                   virt_ns = virt;
+                 })
+      | Sw_vm.App.Dma_done { tag } ->
+          Registry.Counter.incr i.m_dma_irq;
+          if trace_on i then
+            emit i
+              (Event.Dma_irq
+                 {
+                   vm = i.vm_id;
+                   replica = Replica_group.replica_id i.member;
+                   tag;
+                   virt_ns = virt;
+                 })
+      | _ -> ());
+      Sw_vm.Guest.inject i.guest hd.event;
+      inject_due i virt
+  | _ -> ()
+
 let deliver_due i =
-  let virt = Sw_vm.Guest.virt_now i.guest in
-  let rec loop () =
-    match i.pending with
-    | hd :: rest when Time.(hd.delivery <= virt) ->
-        i.pending <- rest;
-        log_op i (L_inject hd.event);
-        (match hd.event with
-        | Sw_vm.App.Packet_in _ ->
-            if trace_on i then
-              emit i
-                (Event.Packet_delivered
-                   {
-                     vm = i.vm_id;
-                     replica = Replica_group.replica_id i.member;
-                     seq = hd.key;
-                     virt_ns = virt;
-                   });
-            Registry.Counter.incr i.m_net;
-            (match i.last_net_virt with
-            | Some prev ->
-                let gap = Time.sub virt prev in
-                Sw_sim.Samples.add i.inter_delivery (Time.to_float_ms gap);
-                Registry.Histogram.observe i.h_inter gap
-            | None -> ());
-            i.last_net_virt <- Some virt
-        | Sw_vm.App.Disk_done { tag } ->
-            Registry.Counter.incr i.m_disk_irq;
-            if trace_on i then
-              emit i
-                (Event.Disk_irq
-                   {
-                     vm = i.vm_id;
-                     replica = Replica_group.replica_id i.member;
-                     tag;
-                     virt_ns = virt;
-                   })
-        | Sw_vm.App.Dma_done { tag } ->
-            Registry.Counter.incr i.m_dma_irq;
-            if trace_on i then
-              emit i
-                (Event.Dma_irq
-                   {
-                     vm = i.vm_id;
-                     replica = Replica_group.replica_id i.member;
-                     tag;
-                     virt_ns = virt;
-                   })
-        | _ -> ());
-        Sw_vm.Guest.inject i.guest hd.event;
-        loop ()
-    | _ -> ()
-  in
-  loop ();
+  inject_due i (Sw_vm.Guest.virt_now i.guest);
   log_op i L_timers;
   Sw_vm.Guest.deliver_due_timers i.guest
 
-let on_slice_end t i ~slice_start:_ =
+let on_slice_end t i =
   if i.crashed then ()
   else begin
   let branches = Config.slice_branches i.config in
@@ -842,7 +846,7 @@ let host ?channel ?start t ~group ~app ~peers =
       Machine.name = Printf.sprintf "vm%d/r%d" vm_id (Replica_group.replica_id i.member);
       runnable =
         (fun () -> (not i.crashed) && not (Replica_group.blocked group i.member));
-      on_slice_end = (fun ~slice_start -> on_slice_end t i ~slice_start);
+      on_slice_end = (fun () -> on_slice_end t i);
     };
   Option.iter (start_heartbeat i) config.Config.vmm_heartbeat;
   i

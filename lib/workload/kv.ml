@@ -5,7 +5,7 @@ module Msg = Sw_net.Msg
 
 type config = {
   cache : Cache.config;
-  compute_branches : int64;
+  compute_branches : int;
   header_bytes : int;
   tcp : Sw_apps.Tcp.config option;
 }
@@ -21,7 +21,7 @@ let default_config =
           ];
         origin_cost = Time.ms 2;
       };
-    compute_branches = 20_000L;
+    compute_branches = 20_000;
     header_bytes = 64;
     tcp = None;
   }

@@ -15,7 +15,7 @@
 
 type config = {
   cache : Cache.config;
-  compute_branches : int64;  (** Per-request CPU cost (request parsing). *)
+  compute_branches : int;  (** Per-request CPU cost (request parsing). *)
   header_bytes : int;  (** Response header overhead on the wire. *)
   tcp : Sw_apps.Tcp.config option;  (** [None] = {!Sw_apps.Tcp.default_config}. *)
 }

@@ -42,7 +42,7 @@ let quantile_ms snapshot name q =
             if cum >= target then Sw_obs.Buckets.bound idx else walk cum rest
       in
       let bound = walk 0 h.Snapshot.buckets in
-      let bound = Int64.max h.Snapshot.min (Int64.min h.Snapshot.max bound) in
+      let bound = Int.max h.Snapshot.min (Int.min h.Snapshot.max bound) in
       Time.to_float_ms bound
 
 (* Everything in flight when the offered load stops gets this long to
@@ -78,7 +78,7 @@ let prepare_single (w : Dsl.workload) =
   let kv_config =
     {
       Kv.cache = w.cache;
-      compute_branches = Int64.of_int w.compute_branches;
+      compute_branches = w.compute_branches;
       header_bytes = w.header_bytes;
       tcp = None;
     }
@@ -304,7 +304,7 @@ let prepare_datacenter ?assign (w : Dsl.workload)
   let kv_config =
     {
       Kv.cache = w.cache;
-      compute_branches = Int64.of_int w.compute_branches;
+      compute_branches = w.compute_branches;
       header_bytes = w.header_bytes;
       tcp = None;
     }

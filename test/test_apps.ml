@@ -247,7 +247,7 @@ let test_nfs_mix_probabilities () =
 let test_parsec_app_phases () =
   let sends = ref 0 and disk_reqs = ref 0 in
   let profile =
-    { Sw_apps.Parsec.ferret with Sw_apps.Parsec.io_count = 5; compute_branches = 50_000L }
+    { Sw_apps.Parsec.ferret with Sw_apps.Parsec.io_count = 5; compute_branches = 50_000 }
   in
   let app = Sw_apps.Parsec.app profile ~collector:(Sw_net.Address.Host 0) () in
   let sinks =
@@ -261,10 +261,10 @@ let test_parsec_app_phases () =
   let guest = Sw_vm.Guest.create ~app ~vt ~sinks () in
   Sw_vm.Guest.boot guest;
   for tag = 0 to 4 do
-    Sw_vm.Guest.run_branches guest 100_000L;
+    Sw_vm.Guest.run_branches guest 100_000;
     Sw_vm.Guest.inject guest (App.Disk_done { tag })
   done;
-  Sw_vm.Guest.run_branches guest 100_000L;
+  Sw_vm.Guest.run_branches guest 100_000;
   Alcotest.(check int) "five disk requests" 5 !disk_reqs;
   Alcotest.(check int) "job-done sent" 1 !sends
 

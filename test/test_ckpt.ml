@@ -401,7 +401,7 @@ let test_soak_survives_kills () =
   Alcotest.(check string) "report bytes"
     (result_bytes uninterrupted.Soak.result)
     (result_bytes survived.Soak.result);
-  Alcotest.(check int64) "same horizon" uninterrupted.Soak.sim_ns
+  Alcotest.(check int) "same horizon" uninterrupted.Soak.sim_ns
     survived.Soak.sim_ns
 
 (* --- warm-start cache ------------------------------------------------------ *)
@@ -499,7 +499,7 @@ let test_bisect_finds_planted_divergence () =
       (* Grid every 100ms; the fault lands at 250ms, so checkpoints 0-1
          agree and #2 (t=300ms) is the first divergent one. *)
       Alcotest.(check int) "first divergent checkpoint" 2 d.Bisect.index;
-      Alcotest.(check int64) "at the grid instant" 300_000_000L d.Bisect.sim_ns;
+      Alcotest.(check int) "at the grid instant" (Time.ms 300) d.Bisect.sim_ns;
       Alcotest.(check (option int)) "last agreement" (Some 1)
         d.Bisect.last_common;
       Alcotest.(check bool) "metrics moved" true (d.Bisect.metric_diff <> []);
@@ -551,7 +551,7 @@ let test_trace_dropped_mirror () =
   let tr = Trace.create ~capacity:4 ~metrics:reg () in
   Trace.enable tr;
   for i = 1 to 10 do
-    Trace.emit tr ~at_ns:(Int64.of_int i)
+    Trace.emit tr ~at_ns:i
       (Event.Span_begin { name = "m" })
   done;
   let mirror () = Snapshot.counter (Registry.snapshot reg) "trace.dropped" in

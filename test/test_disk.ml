@@ -22,7 +22,7 @@ let test_transfer_time () =
   Disk.submit disk ~vm:0 ~kind:Disk.Read ~bytes:1000 ~sequential:false (fun () ->
       finished := Engine.now engine);
   Engine.run engine;
-  Alcotest.(check int64) "pure transfer" (Time.ms 1) !finished
+  Alcotest.(check int) "pure transfer" (Time.ms 1) !finished
 
 let test_fifo_queueing () =
   let engine = Engine.create () in
@@ -33,7 +33,7 @@ let test_fifo_queueing () =
         finishes := (i, Engine.now engine) :: !finishes)
   done;
   Engine.run engine;
-  Alcotest.(check (list (pair int int64)))
+  Alcotest.(check (list (pair int int)))
     "requests queue one at a time"
     [ (1, Time.ms 1); (2, Time.ms 2); (3, Time.ms 3) ]
     (List.rev !finishes)
@@ -68,8 +68,8 @@ let test_accounting () =
   Engine.run engine;
   Alcotest.(check int) "completed" 3 (Disk.completed disk);
   Alcotest.(check int) "per-vm" 2 (Disk.completed_for disk ~vm:3);
-  Alcotest.(check int64) "busy time" (Time.us 1500) (Disk.busy_time disk);
-  Alcotest.(check int64) "max service" (Time.us 500) (Disk.max_service_time disk)
+  Alcotest.(check int) "busy time" (Time.us 1500) (Disk.busy_time disk);
+  Alcotest.(check int) "max service" (Time.us 500) (Disk.max_service_time disk)
 
 let test_rejects_zero_bytes () =
   let engine = Engine.create () in

@@ -22,7 +22,7 @@ let echo_app : App.factory =
           | Packet.App (Msg.Probe_ping n) ->
               ( count + 1,
                 [
-                  App.Compute 10_000L;
+                  App.Compute 10_000;
                   App.Send { dst = pkt.Packet.src; size = 100; payload = pong n };
                 ] )
           | _ -> (count, []))
@@ -66,7 +66,7 @@ let test_replicas_in_lockstep () =
   | first :: rest ->
       List.iter
         (fun r ->
-          Alcotest.(check int64) "identical virtual time" (virt first) (virt r);
+          Alcotest.(check int) "identical virtual time" (virt first) (virt r);
           Alcotest.(check int) "identical output count" (sent first) (sent r);
           Alcotest.(check int) "identical deliveries" (deliveries first) (deliveries r))
         rest
@@ -145,7 +145,7 @@ let test_background_noise_keeps_determinism () =
   Alcotest.(check int) "pongs under noise" 10 pongs;
   Alcotest.(check int) "no divergences" 0 div;
   match virts with
-  | v :: rest -> List.iter (fun v' -> Alcotest.(check int64) "lockstep" v v') rest
+  | v :: rest -> List.iter (fun v' -> Alcotest.(check int) "lockstep" v v') rest
   | [] -> ()
 
 let prop_lockstep_any_seed =
@@ -260,7 +260,7 @@ let test_dma_end_to_end () =
                 (fun msg ->
                   App.Send
                     { dst = Sw_net.Address.Host 0; size = 64; payload = Packet.App msg })
-                [ Msg.Stream_data (n + 1); Msg.Probe_echo (Int64.to_int virt_now) ] )
+                [ Msg.Stream_data (n + 1); Msg.Probe_echo virt_now ] )
         | _ -> (n, []))
   in
   let cloud = Cloud.create ~machines:3 () in
@@ -271,7 +271,7 @@ let test_dma_end_to_end () =
       match pkt.Packet.payload with
       | Packet.App (Msg.Stream_data n) -> completions := Some n
       | Packet.App (Msg.Probe_echo ns) ->
-          virt_ms := Some (Time.to_float_ms (Int64.of_int ns))
+          virt_ms := Some (Time.to_float_ms ns)
       | _ -> ());
   Cloud.run cloud ~until:(Time.s 2);
   (match (!completions, !virt_ms) with
@@ -329,7 +329,7 @@ let test_lossy_fabric_pgm_recovery () =
         (fun r ->
           Alcotest.(check int) "replica deliveries equal" pings
             (Sw_vmm.Vmm.net_deliveries r);
-          Alcotest.(check int64) "lockstep under loss"
+          Alcotest.(check int) "lockstep under loss"
             (Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest first))
             (Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest r)))
         rest
@@ -346,7 +346,7 @@ let test_epoch_resync_in_cloud () =
       epoch =
         Some
           {
-            Sw_vmm.Config.interval_branches = 100_000_000L;
+            Sw_vmm.Config.interval_branches = 100_000_000;
             slope_l = 0.9;
             slope_u = 1.1;
           };
@@ -465,7 +465,7 @@ let test_clock_offsets_start_negotiation () =
   | a :: rest ->
       List.iter
         (fun r ->
-          Alcotest.(check int64) "identical virt despite clock error"
+          Alcotest.(check int) "identical virt despite clock error"
             (Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest a))
             (Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest r)))
         rest
@@ -492,9 +492,9 @@ let test_replay_recovery () =
   let victim_replica = List.nth (Cloud.replicas d) 1 in
   let live = Sw_vmm.Vmm.guest victim_replica in
   let clone = Sw_vmm.Vmm.rebuild victim_replica in
-  Alcotest.(check int64) "clone branch counter" (Sw_vm.Guest.instr live)
+  Alcotest.(check int) "clone branch counter" (Sw_vm.Guest.instr live)
     (Sw_vm.Guest.instr clone);
-  Alcotest.(check int64) "clone virtual clock" (Sw_vm.Guest.virt_now live)
+  Alcotest.(check int) "clone virtual clock" (Sw_vm.Guest.virt_now live)
     (Sw_vm.Guest.virt_now clone);
   Alcotest.(check int) "clone packet numbering" (Sw_vm.Guest.sent_packets live)
     (Sw_vm.Guest.sent_packets clone);
@@ -508,7 +508,7 @@ let test_replay_recovery () =
   | a :: rest ->
       List.iter
         (fun r ->
-          Alcotest.(check int64) "lockstep after recovery"
+          Alcotest.(check int) "lockstep after recovery"
             (Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest a))
             (Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest r)))
         rest
@@ -527,7 +527,7 @@ let random_app ~app_seed : App.factory =
         | App.Packet_in pkt ->
             if pick < 30 then
               [
-                App.Compute (Int64.of_int (1000 + (pick * 997)));
+                App.Compute (1000 + (pick * 997));
                 App.Send
                   { dst = pkt.Packet.src; size = 80 + pick; payload = pong events };
               ]
@@ -536,14 +536,14 @@ let random_app ~app_seed : App.factory =
             else if pick < 60 then [ App.Dma_transfer { bytes = 4096; tag = events } ]
             else if pick < 80 then
               [ App.Set_timer { after = Time.us (100 * (pick + 1)); tag = events } ]
-            else [ App.Compute (Int64.of_int (5000 * pick)) ]
+            else [ App.Compute (5000 * pick) ]
         | App.Disk_done _ | App.Dma_done _ ->
             [
-              App.Compute 2000L;
+              App.Compute 2000;
               App.Send
                 { dst = Sw_net.Address.Host 0; size = 64; payload = pong events };
             ]
-        | App.Timer _ -> [ App.Compute 12_345L ]
+        | App.Timer _ -> [ App.Compute 12_345 ]
         | App.Boot | App.Tick -> []
       in
       ((state, events + 1), actions))

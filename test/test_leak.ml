@@ -178,27 +178,27 @@ let entry at_ns event = { Trace.at_ns; event }
 let test_lineage_observations () =
   let entries =
     [
-      entry 1_000_000L (Event.Ingress_replicated { vm = 0; ingress_seq = 0; copies = 1; size = 100 });
-      entry 1_200_000L
+      entry 1_000_000 (Event.Ingress_replicated { vm = 0; ingress_seq = 0; copies = 1; size = 100 });
+      entry 1_200_000
         (Event.Packet_proposed
-           { vm = 0; observer = 0; proposer = 0; ingress_seq = 0; virt_ns = 5_000_000L });
-      entry 1_700_000L
+           { vm = 0; observer = 0; proposer = 0; ingress_seq = 0; virt_ns = 5_000_000 });
+      entry 1_700_000
         (Event.Median_adopted
-           { vm = 0; replica = 0; ingress_seq = 0; virt_ns = 5_000_000L; proposals = [ (0, 5_000_000L) ] });
-      entry 5_000_000L
-        (Event.Packet_delivered { vm = 0; replica = 0; seq = 0; virt_ns = 5_000_000L });
-      entry 6_000_000L (Event.Ingress_replicated { vm = 0; ingress_seq = 1; copies = 1; size = 100 });
-      entry 6_100_000L
+           { vm = 0; replica = 0; ingress_seq = 0; virt_ns = 5_000_000; proposals = [ (0, 5_000_000) ] });
+      entry 5_000_000
+        (Event.Packet_delivered { vm = 0; replica = 0; seq = 0; virt_ns = 5_000_000 });
+      entry 6_000_000 (Event.Ingress_replicated { vm = 0; ingress_seq = 1; copies = 1; size = 100 });
+      entry 6_100_000
         (Event.Packet_proposed
-           { vm = 0; observer = 0; proposer = 0; ingress_seq = 1; virt_ns = 9_000_000L });
-      entry 6_400_000L
+           { vm = 0; observer = 0; proposer = 0; ingress_seq = 1; virt_ns = 9_000_000 });
+      entry 6_400_000
         (Event.Median_adopted
-           { vm = 0; replica = 0; ingress_seq = 1; virt_ns = 9_000_000L; proposals = [ (0, 9_000_000L) ] });
-      entry 9_000_000L
-        (Event.Packet_delivered { vm = 0; replica = 0; seq = 1; virt_ns = 9_000_000L });
-      entry 2_000_000L (Event.Egress_released { vm = 0; seq = 0; rank = 0; copies = 1 });
-      entry 2_500_000L (Event.Egress_released { vm = 0; seq = 1; rank = 0; copies = 1 });
-      entry 3_500_000L (Event.Egress_released { vm = 0; seq = 2; rank = 0; copies = 1 });
+           { vm = 0; replica = 0; ingress_seq = 1; virt_ns = 9_000_000; proposals = [ (0, 9_000_000) ] });
+      entry 9_000_000
+        (Event.Packet_delivered { vm = 0; replica = 0; seq = 1; virt_ns = 9_000_000 });
+      entry 2_000_000 (Event.Egress_released { vm = 0; seq = 0; rank = 0; copies = 1 });
+      entry 2_500_000 (Event.Egress_released { vm = 0; seq = 1; rank = 0; copies = 1 });
+      entry 3_500_000 (Event.Egress_released { vm = 0; seq = 2; rank = 0; copies = 1 });
     ]
   in
   let obs = Lineage.observations (Lineage.of_entries entries) in

@@ -131,7 +131,7 @@ let test_json_roundtrips_export () =
   (* The reader accepts what our own emitters produce. *)
   let r = Registry.create () in
   Registry.Counter.add (Registry.counter r "net.delivered") 3;
-  Registry.Histogram.observe (Registry.histogram r "lat") 12_345L;
+  Registry.Histogram.observe (Registry.histogram r "lat") 12_345;
   let meta = Export.meta ~seed:42L ~scenario:"t" ~trace_dropped:0 () in
   let s = Export.to_json_string ~meta (Registry.snapshot r) in
   match Json.parse s with
@@ -148,7 +148,7 @@ let test_json_roundtrips_export () =
 
 let delivered seq =
   Event.Packet_delivered
-    { vm = 0; replica = 0; seq; virt_ns = Int64.of_int (seq * 1000) }
+    { vm = 0; replica = 0; seq; virt_ns = seq * 1000 }
 
 let test_trace_dropped () =
   let r = Registry.create () in
@@ -156,7 +156,7 @@ let test_trace_dropped () =
   Trace.enable tr;
   Alcotest.(check int) "capacity" 4 (Trace.capacity tr);
   for seq = 1 to 10 do
-    Trace.emit tr ~at_ns:(Int64.of_int seq) (delivered seq)
+    Trace.emit tr ~at_ns:seq (delivered seq)
   done;
   Alcotest.(check int) "dropped counts overwrites" 6 (Trace.dropped tr);
   Alcotest.(check int) "registry mirror" 6
@@ -164,7 +164,7 @@ let test_trace_dropped () =
   Trace.clear tr;
   Alcotest.(check int) "clear resets dropped" 0 (Trace.dropped tr);
   (* The truncation state rides into lineage and its summary. *)
-  Trace.emit tr ~at_ns:1L (delivered 1);
+  Trace.emit tr ~at_ns:1 (delivered 1);
   let l = Lineage.of_trace tr in
   Alcotest.(check int) "lineage carries dropped" 0 (Lineage.dropped l)
 
@@ -213,31 +213,30 @@ let test_export_meta_shape () =
    its peers, every replica adopts a median over all proposals, every
    replica delivers — all at non-decreasing instants. *)
 let emit_chain tr ~vm ~seq ~t0 ~g1 ~g2 ~g3 =
-  let t = Int64.of_int in
-  Trace.emit tr ~at_ns:(t t0)
+  Trace.emit tr ~at_ns:t0
     (Event.Ingress_replicated { vm; ingress_seq = seq; copies = 3; size = 100 });
-  let virt r = Int64.of_int ((1000 * seq) + r) in
+  let virt r = (1000 * seq) + r in
   for r = 0 to 2 do
-    Trace.emit tr ~at_ns:(t (t0 + g1))
+    Trace.emit tr ~at_ns:(t0 + g1)
       (Event.Packet_proposed
          { vm; observer = r; proposer = r; ingress_seq = seq; virt_ns = virt r })
   done;
   for observer = 0 to 2 do
     for proposer = 0 to 2 do
       if observer <> proposer then
-        Trace.emit tr ~at_ns:(t (t0 + g1 + g2))
+        Trace.emit tr ~at_ns:(t0 + g1 + g2)
           (Event.Packet_proposed
              { vm; observer; proposer; ingress_seq = seq; virt_ns = virt proposer })
     done
   done;
   let proposals = [ (0, virt 0); (1, virt 1); (2, virt 2) ] in
   for r = 0 to 2 do
-    Trace.emit tr ~at_ns:(t (t0 + g1 + g2))
+    Trace.emit tr ~at_ns:(t0 + g1 + g2)
       (Event.Median_adopted
          { vm; replica = r; ingress_seq = seq; virt_ns = virt 1; proposals })
   done;
   for r = 0 to 2 do
-    Trace.emit tr ~at_ns:(t (t0 + g1 + g2 + g3))
+    Trace.emit tr ~at_ns:(t0 + g1 + g2 + g3)
       (Event.Packet_delivered { vm; replica = r; seq; virt_ns = virt 1 })
   done
 
@@ -269,8 +268,8 @@ let prop_wellformed_stream_no_orphans =
       && Lineage.in_flight l = 0
       && pa.Lineage.count = 3 * chains
       && ad.Lineage.count = 3 * chains
-      && (pa.Lineage.count = 0 || Int64.compare pa.Lineage.min_ns 0L >= 0)
-      && (ad.Lineage.count = 0 || Int64.compare ad.Lineage.min_ns 0L >= 0)
+      && (pa.Lineage.count = 0 || pa.Lineage.min_ns >= 0)
+      && (ad.Lineage.count = 0 || ad.Lineage.min_ns >= 0)
       &&
       let shares = List.map snd (Lineage.median_wins l) in
       Float.abs (List.fold_left ( +. ) 0. shares -. 1.) < 1e-9)
@@ -279,17 +278,17 @@ let test_lineage_in_flight_not_orphan () =
   (* Adopted but not delivered when the trace ends: in flight, not broken. *)
   let tr = Trace.create () in
   Trace.enable tr;
-  Trace.emit tr ~at_ns:10L
+  Trace.emit tr ~at_ns:10
     (Event.Packet_proposed
-       { vm = 0; observer = 0; proposer = 0; ingress_seq = 0; virt_ns = 500L });
-  Trace.emit tr ~at_ns:20L
+       { vm = 0; observer = 0; proposer = 0; ingress_seq = 0; virt_ns = 500 });
+  Trace.emit tr ~at_ns:20
     (Event.Median_adopted
        {
          vm = 0;
          replica = 0;
          ingress_seq = 0;
-         virt_ns = 500L;
-         proposals = [ (0, 500L) ];
+         virt_ns = 500;
+         proposals = [ (0, 500) ];
        });
   let l = Lineage.of_trace tr in
   Alcotest.(check int) "no orphans" 0 (List.length (Lineage.orphans l));
@@ -300,11 +299,11 @@ let test_lineage_orphan_kinds () =
   let tr = Trace.create () in
   Trace.enable tr;
   (* r0 proposes but never adopts; r1 delivers without a median. *)
-  Trace.emit tr ~at_ns:10L
+  Trace.emit tr ~at_ns:10
     (Event.Packet_proposed
-       { vm = 3; observer = 0; proposer = 0; ingress_seq = 7; virt_ns = 100L });
-  Trace.emit tr ~at_ns:20L
-    (Event.Packet_delivered { vm = 3; replica = 1; seq = 7; virt_ns = 100L });
+       { vm = 3; observer = 0; proposer = 0; ingress_seq = 7; virt_ns = 100 });
+  Trace.emit tr ~at_ns:20
+    (Event.Packet_delivered { vm = 3; replica = 1; seq = 7; virt_ns = 100 });
   match Lineage.orphans (Lineage.of_trace tr) with
   | [ a; b ] ->
       Alcotest.(check bool) "unadopted at r0" true

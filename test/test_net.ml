@@ -27,7 +27,7 @@ let test_latency () =
   Net.register net (Address.Host 1) (fun _ -> arrival := Engine.now engine);
   send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 1);
   Engine.run engine;
-  Alcotest.(check int64) "latency applied" (Time.ms 1) !arrival
+  Alcotest.(check int) "latency applied" (Time.ms 1) !arrival
 
 let test_serialisation () =
   let engine, net = setup () in
@@ -43,7 +43,7 @@ let test_serialisation () =
   send net2 ~src:(Address.Host 0) ~dst:(Address.Host 1) ~size:1000 (Packet.Background 2);
   Engine.run engine;
   ignore net;
-  Alcotest.(check (list int64)) "back-to-back serialisation"
+  Alcotest.(check (list int)) "back-to-back serialisation"
     [ Time.ms 1; Time.ms 2 ]
     (List.rev !arrivals)
 
@@ -133,7 +133,7 @@ let test_node_link_override () =
   Net.register net (Address.Host 1) (fun _ -> arrival := Engine.now engine);
   send net ~src:(Address.Vm 5) ~dst:(Address.Host 1) (Packet.Background 1);
   Engine.run engine;
-  Alcotest.(check int64) "node override used" (Time.ms 10) !arrival
+  Alcotest.(check int) "node override used" (Time.ms 10) !arrival
 
 (* --- Multicast ---------------------------------------------------------------- *)
 
@@ -275,7 +275,7 @@ let test_egress_releases_on_second_copy () =
   (match !arrivals with
   | [ (at, Packet.Background 1) ] ->
       (* 5 ms (second copy sent) + 1 ms to egress + 1 ms to host. *)
-      Alcotest.(check int64) "released at median" (Time.ms 7) at
+      Alcotest.(check int) "released at median" (Time.ms 7) at
   | _ -> Alcotest.fail "exactly one forward expected");
   Alcotest.(check int) "forwarded" 1 (Sw_net.Egress.forwarded egress)
 

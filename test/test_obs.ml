@@ -79,13 +79,13 @@ let test_enabled_switch () =
 let test_histogram () =
   let r = Registry.create () in
   let h = Registry.histogram r "lat" in
-  Alcotest.(check int64) "max sentinel" Int64.min_int (Registry.Histogram.max h);
-  Alcotest.(check int64) "min sentinel" Int64.max_int (Registry.Histogram.min h);
-  List.iter (Registry.Histogram.observe h) [ 10L; 1_000L; 10L; 999_999L ];
+  Alcotest.(check int) "max sentinel" min_int (Registry.Histogram.max h);
+  Alcotest.(check int) "min sentinel" max_int (Registry.Histogram.min h);
+  List.iter (Registry.Histogram.observe h) [ 10; 1_000; 10; 999_999 ];
   Alcotest.(check int) "count" 4 (Registry.Histogram.count h);
-  Alcotest.(check int64) "total" 1_001_019L (Registry.Histogram.total h);
-  Alcotest.(check int64) "max" 999_999L (Registry.Histogram.max h);
-  Alcotest.(check int64) "min" 10L (Registry.Histogram.min h);
+  Alcotest.(check int) "total" 1_001_019 (Registry.Histogram.total h);
+  Alcotest.(check int) "max" 999_999 (Registry.Histogram.max h);
+  Alcotest.(check int) "min" 10 (Registry.Histogram.min h);
   match Snapshot.histogram (Registry.snapshot r) "lat" with
   | None -> Alcotest.fail "histogram missing from snapshot"
   | Some hist ->
@@ -116,20 +116,19 @@ let test_path_validation () =
 
 let test_bucket_bounds_monotone () =
   for i = 1 to Buckets.count - 1 do
-    if Int64.compare (Buckets.bound (i - 1)) (Buckets.bound i) >= 0 then
+    if Buckets.bound (i - 1) >= Buckets.bound i then
       Alcotest.fail "bucket bounds must be strictly increasing"
   done;
-  Alcotest.(check int64) "catch-all" Int64.max_int
+  Alcotest.(check int) "catch-all" max_int
     (Buckets.bound (Buckets.count - 1))
 
 let prop_bucket_index =
   QCheck.Test.make ~count:1000 ~name:"index places a value within its bounds"
     QCheck.(int_bound 1_000_000_000)
     (fun n ->
-      let v = Int64.of_int n in
-      let i = Buckets.index v in
-      let upper_ok = Int64.compare v (Buckets.bound i) <= 0 in
-      let lower_ok = i = 0 || Int64.compare (Buckets.bound (i - 1)) v < 0 in
+      let i = Buckets.index n in
+      let upper_ok = n <= Buckets.bound i in
+      let lower_ok = i = 0 || Buckets.bound (i - 1) < n in
       upper_ok && lower_ok)
 
 (* --- Snapshot merge: arbitrary partitions --------------------------------- *)
@@ -156,7 +155,7 @@ let apply r = function
   | Observe (p, v) ->
       Registry.Histogram.observe
         (Registry.histogram r (Printf.sprintf "h%d" p))
-        (Int64.of_int v)
+        v
 
 let op_gen =
   QCheck.Gen.(
@@ -226,8 +225,8 @@ let test_export_shape () =
   Registry.Sum.add (Registry.sum r "vm0.median.source.r1") 1.5;
   Registry.Gauge.observe (Registry.gauge r "b") 2.25;
   let h = Registry.histogram r "c" in
-  Registry.Histogram.observe h 12_345L;
-  Registry.Histogram.observe h 1_000_000_000_000_000L;
+  Registry.Histogram.observe h 12_345;
+  Registry.Histogram.observe h 1_000_000_000_000_000;
   ignore (Registry.histogram r "d");
   Alcotest.(check string) "sorted, compact JSON"
     "{\"b\":{\"kind\":\"gauge\",\"value\":2.25},\
@@ -244,25 +243,25 @@ let test_export_shape () =
 
 let delivered seq =
   Event.Packet_delivered
-    { vm = 0; replica = 0; seq; virt_ns = Int64.of_int (seq * 1000) }
+    { vm = 0; replica = 0; seq; virt_ns = seq * 1000 }
 
 let test_trace_disabled_records_nothing () =
   let tr = Trace.create () in
   Alcotest.(check bool) "fresh trace disabled" false (Trace.enabled tr);
   Alcotest.(check bool) "absent sink inactive" false (Trace.active None);
   Alcotest.(check bool) "disabled sink inactive" false (Trace.active (Some tr));
-  Trace.emit tr ~at_ns:1L (delivered 1);
+  Trace.emit tr ~at_ns:1 (delivered 1);
   Alcotest.(check int) "emit on disabled trace is a no-op" 0 (Trace.length tr);
   Trace.enable tr;
   Alcotest.(check bool) "enabled sink active" true (Trace.active (Some tr));
-  Trace.emit tr ~at_ns:2L (delivered 2);
+  Trace.emit tr ~at_ns:2 (delivered 2);
   Alcotest.(check int) "enabled trace records" 1 (Trace.length tr)
 
 let test_trace_order_and_wraparound () =
   let tr = Trace.create ~capacity:4 () in
   Trace.enable tr;
   for seq = 1 to 6 do
-    Trace.emit tr ~at_ns:(Int64.of_int seq) (delivered seq)
+    Trace.emit tr ~at_ns:seq (delivered seq)
   done;
   Alcotest.(check int) "length capped" 4 (Trace.length tr);
   let seqs =
@@ -278,22 +277,22 @@ let test_trace_order_and_wraparound () =
   Alcotest.(check int) "fold sees the same entries" 4 folded;
   let first = ref None in
   Trace.iter tr (fun e -> if !first = None then first := Some e.Trace.at_ns);
-  Alcotest.(check (option int64)) "iter starts at the oldest" (Some 3L) !first
+  Alcotest.(check (option int)) "iter starts at the oldest" (Some 3) !first
 
 let test_trace_span () =
   let tr = Trace.create () in
   Trace.enable tr;
-  let clock = ref 0L in
+  let clock = ref 0 in
   let now () = !clock in
   let result =
     Trace.span tr ~now ~name:"work" (fun () ->
-        clock := 250L;
+        clock := 250;
         17)
   in
   Alcotest.(check int) "span returns f's result" 17 result;
   (match Trace.entries tr with
   | [ { event = Event.Span_begin { name = "work" }; _ };
-      { event = Event.Span_end { name = "work"; elapsed_ns = 250L }; _ }
+      { event = Event.Span_end { name = "work"; elapsed_ns = 250 }; _ }
     ] ->
       ()
   | _ -> Alcotest.fail "expected matching Span_begin/Span_end");

@@ -11,19 +11,19 @@ let check_float = Alcotest.(check (float 1e-9))
 (* --- Time --------------------------------------------------------------- *)
 
 let test_time_units () =
-  Alcotest.(check int64) "us" 1_000L (Time.us 1);
-  Alcotest.(check int64) "ms" 1_000_000L (Time.ms 1);
-  Alcotest.(check int64) "s" 1_000_000_000L (Time.s 1);
-  Alcotest.(check int64) "of_float_s" 1_500_000_000L (Time.of_float_s 1.5);
+  Alcotest.(check int) "us" 1_000 (Time.us 1);
+  Alcotest.(check int) "ms" 1_000_000 (Time.ms 1);
+  Alcotest.(check int) "s" 1_000_000_000 (Time.s 1);
+  Alcotest.(check int) "of_float_s" 1_500_000_000 (Time.of_float_s 1.5);
   check_float "to_float_ms" 1.5 (Time.to_float_ms (Time.us 1500))
 
 let test_time_arith () =
   let a = Time.ms 5 and b = Time.ms 3 in
-  Alcotest.(check int64) "add" (Time.ms 8) (Time.add a b);
-  Alcotest.(check int64) "sub" (Time.ms 2) (Time.sub a b);
-  Alcotest.(check int64) "mul_int" (Time.ms 15) (Time.mul_int a 3);
-  Alcotest.(check int64) "div_int" (Time.ms 1) (Time.div_int b 3);
-  Alcotest.(check int64) "scale" (Time.ms 10) (Time.scale a 2.0);
+  Alcotest.(check int) "add" (Time.ms 8) (Time.add a b);
+  Alcotest.(check int) "sub" (Time.ms 2) (Time.sub a b);
+  Alcotest.(check int) "mul_int" (Time.ms 15) (Time.mul_int a 3);
+  Alcotest.(check int) "div_int" (Time.ms 1) (Time.div_int b 3);
+  Alcotest.(check int) "scale" (Time.ms 10) (Time.scale a 2.0);
   Alcotest.(check bool) "lt" true Time.(b < a);
   Alcotest.(check bool) "min" true (Time.equal b (Time.min a b));
   Alcotest.(check bool) "negative" true (Time.is_negative (Time.sub b a))
@@ -37,7 +37,7 @@ let test_time_pp () =
 let test_heap_ordering () =
   let h = Heap.create () in
   List.iteri
-    (fun i k -> Heap.push h ~key:(Int64.of_int k) ~seq:i i)
+    (fun i k -> Heap.push h ~key:k ~seq:i i)
     [ 5; 1; 4; 1; 3 ];
   let order = ref [] in
   let rec drain () =
@@ -48,12 +48,12 @@ let test_heap_ordering () =
         drain ()
   in
   drain ();
-  Alcotest.(check (list int64)) "sorted" [ 1L; 1L; 3L; 4L; 5L ] (List.rev !order)
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (List.rev !order)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   for i = 0 to 9 do
-    Heap.push h ~key:7L ~seq:i i
+    Heap.push h ~key:7 ~seq:i i
   done;
   let out = ref [] in
   let rec drain () =
@@ -71,13 +71,13 @@ let prop_heap_sorted =
     QCheck.(list (int_bound 1000))
     (fun keys ->
       let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h ~key:(Int64.of_int k) ~seq:i ()) keys;
+      List.iteri (fun i k -> Heap.push h ~key:k ~seq:i ()) keys;
       let rec drain last =
         match Heap.pop_min h with
         | None -> true
-        | Some (k, _, ()) -> Int64.compare last k <= 0 && drain k
+        | Some (k, _, ()) -> last <= k && drain k
       in
-      drain Int64.min_int)
+      drain min_int)
 
 (* --- Prng --------------------------------------------------------------- *)
 
@@ -160,7 +160,7 @@ let test_engine_ordering () =
   ignore (Engine.schedule_at e (Time.ms 3) (fun () -> log := 3 :: !log));
   Engine.run e;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log);
-  Alcotest.(check int64) "clock at last event" (Time.ms 3) (Engine.now e)
+  Alcotest.(check int) "clock at last event" (Time.ms 3) (Engine.now e)
 
 let test_engine_same_instant_fifo () =
   let e = Engine.create () in
@@ -188,7 +188,7 @@ let test_engine_until () =
   done;
   Engine.run ~until:(Time.ms 5) e;
   Alcotest.(check int) "events at <= until fire" 5 !count;
-  Alcotest.(check int64) "clock parked at until" (Time.ms 5) (Engine.now e);
+  Alcotest.(check int) "clock parked at until" (Time.ms 5) (Engine.now e);
   Engine.run e;
   Alcotest.(check int) "rest fire" 10 !count
 
@@ -248,27 +248,27 @@ let test_engine_far_future () =
   Engine.run e;
   Alcotest.(check (list string))
     "across tiers" [ "near"; "far0"; "far1" ] (List.rev !log);
-  Alcotest.(check int64) "clock at far event" far (Engine.now e)
+  Alcotest.(check int) "clock at far event" far (Engine.now e)
 
 let test_engine_span_boundary () =
   (* The wheel files keys in [horizon, horizon + span); an event exactly AT
      the boundary takes the overflow tier. Regression: the boundary pair
      must still fire in (time, seq) order — including a same-instant pair
      split across the tiers' re-injection. *)
-  let span = Int64.shift_left 1L 39 in
+  let span = 1 lsl 39 in
   let e = Engine.create () in
   let log = ref [] in
   let at t tag = ignore (Engine.schedule_at e t (fun () -> log := tag :: !log)) in
-  at (Int64.sub span 1L) "in-span";
+  at (span - 1) "in-span";
   at span "boundary0";
   at span "boundary1";
-  at (Int64.add span 1L) "beyond";
+  at (span + 1) "beyond";
   Engine.run e;
   Alcotest.(check (list string))
     "span-boundary order"
     [ "in-span"; "boundary0"; "boundary1"; "beyond" ]
     (List.rev !log);
-  Alcotest.(check int64) "clock" (Int64.add span 1L) (Engine.now e)
+  Alcotest.(check int) "clock" (span + 1) (Engine.now e)
 
 let test_engine_park_advances_wheel () =
   (* Shard barriers park an idle engine at every window end (run ~until on
@@ -282,7 +282,7 @@ let test_engine_park_advances_wheel () =
     Engine.run ~until:(Time.ms i) e
   done;
   Engine.run ~until:(Time.s 100) e;
-  Alcotest.(check int64) "parked" (Time.s 100) (Engine.now e);
+  Alcotest.(check int) "parked" (Time.s 100) (Engine.now e);
   let log = ref [] in
   let at t tag = ignore (Engine.schedule_at e t (fun () -> log := tag :: !log)) in
   (* 640 s is beyond the span as seen from 0, inside it as seen from 100 s. *)
@@ -291,7 +291,7 @@ let test_engine_park_advances_wheel () =
   at (Time.s 649) "b";
   Engine.run e;
   Alcotest.(check (list string)) "post-park order" [ "a0"; "a1"; "b" ] (List.rev !log);
-  Alcotest.(check int64) "clock" (Time.s 649) (Engine.now e)
+  Alcotest.(check int) "clock" (Time.s 649) (Engine.now e)
 
 let test_engine_depth_gauge () =
   (* sim.queue.depth is a high-watermark over the live count, kept accurate
@@ -316,7 +316,7 @@ let prop_engine_matches_model =
     (fun ops ->
       let e = Engine.create () in
       let elog = ref [] and mlog = ref [] in
-      let mnow = ref 0L in
+      let mnow = ref 0 in
       (* Model queue: (key, id) pending, FIFO by id on equal keys since ids
          are issued in schedule order. *)
       let mq = ref [] in
@@ -349,9 +349,9 @@ let prop_engine_matches_model =
               let delay =
                 if tag = 1 && payload mod 7 = 0 then
                   Time.s (1 + (payload mod 700))
-                else Int64.of_int (payload mod 2_000_000)
+                else Time.ns (payload mod 2_000_000)
               in
-              let at = Int64.add (Engine.now e) delay in
+              let at = Time.add (Engine.now e) delay in
               let id = !next_id in
               incr next_id;
               let h = Engine.schedule_at e at (fun () -> elog := id :: !elog) in
@@ -367,7 +367,7 @@ let prop_engine_matches_model =
               ignore (Engine.step e);
               ignore (mpop ())
           | _ ->
-              let lim = Int64.add (Engine.now e) (Int64.of_int payload) in
+              let lim = Time.add (Engine.now e) (Time.ns payload) in
               Engine.run ~until:lim e;
               let rec go () =
                 match
@@ -489,8 +489,8 @@ let test_conductor_matrix_validation () =
   let m = [| [| Time.zero; Time.ms 2 |]; [| Time.us 300; Time.zero |] |] in
   let c = Conductor.create ~matrix:m ~lookahead:(Time.ms 1) (engines ()) in
   m.(0).(1) <- Time.us 1;
-  Alcotest.(check int64) "L(0,1)" (Time.ms 2) (Conductor.lookahead c ~src:0 ~dst:1);
-  Alcotest.(check int64) "L(1,0)" (Time.us 300) (Conductor.lookahead c ~src:1 ~dst:0)
+  Alcotest.(check int) "L(0,1)" (Time.ms 2) (Conductor.lookahead c ~src:0 ~dst:1);
+  Alcotest.(check int) "L(1,0)" (Time.us 300) (Conductor.lookahead c ~src:1 ~dst:0)
 
 (* The violation report must name the offending pair and both instants —
    that is what makes a late-installed fast link debuggable. *)
@@ -568,10 +568,10 @@ let test_conductor_matrix_parallel_matches_sequential () =
   let logs_s, exch_s, now_s, reg_s = build ~parallel:false in
   Alcotest.(check int) "messages exchanged" exch_s exch_p;
   Alcotest.(check bool) "some cross-shard traffic" true (exch_s > 0);
-  Alcotest.(check (array int64)) "clocks parked" now_s now_p;
+  Alcotest.(check (array int)) "clocks parked" now_s now_p;
   Alcotest.(check string) "shard 0 registry" reg_s reg_p;
   for i = 0 to n - 1 do
-    Alcotest.(check (list (pair int64 string)))
+    Alcotest.(check (list (pair int string)))
       (Printf.sprintf "shard %d firing order" i)
       logs_s.(i) logs_p.(i)
   done
@@ -600,7 +600,7 @@ let test_conductor_exchange_order () =
   Alcotest.(check (list string)) "exchange total order"
     [ "a0"; "a1"; "b0"; "b1" ] (List.rev !log);
   Alcotest.(check int) "exchanged" 4 (Conductor.exchanged c);
-  Alcotest.(check int64) "clock" (Time.ms 3) (Engine.now engines.(0))
+  Alcotest.(check int) "clock" (Time.ms 3) (Engine.now engines.(0))
 
 let test_conductor_post_lookahead_violation () =
   let engines = [| Engine.create (); Engine.create () |] in
@@ -665,10 +665,10 @@ let test_conductor_parallel_matches_sequential () =
   Alcotest.(check int) "messages exchanged" exch_s exch_p;
   Alcotest.(check bool) "some cross-shard traffic" true (exch_s > 0);
   Alcotest.(check (array int)) "events fired per shard" fired_s fired_p;
-  Alcotest.(check (array int64)) "clocks parked" now_s now_p;
+  Alcotest.(check (array int)) "clocks parked" now_s now_p;
   Alcotest.(check string) "shard 0 registry" reg_s reg_p;
   for i = 0 to Array.length logs_s - 1 do
-    Alcotest.(check (list (pair int64 string)))
+    Alcotest.(check (list (pair int string)))
       (Printf.sprintf "shard %d firing order" i)
       logs_s.(i) logs_p.(i)
   done
@@ -679,7 +679,7 @@ let test_conductor_parallel_matches_sequential () =
    of the lookahead): a [run] that stops off the grid caps its last window
    there and so adds a round, which [sim.shard.windows] rightly counts. *)
 let prop_conductor_split_runs =
-  let steps = Int64.to_int (Int64.div conductor_horizon conductor_lookahead) in
+  let steps = conductor_horizon / conductor_lookahead in
   let straight = lazy (run_conductor_fixture ~parallel:false ()) in
   QCheck.Test.make ~name:"split runs equal a straight run" ~count:20
     QCheck.(list_of_size Gen.(int_range 1 4) (int_range 1 steps))

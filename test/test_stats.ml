@@ -119,29 +119,29 @@ let test_sample_median () =
       try ignore (Os.sample_median [| 1.; 2. |]) with
       | Invalid_argument _ -> raise (Invalid_argument "x"))
 
-let test_median_int64_networks () =
+let test_median_int_networks () =
   (* The branch networks against hand cases, duplicates included. *)
-  Alcotest.(check int64) "median3" 2L (Os.median3_int64 3L 1L 2L);
-  Alcotest.(check int64) "median3 dup" 5L (Os.median3_int64 5L 5L 1L);
-  Alcotest.(check int64) "median5" 3L (Os.median5_int64 5L 1L 3L 2L 9L);
-  Alcotest.(check int64) "median5 dup max" 4L (Os.median5_int64 9L 9L 4L 1L 2L);
-  Alcotest.(check int64) "median5 all equal" 7L (Os.median5_int64 7L 7L 7L 7L 7L);
-  Alcotest.(check int64) "length 1" 42L (Os.median_int64 [| 42L |]);
+  Alcotest.(check int) "median3" 2 (Os.median3_int 3 1 2);
+  Alcotest.(check int) "median3 dup" 5 (Os.median3_int 5 5 1);
+  Alcotest.(check int) "median5" 3 (Os.median5_int 5 1 3 2 9);
+  Alcotest.(check int) "median5 dup max" 4 (Os.median5_int 9 9 4 1 2);
+  Alcotest.(check int) "median5 all equal" 7 (Os.median5_int 7 7 7 7 7);
+  Alcotest.(check int) "length 1" 42 (Os.median_int [| 42 |]);
   Alcotest.check_raises "even count" (Invalid_argument "x") (fun () ->
-      try ignore (Os.median_int64 [| 1L; 2L |]) with
+      try ignore (Os.median_int [| 1; 2 |]) with
       | Invalid_argument _ -> raise (Invalid_argument "x"))
 
-let prop_median_int64_matches_sort =
-  QCheck.Test.make ~name:"median_int64 equals sorted middle element" ~count:500
+let prop_median_int_matches_sort =
+  QCheck.Test.make ~name:"median_int equals sorted middle element" ~count:500
     QCheck.(pair (int_bound 4) (array_of_size (Gen.return 9) (int_bound 50)))
     (fun (half, raw) ->
       (* Odd lengths 1, 3, 5, 7, 9: the first three take the branch
          networks, the rest the sort fallback. *)
       let n = (2 * half) + 1 in
-      let samples = Array.init n (fun i -> Int64.of_int raw.(i)) in
+      let samples = Array.init n (fun i -> raw.(i)) in
       let sorted = Array.copy samples in
-      Array.sort Int64.compare sorted;
-      Os.median_int64 samples = sorted.(n / 2))
+      Array.sort Int.compare sorted;
+      Os.median_int samples = sorted.(n / 2))
 
 let prop_rank_cdf_monotone_in_x =
   QCheck.Test.make ~name:"F_{r:m} is monotone and within [0,1]" ~count:100
@@ -354,9 +354,9 @@ let () =
           Alcotest.test_case "rank 2-of-3 = median3" `Quick
             test_cdf_rank_median_matches_median3;
           Alcotest.test_case "sample median" `Quick test_sample_median;
-          Alcotest.test_case "int64 median networks" `Quick
-            test_median_int64_networks;
-          QCheck_alcotest.to_alcotest prop_median_int64_matches_sort;
+          Alcotest.test_case "int median networks" `Quick
+            test_median_int_networks;
+          QCheck_alcotest.to_alcotest prop_median_int_matches_sort;
           QCheck_alcotest.to_alcotest prop_rank_cdf_monotone_in_x;
           QCheck_alcotest.to_alcotest prop_median_dist_sampler_agrees;
         ] );

@@ -12,27 +12,27 @@ module Packet = Sw_net.Packet
 
 let test_vt_linear () =
   let vt = Vt.create ~start:(Time.ms 5) ~slope_ns_per_branch:1.0 () in
-  Alcotest.(check int64) "at 0" (Time.ms 5) (Vt.virt_at vt 0L);
-  Alcotest.(check int64) "at 1e6" (Time.ms 6) (Vt.virt_at vt 1_000_000L)
+  Alcotest.(check int) "at 0" (Time.ms 5) (Vt.virt_at vt 0);
+  Alcotest.(check int) "at 1e6" (Time.ms 6) (Vt.virt_at vt 1_000_000)
 
 let test_vt_fractional_slope () =
   let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:0.5 () in
-  Alcotest.(check int64) "half speed" (Time.ms 1) (Vt.virt_at vt 2_000_000L)
+  Alcotest.(check int) "half speed" (Time.ms 1) (Vt.virt_at vt 2_000_000)
 
 let test_vt_set_slope_continuous () =
   let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:2.0 () in
-  let before = Vt.virt_at vt 1000L in
-  Vt.set_slope vt ~at_instr:1000L ~slope_ns_per_branch:1.0;
-  Alcotest.(check int64) "continuous at switch" before (Vt.virt_at vt 1000L);
-  Alcotest.(check int64) "new slope applies"
+  let before = Vt.virt_at vt 1000 in
+  Vt.set_slope vt ~at_instr:1000 ~slope_ns_per_branch:1.0;
+  Alcotest.(check int) "continuous at switch" before (Vt.virt_at vt 1000);
+  Alcotest.(check int) "new slope applies"
     (Time.add before (Time.ns 500))
-    (Vt.virt_at vt 1500L)
+    (Vt.virt_at vt 1500)
 
 let test_vt_rejects_past () =
   let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:1.0 () in
-  Vt.set_slope vt ~at_instr:100L ~slope_ns_per_branch:1.0;
+  Vt.set_slope vt ~at_instr:100 ~slope_ns_per_branch:1.0;
   Alcotest.check_raises "before segment" (Invalid_argument "x") (fun () ->
-      try ignore (Vt.virt_at vt 50L) with
+      try ignore (Vt.virt_at vt 50) with
       | Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let test_vt_clamp () =
@@ -45,11 +45,11 @@ let prop_vt_monotone =
     QCheck.(pair (float_range 0.01 10.) (list (int_bound 1_000_000)))
     (fun (slope, increments) ->
       let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:slope () in
-      let instr = ref 0L in
+      let instr = ref 0 in
       List.for_all
         (fun inc ->
           let before = Vt.virt_at vt !instr in
-          instr := Int64.add !instr (Int64.of_int inc);
+          instr := !instr + inc;
           Time.(Vt.virt_at vt !instr >= before))
         increments)
 
@@ -62,14 +62,99 @@ let prop_vt_instr_for_virt_inverse =
       let v = Time.ns v_ns in
       let i = Vt.instr_for_virt vt v in
       Time.(Vt.virt_at vt i >= v)
-      && (Int64.compare i 0L = 0 || Time.(Vt.virt_at vt (Int64.sub i 1L) < v)))
+      && (i = 0 || Time.(Vt.virt_at vt (i - 1) < v)))
+
+(* --- Exactness against a 64-bit clock --------------------------------------- *)
+
+(* The virtual clock and the guest-visible clocks as they were computed when
+   every value was an int64: the reference the immediate-int versions must
+   match bit for bit. Each formula's product can pass 2^62 (and even wrap
+   64 bits) at the ranges below, so a product taken in plain 63-bit int
+   arithmetic disagrees with it. *)
+module Ref64 = struct
+  let fp_bits = 20
+  let slope_fp slope = Int64.of_float (Float.round (slope *. 1_048_576.))
+
+  let virt_at ~start ~slope instr =
+    Int64.add start
+      (Int64.shift_right_logical (Int64.mul instr (slope_fp slope)) fp_bits)
+
+  let instr_for_virt ~start ~slope v =
+    let s = slope_fp slope in
+    if Int64.compare v start <= 0 then 0L
+    else if Int64.equal s 0L then Int64.max_int
+    else
+      let num = Int64.shift_left (Int64.sub v start) fp_bits in
+      Int64.div (Int64.add num (Int64.sub s 1L)) s
+
+  let rdtsc ~tsc_hz virt =
+    let khz = Int64.of_float (Float.round (tsc_hz /. 1e3)) in
+    Int64.div (Int64.mul virt khz) 1_000_000L
+
+  let pit_counter ~pit_hz ~reload virt =
+    let hz = Int64.of_float (Float.round pit_hz) in
+    let ticks = Int64.div (Int64.mul virt hz) 1_000_000_000L in
+    reload - Int64.to_int (Int64.rem ticks (Int64.of_int reload))
+end
+
+let same_as_ref64 got want = Int64.equal (Int64.of_int got) want
+
+(* One case: a clock started at [start], read [instr] branches in and
+   inverted at virtual time [v]; the guest clocks read at [v]. *)
+let exact_case ~start ~slope ~instr ~v ~tsc_khz ~pit_hz ~reload =
+  let vt = Vt.create ~start:(Time.ns start) ~slope_ns_per_branch:slope () in
+  let clocks =
+    Sw_vm.Clocks.create ~tsc_hz:(float_of_int tsc_khz *. 1e3)
+      ~pit_hz:(float_of_int pit_hz) ~pit_reload:reload ()
+  in
+  let tsc_hz = float_of_int tsc_khz *. 1e3 and pit_hz = float_of_int pit_hz in
+  let start64 = Int64.of_int start and v64 = Int64.of_int v in
+  same_as_ref64 (Vt.virt_at vt instr)
+    (Ref64.virt_at ~start:start64 ~slope (Int64.of_int instr))
+  && same_as_ref64 (Vt.instr_for_virt vt (Time.ns v))
+       (Ref64.instr_for_virt ~start:start64 ~slope v64)
+  && same_as_ref64
+       (Sw_vm.Clocks.rdtsc clocks ~virt:(Time.ns v))
+       (Ref64.rdtsc ~tsc_hz v64)
+  && Sw_vm.Clocks.pit_counter clocks ~virt:(Time.ns v)
+     = Ref64.pit_counter ~pit_hz ~reload v64
+
+let prop_exact_products =
+  QCheck.Test.make
+    ~name:"virt_at, instr_for_virt, rdtsc, pit_counter match a 64-bit clock"
+    ~count:1000
+    QCheck.(
+      pair
+        (triple (int_bound (1 lsl 40)) (float_range 0.01 10.)
+           (int_bound (1 lsl 52)))
+        (triple (int_bound (1 lsl 52)) (int_range 1 5_000_000)
+           (pair (int_range 1 2_000_000) (int_range 1 100_000))))
+    (fun ((instr, slope, v), (start, tsc_khz, (pit_hz, reload))) ->
+      exact_case ~start ~slope ~instr ~v ~tsc_khz ~pit_hz ~reload)
+
+let test_exact_products_near_2_62 () =
+  (* Within 1 % of 2^62, where every product leaves the 63-bit range. *)
+  let near = (1 lsl 62) - (1 lsl 55) in
+  List.iter
+    (fun (instr, v, slope) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "instr=%d v=%d slope=%g" instr v slope)
+        true
+        (exact_case ~start:0 ~slope ~instr ~v ~tsc_khz:3_000_000
+           ~pit_hz:1_193_182 ~reload:4772))
+    [
+      (near, near, 1.0);
+      (near, near, 0.01);
+      ((1 lsl 62) - 1, (1 lsl 62) - 1, 10.);
+      (near + (1 lsl 54), near + (1 lsl 54), 2.5);
+    ]
 
 (* --- Guest runtime ------------------------------------------------------------ *)
 
 type recorded =
-  | Sent of { seq : int; instr : int64; size : int }
-  | Disk of { kind : [ `Read | `Write ]; bytes : int; tag : int; instr : int64 }
-  | Dma of { bytes : int; tag : int; instr : int64 }
+  | Sent of { seq : int; instr : int; size : int }
+  | Disk of { kind : [ `Read | `Write ]; bytes : int; tag : int; instr : int }
+  | Dma of { bytes : int; tag : int; instr : int }
 
 let make_guest ?pit_period app_handle =
   let events = ref [] in
@@ -94,9 +179,9 @@ let make_guest ?pit_period app_handle =
 let test_guest_idle_spins () =
   let guest, _ = make_guest (fun ~virt_now:_ _ -> []) in
   Guest.boot guest;
-  Guest.run_branches guest 1000L;
-  Alcotest.(check int64) "instr advances while idle" 1000L (Guest.instr guest);
-  Alcotest.(check int64) "virt follows" (Time.ns 1000) (Guest.virt_now guest)
+  Guest.run_branches guest 1000;
+  Alcotest.(check int) "instr advances while idle" 1000 (Guest.instr guest);
+  Alcotest.(check int) "virt follows" (Time.ns 1000) (Guest.virt_now guest)
 
 let test_guest_compute_then_send () =
   let guest, events =
@@ -104,17 +189,17 @@ let test_guest_compute_then_send () =
         match ev with
         | App.Boot ->
             [
-              App.Compute 500L;
+              App.Compute 500;
               App.Send { dst = Sw_net.Address.Host 0; size = 64; payload = Packet.Empty };
-              App.Compute 200L;
+              App.Compute 200;
               App.Send { dst = Sw_net.Address.Host 0; size = 65; payload = Packet.Empty };
             ]
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 1000L;
+  Guest.run_branches guest 1000;
   match List.rev !events with
-  | [ Sent { seq = 0; instr = 500L; size = 64 }; Sent { seq = 1; instr = 700L; size = 65 } ]
+  | [ Sent { seq = 0; instr = 500; size = 64 }; Sent { seq = 1; instr = 700; size = 65 } ]
     ->
       Alcotest.(check int) "sent count" 2 (Guest.sent_packets guest)
   | _ -> Alcotest.fail "sends must fire at exact branch offsets with ordered seqs"
@@ -125,17 +210,17 @@ let test_guest_compute_spans_slices () =
         match ev with
         | App.Boot ->
             [
-              App.Compute 1500L;
+              App.Compute 1500;
               App.Send { dst = Sw_net.Address.Host 0; size = 64; payload = Packet.Empty };
             ]
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 1000L;
+  Guest.run_branches guest 1000;
   Alcotest.(check int) "not yet" 0 (List.length !events);
-  Guest.run_branches guest 1000L;
+  Guest.run_branches guest 1000;
   match !events with
-  | [ Sent { instr = 1500L; _ } ] -> ()
+  | [ Sent { instr = 1500; _ } ] -> ()
   | _ -> Alcotest.fail "send fires mid second slice at branch 1500"
 
 let test_guest_disk_sink () =
@@ -149,7 +234,7 @@ let test_guest_disk_sink () =
   in
   Guest.boot guest;
   (match !events with
-  | [ Disk { kind = `Read; bytes = 4096; tag = 9; instr = 0L } ] -> ()
+  | [ Disk { kind = `Read; bytes = 4096; tag = 9; instr = 0 } ] -> ()
   | _ -> Alcotest.fail "read issued at boot");
   Guest.inject guest (App.Disk_done { tag = 9 });
   match !events with
@@ -160,14 +245,14 @@ let test_guest_dma_sink () =
   let guest, events =
     make_guest (fun ~virt_now:_ ev ->
         match ev with
-        | App.Boot -> [ App.Compute 100L; App.Dma_transfer { bytes = 4096; tag = 3 } ]
+        | App.Boot -> [ App.Compute 100; App.Dma_transfer { bytes = 4096; tag = 3 } ]
         | App.Dma_done { tag } -> [ App.Dma_transfer { bytes = 64; tag = tag + 1 } ]
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 1000L;
+  Guest.run_branches guest 1000;
   (match List.rev !events with
-  | [ Dma { bytes = 4096; tag = 3; instr = 100L } ] -> ()
+  | [ Dma { bytes = 4096; tag = 3; instr = 100 } ] -> ()
   | _ -> Alcotest.fail "dma issued after compute");
   Guest.inject guest (App.Dma_done { tag = 3 });
   match !events with
@@ -191,9 +276,9 @@ let test_guest_timers_fire_in_order () =
   in
   Guest.boot guest;
   (match Guest.next_timer_virt guest with
-  | Some d -> Alcotest.(check int64) "earliest deadline" (Time.us 10) d
+  | Some d -> Alcotest.(check int) "earliest deadline" (Time.us 10) d
   | None -> Alcotest.fail "timer expected");
-  Guest.run_branches guest 100_000L;
+  Guest.run_branches guest 100_000;
   Guest.deliver_due_timers guest;
   Alcotest.(check (list int)) "deadline order" [ 1; 2 ] (List.rev !fired)
 
@@ -208,7 +293,7 @@ let test_guest_pit_ticks () =
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 1_000_000L;
+  Guest.run_branches guest 1_000_000;
   (* 1 ms of virtual time with a 100 us PIT = 10 ticks. *)
   Guest.deliver_due_timers guest;
   Alcotest.(check int) "tick count" 10 !ticks
@@ -227,9 +312,9 @@ let test_guest_timer_at_injection_virt () =
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 50_000L;
+  Guest.run_branches guest 50_000;
   Guest.deliver_due_timers guest;
-  Alcotest.(check int64) "observed at exit" (Time.us 50) !observed
+  Alcotest.(check int) "observed at exit" (Time.us 50) !observed
 
 let prop_guest_deterministic_replicas =
   QCheck.Test.make
@@ -240,9 +325,9 @@ let prop_guest_deterministic_replicas =
         match ev with
         | App.Boot ->
             [
-              App.Compute 1000L;
+              App.Compute 1000;
               App.Send { dst = Sw_net.Address.Host 0; size = 10; payload = Packet.Empty };
-              App.Compute 5000L;
+              App.Compute 5000;
               App.Send { dst = Sw_net.Address.Host 0; size = 11; payload = Packet.Empty };
             ]
         | _ -> []
@@ -250,19 +335,58 @@ let prop_guest_deterministic_replicas =
       let run () =
         let guest, events = make_guest (app ()) in
         Guest.boot guest;
-        List.iter (fun s -> Guest.run_branches guest (Int64.of_int s)) slices;
+        List.iter (fun s -> Guest.run_branches guest s) slices;
         (Guest.instr guest, !events)
       in
       run () = run ())
+
+(* A compute cut by a slice boundary resumes where it stopped: running a
+   [Compute c1; Send; Compute c2; Send; ...] guest in slices of any sizes
+   emits every send at the branch count one long [run_branches] gives. *)
+let prop_chunking_preserves_send_instr =
+  QCheck.Test.make ~name:"slice sizes never move a send's branch count"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 12) (int_bound 40_000))
+        (list_of_size Gen.(int_range 1 60) (int_range 1 25_000)))
+    (fun (computes, slices) ->
+      let app ~virt_now:_ = function
+        | App.Boot ->
+            List.concat_map
+              (fun c ->
+                [
+                  App.Compute c;
+                  App.Send
+                    { dst = Sw_net.Address.Host 0; size = c; payload = Packet.Empty };
+                ])
+              computes
+        | _ -> []
+      in
+      let total = List.fold_left ( + ) 0 computes in
+      let sends run =
+        let guest, events = make_guest app in
+        Guest.boot guest;
+        run guest;
+        List.rev !events
+      in
+      let whole = sends (fun g -> Guest.run_branches g total) in
+      let chunked =
+        sends (fun g ->
+            List.iter (Guest.run_branches g) slices;
+            Guest.run_branches g
+              (Stdlib.max 0 (total - List.fold_left ( + ) 0 slices)))
+      in
+      List.length whole = List.length computes && chunked = whole)
 
 (* --- Clocks (Sec. IV-B) -------------------------------------------------------- *)
 
 let test_clocks_rdtsc () =
   let clocks = Sw_vm.Clocks.create ~tsc_hz:3.0e9 () in
-  Alcotest.(check int64) "zero" 0L (Sw_vm.Clocks.rdtsc clocks ~virt:Time.zero);
-  Alcotest.(check int64) "1 ms = 3M ticks" 3_000_000L
+  Alcotest.(check int) "zero" 0 (Sw_vm.Clocks.rdtsc clocks ~virt:Time.zero);
+  Alcotest.(check int) "1 ms = 3M ticks" 3_000_000
     (Sw_vm.Clocks.rdtsc clocks ~virt:(Time.ms 1));
-  Alcotest.(check int64) "1 s = 3G ticks" 3_000_000_000L
+  Alcotest.(check int) "1 s = 3G ticks" 3_000_000_000
     (Sw_vm.Clocks.rdtsc clocks ~virt:(Time.s 1))
 
 let test_clocks_rtc () =
@@ -280,7 +404,7 @@ let test_clocks_pit_counter () =
     (Sw_vm.Clocks.pit_counter clocks ~virt:(Time.us 250));
   Alcotest.(check int) "wrapped" 1000
     (Sw_vm.Clocks.pit_counter clocks ~virt:(Time.ms 1));
-  Alcotest.(check int64) "interrupt period" (Time.ms 1)
+  Alcotest.(check int) "interrupt period" (Time.ms 1)
     (Sw_vm.Clocks.pit_interrupt_period clocks)
 
 let prop_clocks_deterministic =
@@ -315,6 +439,9 @@ let () =
           Alcotest.test_case "clamp" `Quick test_vt_clamp;
           QCheck_alcotest.to_alcotest prop_vt_monotone;
           QCheck_alcotest.to_alcotest prop_vt_instr_for_virt_inverse;
+          QCheck_alcotest.to_alcotest prop_exact_products;
+          Alcotest.test_case "exact products near 2^62" `Quick
+            test_exact_products_near_2_62;
         ] );
       ( "guest",
         [
@@ -330,6 +457,7 @@ let () =
           Alcotest.test_case "timer observes exit virt" `Quick
             test_guest_timer_at_injection_virt;
           QCheck_alcotest.to_alcotest prop_guest_deterministic_replicas;
+          QCheck_alcotest.to_alcotest prop_chunking_preserves_send_instr;
         ] );
       ( "clocks",
         [

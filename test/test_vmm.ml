@@ -27,12 +27,12 @@ let test_config_validate () =
         {
           Config.default with
           Config.epoch =
-            Some { Config.interval_branches = 1000L; slope_l = 2.; slope_u = 1. };
+            Some { Config.interval_branches = 1000; slope_l = 2.; slope_u = 1. };
         })
 
 let test_slice_branches () =
   let c = { Config.default with Config.quantum = Time.us 200; branches_per_ns = 1.0 } in
-  Alcotest.(check int64) "200k branches" 200_000L (Config.slice_branches c)
+  Alcotest.(check int) "200k branches" 200_000 (Config.slice_branches c)
 
 (* --- Machine ------------------------------------------------------------------- *)
 
@@ -50,11 +50,11 @@ let test_dom0_fifo () =
   Machine.dom0_execute mach ~cost:(Time.ms 2) (fun () ->
       log := (2, Engine.now engine) :: !log);
   Engine.run engine;
-  Alcotest.(check (list (pair int int64)))
+  Alcotest.(check (list (pair int int)))
     "fifo completion"
     [ (1, Time.ms 1); (2, Time.ms 3) ]
     (List.rev !log);
-  Alcotest.(check int64) "total accounted" (Time.ms 3) (Machine.dom0_time mach)
+  Alcotest.(check int) "total accounted" (Time.ms 3) (Machine.dom0_time mach)
 
 let test_slice_loop () =
   let engine, _, mach = machine_setup () in
@@ -64,7 +64,7 @@ let test_slice_loop () =
     {
       Machine.name = "test";
       runnable = (fun () -> !running);
-      on_slice_end = (fun ~slice_start:_ -> incr slices);
+      on_slice_end = (fun () -> incr slices);
     };
   Engine.run ~until:(Time.ms 1) engine;
   (* 1 ms / 200 us quantum = 5 slices. *)
@@ -89,7 +89,7 @@ let test_independent_residents () =
       {
         Machine.name = "r";
         runnable = (fun () -> true);
-        on_slice_end = (fun ~slice_start:_ -> incr counter);
+        on_slice_end = (fun () -> incr counter);
       }
   in
   attach a;
@@ -107,7 +107,7 @@ let test_dma_engine_fifo () =
         finishes := (i, Engine.now engine) :: !finishes)
   done;
   Engine.run engine;
-  Alcotest.(check (list (pair int int64)))
+  Alcotest.(check (list (pair int int)))
     "serialised transfers"
     [ (1, Time.ms 1); (2, Time.ms 2) ]
     (List.rev !finishes)
@@ -129,9 +129,9 @@ let add_member ?(wake = fun () -> ()) ?(apply = fun ~at_instr:_ ~slope_ns_per_br
   Rg.add_member group ~machine ~wake ~apply_slope:apply ~send_report:send
 
 let test_median_time () =
-  Alcotest.(check int64) "median of 3" (Time.ms 2)
+  Alcotest.(check int) "median of 3" (Time.ms 2)
     (Rg.median_time [| Time.ms 3; Time.ms 1; Time.ms 2 |]);
-  Alcotest.(check int64) "median of 5" (Time.ms 4)
+  Alcotest.(check int) "median of 5" (Time.ms 4)
     (Rg.median_time [| Time.ms 9; Time.ms 1; Time.ms 4; Time.ms 5; Time.ms 2 |]);
   expect_invalid "even count" (fun () ->
       ignore (Rg.median_time [| Time.ms 1; Time.ms 2 |]))
@@ -143,13 +143,13 @@ let test_skew_blocks_fastest () =
   let m1 = add_member group ~machine:1 in
   let m2 = add_member group ~machine:2 ~wake:(fun () -> incr woken) in
   (* Note: skew_bound defaults to 2 ms. m2 races ahead by 5 ms. *)
-  Rg.note_exit group m0 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1_000_000L;
-  Rg.note_exit group m1 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1_000_000L;
-  Rg.note_exit group m2 ~now:(Time.ms 6) ~virt:(Time.ms 6) ~instr:6_000_000L;
+  Rg.note_exit group m0 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1_000_000;
+  Rg.note_exit group m1 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1_000_000;
+  Rg.note_exit group m2 ~now:(Time.ms 6) ~virt:(Time.ms 6) ~instr:6_000_000;
   Alcotest.(check bool) "fastest blocked" true (Rg.blocked group m2);
   Alcotest.(check bool) "others run" false (Rg.blocked group m0);
   (* The second replica catches up; the fastest unblocks (and is woken). *)
-  Rg.note_exit group m1 ~now:(Time.ms 5) ~virt:(Time.ms 5) ~instr:5_000_000L;
+  Rg.note_exit group m1 ~now:(Time.ms 5) ~virt:(Time.ms 5) ~instr:5_000_000;
   Alcotest.(check bool) "unblocked" false (Rg.blocked group m2);
   Alcotest.(check int) "woken once" 1 !woken
 
@@ -158,9 +158,9 @@ let test_skew_ties_do_not_block () =
   let m0 = add_member group ~machine:0 in
   let m1 = add_member group ~machine:1 in
   let m2 = add_member group ~machine:2 in
-  Rg.note_exit group m0 ~now:(Time.ms 9) ~virt:(Time.ms 9) ~instr:1L;
-  Rg.note_exit group m1 ~now:(Time.ms 9) ~virt:(Time.ms 9) ~instr:1L;
-  Rg.note_exit group m2 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1L;
+  Rg.note_exit group m0 ~now:(Time.ms 9) ~virt:(Time.ms 9) ~instr:1;
+  Rg.note_exit group m1 ~now:(Time.ms 9) ~virt:(Time.ms 9) ~instr:1;
+  Rg.note_exit group m2 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1;
   (* Two fastest are tied: nobody may be blocked, however far the third lags. *)
   Alcotest.(check bool) "m0 runs" false (Rg.blocked group m0);
   Alcotest.(check bool) "m1 runs" false (Rg.blocked group m1);
@@ -170,14 +170,14 @@ let test_baseline_mode_inert () =
   let config = { Config.default with Config.replicas = 1 } in
   let group = Rg.create ~vm:0 ~config ~mode:Rg.Baseline () in
   let m0 = add_member group ~machine:0 in
-  Rg.note_exit group m0 ~now:(Time.ms 1) ~virt:(Time.ms 99) ~instr:1L;
+  Rg.note_exit group m0 ~now:(Time.ms 1) ~virt:(Time.ms 99) ~instr:1;
   Alcotest.(check bool) "never blocked" false (Rg.blocked group m0)
 
 let epoch_config =
   {
     Config.default with
     Config.epoch =
-      Some { Config.interval_branches = 1_000_000L; slope_l = 0.5; slope_u = 2.0 };
+      Some { Config.interval_branches = 1_000_000; slope_l = 0.5; slope_u = 2.0 };
   }
 
 let test_epoch_resolution () =
@@ -193,7 +193,7 @@ let test_epoch_resolution () =
   let m0 = mk 0 and m1 = mk 1 and m2 = mk 2 in
   (* All replicas cross the first boundary (1e6 branches) at slightly
      different real times; virt is 1 ms for all (slope 1). *)
-  Rg.note_exit group m0 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1_000_000L;
+  Rg.note_exit group m0 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1_000_000;
   Alcotest.(check bool) "m0 epoch-blocked" true (Rg.blocked group m0);
   Alcotest.(check int) "m0 reported" 1 (List.length !sent);
   (* Deliver m0's report to the peers as the network would. *)
@@ -208,9 +208,9 @@ let test_epoch_resolution () =
       !sent
   in
   Rg.note_exit group m1 ~now:(Time.of_float_ms 1.1) ~virt:(Time.ms 1)
-    ~instr:1_000_000L;
+    ~instr:1_000_000;
   Rg.note_exit group m2 ~now:(Time.of_float_ms 0.9) ~virt:(Time.ms 1)
-    ~instr:1_000_000L;
+    ~instr:1_000_000;
   deliver_all ();
   (* Everyone has all three reports: epoch 0 resolves everywhere with the
      same slope, applied at the same instr. *)
@@ -219,7 +219,7 @@ let test_epoch_resolution () =
   | (_, i1, s1) :: rest ->
       List.iter
         (fun (_, i, s) ->
-          Alcotest.(check int64) "same instr" i1 i;
+          Alcotest.(check int) "same instr" i1 i;
           Alcotest.(check (float 1e-12)) "same slope" s1 s)
         rest
   | [] -> Alcotest.fail "no applications");

@@ -146,12 +146,12 @@ let test_cache_mechanics () =
   let c = Cache.create two_tier in
   (match Cache.access c 1 with
   | Cache.Miss { cost } ->
-      Alcotest.(check int64) "miss pays origin" (Time.ms 1) cost
+      Alcotest.(check int) "miss pays origin" (Time.ms 1) cost
   | Cache.Hit _ -> Alcotest.fail "cold access hit");
   (match Cache.access c 1 with
   | Cache.Hit { tier; cost } ->
       Alcotest.(check int) "warm hit in tier 0" 0 tier;
-      Alcotest.(check int64) "hit pays tier cost" (Time.us 10) cost
+      Alcotest.(check int) "hit pays tier cost" (Time.us 10) cost
   | Cache.Miss _ -> Alcotest.fail "warm access missed");
   (* Fill past tier 0: the LRU tail demotes to tier 1 and hits there. *)
   ignore (Cache.access c 2);
