@@ -71,7 +71,7 @@ let replica_jobs =
           let d =
             Cloud.deploy cloud
               ~on:(List.init m (fun i -> i))
-              ~app:(Sw_apps.Http.server ())
+              ~app:(Sw_apps.Http.server)
           in
           let client = Cloud.add_host cloud () in
           let tcp = Sw_apps.Tcp_host.attach client () in
@@ -187,7 +187,7 @@ let run ?pool () =
   let total = List.fold_left (fun n (_, js) -> n + List.length js) 0 groups in
   let on_event =
     match pool with
-    | Some _ -> Some (Runner.progress_printer ~total ())
+    | Some _ -> Some (Runner.progress_printer ~total)
     | None -> None
   in
   let collected = Runner.map_groups ?pool ?on_event groups in

@@ -121,7 +121,7 @@ let run ?pool () =
   in
   let on_event =
     match pool with
-    | Some _ -> Some (Runner.progress_printer ~total:(List.length jobs) ())
+    | Some _ -> Some (Runner.progress_printer ~total:(List.length jobs))
     | None -> None
   in
   let results = List.map Runner.get (Runner.map ?pool ?on_event jobs) in
@@ -143,7 +143,7 @@ let run ?pool () =
         in
         Bench_report.add_metrics merged;
         let ks =
-          (Sw_leak.Detector.ks ()).Sw_leak.Detector.observations_needed
+          Sw_leak.Detector.(ks.observations_needed)
             ~null:no_vic.Scenario.attacker_inter_delivery_ms
             ~alt:vic.Scenario.attacker_inter_delivery_ms ~confidence:0.95
         in

@@ -38,10 +38,10 @@ let observations_table ~lambda' ~label =
   List.iter
     (fun confidence ->
       let with_sw =
-        Sw_attack.Distinguisher.analytic ~null:med3 ~alt:med2v ~confidence ()
+        Sw_attack.Distinguisher.analytic ~null:med3 ~alt:med2v ~confidence
       in
       let without_sw =
-        Sw_attack.Distinguisher.analytic ~null:base ~alt:victim ~confidence ()
+        Sw_attack.Distinguisher.analytic ~null:base ~alt:victim ~confidence
       in
       Tables.row ~width:12
         [

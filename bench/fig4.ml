@@ -51,7 +51,7 @@ let run ?pool () =
   in
   let on_event =
     match pool with
-    | Some _ -> Some (Runner.progress_printer ~total:(List.length jobs) ())
+    | Some _ -> Some (Runner.progress_printer ~total:(List.length jobs))
     | None -> None
   in
   let results = List.map Runner.get (Runner.map ?pool ?on_event jobs) in
@@ -69,7 +69,7 @@ let run ?pool () =
     sw_yes.Scenario.attacker_inter_delivery_ms;
   Tables.subsection "Fig. 4(b): observations needed to detect the victim (chi-square)";
   Tables.header ~width:12 [ "confidence"; "with SW"; "without SW" ];
-  let chi = Detector.chi_square () and ks = Detector.ks () in
+  let chi = Detector.chi_square and ks = Detector.ks in
   let needed (d : Detector.t) ~confidence null alt =
     d.Detector.observations_needed ~null ~alt ~confidence
   in

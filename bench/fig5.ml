@@ -68,7 +68,7 @@ let run ?pool () =
   let total = List.fold_left (fun n (_, js) -> n + List.length js) 0 groups in
   let on_event =
     match pool with
-    | Some _ -> Some (Runner.progress_printer ~total ())
+    | Some _ -> Some (Runner.progress_printer ~total)
     | None -> None
   in
   let collected =

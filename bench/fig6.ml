@@ -28,7 +28,7 @@ let run ?pool () =
   let on_event =
     match pool with
     | Some _ ->
-        Some (Runner.progress_printer ~total:(2 * List.length groups) ())
+        Some (Runner.progress_printer ~total:(2 * List.length groups))
     | None -> None
   in
   let rows =

@@ -91,7 +91,7 @@ let run ?pool () =
   in
   let on_event =
     match pool with
-    | Some _ -> Some (Runner.progress_printer ~total:(List.length jobs) ())
+    | Some _ -> Some (Runner.progress_printer ~total:(List.length jobs))
     | None -> None
   in
   let results =

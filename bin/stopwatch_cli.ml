@@ -43,6 +43,21 @@ let with_pool jobs f =
   else if jobs = 1 then f None
   else Sw_runner.Pool.with_pool ~workers:jobs (fun pool -> f (Some pool))
 
+(* A number flag restricted to the values the command can use: anything
+   else is a command-line error that names the flag, not an exception from
+   deep inside a run. *)
+let number conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let positive_int = number Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+let positive_float = number Arg.float ~expected:"a positive number" (fun x -> x > 0.)
+
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:".scn file.")
 
@@ -177,8 +192,14 @@ let plan_cmd =
           (P.isolation_bound ~n);
         0
   in
-  let n = Arg.(value & opt int 15 & info [ "n"; "machines" ] ~doc:"Machine count.") in
-  let c = Arg.(value & opt int 5 & info [ "c"; "capacity" ] ~doc:"Guests per machine.") in
+  (* Three machines host one replica group; fewer can hold no guest. *)
+  let machines = number Arg.int ~expected:"an integer >= 3" (fun n -> n >= 3) in
+  let n =
+    Arg.(value & opt machines 15 & info [ "n"; "machines" ] ~doc:"Machine count (>= 3).")
+  in
+  let c =
+    Arg.(value & opt positive_int 5 & info [ "c"; "capacity" ] ~doc:"Guests per machine.")
+  in
   let greedy =
     Arg.(value & flag & info [ "greedy" ] ~doc:"Use the greedy packer (any n).")
   in
@@ -209,12 +230,16 @@ let download_cmd =
           o.File_transfer.failed_runs;
         0)
   in
-  let size = Arg.(value & opt int 100 & info [ "size" ] ~doc:"File size in KB.") in
+  let size =
+    Arg.(value & opt positive_int 100 & info [ "size" ] ~doc:"File size in KB.")
+  in
   let udp = Arg.(value & flag & info [ "udp" ] ~doc:"UDP+NAK instead of HTTP.") in
   let baseline =
     Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified Xen instead of StopWatch.")
   in
-  let runs = Arg.(value & opt int 3 & info [ "runs" ] ~doc:"Averaging runs.") in
+  let runs =
+    Arg.(value & opt positive_int 3 & info [ "runs" ] ~doc:"Averaging runs.")
+  in
   Cmd.v
     (Cmd.info "download" ~doc:"Time a file retrieval (Fig. 5 point)")
     Term.(const run $ size $ udp $ baseline $ runs $ jobs_arg)
@@ -234,8 +259,12 @@ let nfs_cmd =
       o.Nfs_bench.client_to_server_per_op o.Nfs_bench.server_to_client_per_op;
     0
   in
-  let rate = Arg.(value & opt float 100. & info [ "rate" ] ~doc:"Offered ops/s.") in
-  let ops = Arg.(value & opt int 600 & info [ "ops" ] ~doc:"Total operations.") in
+  let rate =
+    Arg.(value & opt positive_float 100. & info [ "rate" ] ~doc:"Offered ops/s.")
+  in
+  let ops =
+    Arg.(value & opt positive_int 600 & info [ "ops" ] ~doc:"Total operations.")
+  in
   let baseline = Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified Xen.") in
   Cmd.v
     (Cmd.info "nfs" ~doc:"NFS latency under load (Fig. 6 point)")
@@ -530,7 +559,9 @@ let trace_cmd =
     Arg.(value & opt int 0xA77ACC & info [ "seed" ] ~doc:"Simulation seed.")
   in
   let capacity =
-    Arg.(value & opt int 65536 & info [ "capacity" ] ~doc:"Trace ring capacity.")
+    Arg.(
+      value & opt positive_int 65536
+      & info [ "capacity" ] ~doc:"Trace ring capacity.")
   in
   let export =
     Arg.(

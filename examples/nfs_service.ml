@@ -12,8 +12,8 @@ let run ~stopwatch =
   let config = Sw_experiments.Nfs_bench.nfs_config in
   let cloud = Cloud.create ~config ~machines:3 () in
   let d =
-    if stopwatch then Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Nfs.server ())
-    else Cloud.deploy_baseline cloud ~on:0 ~app:(Sw_apps.Nfs.server ())
+    if stopwatch then Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Nfs.server)
+    else Cloud.deploy_baseline cloud ~on:0 ~app:(Sw_apps.Nfs.server)
   in
   let client = Cloud.add_host cloud () in
   let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in

@@ -37,7 +37,7 @@ let () =
   describe "victim coresident" sw_yes.Scenario.attacker_inter_delivery_ms;
   print_endline "\nObservations the attacker needs to detect the victim (chi-square):";
   Printf.printf "  %-12s %14s %14s\n" "confidence" "without SW" "with SW";
-  let chi = Detector.chi_square () in
+  let chi = Detector.chi_square in
   let needed ~confidence (null : Scenario.result) (alt : Scenario.result) =
     chi.Detector.observations_needed ~confidence
       ~null:null.Scenario.attacker_inter_delivery_ms

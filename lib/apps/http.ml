@@ -14,26 +14,23 @@ type state = {
   tcp : Tcp_guest.t;
   requests : (int, request) Hashtbl.t;  (** keyed by disk tag *)
   mutable next_tag : int;
-  chunk_bytes : int;
 }
 
 let header_bytes = 200
 
-let server ?tcp ?(chunk_bytes = 256 * 1024) () () =
+(* Disk-read granularity. *)
+let chunk_bytes = 256 * 1024
+
+let server () =
   let st =
-    {
-      tcp = Tcp_guest.create ?config:tcp ();
-      requests = Hashtbl.create 8;
-      next_tag = 0;
-      chunk_bytes;
-    }
+    { tcp = Tcp_guest.create (); requests = Hashtbl.create 8; next_tag = 0 }
   in
   let start_request key file size =
     let tag = st.next_tag in
     st.next_tag <- tag + 1;
     let req = { key; file; size; read_offset = 0; sent_offset = 0 } in
     Hashtbl.replace st.requests tag req;
-    let chunk = Stdlib.min size st.chunk_bytes in
+    let chunk = Stdlib.min size chunk_bytes in
     req.read_offset <- chunk;
     [ App.Disk_read { bytes = chunk; sequential = false; tag } ]
   in
@@ -52,7 +49,7 @@ let server ?tcp ?(chunk_bytes = 256 * 1024) () () =
             ~bytes:(chunk_len + if first then header_bytes else 0)
         in
         if req.read_offset < req.size then begin
-          let chunk = Stdlib.min (req.size - req.read_offset) st.chunk_bytes in
+          let chunk = Stdlib.min (req.size - req.read_offset) chunk_bytes in
           req.read_offset <- req.read_offset + chunk;
           App.Disk_read { bytes = chunk; sequential = true; tag } :: send
         end

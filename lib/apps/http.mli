@@ -5,9 +5,9 @@
     in the paper) and streams the response over the connection. The client
     measures wall-clock retrieval time at an external host. *)
 
-(** [server ?tcp ?chunk_bytes ()] builds the server guest application.
-    [chunk_bytes] is the disk-read granularity (default 1 MiB). *)
-val server : ?tcp:Tcp.config -> ?chunk_bytes:int -> unit -> Sw_vm.App.factory
+(** The server guest application. It reads files from disk in 256 KiB
+    chunks. *)
+val server : Sw_vm.App.factory
 
 (** [download t ~dst ~file ~size ~on_done ()] opens a connection, requests
     the file, and calls [on_done ~elapsed_ms] when the full response has

@@ -39,8 +39,8 @@ type pending_op = { key : Tcp_guest.conn_key; xid : int; op : op }
    unblocks the client's Nagle-held batch immediately. *)
 let server_tcp_config = { Tcp.default_config with Tcp.ack_every = 1 }
 
-let server ?(tcp = server_tcp_config) () () =
-  let tcpd = Tcp_guest.create ~config:tcp () in
+let server () =
+  let tcpd = Tcp_guest.create ~config:server_tcp_config () in
   let pending : (int, pending_op) Hashtbl.t = Hashtbl.create 16 in
   let next_tag = ref 0 in
   let reply p =
@@ -99,16 +99,15 @@ type client_stats = {
   latencies_ms : float array;
 }
 
-let pick_op rng mix =
+let pick_op rng =
   let u = Sw_sim.Prng.float rng in
   let rec walk acc = function
     | [] -> Read
     | (op, w) :: rest -> if u < acc +. w then op else walk (acc +. w) rest
   in
-  walk 0. mix
+  walk 0. paper_mix
 
-let run_client t ~dst ~rate_per_s ~procs ~ops ?(mix = paper_mix) ?(seed = 0x4E_F5L)
-    () =
+let run_client t ~dst ~rate_per_s ~procs ~ops ?(seed = 0x4E_F5L) () =
   if rate_per_s <= 0. then invalid_arg "Nfs.run_client: rate must be positive";
   if procs < 1 then invalid_arg "Nfs.run_client: need >= 1 process";
   let host = Tcp_host.host t in
@@ -137,7 +136,7 @@ let run_client t ~dst ~rate_per_s ~procs ~ops ?(mix = paper_mix) ?(seed = 0x4E_F
     if n < ops then
       Host.after host gap (fun () ->
           let xid = n in
-          let op = pick_op rng mix in
+          let op = pick_op rng in
           let conn = conns.(n mod procs) in
           Hashtbl.replace starts xid (Host.now host);
           incr issued;

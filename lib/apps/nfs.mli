@@ -16,7 +16,7 @@ val paper_mix : (op * float) list
     miss (70% hit rate, deterministic per xid); writes/creates/setattrs
     journal their payload sequentially and reply write-behind;
     lookups/getattrs are compute-only. *)
-val server : ?tcp:Tcp.config -> unit -> Sw_vm.App.factory
+val server : Sw_vm.App.factory
 
 (** Recommended client TCP configuration: Nagle enabled, so small RPC calls
     coalesce under load — the mechanism behind Fig. 6(b)'s falling
@@ -29,17 +29,16 @@ type client_stats = {
   latencies_ms : float array;  (** Per completed op. *)
 }
 
-(** [run_client t ~dst ~rate_per_s ~procs ~ops ~mix ~seed ()] starts the
+(** [run_client t ~dst ~rate_per_s ~procs ~ops ?seed ()] starts the
     load: [ops] operations spread over [procs] connections at aggregate
-    [rate_per_s], ops drawn from [mix] with a deterministic PRNG seeded by
-    [seed]. Returns a handle to poll after the simulation has run. *)
+    [rate_per_s], ops drawn from {!paper_mix} with a deterministic PRNG
+    seeded by [seed]. Returns a handle to poll after the simulation has run. *)
 val run_client :
   Tcp_host.t ->
   dst:Sw_net.Address.t ->
   rate_per_s:float ->
   procs:int ->
   ops:int ->
-  ?mix:(op * float) list ->
   ?seed:int64 ->
   unit ->
   (unit -> client_stats)

@@ -1,7 +1,7 @@
 (** Adapter running {!Tcp} endpoints on an external host (client side).
 
     Attach once per host; it takes over the host's packet handler, routing
-    TCP segments to their connections and everything else to [fallback]. *)
+    TCP segments to their connections and dropping everything else. *)
 
 type t
 type conn
@@ -9,7 +9,6 @@ type conn
 val attach :
   Stopwatch.Host.t ->
   ?config:Tcp.config ->
-  ?fallback:(Sw_net.Packet.t -> unit) ->
   unit ->
   t
 
@@ -21,7 +20,6 @@ val connect :
   t ->
   dst:Sw_net.Address.t ->
   ?on_connected:(unit -> unit) ->
-  ?on_closed:(unit -> unit) ->
   on_msg:(payload:Sw_net.Msg.t -> bytes:int -> unit) ->
   unit ->
   conn

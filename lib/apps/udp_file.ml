@@ -18,12 +18,14 @@ type transfer = {
 type state = {
   transfers : (int, transfer) Hashtbl.t;  (** keyed by disk tag *)
   mutable next_tag : int;
-  chunk_bytes : int;
-  inter_send_branches : int;
 }
 
+(* Disk-read granularity, and the send loop's CPU cost per datagram. *)
+let chunk_bytes = 256 * 1024
+let inter_send_branches = 2000
+
 (* Emit the stream of datagrams for byte range [from, upto). *)
-let stream st tr ~from ~upto =
+let stream tr ~from ~upto =
   let rec go offset acc =
     if offset >= upto then List.rev acc
     else begin
@@ -37,20 +39,13 @@ let stream st tr ~from ~upto =
             payload = Packet.App (Msg.Udp_data { file = tr.file; offset; len; last });
           }
       in
-      go (offset + len) (send :: App.Compute st.inter_send_branches :: acc)
+      go (offset + len) (send :: App.Compute inter_send_branches :: acc)
     end
   in
   go from []
 
-let server ?(chunk_bytes = 256 * 1024) ?(inter_send_branches = 2000) () () =
-  let st =
-    {
-      transfers = Hashtbl.create 8;
-      next_tag = 0;
-      chunk_bytes;
-      inter_send_branches;
-    }
-  in
+let server () =
+  let st = { transfers = Hashtbl.create 8; next_tag = 0 } in
   (* Transfers kept (also after completion) for NAK-triggered resends. *)
   let by_file : (int, transfer) Hashtbl.t = Hashtbl.create 8 in
   (* A chunk is in: stream it out and start the next read, overlapping disk
@@ -59,10 +54,10 @@ let server ?(chunk_bytes = 256 * 1024) ?(inter_send_branches = 2000) () () =
     match Hashtbl.find_opt st.transfers tag with
     | None -> []
     | Some tr ->
-        let sends = stream st tr ~from:tr.sent_offset ~upto:tr.read_offset in
+        let sends = stream tr ~from:tr.sent_offset ~upto:tr.read_offset in
         tr.sent_offset <- tr.read_offset;
         if tr.read_offset < tr.size then begin
-          let chunk = Stdlib.min (tr.size - tr.read_offset) st.chunk_bytes in
+          let chunk = Stdlib.min (tr.size - tr.read_offset) chunk_bytes in
           tr.read_offset <- tr.read_offset + chunk;
           App.Disk_read { bytes = chunk; sequential = true; tag } :: sends
         end
@@ -83,7 +78,7 @@ let server ?(chunk_bytes = 256 * 1024) ?(inter_send_branches = 2000) () () =
                 let tr =
                   { client = pkt.Packet.src; file; size; read_offset = 0; sent_offset = 0 }
                 in
-                let chunk = Stdlib.min size st.chunk_bytes in
+                let chunk = Stdlib.min size chunk_bytes in
                 tr.read_offset <- chunk;
                 Hashtbl.replace st.transfers tag tr;
                 Hashtbl.replace by_file file tr;
@@ -92,14 +87,17 @@ let server ?(chunk_bytes = 256 * 1024) ?(inter_send_branches = 2000) () () =
                 (* Resend whatever has already been read. *)
                 match Hashtbl.find_opt by_file file with
                 | Some tr when tr.sent_offset > from_offset ->
-                    stream st tr ~from:from_offset ~upto:tr.sent_offset
+                    stream tr ~from:from_offset ~upto:tr.sent_offset
                 | _ -> [])
             | _ -> [])
         | App.Disk_done { tag } -> continue_read tag
         | _ -> []);
   }
 
-let fetch host ~dst ~file ~size ?(nak_delay = Time.ms 20) ~on_done () =
+(* How long a receiver waits on a gap before NAKing it. *)
+let nak_delay = Time.ms 20
+
+let fetch host ~dst ~file ~size ~on_done =
   let started = Host.now host in
   let next_expected = ref 0 in
   let naks = ref 0 in

@@ -5,20 +5,17 @@
     The client sends one request; the server reads the file and streams
     datagrams; the client NAKs only on detected gaps (go-back-N resend). *)
 
-(** [server ?chunk_bytes ?inter_send_branches ()] builds the server guest
-    application. [inter_send_branches] models the per-datagram send-loop CPU
-    cost (default 2000). *)
-val server : ?chunk_bytes:int -> ?inter_send_branches:int -> unit -> Sw_vm.App.factory
+(** The server guest application. It reads files from disk in 256 KiB
+    chunks and spends 2000 branches of send-loop CPU per datagram. *)
+val server : Sw_vm.App.factory
 
-(** [fetch host ~dst ~file ~size ~on_done ()] requests the file and calls
-    [on_done ~elapsed_ms ~naks] when all bytes have arrived. Gaps are NAKed
-    after [nak_delay] (default 20 ms). *)
+(** [fetch host ~dst ~file ~size ~on_done] requests the file and calls
+    [on_done ~elapsed_ms ~naks] when all bytes have arrived. A gap still
+    open after 20 ms is NAKed. *)
 val fetch :
   Stopwatch.Host.t ->
   dst:Sw_net.Address.t ->
   file:int ->
   size:int ->
-  ?nak_delay:Sw_sim.Time.t ->
   on_done:(elapsed_ms:float -> naks:int -> unit) ->
-  unit ->
   unit

@@ -7,21 +7,14 @@ type row = {
   loaded_replica_share : float;
 }
 
-let table ?(duration = Sw_sim.Time.s 40) ?(ping_rate = 40.) ?(seed = 0xC0_11D3L) () =
-  let base =
-    {
-      Scenario.default with
-      Scenario.duration;
-      ping_rate_per_s = ping_rate;
-      seed;
-    }
-  in
+let table ?(duration = Sw_sim.Time.s 40) () =
+  let base = { Scenario.default with Scenario.duration; seed = 0xC0_11D3L } in
   let detect spec =
     let null = Scenario.run { spec with Scenario.victim = false } in
     let alt = Scenario.run { spec with Scenario.victim = true } in
     (* The shared leak-detector API; same values the bespoke sweep used to
        produce (the chi-square detector carries that exact computation). *)
-    let chi = Sw_leak.Detector.chi_square () in
+    let chi = Sw_leak.Detector.chi_square in
     let observations =
       List.map
         (fun c ->

@@ -4,12 +4,12 @@
     1(c). The same computation from raw samples is
     {!Sw_leak.Detector.chi_square}'s [observations_needed]. *)
 
-(** [analytic ~null ~alt ~bins ~confidence] bins the null distribution into
-    [bins] equiprobable bins and returns the expected observation count for a
+(** [analytic ~null ~alt ~confidence] bins the null distribution into 10
+    equiprobable bins and returns the expected observation count for a
     chi-square rejection of the null when sampling from [alt]. *)
 val analytic :
-  null:Sw_stats.Dist.t -> alt:Sw_stats.Dist.t -> ?bins:int -> confidence:float -> unit -> float
+  null:Sw_stats.Dist.t -> alt:Sw_stats.Dist.t -> confidence:float -> float
 
 (** {!analytic} over {!Sw_leak.Detector.confidence_grid}. *)
 val sweep_analytic :
-  null:Sw_stats.Dist.t -> alt:Sw_stats.Dist.t -> ?bins:int -> unit -> (float * float) list
+  null:Sw_stats.Dist.t -> alt:Sw_stats.Dist.t -> (float * float) list

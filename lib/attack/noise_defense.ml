@@ -69,7 +69,7 @@ let median_victim ~lambda ~lambda' =
   let e' = Dist.exponential ~rate:lambda' in
   Order_stats.median_dist [| e'; e; e |]
 
-let compare ~lambda ~lambda' ?(bins = 10) ?confidences () =
+let compare ~lambda ~lambda' ?confidences () =
   if lambda <= 0. || lambda' <= 0. then
     invalid_arg "Noise_defense.compare: rates must be positive";
   let confidences =
@@ -83,7 +83,7 @@ let compare ~lambda ~lambda' ?(bins = 10) ?confidences () =
   List.map
     (fun confidence ->
       let observations =
-        Distinguisher.analytic ~null:null_sw ~alt:alt_sw ~bins ~confidence ()
+        Distinguisher.analytic ~null:null_sw ~alt:alt_sw ~confidence
       in
       (* The attacker's confidence after n observations under noise bound b:
          find min b such that the noise defence needs >= n observations. *)
@@ -91,7 +91,7 @@ let compare ~lambda ~lambda' ?(bins = 10) ?confidences () =
         Distinguisher.analytic
           ~null:(exp_plus_uniform ~lambda ~b)
           ~alt:(exp_plus_uniform ~lambda:lambda' ~b)
-          ~bins ~confidence ()
+          ~confidence
       in
       let rec widen b = if needs b < observations then widen (b *. 2.) else b in
       let hi = widen 1. in

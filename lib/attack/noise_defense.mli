@@ -23,12 +23,12 @@ type row = {
     independent — the paper sets coverage = 0.9999. *)
 val delta_n_for : lambda:float -> lambda':float -> coverage:float -> float
 
-(** [compare ~lambda ~lambda' ?bins ?confidences ()] computes one row per
-    confidence (default: the paper's grid for Fig. 8). *)
+(** [compare ~lambda ~lambda' ?confidences ()] computes one row per
+    confidence (default: the paper's grid for Fig. 8), with the attacker's
+    chi-square test over 10 equiprobable bins. *)
 val compare :
   lambda:float ->
   lambda':float ->
-  ?bins:int ->
   ?confidences:float list ->
   unit ->
   row list

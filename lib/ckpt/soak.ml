@@ -47,6 +47,12 @@ let run ~scenario ~dir ~every ?kill_after ?keep
   in
   if Time.compare every Time.zero <= 0 then
     invalid_arg "Soak.run: checkpoint interval must be positive";
+  (* Pruning to nothing would delete the image just written, leaving a
+     crash after it nothing to resume from. *)
+  (match keep with
+  | Some k when k < 1 ->
+      invalid_arg (Printf.sprintf "Soak.run: keep must be at least 1 (got %d)" k)
+  | _ -> ());
   (* The scenario identity stamped into (and checked against) every image. *)
   let sid =
     Printf.sprintf "%s:%s:shards=%d" scenario.Dsl.name

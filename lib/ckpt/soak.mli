@@ -74,8 +74,8 @@ exception Killed of { checkpoints : int; sim_ns : Sw_sim.Time.t }
     {!Sw_workload.Dsl.override}, so they are part of that identity.
     [kill_after n] aborts the process-visible run by raising {!Killed}
     after the [n]-th checkpoint {e written by this process}.
-    [keep] prunes the timeline to the newest [keep] images after each
-    write (default: keep everything). [on_event] observes progress. *)
+    [keep] (at least 1) prunes the timeline to the newest [keep] images
+    after each write (default: keep everything). [on_event] observes progress. *)
 val run :
   scenario:Sw_workload.Dsl.t ->
   dir:string ->

@@ -11,8 +11,7 @@ type deployment = {
 }
 
 (* One shard: an engine with its own registry, the network fabric for the
-   shard's machines, and the shard's edge nodes. A single-shard cloud is
-   one of these, built exactly as the pre-shard code did. *)
+   shard's machines, and the shard's edge nodes. *)
 type shard_ctx = {
   sh_engine : Engine.t;
   sh_network : Sw_net.Network.t;
@@ -24,11 +23,11 @@ type t = {
   seed : int64;
   config : Sw_vmm.Config.t;
   shards : shard_ctx array;
-  parallel : bool;
   block : int array;  (* machine id -> owning shard *)
   machines : Sw_vmm.Machine.t array;
   vmms : Sw_vmm.Vmm.t array;
-  rng : Sw_sim.Prng.t;  (* single-shard background stream (legacy split) *)
+  background_rng : Sw_sim.Prng.t option;
+      (* one shard: the engine's split taken after the machines' *)
   vm_shard : (int, int) Hashtbl.t;
   host_shard : (int, int) Hashtbl.t;
   mutable conductor : Conductor.t option;  (* built lazily at first run *)
@@ -54,11 +53,6 @@ let contiguous_partition ~machines ~shards =
   done;
   block
 
-(* Domain-per-shard only pays off with a core per shard; on a single-core
-   host the workers just time-slice through the barrier, so default to the
-   sequential windowed driver there. Byte-identical either way. *)
-let default_parallel = lazy (Domain.recommended_domain_count () > 1)
-
 (* Owning shard of a delivery target, as seen from shard [self]: per-shard
    addresses (Ingress, Egress, broadcast) and unknown ids resolve to
    [self]. Shared by the cross-shard send path, the lookahead matrix, and
@@ -66,9 +60,9 @@ let default_parallel = lazy (Domain.recommended_domain_count () > 1)
 let locate t self = function
   | Address.Vmm m -> t.block.(m)
   | Address.Vm v -> (
-      match Hashtbl.find_opt t.vm_shard v with Some sh -> sh | None -> self)
+      match Hashtbl.find t.vm_shard v with sh -> sh | exception Not_found -> self)
   | Address.Host h -> (
-      match Hashtbl.find_opt t.host_shard h with Some sh -> sh | None -> self)
+      match Hashtbl.find t.host_shard h with sh -> sh | exception Not_found -> self)
   | Address.Ingress | Address.Egress | Address.Broadcast_addr -> self
 
 (* An explicit machine-to-shard assignment (the affinity partitioner's
@@ -93,62 +87,86 @@ let check_assignment assign ~machines ~shards =
 
 let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
     ?(default_link = Sw_net.Network.lan) ?(rate_spread = 0.)
-    ?(clock_spread = Time.zero) ?profile ?(shards = 1) ?parallel
+    ?(clock_spread = Time.zero) ?profile ?(shards = 1)
     ?(partition = `Contiguous) ~machines () =
-  let parallel =
-    match parallel with Some p -> p | None -> Lazy.force default_parallel
-  in
   if machines < 1 then invalid_arg "Cloud.create: need at least one machine";
   if shards < 1 then invalid_arg "Cloud.create: need at least one shard";
   if rate_spread < 0. || rate_spread >= 1. then
     invalid_arg "Cloud.create: rate_spread must be in [0, 1)";
   Sw_vmm.Config.validate config;
   let shards = Stdlib.min shards machines in
-  if shards = 1 then begin
-    (* Single shard: the historical construction, component for component
-       and PRNG split for split, so existing seeds reproduce byte for
-       byte. *)
-    let metrics = Sw_obs.Registry.create () in
-    let engine = Engine.create ~seed ~metrics ?profile () in
-    let hw_rng = Engine.rng engine in
-    let network = Sw_net.Network.create engine ~default:default_link in
-    let machine_arr =
-      Array.init machines (fun id ->
-          let rate_multiplier =
-            if rate_spread = 0. then 1.0
-            else
-              Sw_sim.Prng.uniform hw_rng ~lo:(1. -. rate_spread)
-                ~hi:(1. +. rate_spread)
-          in
-          let clock_offset =
-            if Time.equal clock_spread Time.zero then Time.zero
-            else
-              Time.ns
-                (Sw_sim.Prng.int hw_rng ((2 * clock_spread) + 1) - clock_spread)
-          in
-          Sw_vmm.Machine.create engine network ~id ~config ~rate_multiplier
-            ~clock_offset ())
-    in
-    let vmms = Array.map Sw_vmm.Vmm.create machine_arr in
-    let shard =
-      {
-        sh_engine = engine;
-        sh_network = network;
-        sh_ingress = Sw_net.Ingress.create network;
-        sh_egress =
-          Sw_net.Egress.create
-            ?vote_expiry:config.Sw_vmm.Config.egress_vote_expiry network;
-      }
-    in
+  let single = shards = 1 in
+  let block =
+    match partition with
+    | `Affinity assign when not single -> check_assignment assign ~machines ~shards
+    | `Affinity _ | `Contiguous -> contiguous_partition ~machines ~shards
+  in
+  (* Stochastic streams. A sharded cloud key-derives every one, so no draw
+     depends on the partition. A one-shard cloud keeps the pre-shard splits
+     so its seeds reproduce byte for byte: the engine takes [seed] unmixed,
+     the hardware stream is the engine's first split, and the network draws
+     from the engine rather than from per-link keyed streams. *)
+  let engines =
+    Array.init shards (fun i ->
+        let seed =
+          if single then seed
+          else Sw_sim.Prng.mix (Sw_sim.Prng.mix seed 0x5A4DL) (Int64.of_int i)
+        in
+        Engine.create ~seed ~metrics:(Sw_obs.Registry.create ())
+          ?profile:(if i = 0 then profile else None)
+          ())
+  in
+  let hw_rng =
+    if single then Engine.rng engines.(0)
+    else Sw_sim.Prng.derive ~seed [ 0x11A6L ]
+  in
+  let shard_arr =
+    Array.map
+      (fun engine ->
+        let network =
+          Sw_net.Network.create
+            ?stream_seed:(if single then None else Some seed)
+            engine ~default:default_link
+        in
+        {
+          sh_engine = engine;
+          sh_network = network;
+          sh_ingress = Sw_net.Ingress.create network;
+          sh_egress =
+            Sw_net.Egress.create
+              ?vote_expiry:config.Sw_vmm.Config.egress_vote_expiry network;
+        })
+      engines
+  in
+  (* Hardware spreads draw in machine-id order. *)
+  let machine_arr =
+    Array.init machines (fun id ->
+        let rate_multiplier =
+          if rate_spread = 0. then 1.0
+          else
+            Sw_sim.Prng.uniform hw_rng ~lo:(1. -. rate_spread)
+              ~hi:(1. +. rate_spread)
+        in
+        let clock_offset =
+          if Time.equal clock_spread Time.zero then Time.zero
+          else
+            Time.ns
+              (Sw_sim.Prng.int hw_rng ((2 * clock_spread) + 1) - clock_spread)
+        in
+        let sh = shard_arr.(block.(id)) in
+        Sw_vmm.Machine.create sh.sh_engine sh.sh_network ~id ~config
+          ~rate_multiplier ~clock_offset ())
+  in
+  let vmms = Array.map Sw_vmm.Vmm.create machine_arr in
+  let t =
     {
       seed;
       config;
-      shards = [| shard |];
-      parallel;
-      block = Array.make machines 0;
+      shards = shard_arr;
+      block;
       machines = machine_arr;
       vmms;
-      rng = Engine.rng engine;
+      background_rng = (if single then Some (Engine.rng engines.(0)) else None);
       vm_shard = Hashtbl.create 16;
       host_shard = Hashtbl.create 16;
       conductor = None;
@@ -157,97 +175,25 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
       deployments = [];
       trace = None;
     }
-  end
-  else begin
-    (* Sharded: per-shard engines/registries/fabrics/edges, and every
-       stochastic stream key-derived so that no draw order depends on the
-       partition. Hardware spreads draw from one cloud-level keyed stream
-       in machine-id order. *)
-    let block =
-      match partition with
-      | `Contiguous -> contiguous_partition ~machines ~shards
-      | `Affinity assign -> check_assignment assign ~machines ~shards
-    in
-    let shard_arr =
-      Array.init shards (fun i ->
-          let metrics = Sw_obs.Registry.create () in
-          let engine =
-            Engine.create
-              ~seed:(Sw_sim.Prng.mix (Sw_sim.Prng.mix seed 0x5A4DL) (Int64.of_int i))
-              ~metrics
-              ?profile:(if i = 0 then profile else None)
-              ()
-          in
-          let network =
-            Sw_net.Network.create ~stream_seed:seed engine ~default:default_link
-          in
-          {
-            sh_engine = engine;
-            sh_network = network;
-            sh_ingress = Sw_net.Ingress.create network;
-            sh_egress =
-              Sw_net.Egress.create
-                ?vote_expiry:config.Sw_vmm.Config.egress_vote_expiry network;
-          })
-    in
-    let hw_rng = Sw_sim.Prng.derive ~seed [ 0x11A6L ] in
-    let machine_arr =
-      Array.init machines (fun id ->
-          let rate_multiplier =
-            if rate_spread = 0. then 1.0
-            else
-              Sw_sim.Prng.uniform hw_rng ~lo:(1. -. rate_spread)
-                ~hi:(1. +. rate_spread)
-          in
-          let clock_offset =
-            if Time.equal clock_spread Time.zero then Time.zero
-            else
-              Time.ns
-                (Sw_sim.Prng.int hw_rng ((2 * clock_spread) + 1) - clock_spread)
-          in
-          let sh = shard_arr.(block.(id)) in
-          Sw_vmm.Machine.create sh.sh_engine sh.sh_network ~id ~config
-            ~rate_multiplier ~clock_offset ())
-    in
-    let vmms = Array.map Sw_vmm.Vmm.create machine_arr in
-    let t =
-      {
-        seed;
-        config;
-        shards = shard_arr;
-        parallel;
-        block;
-        machines = machine_arr;
-        vmms;
-        rng = Sw_sim.Prng.derive ~seed [ 0xB469L ];
-        vm_shard = Hashtbl.create 16;
-        host_shard = Hashtbl.create 16;
-        conductor = None;
-        next_vm = 0;
-        next_host = 0;
-        deployments = [];
-        trace = None;
-      }
-    in
-    (* Wire the cross-shard path: each network resolves a delivery target
-       to its owning shard; remote arrivals go through the conductor
-       mailbox and are injected on the owner's engine. The conductor is
-       built lazily (its lookahead depends on links installed after
-       creation), so the post hook late-binds through [t]. *)
-    Array.iteri
-      (fun self sh ->
-        Sw_net.Network.set_remote sh.sh_network ~shard:self ~locate:(locate t self)
-          ~post:(fun ~dst ~at ~target pkt ->
-            match t.conductor with
-            | Some c ->
-                Conductor.post c ~src:self ~dst ~at (fun () ->
-                    Sw_net.Network.inject t.shards.(dst).sh_network ~target pkt)
-            | None ->
-                invalid_arg
-                  "Cloud: cross-shard send outside Cloud.run (no conductor)"))
-      shard_arr;
-    t
-  end
+  in
+  (* Wire the cross-shard path: each network resolves a delivery target
+     to its owning shard; remote arrivals go through the conductor
+     mailbox and are injected on the owner's engine. The conductor is
+     built lazily (its lookahead depends on links installed after
+     creation), so the post hook late-binds through [t]. *)
+  Array.iteri
+    (fun self sh ->
+      Sw_net.Network.set_remote sh.sh_network ~shard:self ~locate:(locate t self)
+        ~post:(fun ~dst ~at ~target pkt ->
+          match t.conductor with
+          | Some c ->
+              Conductor.post c ~src:self ~dst ~at (fun () ->
+                  Sw_net.Network.inject t.shards.(dst).sh_network ~target pkt)
+          | None ->
+              invalid_arg
+                "Cloud: cross-shard send outside Cloud.run (no conductor)"))
+    shard_arr;
+  t
 
 let shard_count t = Array.length t.shards
 let shard_of_machine t m = t.block.(m)
@@ -344,12 +290,12 @@ let deploy ?config t ~on ~app =
       ~config ~mode:Sw_vmm.Replica_group.Stopwatch ()
   in
   (* The VM's PGM-style channel: the ingress replicates inbound packets over
-     it, the VMMs exchange proposals and epoch reports on it. *)
+     it, the VMMs exchange proposals and epoch reports on it. A receiver
+     NAKs a gap after 300 us and abandons it after the default 5 re-sends. *)
   let channel =
     Sw_net.Multicast.group sh.sh_network
       ~members:(Address.Ingress :: List.map (fun m -> Address.Vmm m) on)
-      ~nak_delay:config.Sw_vmm.Config.mcast_nak_delay
-      ~nak_retries:config.Sw_vmm.Config.mcast_nak_retries
+      ~nak_delay:(Time.us 300)
       ?heartbeat:config.Sw_vmm.Config.mcast_heartbeat ()
   in
   (* Start negotiation (Sec. IV-A): the hosting VMMs exchange their clock
@@ -475,11 +421,12 @@ let set_pair_link t ~src ~dst params =
 
 let start_background t ~rate_per_s ?(size = 64) () =
   if rate_per_s <= 0. then invalid_arg "Cloud.start_background: rate must be positive";
-  (* Sharded clouds draw the arrival process from a keyed stream (the
-     single-shard [t.rng] split is construction-order dependent) and emit
+  (* Sharded clouds draw the arrival process from a keyed stream and emit
      from shard 0; packets to remote VMs take the cross-shard path. *)
   let rng =
-    if sharded t then Sw_sim.Prng.derive ~seed:t.seed [ 0xB406L ] else t.rng
+    match t.background_rng with
+    | Some rng -> rng
+    | None -> Sw_sim.Prng.derive ~seed:t.seed [ 0xB406L ]
   in
   let sh = t.shards.(0) in
   let rec arrival () =
@@ -518,10 +465,12 @@ let conductor t =
             Sw_net.Network.min_latency_to t.shards.(j).sh_network
               ~locate:(locate t j) ~self:j ~shards:n)
       in
-      let c =
-        Conductor.create ~parallel:t.parallel ~matrix ~lookahead:Time.zero
-          engines
-      in
+      (* Domain-per-shard only pays off with a core per shard; on a
+         single-core host the workers would just time-slice through the
+         barrier, so take the sequential windowed driver there.
+         Byte-identical either way. *)
+      let parallel = Domain.recommended_domain_count () > 1 in
+      let c = Conductor.create ~parallel ~matrix ~lookahead:Time.zero engines in
       t.conductor <- Some c;
       c
 

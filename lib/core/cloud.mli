@@ -28,11 +28,10 @@ type deployment
     indices in range; replica-group atomicity is enforced at {!deploy}
     as always). Each shard gets its own engine (and metric registry),
     network fabric, and ingress/egress pair, and {!run} drives the shards
-    concurrently (one OCaml domain each; [parallel:false] runs the same
-    windowed protocol round-robin, byte-identical; the default picks the
-    round-robin driver when the host reports a single core, where a
-    domain gang could only time-slice) under conservative lookahead
-    synchronisation — see {!Sw_sim.Conductor}. The conductor's bound is a
+    concurrently (one OCaml domain each; on a host that reports a single
+    core, where a domain gang could only time-slice, the same windowed
+    protocol runs round-robin, byte-identical) under conservative
+    lookahead synchronisation — see {!Sw_sim.Conductor}. The conductor's bound is a
     per-shard-pair matrix built from each fabric's
     {!Sw_net.Network.min_latency_to}. The partition cannot change
     results: per-link PRNG streams are key-derived so no draw depends on
@@ -55,7 +54,6 @@ val create :
   ?clock_spread:Sw_sim.Time.t ->
   ?profile:Sw_obs.Profile.t ->
   ?shards:int ->
-  ?parallel:bool ->
   ?partition:[ `Contiguous | `Affinity of int array ] ->
   machines:int ->
   unit ->

@@ -21,8 +21,8 @@ let one ?config ~seed ~protocol ~stopwatch ~size_bytes () =
   let cloud = Cloud.create ?config ~seed ~machines:3 () in
   let app =
     match protocol with
-    | Http -> Sw_apps.Http.server ()
-    | Udp -> Sw_apps.Udp_file.server ()
+    | Http -> Sw_apps.Http.server
+    | Udp -> Sw_apps.Udp_file.server
   in
   let d =
     if stopwatch then Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app
@@ -39,8 +39,7 @@ let one ?config ~seed ~protocol ~stopwatch ~size_bytes () =
   | Udp ->
       Sw_apps.Udp_file.fetch client ~dst:(Cloud.vm_address d) ~file:1
         ~size:size_bytes
-        ~on_done:(fun ~elapsed_ms ~naks:_ -> result := elapsed_ms)
-        ());
+        ~on_done:(fun ~elapsed_ms ~naks:_ -> result := elapsed_ms));
   (* Run in short spans and stop as soon as the transfer completes, so idle
      guests don't spin through a long fixed horizon. 120 s caps even a 10 MB
      window-limited StopWatch download. *)

@@ -20,8 +20,8 @@ let default_seed = 0x4F5_1L
 let run ?(config = nfs_config) ?(seed = default_seed) ~stopwatch ~rate_per_s ~ops () =
   let cloud = Cloud.create ~config ~seed ~machines:3 () in
   let d =
-    if stopwatch then Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Nfs.server ())
-    else Cloud.deploy_baseline cloud ~on:0 ~app:(Sw_apps.Nfs.server ())
+    if stopwatch then Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Nfs.server)
+    else Cloud.deploy_baseline cloud ~on:0 ~app:(Sw_apps.Nfs.server)
   in
   let client = Cloud.add_host cloud () in
   let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in

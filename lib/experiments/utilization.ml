@@ -18,7 +18,7 @@ let run ?config ?(seed = 0x07117AL) ~machines ~capacity ~vms ~file_bytes ~durati
     | Error reason -> invalid_arg ("Utilization.run: " ^ reason)
   in
   let cloud = Cloud.create ?config ~seed ~machines () in
-  let deployments = Cloud.deploy_plan cloud ~plan ~app:(Sw_apps.Http.server ()) in
+  let deployments = Cloud.deploy_plan cloud ~plan ~app:(Sw_apps.Http.server) in
   let latencies = Sw_sim.Samples.create () in
   let completed = ref 0 in
   (* One client per VM, downloading the file in a closed loop. *)

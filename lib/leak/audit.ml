@@ -13,7 +13,7 @@ type finding = {
 
 type t = { label : string; findings : finding list }
 
-let run ?(detectors = Detector.all) ?registry ~label series =
+let run ?registry ~label series =
   let bump path n =
     match registry with
     | None -> ()
@@ -26,7 +26,7 @@ let run ?(detectors = Detector.all) ?registry ~label series =
         let reports =
           List.map
             (fun (d : Detector.t) -> d.Detector.verdict ~null:s.null ~alt:s.alt)
-            detectors
+            Detector.all
         in
         bump "leak.detector.verdicts" (List.length reports);
         List.iter
@@ -60,7 +60,7 @@ let pair ~null ~alt =
         (List.assoc_opt key alt))
     null
 
-let split_half ?detectors ?registry ~label series =
+let split_half ~label series =
   let halves =
     List.filter_map
       (fun (key, xs) ->
@@ -72,7 +72,7 @@ let split_half ?detectors ?registry ~label series =
         end)
       series
   in
-  run ?detectors ?registry ~label halves
+  run ~label halves
 
 let attribution t =
   List.filter_map

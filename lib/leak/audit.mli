@@ -25,12 +25,11 @@ type finding = {
 
 type t = { label : string; findings : finding list }
 
-(** [run ~label series] sweeps [detectors] (default {!Detector.all}) over
-    every series, in order. When [registry] is given, bumps the
+(** [run ~label series] sweeps {!Detector.all} over every series, in
+    order. When [registry] is given, bumps the
     [leak.detector.series] / [leak.detector.verdicts] /
     [leak.detector.samples_dropped] counters. *)
 val run :
-  ?detectors:Detector.t list ->
   ?registry:Sw_obs.Registry.t ->
   label:string ->
   series list ->
@@ -48,12 +47,7 @@ val pair :
     first half as null, second half as alt — the drift probe the soak
     driver samples at every checkpoint grid point. Series shorter than 2
     are dropped. *)
-val split_half :
-  ?detectors:Detector.t list ->
-  ?registry:Sw_obs.Registry.t ->
-  label:string ->
-  (string * float array) list ->
-  t
+val split_half : label:string -> (string * float array) list -> t
 
 (** Series that leaked, with the detectors that flagged them. *)
 val attribution : t -> (string * string list) list

@@ -24,7 +24,13 @@ type t = {
 }
 
 let confidence_grid = [ 0.70; 0.75; 0.80; 0.85; 0.90; 0.95; 0.99 ]
-let default_alpha = 0.01
+
+(* Every p-value detector flags below this significance level. *)
+let alpha = 0.01
+
+(* Quantile bins of the chi-square detector. *)
+let chi_bins = 10
+
 let skipped r = Float.is_nan r.p_value
 
 (* A verdict on a series too short for the detector: no statistic, no leak
@@ -59,7 +65,7 @@ let welch_obs ~null ~alt ~confidence =
   if Array.length null < 2 || Array.length alt < 2 then infinity
   else effect_observations (Ttest.cohens_d null alt) ~confidence
 
-let welch ?(alpha = default_alpha) () =
+let welch =
   let min_samples = 8 in
   {
     name = "welch";
@@ -84,7 +90,8 @@ let welch ?(alpha = default_alpha) () =
     observations_needed = welch_obs;
   }
 
-let cohens_d ?(threshold = 0.5) () =
+(* Flags on effect size alone: |d| >= 0.5, Cohen's "medium". *)
+let cohens_d =
   let min_samples = 8 in
   {
     name = "cohens_d";
@@ -101,7 +108,7 @@ let cohens_d ?(threshold = 0.5) () =
             statistic = d;
             p_value = r.Ttest.p_value;
             effect = d;
-            leak = Float.abs d >= threshold;
+            leak = Float.abs d >= 0.5;
             observations_at = curve welch_obs ~null ~alt;
             n_null = Array.length null;
             n_alt = Array.length alt;
@@ -110,10 +117,10 @@ let cohens_d ?(threshold = 0.5) () =
     observations_needed = welch_obs;
   }
 
-let mi_obs ?(bins = Mutual_info.default_bins) () ~null ~alt ~confidence =
+let mi_obs ~null ~alt ~confidence =
   if Array.length null = 0 || Array.length alt = 0 then infinity
   else begin
-    let r = Mutual_info.against_labels ~bins ~null ~alt () in
+    let r = Mutual_info.against_labels ~null ~alt in
     if r.Mutual_info.plugin_nats <= 0. then infinity
     else begin
       (* G = 2 n * MI (nats) ~ chi-square: observations until the G
@@ -126,9 +133,8 @@ let mi_obs ?(bins = Mutual_info.default_bins) () ~null ~alt ~confidence =
     end
   end
 
-let mutual_info ?(alpha = default_alpha) ?(bins = Mutual_info.default_bins) () =
+let mutual_info =
   let min_samples = 8 in
-  let obs = mi_obs ~bins () in
   {
     name = "mutual_info";
     min_samples;
@@ -137,19 +143,19 @@ let mutual_info ?(alpha = default_alpha) ?(bins = Mutual_info.default_bins) () =
         if Array.length null < min_samples || Array.length alt < min_samples
         then undersized "mutual_info" ~null ~alt
         else begin
-          let r = Mutual_info.against_labels ~bins ~null ~alt () in
+          let r = Mutual_info.against_labels ~null ~alt in
           {
             detector = "mutual_info";
             statistic = r.Mutual_info.g_stat;
             p_value = r.Mutual_info.p_value;
             effect = r.Mutual_info.mi_bits;
             leak = r.Mutual_info.p_value < alpha;
-            observations_at = curve obs ~null ~alt;
+            observations_at = curve mi_obs ~null ~alt;
             n_null = Array.length null;
             n_alt = Array.length alt;
           }
         end);
-    observations_needed = obs;
+    observations_needed = mi_obs;
   }
 
 let ks_obs ~null ~alt ~confidence =
@@ -165,7 +171,7 @@ let ks_obs ~null ~alt ~confidence =
     Float.max 1. ((c /. d) ** 2.)
   end
 
-let ks ?(alpha = default_alpha) () =
+let ks =
   let min_samples = 8 in
   {
     name = "ks";
@@ -194,10 +200,10 @@ let ks ?(alpha = default_alpha) () =
 (* The distinguisher's historical computation, verbatim: edges from the
    null sample's quantiles, empirical frequencies on both sides, then the
    noncentrality-based count. *)
-let chi_obs ?(bins = 10) () ~null ~alt ~confidence =
+let chi_obs ~null ~alt ~confidence =
   if Array.length null = 0 || Array.length alt = 0 then
     invalid_arg "Detector.chi_square: empty sample";
-  let edges = Chi_square.empirical_edges null ~bins in
+  let edges = Chi_square.empirical_edges null ~bins:chi_bins in
   let to_probs counts total =
     Array.map (fun c -> c /. float_of_int total) counts
   in
@@ -209,9 +215,8 @@ let chi_obs ?(bins = 10) () ~null ~alt ~confidence =
   in
   Chi_square.observations_needed ~null_probs ~alt_probs ~confidence
 
-let chi_square ?(alpha = default_alpha) ?(bins = 10) () =
+let chi_square =
   let min_samples = 8 in
-  let obs = chi_obs ~bins () in
   {
     name = "chi_square";
     min_samples;
@@ -222,7 +227,7 @@ let chi_square ?(alpha = default_alpha) ?(bins = 10) () =
         else begin
           (* Two-sample homogeneity over pooled quantile bins. *)
           let pooled = Array.append null alt in
-          let edges = Chi_square.empirical_edges pooled ~bins in
+          let edges = Chi_square.empirical_edges pooled ~bins:chi_bins in
           let o_null = Chi_square.bin_counts ~edges null
           and o_alt = Chi_square.bin_counts ~edges alt in
           let n1 = float_of_int (Array.length null)
@@ -247,13 +252,12 @@ let chi_square ?(alpha = default_alpha) ?(bins = 10) () =
             p_value = p;
             effect = stat /. n;
             leak = p < alpha;
-            observations_at = curve obs ~null ~alt;
+            observations_at = curve chi_obs ~null ~alt;
             n_null = Array.length null;
             n_alt = Array.length alt;
           }
         end);
-    observations_needed = obs;
+    observations_needed = chi_obs;
   }
 
-let all =
-  [ welch (); cohens_d (); mutual_info (); ks (); chi_square () ]
+let all = [ welch; cohens_d; mutual_info; ks; chi_square ]

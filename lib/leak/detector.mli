@@ -46,19 +46,16 @@ val confidence_grid : float list
     than [min_samples]); such reports never flag a leak. *)
 val skipped : report -> bool
 
-val welch : ?alpha:float -> unit -> t
+(** Two-sample Kolmogorov–Smirnov: flags when p < 0.01. *)
+val ks : t
 
-(** Flags on effect size alone: |d| >= [threshold] (default 0.5, Cohen's
-    "medium"). The p-value reported is Welch's. *)
-val cohens_d : ?threshold:float -> unit -> t
+(** Two-sample chi-square homogeneity verdict over 10 pooled quantile bins,
+    flagging when p < 0.01; its observations-needed curve is the Fig. 4(b)
+    distinguisher: bin edges are the null sample's quantiles, bin
+    probabilities the empirical frequencies. *)
+val chi_square : t
 
-val ks : ?alpha:float -> unit -> t
-
-(** Two-sample chi-square homogeneity verdict; its observations-needed
-    curve is the Fig. 4(b) distinguisher: bin edges are the null sample's
-    quantiles, bin probabilities the empirical frequencies. *)
-val chi_square : ?alpha:float -> ?bins:int -> unit -> t
-
-(** The full battery at default thresholds, in report order:
-    welch, cohens_d, mutual_info, ks, chi_square. *)
+(** The full battery, in report order: Welch's t (p < 0.01), Cohen's d
+    (|d| >= 0.5, Cohen's "medium"; its p-value is Welch's), label mutual
+    information (G-test p < 0.01), {!ks} and {!chi_square}. *)
 val all : t list

@@ -11,8 +11,6 @@ let make x y z =
 let vertices t = [ t.a; t.b; t.c ]
 let edges t = [ (t.a, t.b); (t.a, t.c); (t.b, t.c) ]
 let mem v t = v = t.a || v = t.b || v = t.c
-let equal t1 t2 = t1.a = t2.a && t1.b = t2.b && t1.c = t2.c
-let compare = Stdlib.compare
 
 let edge_disjoint ts =
   let seen = Hashtbl.create 64 in
@@ -32,5 +30,3 @@ let edge_disjoint ts =
         fresh && check rest
   in
   check ts
-
-let pp fmt t = Format.fprintf fmt "{%d,%d,%d}" t.a t.b t.c

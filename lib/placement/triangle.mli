@@ -17,11 +17,7 @@ val vertices : t -> int list
 val edges : t -> (int * int) list
 
 val mem : int -> t -> bool
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** [edge_disjoint ts] checks pairwise edge-disjointness of a whole list in
     O(total edges). *)
 val edge_disjoint : t list -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -22,18 +22,18 @@ type event =
     }
   | Finished of { index : int; key : string; attempt : int; wall_s : float }
 
-let progress_printer ?(out = stderr) ~total () =
+let progress_printer ~total =
   let done_count = ref 0 in
   fun event ->
     match event with
     | Started _ -> ()
     | Attempt_failed { key; attempt; reason; will_retry; _ } ->
-        Printf.fprintf out "  [runner] %s attempt %d %s%s\n%!" key attempt
+        Printf.eprintf "  [runner] %s attempt %d %s%s\n%!" key attempt
           (Format.asprintf "%a" pp_reason reason)
           (if will_retry then "; retrying" else "; giving up")
     | Finished { key; attempt; wall_s; _ } ->
         incr done_count;
-        Printf.fprintf out "  [runner %d/%d] %s (%.2f s%s)\n%!" !done_count
+        Printf.eprintf "  [runner %d/%d] %s (%.2f s%s)\n%!" !done_count
           total key wall_s
           (if attempt > 1 then Printf.sprintf "; attempt %d" attempt else "")
 

@@ -38,9 +38,9 @@ type event =
     }
   | Finished of { index : int; key : string; attempt : int; wall_s : float }
 
-(** [progress_printer ~total ()] is an [on_event] callback printing
+(** [progress_printer ~total] is an [on_event] callback printing
     one line per finished/failed job to [stderr]. *)
-val progress_printer : ?out:out_channel -> total:int -> unit -> event -> unit
+val progress_printer : total:int -> event -> unit
 
 (** [map ?pool ?timeout_s ?retries ?backoff_s ?on_event jobs] runs every
     job and returns their outcomes in submission order.

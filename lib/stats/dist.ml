@@ -41,7 +41,8 @@ let shift d c =
     hi = d.hi +. c;
   }
 
-let add ?(steps = 512) d1 d2 =
+let add d1 d2 =
+  let steps = 512 in
   (* F_{X+Y}(z) = sum over a partition of Y's support of
      P(Y in bin) * F_X(z - y_mid). *)
   let width = (d2.hi -. d2.lo) /. float_of_int steps in
@@ -91,11 +92,12 @@ let of_samples samples =
     hi = sorted.(n - 1);
   }
 
-let mean ?(steps = 4096) d =
+let mean d =
   (* E[X] = lo + integral over [lo, hi] of (1 - F), for support in
      [lo, hi]. Trapezoidal rule. *)
   if d.hi <= d.lo then d.lo
   else begin
+    let steps = 4096 in
     let width = (d.hi -. d.lo) /. float_of_int steps in
     let acc = ref 0. in
     for i = 0 to steps - 1 do

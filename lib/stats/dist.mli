@@ -24,12 +24,12 @@ val constant : float -> t
 val shift : t -> float -> t
 
 (** [add d1 d2] is the distribution of [X1 + X2] for independent Xi; the CDF
-    is computed by numeric convolution on a grid of [steps] points
-    (default 512). *)
-val add : ?steps:int -> t -> t -> t
+    is computed by numeric convolution on a grid of 512 points. *)
+val add : t -> t -> t
 
 (** Empirical distribution of a sample (step CDF, resampling sampler). *)
 val of_samples : float array -> t
 
-val mean : ?steps:int -> t -> float
+(** Mean by the trapezoidal rule on a grid of 4096 points. *)
+val mean : t -> float
 val quantile : t -> float -> float

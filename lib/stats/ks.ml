@@ -1,4 +1,5 @@
-let distance ?(grid = 4096) ~lo ~hi f g =
+let distance ~lo ~hi f g =
+  let grid = 4096 in
   if hi <= lo then invalid_arg "Ks.distance: empty range";
   let width = (hi -. lo) /. float_of_int grid in
   let best = ref 0. in

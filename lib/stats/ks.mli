@@ -1,10 +1,9 @@
 (** Kolmogorov–Smirnov distance between distributions, the distinguishability
     measure used in the paper's Theorems 3 and 4. *)
 
-(** [distance ?grid ~lo ~hi f g] approximates [max_x |f x - g x|] on a grid
-    of [grid] points (default 4096) over [[lo, hi]]. *)
-val distance :
-  ?grid:int -> lo:float -> hi:float -> (float -> float) -> (float -> float) -> float
+(** [distance ~lo ~hi f g] approximates [max_x |f x - g x|] on a grid of
+    4096 points over [[lo, hi]]. *)
+val distance : lo:float -> hi:float -> (float -> float) -> (float -> float) -> float
 
 (** Two-sample KS statistic from raw observations. *)
 val two_sample : float array -> float array -> float

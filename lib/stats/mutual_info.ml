@@ -64,9 +64,10 @@ let of_counts ~bins counts =
     bins;
   }
 
-let default_bins = 8
+(* Quantile bins per axis. *)
+let bins = 8
 
-let against_labels ?(bins = default_bins) ~null ~alt () =
+let against_labels ~null ~alt =
   if Array.length null = 0 || Array.length alt = 0 then
     invalid_arg "Mutual_info.against_labels: empty sample";
   (* Bin edges from the pooled sample so both labels see the same cells. *)
@@ -77,7 +78,7 @@ let against_labels ?(bins = default_bins) ~null ~alt () =
   in
   of_counts ~bins counts
 
-let paired ?(bins = default_bins) x y =
+let paired x y =
   let n = Array.length x in
   if n = 0 || Array.length y <> n then
     invalid_arg "Mutual_info.paired: need equal non-empty samples";
@@ -100,7 +101,7 @@ let paired ?(bins = default_bins) x y =
   done;
   of_counts ~bins counts
 
-let entropy_bits ?(bins = default_bins) x =
+let entropy_bits x =
   if Array.length x = 0 then invalid_arg "Mutual_info.entropy_bits: empty sample";
   let edges = Chi_square.empirical_edges x ~bins in
   let counts = Chi_square.bin_counts ~edges x in

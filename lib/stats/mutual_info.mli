@@ -3,7 +3,7 @@
 
     The leak-detection use is {!against_labels}: how much information the
     config label C (null vs alt) carries about an observed timing value X,
-    I(C; X), estimated over a 2 × bins contingency table whose columns are
+    I(C; X), estimated over a 2 × 8 contingency table whose columns are
     pooled-sample quantile bins. The G statistic [2 N I_plugin] (nats) is
     asymptotically chi-square, which gives the p-value. *)
 
@@ -18,16 +18,14 @@ type t = {
   bins : int;
 }
 
-val default_bins : int
-
 (** MI between the sample label and the observed value: columns are
     quantile bins of the pooled sample, rows are {null, alt}. *)
-val against_labels : ?bins:int -> null:float array -> alt:float array -> unit -> t
+val against_labels : null:float array -> alt:float array -> t
 
-(** MI between two paired series of equal length; each axis is binned by
-    its own sample quantiles. *)
-val paired : ?bins:int -> float array -> float array -> t
+(** MI between two paired series of equal length; each axis is binned into
+    8 bins by its own sample quantiles. *)
+val paired : float array -> float array -> t
 
 (** Plugin entropy (bits) of a sample under its own quantile binning —
     the H(X) that {!paired} of a stream with itself approaches. *)
-val entropy_bits : ?bins:int -> float array -> float
+val entropy_bits : float array -> float

@@ -27,34 +27,14 @@ type watchdog = {
 type t = {
   quantum : Sw_sim.Time.t;
       (** Scheduler slice; guest-caused VM exits occur at slice ends. *)
-  branches_per_ns : float;  (** Guest instruction retirement rate. *)
   slope_ns_per_branch : float;  (** Initial virtual-clock slope. *)
   delta_n : Sw_sim.Time.t;  (** Network-interrupt virtual offset. *)
   delta_d : Sw_sim.Time.t;  (** Disk/DMA-interrupt virtual offset. *)
-  skew_bound : Sw_sim.Time.t;
-      (** Max allowed virtual-time lead of the fastest replica over the
-          second fastest; the fastest is descheduled beyond this. *)
-  pit_period : Sw_sim.Time.t option;  (** Guest PIT tick (250 Hz = 4 ms). *)
   epoch : epoch option;  (** Virtual-time resync; [None] free-runs. *)
   replicas : int;  (** Replicas per guest VM (odd; the paper uses 3). *)
-  dom0_per_packet : Sw_sim.Time.t;
-      (** Device-model CPU cost a machine pays per packet in or out, and per
-          disk request/completion. QEMU's emulated RTL-8139 path costs tens
-          of microseconds per packet; the default is 50 us. *)
-  baseline_inject_delay : Sw_sim.Time.t;
-      (** Emulation latency for interrupt delivery on unmodified Xen. *)
-  proposal_size : int;  (** Wire size of proposal / epoch messages. *)
-  mcast_nak_delay : Sw_sim.Time.t;
-      (** Receiver NAK delay of the PGM-style multicast used for inbound
-          replication and VMM coordination. *)
-  mcast_nak_retries : int;
-      (** NAK re-sends (exponential backoff) before a receiver abandons a
-          gap instead of stalling; default 5. *)
   mcast_heartbeat : Sw_sim.Time.t option;
       (** Sender heartbeat period enabling tail-loss recovery; [None] (the
           default) suits a lossless fabric. *)
-  nic_bps : int;  (** Machine NIC serialisation rate. *)
-  dma_bps : int;  (** DMA engine transfer rate (one engine per machine). *)
   replay_log : bool;
       (** Record each replica's execution history (slices, injections, clock
           re-parameterisations) so a diverged replica can be rebuilt by
@@ -76,8 +56,14 @@ type t = {
           (the default) keeps entries until all copies arrive. *)
 }
 
-(** Slice length in branches ([quantum * branches_per_ns]). *)
+(** Slice length in branches: guests retire one branch per nanosecond, so
+    this is [quantum] in nanoseconds. *)
 val slice_branches : t -> int
+
+(** Device-model CPU time a machine's Dom0 spends per packet in or out, and
+    per disk or DMA request and completion: 50 us, the order of QEMU's
+    emulated RTL-8139 path. *)
+val dom0_per_packet : Sw_sim.Time.t
 
 val default : t
 

@@ -20,7 +20,6 @@ type t = {
   engine : Engine.t;
   network : Sw_net.Network.t;
   id : int;
-  config : Config.t;
   slice_wall : Time.t;  (** Wall-clock duration of one guest slice. *)
   clock_offset : Time.t;
   disk : Sw_disk.Disk.t;
@@ -47,7 +46,6 @@ let create engine network ~id ~config ?(rate_multiplier = 1.0)
     engine;
     network;
     id;
-    config;
     slice_wall = Time.scale config.Config.quantum (1. /. rate_multiplier);
     clock_offset;
     disk =
@@ -64,7 +62,6 @@ let create engine network ~id ~config ?(rate_multiplier = 1.0)
   }
 
 let id t = t.id
-let config t = t.config
 let local_time t = Time.add (Engine.now t.engine) t.clock_offset
 let address t = Sw_net.Address.Vmm t.id
 let engine t = t.engine
@@ -146,17 +143,18 @@ let dom0_execute t ~cost k =
 
 let dom0_work t span = dom0_execute t ~cost:span (fun () -> ())
 
+(* The testbed's 1 Gb/s NIC and the DMA engine's 8 Gb/s transfer rate. *)
+let nic_bps = 1_000_000_000
+let dma_bps = 8_000_000_000
+
 let transmit t pkt =
-  dom0_execute t ~cost:t.config.Config.dom0_per_packet (fun () ->
+  dom0_execute t ~cost:Config.dom0_per_packet (fun () ->
       let now = Engine.now t.engine in
       let serialisation =
-        let bps = t.config.Config.nic_bps in
-        if bps <= 0 then Time.zero
-        else
-          Time.ns
-            (int_of_float
-               (Float.round
-                  (float_of_int (pkt.Sw_net.Packet.size * 8) *. 1e9 /. float_of_int bps)))
+        Time.ns
+          (int_of_float
+             (Float.round
+                (float_of_int (pkt.Sw_net.Packet.size * 8) *. 1e9 /. float_of_int nic_bps)))
       in
       let depart = Time.add (Time.max now t.nic_busy_until) serialisation in
       t.nic_busy_until <- depart;
@@ -171,7 +169,7 @@ let dma_execute t ~bytes k =
     Time.ns
       (int_of_float
          (Float.round
-            (float_of_int (bytes * 8) *. 1e9 /. float_of_int t.config.Config.dma_bps)))
+            (float_of_int (bytes * 8) *. 1e9 /. float_of_int dma_bps)))
   in
   let finish = Time.add (Time.max now t.dma_busy_until) transfer in
   t.dma_busy_until <- finish;

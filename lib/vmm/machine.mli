@@ -36,7 +36,6 @@ val create :
   t
 
 val id : t -> int
-val config : t -> Config.t
 
 (** This machine's reading of real time (engine time plus its clock error) —
     what its VMM reports in epoch messages and start negotiation. *)
@@ -65,7 +64,7 @@ val dom0_work : t -> Sw_sim.Time.t -> unit
 val transmit : t -> Sw_net.Packet.t -> unit
 
 (** [dma_execute t ~bytes k] queues a transfer on the machine's DMA engine
-    (FIFO, [dma_bps]); [k] runs at completion. Coresident VMs' transfers
+    (FIFO, 8 Gb/s); [k] runs at completion. Coresident VMs' transfers
     queue behind each other, like the disk. *)
 val dma_execute : t -> bytes:int -> (unit -> unit) -> unit
 

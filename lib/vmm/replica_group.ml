@@ -137,8 +137,12 @@ let quorum_ids t =
 
 let blocked _t m = m.blocked_skew || m.blocked_epoch
 
+(* The largest virtual-time lead the fastest replica may hold over the
+   second fastest before it is descheduled. *)
+let skew_bound = Time.ms 2
+
 (* Deschedule the strictly fastest member when it leads the second fastest
-   by more than the bound; everyone else runs. Only active members take part:
+   by more than [skew_bound]; everyone else runs. Only active members take part:
    a crashed replica's frozen virtual time must not pin the survivors, and an
    ejected-but-live member free-runs as a non-voting bystander. *)
 let update_skew t =
@@ -165,12 +169,11 @@ let update_skew t =
   done;
   if !live >= 2 then begin
     let fastest = !fastest and second = !second in
-    let limit = t.config.Config.skew_bound in
     for i = 0 to Array.length members - 1 do
       let m = members.(i) in
       if m.active then begin
         let should_block =
-          Time.equal m.virt fastest && Time.(Time.sub fastest second > limit)
+          Time.equal m.virt fastest && Time.(Time.sub fastest second > skew_bound)
         in
         if m.blocked_skew && not should_block then begin
           m.blocked_skew <- false;

@@ -5,6 +5,13 @@ module Event = Sw_obs.Event
 module Packet = Sw_net.Packet
 module Address = Sw_net.Address
 
+(* Testbed constants: the guest PIT at 250 Hz, the wire size of a proposal
+   or epoch report, and unmodified Xen's emulation latency for interrupt
+   delivery. *)
+let pit_period = Time.ms 4
+let proposal_size = 80
+let baseline_inject_delay = Time.us 150
+
 (* Interrupt classes give a fixed injection order among interrupts that
    become deliverable at the same exit (net before disk, then key order);
    any fixed rule works, it only has to be identical across replicas. *)
@@ -242,14 +249,14 @@ let on_guest_bound i ~ingress_seq ~(inner : Packet.t) =
       Packet.Proposal { vm = i.vm_id; ingress_seq; proposer = my_id; virt = proposed }
     in
     (match i.channel with
-    | Some ep -> Sw_net.Multicast.publish ep ~size:i.config.Config.proposal_size payload
+    | Some ep -> Sw_net.Multicast.publish ep ~size:proposal_size payload
     | None ->
         List.iter
           (fun peer ->
             let pkt =
               Packet.make
                 ~src:(Machine.address i.mach)
-                ~dst:peer ~size:i.config.Config.proposal_size
+                ~dst:peer ~size:proposal_size
                 ~seq:(Sw_net.Network.fresh_seq (Machine.network i.mach))
                 payload
             in
@@ -274,7 +281,7 @@ let on_guest_bound i ~ingress_seq ~(inner : Packet.t) =
     let delivery =
       Time.add
         (Replica_group.member_virt i.member)
-        i.config.Config.baseline_inject_delay
+        baseline_inject_delay
     in
     insert_pending i
       { delivery; cls = 0; key = ingress_seq; event = Sw_vm.App.Packet_in inner }
@@ -412,11 +419,11 @@ let on_slice_end t i =
 let on_disk_request t i ~kind ~bytes ~sequential ~tag =
   (* The disk device model's request and completion handling also run on the
      machine's Dom0 thread. *)
-  Machine.dom0_work t.mach (Machine.config t.mach).Config.dom0_per_packet;
+  Machine.dom0_work t.mach Config.dom0_per_packet;
   let virt_issue = Sw_vm.Guest.virt_now i.guest in
   let offset =
     if is_stopwatch i then i.config.Config.delta_d
-    else i.config.Config.baseline_inject_delay
+    else baseline_inject_delay
   in
   let entry = { tag; delivery_virt = Time.add virt_issue offset; ready = false } in
   i.disk_waiting <- i.disk_waiting @ [ entry ];
@@ -425,7 +432,7 @@ let on_disk_request t i ~kind ~bytes ~sequential ~tag =
   in
   Sw_disk.Disk.submit (Machine.disk t.mach) ~vm:i.vm_id ~kind:disk_kind ~bytes
     ~sequential (fun () ->
-      Machine.dom0_work t.mach (Machine.config t.mach).Config.dom0_per_packet;
+      Machine.dom0_work t.mach Config.dom0_per_packet;
       entry.ready <- true;
       (* The transfer must have completed by the virtual delivery time; if
          the guest's clock has already passed it, that's a Δd violation. *)
@@ -456,11 +463,11 @@ let on_disk_request t i ~kind ~bytes ~sequential ~tag =
           })
 
 let on_dma_request t i ~bytes ~tag =
-  Machine.dom0_work t.mach (Machine.config t.mach).Config.dom0_per_packet;
+  Machine.dom0_work t.mach Config.dom0_per_packet;
   let virt_issue = Sw_vm.Guest.virt_now i.guest in
   let offset =
     if is_stopwatch i then i.config.Config.delta_d
-    else i.config.Config.baseline_inject_delay
+    else baseline_inject_delay
   in
   let delivery_virt = Time.add virt_issue offset in
   Machine.dma_execute t.mach ~bytes (fun () ->
@@ -552,7 +559,7 @@ let rebuild_with_vt i =
   in
   let guest =
     Sw_vm.Guest.create ~app:(i.app_factory ()) ~vt
-      ?pit_period:i.config.Config.pit_period ~sinks:i.sinks ()
+      ~pit_period ~sinks:i.sinks ()
   in
   Sw_vm.Guest.set_muted guest true;
   Sw_vm.Guest.boot guest;
@@ -697,14 +704,13 @@ let create mach =
           (Printf.sprintf "vmm.%d.unknown_packets" (Machine.id mach));
     }
   in
-  let per_packet = (Machine.config mach).Config.dom0_per_packet in
   (* Every inbound packet's device-model work queues on the machine's Dom0
      thread before the VMM acts on it — coresident VMs' traffic therefore
      delays each other's interrupt handling, which is the contention the
      proposal/median machinery has to mask. *)
   Sw_net.Network.register (Machine.network mach) (Machine.address mach)
     (fun pkt ->
-      Machine.dom0_execute mach ~cost:per_packet (fun () -> handle_packet t pkt));
+      Machine.dom0_execute mach ~cost:Config.dom0_per_packet (fun () -> handle_packet t pkt));
   t
 
 let host ?channel ?start t ~group ~app ~peers =
@@ -764,14 +770,14 @@ let host ?channel ?start t ~group ~app ~peers =
            in
            match !instance_holder with
            | Some { channel = Some ep; _ } ->
-               Sw_net.Multicast.publish ep ~size:config.Config.proposal_size payload
+               Sw_net.Multicast.publish ep ~size:proposal_size payload
            | _ ->
                List.iter
                  (fun peer ->
                    let pkt =
                      Packet.make
                        ~src:(Machine.address t.mach)
-                       ~dst:peer ~size:config.Config.proposal_size
+                       ~dst:peer ~size:proposal_size
                        ~seq:(Sw_net.Network.fresh_seq (Machine.network t.mach))
                        payload
                    in
@@ -781,7 +787,7 @@ let host ?channel ?start t ~group ~app ~peers =
   member_holder := Some !member_ref;
   let sinks = make_sinks t.mach group_ref member_ref vm_id disk_cb dma_cb in
   let guest =
-    Sw_vm.Guest.create ~app:(app ()) ~vt ?pit_period:config.Config.pit_period
+    Sw_vm.Guest.create ~app:(app ()) ~vt ~pit_period
       ~sinks ()
   in
   let metrics = Engine.metrics (Machine.engine t.mach) in

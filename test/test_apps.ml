@@ -192,7 +192,7 @@ let prop_tcp_random_message_sizes =
 
 let test_http_small_download () =
   let cloud = Cloud.create ~machines:3 () in
-  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Http.server ()) in
+  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Http.server) in
   let client = Cloud.add_host cloud () in
   let tcp = Sw_apps.Tcp_host.attach client () in
   let result = ref nan in
@@ -207,7 +207,7 @@ let test_udp_fetch_with_loss () =
   (* Drop 20% of server->client datagrams; NAK recovery must still complete
      the transfer. *)
   let cloud = Cloud.create ~machines:3 () in
-  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Udp_file.server ()) in
+  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Udp_file.server) in
   let client = Cloud.add_host cloud () in
   Sw_net.Network.set_link (Cloud.network cloud) ~src:(Cloud.vm_address d)
     ~dst:(Host.address client)
@@ -216,15 +216,14 @@ let test_udp_fetch_with_loss () =
   Sw_apps.Udp_file.fetch client ~dst:(Cloud.vm_address d) ~file:1 ~size:200_000
     ~on_done:(fun ~elapsed_ms ~naks:n ->
       result := elapsed_ms;
-      naks := n)
-    ();
+      naks := n);
   Cloud.run cloud ~until:(Time.s 60);
   if Float.is_nan !result then Alcotest.fail "lossy fetch did not complete";
   if !naks = 0 then Alcotest.fail "some NAKs expected under 20% loss"
 
 let test_nfs_ops_complete () =
   let cloud = Cloud.create ~machines:3 () in
-  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Nfs.server ()) in
+  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Nfs.server) in
   let client = Cloud.add_host cloud () in
   let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in
   let get =
@@ -283,7 +282,7 @@ let test_http_concurrent_clients () =
      (the paper sizes it from maximum *observed* access times). *)
   let config = { Sw_vmm.Config.default with Sw_vmm.Config.delta_d = Time.ms 30 } in
   let cloud = Cloud.create ~config ~machines:3 () in
-  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Http.server ()) in
+  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Http.server) in
   let done_sizes = ref [] in
   List.iteri
     (fun i size ->

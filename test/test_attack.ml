@@ -9,15 +9,15 @@ module Nd = Sw_attack.Noise_defense
 let test_analytic_monotone_in_confidence () =
   let null = Dist.exponential ~rate:1. in
   let alt = Dist.exponential ~rate:0.7 in
-  let n1 = D.analytic ~null ~alt ~confidence:0.7 () in
-  let n2 = D.analytic ~null ~alt ~confidence:0.99 () in
+  let n1 = D.analytic ~null ~alt ~confidence:0.7 in
+  let n2 = D.analytic ~null ~alt ~confidence:0.99 in
   if not (n2 > n1) then Alcotest.fail "more confidence, more observations"
 
 let test_analytic_harder_for_similar () =
   let null = Dist.exponential ~rate:1. in
-  let strong = D.analytic ~null ~alt:(Dist.exponential ~rate:0.5) ~confidence:0.9 () in
+  let strong = D.analytic ~null ~alt:(Dist.exponential ~rate:0.5) ~confidence:0.9 in
   let weak =
-    D.analytic ~null ~alt:(Dist.exponential ~rate:(10. /. 11.)) ~confidence:0.9 ()
+    D.analytic ~null ~alt:(Dist.exponential ~rate:(10. /. 11.)) ~confidence:0.9
   in
   if not (weak > 10. *. strong) then
     Alcotest.failf "similar victim must need far more observations (%f vs %f)" weak
@@ -30,8 +30,8 @@ let test_median_raises_observations () =
   let victim = Dist.exponential ~rate:0.5 in
   let med3 = Sw_stats.Order_stats.median_dist [| base; base; base |] in
   let med2v = Sw_stats.Order_stats.median_dist [| victim; base; base |] in
-  let raw = D.analytic ~null:base ~alt:victim ~confidence:0.9 () in
-  let med = D.analytic ~null:med3 ~alt:med2v ~confidence:0.9 () in
+  let raw = D.analytic ~null:base ~alt:victim ~confidence:0.9 in
+  let med = D.analytic ~null:med3 ~alt:med2v ~confidence:0.9 in
   if not (med > 3. *. raw) then
     Alcotest.failf "median must dampen distinguishability (%f vs %f)" med raw
 
@@ -40,7 +40,7 @@ let test_empirical_roundtrip () =
   let sample rate n = Array.init n (fun _ -> Sw_sim.Prng.exponential rng ~rate) in
   let null = sample 1.0 5000 in
   let alt = sample 0.5 5000 in
-  let chi = Sw_leak.Detector.chi_square () in
+  let chi = Sw_leak.Detector.chi_square in
   let needed ~alt =
     chi.Sw_leak.Detector.observations_needed ~null ~alt ~confidence:0.9
   in
@@ -55,7 +55,7 @@ let test_sweep_shapes () =
   Alcotest.(check int) "grid size" 7 (List.length grid);
   let null = Dist.exponential ~rate:1. in
   let alt = Dist.exponential ~rate:0.6 in
-  let sweep = D.sweep_analytic ~null ~alt () in
+  let sweep = D.sweep_analytic ~null ~alt in
   let values = List.map snd sweep in
   let rec increasing = function
     | a :: (b :: _ as rest) -> a <= b && increasing rest

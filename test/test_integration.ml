@@ -471,6 +471,28 @@ let test_clock_offsets_start_negotiation () =
         rest
   | [] -> ()
 
+let test_hardware_spread_draws () =
+  (* A one-shard cloud draws each machine's speed multiplier and clock error
+     from the engine's first PRNG split, in machine-id order. Existing seeds
+     depend on that order, so the draws are pinned here: the clock errors
+     directly, the speeds through the slices an idle guest gets in 100 ms
+     (500 at 1x speed). *)
+  let cloud =
+    Cloud.create ~seed:7L ~rate_spread:0.2 ~clock_spread:(Time.ms 3)
+      ~machines:4 ()
+  in
+  let machines = [ 0; 1; 2; 3 ] in
+  let machine m = Cloud.machine cloud m in
+  Alcotest.(check (list int)) "clock offsets"
+    [ -527_323; 587_909; -617_643; -1_852_444 ]
+    (List.map (fun m -> Sw_vmm.Machine.local_time (machine m)) machines);
+  List.iter
+    (fun m -> ignore (Cloud.deploy_baseline cloud ~on:m ~app:App.idle))
+    machines;
+  Cloud.run cloud ~until:(Time.ms 100);
+  Alcotest.(check (list int)) "slices per machine" [ 545; 510; 470; 584 ]
+    (List.map (fun m -> Sw_vmm.Machine.slices (machine m)) machines)
+
 let test_replay_recovery () =
   (* Run traffic, rebuild one replica from its log mid-run, swap it in, and
      keep going: the recovered replica must match the others exactly. *)
@@ -611,6 +633,8 @@ let () =
             test_heterogeneous_hardware;
           Alcotest.test_case "clock offsets & start negotiation" `Quick
             test_clock_offsets_start_negotiation;
+          Alcotest.test_case "hardware spread draws" `Quick
+            test_hardware_spread_draws;
           Alcotest.test_case "output vote catches nondeterminism" `Quick
             test_nondeterministic_app_caught_by_vote;
           Alcotest.test_case "replay-based recovery" `Quick test_replay_recovery;

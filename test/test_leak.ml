@@ -81,7 +81,7 @@ let test_mi_independent () =
   let rng = Prng.create 7L in
   let null = draw rng 600 ~mean:10. ~stddev:2. in
   let alt = draw rng 600 ~mean:10. ~stddev:2. in
-  let m = Mi.against_labels ~null ~alt () in
+  let m = Mi.against_labels ~null ~alt in
   Alcotest.(check bool)
     (Printf.sprintf "independent mi small (%g bits)" m.Mi.mi_bits)
     true
@@ -104,7 +104,7 @@ let test_mi_separated () =
   let rng = Prng.create 13L in
   let null = draw rng 400 ~mean:0. ~stddev:1. in
   let alt = draw rng 400 ~mean:4. ~stddev:1. in
-  let m = Mi.against_labels ~null ~alt () in
+  let m = Mi.against_labels ~null ~alt in
   Alcotest.(check bool) "separated mi large" true (m.Mi.mi_bits > 0.5);
   Alcotest.(check bool) "separated p tiny" true (m.Mi.p_value < 1e-6)
 

@@ -207,66 +207,6 @@ let test_utilization () =
       let loads = Pl.loads plan in
       Array.iter (fun l -> Alcotest.(check int) "per-machine load" 4 l) loads
 
-(* --- Online scheduler -------------------------------------------------------- *)
-
-module Sched = Sw_placement.Scheduler
-
-let test_scheduler_fill () =
-  let t = Sched.create ~machines:9 ~capacity:4 in
-  let placed = ref 0 in
-  (try
-     while true do
-       match Sched.place t with
-       | Ok _ -> incr placed
-       | Error _ -> raise Exit
-     done
-   with Exit -> ());
-  (* Theorem 2's bound for n=9, c=4 is 12; the greedy scheduler must get a
-     decent fraction of it and never violate the constraints. *)
-  (match Sched.check t with Ok () -> () | Error e -> Alcotest.fail e);
-  if !placed < 8 then Alcotest.failf "greedy filled only %d of ~12" !placed
-
-let test_scheduler_remove_reuses () =
-  let t = Sched.create ~machines:6 ~capacity:2 in
-  let first =
-    match Sched.place t with Ok tri -> tri | Error e -> Alcotest.fail e
-  in
-  let occupancy = Sched.placed t in
-  Sched.remove t first;
-  Alcotest.(check int) "slot freed" (occupancy - 1) (Sched.placed t);
-  (match Sched.place t with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "re-place after removal failed: %s" e);
-  match Sched.check t with Ok () -> () | Error e -> Alcotest.fail e
-
-let test_scheduler_remove_unknown () =
-  let t = Sched.create ~machines:6 ~capacity:2 in
-  Alcotest.check_raises "unknown triangle" (Invalid_argument "x") (fun () ->
-      try Sched.remove t (Sw_placement.Triangle.make 0 1 2) with
-      | Invalid_argument _ -> raise (Invalid_argument "x"))
-
-let prop_scheduler_random_churn =
-  QCheck.Test.make ~name:"scheduler invariants hold under random churn" ~count:60
-    QCheck.(pair (int_range 6 15) (list_of_size Gen.(10 -- 60) (int_bound 99)))
-    (fun (n, ops) ->
-      let t = Sched.create ~machines:n ~capacity:3 in
-      let live = ref [] in
-      List.iter
-        (fun op ->
-          if op mod 3 = 0 && !live <> [] then begin
-            (* departure of the (op mod k)-th resident *)
-            let k = List.length !live in
-            let victim = List.nth !live (op mod k) in
-            Sched.remove t victim;
-            live := List.filter (fun x -> not (Sw_placement.Triangle.equal x victim)) !live
-          end
-          else
-            match Sched.place t with
-            | Ok tri -> live := tri :: !live
-            | Error _ -> ())
-        ops;
-      match Sched.check t with Ok () -> true | Error _ -> false)
-
 (* --- Affinity ------------------------------------------------------------- *)
 
 module Aff = Sw_placement.Affinity
@@ -418,12 +358,5 @@ let () =
             test_affinity_beats_contiguous_on_stride;
           Alcotest.test_case "rejections" `Quick test_affinity_rejections;
           QCheck_alcotest.to_alcotest prop_affinity_plan_valid;
-        ] );
-      ( "scheduler",
-        [
-          Alcotest.test_case "fill" `Quick test_scheduler_fill;
-          Alcotest.test_case "remove & reuse" `Quick test_scheduler_remove_reuses;
-          Alcotest.test_case "remove unknown" `Quick test_scheduler_remove_unknown;
-          QCheck_alcotest.to_alcotest prop_scheduler_random_churn;
         ] );
     ]

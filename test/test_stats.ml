@@ -228,36 +228,7 @@ let prop_theorem4 =
       let d23 = Ks.distance ~lo:0. ~hi:30. m m' in
       d23 <= (0.5 *. d1) +. 1e-6)
 
-(* --- Divergences ------------------------------------------------------------ *)
-
-let test_total_variation () =
-  close "identical" 0. (Sw_stats.Divergences.total_variation [| 0.5; 0.5 |] [| 0.5; 0.5 |]);
-  close "disjoint" 1. (Sw_stats.Divergences.total_variation [| 1.; 0. |] [| 0.; 1. |]);
-  close "half" 0.5 (Sw_stats.Divergences.total_variation [| 1.; 0. |] [| 0.5; 0.5 |])
-
-let test_kl () =
-  close "identical" 0. (Sw_stats.Divergences.kl [| 0.3; 0.7 |] [| 0.3; 0.7 |]);
-  let d = Sw_stats.Divergences.kl [| 0.9; 0.1 |] [| 0.5; 0.5 |] in
-  if d <= 0. then Alcotest.fail "positive for distinct distributions";
-  Alcotest.(check (float 0.)) "infinite on missing support" infinity
-    (Sw_stats.Divergences.kl [| 0.5; 0.5 |] [| 1.; 0. |])
-
-let test_kl_median_dampens () =
-  (* StopWatch's median shrinks the KL divergence the attacker can exploit. *)
-  let base = Dist.exponential ~rate:1. in
-  let victim = Dist.exponential ~rate:0.5 in
-  let med3 = Os.median_dist [| base; base; base |] in
-  let med2v = Os.median_dist [| victim; base; base |] in
-  let raw =
-    Sw_stats.Divergences.kl_observations_needed ~null:base ~alt:victim
-      ~confidence:0.95 ()
-  in
-  let med =
-    Sw_stats.Divergences.kl_observations_needed ~null:med3 ~alt:med2v
-      ~confidence:0.95 ()
-  in
-  if not (med > 2. *. raw) then
-    Alcotest.failf "median must raise the KL sample complexity (%f vs %f)" med raw
+(* --- Goodness of fit -------------------------------------------------------- *)
 
 let test_goodness_of_fit () =
   let d = Dist.exponential ~rate:1. in
@@ -320,14 +291,6 @@ let test_bin_utilities () =
   close "first bin" 2. counts.(0);
   close "last bin" 1. counts.(3)
 
-let test_integrate () =
-  close ~eps:1e-6 "simpson x^2"
-    (1. /. 3.)
-    (Sw_stats.Integrate.simpson (fun x -> x *. x) ~a:0. ~b:1.);
-  close ~eps:1e-4 "trapezoid sin"
-    2.
-    (Sw_stats.Integrate.trapezoid Float.sin ~a:0. ~b:Float.pi)
-
 let () =
   Alcotest.run "sw_stats"
     [
@@ -374,9 +337,6 @@ let () =
         ] );
       ( "divergences",
         [
-          Alcotest.test_case "total variation" `Quick test_total_variation;
-          Alcotest.test_case "kl" `Quick test_kl;
-          Alcotest.test_case "kl median dampening" `Quick test_kl_median_dampens;
           Alcotest.test_case "goodness of fit" `Quick test_goodness_of_fit;
         ] );
       ( "chi-square",
@@ -386,6 +346,5 @@ let () =
           Alcotest.test_case "observations monotone" `Quick
             test_observations_needed_monotone;
           Alcotest.test_case "binning" `Quick test_bin_utilities;
-          Alcotest.test_case "integration" `Quick test_integrate;
         ] );
     ]

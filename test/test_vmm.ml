@@ -31,7 +31,7 @@ let test_config_validate () =
         })
 
 let test_slice_branches () =
-  let c = { Config.default with Config.quantum = Time.us 200; branches_per_ns = 1.0 } in
+  let c = { Config.default with Config.quantum = Time.us 200 } in
   Alcotest.(check int) "200k branches" 200_000 (Config.slice_branches c)
 
 (* --- Machine ------------------------------------------------------------------- *)
@@ -142,7 +142,7 @@ let test_skew_blocks_fastest () =
   let m0 = add_member group ~machine:0 in
   let m1 = add_member group ~machine:1 in
   let m2 = add_member group ~machine:2 ~wake:(fun () -> incr woken) in
-  (* Note: skew_bound defaults to 2 ms. m2 races ahead by 5 ms. *)
+  (* Note: the skew bound is 2 ms. m2 races ahead by 5 ms. *)
   Rg.note_exit group m0 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1_000_000;
   Rg.note_exit group m1 ~now:(Time.ms 1) ~virt:(Time.ms 1) ~instr:1_000_000;
   Rg.note_exit group m2 ~now:(Time.ms 6) ~virt:(Time.ms 6) ~instr:6_000_000;

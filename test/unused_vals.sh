@@ -1,13 +1,20 @@
 #!/bin/sh
-# Lists every public value that nothing outside its own module uses, and
-# exits 1 if there is one.
+# Lists every public value and every optional argument that nothing outside
+# its own module uses, and exits 1 if there is one.
 #
 # For each `val v` in lib/**/*.mli, looks for `v` as a whole word in the
 # .ml/.mli sources of lib, bin, bench, test, examples and perfbench, leaving
 # out the module's own .ml/.mli pair. A value found nowhere else should be
-# private (or deleted). Operators are skipped. A name that another module
-# happens to use too can hide a dead value, so the scan may miss some; it
-# never flags a value that has an outside caller.
+# private (or deleted). Operators are skipped.
+#
+# For each optional argument `?arg:` in lib/**/*.mli, looks for `~arg` or
+# `?arg` in the .ml sources of the same directories, again leaving out the
+# module's own pair. An argument no caller passes is a knob only its default
+# reaches: it should be a constant.
+#
+# A name that another module happens to use too can hide a dead value or
+# argument, so the scan may miss some; it never flags one that has an
+# outside use.
 #
 # Run from the repository root: sh test/unused_vals.sh
 set -eu
@@ -25,8 +32,16 @@ for mli in $(find lib -name '*.mli' | sort); do
       dead=$((dead + 1))
     fi
   done
+  other_ml=$(printf '%s\n' $others | grep '\.ml$')
+  for a in $(grep -o '?[a-z_][A-Za-z0-9_]*:' "$mli" | tr -d '?:' | sort -u); do
+    # shellcheck disable=SC2086
+    if ! grep -qE -e "[~?]$a\\b" $other_ml; then
+      echo "$mli: ?$a is passed by no caller outside its module"
+      dead=$((dead + 1))
+    fi
+  done
 done
 if [ "$dead" -ne 0 ]; then
-  echo "$dead unused public value(s)"
+  echo "$dead unused public value(s) or optional argument(s)"
   exit 1
 fi
