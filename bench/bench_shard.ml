@@ -23,11 +23,11 @@
      All deterministic.
    - events/s, wall seconds, speedups, barrier-wait share, and warm-start
      build/restore times go to the "perf" object (non-deterministic by
-     nature), along with the host's core count and the driver the cloud
-     picked (parallel domains, or the sequential windowed fallback on a
-     single-core box — same bytes, different floor). The @perf alias runs
-     the quick form and fails if the guarded configuration drops more than
-     5x below the floor recorded for that driver.
+     nature), along with the host's core count and the conductor's worker
+     count at the guarded shard count. The @perf alias runs the quick form
+     and fails if the guarded configuration drops more than 5x below the
+     recorded floor, or below half the shards1 rate — a sharded run slower
+     than one shard means the workers are fighting over too few cores.
 
    The full form runs a 10,080-host topology and goes through the
    [Sw_ckpt.Warm] cache: the first invocation builds each configuration
@@ -56,13 +56,12 @@ let shards_override : int option ref = ref None
 let replicas = 3
 let warm_dir = "_warm"
 
-(* Recorded floors (guarded configuration events/s, quick form), keyed by
-   the driver the cloud picks for the machine: "parallel" when there are
-   cores for a domain gang, "sequential" for the windowed round-robin
-   fallback. The guard trips below floor/5. Update when the conductor
-   materially changes. *)
-let floors = [ ("sequential", 100_000.); ("parallel", 120_000.) ]
-let driver () = if Domain.recommended_domain_count () > 1 then "parallel" else "sequential"
+(* Recorded floor (guarded configuration events/s, quick form). The guard
+   trips below floor/5. Update when the conductor materially changes. *)
+let guarded_floor = 120_000.
+
+(* The guarded configuration must reach this share of the shards1 rate. *)
+let min_speedup = 0.5
 
 let classes =
   [
@@ -313,6 +312,8 @@ let run () =
          (fun c -> if c.shards > 1 then Some c.shards else None)
          configs)
   in
+  let guarded_shards = List.fold_left max 1 counts in
+  let cores = Domain.recommended_domain_count () in
   Tables.section
     (Printf.sprintf
        "Shard scale: %d hosts, %d cells x %d replicas, east-west stride %d"
@@ -416,8 +417,8 @@ let run () =
   Bench_report.add_perf "shard_scale"
     (Report.Obj
        ([
-          ("cores", Report.Int (Domain.recommended_domain_count ()));
-          ("driver", Report.String (driver ()));
+          ("cores", Report.Int cores);
+          ("workers", Report.Int (min guarded_shards cores));
         ]
        @ List.map
            (fun (s, ratio) ->
@@ -443,22 +444,27 @@ let run () =
     Printf.eprintf "shard-scale FAILED: the configuration changed the results\n%!";
     exit 1
   end;
-  (* Floor guard: the fast-path configuration at the highest swept shard
-     count, against the floor recorded for this machine's driver. *)
+  (* Floor and oversubscription guards: the fast-path configuration at the
+     highest swept shard count, against the recorded floor and against the
+     shards1 rate. *)
   let guarded =
-    match List.rev counts with
-    | [] -> None
-    | s :: _ ->
-        List.find_opt
-          (fun o -> o.cfg.label = Printf.sprintf "shards%d_affinity" s)
-          outcomes
+    List.find_opt
+      (fun o -> o.cfg.label = Printf.sprintf "shards%d_affinity" guarded_shards)
+      outcomes
   in
-  match (guarded, List.assoc_opt (driver ()) floors) with
-  | Some o, Some floor when !quick && o.eps > 0. && o.eps *. 5. < floor ->
+  match guarded with
+  | Some o when !quick && o.eps > 0. && o.eps *. 5. < guarded_floor ->
       Printf.eprintf
         "shard-scale perf regression: %s ran at %.0f events/s, more than 5x \
-         below the %s-driver floor of %.0f events/s\n\
+         below the floor of %.0f events/s\n\
          %!"
-        o.cfg.label o.eps (driver ()) floor;
+        o.cfg.label o.eps guarded_floor;
+      exit 1
+  | Some o when !quick && o.eps < min_speedup *. baseline.eps ->
+      Printf.eprintf
+        "shard-scale perf regression: %s ran at %.0f events/s, below %.1fx \
+         the shards1 rate of %.0f events/s\n\
+         %!"
+        o.cfg.label o.eps min_speedup baseline.eps;
       exit 1
   | _ -> ()

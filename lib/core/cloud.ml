@@ -465,12 +465,7 @@ let conductor t =
             Sw_net.Network.min_latency_to t.shards.(j).sh_network
               ~locate:(locate t j) ~self:j ~shards:n)
       in
-      (* Domain-per-shard only pays off with a core per shard; on a
-         single-core host the workers would just time-slice through the
-         barrier, so take the sequential windowed driver there.
-         Byte-identical either way. *)
-      let parallel = Domain.recommended_domain_count () > 1 in
-      let c = Conductor.create ~parallel ~matrix ~lookahead:Time.zero engines in
+      let c = Conductor.create ~matrix ~lookahead:Time.zero engines in
       t.conductor <- Some c;
       c
 

@@ -3,9 +3,9 @@
 
     Where {!Registry} measures the simulated world, [Profile] measures the
     simulator itself: real time spent in engine dispatch, network delivery,
-    the VMM's median machinery, disk completions, and, under the parallel
-    conductor driver, the barrier wait ([conductor.barrier] on shard 0's
-    engine profile). Each subsystem obtains a named {!timer} at
+    the VMM's median machinery, disk completions, and, when the conductor
+    runs more than one worker, the barrier wait ([conductor.barrier] on
+    shard 0's engine profile). Each subsystem obtains a named {!timer} at
     construction and wraps its hot section in {!time}.
 
     {!now_ns} is the only function in the libraries that reads wall time.

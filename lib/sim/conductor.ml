@@ -16,14 +16,16 @@
      shard's bound strictly exceeds its horizon, so every round moves the
      frontier by at least the smallest matrix entry.
 
-   - A hybrid sense barrier on atomics: the main domain publishes a round
-     by bumping the [go] epoch; workers spin briefly on it (with
+   - [min(shards, cores)] workers, each running a contiguous block of
+     shards: more domains than cores would time-slice through every
+     barrier and every stop-the-world minor collection. A hybrid sense
+     barrier on atomics: the main domain (worker 0) publishes a round by
+     bumping the [go] epoch; the other workers spin briefly on it (with
      [Domain.cpu_relax]) and fall back to a condition variable when the
-     window is long or the box is oversubscribed — on a single-core host
-     the gang would otherwise spin through its whole timeslice. Arrival
-     is a fetch-and-add; the last worker signals the main domain only if
-     it is actually asleep. All handoffs are (SC) atomics or mutex-ordered,
-     and all non-atomic fields keep exactly one writer per phase.
+     window is long or the box is busy. Arrival is a fetch-and-add; the
+     last worker signals the main domain only if it is actually asleep.
+     All handoffs are (SC) atomics or mutex-ordered, and all non-atomic
+     fields keep exactly one writer per phase.
 
    - Pooled, allocation-free exchange: outboxes and inboxes are growable
      arrays of mutable message records reused window after window. Each
@@ -128,14 +130,13 @@ let run_sorted b =
 (* Everything a [t] holds between [run] calls is plain marshalable data —
    engines, pools, counters, times, metric handles. The atomic/mutex
    barrier and its bookkeeping live in a [gang] built afresh for each
-   parallel [run] call and torn down before it returns, so a quiescent
+   multi-worker [run] call and torn down before it returns, so a quiescent
    conductor can be captured by [Marshal] (checkpointing marshals whole
    clouds, conductor included) without ever reaching an unmarshalable
-   custom block. *)
+   custom block. [run] reads the worker count from the host each time. *)
 type t = {
   engines : Engine.t array;
   matrix : Time.t array array;  (* matrix.(src).(dst); diagonal unused *)
-  parallel : bool;
   horizon : Time.t array;  (* per-shard committed simulation time *)
   window_end : Time.t array;  (* per-shard target of the current round *)
   outbox : buf array array;  (* outbox.(src).(dst) *)
@@ -150,11 +151,12 @@ type t = {
   barrier : Sw_obs.Profile.timer;  (* on shard 0's engine profile *)
 }
 
-(* The per-[run] domain gang. [go] counts released rounds (workers run a
-   round when [go] moves past what they have seen); [arrived] counts
-   workers done with the round; [sleepers]/[main_waiting] tell the other
-   side whether a condvar signal is needed at all. *)
+(* The per-[run] gang; the main domain is worker 0. [go] counts released
+   rounds (workers run a round when [go] moves past what they have seen);
+   [arrived] counts spawned workers done with the round; [sleepers]/
+   [main_waiting] tell the other side whether a condvar signal is needed. *)
 type gang = {
+  workers : int;
   go : int Atomic.t;
   quit : bool Atomic.t;
   arrived : int Atomic.t;
@@ -168,10 +170,10 @@ type gang = {
 
 (* Spin this many [cpu_relax] rounds before sleeping: long enough to catch
    a same-cadence peer, short enough not to burn a timeslice when the
-   shards are imbalanced or the box has fewer cores than shards. *)
+   blocks are imbalanced or the box is busy. *)
 let spin_budget = 4096
 
-let create ?(parallel = true) ?matrix ~lookahead engines =
+let create ?matrix ~lookahead engines =
   let n = Array.length engines in
   if n = 0 then invalid_arg "Conductor.create: no shards";
   let matrix =
@@ -208,7 +210,6 @@ let create ?(parallel = true) ?matrix ~lookahead engines =
   {
     engines;
     matrix;
-    parallel;
     horizon = Array.make n Time.zero;
     window_end = Array.make n Time.zero;
     outbox = Array.init n (fun _ -> Array.init n (fun _ -> buf_make ()));
@@ -330,16 +331,19 @@ let behind t ~until =
   let rec go i = i < n && (Time.(t.horizon.(i) < until) || go (i + 1)) in
   go 0
 
-let commit_round t =
-  Array.blit t.window_end 0 t.horizon 0 (Array.length t.horizon)
+(* Worker [w] of [k]'s block: non-empty while [k <= n]. *)
+let run_block t k w =
+  let n = Array.length t.engines in
+  for i = w * n / k to ((w + 1) * n / k) - 1 do
+    run_shard t i
+  done
 
-(* Worker for shard [i]: spin (then sleep) for the next [go] epoch, run the
-   round, report arrival. All conductor fields read outside the atomics are
+(* Spawned worker [w]: spin (then sleep) for the next [go] epoch, run its
+   block, report arrival. All conductor fields read outside the atomics are
    written by the main domain before the [go] bump and stable until every
    worker has arrived, so the epoch handoff publishes them (plain writes
    are visible across an SC-atomic release/acquire pair). *)
-let worker t g i =
-  let n = Array.length t.engines in
+let worker t g w =
   let await seen =
     let rec spin k =
       let e = Atomic.get g.go in
@@ -376,13 +380,13 @@ let worker t g i =
         (* A failure must still reach the barrier, or the main domain waits
            forever; it is recorded and re-raised over there. *)
         let failure =
-          match run_shard t i with () -> None | exception e -> Some e
+          match run_block t g.workers w with () -> None | exception e -> Some e
         in
         (match failure with
         | Some e -> ignore (Atomic.compare_and_set g.failed None (Some e))
         | None -> ());
         let prior = Atomic.fetch_and_add g.arrived 1 in
-        if prior = n - 2 && Atomic.get g.main_waiting then begin
+        if prior = g.workers - 2 && Atomic.get g.main_waiting then begin
           Mutex.lock g.lock;
           Condition.signal g.main_cv;
           Mutex.unlock g.lock
@@ -393,12 +397,13 @@ let worker t g i =
 
 (* Main-domain side of the barrier: spin for the stragglers, then sleep.
    The wait (spin and sleep alike) is the barrier tax. It is wall time, so
-   it goes to shard 0's profile, which only the main domain touches. *)
+   it goes to shard 0's profile, which only the main domain touches. A
+   worker's failure is re-raised here. *)
 let await_workers t g =
-  let n = Array.length t.engines in
+  let spawned = g.workers - 1 in
   let t0 = Sw_obs.Profile.now_ns () in
   let rec spin k =
-    if Atomic.get g.arrived < n - 1 then
+    if Atomic.get g.arrived < spawned then
       if k < spin_budget then begin
         Domain.cpu_relax ();
         spin (k + 1)
@@ -406,7 +411,7 @@ let await_workers t g =
       else begin
         Mutex.lock g.lock;
         Atomic.set g.main_waiting true;
-        while Atomic.get g.arrived < n - 1 do
+        while Atomic.get g.arrived < spawned do
           Condition.wait g.main_cv g.lock
         done;
         Atomic.set g.main_waiting false;
@@ -414,9 +419,10 @@ let await_workers t g =
       end
   in
   spin 0;
-  Sw_obs.Profile.record_ns t.barrier (Sw_obs.Profile.now_ns () - t0)
+  Sw_obs.Profile.record_ns t.barrier (Sw_obs.Profile.now_ns () - t0);
+  match Atomic.get g.failed with Some e -> raise e | None -> ()
 
-let run t ~until =
+let run ?workers t ~until =
   let n = Array.length t.engines in
   if n = 1 then begin
     (* One shard: no windows, no barriers — exactly the legacy loop. *)
@@ -424,19 +430,12 @@ let run t ~until =
     t.horizon.(0) <- Time.max t.horizon.(0) until;
     t.window_end.(0) <- t.horizon.(0)
   end
-  else if not t.parallel then
-    while behind t ~until do
-      plan_round t ~until;
-      Sw_obs.Registry.Counter.incr t.m_windows;
-      for i = 0 to n - 1 do
-        run_shard t i
-      done;
-      exchange t;
-      commit_round t
-    done
   else begin
+    let cores = Domain.recommended_domain_count () in
+    let k = max 1 (min n (Option.value workers ~default:cores)) in
     let g =
       {
+        workers = k;
         go = Atomic.make 0;
         quit = Atomic.make false;
         arrived = Atomic.make 0;
@@ -449,7 +448,7 @@ let run t ~until =
       }
     in
     let domains =
-      Array.init (n - 1) (fun k -> Domain.spawn (fun () -> worker t g (k + 1)))
+      Array.init (k - 1) (fun w -> Domain.spawn (fun () -> worker t g (w + 1)))
     in
     Fun.protect
       ~finally:(fun () ->
@@ -462,19 +461,21 @@ let run t ~until =
         while behind t ~until do
           plan_round t ~until;
           Sw_obs.Registry.Counter.incr t.m_windows;
-          Atomic.set g.arrived 0;
-          Atomic.incr g.go;
-          if Atomic.get g.sleepers > 0 then begin
-            Mutex.lock g.lock;
-            Condition.broadcast g.worker_cv;
-            Mutex.unlock g.lock
+          if k > 1 then begin
+            Atomic.set g.arrived 0;
+            Atomic.incr g.go;
+            if Atomic.get g.sleepers > 0 then begin
+              Mutex.lock g.lock;
+              Condition.broadcast g.worker_cv;
+              Mutex.unlock g.lock
+            end
           end;
-          run_shard t 0;
-          await_workers t g;
-          (* Raising here trips the [finally]: quit is published and the
-             surviving workers join before the exception escapes. *)
-          (match Atomic.get g.failed with Some e -> raise e | None -> ());
+          run_block t k 0;
+          (* Raising here, or from the main block, trips the [finally]:
+             quit is published and the other workers join before the
+             exception escapes. *)
+          if k > 1 then await_workers t g;
           exchange t;
-          commit_round t
+          Array.blit t.window_end 0 t.horizon 0 n
         done)
   end

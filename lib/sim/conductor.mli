@@ -1,10 +1,9 @@
 (** Conservative parallel coordination of several {!Engine}s ("shards").
 
     A conductor owns an array of engines, one per shard, and drives them in
-    lookahead rounds: every shard runs freely (on its own domain when
-    [parallel]) up to its own window end, then all shards synchronise at a
-    barrier and exchange the timestamped cross-shard messages posted during
-    the round.
+    lookahead rounds: every shard runs freely up to its own window end,
+    then all shards synchronise at a barrier and exchange the timestamped
+    cross-shard messages posted during the round.
 
     {b Lookahead matrix.} The bound is per shard pair: [L(j,i)] is the
     smallest latency any link can impose on a hop from shard [j] into
@@ -22,22 +21,24 @@
     [(arrival, source shard, source sequence)] order — a total order — and
     injects in that order at the start of the next round, so the
     destination engine's own [(time, seq)] tiebreak reproduces exactly the
-    same firing order whatever the domain scheduling was, and the parallel
-    and sequential drivers produce byte-identical simulations.
+    same firing order whatever the domain scheduling was: every worker
+    count produces a byte-identical simulation.
 
-    {b Domain ownership.} During a round, shard [i]'s engine (and
-    everything hanging off it) is owned by the domain driving shard [i];
-    [post] may only be called from that domain with [~src:i]. Between
-    rounds (and outside {!run}) everything is owned by the caller. The
-    worker gang is spawned at the start of each {!run} and joined before it
-    returns, so a conductor holds no threads while idle; the barrier is a
-    hybrid sense barrier (bounded spin on atomics, then a condvar sleep).
+    {b Workers.} Each {!run} takes [k] workers, the lesser of the shard
+    count and [Domain.recommended_domain_count ()]; the calling domain is
+    worker 0 and spawns the other [k - 1], joined before {!run} returns.
+    Worker [w] runs shards [[w*n/k, (w+1)*n/k)] in index order, and owns
+    their engines (and everything hanging off them) during a round;
+    [post ~src:i] may only be called from the domain whose block holds
+    [i]. Between rounds everything is owned by the caller. The barrier
+    spins on atomics, then sleeps on a condvar; with one worker there is
+    none.
 
     {b Instrumentation.} Rounds and per-pair exchanged-message counts go
     to shard 0's registry as [sim.shard.windows] (a {!run} ending inside a
     window adds a round) and [sim.shard.exchanged.s<i>.s<j>]; like all of
     [sim.*] they differ across shard layouts ({!Sw_obs.Snapshot.without_sim}).
-    The parallel driver adds its barrier wait, wall time, to the
+    The main domain's barrier wait, wall time, goes to the
     [conductor.barrier] timer of shard 0's engine profile
     ({!Sw_obs.Profile.record_ns}), never to a registry.
 
@@ -45,21 +46,18 @@
     plain marshalable data: the barrier's atomics, mutex and condition
     variables belong to the per-{!run} gang, never to [t], so [Marshal]
     with closures captures a sharded cloud — pending cross-shard inboxes
-    included — without meeting an unmarshalable custom block. *)
+    included — without meeting an unmarshalable custom block. Nor is the
+    worker count stored: a cloud restored elsewhere uses its new host's. *)
 
 type t
 
-(** [create ?parallel ?matrix ~lookahead engines] builds a conductor over
-    the shards [engines]. [matrix.(j).(i)] bounds hops from shard [j] into
-    shard [i] (the diagonal is ignored); without [matrix], a uniform matrix
-    is built from the scalar [lookahead]. Off-diagonal entries (or
-    [lookahead], when it is the source) must be positive when there is more
-    than one shard. [parallel] (default [true]) selects the
-    domain-per-shard driver; [false] runs the same windowed protocol
-    round-robin on the calling domain — useful for differential tests,
-    byte-identical by construction. *)
+(** [create ?matrix ~lookahead engines] builds a conductor over the shards
+    [engines]. [matrix.(j).(i)] bounds hops from shard [j] into shard [i]
+    (the diagonal is ignored); without [matrix], a uniform matrix is built
+    from the scalar [lookahead]. Off-diagonal entries (or [lookahead], when
+    it is the source) must be positive when there is more than one
+    shard. *)
 val create :
-  ?parallel:bool ->
   ?matrix:Time.t array array ->
   lookahead:Time.t ->
   Engine.t array ->
@@ -75,14 +73,17 @@ val lookahead : t -> src:int -> dst:int -> Time.t
 
 (** [post t ~src ~dst ~at fn] queues [fn] for injection into shard [dst]'s
     engine at absolute time [at] (scheduled there under kind ["xshard"]).
-    Must be called from shard [src]'s domain, during a round. Raises
+    Must be called during a round, from shard [src]'s worker. Raises
     [Invalid_argument] — naming the source shard, destination shard,
     arrival instant, and the destination's window end — when [at] precedes
     the end of the destination's current window: that would violate the
     lookahead contract. *)
 val post : t -> src:int -> dst:int -> at:Time.t -> (unit -> unit) -> unit
 
-(** [run t ~until] advances every shard to exactly [until] (each engine
-    parks there, as {!Engine.run}), round by round. May be called
-    repeatedly; rounds resume where the previous call stopped. *)
-val run : t -> until:Time.t -> unit
+(** [run ?workers t ~until] advances every shard to exactly [until] (each
+    engine parks there, as {!Engine.run}), round by round. May be called
+    repeatedly; rounds resume where the previous call stopped. [workers]
+    (clamped to [[1, shards]]) overrides the cores; every count gives the
+    same simulation. A handler's exception is re-raised once the workers
+    have joined. *)
+val run : ?workers:int -> t -> until:Time.t -> unit

@@ -496,13 +496,13 @@ let test_conductor_matrix_validation () =
    that is what makes a late-installed fast link debuggable. *)
 let test_conductor_post_violation_names_pair () =
   let engines = [| Engine.create (); Engine.create () |] in
-  let c = Conductor.create ~parallel:false ~lookahead:(Time.ms 1) engines in
+  let c = Conductor.create ~lookahead:(Time.ms 1) engines in
   let message = ref "" in
   ignore
     (Engine.schedule_at engines.(0) (Time.us 100) (fun () ->
          try Conductor.post c ~src:0 ~dst:1 ~at:(Time.us 500) ignore
          with Invalid_argument m -> message := m));
-  Conductor.run c ~until:(Time.ms 1);
+  Conductor.run ~workers:1 c ~until:(Time.ms 1);
   let contains hay needle =
     let lh = String.length hay and ln = String.length needle in
     let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
@@ -521,11 +521,31 @@ let registry_bytes engines =
   Sw_obs.Export.to_json_string
     (Sw_obs.Registry.snapshot (Engine.metrics engines.(0)))
 
-(* The parallel-matches-sequential contract again, under an asymmetric
-   per-pair matrix: each direction posts at its own bound, windows differ
-   per pair, and the domain gang must still reproduce the round-robin
-   driver's firing order exactly. *)
-let test_conductor_matrix_parallel_matches_sequential () =
+(* Every worker count from 2 to [shards + 1] (clamped to [shards]) gives
+   the one-worker run's firing logs, exchange count, events fired, parked
+   clocks and shard-0 registry bytes. *)
+let check_worker_counts ~shards build =
+  let logs_1, exch_1, fired_1, now_1, reg_1 = build ~workers:1 in
+  Alcotest.(check bool) "some cross-shard traffic" true (exch_1 > 0);
+  for workers = 2 to shards + 1 do
+    let logs, exch, fired, now, reg = build ~workers in
+    let check what = Printf.sprintf "%d workers: %s" workers what in
+    Alcotest.(check int) (check "messages exchanged") exch_1 exch;
+    Alcotest.(check (array int)) (check "events fired per shard") fired_1 fired;
+    Alcotest.(check (array int)) (check "clocks parked") now_1 now;
+    Alcotest.(check string) (check "shard 0 registry") reg_1 reg;
+    for i = 0 to shards - 1 do
+      Alcotest.(check (list (pair int string)))
+        (check (Printf.sprintf "shard %d firing order" i))
+        logs_1.(i) logs.(i)
+    done
+  done
+
+(* The every-worker-count contract again, under an asymmetric per-pair
+   matrix: each direction posts at its own bound, windows differ per pair,
+   and every worker block split must still reproduce the one-worker firing
+   order exactly. *)
+let test_conductor_matrix_worker_counts () =
   let n = 3 in
   let matrix =
     [|
@@ -535,9 +555,9 @@ let test_conductor_matrix_parallel_matches_sequential () =
     |]
   in
   let horizon = Time.ms 30 in
-  let build ~parallel =
+  let build ~workers =
     let engines = Array.init n (fun _ -> Engine.create ()) in
-    let c = Conductor.create ~parallel ~matrix ~lookahead:(Time.us 200) engines in
+    let c = Conductor.create ~matrix ~lookahead:(Time.us 200) engines in
     let logs = Array.make n [] in
     let rng = Prng.create 0xA51DE5L in
     for src = 0 to n - 1 do
@@ -558,30 +578,21 @@ let test_conductor_matrix_parallel_matches_sequential () =
                end))
       done
     done;
-    Conductor.run c ~until:horizon;
+    Conductor.run ~workers c ~until:horizon;
     ( logs,
       Conductor.exchanged c,
+      Array.map Engine.fired engines,
       Array.map Engine.now engines,
       registry_bytes engines )
   in
-  let logs_p, exch_p, now_p, reg_p = build ~parallel:true in
-  let logs_s, exch_s, now_s, reg_s = build ~parallel:false in
-  Alcotest.(check int) "messages exchanged" exch_s exch_p;
-  Alcotest.(check bool) "some cross-shard traffic" true (exch_s > 0);
-  Alcotest.(check (array int)) "clocks parked" now_s now_p;
-  Alcotest.(check string) "shard 0 registry" reg_s reg_p;
-  for i = 0 to n - 1 do
-    Alcotest.(check (list (pair int string)))
-      (Printf.sprintf "shard %d firing order" i)
-      logs_s.(i) logs_p.(i)
-  done
+  check_worker_counts ~shards:n build
 
 (* Messages from both shards landing at the same destination instant must
    fire in (arrival, source shard, source sequence) order, regardless of
    which shard ran its window first. *)
 let test_conductor_exchange_order () =
   let engines = [| Engine.create (); Engine.create () |] in
-  let c = Conductor.create ~parallel:false ~lookahead:(Time.ms 1) engines in
+  let c = Conductor.create ~lookahead:(Time.ms 1) engines in
   let log = ref [] in
   let post_from src tags =
     ignore
@@ -592,11 +603,11 @@ let test_conductor_exchange_order () =
                    log := tag :: !log))
              tags))
   in
-  (* Shard 1 posts before shard 0 in wall order (sequential driver runs
-     shard 0 first, but the sort must not care). *)
+  (* Shard 1 posts before shard 0 in wall order (one worker runs shard 0
+     first, but the sort must not care). *)
   post_from 1 [ "b0"; "b1" ];
   post_from 0 [ "a0"; "a1" ];
-  Conductor.run c ~until:(Time.ms 3);
+  Conductor.run ~workers:1 c ~until:(Time.ms 3);
   Alcotest.(check (list string)) "exchange total order"
     [ "a0"; "a1"; "b0"; "b1" ] (List.rev !log);
   Alcotest.(check int) "exchanged" 4 (Conductor.exchanged c);
@@ -604,30 +615,33 @@ let test_conductor_exchange_order () =
 
 let test_conductor_post_lookahead_violation () =
   let engines = [| Engine.create (); Engine.create () |] in
-  let c = Conductor.create ~parallel:false ~lookahead:(Time.ms 1) engines in
+  let c = Conductor.create ~lookahead:(Time.ms 1) engines in
   let violated = ref false in
   ignore
     (Engine.schedule_at engines.(0) (Time.us 100) (fun () ->
          match Conductor.post c ~src:0 ~dst:1 ~at:(Time.us 500) ignore with
          | () -> ()
          | exception Invalid_argument _ -> violated := true));
-  Conductor.run c ~until:(Time.ms 1);
+  Conductor.run ~workers:1 c ~until:(Time.ms 1);
   Alcotest.(check bool) "post inside the window rejected" true !violated
 
-(* The heart of the determinism contract: a web of cross-shard traffic run
-   by the domain-per-shard driver fires in exactly the order the sequential
-   round-robin driver produces. Event plans are drawn up front from a seed;
-   handlers touch only their own shard's log cell, so the parallel run is
-   race-free and any divergence is a protocol bug, not a test artifact.
-   The fixture stops at each of [cuts] before running on to the horizon. *)
+(* The heart of the determinism contract: a web of cross-shard traffic
+   fires in exactly the same order whatever the worker count. Event plans
+   are drawn up front from a seed; handlers touch only their own shard's
+   log cell, so a multi-worker run is race-free and any divergence is a
+   protocol bug, not a test artifact. The fixture stops at each [(until,
+   workers)] of [cuts] before running on to the horizon with [workers];
+   with [fail_on], a handler on that shard raises [Shard_failed] at 5 ms. *)
 let conductor_lookahead = Time.ms 1
 let conductor_horizon = Time.ms 40
 
-let run_conductor_fixture ?(cuts = []) ~parallel () =
+exception Shard_failed of int
+
+let run_conductor_fixture ?(cuts = []) ?fail_on ~workers () =
   let n = 4 in
   let lookahead = conductor_lookahead in
   let engines = Array.init n (fun _ -> Engine.create ()) in
-  let c = Conductor.create ~parallel ~lookahead engines in
+  let c = Conductor.create ~lookahead engines in
   let logs = Array.make n [] in
   let rng = Prng.create 0xC0D0C7L in
   for src = 0 to n - 1 do
@@ -646,8 +660,14 @@ let run_conductor_fixture ?(cuts = []) ~parallel () =
              end))
     done
   done;
-  List.iter (fun until -> Conductor.run c ~until) cuts;
-  Conductor.run c ~until:conductor_horizon;
+  Option.iter
+    (fun i ->
+      ignore
+        (Engine.schedule_at engines.(i) (Time.ms 5) (fun () ->
+             raise (Shard_failed i))))
+    fail_on;
+  List.iter (fun (until, workers) -> Conductor.run ~workers c ~until) cuts;
+  Conductor.run ~workers c ~until:conductor_horizon;
   let fired = Array.map Engine.fired engines in
   ( logs,
     Conductor.exchanged c,
@@ -655,46 +675,49 @@ let run_conductor_fixture ?(cuts = []) ~parallel () =
     Array.map Engine.now engines,
     registry_bytes engines )
 
-let test_conductor_parallel_matches_sequential () =
-  let logs_p, exch_p, fired_p, now_p, reg_p =
-    run_conductor_fixture ~parallel:true ()
-  in
-  let logs_s, exch_s, fired_s, now_s, reg_s =
-    run_conductor_fixture ~parallel:false ()
-  in
-  Alcotest.(check int) "messages exchanged" exch_s exch_p;
-  Alcotest.(check bool) "some cross-shard traffic" true (exch_s > 0);
-  Alcotest.(check (array int)) "events fired per shard" fired_s fired_p;
-  Alcotest.(check (array int)) "clocks parked" now_s now_p;
-  Alcotest.(check string) "shard 0 registry" reg_s reg_p;
-  for i = 0 to Array.length logs_s - 1 do
-    Alcotest.(check (list (pair int string)))
-      (Printf.sprintf "shard %d firing order" i)
-      logs_s.(i) logs_p.(i)
-  done
+let test_conductor_worker_counts () =
+  check_worker_counts ~shards:4 (fun ~workers -> run_conductor_fixture ~workers ())
 
-(* Stopping and resuming is invisible: 1-4 intermediate [run] calls, under
-   each driver, give the straight sequential run's firing logs, exchange
-   count and shard-0 registry bytes. Cuts sit on the round grid (multiples
-   of the lookahead): a [run] that stops off the grid caps its last window
-   there and so adds a round, which [sim.shard.windows] rightly counts. *)
+(* A raising handler surfaces from [run] as the same exception, and [run]
+   returns instead of leaving a worker waiting at the barrier. On 2 workers
+   of 4 shards, shard 3 is the second shard of the spawned worker's block
+   and shard 1 the second of the main domain's. *)
+let test_conductor_handler_failure () =
+  List.iter
+    (fun (workers, shard) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d workers, shard %d raises" workers shard)
+        (Shard_failed shard)
+        (fun () -> ignore (run_conductor_fixture ~fail_on:shard ~workers ())))
+    [ (2, 3); (2, 1); (1, 3); (1, 1) ]
+
+(* Stopping and resuming is invisible: 1-4 intermediate [run] calls, each
+   with its own worker count, give the straight one-worker run's firing
+   logs, exchange count and shard-0 registry bytes. Cuts sit on the round
+   grid (multiples of the lookahead): a [run] that stops off the grid caps
+   its last window there and so adds a round, which [sim.shard.windows]
+   rightly counts. *)
 let prop_conductor_split_runs =
   let steps = conductor_horizon / conductor_lookahead in
-  let straight = lazy (run_conductor_fixture ~parallel:false ()) in
+  let straight = lazy (run_conductor_fixture ~workers:1 ()) in
   QCheck.Test.make ~name:"split runs equal a straight run" ~count:20
-    QCheck.(list_of_size Gen.(int_range 1 4) (int_range 1 steps))
-    (fun ks ->
+    QCheck.(
+      pair
+        (list_of_size
+           Gen.(int_range 1 4)
+           (pair (int_range 1 steps) (int_range 1 5)))
+        (int_range 1 5))
+    (fun (ks, workers) ->
       let cuts =
-        List.map (Time.mul_int conductor_lookahead) (List.sort compare ks)
+        List.map
+          (fun (k, w) -> (Time.mul_int conductor_lookahead k, w))
+          (List.sort compare ks)
       in
       let logs, exch, _, _, reg = Lazy.force straight in
-      List.for_all
-        (fun parallel ->
-          let logs', exch', _, _, reg' =
-            run_conductor_fixture ~cuts ~parallel ()
-          in
-          logs' = logs && exch' = exch && reg' = reg)
-        [ true; false ])
+      let logs', exch', _, _, reg' =
+        run_conductor_fixture ~cuts ~workers ()
+      in
+      logs' = logs && exch' = exch && reg' = reg)
 
 let () =
   Alcotest.run "sw_sim"
@@ -760,10 +783,12 @@ let () =
             test_conductor_exchange_order;
           Alcotest.test_case "post inside window rejected" `Quick
             test_conductor_post_lookahead_violation;
-          Alcotest.test_case "parallel matches sequential" `Quick
-            test_conductor_parallel_matches_sequential;
-          Alcotest.test_case "matrix parallel matches sequential" `Quick
-            test_conductor_matrix_parallel_matches_sequential;
+          Alcotest.test_case "worker counts agree" `Quick
+            test_conductor_worker_counts;
+          Alcotest.test_case "matrix worker counts agree" `Quick
+            test_conductor_matrix_worker_counts;
+          Alcotest.test_case "handler failure re-raised" `Quick
+            test_conductor_handler_failure;
           QCheck_alcotest.to_alcotest prop_conductor_split_runs;
         ] );
     ]
