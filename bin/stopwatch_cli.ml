@@ -823,7 +823,7 @@ let soak_cmd =
   in
   let every =
     Arg.(
-      value & opt float 0.25
+      value & opt positive_float 0.25
       & info [ "every" ]
           ~doc:"Checkpoint interval in simulated seconds (absolute grid: a \
                 resumed run captures the same instants as a straight one).")
@@ -831,7 +831,7 @@ let soak_cmd =
   let kill_after =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "kill-after" ]
           ~doc:"Crash (exit 70, no report) after writing N checkpoints in \
                 this process — for exercising recovery; rerun the same \
@@ -840,7 +840,7 @@ let soak_cmd =
   let keep =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "keep" ] ~doc:"Prune the timeline to the newest N images.")
   in
   let quiet =

@@ -1,16 +1,18 @@
 module Time = Sw_sim.Time
 
+type target = Ingress | Egress
+
 type t =
-  | Link_loss of { target : Sw_net.Address.t option; p : float }
-  | Link_latency of { target : Sw_net.Address.t option; extra : Time.t }
+  | Link_loss of { target : target option; p : float }
+  | Link_latency of { target : target option; extra : Time.t }
   | Mcast_partition of { vm : int; replica : int }
   | Machine_stall of { machine : int }
   | Machine_slowdown of { machine : int; factor : float }
   | Dom0_pause of { machine : int }
   | Replica_crash of { vm : int; replica : int; restart_after : Time.t option }
 
-let ingress_drop ~p = Link_loss { target = Some Sw_net.Address.Ingress; p }
-let egress_drop ~p = Link_loss { target = Some Sw_net.Address.Egress; p }
+let ingress_drop ~p = Link_loss { target = Some Ingress; p }
+let egress_drop ~p = Link_loss { target = Some Egress; p }
 
 let label = function
   | Link_loss _ -> "link-loss"
@@ -22,9 +24,11 @@ let label = function
   | Replica_crash _ -> "replica-crash"
 
 let target_string = function
-  | Link_loss { target = None; _ } | Link_latency { target = None; _ } -> "net"
-  | Link_loss { target = Some a; _ } | Link_latency { target = Some a; _ } ->
-      "net:" ^ Sw_net.Address.to_string a
+  | Link_loss { target; _ } | Link_latency { target; _ } -> (
+      match target with
+      | None -> "net"
+      | Some Ingress -> "net:ingress"
+      | Some Egress -> "net:egress")
   | Mcast_partition { vm; replica } | Replica_crash { vm; replica; _ } ->
       Printf.sprintf "vm%d/r%d" vm replica
   | Machine_stall { machine }

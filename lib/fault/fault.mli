@@ -6,11 +6,15 @@
     machine disturbances onto {!Sw_vmm.Machine.stall} / [set_slowdown] /
     [pause_dom0], and crashes onto {!Sw_vmm.Vmm.crash} / [reintegrate]. *)
 
+(** The address a link disturbance is aimed at: deliveries to the
+    client-facing {!Sw_net.Address.Ingress} or {!Sw_net.Address.Egress}. *)
+type target = Ingress | Egress
+
 type t =
-  | Link_loss of { target : Sw_net.Address.t option; p : float }
+  | Link_loss of { target : target option; p : float }
       (** Extra independent drop probability on deliveries — fabric-wide
           ([None]) or only for deliveries targeting one address. *)
-  | Link_latency of { target : Sw_net.Address.t option; extra : Sw_sim.Time.t }
+  | Link_latency of { target : target option; extra : Sw_sim.Time.t }
       (** Extra propagation delay (latency spike), same targeting. *)
   | Mcast_partition of { vm : int; replica : int }
       (** Cut the replica's PGM endpoint off its group both ways; NAK

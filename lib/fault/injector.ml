@@ -91,15 +91,19 @@ let apply_slowdown t mach machine_id =
 
 (* --- Window dispatch --------------------------------------------------- *)
 
+let address = function
+  | Fault.Ingress -> Sw_net.Address.Ingress
+  | Fault.Egress -> Sw_net.Address.Egress
+
 let open_window t (spec : Schedule.spec) =
   let span = spec.Schedule.span in
   match spec.Schedule.fault with
   | Fault.Link_loss { target; p } ->
-      open_link t target
+      open_link t (Option.map address target)
         { Network.extra_loss = p; extra_latency = Time.zero }
         ~span spec.Schedule.fault
   | Fault.Link_latency { target; extra } ->
-      open_link t target
+      open_link t (Option.map address target)
         { Network.extra_loss = 0.; extra_latency = extra }
         ~span spec.Schedule.fault
   | Fault.Mcast_partition { vm; replica } -> (

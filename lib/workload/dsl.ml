@@ -56,735 +56,545 @@ type workload = {
 type kind = Attack of attack | Workload of workload
 type t = { name : string; kind : kind }
 
-(* --- Decoding helpers ---------------------------------------------------- *)
+(* --- The codec ----------------------------------------------------------- *)
+
+(* Every [.scn] field is declared once below, with its JSON name, getter,
+   default, value codec and value check; the decoder, the printer, the
+   value checks and the unknown-key check all follow from it. A field path
+   is a thunk, and a message is formatted only on failure, so a valid
+   scenario decodes and checks without formatting anything. *)
 
 exception Bad of string
 
-let bad path msg = raise (Bad (Printf.sprintf "%s: %s" path msg))
+let bad path msg = raise (Bad (Printf.sprintf "%s: %s" (path ()) msg))
+let sub path name () = path () ^ "." ^ name
+let nth path i () = Printf.sprintf "%s[%d]" (path ()) i
+let root () = "scenario"
 
-let as_obj path = function
-  | Json.Obj fields -> fields
-  | _ -> bad path "expected an object"
+type 'a codec = {
+  decode : (unit -> string) -> Json.t -> 'a;
+  encode : 'a -> Json.t;
+  check : (unit -> string) -> 'a -> unit;
+}
 
-let as_num path v =
-  match Json.to_number v with Some f -> f | None -> bad path "expected a number"
+let value decode encode = { decode; encode; check = (fun _ _ -> ()) }
 
-let as_bool path = function
-  | Json.Bool b -> b
-  | _ -> bad path "expected true or false"
+(* [c |> where chk] adds the value check [chk] to [c]. *)
+let where chk c = { c with check = (fun p v -> c.check p v; chk p v) }
 
-let as_str path = function
-  | Json.String s -> s
-  | _ -> bad path "expected a string"
+let prim expected get =
+  value (fun p v -> match get v with Some x -> x | None -> bad p expected)
 
-let as_arr path = function
-  | Json.List items -> items
-  | _ -> bad path "expected an array"
+let number = prim "expected a number" Json.to_number (fun f -> Json.Float f)
 
-let as_int path = function
-  | Json.Int i -> i
-  | Json.Float f when Float.is_integer f -> int_of_float f
-  | _ -> bad path "expected an integer"
+let int =
+  prim "expected an integer"
+    (function
+      | Json.Int i -> Some i
+      | Json.Float f when Float.is_integer f -> Some (int_of_float f)
+      | _ -> None)
+    (fun i -> Json.Int i)
+
+let bool =
+  prim "expected true or false"
+    (function Json.Bool b -> Some b | _ -> None)
+    (fun b -> Json.Bool b)
+
+let string =
+  prim "expected a string"
+    (function Json.String s -> Some s | _ -> None)
+    (fun s -> Json.String s)
 
 (* Seeds go through [Json]'s int64 codec: an integer, or a string accepted
    by [Int64.of_string] — so full-width hex seeds like "0xDEADBEEFCAFEF00D"
    stay representable, and print back exactly. *)
-let as_seed path v =
-  match (Json.to_int64 v, v) with
-  | Some s, _ -> s
-  | None, Json.Float _ -> bad path "seed must be an integer (or a string)"
-  | None, Json.String _ -> bad path "unparsable seed string"
-  | None, _ -> bad path "expected a seed (number or string)"
+let seed =
+  value
+    (fun p v ->
+      match (Json.to_int64 v, v) with
+      | Some s, _ -> s
+      | None, Json.Float _ -> bad p "seed must be an integer (or a string)"
+      | None, Json.String _ -> bad p "unparsable seed string"
+      | None, _ -> bad p "expected a seed (number or string)")
+    Json.of_int64
 
-let field fields name = List.assoc_opt name fields
+let time of_float to_float =
+  value
+    (fun p v -> of_float (number.decode p v))
+    (fun t -> number.encode (to_float t))
 
-let req fields path name decode =
-  match field fields name with
-  | Some v -> decode (path ^ "." ^ name) v
-  | None -> bad path (Printf.sprintf "missing required field %S" name)
+let seconds = time Time.of_float_s Time.to_float_s
+let millis = time Time.of_float_ms Time.to_float_ms
+let micros = time (fun f -> Time.of_float_s (f /. 1e6)) Time.to_float_us
 
-let opt fields path name ~default decode =
-  match field fields name with
-  | Some v -> decode (path ^ "." ^ name) v
-  | None -> default
+(* A closed set of JSON literals; [error] words the rejection of any other. *)
+let enum ~error alts =
+  value
+    (fun p v ->
+      match List.find_opt (fun (j, _) -> j = v) alts with
+      | Some (_, x) -> x
+      | None -> bad p (error v))
+    (fun x -> fst (List.find (fun (_, y) -> y = x) alts))
 
-let time_of_s f = Time.of_float_s f
-let time_of_ms f = Time.of_float_ms f
-let time_of_us f = Time.of_float_s (f /. 1e6)
+let list c =
+  { decode =
+      (fun p -> function
+        | Json.List l -> List.mapi (fun i v -> c.decode (nth p i) v) l
+        | _ -> bad p "expected an array");
+    encode = (fun l -> Json.List (List.map c.encode l));
+    check = (fun p l -> List.iteri (fun i v -> c.check (nth p i) v) l) }
 
-(* --- Arrival ------------------------------------------------------------- *)
+(* An object under construction. Its members decode in declaration order,
+   each feeding the constructor one argument ([read] turns ['f] into
+   ['g]), and [write] prepends them in order to a reversed member list.
+   [read] marks each input member it looks up; one left unmarked is a key
+   no declaration knows. *)
+type members = (string * (Json.t * bool ref)) list
 
-let arrival_of_json path v =
-  let fields = as_obj path v in
-  let num name ~default = opt fields path name ~default as_num in
-  let tspan name ~default =
-    opt fields path name ~default (fun p v -> time_of_s (as_num p v))
-  in
-  match req fields path "process" as_str with
-  | "constant" ->
-      Arrival.Constant { rate_per_s = req fields path "rate_per_s" as_num }
-  | "poisson" ->
-      Arrival.Poisson { rate_per_s = req fields path "rate_per_s" as_num }
-  | "diurnal" ->
-      Arrival.Diurnal
-        {
-          base_per_s = req fields path "base_per_s" as_num;
-          amplitude = num "amplitude" ~default:0.5;
-          period = tspan "period_s" ~default:(Time.s 10);
-        }
-  | "flash" ->
-      Arrival.Flash
-        {
-          base_per_s = req fields path "base_per_s" as_num;
-          peak_per_s = req fields path "peak_per_s" as_num;
-          at = req fields path "at_s" (fun p v -> time_of_s (as_num p v));
-          ramp = tspan "ramp_s" ~default:Time.zero;
-          hold = tspan "hold_s" ~default:Time.zero;
-        }
-  | "replay" ->
-      let points =
-        List.mapi
-          (fun i point ->
-            let p = Printf.sprintf "%s.points[%d]" path i in
-            match point with
-            | Json.List [ at; rate ] ->
-                (time_of_s (as_num p at), as_num p rate)
-            | _ -> bad p "expected a [seconds, rate_per_s] pair")
-          (req fields path "points" as_arr)
-      in
-      Arrival.Replay { points }
-  | p -> bad (path ^ ".process") (Printf.sprintf "unknown process %S" p)
+type ('r, 'f, 'g) fields = {
+  read : (unit -> string) -> members -> 'f -> 'g;
+  write : 'r -> (string * Json.t) list -> (string * Json.t) list;
+  verify : (unit -> string) -> 'r -> unit;
+}
 
-let arrival_to_json = function
-  | Arrival.Constant { rate_per_s } ->
-      Json.Obj
-        [ ("process", String "constant"); ("rate_per_s", Float rate_per_s) ]
-  | Arrival.Poisson { rate_per_s } ->
-      Json.Obj
-        [ ("process", String "poisson"); ("rate_per_s", Float rate_per_s) ]
-  | Arrival.Diurnal { base_per_s; amplitude; period } ->
-      Json.Obj
-        [
-          ("process", String "diurnal");
-          ("base_per_s", Float base_per_s);
-          ("amplitude", Float amplitude);
-          ("period_s", Float (Time.to_float_s period));
-        ]
-  | Arrival.Flash { base_per_s; peak_per_s; at; ramp; hold } ->
-      Json.Obj
-        [
-          ("process", String "flash");
-          ("base_per_s", Float base_per_s);
-          ("peak_per_s", Float peak_per_s);
-          ("at_s", Float (Time.to_float_s at));
-          ("ramp_s", Float (Time.to_float_s ramp));
-          ("hold_s", Float (Time.to_float_s hold));
-        ]
-  | Arrival.Replay { points } ->
-      Json.Obj
-        [
-          ("process", String "replay");
-          ( "points",
-            List
-              (List.map
-                 (fun (at, r) ->
-                   Json.List [ Float (Time.to_float_s at); Float r ])
-                 points) );
-        ]
+let fields =
+  { read = (fun _ _ f -> f); write = (fun _ l -> l); verify = (fun _ _ -> ()) }
 
-(* --- Faults -------------------------------------------------------------- *)
+let record k = { fields with read = (fun _ _ () -> k) }
 
-let target_of_json path = function
-  | Json.Null -> None
-  | Json.String "ingress" -> Some Sw_net.Address.Ingress
-  | Json.String "egress" -> Some Sw_net.Address.Egress
-  | _ -> bad path {|expected "ingress", "egress" or null|}
+let find name (m : members) =
+  Option.map (fun (v, used) -> used := true; v) (List.assoc_opt name m)
 
-let target_to_json = function
-  | None -> Json.Null
-  | Some Sw_net.Address.Ingress -> Json.String "ingress"
-  | Some Sw_net.Address.Egress -> Json.String "egress"
-  | Some _ -> Json.Null
+(* Reads object [v] with [read], then rejects any member it did not look up
+   (a repeated key counts as read with its first occurrence). *)
+let obj path read = function
+  | Json.Obj m ->
+      let m = List.map (fun (k, v) -> (k, (v, ref false))) m in
+      let r = read path m in
+      List.iter
+        (fun (k, (_, used)) ->
+          if not (!used || !(snd (List.assoc k m))) then
+            bad (sub path k) "unknown field")
+        m;
+      r
+  | _ -> bad path "expected an object"
 
-let fault_of_json path fields =
-  let num name = req fields path name as_num in
-  let int name = req fields path name as_int in
-  let target = opt fields path "target" ~default:None target_of_json in
-  match req fields path "kind" as_str with
-  | "link-loss" -> Sw_fault.Fault.Link_loss { target; p = num "p" }
-  | "link-latency" ->
-      Sw_fault.Fault.Link_latency { target; extra = time_of_us (num "extra_us") }
-  | "machine-stall" -> Sw_fault.Fault.Machine_stall { machine = int "machine" }
-  | "machine-slowdown" ->
-      Sw_fault.Fault.Machine_slowdown
-        { machine = int "machine"; factor = num "factor" }
-  | "dom0-pause" -> Sw_fault.Fault.Dom0_pause { machine = int "machine" }
-  | "mcast-partition" ->
-      Sw_fault.Fault.Mcast_partition { vm = int "vm"; replica = int "replica" }
-  | "replica-crash" ->
-      let restart_after =
-        opt fields path "restart_after_ms" ~default:None (fun p v ->
-            Some (time_of_ms (as_num p v)))
-      in
-      Sw_fault.Fault.Replica_crash
-        { vm = int "vm"; replica = int "replica"; restart_after }
-  | k -> bad (path ^ ".kind") (Printf.sprintf "unknown fault kind %S" k)
+let seal o =
+  { decode = (fun p v -> obj p (fun p m -> o.read p m ()) v);
+    encode = (fun r -> Json.Obj (List.rev (o.write r [])));
+    check = o.verify }
 
-let fault_to_json = function
-  | Sw_fault.Fault.Link_loss { target; p } ->
-      [ ("kind", Json.String "link-loss"); ("target", target_to_json target);
-        ("p", Json.Float p) ]
-  | Sw_fault.Fault.Link_latency { target; extra } ->
-      [ ("kind", Json.String "link-latency"); ("target", target_to_json target);
-        ("extra_us", Json.Float (Time.to_float_us extra)) ]
-  | Sw_fault.Fault.Machine_stall { machine } ->
-      [ ("kind", Json.String "machine-stall");
-        ("machine", Json.Int machine) ]
-  | Sw_fault.Fault.Machine_slowdown { machine; factor } ->
-      [ ("kind", Json.String "machine-slowdown");
-        ("machine", Json.Int machine);
-        ("factor", Json.Float factor) ]
-  | Sw_fault.Fault.Dom0_pause { machine } ->
-      [ ("kind", Json.String "dom0-pause");
-        ("machine", Json.Int machine) ]
-  | Sw_fault.Fault.Mcast_partition { vm; replica } ->
-      [ ("kind", Json.String "mcast-partition");
-        ("vm", Json.Int vm);
-        ("replica", Json.Int replica) ]
-  | Sw_fault.Fault.Replica_crash { vm; replica; restart_after } ->
-      [ ("kind", Json.String "replica-crash");
-        ("vm", Json.Int vm);
-        ("replica", Json.Int replica) ]
-      @
-      (match restart_after with
-      | None -> []
-      | Some t -> [ ("restart_after_ms", Json.Float (Time.to_float_ms t)) ])
+let required name c p m =
+  match find name m with
+  | Some v -> c.decode (sub p name) v
+  | None -> bad p (Printf.sprintf "missing required field %S" name)
 
-let schedule_of_json path v =
-  List.mapi
-    (fun i w ->
-      let p = Printf.sprintf "%s[%d]" path i in
-      let fields = as_obj p w in
-      {
-        Sw_fault.Schedule.at =
-          time_of_ms (req fields p "at_ms" as_num);
-        span = time_of_ms (opt fields p "span_ms" ~default:0. as_num);
-        fault = fault_of_json p fields;
-      })
-    (as_arr path v)
+let member name decode encode check get o =
+  { read = (fun p m f -> let g = o.read p m f in g (decode p m));
+    write =
+      (fun r acc ->
+        let acc = o.write r acc in
+        match encode (get r) with Some v -> (name, v) :: acc | None -> acc);
+    verify = (fun p r -> o.verify p r; check (sub p name) (get r)) }
 
-let schedule_to_json schedule =
-  Json.List
-    (List.map
-       (fun (w : Sw_fault.Schedule.spec) ->
-         Json.Obj
-           ([
-              ("at_ms", Json.Float (Time.to_float_ms w.Sw_fault.Schedule.at));
-              ("span_ms", Json.Float (Time.to_float_ms w.span));
-            ]
-           @ fault_to_json w.fault))
-       schedule)
+(* A member that is required, or takes [default] when absent. *)
+let mem name ?default c =
+  member name
+    (fun p m ->
+      match default with
+      | Some d when not (List.mem_assoc name m) -> d
+      | _ -> required name c p m)
+    (fun x -> Some (c.encode x))
+    c.check
 
-(* --- Workload ------------------------------------------------------------ *)
+(* An optional member, left out of the printed form when [None]. *)
+let opt name c =
+  member name
+    (fun p m -> Option.map (c.decode (sub p name)) (find name m))
+    (Option.map c.encode)
+    (fun p -> Option.iter (c.check p))
 
-let class_of_json path v =
-  let fields = as_obj path v in
-  {
-    Flowgen.name = req fields path "name" as_str;
-    weight = opt fields path "weight" ~default:1. as_num;
-    resp_bytes = req fields path "resp_bytes" as_int;
-    cached = opt fields path "cached" ~default:true as_bool;
-  }
+(* A nested JSON object whose members are fields of the enclosing record;
+   an absent one takes every default. *)
+let group name inner o =
+  { read =
+      (fun p m f ->
+        let g = o.read p m f and q = sub p name in
+        match find name m with
+        | Some v -> obj q (fun q m -> inner.read q m g) v
+        | None -> inner.read q [] g);
+    write =
+      (fun r acc ->
+        (name, Json.Obj (List.rev (inner.write r []))) :: o.write r acc);
+    verify = (fun p r -> o.verify p r; inner.verify (sub p name) r) }
 
-let class_to_json (c : Flowgen.cls) =
-  Json.Obj
-    [
-      ("name", String c.Flowgen.name);
-      ("weight", Float c.weight);
-      ("resp_bytes", Int c.resp_bytes);
-      ("cached", Bool c.cached);
-    ]
+(* A record-level check across the members declared so far. *)
+let rule chk o = { o with verify = (fun p r -> o.verify p r; chk p r) }
 
-let cache_of_json path v =
-  let fields = as_obj path v in
-  let tiers =
-    List.mapi
-      (fun i t ->
-        let p = Printf.sprintf "%s.tiers[%d]" path i in
-        let tf = as_obj p t in
-        {
-          Cache.capacity = req tf p "capacity" as_int;
-          hit_cost = time_of_us (req tf p "hit_us" as_num);
-        })
-      (req fields path "tiers" as_arr)
-  in
-  {
-    Cache.tiers;
-    origin_cost = time_of_us (req fields path "origin_us" as_num);
-  }
+(* A sum type in the enclosing object: the string member [tag] names the
+   case ([label] of a value), whose own members follow it. A case's getters
+   only ever see values of their own case, so they are partial on purpose
+   (hence [@warning "-8"] on the declarations that use [cases]). *)
+let cases tag ~what ~label alts get o =
+  let alt v = List.assoc (label v) alts in
+  { read =
+      (fun p m f ->
+        let g = o.read p m f in
+        let t = required tag string p m in
+        match List.assoc_opt t alts with
+        | Some a -> g (a.read p m ())
+        | None -> bad (sub p tag) (Printf.sprintf "unknown %s %S" what t));
+    write =
+      (fun r acc ->
+        let v = get r in
+        (alt v).write v ((tag, Json.String (label v)) :: o.write r acc));
+    verify = (fun p r -> o.verify p r; (alt (get r)).verify p (get r)) }
 
-let cache_to_json (c : Cache.config) =
-  Json.Obj
-    [
-      ( "tiers",
-        List
-          (List.map
-             (fun (t : Cache.tier) ->
-               Json.Obj
-                 [
-                   ("capacity", Int t.Cache.capacity);
-                   ("hit_us", Float (Time.to_float_us t.hit_cost));
-                 ])
-             c.Cache.tiers) );
-      ("origin_us", Float (Time.to_float_us c.origin_cost));
-    ]
+(* [lift inj prj o] reads [o]'s record into a case of a wider type. *)
+let lift inj prj o =
+  { read = (fun p m () -> inj (o.read p m ()));
+    write = (fun v acc -> o.write (prj v) acc);
+    verify = (fun p v -> o.verify p (prj v)) }
 
-let default_classes =
-  [ { Flowgen.name = "kv"; weight = 1.; resp_bytes = 2048; cached = true } ]
+(* --- Value checks -------------------------------------------------------- *)
 
-let workload_of_json path fields =
-  let service =
-    match field fields "service" with
-    | Some v -> as_obj (path ^ ".service") v
-    | None -> []
-  in
-  let spath = path ^ ".service" in
-  let conns =
-    match field fields "connections" with
-    | Some v -> as_obj (path ^ ".connections") v
-    | None -> []
-  in
-  let cpath = path ^ ".connections" in
-  {
-    seed = opt fields path "seed" ~default:0xA77ACCL as_seed;
-    duration =
-      time_of_s (opt fields path "duration_s" ~default:10. as_num);
-    replicas = opt fields path "replicas" ~default:3 as_int;
-    stopwatch = opt fields path "stopwatch" ~default:true as_bool;
-    arrival = req fields path "arrival" arrival_of_json;
-    classes =
-      (match field service "classes" with
-      | None -> default_classes
-      | Some v ->
-          List.mapi
-            (fun i c -> class_of_json (Printf.sprintf "%s.classes[%d]" spath i) c)
-            (as_arr (spath ^ ".classes") v));
-    keys = opt service spath "keys" ~default:256 as_int;
-    theta = opt service spath "zipf_theta" ~default:1.1 as_num;
-    cache =
-      opt fields path "cache" ~default:Kv.default_config.Kv.cache cache_of_json;
-    pool = opt conns cpath "pool" ~default:8 as_int;
-    max_per_conn = opt conns cpath "max_per_conn" ~default:64 as_int;
-    request_bytes = opt service spath "request_bytes" ~default:120 as_int;
-    compute_branches = opt service spath "compute_branches" ~default:20_000 as_int;
-    header_bytes = opt service spath "header_bytes" ~default:64 as_int;
-    faults = opt fields path "faults" ~default:[] schedule_of_json;
-    attack =
-      opt fields path "attack" ~default:None (fun p v ->
-          let af = as_obj p v in
-          Some { ping_rate_per_s = opt af p "ping_rate_per_s" ~default:40. as_num });
-    topology =
-      opt fields path "topology" ~default:None (fun p v ->
-          let tf = as_obj p v in
-          Some
-            {
-              hosts = req tf p "hosts" as_int;
-              shards = opt tf p "shards" ~default:1 as_int;
-              east_west_rate_per_s =
-                opt tf p "east_west_rate_per_s" ~default:0. as_num;
-              east_west_stride = opt tf p "east_west_stride" ~default:1 as_int;
-              partition =
-                opt tf p "partition" ~default:Contiguous (fun pp v ->
-                    match as_str pp v with
-                    | "contiguous" -> Contiguous
-                    | "affinity" -> Affinity
-                    | s ->
-                        bad pp
-                          (Printf.sprintf
-                             {|unknown partition %S (want "contiguous" or "affinity")|}
-                             s));
-              replica_link_us =
-                opt tf p "replica_link_us" ~default:None (fun pp v ->
-                    Some (as_num pp v));
-              quantum_us =
-                opt tf p "quantum_us" ~default:None (fun pp v ->
-                    Some (as_num pp v));
-            });
-    load_multipliers =
-      opt fields path "load_multipliers" ~default:[ 1. ] (fun p v ->
-          List.map (as_num p) (as_arr p v));
-    leak_audit = opt fields path "leak_audit" ~default:false as_bool;
-  }
+(* [must ok what show] rejects a value failing [ok] with "[what] (got v)". *)
+let must ok what show path x =
+  if not (ok x) then bad path (Printf.sprintf "%s (got %s)" what (show x))
 
-let workload_to_json (w : workload) =
-  [
-    ("seed", Json.of_int64 w.seed);
-    ("duration_s", Json.Float (Time.to_float_s w.duration));
-    ("replicas", Json.Int w.replicas);
-    ("stopwatch", Json.Bool w.stopwatch);
-    ("arrival", arrival_to_json w.arrival);
-    ( "service",
-      Json.Obj
-        [
-          ("classes", List (List.map class_to_json w.classes));
-          ("keys", Int w.keys);
-          ("zipf_theta", Float w.theta);
-          ("request_bytes", Int w.request_bytes);
-          ("compute_branches", Int w.compute_branches);
-          ("header_bytes", Int w.header_bytes);
-        ] );
-    ("cache", cache_to_json w.cache);
-    ( "connections",
-      Json.Obj
-        [
-          ("pool", Int w.pool);
-          ("max_per_conn", Int w.max_per_conn);
-        ] );
-    ("load_multipliers", Json.List (List.map (fun m -> Json.Float m) w.load_multipliers));
-    ("faults", schedule_to_json w.faults);
-  ]
-  @ (match w.attack with
-    | None -> []
-    | Some a ->
-        [
-          ( "attack",
-            Json.Obj [ ("ping_rate_per_s", Float a.ping_rate_per_s) ] );
-        ])
-  @ (match w.topology with
-    | None -> []
-    | Some t ->
-        [
-          ( "topology",
-            Json.Obj
-              ([
-                 ("hosts", Json.Int t.hosts);
-                 ("shards", Json.Int t.shards);
-                 ("east_west_rate_per_s", Json.Float t.east_west_rate_per_s);
-                 ( "east_west_stride",
-                   Json.Int t.east_west_stride );
-                 ( "partition",
-                   Json.String
-                     (match t.partition with
-                     | Contiguous -> "contiguous"
-                     | Affinity -> "affinity") );
-               ]
-              @
-              (match t.replica_link_us with
-              | None -> []
-              | Some us -> [ ("replica_link_us", Json.Float us) ])
-              @
-              match t.quantum_us with
-              | None -> []
-              | Some us -> [ ("quantum_us", Json.Float us) ]) );
-        ])
-  @ [ ("leak_audit", Json.Bool w.leak_audit) ]
-
-(* --- Attack -------------------------------------------------------------- *)
-
-let attack_of_json path fields =
-  let d = Scenario.default in
-  {
-    seed = opt fields path "seed" ~default:d.Scenario.seed as_seed;
-    duration =
-      time_of_s (opt fields path "duration_s" ~default:60. as_num);
-    replicas =
-      opt fields path "replicas"
-        ~default:d.Scenario.config.Sw_vmm.Config.replicas as_int;
-    ping_rate_per_s =
-      opt fields path "ping_rate_per_s" ~default:d.Scenario.ping_rate_per_s
-        as_num;
-    variants =
-      List.mapi
-        (fun i v ->
-          let p = Printf.sprintf "%s.variants[%d]" path i in
-          let vf = as_obj p v in
-          {
-            key = req vf p "key" as_str;
-            baseline = opt vf p "baseline" ~default:false as_bool;
-            victim = opt vf p "victim" ~default:false as_bool;
-            colluder = opt vf p "colluder" ~default:false as_bool;
-          })
-        (req fields path "variants" as_arr);
-  }
-
-let attack_to_json (a : attack) =
-  [
-    ("seed", Json.of_int64 a.seed);
-    ("duration_s", Json.Float (Time.to_float_s a.duration));
-    ("replicas", Json.Int a.replicas);
-    ("ping_rate_per_s", Json.Float a.ping_rate_per_s);
-    ( "variants",
-      Json.List
-        (List.map
-           (fun v ->
-             Json.Obj
-               [
-                 ("key", String v.key);
-                 ("baseline", Bool v.baseline);
-                 ("victim", Bool v.victim);
-                 ("colluder", Bool v.colluder);
-               ])
-           a.variants) );
-  ]
-
-(* The shard partition rule, checked before any cloud is built: cells
-   (one replica group + its client hosts) are the partition atoms, and
-   Cloud.create's contiguous machine blocks align with cell boundaries
-   exactly when cells divide evenly into shards. *)
-let check_topology (w : workload) =
-  match w.topology with
-  | None -> Ok ()
-  | Some t ->
-      if not w.stopwatch then
-        Error "topology: requires stopwatch = true (baseline is single-machine)"
-      else if w.attack <> None then
-        Error "topology: attack probes are not supported on a datacenter run"
-      else if t.hosts < w.replicas then
-        Error
-          (Printf.sprintf "topology.hosts: %d hosts cannot place %d replicas"
-             t.hosts w.replicas)
-      else if t.hosts mod w.replicas <> 0 then
-        Error
-          (Printf.sprintf
-             "topology.hosts: %d is not a multiple of replicas (%d)" t.hosts
-             w.replicas)
-      else if t.shards < 1 then Error "topology.shards: must be >= 1"
-      else if t.hosts / w.replicas mod t.shards <> 0 then
-        Error
-          (Printf.sprintf
-             "topology.shards: %d cells (hosts/replicas) do not divide into \
-              %d shards; replica groups would cross shard blocks"
-             (t.hosts / w.replicas) t.shards)
-      else if t.east_west_rate_per_s < 0. then
-        Error "topology.east_west_rate_per_s: must be >= 0"
-      else if t.east_west_stride < 1 then
-        Error "topology.east_west_stride: must be >= 1"
-      else if
-        match t.replica_link_us with Some us -> us <= 0. | None -> false
-      then Error "topology.replica_link_us: must be > 0"
-      else if match t.quantum_us with Some us -> us <= 0. | None -> false
-      then Error "topology.quantum_us: must be > 0"
-      else if t.shards > 1 && w.faults <> [] then
-        Error "topology: fault schedules are not supported on a sharded run"
-      else if t.shards > 1 && w.leak_audit then
-        Error
-          "topology: leak audits (which trace) are not supported on a \
-           sharded run"
-      else Ok ()
-
-(* --- Validation ---------------------------------------------------------- *)
-
-(* Value checks only: no keyspace, cloud or digest is built. A field path
-   is a thunk, and a message is formatted only on failure, so a valid
-   scenario validates without formatting anything. *)
-
-let sub path name () = path () ^ "." ^ name
-let nth path i () = Printf.sprintf "%s[%d]" (path ()) i
-let fail path what got = bad (path ()) (Printf.sprintf "%s (got %s)" what got)
-
-let positive path x =
-  if not (x > 0.) then fail path "must be > 0" (Printf.sprintf "%g" x)
-
-let non_negative path x =
-  if not (x >= 0.) then fail path "must be >= 0" (Printf.sprintf "%g" x)
-
-let within path ~lo ~hi x =
-  if not (x >= lo && x <= hi) then
-    fail path
-      (Printf.sprintf "must lie in [%g, %g]" lo hi)
-      (Printf.sprintf "%g" x)
-
-let at_least n path x =
-  if x < n then fail path (Printf.sprintf "must be >= %d" n) (string_of_int x)
+let real = Printf.sprintf "%g"
+let positive = must (fun x -> x > 0.) "must be > 0" real
+let non_negative = must (fun x -> x >= 0.) "must be >= 0" real
+let unit_interval = must (fun x -> x >= 0. && x <= 1.) "must lie in [0, 1]" real
 
 let positive_span path t = positive path (Time.to_float_s t)
 let non_negative_span path t = non_negative path (Time.to_float_s t)
 
-let replicas path m =
-  if m < 1 || m mod 2 = 0 then
-    fail path "must be odd and positive" (string_of_int m)
+let replicas =
+  must (fun m -> m >= 1 && m mod 2 <> 0) "must be odd and positive" string_of_int
 
-let not_empty path = function [] -> bad (path ()) "must not be empty" | _ -> ()
+let not_empty path = function [] -> bad path "must not be empty" | _ -> ()
 
-let validate_arrival path = function
-  | Arrival.Constant { rate_per_s } | Arrival.Poisson { rate_per_s } ->
-      non_negative (sub path "rate_per_s") rate_per_s
-  | Arrival.Diurnal { base_per_s; amplitude; period } ->
-      non_negative (sub path "base_per_s") base_per_s;
-      within (sub path "amplitude") ~lo:0. ~hi:1. amplitude;
-      positive_span (sub path "period_s") period
-  | Arrival.Flash { base_per_s; peak_per_s; at; ramp; hold } ->
-      non_negative (sub path "base_per_s") base_per_s;
-      if peak_per_s < base_per_s then
-        fail (sub path "peak_per_s") "must be >= base_per_s"
-          (Printf.sprintf "%g" peak_per_s);
-      non_negative_span (sub path "at_s") at;
-      non_negative_span (sub path "ramp_s") ramp;
-      non_negative_span (sub path "hold_s") hold
-  | Arrival.Replay { points } ->
-      ignore
-        (List.fold_left
-           (fun (i, prev) (at, rate) ->
-             let p = nth (sub path "points") i in
-             non_negative_span p at;
-             non_negative p rate;
-             (match prev with
-             | Some t when Time.compare at t <= 0 ->
-                 bad (p ()) "instants must be strictly increasing"
-             | _ -> ());
-             (i + 1, Some at))
-           (0, None) points)
+let count n =
+  let least = must (fun x -> x >= n) (Printf.sprintf "must be >= %d" n) in
+  int |> where (least string_of_int)
+let rate = number |> where non_negative
+let span = seconds |> where non_negative_span
+let duration = seconds |> where positive_span
+let delay = micros |> where non_negative_span
 
-let validate_fault path (w : Sw_fault.Schedule.spec) =
-  non_negative_span (sub path "at_ms") w.Sw_fault.Schedule.at;
-  non_negative_span (sub path "span_ms") w.span;
-  let index name = at_least 0 (sub path name) in
-  match w.fault with
-  | Sw_fault.Fault.Link_loss { p; _ } -> within (sub path "p") ~lo:0. ~hi:1. p
-  | Sw_fault.Fault.Link_latency { extra; _ } ->
-      non_negative_span (sub path "extra_us") extra
-  | Sw_fault.Fault.Machine_stall { machine }
-  | Sw_fault.Fault.Dom0_pause { machine } ->
-      index "machine" machine
-  | Sw_fault.Fault.Machine_slowdown { machine; factor } ->
-      index "machine" machine;
-      if factor < 1. then
-        fail (sub path "factor") "must be >= 1" (Printf.sprintf "%g" factor)
-  | Sw_fault.Fault.Mcast_partition { vm; replica } ->
-      index "vm" vm;
-      index "replica" replica
-  | Sw_fault.Fault.Replica_crash { vm; replica; restart_after } ->
-      index "vm" vm;
-      index "replica" replica;
-      Option.iter (positive_span (sub path "restart_after_ms")) restart_after
+(* --- Arrival ------------------------------------------------------------- *)
 
-let validate_workload path (w : workload) =
-  positive_span (sub path "duration_s") w.duration;
-  replicas (sub path "replicas") w.replicas;
-  validate_arrival (sub path "arrival") w.arrival;
-  let service = sub path "service" in
-  not_empty (sub service "classes") w.classes;
+let increasing path points =
+  let points = Array.of_list points in
+  Array.iteri
+    (fun i (at, rate) ->
+      let p = nth path i in
+      non_negative_span p at;
+      non_negative p rate;
+      if i > 0 && Time.compare at (fst points.(i - 1)) <= 0 then
+        bad p "instants must be strictly increasing")
+    points
+
+let point =
+  value
+    (fun p -> function
+      | Json.List [ at; rate ] -> (seconds.decode p at, number.decode p rate)
+      | _ -> bad p "expected a [seconds, rate_per_s] pair")
+    (fun (at, rate) -> Json.List [ seconds.encode at; number.encode rate ])
+
+let[@warning "-8"] arrival =
+  let open Arrival in
+  let label = function
+    | Constant _ -> "constant" | Poisson _ -> "poisson" | Diurnal _ -> "diurnal"
+    | Flash _ -> "flash" | Replay _ -> "replay"
+  in
+  record Fun.id
+  |> cases "process" ~what:"process" ~label
+       [
+         ( "constant",
+           record (fun rate_per_s -> Constant { rate_per_s })
+           |> mem "rate_per_s" rate (fun (Constant a) -> a.rate_per_s) );
+         ( "poisson",
+           record (fun rate_per_s -> Poisson { rate_per_s })
+           |> mem "rate_per_s" rate (fun (Poisson a) -> a.rate_per_s) );
+         ( "diurnal",
+           record (fun base_per_s amplitude period ->
+               Diurnal { base_per_s; amplitude; period })
+           |> mem "base_per_s" rate (fun (Diurnal a) -> a.base_per_s)
+           |> mem "amplitude" ~default:0.5 (number |> where unit_interval)
+                (fun (Diurnal a) -> a.amplitude)
+           |> mem "period_s" ~default:(Time.s 10) duration (fun (Diurnal a) ->
+                  a.period) );
+         ( "flash",
+           record (fun base_per_s peak_per_s at ramp hold ->
+               Flash { base_per_s; peak_per_s; at; ramp; hold })
+           |> mem "base_per_s" rate (fun (Flash a) -> a.base_per_s)
+           |> mem "peak_per_s" number (fun (Flash a) -> a.peak_per_s)
+           |> rule (fun p (Flash a) ->
+                  must (fun x -> not (x < a.base_per_s)) "must be >= base_per_s"
+                    real (sub p "peak_per_s") a.peak_per_s)
+           |> mem "at_s" span (fun (Flash a) -> a.at)
+           |> mem "ramp_s" ~default:Time.zero span (fun (Flash a) -> a.ramp)
+           |> mem "hold_s" ~default:Time.zero span (fun (Flash a) -> a.hold) );
+         ( "replay",
+           record (fun points -> Replay { points })
+           |> mem "points" (list point |> where increasing) (fun (Replay a) ->
+                  a.points) );
+       ]
+       Fun.id
+  |> seal
+
+(* --- Faults -------------------------------------------------------------- *)
+
+let[@warning "-8"] fault =
+  let open Sw_fault.Schedule in
+  let open Sw_fault.Fault in
+  let target get o =
+    mem "target" ~default:None
+      (enum
+         ~error:(fun _ -> {|expected "ingress", "egress" or null|})
+         [ (Json.Null, None); (Json.String "ingress", Some Ingress);
+           (Json.String "egress", Some Egress) ])
+      get o
+  in
+  let index name get o = mem name (count 0) get o in
+  let factor = must (fun x -> not (x < 1.)) "must be >= 1" real in
+  record (fun at span fault -> { at; span; fault })
+  |> mem "at_ms" (millis |> where non_negative_span) (fun s -> s.at)
+  |> mem "span_ms" ~default:Time.zero (millis |> where non_negative_span)
+       (fun s -> s.span)
+  |> cases "kind" ~what:"fault kind" ~label
+       [
+         ( "link-loss",
+           record (fun target p -> Link_loss { target; p })
+           |> target (fun (Link_loss f) -> f.target)
+           |> mem "p" (number |> where unit_interval) (fun (Link_loss f) -> f.p)
+         );
+         ( "link-latency",
+           record (fun target extra -> Link_latency { target; extra })
+           |> target (fun (Link_latency f) -> f.target)
+           |> mem "extra_us" delay (fun (Link_latency f) -> f.extra) );
+         ( "machine-stall",
+           record (fun machine -> Machine_stall { machine })
+           |> index "machine" (fun (Machine_stall f) -> f.machine) );
+         ( "machine-slowdown",
+           record (fun machine factor -> Machine_slowdown { machine; factor })
+           |> index "machine" (fun (Machine_slowdown f) -> f.machine)
+           |> mem "factor" (number |> where factor) (fun (Machine_slowdown f) ->
+                  f.factor) );
+         ( "dom0-pause",
+           record (fun machine -> Dom0_pause { machine })
+           |> index "machine" (fun (Dom0_pause f) -> f.machine) );
+         ( "mcast-partition",
+           record (fun vm replica -> Mcast_partition { vm; replica })
+           |> index "vm" (fun (Mcast_partition f) -> f.vm)
+           |> index "replica" (fun (Mcast_partition f) -> f.replica) );
+         ( "replica-crash",
+           record (fun vm replica restart_after ->
+               Replica_crash { vm; replica; restart_after })
+           |> index "vm" (fun (Replica_crash f) -> f.vm)
+           |> index "replica" (fun (Replica_crash f) -> f.replica)
+           |> opt "restart_after_ms" (millis |> where positive_span)
+                (fun (Replica_crash f) -> f.restart_after) );
+       ]
+       (fun s -> s.fault)
+  |> seal
+
+(* --- Workload ------------------------------------------------------------ *)
+
+let cls =
+  record (fun name weight resp_bytes cached ->
+      { Flowgen.name; weight; resp_bytes; cached })
+  |> mem "name" string (fun c -> c.Flowgen.name)
+  |> mem "weight" ~default:1. rate (fun c -> c.Flowgen.weight)
+  |> mem "resp_bytes" (count 1) (fun c -> c.Flowgen.resp_bytes)
+  |> mem "cached" ~default:true bool (fun c -> c.Flowgen.cached)
+  |> seal
+
+let weighted path classes =
+  if List.for_all (fun c -> c.Flowgen.weight = 0.) classes then
+    bad path "all weights are zero"
+
+let cache =
+  let tier =
+    record (fun capacity hit_cost -> { Cache.capacity; hit_cost })
+    |> mem "capacity" (count 1) (fun t -> t.Cache.capacity)
+    |> mem "hit_us" delay (fun t -> t.Cache.hit_cost)
+    |> seal
+  in
+  record (fun tiers origin_cost -> { Cache.tiers; origin_cost })
+  |> mem "tiers" (list tier |> where not_empty) (fun c -> c.Cache.tiers)
+  |> mem "origin_us" delay (fun c -> c.Cache.origin_cost)
+  |> seal
+
+let probe =
+  record (fun ping_rate_per_s -> { ping_rate_per_s })
+  |> mem "ping_rate_per_s" ~default:40. (number |> where positive)
+       (fun (a : attack_probe) -> a.ping_rate_per_s)
+  |> seal
+
+let partition =
+  enum
+    ~error:(function
+      | Json.String s ->
+          Printf.sprintf
+            {|unknown partition %S (want "contiguous" or "affinity")|} s
+      | _ -> "expected a string")
+    [ (Json.String "contiguous", Contiguous);
+      (Json.String "affinity", Affinity) ]
+
+(* The topology block's own checks do not quote the rejected value. *)
+let topology =
+  let reject fails what path x = if fails x then bad path what in
+  let at_least_one = int |> where (reject (fun n -> n < 1) "must be >= 1") in
+  let at_least_zero = number |> where (reject (fun x -> x < 0.) "must be >= 0") in
+  let latency = number |> where (reject (fun x -> x <= 0.) "must be > 0") in
+  record
+    (fun hosts shards east_west_rate_per_s east_west_stride partition
+         replica_link_us quantum_us ->
+      { hosts; shards; east_west_rate_per_s; east_west_stride; partition;
+        replica_link_us; quantum_us })
+  |> mem "hosts" int (fun t -> t.hosts)
+  |> mem "shards" ~default:1 at_least_one (fun t -> t.shards)
+  |> mem "east_west_rate_per_s" ~default:0. at_least_zero (fun t ->
+         t.east_west_rate_per_s)
+  |> mem "east_west_stride" ~default:1 at_least_one (fun t -> t.east_west_stride)
+  |> mem "partition" ~default:Contiguous partition (fun t -> t.partition)
+  |> opt "replica_link_us" latency (fun t -> t.replica_link_us)
+  |> opt "quantum_us" latency (fun t -> t.quantum_us)
+  |> seal
+
+(* The shard partition rule, checked before any cloud is built (and after
+   the topology block's own field checks): cells (one replica group + its
+   client hosts) are the partition atoms, and Cloud.create's contiguous
+   machine blocks align with cell boundaries exactly when cells divide
+   evenly into shards. *)
+let partition_rule path (w : workload) =
+  match w.topology with
+  | None -> ()
+  | Some t ->
+      let topo = sub path "topology" in
+      let fail field fmt = Printf.ksprintf (bad (sub topo field)) fmt in
+      if not w.stopwatch then
+        bad topo "requires stopwatch = true (baseline is single-machine)"
+      else if w.attack <> None then
+        bad topo "attack probes are not supported on a datacenter run"
+      else if t.hosts < w.replicas then
+        fail "hosts" "%d hosts cannot place %d replicas" t.hosts w.replicas
+      else if t.hosts mod w.replicas <> 0 then
+        fail "hosts" "%d is not a multiple of replicas (%d)" t.hosts w.replicas
+      else if t.hosts / w.replicas mod t.shards <> 0 then
+        fail "shards"
+          "%d cells (hosts/replicas) do not divide into %d shards; replica \
+           groups would cross shard blocks"
+          (t.hosts / w.replicas) t.shards
+      else if t.shards > 1 && w.faults <> [] then
+        bad topo "fault schedules are not supported on a sharded run"
+      else if t.shards > 1 && w.leak_audit then
+        bad topo "leak audits (which trace) are not supported on a sharded run"
+
+let default_classes =
+  [ { Flowgen.name = "kv"; weight = 1.; resp_bytes = 2048; cached = true } ]
+
+let workload =
+  record
+    (fun seed duration replicas stopwatch arrival classes keys theta
+         request_bytes compute_branches header_bytes cache pool max_per_conn
+         load_multipliers faults attack topology leak_audit ->
+      { seed; duration; replicas; stopwatch; arrival; classes; keys; theta;
+        cache; pool; max_per_conn; request_bytes; compute_branches;
+        header_bytes; faults; attack; topology; load_multipliers; leak_audit })
+  |> mem "seed" ~default:0xA77ACCL seed (fun w -> w.seed)
+  |> mem "duration_s" ~default:(Time.s 10) duration (fun w -> w.duration)
+  |> mem "replicas" ~default:3 (int |> where replicas) (fun w -> w.replicas)
+  |> mem "stopwatch" ~default:true bool (fun w -> w.stopwatch)
+  |> mem "arrival" arrival (fun w -> w.arrival)
+  |> group "service"
+       (fields
+       |> mem "classes" ~default:default_classes
+            (list cls |> where not_empty |> where weighted)
+            (fun w -> w.classes)
+       |> mem "keys" ~default:256 (count 1) (fun w -> w.keys)
+       |> mem "zipf_theta" ~default:1.1 rate (fun w -> w.theta)
+       |> mem "request_bytes" ~default:120 (count 1) (fun w -> w.request_bytes)
+       |> mem "compute_branches" ~default:20_000 (count 0) (fun w ->
+              w.compute_branches)
+       |> mem "header_bytes" ~default:64 (count 0) (fun w -> w.header_bytes))
+  |> mem "cache" ~default:Kv.default_config.Kv.cache cache (fun w -> w.cache)
+  |> group "connections"
+       (fields
+       |> mem "pool" ~default:8 (count 1) (fun w -> w.pool)
+       |> mem "max_per_conn" ~default:64 (count 0) (fun w -> w.max_per_conn))
+  |> mem "load_multipliers" ~default:[ 1. ] (list rate |> where not_empty)
+       (fun w -> w.load_multipliers)
+  |> mem "faults" ~default:[] (list fault) (fun w -> w.faults)
+  |> opt "attack" probe (fun w -> w.attack)
+  |> opt "topology" topology (fun w -> w.topology)
+  |> mem "leak_audit" ~default:false bool (fun w -> w.leak_audit)
+  |> rule partition_rule
+
+(* --- Attack -------------------------------------------------------------- *)
+
+let variant =
+  record (fun key baseline victim colluder -> { key; baseline; victim; colluder })
+  |> mem "key" string (fun v -> v.key)
+  |> mem "baseline" ~default:false bool (fun v -> v.baseline)
+  |> mem "victim" ~default:false bool (fun v -> v.victim)
+  |> mem "colluder" ~default:false bool (fun v -> v.colluder)
+  |> seal
+
+let distinct_keys path variants =
   List.iteri
-    (fun i (c : Flowgen.cls) ->
-      let p = nth (sub service "classes") i in
-      non_negative (sub p "weight") c.Flowgen.weight;
-      at_least 1 (sub p "resp_bytes") c.resp_bytes)
-    w.classes;
-  if List.for_all (fun (c : Flowgen.cls) -> c.Flowgen.weight = 0.) w.classes
-  then bad (sub service "classes" ()) "all weights are zero";
-  at_least 1 (sub service "keys") w.keys;
-  non_negative (sub service "zipf_theta") w.theta;
-  at_least 1 (sub service "request_bytes") w.request_bytes;
-  at_least 0 (sub service "compute_branches") w.compute_branches;
-  at_least 0 (sub service "header_bytes") w.header_bytes;
-  let cache = sub path "cache" in
-  not_empty (sub cache "tiers") w.cache.Cache.tiers;
-  List.iteri
-    (fun i (t : Cache.tier) ->
-      let p = nth (sub cache "tiers") i in
-      at_least 1 (sub p "capacity") t.Cache.capacity;
-      non_negative_span (sub p "hit_us") t.hit_cost)
-    w.cache.Cache.tiers;
-  non_negative_span (sub cache "origin_us") w.cache.Cache.origin_cost;
-  at_least 1 (sub path "connections.pool") w.pool;
-  at_least 0 (sub path "connections.max_per_conn") w.max_per_conn;
-  List.iteri (fun i f -> validate_fault (nth (sub path "faults") i) f) w.faults;
-  Option.iter
-    (fun (a : attack_probe) ->
-      positive (sub path "attack.ping_rate_per_s") a.ping_rate_per_s)
-    w.attack;
-  List.iteri
-    (fun i m -> non_negative (nth (sub path "load_multipliers") i) m)
-    w.load_multipliers;
-  match check_topology w with
-  | Ok () -> ()
-  | Error e -> raise (Bad (path () ^ "." ^ e))
+    (fun i v ->
+      let earlier = List.filteri (fun j _ -> j < i) variants in
+      if List.exists (fun u -> u.key = v.key) earlier then
+        bad (sub (nth path i) "key") (Printf.sprintf "duplicate key %S" v.key))
+    variants
 
-let validate_attack path (a : attack) =
-  positive_span (sub path "duration_s") a.duration;
-  replicas (sub path "replicas") a.replicas;
-  positive (sub path "ping_rate_per_s") a.ping_rate_per_s;
-  not_empty (sub path "variants") a.variants;
-  ignore
-    (List.fold_left
-       (fun (i, seen) v ->
-         if List.mem v.key seen then
-           bad
-             (sub (nth (sub path "variants") i) "key" ())
-             (Printf.sprintf "duplicate key %S" v.key);
-         (i + 1, v.key :: seen))
-       (0, []) a.variants)
-
-let root () = "scenario"
-
-let check_values t =
-  match t.kind with
-  | Workload w -> validate_workload root w
-  | Attack a -> validate_attack root a
-
-let validate t =
-  match check_values t with () -> Ok t | exception Bad msg -> Error msg
+let attack =
+  let d = Scenario.default in
+  record (fun seed duration replicas ping_rate_per_s variants ->
+      { seed; duration; replicas; ping_rate_per_s; variants })
+  |> mem "seed" ~default:d.Scenario.seed seed (fun (a : attack) -> a.seed)
+  |> mem "duration_s" ~default:(Time.s 60) duration (fun (a : attack) ->
+         a.duration)
+  |> mem "replicas" ~default:d.Scenario.config.Sw_vmm.Config.replicas
+       (int |> where replicas) (fun (a : attack) -> a.replicas)
+  |> mem "ping_rate_per_s" ~default:d.Scenario.ping_rate_per_s
+       (number |> where positive) (fun (a : attack) -> a.ping_rate_per_s)
+  |> mem "variants" (list variant |> where not_empty |> where distinct_keys)
+       (fun a -> a.variants)
 
 (* --- Top level ----------------------------------------------------------- *)
 
-let to_json t =
-  let kind, rest =
-    match t.kind with
-    | Workload w -> ("workload", workload_to_json w)
-    | Attack a -> ("attack", attack_to_json a)
-  in
-  Json.Obj
-    ((("name", Json.String t.name) :: ("kind", Json.String kind) :: []) @ rest)
+(* A top-level "comment" string is the one free-form key: read, checked,
+   and never kept or printed. *)
+let[@warning "-8"] scenario =
+  record (fun name kind (_ : string option) -> { name; kind })
+  |> mem "name" string (fun t -> t.name)
+  |> cases "kind" ~what:"kind"
+       ~label:(function Workload _ -> "workload" | Attack _ -> "attack")
+       [ ("workload", lift (fun w -> Workload w) (fun (Workload w) -> w) workload);
+         ("attack", lift (fun a -> Attack a) (fun (Attack a) -> a) attack) ]
+       (fun t -> t.kind)
+  |> opt "comment" string (fun _ -> None)
+  |> seal
 
-(* [to_json] re-emits every field the decoders read, so a key of the input
-   that is absent at the same path of [to_json decoded] is one no decoder
-   read: a typo or a field that does not exist. Paths are thunks, as in
-   validation. *)
-let rec check_known path input known =
-  match (input, known) with
-  | Json.Obj fields, Json.Obj known ->
-      List.iter
-        (fun (k, v) ->
-          match List.assoc_opt k known with
-          | Some kv -> check_known (sub path k) v kv
-          | None -> bad (sub path k ()) "unknown field")
-        fields
-  | Json.List items, Json.List known
-    when List.compare_lengths items known = 0 ->
-      List.iteri
-        (fun i (v, kv) -> check_known (nth path i) v kv)
-        (List.combine items known)
-  | _ -> ()
+let validate t =
+  match scenario.check root t with () -> Ok t | exception Bad msg -> Error msg
 
-let of_json json =
-  match
-    let fields = as_obj "scenario" json in
-    let name = req fields "scenario" "name" as_str in
-    let kind =
-      match req fields "scenario" "kind" as_str with
-      | "workload" -> Workload (workload_of_json "scenario" fields)
-      | "attack" -> Attack (attack_of_json "scenario" fields)
-      | k -> bad "scenario.kind" (Printf.sprintf "unknown kind %S" k)
-    in
-    let t = { name; kind } in
-    check_values t;
-    (* A top-level "comment" string is the one free-form key. *)
-    ignore (opt fields "scenario" "comment" ~default:"" as_str);
-    check_known root (Json.Obj (List.remove_assoc "comment" fields)) (to_json t);
-    t
-  with
-  | t -> Ok t
-  | exception Bad msg -> Error msg
+let parse s =
+  Result.bind (Json.parse s) (fun json ->
+      match scenario.decode root json with
+      | t -> validate t
+      | exception Bad msg -> Error msg)
 
-let parse s = Result.bind (Json.parse s) of_json
-let print t = Json.to_string (to_json t)
+let print t = Json.to_string (scenario.encode t)
 
 let load_file file =
   match In_channel.with_open_bin file In_channel.input_all with
-  | contents -> (
-      match parse contents with
-      | Ok t -> Ok t
-      | Error e -> Error (Printf.sprintf "%s: %s" file e))
+  | contents -> Result.map_error (Printf.sprintf "%s: %s" file) (parse contents)
   | exception Sys_error e -> Error e
 
 (* --- Compilation --------------------------------------------------------- *)
@@ -837,26 +647,16 @@ let shards (w : workload) =
   match w.topology with Some t -> t.shards | None -> 1
 
 let scaled w m =
-  let arrival =
+  let arrival : Arrival.t =
     match w.arrival with
-    | Arrival.Constant { rate_per_s } ->
-        Arrival.Constant { rate_per_s = rate_per_s *. m }
-    | Arrival.Poisson { rate_per_s } ->
-        Arrival.Poisson { rate_per_s = rate_per_s *. m }
-    | Arrival.Diurnal { base_per_s; amplitude; period } ->
-        Arrival.Diurnal { base_per_s = base_per_s *. m; amplitude; period }
-    | Arrival.Flash { base_per_s; peak_per_s; at; ramp; hold } ->
-        Arrival.Flash
-          {
-            base_per_s = base_per_s *. m;
-            peak_per_s = peak_per_s *. m;
-            at;
-            ramp;
-            hold;
-          }
-    | Arrival.Replay { points } ->
-        Arrival.Replay
-          { points = List.map (fun (t, r) -> (t, r *. m)) points }
+    | Constant { rate_per_s } -> Constant { rate_per_s = rate_per_s *. m }
+    | Poisson { rate_per_s } -> Poisson { rate_per_s = rate_per_s *. m }
+    | Diurnal d -> Diurnal { d with base_per_s = d.base_per_s *. m }
+    | Flash f ->
+        let base_per_s = f.base_per_s *. m and peak_per_s = f.peak_per_s *. m in
+        Flash { f with base_per_s; peak_per_s }
+    | Replay { points } ->
+        Replay { points = List.map (fun (t, r) -> (t, r *. m)) points }
   in
   { w with arrival }
 

@@ -16,13 +16,18 @@
       proving the hand-coded figure benches are representable as data
       ([examples/fig4.scn] reproduces [bench/fig4.ml] byte-identically).
 
-    Omitted fields take documented defaults, so minimal files stay small;
-    {!to_json} always re-emits every field, and [parse -> print -> parse]
-    is the identity (the round-trip property the tests pin). A key the
-    decoder does not know is an error, never silently ignored
-    (["scenario.variants[0].vicitm: unknown field"]): a misspelt
-    ["victim"] would otherwise run the no-victim configuration. The one
-    free-form key is a top-level ["comment"] string. *)
+    Each field is declared once, inside the implementation, with its JSON
+    name, default, value codec and value check; the decoder, the printer,
+    the value checks and the unknown-key check all follow from that one
+    declaration. Omitted fields take their defaults, so minimal files stay
+    small; {!print} always re-emits every field, and
+    [parse -> print -> parse] is the identity (the round-trip property the
+    tests pin). A key the decoder does not know is an error, never
+    silently ignored (["scenario.variants[0].vicitm: unknown field"]): a
+    misspelt ["victim"] would otherwise run the no-victim configuration.
+    The one free-form key is a top-level ["comment"] string. {!override}
+    runs the same value checks over a typed scenario, without building
+    any JSON. *)
 
 type attack_variant = {
   key : string;  (** Runner job key, e.g. ["fig4/sw/victim"]. *)
@@ -109,18 +114,17 @@ type workload = {
 type kind = Attack of attack | Workload of workload
 type t = { name : string; kind : kind }
 
-(** Re-emits every field explicitly (defaults included). *)
-val to_json : t -> Sw_obs.Json.t
-
-(** [parse s] = JSON parse (line/column errors), structured decode, the
-    value checks of {!override} and the unknown-key check, each failure
-    with field-path context
+(** [parse s] = JSON parse (line/column errors), then one decode that
+    rejects unknown keys, then the value checks of {!override}; each
+    failure has field-path context
     (e.g. ["scenario.arrival.process: unknown process \"diurnl\""],
     ["scenario.replicas: must be odd and positive (got 2)"],
     ["scenario.leak_adit: unknown field"]). *)
 val parse : string -> (t, string) result
 
-(** [print t] = [Sw_obs.Json.to_string (to_json t)]. *)
+(** The compact JSON form of [t], every field explicit (defaults
+    included), in declaration order; optional blocks that are [None] are
+    left out. *)
 val print : t -> string
 
 (** Reads and parses a file; errors are prefixed with the path. *)

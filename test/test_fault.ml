@@ -70,6 +70,18 @@ let test_sorted_stable () =
     "install order independent of build order" true
     (Schedule.sorted specs = Schedule.sorted shuffled)
 
+(* Rendered targets order the schedule and name the fault events, so their
+   bytes stay fixed whatever type carries the target. *)
+let test_target_strings () =
+  Alcotest.(check (list string))
+    "link targets" [ "net:ingress"; "net:egress"; "net" ]
+    (List.map Fault.target_string
+       [
+         Fault.ingress_drop ~p:0.1;
+         Fault.egress_drop ~p:0.1;
+         Fault.Link_latency { target = None; extra = Time.us 5 };
+       ])
+
 (* --- Deterministic runs under faults --------------------------------------- *)
 
 let chaos_spec ~victim =
@@ -312,6 +324,7 @@ let () =
             test_windows_seed_sensitivity;
           Alcotest.test_case "sorted is build-order independent" `Quick
             test_sorted_stable;
+          Alcotest.test_case "target strings" `Quick test_target_strings;
         ] );
       ( "determinism",
         [

@@ -177,13 +177,12 @@ let test_cache_eviction () =
 (* --- DSL ------------------------------------------------------------------ *)
 
 (* dune runtest runs in _build/default/test; dune exec from the repo root. *)
-let scn file =
-  let candidates =
-    [ Filename.concat "../examples" file; Filename.concat "examples" file ]
-  in
-  match List.find_opt Sys.file_exists candidates with
+let in_repo path =
+  match List.find_opt Sys.file_exists [ "../" ^ path; path ] with
   | Some p -> p
-  | None -> Filename.concat "../examples" file
+  | None -> "../" ^ path
+
+let scn file = in_repo ("examples/" ^ file)
 
 let load file =
   match Dsl.load_file (scn file) with
@@ -324,6 +323,9 @@ let test_error_positions () =
     (attack {|"colluder_burst": 30,|});
   expect_error ~substring:"scenario.comment: expected a string"
     (workload {|"comment": 1,|});
+  (* An empty sweep is refused rather than silently run at x1. *)
+  expect_error ~substring:"scenario.load_multipliers: must not be empty"
+    (workload {|"load_multipliers": [],|});
   (match Dsl.parse (workload {|"comment": "free-form",|}) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "a top-level comment was rejected: %s" e);
@@ -335,6 +337,165 @@ let test_error_positions () =
           if not (String.starts_with ~prefix:"scenario.duration_s" e) then
             Alcotest.failf "%s: %S does not name the field" file e)
     [ ("fig4.scn", 0.); ("diurnal.scn", -1.); ("kv_skew.scn", 0.) ]
+
+(* The printed form of a scenario is its soak image identity and its
+   warm-cache key, so a reordered or reformatted field would orphan every
+   existing checkpoint directory. These digests pin the printed bytes of
+   every shipped scenario, and every shipped scenario must have one. *)
+let test_printed_bytes_pinned () =
+  let pinned =
+    [
+      ("examples/datacenter.scn", "e8c39c54e2657adddff4ad74e5435e4c");
+      ("examples/diurnal.scn", "69fdd2996abaea9fb941092f1d018c96");
+      ("examples/fig4.scn", "2edaa0fab0808c4975c49795d6c8ae19");
+      ("examples/flash_crowd.scn", "b57b393e2735a4ae25430eb1bed47f40");
+      ("examples/kv_skew.scn", "3398eda046b4a4f28cbda131ba974aca");
+      ("examples/trace_replay.scn", "69102253f4b853a9b455aa13e9c34584");
+      ("perfbench/scn/fig4_leak.scn", "20b41a1ea78b94b344ff9b62d5f0e8b7");
+      ("perfbench/scn/fleet_resume.scn", "6763c2931e21b23de1179e74ba010333");
+      ("perfbench/scn/kv_base.scn", "31b33de74935ed6b92f3e92d5a839683");
+    ]
+  in
+  let shipped =
+    List.concat_map
+      (fun dir ->
+        Sys.readdir (in_repo dir)
+        |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".scn")
+        |> List.map (fun f -> dir ^ "/" ^ f))
+      [ "examples"; "perfbench/scn" ]
+  in
+  Alcotest.(check (list string))
+    "every shipped scenario is pinned" (List.map fst pinned)
+    (List.sort compare shipped);
+  List.iter
+    (fun (path, digest) ->
+      match Dsl.load_file (in_repo path) with
+      | Error e -> Alcotest.failf "%s failed to load: %s" path e
+      | Ok t ->
+          Alcotest.(check string)
+            (path ^ " printed bytes") digest
+            (Digest.to_hex (Digest.string (Dsl.print t))))
+    pinned
+
+(* Scenarios of both kinds, with and without topology, faults and attack
+   probe, and with a field out of range now and then. Spans are whole
+   milliseconds or microseconds, so printing and re-reading them is exact. *)
+let gen_scenario =
+  let open QCheck.Gen in
+  let sometimes bad good = frequency [ (40, good); (1, bad) ] in
+  let some gen = list_size (sometimes (return 0) (int_range 1 3)) gen in
+  let span unit = sometimes (int_range (-50) (-1)) (int_range 0 5000) >|= unit in
+  let ms = span Time.ms and us = span Time.us in
+  let rate = sometimes (float_range (-5.) (-0.1)) (float_range 0. 500.) in
+  let share = sometimes (float_range 1.01 2.) (float_range 0. 1.) in
+  let count lo = sometimes (int_range (lo - 3) (lo - 1)) (int_range lo 5000) in
+  let replicas = sometimes (oneofl [ -1; 0; 2; 4 ]) (oneofl [ 1; 3; 5 ]) in
+  let arrival st =
+    match int_bound 4 st with
+    | 0 -> Arrival.Constant { rate_per_s = rate st }
+    | 1 -> Arrival.Poisson { rate_per_s = rate st }
+    | 2 ->
+        Arrival.Diurnal
+          { base_per_s = rate st; amplitude = share st; period = ms st }
+    | 3 ->
+        let base_per_s = rate st in
+        let above = sometimes (float_range (-9.) (-1.)) rate st in
+        Arrival.Flash
+          { base_per_s; peak_per_s = base_per_s +. above; at = ms st;
+            ramp = ms st; hold = ms st }
+    | _ ->
+        let point = pair (int_range 0 60 >|= Time.ms) rate in
+        Arrival.Replay
+          { points = List.sort_uniq compare (list_size (int_range 0 4) point st) }
+  in
+  let fault st =
+    let module F = Sw_fault.Fault in
+    let index = count 0 st in
+    let target = oneofl [ None; Some F.Ingress; Some F.Egress ] st in
+    let fault =
+      match int_bound 6 st with
+      | 0 -> F.Link_loss { target; p = share st }
+      | 1 -> F.Link_latency { target; extra = us st }
+      | 2 -> F.Machine_stall { machine = index }
+      | 3 ->
+          let factor = 1. +. sometimes (float_range (-0.5) (-0.1)) rate st in
+          F.Machine_slowdown { machine = index; factor }
+      | 4 -> F.Dom0_pause { machine = index }
+      | 5 -> F.Mcast_partition { vm = index; replica = count 0 st }
+      | _ ->
+          F.Replica_crash
+            { vm = index; replica = count 0 st; restart_after = opt ms st }
+    in
+    { Sw_fault.Schedule.at = ms st; span = ms st; fault }
+  in
+  let cls st =
+    { Sw_workload.Flowgen.name = oneofl [ "get"; "put"; "a\"b" ] st;
+      weight = rate st; resp_bytes = count 1 st; cached = bool st }
+  in
+  let tier st = { Cache.capacity = count 1 st; hit_cost = us st } in
+  let topology replicas st =
+    let cells = int_range 1 8 st in
+    let spare = sometimes (int_range 2 3) (return 1) st in
+    { Dsl.hosts = cells * max replicas 1 * spare;
+      shards = sometimes (int_range (-1) 3) (int_range 1 cells) st;
+      east_west_rate_per_s = rate st; east_west_stride = count 1 st;
+      partition = oneofl [ Dsl.Contiguous; Dsl.Affinity ] st;
+      replica_link_us = opt rate st; quantum_us = opt rate st }
+  in
+  let workload st =
+    let replicas = replicas st in
+    let topology = opt (topology replicas) st in
+    (* Mostly within the partition rule: a StopWatch run with no probe,
+       faults or leak audit beside a topology block. *)
+    let free = Option.is_none topology || int_bound 3 st = 0 in
+    let probe = rate >|= fun r -> { Dsl.ping_rate_per_s = r } in
+    { Dsl.seed = ui64 st; duration = ms st; replicas;
+      stopwatch = (not free) || bool st; arrival = arrival st;
+      classes = some cls st; keys = count 1 st; theta = rate st;
+      cache = { Cache.tiers = some tier st; origin_cost = us st };
+      pool = count 1 st; max_per_conn = count 0 st; request_bytes = count 1 st;
+      compute_branches = count 0 st; header_bytes = count 0 st;
+      faults = (if free then list_size (int_range 0 3) fault st else []);
+      attack = (if free then opt probe st else None);
+      topology; load_multipliers = some rate st;
+      leak_audit = free && bool st }
+  in
+  let attack st =
+    let variant st =
+      { Dsl.key = oneofl [ "a"; "b"; "c"; "d" ] st; baseline = bool st;
+        victim = bool st; colluder = bool st }
+    in
+    { Dsl.seed = ui64 st; duration = ms st; replicas = replicas st;
+      ping_rate_per_s = rate st; variants = some variant st }
+  in
+  fun st ->
+    let kind =
+      if bool st then Dsl.Workload (workload st) else Dsl.Attack (attack st)
+    in
+    { Dsl.name = oneofl [ "s"; "fig \"4\"" ] st; kind }
+
+(* One declaration validates both entry points: [override] on a typed
+   scenario and [parse] on its printed form accept and reject the same
+   values with the same message, and an accepted one survives the trip. *)
+let prop_one_declaration =
+  QCheck.Test.make ~count:400
+    ~name:"override t agrees with parse (print t)"
+    (QCheck.make ~print:Dsl.print gen_scenario)
+    (fun t ->
+      match (Dsl.override t, Dsl.parse (Dsl.print t)) with
+      | Ok _, Ok t' -> t' = t
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* The generator reaches both outcomes, so the property checks each. *)
+let test_generator_reaches_both () =
+  let st = Random.State.make [| 22 |] in
+  let outcomes =
+    List.init 300 (fun _ -> Result.is_ok (Dsl.override (gen_scenario st)))
+  in
+  Alcotest.(check bool) "some accepted" true (List.mem true outcomes);
+  Alcotest.(check bool) "some rejected" true (List.mem false outcomes)
 
 let test_fig4_scn_matches_bench () =
   (* The DSL-compiled fig4 family must be structurally identical to the
@@ -603,6 +764,11 @@ let () =
           Alcotest.test_case "parse -> print -> parse" `Quick test_roundtrip;
           Alcotest.test_case "error positions and paths" `Quick
             test_error_positions;
+          Alcotest.test_case "printed bytes pinned" `Quick
+            test_printed_bytes_pinned;
+          QCheck_alcotest.to_alcotest prop_one_declaration;
+          Alcotest.test_case "generator reaches both outcomes" `Quick
+            test_generator_reaches_both;
           Alcotest.test_case "fig4.scn = bench specs" `Quick
             test_fig4_scn_matches_bench;
           Alcotest.test_case "load-multiplier expansion" `Quick
