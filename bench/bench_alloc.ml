@@ -1,7 +1,9 @@
-(* Allocation guard: minor-heap words allocated per fired event on the two
-   StopWatch paths the VM exit dominates — the kv_skew workload (first load
-   multiplier, unsharded, 1 s) and the victim variant of the fig4 attack
-   under StopWatch (0.5 s).
+(* Allocation guard: minor-heap words allocated per fired event on three
+   StopWatch paths — the kv_skew workload (first load multiplier,
+   unsharded, 1 s), the victim variant of the fig4 attack under StopWatch
+   (0.5 s), both dominated by the VM exit, and a four-cell cut of the
+   datacenter scenario (unsharded, 0.5 s), whose packets take the
+   replicated path: multicast ingress, proposal exchange, egress vote.
 
    Unlike wall-clock throughput, words per event are a deterministic
    function of the binary and its inputs, so the guard can sit close to
@@ -18,19 +20,21 @@ module Scenario = Sw_attack.Scenario
 module Report = Sw_runner.Report
 
 (* Minor words per fired event recorded with OCaml 5.1.1 on x86-64. *)
-let kv_skew_ceiling = 14.4
-let fig4_victim_ceiling = 32.0
+let kv_skew_ceiling = 10.4
+let fig4_victim_ceiling = 25.6
+let datacenter_ceiling = 19.3
 let slack = 1.10
 
-let kv_skew () =
-  let w =
-    match Scenarios.load ~seconds:1. "kv_skew.scn" with
-    | { Dsl.name; kind = Dsl.Workload w } -> (
-        match Dsl.workload_variants ~name w with
-        | (_, w) :: _ -> w
-        | [] -> failwith "kv_skew.scn: no load multiplier")
-    | _ -> failwith "kv_skew.scn: expected kind = \"workload\""
-  in
+(* The first load-multiplier variant of a workload scenario. *)
+let first_variant file ~seconds =
+  match Scenarios.load ~seconds file with
+  | { Dsl.name; kind = Dsl.Workload w } -> (
+      match Dsl.workload_variants ~name w with
+      | (_, w) :: _ -> w
+      | [] -> failwith (file ^ ": no load multiplier"))
+  | _ -> failwith (file ^ ": expected kind = \"workload\"")
+
+let workload_words w =
   let h = Run.prepare w in
   let engine = Cloud.engine h.Run.cloud in
   let fired0 = Sw_sim.Engine.fired engine in
@@ -38,6 +42,23 @@ let kv_skew () =
   Cloud.run h.Run.cloud ~until:h.Run.until;
   let words = Gc.minor_words () -. words0 in
   (words, Sw_sim.Engine.fired engine - fired0)
+
+let kv_skew () = workload_words (first_variant "kv_skew.scn" ~seconds:1.)
+
+(* datacenter.scn cut to four cells (12 hosts, east-west stride 1), one
+   shard: every request and east-west flow crosses the multicast ingress,
+   the replicas' proposal exchange and the egress vote. *)
+let datacenter () =
+  let w = first_variant "datacenter.scn" ~seconds:0.5 in
+  match w.Dsl.topology with
+  | None -> failwith "datacenter.scn: expected a topology"
+  | Some topo ->
+      workload_words
+        {
+          w with
+          Dsl.topology =
+            Some { topo with Dsl.hosts = 12; shards = 1; east_west_stride = 1 };
+        }
 
 let fig4_victim () =
   let spec =
@@ -72,6 +93,7 @@ let run ?pool:_ () =
       [
         ("kv_skew", kv_skew, kv_skew_ceiling);
         ("fig4_victim", fig4_victim, fig4_victim_ceiling);
+        ("datacenter", datacenter, datacenter_ceiling);
       ]
   in
   if failed <> [] then begin

@@ -1,6 +1,7 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
 module Conductor = Sw_sim.Conductor
+module Int_tbl = Sw_sim.Int_tbl
 module Address = Sw_net.Address
 
 type deployment = {
@@ -28,8 +29,8 @@ type t = {
   vmms : Sw_vmm.Vmm.t array;
   background_rng : Sw_sim.Prng.t option;
       (* one shard: the engine's split taken after the machines' *)
-  vm_shard : (int, int) Hashtbl.t;
-  host_shard : (int, int) Hashtbl.t;
+  vm_shard : int Int_tbl.t;
+  host_shard : int Int_tbl.t;
   mutable conductor : Conductor.t option;  (* built lazily at first run *)
   mutable next_vm : int;
   mutable next_host : int;
@@ -60,9 +61,9 @@ let contiguous_partition ~machines ~shards =
 let locate t self = function
   | Address.Vmm m -> t.block.(m)
   | Address.Vm v -> (
-      match Hashtbl.find t.vm_shard v with sh -> sh | exception Not_found -> self)
+      match Int_tbl.find t.vm_shard v with sh -> sh | exception Not_found -> self)
   | Address.Host h -> (
-      match Hashtbl.find t.host_shard h with sh -> sh | exception Not_found -> self)
+      match Int_tbl.find t.host_shard h with sh -> sh | exception Not_found -> self)
   | Address.Ingress | Address.Egress | Address.Broadcast_addr -> self
 
 (* An explicit machine-to-shard assignment (the affinity partitioner's
@@ -167,8 +168,8 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
       machines = machine_arr;
       vmms;
       background_rng = (if single then Some (Engine.rng engines.(0)) else None);
-      vm_shard = Hashtbl.create 16;
-      host_shard = Hashtbl.create 16;
+      vm_shard = Int_tbl.create 16;
+      host_shard = Int_tbl.create 16;
       conductor = None;
       next_vm = 0;
       next_host = 0;
@@ -284,7 +285,7 @@ let deploy ?config t ~on ~app =
   let shard = deployment_shard t ~on in
   let sh = t.shards.(shard) in
   let vm = fresh_vm_id t in
-  Hashtbl.replace t.vm_shard vm shard;
+  Int_tbl.replace t.vm_shard vm shard;
   let group =
     Sw_vmm.Replica_group.create ~metrics:(Engine.metrics sh.sh_engine) ~vm
       ~config ~mode:Sw_vmm.Replica_group.Stopwatch ()
@@ -355,7 +356,7 @@ let deploy_baseline ?config t ~on ~app =
   let shard = t.block.(on) in
   let sh = t.shards.(shard) in
   let vm = fresh_vm_id t in
-  Hashtbl.replace t.vm_shard vm shard;
+  Int_tbl.replace t.vm_shard vm shard;
   let group =
     Sw_vmm.Replica_group.create ~metrics:(Engine.metrics sh.sh_engine) ~vm
       ~config ~mode:Sw_vmm.Replica_group.Baseline ()
@@ -397,7 +398,7 @@ let add_host t ?(link = Sw_net.Network.wan) ?(shard = 0) () =
     invalid_arg "Cloud.add_host: shard out of range";
   let id = t.next_host in
   t.next_host <- id + 1;
-  Hashtbl.replace t.host_shard id shard;
+  Int_tbl.replace t.host_shard id shard;
   let host = Host.create t.shards.(shard).sh_network ~id ~link () in
   (* Every shard must see the host's access-link override: cross-shard
      sends compute the arrival on the *sender's* network, and a remote

@@ -30,6 +30,7 @@ type t = {
   m_busy_ns : Registry.Counter.t;
   m_service : Registry.Histogram.t;
   p_complete : Sw_obs.Profile.timer;
+  k_complete : Engine.kind option;  (* boxed once, not per request *)
 }
 
 let create engine ?(params = default_params) ?(path = "disk") () =
@@ -45,6 +46,7 @@ let create engine ?(params = default_params) ?(path = "disk") () =
     m_busy_ns = Registry.counter metrics (path ^ ".busy_ns");
     m_service = Registry.histogram metrics (path ^ ".service_ns");
     p_complete = Sw_obs.Profile.timer (Engine.profile engine) "disk.complete";
+    k_complete = Some (Engine.kind engine "disk.complete");
   }
 
 let vm_counter t vm =
@@ -89,7 +91,7 @@ let submit t ~vm ~kind:_ ~bytes ~sequential k =
   Registry.Histogram.observe t.m_service service;
   let vm_completed = vm_counter t vm in
   ignore
-    (Engine.schedule_at ~kind:"disk.complete" t.engine finish (fun () ->
+    (Engine.schedule_at ?kind:t.k_complete t.engine finish (fun () ->
          Registry.Counter.incr t.m_completed;
          Registry.Counter.incr vm_completed;
          Sw_obs.Profile.time (Engine.profile t.engine) t.p_complete k))

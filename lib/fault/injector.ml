@@ -24,6 +24,8 @@ type t = {
   partitions : (int * int, int ref) Hashtbl.t;
   m_injected : Registry.Counter.t;
   m_skipped : Registry.Counter.t;
+  k_close : Engine.kind;
+  k_restart : Engine.kind;
 }
 
 let trace_on t = Sw_obs.Trace.active t.trace
@@ -78,7 +80,7 @@ let open_link t key dist ~span fault =
   apply_link t key;
   emit_injected t fault ~span;
   ignore
-    (Engine.schedule_after ~kind:"fault.close" t.env.engine span (fun () ->
+    (Engine.schedule_after ~kind:t.k_close t.env.engine span (fun () ->
          l := List.filter (fun d -> d != dist) !l;
          apply_link t key;
          emit_cleared t fault))
@@ -123,7 +125,7 @@ let open_window t (spec : Schedule.spec) =
               Sw_net.Multicast.set_partitioned ep true;
               emit_injected t spec.Schedule.fault ~span;
               ignore
-                (Engine.schedule_after ~kind:"fault.close" t.env.engine span
+                (Engine.schedule_after ~kind:t.k_close t.env.engine span
                    (fun () ->
                      decr count;
                      if !count = 0 then Sw_net.Multicast.set_partitioned ep false;
@@ -137,7 +139,7 @@ let open_window t (spec : Schedule.spec) =
           Sw_vmm.Machine.stall mach ~until;
           emit_injected t spec.Schedule.fault ~span;
           ignore
-            (Engine.schedule_after ~kind:"fault.close" t.env.engine span
+            (Engine.schedule_after ~kind:t.k_close t.env.engine span
                (fun () -> emit_cleared t spec.Schedule.fault))
       | None -> skip t)
   | Fault.Machine_slowdown { machine; factor } -> (
@@ -148,7 +150,7 @@ let open_window t (spec : Schedule.spec) =
           apply_slowdown t mach machine;
           emit_injected t spec.Schedule.fault ~span;
           ignore
-            (Engine.schedule_after ~kind:"fault.close" t.env.engine span
+            (Engine.schedule_after ~kind:t.k_close t.env.engine span
                (fun () ->
                  (l :=
                     match !l with
@@ -174,7 +176,7 @@ let open_window t (spec : Schedule.spec) =
           Sw_vmm.Machine.pause_dom0 mach ~until;
           emit_injected t spec.Schedule.fault ~span;
           ignore
-            (Engine.schedule_after ~kind:"fault.close" t.env.engine span
+            (Engine.schedule_after ~kind:t.k_close t.env.engine span
                (fun () -> emit_cleared t spec.Schedule.fault))
       | None -> skip t)
   | Fault.Replica_crash { vm; replica; restart_after } -> (
@@ -185,7 +187,7 @@ let open_window t (spec : Schedule.spec) =
           Option.iter
             (fun delay ->
               ignore
-                (Engine.schedule_after ~kind:"fault.restart" t.env.engine delay
+                (Engine.schedule_after ~kind:t.k_restart t.env.engine delay
                    (fun () -> t.env.restart ~vm ~replica)))
             restart_after
       | None -> skip t)
@@ -202,12 +204,15 @@ let install ?trace env schedule =
       partitions = Hashtbl.create 4;
       m_injected = Registry.counter metrics "fault.injected";
       m_skipped = Registry.counter metrics "fault.skipped";
+      k_close = Engine.kind env.engine "fault.close";
+      k_restart = Engine.kind env.engine "fault.restart";
     }
   in
+  let kind = Engine.kind env.engine "fault.open" in
   List.iter
     (fun (spec : Schedule.spec) ->
       ignore
-        (Engine.schedule_at ~kind:"fault.open" env.engine spec.Schedule.at
+        (Engine.schedule_at ~kind env.engine spec.Schedule.at
            (fun () -> open_window t spec)))
     (Schedule.sorted schedule);
   t

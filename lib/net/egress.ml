@@ -1,14 +1,17 @@
+module Int_tbl = Sw_sim.Int_tbl
+
 type vm_entry = {
   mutable replicas : int;
   (* Copies received so far and the first copy, keyed by the guest's
      deterministic packet sequence number. *)
-  pending : (int, int * Packet.t) Hashtbl.t;
+  pending : (int * Packet.t) Int_tbl.t;
 }
 
 type t = {
   network : Network.t;
-  vms : (int, vm_entry) Hashtbl.t;
+  vms : vm_entry Int_tbl.t;
   vote_expiry : Sw_sim.Time.t option;
+  k_expire : Sw_sim.Engine.kind option;  (* boxed once, not per vote *)
   m_forwarded : Sw_obs.Registry.Counter.t;
   m_dropped : Sw_obs.Registry.Counter.t;
   m_mismatches : Sw_obs.Registry.Counter.t;
@@ -28,37 +31,37 @@ let schedule_expiry t entry key =
   | Some span ->
       let engine = Network.engine t.network in
       ignore
-        (Sw_sim.Engine.schedule_after ~kind:"egress.expire" engine span
+        (Sw_sim.Engine.schedule_after ?kind:t.k_expire engine span
            (fun () ->
-             if Hashtbl.mem entry.pending key then begin
-               Hashtbl.remove entry.pending key;
+             if Int_tbl.mem entry.pending key then begin
+               Int_tbl.remove entry.pending key;
                Sw_obs.Registry.Counter.incr t.m_expired
              end))
 
 let handle t (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Packet.Egress_tunnel { vm; inner; _ } -> (
-      match Hashtbl.find_opt t.vms vm with
-      | None -> Sw_obs.Registry.Counter.incr t.m_dropped
-      | Some entry ->
+      match Int_tbl.find t.vms vm with
+      | exception Not_found -> Sw_obs.Registry.Counter.incr t.m_dropped
+      | entry ->
           let key = inner.Packet.seq in
           let seen, first =
-            match Hashtbl.find_opt entry.pending key with
-            | Some (n, first) -> (n, first)
-            | None -> (0, inner)
+            match Int_tbl.find entry.pending key with
+            | n, first -> (n, first)
+            | exception Not_found -> (0, inner)
           in
           (* Output vote: replicas are deterministic, so all copies of one
              sequence number must be structurally identical. Payloads are
              immutable, function-free data, so [=] compares them whole. *)
           if
-            inner.Packet.dst <> first.Packet.dst
+            (not (Address.equal inner.Packet.dst first.Packet.dst))
             || inner.Packet.size <> first.Packet.size
             || inner.Packet.payload <> first.Packet.payload
           then Sw_obs.Registry.Counter.incr t.m_mismatches;
           let seen = seen + 1 in
           let release_rank = (entry.replicas + 1) / 2 in
-          if seen >= entry.replicas then Hashtbl.remove entry.pending key
-          else Hashtbl.replace entry.pending key (seen, first);
+          if seen >= entry.replicas then Int_tbl.remove entry.pending key
+          else Int_tbl.replace entry.pending key (seen, first);
           if seen = 1 && seen < entry.replicas then
             schedule_expiry t entry key;
           if seen = release_rank then begin
@@ -77,8 +80,9 @@ let create ?vote_expiry network =
   let t =
     {
       network;
-      vms = Hashtbl.create 16;
+      vms = Int_tbl.create 16;
       vote_expiry;
+      k_expire = Some (Sw_sim.Engine.kind (Network.engine network) "egress.expire");
       m_forwarded = Sw_obs.Registry.counter metrics "net.egress.forwarded";
       m_dropped = Sw_obs.Registry.counter metrics "net.egress.dropped";
       m_mismatches = Sw_obs.Registry.counter metrics "net.egress.mismatches";
@@ -97,7 +101,7 @@ let check_replicas ~fn replicas =
 
 let register_vm t ~vm ~replicas =
   check_replicas ~fn:"Egress.register_vm" replicas;
-  Hashtbl.replace t.vms vm { replicas; pending = Hashtbl.create 64 }
+  Int_tbl.replace t.vms vm { replicas; pending = Int_tbl.create 64 }
 
 (* Degradation support: when the replica group ejects members, the egress
    must vote over the new quorum size or it would wait forever for copies
@@ -106,16 +110,16 @@ let register_vm t ~vm ~replicas =
    sweep. *)
 let set_replicas t ~vm ~replicas =
   check_replicas ~fn:"Egress.set_replicas" replicas;
-  match Hashtbl.find_opt t.vms vm with
+  match Int_tbl.find_opt t.vms vm with
   | None -> invalid_arg "Egress.set_replicas: unknown vm"
   | Some entry -> entry.replicas <- replicas
 
 let pending_votes t ~vm =
-  match Hashtbl.find_opt t.vms vm with
+  match Int_tbl.find_opt t.vms vm with
   | None -> 0
-  | Some entry -> Hashtbl.length entry.pending
+  | Some entry -> Int_tbl.length entry.pending
 
-let unregister_vm t ~vm = Hashtbl.remove t.vms vm
+let unregister_vm t ~vm = Int_tbl.remove t.vms vm
 let forwarded t = Sw_obs.Registry.Counter.value t.m_forwarded
 let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
 let mismatches t = Sw_obs.Registry.Counter.value t.m_mismatches

@@ -1,3 +1,5 @@
+module Int_tbl = Sw_sim.Int_tbl
+
 type vm_entry = {
   mutable replica_vmms : Address.t list;
   mutable next_ingress_seq : int;
@@ -6,8 +8,8 @@ type vm_entry = {
 
 type t = {
   network : Network.t;
-  vms : (int, vm_entry) Hashtbl.t;
-  mcast_routes : (int, Multicast.endpoint) Hashtbl.t;
+  vms : vm_entry Int_tbl.t;
+  mcast_routes : Multicast.endpoint Int_tbl.t;  (** By group id. *)
   m_dropped : Sw_obs.Registry.Counter.t;
   m_replicated : Sw_obs.Registry.Counter.t;
   mutable trace : Sw_obs.Trace.t option;
@@ -19,17 +21,17 @@ let handle t (pkt : Packet.t) =
        ingress ignores at delivery) route to the per-VM endpoint. *)
     match Multicast.group_of_packet pkt with
     | Some gid -> (
-        match Hashtbl.find_opt t.mcast_routes gid with
-        | Some ep -> Multicast.handle ep pkt
-        | None -> Sw_obs.Registry.Counter.incr t.m_dropped)
+        match Int_tbl.find t.mcast_routes gid with
+        | ep -> Multicast.handle ep pkt
+        | exception Not_found -> Sw_obs.Registry.Counter.incr t.m_dropped)
     | None -> Sw_obs.Registry.Counter.incr t.m_dropped
   end
   else
     match pkt.Packet.dst with
     | Address.Vm vm -> (
-        match Hashtbl.find_opt t.vms vm with
-        | None -> Sw_obs.Registry.Counter.incr t.m_dropped
-        | Some entry -> (
+        match Int_tbl.find t.vms vm with
+        | exception Not_found -> Sw_obs.Registry.Counter.incr t.m_dropped
+        | entry -> (
             let ingress_seq = entry.next_ingress_seq in
             entry.next_ingress_seq <- ingress_seq + 1;
             Sw_obs.Registry.Counter.incr t.m_replicated;
@@ -64,8 +66,8 @@ let create network =
   let t =
     {
       network;
-      vms = Hashtbl.create 16;
-      mcast_routes = Hashtbl.create 16;
+      vms = Int_tbl.create 16;
+      mcast_routes = Int_tbl.create 16;
       m_dropped = Sw_obs.Registry.counter metrics "net.ingress.dropped";
       m_replicated = Sw_obs.Registry.counter metrics "net.ingress.replicated";
       trace = None;
@@ -84,11 +86,11 @@ let register_vm ?channel t ~vm ~replica_vmms =
         (* The ingress delivers nothing itself: VMM coordination traffic on
            the shared group is irrelevant to it. *)
         let ep = Multicast.endpoint g ~self:Address.Ingress ~deliver:(fun _ -> ()) () in
-        Hashtbl.replace t.mcast_routes (Multicast.group_id g) ep;
+        Int_tbl.replace t.mcast_routes (Multicast.group_id g) ep;
         ep)
       channel
   in
-  Hashtbl.replace t.vms vm
+  Int_tbl.replace t.vms vm
     { replica_vmms; next_ingress_seq = 0; channel = endpoint };
   Network.set_route t.network ~dst:(Address.Vm vm) ~via:Address.Ingress
 
@@ -97,16 +99,16 @@ let register_vm ?channel t ~vm ~replica_vmms =
    read them). *)
 let set_replica_vmms t ~vm ~replica_vmms =
   if replica_vmms = [] then invalid_arg "Ingress.set_replica_vmms: no replicas";
-  match Hashtbl.find_opt t.vms vm with
+  match Int_tbl.find_opt t.vms vm with
   | None -> invalid_arg "Ingress.set_replica_vmms: unknown vm"
   | Some entry -> entry.replica_vmms <- replica_vmms
 
 let unregister_vm t ~vm =
-  Hashtbl.remove t.vms vm;
+  Int_tbl.remove t.vms vm;
   Network.clear_route t.network ~dst:(Address.Vm vm)
 
 let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
 let replicated t = Sw_obs.Registry.Counter.value t.m_replicated
 
 let max_mcast_group t =
-  Hashtbl.fold (fun gid _ acc -> Stdlib.max gid acc) t.mcast_routes 0
+  Int_tbl.fold (fun gid _ acc -> Int.max gid acc) t.mcast_routes 0

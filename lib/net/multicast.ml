@@ -1,5 +1,6 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
+module Int_tbl = Sw_sim.Int_tbl
 
 let is_mcast (pkt : Packet.t) =
   match pkt.payload with
@@ -30,7 +31,7 @@ type group = {
    the receiver forever. *)
 type rx = {
   mutable next_expected : int;
-  buffered : (int, Packet.t) Hashtbl.t;
+  buffered : Packet.t Int_tbl.t;  (** Out-of-order arrivals, by mseq. *)
   mutable nak_attempt : int;  (** 0 = no cycle outstanding; else attempt #. *)
   mutable nak_at : int;  (** [next_expected] when the current gap was first NAKed. *)
   mutable nak_through : int;  (** Highest mseq known to exist from this sender. *)
@@ -39,12 +40,14 @@ type rx = {
 type endpoint = {
   g : group;
   self : Address.t;
+  peers : Address.t list;  (** The other members, in member-list order. *)
   transmit : Packet.t -> unit;
   deliver : Packet.t -> unit;
-  (* Sent history for retransmission, keyed by mseq. *)
-  history : (int, Packet.t) Hashtbl.t;
+  (* Sent history for retransmission, keyed by mseq: one of the mseq's
+     copies, since a retransmission keeps only its size and payload. *)
+  history : Packet.t Int_tbl.t;
   mutable next_mseq : int;
-  rx_states : (Address.t, rx) Hashtbl.t;
+  rx_states : rx Int_tbl.t;  (** Keyed by the sender's [Address.index]. *)
   mutable partitioned : bool;
   (* Metric paths key on the member's address, not the group id: group ids
      come from a cross-domain atomic counter, so using them would make
@@ -70,8 +73,6 @@ let group network ~members ?(nak_delay = Time.us 200) ?(nak_retries = 5)
 
 let group_id g = g.group_id
 
-let peers e = List.filter (fun a -> not (Address.equal a e.self)) e.g.members
-
 (* All outgoing traffic funnels through here so a partition window can cut
    the endpoint off in one place. *)
 let xmit e pkt =
@@ -95,7 +96,7 @@ let start_heartbeat e period =
                  send_to e ~dst ~size:64
                    (Packet.Mcast_heartbeat
                       { group = e.g.group_id; last_mseq = e.next_mseq - 1 }))
-               (peers e);
+               e.peers;
            tick ()))
   in
   tick ()
@@ -112,11 +113,12 @@ let endpoint g ~self ?transmit ~deliver () =
     {
       g;
       self;
+      peers = List.filter (fun a -> not (Address.equal a self)) g.members;
       transmit;
       deliver;
-      history = Hashtbl.create 64;
+      history = Int_tbl.create 64;
       next_mseq = 0;
-      rx_states = Hashtbl.create 8;
+      rx_states = Int_tbl.create 8;
       partitioned = false;
       m_retransmissions =
         Sw_obs.Registry.counter metrics
@@ -135,37 +137,45 @@ let endpoint g ~self ?transmit ~deliver () =
   Option.iter (start_heartbeat e) g.heartbeat;
   e
 
+let rec publish_to e ~size wrapped = function
+  | [] -> ()
+  | dst :: rest ->
+      send_to e ~dst ~size wrapped;
+      publish_to e ~size wrapped rest
+
 let publish e ~size payload =
   let mseq = e.next_mseq in
   e.next_mseq <- mseq + 1;
   let wrapped = Packet.Mcast_data { group = e.g.group_id; mseq; inner = payload } in
-  List.iter
-    (fun dst ->
+  match e.peers with
+  | [] -> ()
+  | dst :: rest ->
       let pkt =
         Packet.make ~src:e.self ~dst ~size ~seq:(Network.fresh_seq e.g.network)
           wrapped
       in
-      Hashtbl.replace e.history mseq pkt;
-      xmit e pkt)
-    (peers e)
+      Int_tbl.replace e.history mseq pkt;
+      xmit e pkt;
+      publish_to e ~size wrapped rest
 
 let rx_state e origin =
-  match Hashtbl.find_opt e.rx_states origin with
-  | Some rx -> rx
-  | None ->
+  let key = Address.index origin in
+  match Int_tbl.find e.rx_states key with
+  | rx -> rx
+  | exception Not_found ->
       let rx =
-        { next_expected = 0; buffered = Hashtbl.create 8;
+        { next_expected = 0; buffered = Int_tbl.create 8;
           nak_attempt = 0; nak_at = 0; nak_through = -1 }
       in
-      Hashtbl.add e.rx_states origin rx;
+      Int_tbl.add e.rx_states key rx;
       rx
 
 (* Deliver any in-order buffered packets for this sender. *)
 let rec flush e rx =
-  match Hashtbl.find_opt rx.buffered rx.next_expected with
-  | None -> ()
-  | Some pkt ->
-      Hashtbl.remove rx.buffered rx.next_expected;
+  match Int_tbl.find rx.buffered rx.next_expected with
+  | exception Not_found -> ()
+  | pkt ->
+      Int_tbl.remove rx.buffered rx.next_expected;
       rx.next_expected <- rx.next_expected + 1;
       e.deliver pkt;
       flush e rx
@@ -177,7 +187,7 @@ let rec flush e rx =
 let abandon_gap e rx =
   Sw_obs.Registry.Counter.incr e.m_abandoned;
   let smallest =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun mseq _ acc ->
         match acc with Some m when m <= mseq -> acc | _ -> Some mseq)
       rx.buffered None
@@ -247,18 +257,23 @@ let handle e (pkt : Packet.t) =
       else begin
         let rx = rx_state e pkt.src in
         if mseq < rx.next_expected then () (* duplicate *)
-        else begin
-          Hashtbl.replace rx.buffered mseq (unwrap_data pkt ~mseq ~inner);
-          if mseq > rx.next_expected then
-            request_missing e pkt.src rx ~through:(mseq - 1);
+        else if mseq = rx.next_expected then begin
+          (* In order: deliver it, then whatever it unblocks. [buffered]
+             never holds [next_expected] between arrivals. *)
+          rx.next_expected <- mseq + 1;
+          e.deliver (unwrap_data pkt ~mseq ~inner);
           flush e rx
+        end
+        else begin
+          Int_tbl.replace rx.buffered mseq (unwrap_data pkt ~mseq ~inner);
+          request_missing e pkt.src rx ~through:(mseq - 1)
         end
       end
   | Packet.Mcast_nak { group; from_mseq; to_mseq; _ } ->
       if group <> e.g.group_id then ()
       else
         for mseq = from_mseq to to_mseq do
-          match Hashtbl.find_opt e.history mseq with
+          match Int_tbl.find_opt e.history mseq with
           | None -> ()
           | Some original ->
               Sw_obs.Registry.Counter.incr e.m_retransmissions;

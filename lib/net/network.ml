@@ -34,31 +34,12 @@ let combine_disturbance a b =
     extra_latency = Time.add a.extra_latency b.extra_latency;
   }
 
-module Addr_pair = struct
-  type t = Address.t * Address.t
+module Int_tbl = Sw_sim.Int_tbl
 
-  let equal (a1, b1) (a2, b2) = Address.equal a1 a2 && Address.equal b1 b2
-  let hash = Hashtbl.hash
-end
-
-module Pair_tbl = Hashtbl.Make (Addr_pair)
-
-module Addr_tbl = Hashtbl.Make (struct
-  type t = Address.t
-
-  let equal = Address.equal
-  let hash = Address.hash
-end)
-
-(* Stable int64 identity for stream keying: variant tag in the low bits,
-   id above. Never hashed — collisions would silently correlate streams. *)
-let addr_key = function
-  | Address.Vm i -> Int64.of_int ((i lsl 3) lor 1)
-  | Address.Vmm i -> Int64.of_int ((i lsl 3) lor 2)
-  | Address.Host i -> Int64.of_int ((i lsl 3) lor 3)
-  | Address.Ingress -> 4L
-  | Address.Egress -> 5L
-  | Address.Broadcast_addr -> 6L
+(* A directed pair's key: both address indexes packed in one int, so a
+   per-packet pair lookup allocates no tuple. Indexes stay below 2^31 for
+   ids below 2^28. *)
+let pair_key src dst = (Address.index src lsl 31) lor Address.index dst
 
 type remote = {
   locate : Address.t -> int;
@@ -74,12 +55,15 @@ type t = {
   stream_seed : int64 option;  (* [Some s]: keyed per-link streams *)
   mutable remote : remote option;
   rng : Sw_sim.Prng.t;
-  handlers : (Packet.t -> unit) Addr_tbl.t;
-  routes : Address.t Addr_tbl.t;
-  link_overrides : link_params Pair_tbl.t;
-  node_overrides : link_params Addr_tbl.t;
-  link_states : link_state Pair_tbl.t;
-  counters : Registry.Counter.t Pair_tbl.t;
+  (* Address tables key on [Address.index], pair tables on [pair_key]. The
+     handler and override entries carry their (target) address for the
+     walks that need it back: the broadcast and [min_latency_to]. *)
+  handlers : (Address.t * (Packet.t -> unit)) Int_tbl.t;
+  routes : Address.t Int_tbl.t;
+  link_overrides : (Address.t * link_params) Int_tbl.t;
+  node_overrides : (Address.t * link_params) Int_tbl.t;
+  link_states : link_state Int_tbl.t;
+  counters : Registry.Counter.t Int_tbl.t;
   mutable seq : int;
   (* Fault-injection state: an optional fabric-wide disturbance plus
      per-delivery-target disturbances, applied on top of the link's own
@@ -87,12 +71,13 @@ type t = {
      branch and zero extra RNG draws, so fault-free runs are bit-identical
      to pre-fault builds. *)
   mutable fault_all : disturbance option;
-  fault_to : disturbance Addr_tbl.t;
+  fault_to : disturbance Int_tbl.t;
   m_delivered : Registry.Counter.t;
   m_undeliverable : Registry.Counter.t;
   m_lost : Registry.Counter.t;
   m_fault_lost : Registry.Counter.t;
   p_deliver : Sw_obs.Profile.timer;
+  k_deliver : Engine.kind option;  (* boxed once, not per schedule *)
 }
 
 let pair_metric ~src ~dst =
@@ -107,20 +92,21 @@ let create ?stream_seed engine ~default =
     stream_seed;
     remote = None;
     rng = Engine.rng engine;
-    handlers = Addr_tbl.create 64;
-    routes = Addr_tbl.create 16;
-    link_overrides = Pair_tbl.create 64;
-    node_overrides = Addr_tbl.create 16;
-    link_states = Pair_tbl.create 64;
-    counters = Pair_tbl.create 64;
+    handlers = Int_tbl.create 64;
+    routes = Int_tbl.create 16;
+    link_overrides = Int_tbl.create 64;
+    node_overrides = Int_tbl.create 16;
+    link_states = Int_tbl.create 64;
+    counters = Int_tbl.create 64;
     seq = 0;
     fault_all = None;
-    fault_to = Addr_tbl.create 4;
+    fault_to = Int_tbl.create 4;
     m_delivered = Registry.counter metrics "net.delivered";
     m_undeliverable = Registry.counter metrics "net.undeliverable";
     m_lost = Registry.counter metrics "net.lost";
     m_fault_lost = Registry.counter metrics "net.fault.lost";
     p_deliver = Sw_obs.Profile.timer (Engine.profile engine) "net.deliver";
+    k_deliver = Some (Engine.kind engine "net.deliver");
   }
 
 let engine t = t.engine
@@ -129,62 +115,86 @@ let fresh_seq t =
   t.seq <- t.seq + 1;
   t.seq
 
-let register t addr handler = Addr_tbl.replace t.handlers addr handler
-let registered t addr = Addr_tbl.mem t.handlers addr
-let set_route t ~dst ~via = Addr_tbl.replace t.routes dst via
-let clear_route t ~dst = Addr_tbl.remove t.routes dst
+let register t addr handler =
+  Int_tbl.replace t.handlers (Address.index addr) (addr, handler)
+
+let registered t addr = Int_tbl.mem t.handlers (Address.index addr)
+let set_route t ~dst ~via = Int_tbl.replace t.routes (Address.index dst) via
+let clear_route t ~dst = Int_tbl.remove t.routes (Address.index dst)
 
 let set_link t ~src ~dst params =
-  Pair_tbl.replace t.link_overrides (src, dst) params
+  Int_tbl.replace t.link_overrides (pair_key src dst) (dst, params)
 
-let set_node_link t addr params = Addr_tbl.replace t.node_overrides addr params
+let set_node_link t addr params =
+  Int_tbl.replace t.node_overrides (Address.index addr) (addr, params)
 
 let set_fault_all t d = t.fault_all <- d
 
 let set_fault_to t addr = function
-  | Some d -> Addr_tbl.replace t.fault_to addr d
-  | None -> Addr_tbl.remove t.fault_to addr
+  | Some d -> Int_tbl.replace t.fault_to (Address.index addr) d
+  | None -> Int_tbl.remove t.fault_to (Address.index addr)
 
-let disturbance_for t target =
-  match (t.fault_all, Addr_tbl.find_opt t.fault_to target) with
+let disturbance_for t target_key =
+  match (t.fault_all, Int_tbl.find_opt t.fault_to target_key) with
   | None, None -> None
   | (Some _ as d), None | None, (Some _ as d) -> d
   | Some a, Some b -> Some (combine_disturbance a b)
 
-let link_state t pair =
-  match Pair_tbl.find_opt t.link_states pair with
-  | Some s -> s
-  | None ->
+(* The effective target of a packet addressed to [dst]: its route, if one
+   is set (e.g. [Vm v -> Ingress]), else [dst] itself. *)
+let route t dst =
+  match Int_tbl.find t.routes (Address.index dst) with
+  | via -> via
+  | exception Not_found -> dst
+
+let node_override t addr =
+  match Int_tbl.find t.node_overrides (Address.index addr) with
+  | _, p -> Some p
+  | exception Not_found -> None
+
+let link_state t ~src ~dst =
+  let key = pair_key src dst in
+  match Int_tbl.find t.link_states key with
+  | s -> s
+  | exception Not_found ->
       let params =
-        match Pair_tbl.find_opt t.link_overrides pair with
-        | Some p -> p
-        | None -> (
-            let src, dst = pair in
-            match Addr_tbl.find_opt t.node_overrides dst with
+        match Int_tbl.find t.link_overrides key with
+        | _, p -> p
+        | exception Not_found -> (
+            match node_override t dst with
             | Some p -> p
             | None -> (
-                match Addr_tbl.find_opt t.node_overrides src with
-                | Some p -> p
-                | None -> t.default))
+                match node_override t src with Some p -> p | None -> t.default))
       in
       let rng =
         match t.stream_seed with
         | None -> t.rng
         | Some seed ->
-            let src, dst = pair in
-            Sw_sim.Prng.derive ~seed [ 0x1147L; addr_key src; addr_key dst ]
+            Sw_sim.Prng.derive ~seed
+              [
+                0x1147L;
+                Int64.of_int (Address.index src);
+                Int64.of_int (Address.index dst);
+              ]
       in
       let s = { params; rng; busy_until = Time.zero; last_arrival = Time.zero } in
-      Pair_tbl.add t.link_states pair s;
+      Int_tbl.add t.link_states key s;
       s
 
-let pair_counter t ((src, dst) as pair) =
-  match Pair_tbl.find_opt t.counters pair with
-  | Some c -> c
-  | None ->
+let pair_counter t ~src ~dst =
+  let key = pair_key src dst in
+  match Int_tbl.find t.counters key with
+  | c -> c
+  | exception Not_found ->
       let c = Registry.counter (Engine.metrics t.engine) (pair_metric ~src ~dst) in
-      Pair_tbl.add t.counters pair c;
+      Int_tbl.add t.counters key c;
       c
+
+let deliver_now t handler (pkt : Packet.t) =
+  Registry.Counter.incr t.m_delivered;
+  Registry.Counter.incr (pair_counter t ~src:pkt.src ~dst:pkt.dst);
+  Sw_obs.Profile.time (Engine.profile t.engine) t.p_deliver (fun () ->
+      handler pkt)
 
 (* Hand a packet to its target's handler at the current instant, with the
    delivery-side accounting. Local deliveries reach this inside their
@@ -195,23 +205,22 @@ let inject t ~target (pkt : Packet.t) =
   (* A cross-shard target arrives unresolved (the sender's shard has no
      routes for remote addresses); apply this fabric's own routing — e.g.
      [Vm v -> Ingress] — before the handler lookup, as [send] would. *)
-  let target =
-    match Addr_tbl.find_opt t.routes target with Some via -> via | None -> target
-  in
-  match Addr_tbl.find_opt t.handlers target with
-  | None -> Registry.Counter.incr t.m_undeliverable
-  | Some handler ->
-      Registry.Counter.incr t.m_delivered;
-      Registry.Counter.incr (pair_counter t (pkt.src, pkt.dst));
-      Sw_obs.Profile.time
-        (Engine.profile t.engine)
-        t.p_deliver
-        (fun () -> handler pkt)
+  match Int_tbl.find t.handlers (Address.index (route t target)) with
+  | exception Not_found -> Registry.Counter.incr t.m_undeliverable
+  | _, handler -> deliver_now t handler pkt
+
+let deliver_local t ~target ~arrive (pkt : Packet.t) =
+  match Int_tbl.find t.handlers (Address.index target) with
+  | exception Not_found -> Registry.Counter.incr t.m_undeliverable
+  | _, handler ->
+      ignore
+        (Engine.schedule_at ?kind:t.k_deliver t.engine arrive (fun () ->
+             deliver_now t handler pkt))
 
 let deliver_via t ~target (pkt : Packet.t) =
-  let state = link_state t (pkt.src, target) in
+  let state = link_state t ~src:pkt.src ~dst:target in
   let p = state.params in
-  let dist = disturbance_for t target in
+  let dist = disturbance_for t (Address.index target) in
   if p.loss > 0. && Sw_sim.Prng.float state.rng < p.loss then
     Registry.Counter.incr t.m_lost
   else if
@@ -248,20 +257,11 @@ let deliver_via t ~target (pkt : Packet.t) =
        so a cross-shard hop changes only where the handler runs, never the
        arrival instant. *)
     match t.remote with
-    | Some r when r.locate target <> r.shard ->
-        r.post ~dst:(r.locate target) ~at:arrive ~target pkt
-    | _ -> (
-        match Addr_tbl.find_opt t.handlers target with
-        | None -> Registry.Counter.incr t.m_undeliverable
-        | Some handler ->
-            ignore
-              (Engine.schedule_at ~kind:"net.deliver" t.engine arrive (fun () ->
-                   Registry.Counter.incr t.m_delivered;
-                   Registry.Counter.incr (pair_counter t (pkt.src, pkt.dst));
-                   Sw_obs.Profile.time
-                     (Engine.profile t.engine)
-                     t.p_deliver
-                     (fun () -> handler pkt))))
+    | None -> deliver_local t ~target ~arrive pkt
+    | Some r ->
+        let owner = r.locate target in
+        if owner <> r.shard then r.post ~dst:owner ~at:arrive ~target pkt
+        else deliver_local t ~target ~arrive pkt
   end
 
 let set_remote t ~shard ~locate ~post =
@@ -280,16 +280,16 @@ let set_remote t ~shard ~locate ~post =
 let min_latency_to t ~locate ~self ~shards =
   let floor = Array.make shards t.default.latency in
   let src_floor = ref t.default.latency in
-  Addr_tbl.iter
-    (fun addr p ->
+  Int_tbl.iter
+    (fun _ (addr, p) ->
       let sh = locate addr in
       if sh = self then begin
         if Time.(p.latency < !src_floor) then src_floor := p.latency
       end
       else if Time.(p.latency < floor.(sh)) then floor.(sh) <- p.latency)
     t.node_overrides;
-  Pair_tbl.iter
-    (fun (_, dst) p ->
+  Int_tbl.iter
+    (fun _ (dst, p) ->
       let sh = locate dst in
       if sh <> self && Time.(p.latency < floor.(sh)) then
         floor.(sh) <- p.latency)
@@ -299,21 +299,26 @@ let min_latency_to t ~locate ~self ~shards =
     floor;
   floor
 
+(* The broadcast walk is the one address-table walk whose order reaches the
+   simulation (link state, draws, event order), so it sorts by index. *)
+let broadcast t (pkt : Packet.t) =
+  let src = Address.index pkt.src in
+  let targets =
+    Int_tbl.fold
+      (fun key (addr, _) acc -> if key = src then acc else (key, addr) :: acc)
+      t.handlers []
+  in
+  List.iter
+    (fun (_, target) -> deliver_via t ~target pkt)
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) targets)
+
 let send t (pkt : Packet.t) =
   match pkt.dst with
-  | Address.Broadcast_addr ->
-      Addr_tbl.iter
-        (fun addr _ ->
-          if not (Address.equal addr pkt.src) then deliver_via t ~target:addr pkt)
-        t.handlers
-  | dst ->
-      let target =
-        match Addr_tbl.find_opt t.routes dst with Some via -> via | None -> dst
-      in
-      deliver_via t ~target pkt
+  | Address.Broadcast_addr -> broadcast t pkt
+  | dst -> deliver_via t ~target:(route t dst) pkt
 
 let count t ~src ~dst =
-  match Pair_tbl.find_opt t.counters (src, dst) with
+  match Int_tbl.find_opt t.counters (pair_key src dst) with
   | Some c -> Registry.Counter.value c
   | None -> 0
 
@@ -324,7 +329,7 @@ let lost t = Registry.Counter.value t.m_lost
 let reset_counters t =
   (* Reset handles in place: the registry keeps the same counter cells, so
      cached handles and future snapshots stay coherent. *)
-  Pair_tbl.iter (fun _ c -> Registry.Counter.reset c) t.counters;
+  Int_tbl.iter (fun _ c -> Registry.Counter.reset c) t.counters;
   Registry.Counter.reset t.m_delivered;
   Registry.Counter.reset t.m_undeliverable;
   Registry.Counter.reset t.m_lost;

@@ -118,8 +118,11 @@ val min_latency_to :
 
 (** [send t pkt] delivers [pkt] (unless lost) after the link delay. Packets
     to {!Address.Broadcast_addr} go to every registered handler except the
-    sender's. Packets whose effective destination has no handler are counted
-    as undeliverable and dropped. *)
+    sender's, in ascending {!Address.index} of the handler's address (not
+    {!Address.compare} order, not registration order): that order fixes
+    the link-state updates, PRNG draws and event order of the copies.
+    Packets whose effective destination has no handler are counted as
+    undeliverable and dropped. *)
 val send : t -> Packet.t -> unit
 
 (** Delivered-packet count for the directed pair, since the last reset.

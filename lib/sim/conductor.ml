@@ -143,6 +143,7 @@ type t = {
   post_seq : int array;  (* per-source post counter, source-domain-local *)
   inbox : buf array;  (* per-destination, merge-sorted at the barrier *)
   merge_head : int array;  (* scratch cursor per source during the merge *)
+  xshard : Engine.kind option array;  (* per shard, boxed once *)
   mutable exchanged : int;
   (* sim.shard instruments, registered on shard 0's registry and written
      only by the driving domain at the barrier. *)
@@ -216,6 +217,7 @@ let create ?matrix ~lookahead engines =
     post_seq = Array.make n 0;
     inbox = Array.init n (fun _ -> buf_make ());
     merge_head = Array.make n 0;
+    xshard = Array.map (fun e -> Some (Engine.kind e "xshard")) engines;
     exchanged = 0;
     m_windows = Sw_obs.Registry.counter registry "sim.shard.windows";
     m_exchanged;
@@ -246,9 +248,10 @@ let run_shard t i =
   let b = t.inbox.(i) in
   let eng = t.engines.(i) in
   if b.len > 0 then begin
+    let kind = t.xshard.(i) in
     for k = 0 to b.len - 1 do
       let m = b.data.(k) in
-      ignore (Engine.schedule_at ~kind:"xshard" eng m.at m.fn);
+      ignore (Engine.schedule_at ?kind eng m.at m.fn);
       m.fn <- nop
     done;
     b.len <- 0;

@@ -5,6 +5,16 @@ type kind_hooks = {
   k_delay : Sw_obs.Registry.Histogram.t;
 }
 
+(* The hooks register on the first schedule with the registry enabled, so a
+   kind that is never scheduled exports nothing. Handles built from one
+   engine share its registry, and the registry hands back the cells already
+   registered under a name. *)
+type kind = {
+  k_name : string;
+  k_metrics : Sw_obs.Registry.t;
+  mutable k_hooks : kind_hooks option;
+}
+
 type t = {
   mutable now : Time.t;
   wheel : Wheel.t;
@@ -15,7 +25,6 @@ type t = {
   m_fired : Sw_obs.Registry.Counter.t;
   m_cancelled : Sw_obs.Registry.Counter.t;
   m_depth : Sw_obs.Registry.Gauge.t;
-  kinds : (string, kind_hooks) Hashtbl.t;
   profile : Sw_obs.Profile.t;
   p_dispatch : Sw_obs.Profile.timer;
 }
@@ -37,7 +46,6 @@ let create ?(seed = 0x5397_BA1DL) ?metrics ?profile () =
     m_fired = Sw_obs.Registry.counter metrics "sim.events.fired";
     m_cancelled = Sw_obs.Registry.counter metrics "sim.events.cancelled";
     m_depth = Sw_obs.Registry.gauge metrics "sim.queue.depth";
-    kinds = Hashtbl.create 16;
     profile;
     p_dispatch = Sw_obs.Profile.timer profile "engine.dispatch";
   }
@@ -47,21 +55,23 @@ let rng t = Prng.split t.root_rng
 let metrics t = t.metrics
 let profile t = t.profile
 
-let kind_hooks t kind =
-  match Hashtbl.find_opt t.kinds kind with
+let kind t name = { k_name = name; k_metrics = t.metrics; k_hooks = None }
+
+let kind_hooks k =
+  match k.k_hooks with
   | Some h -> h
   | None ->
       let h =
         {
           k_scheduled =
-            Sw_obs.Registry.counter t.metrics
-              (Printf.sprintf "sim.events.%s.scheduled" kind);
+            Sw_obs.Registry.counter k.k_metrics
+              (Printf.sprintf "sim.events.%s.scheduled" k.k_name);
           k_delay =
-            Sw_obs.Registry.histogram t.metrics
-              (Printf.sprintf "sim.events.%s.delay_ns" kind);
+            Sw_obs.Registry.histogram k.k_metrics
+              (Printf.sprintf "sim.events.%s.delay_ns" k.k_name);
         }
       in
-      Hashtbl.add t.kinds kind h;
+      k.k_hooks <- Some h;
       h
 
 let schedule_at ?kind t at fn =
@@ -79,7 +89,7 @@ let schedule_at ?kind t at fn =
     match kind with
     | None -> ()
     | Some kind ->
-        let h = kind_hooks t kind in
+        let h = kind_hooks kind in
         Sw_obs.Registry.Counter.incr h.k_scheduled;
         Sw_obs.Registry.Histogram.observe h.k_delay (Time.sub at t.now)
   end;

@@ -44,16 +44,29 @@ val metrics : t -> Sw_obs.Registry.t
     unless one was passed to {!create} (or enabled later). *)
 val profile : t -> Sw_obs.Profile.t
 
+(** A named class of events, for per-kind scheduling metrics. *)
+type kind
+
+(** [kind t name] is a handle for events of kind [name] (a metric path
+    segment such as ["net.deliver"]) on [t]. Build it once, when the
+    scheduling component is built, and pass it to every {!schedule_at}: the
+    schedule path then looks nothing up. The kind's metrics register in
+    [t]'s registry on the first schedule made with the registry enabled, so
+    a kind that is never scheduled exports no [sim.events.<name>.*] entry.
+    Two handles with the same name count into the same metrics. *)
+val kind : t -> string -> kind
+
 (** [schedule_at ?kind t at f] runs [f] when the clock reaches [at]. Raises
-    [Invalid_argument] when [at] is in the past. When [kind] is given (a
-    metric path segment such as ["net.deliver"]) the engine additionally
-    counts the event under [sim.events.<kind>.scheduled] and records its
-    scheduling delay in the [sim.events.<kind>.delay_ns] histogram. *)
-val schedule_at : ?kind:string -> t -> Time.t -> (unit -> unit) -> event_id
+    [Invalid_argument] when [at] is in the past. When [kind] is given the
+    engine additionally counts the event under
+    [sim.events.<name>.scheduled] and records its scheduling delay in the
+    [sim.events.<name>.delay_ns] histogram. Passing a stored
+    [kind option] allocates nothing; [~kind:k] boxes [k] per call. *)
+val schedule_at : ?kind:kind -> t -> Time.t -> (unit -> unit) -> event_id
 
 (** [schedule_after ?kind t delay f] runs [f] after [delay] (an instant of
     [now + delay]). Raises [Invalid_argument] for negative delays. *)
-val schedule_after : ?kind:string -> t -> Time.t -> (unit -> unit) -> event_id
+val schedule_after : ?kind:kind -> t -> Time.t -> (unit -> unit) -> event_id
 
 (** [cancel t id] prevents the event from firing; cancelling an already-fired
     or already-cancelled event is a no-op — in particular it never perturbs

@@ -34,6 +34,9 @@ type t = {
   mutable slowdown : float;
   m_slices : Registry.Counter.t;
   m_dom0_ns : Registry.Counter.t;
+  (* Event kinds, boxed once so that scheduling allocates no option. *)
+  k_slice : Engine.kind option;
+  k_dom0 : Engine.kind option;
 }
 
 let create engine network ~id ~config ?(rate_multiplier = 1.0)
@@ -59,6 +62,8 @@ let create engine network ~id ~config ?(rate_multiplier = 1.0)
     slowdown = 1.0;
     m_slices = Registry.counter metrics (Printf.sprintf "vmm.%d.slices" id);
     m_dom0_ns = Registry.counter metrics (Printf.sprintf "vmm.%d.dom0_ns" id);
+    k_slice = Some (Engine.kind engine "vmm.slice");
+    k_dom0 = Some (Engine.kind engine "vmm.dom0");
   }
 
 let id t = t.id
@@ -83,7 +88,7 @@ let slice_loop t rs =
       if t.slowdown = 1.0 then t.slice_wall else Time.scale t.slice_wall t.slowdown
     in
     let finish = Time.add (Time.max slice_start t.stalled_until) wall in
-    ignore (Engine.schedule_at ~kind:"vmm.slice" t.engine finish rs.slice_end)
+    ignore (Engine.schedule_at ?kind:t.k_slice t.engine finish rs.slice_end)
   end
   else rs.running <- false
 
@@ -139,7 +144,7 @@ let dom0_execute t ~cost k =
   let finish = Time.add start cost in
   t.dom0_busy_until <- finish;
   Registry.Counter.add t.m_dom0_ns cost;
-  ignore (Engine.schedule_at ~kind:"vmm.dom0" t.engine finish k)
+  ignore (Engine.schedule_at ?kind:t.k_dom0 t.engine finish k)
 
 let dom0_work t span = dom0_execute t ~cost:span (fun () -> ())
 

@@ -1,5 +1,6 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
+module Int_tbl = Sw_sim.Int_tbl
 module Registry = Sw_obs.Registry
 module Event = Sw_obs.Event
 module Packet = Sw_net.Packet
@@ -60,7 +61,7 @@ type instance = {
       (** PGM endpoint shared with the peer VMMs and the ingress. *)
   mach : Machine.t;
   config : Config.t;
-  inbound : (int, inbound_entry) Hashtbl.t;
+  inbound : inbound_entry Int_tbl.t;  (** By ingress sequence number. *)
   mutable pending : pending list;  (** Sorted by (delivery, cls, key). *)
   mutable disk_waiting : disk_entry list;
   m_net : Registry.Counter.t;
@@ -78,8 +79,8 @@ type instance = {
 
 type t = {
   mach : Machine.t;
-  instances : (int, instance) Hashtbl.t;
-  mcast_routes : (int, Sw_net.Multicast.endpoint) Hashtbl.t;
+  instances : instance Int_tbl.t;  (** By VM id. *)
+  mcast_routes : Sw_net.Multicast.endpoint Int_tbl.t;
       (** Multicast group id -> endpoint, for inbound demux. *)
   m_unknown : Registry.Counter.t;
 }
@@ -138,18 +139,28 @@ let is_stopwatch i =
    that is all replicas, as in the paper; a degraded group medians over the
    surviving odd quorum, and proposals from ejected (non-voting) members are
    recorded but carry no vote. *)
+(* Replica-id lookups, monomorphic and closure-free. *)
+let rec mem_id (id : int) = function
+  | [] -> false
+  | x :: rest -> x = id || mem_id id rest
+
+let rec has_proposal (id : int) = function
+  | [] -> false
+  | (who, _) :: rest -> who = id || has_proposal id rest
+
 let complete_inbound i ~ingress_seq entry =
   let voters = Replica_group.quorum_ids i.group in
   let votes =
-    List.filter (fun (who, _) -> List.mem who voters) entry.proposals
+    List.filter (fun (who, _) -> mem_id who voters) entry.proposals
   in
+  let quorum = List.length voters in
   match entry.packet with
-  | Some inner when voters <> [] && List.length votes = List.length voters ->
+  | Some inner when quorum > 0 && List.length votes = quorum ->
       Sw_obs.Profile.time
         (Engine.profile (Machine.engine i.mach))
         i.p_median
         (fun () ->
-      Hashtbl.remove i.inbound ingress_seq;
+      Int_tbl.remove i.inbound ingress_seq;
       let delivery =
         (* Three voters is the steady state (paper Sec. IV); take its median
            straight off the list through the branch network. Other quorum
@@ -198,11 +209,11 @@ let complete_inbound i ~ingress_seq entry =
   | _ -> ()
 
 let inbound_entry i ingress_seq =
-  match Hashtbl.find_opt i.inbound ingress_seq with
-  | Some e -> e
-  | None ->
+  match Int_tbl.find i.inbound ingress_seq with
+  | e -> e
+  | exception Not_found ->
       let e = { packet = None; proposals = [] } in
-      Hashtbl.add i.inbound ingress_seq e;
+      Int_tbl.add i.inbound ingress_seq e;
       e
 
 (* After a membership change, deliveries that were waiting on a dead voter's
@@ -211,17 +222,17 @@ let inbound_entry i ingress_seq =
    completing, since completion removes entries. *)
 let rescan_inbound i =
   if not i.crashed then begin
-    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) i.inbound [] in
+    let keys = Int_tbl.fold (fun k _ acc -> k :: acc) i.inbound [] in
     List.iter
       (fun k ->
-        match Hashtbl.find_opt i.inbound k with
+        match Int_tbl.find_opt i.inbound k with
         | Some entry -> complete_inbound i ~ingress_seq:k entry
         | None -> ())
-      (List.sort compare keys)
+      (List.sort Int.compare keys)
   end
 
 let add_proposal entry ~proposer ~virt =
-  if not (List.mem_assoc proposer entry.proposals) then
+  if not (has_proposal proposer entry.proposals) then
     entry.proposals <- (proposer, virt) :: entry.proposals
 
 let on_guest_bound i ~ingress_seq ~(inner : Packet.t) =
@@ -509,41 +520,41 @@ let handle_packet t (pkt : Packet.t) =
   | _ when Sw_net.Multicast.is_mcast pkt -> (
       match Sw_net.Multicast.group_of_packet pkt with
       | Some gid -> (
-          match Hashtbl.find_opt t.mcast_routes gid with
-          | Some ep -> Sw_net.Multicast.handle ep pkt
-          | None -> Registry.Counter.incr t.m_unknown)
+          match Int_tbl.find t.mcast_routes gid with
+          | ep -> Sw_net.Multicast.handle ep pkt
+          | exception Not_found -> Registry.Counter.incr t.m_unknown)
       | None -> Registry.Counter.incr t.m_unknown)
   | Packet.Guest_bound { vm; ingress_seq; inner } -> (
-      match Hashtbl.find_opt t.instances vm with
-      | Some i when not i.crashed -> on_guest_bound i ~ingress_seq ~inner
-      | Some _ -> ()
-      | None -> Registry.Counter.incr t.m_unknown)
+      match Int_tbl.find t.instances vm with
+      | i -> if not i.crashed then on_guest_bound i ~ingress_seq ~inner
+      | exception Not_found -> Registry.Counter.incr t.m_unknown)
   | Packet.Proposal { vm; ingress_seq; proposer; virt } -> (
-      match Hashtbl.find_opt t.instances vm with
-      | Some i ->
+      match Int_tbl.find t.instances vm with
+      | i ->
           note_peer_seen i proposer;
           if not i.crashed then on_proposal i ~ingress_seq ~proposer ~virt
-      | None -> Registry.Counter.incr t.m_unknown)
+      | exception Not_found -> Registry.Counter.incr t.m_unknown)
   | Packet.Epoch_report { vm; replica; epoch; d; r } -> (
-      match Hashtbl.find_opt t.instances vm with
-      | Some i ->
+      match Int_tbl.find t.instances vm with
+      | i ->
           note_peer_seen i replica;
           if not i.crashed then
             Replica_group.receive_report i.group ~at:i.member
               ~from_replica:replica ~epoch ~d ~r
-      | None -> Registry.Counter.incr t.m_unknown)
+      | exception Not_found -> Registry.Counter.incr t.m_unknown)
   | Packet.Vmm_alive { vm; replica } -> (
-      match Hashtbl.find_opt t.instances vm with
-      | Some i -> note_peer_seen i replica
-      | None -> Registry.Counter.incr t.m_unknown)
+      match Int_tbl.find t.instances vm with
+      | i -> note_peer_seen i replica
+      | exception Not_found -> Registry.Counter.incr t.m_unknown)
   | _ -> (
       (* Baseline-mode guests receive their traffic directly. *)
       match pkt.Packet.dst with
       | Address.Vm vm -> (
-          match Hashtbl.find_opt t.instances vm with
-          | Some i when not (is_stopwatch i) ->
+          match Int_tbl.find t.instances vm with
+          | i when not (is_stopwatch i) ->
               on_guest_bound i ~ingress_seq:pkt.Packet.seq ~inner:pkt
-          | _ -> Registry.Counter.incr t.m_unknown)
+          | _ -> Registry.Counter.incr t.m_unknown
+          | exception Not_found -> Registry.Counter.incr t.m_unknown)
       | _ -> Registry.Counter.incr t.m_unknown)
 
 (* Rebuild the replica's guest by deterministic replay of its logged
@@ -621,10 +632,10 @@ let reintegrate i ~from =
      half-gathered proposal entries, and delivery-gap continuity. Entries are
      cloned where mutable. *)
   i.pending <- from.pending;
-  Hashtbl.reset i.inbound;
-  Hashtbl.iter
+  Int_tbl.reset i.inbound;
+  Int_tbl.iter
     (fun k (e : inbound_entry) ->
-      Hashtbl.replace i.inbound k { packet = e.packet; proposals = e.proposals })
+      Int_tbl.replace i.inbound k { packet = e.packet; proposals = e.proposals })
     from.inbound;
   i.last_net_virt <- from.last_net_virt;
   (* The survivor's in-flight disk transfers have deterministic virtual
@@ -668,9 +679,10 @@ let reintegrate i ~from =
 let start_heartbeat (i : instance) period =
   let engine = Machine.engine i.mach in
   let my_id = Replica_group.replica_id i.member in
+  let kind = Engine.kind engine "vmm.heartbeat" in
   let rec tick () =
     ignore
-      (Engine.schedule_after ~kind:"vmm.heartbeat" engine period (fun () ->
+      (Engine.schedule_after ~kind engine period (fun () ->
            if not i.crashed then begin
              let payload = Packet.Vmm_alive { vm = i.vm_id; replica = my_id } in
              (match i.channel with
@@ -696,8 +708,8 @@ let create mach =
   let t =
     {
       mach;
-      instances = Hashtbl.create 8;
-      mcast_routes = Hashtbl.create 8;
+      instances = Int_tbl.create 8;
+      mcast_routes = Int_tbl.create 8;
       m_unknown =
         Registry.counter
           (Engine.metrics (Machine.engine mach))
@@ -716,7 +728,7 @@ let create mach =
 let host ?channel ?start t ~group ~app ~peers =
   let config = Replica_group.config group in
   let vm_id = Replica_group.vm group in
-  if Hashtbl.mem t.instances vm_id then
+  if Int_tbl.mem t.instances vm_id then
     invalid_arg "Vmm.host: this machine already hosts a replica of that VM";
   (* The virtual clock starts at the median of the hosting VMMs' clock
      readings (Sec. IV-A), negotiated by the deployer; a lone replica starts
@@ -809,7 +821,7 @@ let host ?channel ?start t ~group ~app ~peers =
       peers;
       mach = t.mach;
       config;
-      inbound = Hashtbl.create 32;
+      inbound = Int_tbl.create 32;
       pending = [];
       disk_waiting = [];
       m_net = Registry.counter metrics (prefix ^ ".net_deliveries");
@@ -840,9 +852,9 @@ let host ?channel ?start t ~group ~app ~peers =
           ()
       in
       i.channel <- Some ep;
-      Hashtbl.replace t.mcast_routes (Sw_net.Multicast.group_id g) ep
+      Int_tbl.replace t.mcast_routes (Sw_net.Multicast.group_id g) ep
   | None -> ());
-  Hashtbl.add t.instances vm_id i;
+  Int_tbl.add t.instances vm_id i;
   (* Membership changes can complete deliveries this replica was holding for
      a now-dead voter's proposal. *)
   Replica_group.on_membership_change group (fun () -> rescan_inbound i);

@@ -73,9 +73,10 @@ let create engine group =
           trace = None;
         }
       in
+      let kind = Engine.kind engine "vmm.watchdog" in
       let rec tick () =
         ignore
-          (Engine.schedule_after ~kind:"vmm.watchdog" engine
+          (Engine.schedule_after ~kind engine
              params.Config.period (fun () ->
                if not t.stopped then begin
                  sweep t;

@@ -125,6 +125,24 @@ let test_broadcast () =
   Alcotest.(check (list int)) "everyone but sender" [ 1; 2 ]
     (List.sort compare !got)
 
+(* The broadcast walk visits handlers in ascending [Address.index] (host0
+   is 3, ingress 4, egress 5, vmm1 10, vm2 17), whatever the registration
+   order, and not in [Address.compare] order; with equal link delays that
+   is also the delivery order. *)
+let test_broadcast_order () =
+  let engine, net = setup () in
+  let got = ref [] in
+  List.iter
+    (fun addr ->
+      Net.register net addr (fun _ -> got := Address.to_string addr :: !got))
+    [ Address.Host 5; Address.Vm 2; Address.Egress; Address.Vmm 1;
+      Address.Host 0; Address.Ingress ];
+  send net ~src:(Address.Host 5) ~dst:Address.Broadcast_addr (Packet.Background 1);
+  Engine.run engine;
+  Alcotest.(check (list string)) "ascending index"
+    [ "host0"; "ingress"; "egress"; "vmm1"; "vm2" ]
+    (List.rev !got)
+
 let test_node_link_override () =
   let engine, net = setup () in
   Net.set_node_link net (Address.Host 1)
@@ -134,6 +152,55 @@ let test_node_link_override () =
   send net ~src:(Address.Vm 5) ~dst:(Address.Host 1) (Packet.Background 1);
   Engine.run engine;
   Alcotest.(check int) "node override used" (Time.ms 10) !arrival
+
+(* --- Addresses ------------------------------------------------------------------ *)
+
+(* All six constructors; ids are often tiny so that equal pairs turn up. *)
+let gen_address =
+  QCheck.Gen.(
+    let id = oneof [ int_bound 3; int_bound (1 lsl 20) ] in
+    oneof
+      [
+        map (fun i -> Address.Vm i) id;
+        map (fun i -> Address.Vmm i) id;
+        map (fun i -> Address.Host i) id;
+        oneofl [ Address.Ingress; Address.Egress; Address.Broadcast_addr ];
+      ])
+
+let arb_address = QCheck.make ~print:Address.to_string gen_address
+
+let prop_index_injective =
+  QCheck.Test.make ~name:"Address.index is injective" ~count:500
+    (QCheck.list_of_size QCheck.Gen.(1 -- 40) arb_address)
+    (fun addrs ->
+      List.length (List.sort_uniq Int.compare (List.map Address.index addrs))
+      = List.length (List.sort_uniq Stdlib.compare addrs))
+
+let prop_compare_matches_stdlib =
+  QCheck.Test.make ~name:"Address.compare has Stdlib.compare's sign"
+    ~count:2000 (QCheck.pair arb_address arb_address) (fun (a, b) ->
+      Int.compare (Address.compare a b) 0 = Int.compare (Stdlib.compare a b) 0)
+
+let prop_equal_matches_stdlib =
+  QCheck.Test.make ~name:"Address.equal agrees with (=)" ~count:2000
+    (QCheck.pair arb_address arb_address) (fun (a, b) ->
+      Address.equal a b = Stdlib.( = ) a b)
+
+(* Keyed per-link PRNG streams derive from these values; they must stay
+   what the streams were keyed by before [Address.index] existed,
+   [(id lsl 3) lor tag]. *)
+let test_index_pinned () =
+  List.iter
+    (fun (addr, want) ->
+      Alcotest.(check int) (Address.to_string addr) want (Address.index addr))
+    [
+      (Address.Vm 7, 57);
+      (Address.Vmm 3, 26);
+      (Address.Host 5, 43);
+      (Address.Ingress, 4);
+      (Address.Egress, 5);
+      (Address.Broadcast_addr, 6);
+    ]
 
 (* --- Multicast ---------------------------------------------------------------- *)
 
@@ -211,6 +278,107 @@ let test_mcast_rejects_foreign () =
           (Packet.make ~src:(Address.Vmm 1) ~dst:(Address.Vmm 0) ~size:10 ~seq:1
              (Packet.Background 1))
       with Invalid_argument _ -> raise (Invalid_argument "x"))
+
+(* One receiver is handed the sender's data packets in any order, some twice
+   and some never (its NAKs must fetch those; the last mseq is always
+   handed over, so every gap is visible). It must deliver each mseq exactly
+   once, in order. Then a NAK for mseq [k] must still find it in the
+   sender's history, which holds one copy per published mseq. *)
+let gen_feed =
+  QCheck.Gen.(
+    int_range 1 40 >>= fun n ->
+    list_repeat n (int_bound 3) >>= fun rolls ->
+    (* roll 0: never handed over; roll 3: handed over twice *)
+    let feed =
+      List.concat
+        (List.mapi
+           (fun m roll ->
+             if roll = 0 && m < n - 1 then [] else if roll = 3 then [ m; m ] else [ m ])
+           rolls)
+    in
+    shuffle_l feed >>= fun feed ->
+    int_bound (n - 1) >>= fun k -> return (n, feed, k))
+
+let print_feed (n, feed, k) =
+  Printf.sprintf "n=%d feed=[%s] nak=%d" n
+    (String.concat ";" (List.map string_of_int feed))
+    k
+
+let prop_mcast_order =
+  QCheck.Test.make ~name:"any arrival order delivers each mseq once, in order"
+    ~count:300 (QCheck.make ~print:print_feed gen_feed) (fun (n, feed, k) ->
+      let engine, net = setup () in
+      let sender = Address.Vmm 0 and receiver = Address.Vmm 1 in
+      let g =
+        Sw_net.Multicast.group net ~members:[ sender; receiver; Address.Vmm 2 ] ()
+      in
+      (* While [Some], the sender's packets are held here instead of sent. *)
+      let held = ref (Some []) in
+      let ep0 =
+        Sw_net.Multicast.endpoint g ~self:sender
+          ~transmit:(fun pkt ->
+            match !held with
+            | Some l -> held := Some (pkt :: l)
+            | None -> Net.send net pkt)
+          ~deliver:ignore ()
+      in
+      let got = ref [] in
+      let ep1 =
+        Sw_net.Multicast.endpoint g ~self:receiver
+          ~deliver:(fun pkt ->
+            match pkt.Packet.payload with
+            | Packet.Background m -> got := m :: !got
+            | _ -> ())
+          ()
+      in
+      Net.register net sender (Sw_net.Multicast.handle ep0);
+      Net.register net receiver (Sw_net.Multicast.handle ep1);
+      for m = 0 to n - 1 do
+        Sw_net.Multicast.publish ep0 ~size:100 (Packet.Background m)
+      done;
+      let to_receiver =
+        List.filter
+          (fun p -> Address.equal p.Packet.dst receiver)
+          (Option.get !held)
+      in
+      let copy m =
+        List.find
+          (fun p ->
+            match p.Packet.payload with
+            | Packet.Mcast_data { mseq; _ } -> mseq = m
+            | _ -> false)
+          to_receiver
+      in
+      held := None;
+      List.iter (fun m -> Sw_net.Multicast.handle ep1 (copy m)) feed;
+      Engine.run engine;
+      let in_order = List.rev !got = List.init n Fun.id in
+      held := Some [];
+      let before = Sw_net.Multicast.retransmissions ep0 in
+      Sw_net.Multicast.handle ep0
+        (Packet.make ~src:receiver ~dst:sender ~size:64 ~seq:0
+           (Packet.Mcast_nak
+              {
+                group = Sw_net.Multicast.group_id g;
+                origin = sender;
+                from_mseq = k;
+                to_mseq = k;
+              }));
+      let resent =
+        match !held with
+        | Some
+            [
+              {
+                Packet.dst;
+                payload = Packet.Mcast_data { mseq; inner = Packet.Background b; _ };
+                _;
+              };
+            ] ->
+            mseq = k && b = k && Address.equal dst receiver
+        | _ -> false
+      in
+      in_order && resent
+      && Sw_net.Multicast.retransmissions ep0 = before + 1)
 
 (* --- Ingress / egress ------------------------------------------------------------ *)
 
@@ -349,6 +517,7 @@ let () =
           Alcotest.test_case "undeliverable" `Quick test_undeliverable;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "broadcast" `Quick test_broadcast;
+          Alcotest.test_case "broadcast order" `Quick test_broadcast_order;
           Alcotest.test_case "node link override" `Quick test_node_link_override;
         ] );
       ( "multicast",
@@ -356,6 +525,14 @@ let () =
           Alcotest.test_case "basic fan-out" `Quick test_mcast_basic;
           Alcotest.test_case "loss recovery" `Quick test_mcast_loss_recovery;
           Alcotest.test_case "rejects foreign packets" `Quick test_mcast_rejects_foreign;
+          QCheck_alcotest.to_alcotest prop_mcast_order;
+        ] );
+      ( "address",
+        [
+          QCheck_alcotest.to_alcotest prop_index_injective;
+          QCheck_alcotest.to_alcotest prop_compare_matches_stdlib;
+          QCheck_alcotest.to_alcotest prop_equal_matches_stdlib;
+          Alcotest.test_case "index pinned" `Quick test_index_pinned;
         ] );
       ( "ingress-egress",
         [

@@ -305,6 +305,91 @@ let test_engine_depth_gauge () =
   Alcotest.(check (float 0.)) "watermark survives drain" 5. (Sw_obs.Registry.Gauge.value g);
   Alcotest.(check int) "drained" 0 (Engine.pending e)
 
+(* --- Event kind handles --- *)
+
+let kind_paths e name =
+  let prefix = "sim.events." ^ name ^ "." in
+  List.filter_map
+    (fun (path, _) ->
+      if String.starts_with ~prefix path then Some path else None)
+    (Sw_obs.Snapshot.to_list (Sw_obs.Registry.snapshot (Engine.metrics e)))
+
+let scheduled e name =
+  Sw_obs.Snapshot.counter
+    (Sw_obs.Registry.snapshot (Engine.metrics e))
+    ("sim.events." ^ name ^ ".scheduled")
+
+let schedule_n e kind n =
+  for i = 1 to n do
+    ignore (Engine.schedule_after ~kind e (Time.us i) (fun () -> ()))
+  done
+
+let test_kind_unscheduled_exports_nothing () =
+  let e = Engine.create () in
+  let _idle = Engine.kind e "idle" in
+  let busy = Engine.kind e "busy" in
+  schedule_n e busy 2;
+  Engine.run e;
+  Alcotest.(check (list string)) "no metric for a kind never scheduled" []
+    (kind_paths e "idle");
+  Alcotest.(check (list string)) "a scheduled kind registers both"
+    [ "sim.events.busy.delay_ns"; "sim.events.busy.scheduled" ]
+    (kind_paths e "busy")
+
+let test_kind_same_name_shares_counter () =
+  let e = Engine.create () in
+  let a = Engine.kind e "twin" and b = Engine.kind e "twin" in
+  schedule_n e a 2;
+  schedule_n e b 3;
+  Alcotest.(check int) "both handles count into one counter" 5
+    (scheduled e "twin");
+  match
+    Sw_obs.Snapshot.histogram
+      (Sw_obs.Registry.snapshot (Engine.metrics e))
+      "sim.events.twin.delay_ns"
+  with
+  | Some h -> Alcotest.(check int) "and one delay histogram" 5 h.count
+  | None -> Alcotest.fail "delay histogram missing"
+
+let test_kind_disabled_registry () =
+  let e = Engine.create () in
+  Sw_obs.Registry.set_enabled (Engine.metrics e) false;
+  let k = Engine.kind e "quiet" in
+  let fired = ref 0 in
+  for i = 1 to 4 do
+    ignore (Engine.schedule_after ~kind:k e (Time.us i) (fun () -> incr fired))
+  done;
+  Engine.run e;
+  Alcotest.(check int) "every event still fires" 4 !fired;
+  Alcotest.(check (list string)) "nothing registered" [] (kind_paths e "quiet");
+  Alcotest.(check int) "no schedule counted" 0
+    (Sw_obs.Snapshot.counter
+       (Sw_obs.Registry.snapshot (Engine.metrics e))
+       "sim.events.scheduled")
+
+(* A checkpoint marshals an engine with the components holding its kind
+   handles; the restored handles must count into the restored registry. *)
+let test_kind_survives_marshal () =
+  let e = Engine.create () in
+  let registered = Engine.kind e "carried" in
+  let fresh = Engine.kind e "fresh" in
+  schedule_n e registered 2;
+  let e', registered', fresh' =
+    (Marshal.from_string
+       (Marshal.to_string (e, registered, fresh) [ Marshal.Closures ])
+       0
+      : Engine.t * Engine.kind * Engine.kind)
+  in
+  schedule_n e' registered' 3;
+  schedule_n e' fresh' 1;
+  Alcotest.(check int) "restored engine keeps counting" 5
+    (scheduled e' "carried");
+  Alcotest.(check int) "a handle first used after restore registers there" 1
+    (scheduled e' "fresh");
+  Alcotest.(check int) "the original is untouched" 2 (scheduled e "carried");
+  Alcotest.(check (list string)) "and never saw the late kind" []
+    (kind_paths e "fresh")
+
 (* Model test: the wheel + overflow engine against a naive sorted-list
    scheduler, over random interleavings of schedule (near and far), cancel
    (including stale ones), step, and bounded run. Firing order, final clock
@@ -762,6 +847,14 @@ let () =
           Alcotest.test_case "park advances wheel horizon" `Quick
             test_engine_park_advances_wheel;
           Alcotest.test_case "queue depth gauge" `Quick test_engine_depth_gauge;
+          Alcotest.test_case "unscheduled kind exports nothing" `Quick
+            test_kind_unscheduled_exports_nothing;
+          Alcotest.test_case "same-name kinds share a counter" `Quick
+            test_kind_same_name_shares_counter;
+          Alcotest.test_case "kind with the registry disabled" `Quick
+            test_kind_disabled_registry;
+          Alcotest.test_case "kind handles survive Marshal" `Quick
+            test_kind_survives_marshal;
           QCheck_alcotest.to_alcotest prop_engine_matches_model;
         ] );
       ( "collectors",
