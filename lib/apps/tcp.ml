@@ -85,7 +85,6 @@ let create ~config ~conn ~initiator =
   }
 
 let conn t = t.conn
-let is_established t = t.established
 let bytes_delivered t = t.rcv_next
 let bytes_acked t = t.snd_una
 

@@ -55,7 +55,6 @@ type t
 val create : config:config -> conn:int -> initiator:bool -> t
 
 val conn : t -> int
-val is_established : t -> bool
 val bytes_delivered : t -> int
 val bytes_acked : t -> int
 

@@ -26,4 +26,3 @@ val connect :
 
 val send : conn -> payload:Sw_net.Msg.t -> bytes:int -> unit
 val close : conn -> unit
-val is_established : conn -> bool

@@ -306,36 +306,20 @@ let deploy ?config t ~on ~app =
       (Array.of_list (List.map (fun m -> Sw_vmm.Machine.local_time t.machines.(m)) on))
   in
   let instances =
-    List.map
-      (fun m ->
-        let peers =
-          List.filter_map
-            (fun m' -> if m' = m then None else Some (Address.Vmm m'))
-            on
-        in
-        (m, Sw_vmm.Vmm.host ~channel ~start t.vmms.(m) ~group ~app ~peers))
-      on
+    List.map (fun m -> (m, Sw_vmm.Vmm.host ~channel ~start t.vmms.(m) ~group ~app)) on
   in
-  Sw_net.Ingress.register_vm ~channel sh.sh_ingress ~vm
-    ~replica_vmms:(List.map (fun m -> Address.Vmm m) on);
+  Sw_net.Ingress.register_vm sh.sh_ingress ~vm ~channel
+    ~replicas:config.Sw_vmm.Config.replicas;
   Sw_net.Egress.register_vm sh.sh_egress ~vm
     ~replicas:config.Sw_vmm.Config.replicas;
   (* Degradation keeps the edge nodes in step with the group: the egress
      releases at the majority of the current quorum (not of the original m),
-     and a unicast ingress stops replicating toward ejected members. *)
+     and the ingress traces the number of live members as its copies. *)
   Sw_vmm.Replica_group.on_membership_change group (fun () ->
       let q = Sw_vmm.Replica_group.quorum group in
       if q > 0 then Sw_net.Egress.set_replicas sh.sh_egress ~vm ~replicas:q;
-      let live_vmms =
-        List.filter_map
-          (fun (m, inst) ->
-            if Sw_vmm.Replica_group.active (Sw_vmm.Vmm.member inst) then
-              Some (Address.Vmm m)
-            else None)
-          instances
-      in
-      if live_vmms <> [] then
-        Sw_net.Ingress.set_replica_vmms sh.sh_ingress ~vm ~replica_vmms:live_vmms);
+      let live = Sw_vmm.Replica_group.active_count group in
+      if live > 0 then Sw_net.Ingress.set_replicas sh.sh_ingress ~vm ~replicas:live);
   let watchdog =
     match config.Sw_vmm.Config.watchdog with
     | None -> None
@@ -361,7 +345,7 @@ let deploy_baseline ?config t ~on ~app =
     Sw_vmm.Replica_group.create ~metrics:(Engine.metrics sh.sh_engine) ~vm
       ~config ~mode:Sw_vmm.Replica_group.Baseline ()
   in
-  let instance = Sw_vmm.Vmm.host t.vmms.(on) ~group ~app ~peers:[] in
+  let instance = Sw_vmm.Vmm.host t.vmms.(on) ~group ~app in
   (* Baseline traffic routes straight to the hosting machine. *)
   Sw_net.Network.set_route sh.sh_network ~dst:(Address.Vm vm) ~via:(Address.Vmm on);
   let d = { vm; group; instances = [ (on, instance) ]; watchdog = None } in

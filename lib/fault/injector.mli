@@ -35,5 +35,5 @@ val set_trace : t -> Sw_obs.Trace.t -> unit
 val injected : t -> int
 
 (** Windows whose target could not be resolved (unknown machine/replica, or
-    a partition on a unicast deployment). *)
+    a partition on a baseline deployment). *)
 val skipped : t -> int

@@ -119,7 +119,6 @@ let pending_votes t ~vm =
   | None -> 0
   | Some entry -> Int_tbl.length entry.pending
 
-let unregister_vm t ~vm = Int_tbl.remove t.vms vm
 let forwarded t = Sw_obs.Registry.Counter.value t.m_forwarded
 let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
 let mismatches t = Sw_obs.Registry.Counter.value t.m_mismatches

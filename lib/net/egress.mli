@@ -32,8 +32,6 @@ val set_replicas : t -> vm:int -> replicas:int -> unit
     the boundedness property under loss asserts on this). *)
 val pending_votes : t -> vm:int -> int
 
-val unregister_vm : t -> vm:int -> unit
-
 (** Packets forwarded to their destinations so far. *)
 val forwarded : t -> int
 

@@ -1,9 +1,9 @@
 module Int_tbl = Sw_sim.Int_tbl
 
 type vm_entry = {
-  mutable replica_vmms : Address.t list;
+  channel : Multicast.endpoint;
   mutable next_ingress_seq : int;
-  channel : Multicast.endpoint option;
+  mutable replicas : int;  (** Active replicas: the trace's [copies]. *)
 }
 
 type t = {
@@ -16,50 +16,39 @@ type t = {
 }
 
 let handle t (pkt : Packet.t) =
-  if Multicast.is_mcast pkt then begin
-    (* NAKs from the replica VMMs (and their group traffic, which the
-       ingress ignores at delivery) route to the per-VM endpoint. *)
-    match Multicast.group_of_packet pkt with
-    | Some gid -> (
-        match Int_tbl.find t.mcast_routes gid with
-        | ep -> Multicast.handle ep pkt
-        | exception Not_found -> Sw_obs.Registry.Counter.incr t.m_dropped)
-    | None -> Sw_obs.Registry.Counter.incr t.m_dropped
-  end
-  else
-    match pkt.Packet.dst with
-    | Address.Vm vm -> (
-        match Int_tbl.find t.vms vm with
-        | exception Not_found -> Sw_obs.Registry.Counter.incr t.m_dropped
-        | entry -> (
-            let ingress_seq = entry.next_ingress_seq in
-            entry.next_ingress_seq <- ingress_seq + 1;
-            Sw_obs.Registry.Counter.incr t.m_replicated;
-            if Sw_obs.Trace.active t.trace then
-              Sw_obs.Trace.emit (Option.get t.trace)
-                ~at_ns:(Sw_sim.Engine.now (Network.engine t.network))
-                (Sw_obs.Event.Ingress_replicated
-                   {
-                     vm;
-                     ingress_seq;
-                     copies = List.length entry.replica_vmms;
-                     size = pkt.Packet.size;
-                   });
-            let payload = Packet.Guest_bound { vm; ingress_seq; inner = pkt } in
-            match entry.channel with
-            | Some ep -> Multicast.publish ep ~size:pkt.Packet.size payload
-            | None ->
-                List.iter
-                  (fun vmm ->
-                    let copy =
-                      Packet.make ~src:Address.Ingress ~dst:vmm
-                        ~size:pkt.Packet.size
-                        ~seq:(Network.fresh_seq t.network)
-                        payload
-                    in
-                    Network.send t.network copy)
-                  entry.replica_vmms))
-    | _ -> Sw_obs.Registry.Counter.incr t.m_dropped
+  match pkt.Packet.payload with
+  | Packet.Mcast_data { group; _ }
+  | Packet.Mcast_nak { group; _ }
+  | Packet.Mcast_heartbeat { group; _ } -> (
+      (* NAKs from the replica VMMs (and their group traffic, which the
+         ingress ignores at delivery) route to the per-VM endpoint. *)
+      match Int_tbl.find t.mcast_routes group with
+      | ep -> Multicast.handle ep pkt
+      | exception Not_found -> Sw_obs.Registry.Counter.incr t.m_dropped)
+  | Packet.Empty | Packet.Guest_bound _ | Packet.Proposal _
+  | Packet.Egress_tunnel _ | Packet.Epoch_report _ | Packet.Background _
+  | Packet.Vmm_alive _ | Packet.Tcp _ | Packet.App _ -> (
+      match pkt.Packet.dst with
+      | Address.Vm vm -> (
+          match Int_tbl.find t.vms vm with
+          | exception Not_found -> Sw_obs.Registry.Counter.incr t.m_dropped
+          | entry ->
+              let ingress_seq = entry.next_ingress_seq in
+              entry.next_ingress_seq <- ingress_seq + 1;
+              Sw_obs.Registry.Counter.incr t.m_replicated;
+              if Sw_obs.Trace.active t.trace then
+                Sw_obs.Trace.emit (Option.get t.trace)
+                  ~at_ns:(Sw_sim.Engine.now (Network.engine t.network))
+                  (Sw_obs.Event.Ingress_replicated
+                     {
+                       vm;
+                       ingress_seq;
+                       copies = entry.replicas;
+                       size = pkt.Packet.size;
+                     });
+              Multicast.publish entry.channel ~size:pkt.Packet.size
+                (Packet.Guest_bound { vm; ingress_seq; inner = pkt }))
+      | _ -> Sw_obs.Registry.Counter.incr t.m_dropped)
 
 let create network =
   let metrics = Sw_sim.Engine.metrics (Network.engine network) in
@@ -78,34 +67,24 @@ let create network =
 
 let set_trace t tr = t.trace <- Some tr
 
-let register_vm ?channel t ~vm ~replica_vmms =
-  if replica_vmms = [] then invalid_arg "Ingress.register_vm: no replicas";
-  let endpoint =
-    Option.map
-      (fun g ->
-        (* The ingress delivers nothing itself: VMM coordination traffic on
-           the shared group is irrelevant to it. *)
-        let ep = Multicast.endpoint g ~self:Address.Ingress ~deliver:(fun _ -> ()) () in
-        Int_tbl.replace t.mcast_routes (Multicast.group_id g) ep;
-        ep)
-      channel
+let register_vm t ~vm ~channel ~replicas =
+  if replicas < 1 then invalid_arg "Ingress.register_vm: no replicas";
+  (* The ingress delivers nothing itself: VMM coordination traffic on the
+     shared group is irrelevant to it. *)
+  let ep =
+    Multicast.endpoint channel ~self:Address.Ingress ~deliver:(fun _ -> ()) ()
   in
-  Int_tbl.replace t.vms vm
-    { replica_vmms; next_ingress_seq = 0; channel = endpoint };
+  Int_tbl.replace t.mcast_routes (Multicast.group_id channel) ep;
+  Int_tbl.replace t.vms vm { channel = ep; next_ingress_seq = 0; replicas };
   Network.set_route t.network ~dst:(Address.Vm vm) ~via:Address.Ingress
 
-(* Degradation support for unicast mode: stop copying to ejected VMMs (on a
-   multicast channel copies keep flowing group-wide; dead members just never
-   read them). *)
-let set_replica_vmms t ~vm ~replica_vmms =
-  if replica_vmms = [] then invalid_arg "Ingress.set_replica_vmms: no replicas";
+(* Copies flow group-wide whatever the membership (dead members just never
+   read them); only the traced copy count follows it. *)
+let set_replicas t ~vm ~replicas =
+  if replicas < 1 then invalid_arg "Ingress.set_replicas: no replicas";
   match Int_tbl.find_opt t.vms vm with
-  | None -> invalid_arg "Ingress.set_replica_vmms: unknown vm"
-  | Some entry -> entry.replica_vmms <- replica_vmms
-
-let unregister_vm t ~vm =
-  Int_tbl.remove t.vms vm;
-  Network.clear_route t.network ~dst:(Address.Vm vm)
+  | None -> invalid_arg "Ingress.set_replicas: unknown vm"
+  | Some entry -> entry.replicas <- replicas
 
 let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
 let replicated t = Sw_obs.Registry.Counter.value t.m_replicated

@@ -7,22 +7,19 @@ type t
 (** Creates the node and registers it at {!Address.Ingress}. *)
 val create : Network.t -> t
 
-(** [register_vm t ~vm ?channel ~replica_vmms] routes [Address.Vm vm] via
-    the ingress and replicates its inbound traffic to the given VMM
-    addresses. With [channel] (a PGM-style multicast group whose members are
-    the ingress and the replica VMMs) the copies travel reliably over the
-    group, as the paper's OpenPGM-based replication does; otherwise they are
-    plain unicast copies. *)
+(** [register_vm t ~vm ~channel ~replicas] routes [Address.Vm vm] via the
+    ingress and replicates its inbound traffic over [channel], the VM's
+    PGM-style multicast group whose members are the ingress and the replica
+    VMMs, as the paper's OpenPGM-based replication does. [replicas] (>= 1)
+    is the number of live replicas, reported as the [copies] of each
+    {!Sw_obs.Event.Ingress_replicated}. *)
 val register_vm :
-  ?channel:Multicast.group -> t -> vm:int -> replica_vmms:Address.t list -> unit
+  t -> vm:int -> channel:Multicast.group -> replicas:int -> unit
 
-(** [set_replica_vmms t ~vm ~replica_vmms] replaces the unicast replication
-    target list — used when the VM's replica group ejects or reintegrates a
-    member. No effect on multicast-channel replication, which is group-wide
-    by construction. *)
-val set_replica_vmms : t -> vm:int -> replica_vmms:Address.t list -> unit
-
-val unregister_vm : t -> vm:int -> unit
+(** [set_replicas t ~vm ~replicas] updates the live-replica count when the
+    VM's replica group ejects or reintegrates a member. Copies keep flowing
+    group-wide; only the traced count changes. *)
+val set_replicas : t -> vm:int -> replicas:int -> unit
 
 (** Packets arriving for VMs the ingress does not know. *)
 val dropped : t -> int

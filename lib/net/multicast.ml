@@ -2,25 +2,14 @@ module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
 module Int_tbl = Sw_sim.Int_tbl
 
-let is_mcast (pkt : Packet.t) =
-  match pkt.payload with
-  | Packet.Mcast_data _ | Packet.Mcast_nak _ | Packet.Mcast_heartbeat _ -> true
-  | _ -> false
-
-let group_of_packet (pkt : Packet.t) =
-  match pkt.payload with
-  | Packet.Mcast_data { group; _ }
-  | Packet.Mcast_nak { group; _ }
-  | Packet.Mcast_heartbeat { group; _ } ->
-      Some group
-  | _ -> None
+(* Unanswered NAKs of one gap before the receiver abandons it. *)
+let nak_retries = 5
 
 type group = {
   network : Network.t;
   group_id : int;
   members : Address.t list;
   nak_delay : Time.t;
-  nak_retries : int;
   heartbeat : Time.t option;
 }
 
@@ -63,13 +52,11 @@ type endpoint = {
    distinct, so cross-domain allocation order doesn't affect determinism. *)
 let group_counter = Atomic.make 0
 
-let group network ~members ?(nak_delay = Time.us 200) ?(nak_retries = 5)
-    ?heartbeat () =
+let group network ~members ?(nak_delay = Time.us 200) ?heartbeat () =
   if List.length members < 2 then invalid_arg "Multicast.group: need >= 2 members";
-  if nak_retries < 1 then invalid_arg "Multicast.group: nak_retries must be >= 1";
   { network;
     group_id = 1 + Atomic.fetch_and_add group_counter 1;
-    members; nak_delay; nak_retries; heartbeat }
+    members; nak_delay; heartbeat }
 
 let group_id g = g.group_id
 
@@ -213,7 +200,7 @@ let rec nak_cycle e origin rx =
              rx.nak_at <- rx.next_expected;
              rx.nak_attempt <- 1
            end;
-           if rx.nak_attempt > e.g.nak_retries then begin
+           if rx.nak_attempt > nak_retries then begin
              abandon_gap e rx;
              if rx.next_expected <= rx.nak_through then begin
                rx.nak_attempt <- 1;

@@ -11,25 +11,25 @@ type endpoint
 
 type group
 
-(** [group network ~members ?nak_delay ?nak_retries ?heartbeat ()] declares a
-    group over the given member addresses. [nak_delay] (default 200 us) is how
-    long a receiver waits before NAKing a detected gap; retries of the same
-    gap back off exponentially ([nak_delay * 2^(k-1)] before attempt [k]) and
-    after [nak_retries] (default 5) unanswered NAKs the gap is abandoned —
-    the receiver skips past it rather than stalling forever, counted in
+(** [group network ~members ?nak_delay ?heartbeat ()] declares a group over
+    the given member addresses. [nak_delay] (default 200 us) is how long a
+    receiver waits before NAKing a detected gap; retries of the same gap
+    back off exponentially ([nak_delay * 2^(k-1)] before attempt [k]) and
+    after 5 unanswered NAKs the gap is abandoned — the receiver skips past
+    it rather than stalling forever, counted in
     [net.mcast.<addr>.gaps_abandoned]. [heartbeat] (default none) enables
     periodic sender heartbeats with that period. *)
 val group :
   Network.t ->
   members:Address.t list ->
   ?nak_delay:Sw_sim.Time.t ->
-  ?nak_retries:int ->
   ?heartbeat:Sw_sim.Time.t ->
   unit ->
   group
 
-(** The group's identifier (carried by every protocol packet, so owners of
-    several endpoints can route incoming packets — see {!group_of_packet}). *)
+(** The group's identifier, carried as [group] by every protocol packet
+    ([Mcast_data], [Mcast_nak], [Mcast_heartbeat]) so owners of several
+    endpoints can route incoming packets. *)
 val group_id : group -> int
 
 (** [endpoint g ~self ?transmit ~deliver ()] creates the member endpoint for
@@ -51,15 +51,10 @@ val endpoint :
 val publish : endpoint -> size:int -> Packet.payload -> unit
 
 (** [handle e pkt] must be called by the owner's network handler for every
-    incoming multicast packet (recognisable via {!is_mcast}); non-multicast
-    packets are rejected with [Invalid_argument]. *)
+    incoming multicast protocol packet ([Mcast_data], [Mcast_nak],
+    [Mcast_heartbeat]) of [e]'s group. One of another group is ignored; any
+    other payload is rejected with [Invalid_argument]. *)
 val handle : endpoint -> Packet.t -> unit
-
-(** Whether a packet belongs to the multicast protocol. *)
-val is_mcast : Packet.t -> bool
-
-(** The group id of a multicast protocol packet, if it is one. *)
-val group_of_packet : Packet.t -> int option
 
 (** Number of retransmissions this endpoint has served (test observability). *)
 val retransmissions : endpoint -> int

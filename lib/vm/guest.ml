@@ -59,7 +59,6 @@ let create ~app ~vt ?pit_period ~sinks () =
 
 let instr t = t.instr
 let virt_now t = Virtual_time.virt_at t.vt t.instr
-let vt t = t.vt
 
 let insert_timer t deadline tag =
   let rec insert = function

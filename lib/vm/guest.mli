@@ -51,7 +51,6 @@ val boot : t -> unit
 
 val instr : t -> int
 val virt_now : t -> Sw_sim.Time.t
-val vt : t -> Virtual_time.t
 
 (** [run_branches t n] executes [n] branches' worth of guest work (compute
     actions, emitting sends/disk requests at their exact branch offsets;

@@ -56,9 +56,9 @@ type instance = {
   sinks : Sw_vm.Guest.sinks;
   vt_start : Time.t;
   mutable log_rev : log_entry list;
-  peers : Address.t list;
-  mutable channel : Sw_net.Multicast.endpoint option;
-      (** PGM endpoint shared with the peer VMMs and the ingress. *)
+  channel : Sw_net.Multicast.endpoint option;
+      (** PGM endpoint shared with the peer VMMs and the ingress; none in
+          baseline mode. *)
   mach : Machine.t;
   config : Config.t;
   inbound : inbound_entry Int_tbl.t;  (** By ingress sequence number. *)
@@ -261,18 +261,7 @@ let on_guest_bound i ~ingress_seq ~(inner : Packet.t) =
     in
     (match i.channel with
     | Some ep -> Sw_net.Multicast.publish ep ~size:proposal_size payload
-    | None ->
-        List.iter
-          (fun peer ->
-            let pkt =
-              Packet.make
-                ~src:(Machine.address i.mach)
-                ~dst:peer ~size:proposal_size
-                ~seq:(Sw_net.Network.fresh_seq (Machine.network i.mach))
-                payload
-            in
-            Machine.transmit i.mach pkt)
-          i.peers);
+    | None -> ());
     complete_inbound i ~ingress_seq entry
   end
   else begin
@@ -515,25 +504,45 @@ let note_peer_seen i replica =
       Replica_group.note_seen i.group m ~now:(Engine.now (Machine.engine i.mach))
   | None -> ()
 
-let handle_packet t (pkt : Packet.t) =
+let unknown t = Registry.Counter.incr t.m_unknown
+
+(* The machine's network handler: multicast protocol traffic goes to the
+   endpoint of its group; a baseline guest's traffic arrives directly. *)
+let on_network t (pkt : Packet.t) =
   match pkt.Packet.payload with
-  | _ when Sw_net.Multicast.is_mcast pkt -> (
-      match Sw_net.Multicast.group_of_packet pkt with
-      | Some gid -> (
-          match Int_tbl.find t.mcast_routes gid with
-          | ep -> Sw_net.Multicast.handle ep pkt
-          | exception Not_found -> Registry.Counter.incr t.m_unknown)
-      | None -> Registry.Counter.incr t.m_unknown)
+  | Packet.Mcast_data { group; _ }
+  | Packet.Mcast_nak { group; _ }
+  | Packet.Mcast_heartbeat { group; _ } -> (
+      match Int_tbl.find t.mcast_routes group with
+      | ep -> Sw_net.Multicast.handle ep pkt
+      | exception Not_found -> unknown t)
+  | Packet.Empty | Packet.Background _ | Packet.Tcp _ | Packet.App _ -> (
+      match pkt.Packet.dst with
+      | Address.Vm vm -> (
+          match Int_tbl.find t.instances vm with
+          | i when not (is_stopwatch i) ->
+              on_guest_bound i ~ingress_seq:pkt.Packet.seq ~inner:pkt
+          | _ -> unknown t
+          | exception Not_found -> unknown t)
+      | _ -> unknown t)
+  | Packet.Guest_bound _ | Packet.Proposal _ | Packet.Epoch_report _
+  | Packet.Vmm_alive _ | Packet.Egress_tunnel _ ->
+      unknown t
+
+(* The [deliver] of every channel endpoint: what the ingress and the peer
+   VMMs published on a StopWatch VM's multicast group. *)
+let on_channel t (pkt : Packet.t) =
+  match pkt.Packet.payload with
   | Packet.Guest_bound { vm; ingress_seq; inner } -> (
       match Int_tbl.find t.instances vm with
       | i -> if not i.crashed then on_guest_bound i ~ingress_seq ~inner
-      | exception Not_found -> Registry.Counter.incr t.m_unknown)
+      | exception Not_found -> unknown t)
   | Packet.Proposal { vm; ingress_seq; proposer; virt } -> (
       match Int_tbl.find t.instances vm with
       | i ->
           note_peer_seen i proposer;
           if not i.crashed then on_proposal i ~ingress_seq ~proposer ~virt
-      | exception Not_found -> Registry.Counter.incr t.m_unknown)
+      | exception Not_found -> unknown t)
   | Packet.Epoch_report { vm; replica; epoch; d; r } -> (
       match Int_tbl.find t.instances vm with
       | i ->
@@ -541,21 +550,15 @@ let handle_packet t (pkt : Packet.t) =
           if not i.crashed then
             Replica_group.receive_report i.group ~at:i.member
               ~from_replica:replica ~epoch ~d ~r
-      | exception Not_found -> Registry.Counter.incr t.m_unknown)
+      | exception Not_found -> unknown t)
   | Packet.Vmm_alive { vm; replica } -> (
       match Int_tbl.find t.instances vm with
       | i -> note_peer_seen i replica
-      | exception Not_found -> Registry.Counter.incr t.m_unknown)
-  | _ -> (
-      (* Baseline-mode guests receive their traffic directly. *)
-      match pkt.Packet.dst with
-      | Address.Vm vm -> (
-          match Int_tbl.find t.instances vm with
-          | i when not (is_stopwatch i) ->
-              on_guest_bound i ~ingress_seq:pkt.Packet.seq ~inner:pkt
-          | _ -> Registry.Counter.incr t.m_unknown
-          | exception Not_found -> Registry.Counter.incr t.m_unknown)
-      | _ -> Registry.Counter.incr t.m_unknown)
+      | exception Not_found -> unknown t)
+  | Packet.Empty | Packet.Background _ | Packet.Egress_tunnel _
+  | Packet.Mcast_data _ | Packet.Mcast_nak _ | Packet.Mcast_heartbeat _
+  | Packet.Tcp _ | Packet.App _ ->
+      unknown t
 
 (* Rebuild the replica's guest by deterministic replay of its logged
    history (paper footnote 4: recovering a diverged replica). The clone is
@@ -687,17 +690,7 @@ let start_heartbeat (i : instance) period =
              let payload = Packet.Vmm_alive { vm = i.vm_id; replica = my_id } in
              (match i.channel with
              | Some ep -> Sw_net.Multicast.publish ep ~size:64 payload
-             | None ->
-                 List.iter
-                   (fun peer ->
-                     let pkt =
-                       Packet.make ~src:(Machine.address i.mach) ~dst:peer
-                         ~size:64
-                         ~seq:(Sw_net.Network.fresh_seq (Machine.network i.mach))
-                         payload
-                     in
-                     Machine.transmit i.mach pkt)
-                   i.peers);
+             | None -> ());
              Replica_group.note_seen i.group i.member ~now:(Engine.now engine)
            end;
            tick ()))
@@ -722,10 +715,10 @@ let create mach =
      proposal/median machinery has to mask. *)
   Sw_net.Network.register (Machine.network mach) (Machine.address mach)
     (fun pkt ->
-      Machine.dom0_execute mach ~cost:Config.dom0_per_packet (fun () -> handle_packet t pkt));
+      Machine.dom0_execute mach ~cost:Config.dom0_per_packet (fun () -> on_network t pkt));
   t
 
-let host ?channel ?start t ~group ~app ~peers =
+let host ?channel ?start t ~group ~app =
   let config = Replica_group.config group in
   let vm_id = Replica_group.vm group in
   if Int_tbl.mem t.instances vm_id then
@@ -737,6 +730,18 @@ let host ?channel ?start t ~group ~app ~peers =
   let vt =
     Sw_vm.Virtual_time.create ~start
       ~slope_ns_per_branch:config.Config.slope_ns_per_branch ()
+  in
+  (* The endpoint comes first: the member's epoch reports go out on it. *)
+  let channel =
+    match channel with
+    | Some g ->
+        let ep =
+          Sw_net.Multicast.endpoint g ~self:(Machine.address t.mach)
+            ~transmit:(Machine.transmit t.mach) ~deliver:(on_channel t) ()
+        in
+        Int_tbl.replace t.mcast_routes (Sw_net.Multicast.group_id g) ep;
+        Some ep
+    | None -> None
   in
   (* The guest, member and instance reference each other; tie the knot with
      forward references resolved after creation. *)
@@ -780,21 +785,9 @@ let host ?channel ?start t ~group ~app ~peers =
                  r;
                }
            in
-           match !instance_holder with
-           | Some { channel = Some ep; _ } ->
-               Sw_net.Multicast.publish ep ~size:proposal_size payload
-           | _ ->
-               List.iter
-                 (fun peer ->
-                   let pkt =
-                     Packet.make
-                       ~src:(Machine.address t.mach)
-                       ~dst:peer ~size:proposal_size
-                       ~seq:(Sw_net.Network.fresh_seq (Machine.network t.mach))
-                       payload
-                   in
-                   Machine.transmit t.mach pkt)
-                 peers))
+           match channel with
+           | Some ep -> Sw_net.Multicast.publish ep ~size:proposal_size payload
+           | None -> ()))
   in
   member_holder := Some !member_ref;
   let sinks = make_sinks t.mach group_ref member_ref vm_id disk_cb dma_cb in
@@ -818,7 +811,7 @@ let host ?channel ?start t ~group ~app ~peers =
       sinks;
       vt_start = start;
       log_rev = [];
-      peers;
+      channel;
       mach = t.mach;
       config;
       inbound = Int_tbl.create 32;
@@ -828,7 +821,6 @@ let host ?channel ?start t ~group ~app ~peers =
       m_disk_irq = Registry.counter metrics (prefix ^ ".disk_interrupts");
       m_dma_irq = Registry.counter metrics (prefix ^ ".dma_interrupts");
       m_delta_d = Registry.counter metrics (prefix ^ ".delta_d_violations");
-      channel = None;
       last_net_virt = None;
       inter_delivery = Sw_sim.Samples.create ();
       h_inter = Registry.histogram metrics (prefix ^ ".inter_delivery_ns");
@@ -843,17 +835,6 @@ let host ?channel ?start t ~group ~app ~peers =
     }
   in
   instance_holder := Some i;
-  (match channel with
-  | Some g ->
-      let ep =
-        Sw_net.Multicast.endpoint g ~self:(Machine.address t.mach)
-          ~transmit:(Machine.transmit t.mach)
-          ~deliver:(fun pkt -> handle_packet t pkt)
-          ()
-      in
-      i.channel <- Some ep;
-      Int_tbl.replace t.mcast_routes (Sw_net.Multicast.group_id g) ep
-  | None -> ());
   Int_tbl.add t.instances vm_id i;
   (* Membership changes can complete deliveries this replica was holding for
      a now-dead voter's proposal. *)

@@ -26,20 +26,19 @@ val create : Machine.t -> t
 
 val machine : t -> Machine.t
 
-(** [host ?channel t ~group ~app ~peers] starts the next replica of
-    [group]'s VM on this machine. [peers] are the other replicas' VMM
-    addresses (empty in baseline mode). When [channel] (the VM's PGM-style
-    multicast group, shared with the peers and the ingress) is given,
-    proposals and epoch reports travel over it — reliable under fabric loss,
-    as the paper's OpenPGM usage provides; otherwise they go as plain
-    unicast packets. The guest boots immediately at the current time. *)
+(** [host ?channel t ~group ~app] starts the next replica of [group]'s VM
+    on this machine. [channel] is the VM's PGM-style multicast group, shared
+    with the peer VMMs and the ingress: inbound copies arrive on it, and
+    proposals, epoch reports and liveness heartbeats travel over it —
+    reliable under fabric loss, as the paper's OpenPGM usage provides. A
+    baseline replica has none. The guest boots immediately at the current
+    time. *)
 val host :
   ?channel:Sw_net.Multicast.group ->
   ?start:Sw_sim.Time.t ->
   t ->
   group:Replica_group.t ->
   app:Sw_vm.App.factory ->
-  peers:Sw_net.Address.t list ->
   instance
 
 (** The registry path prefix this replica's metrics live under:

@@ -140,6 +140,7 @@ let test_crash_lifecycle () =
   Sw_obs.Trace.enable trace;
   List.iter (fun i -> Sw_vmm.Vmm.set_trace i trace) (Cloud.replicas d);
   Option.iter (fun w -> Sw_vmm.Watchdog.set_trace w trace) (Cloud.watchdog d);
+  Sw_net.Ingress.set_trace (Cloud.ingress cloud) trace;
   let injector =
     Cloud.install_faults ~trace cloud
       [
@@ -191,6 +192,27 @@ let test_crash_lifecycle () =
     (Sw_vmm.Replica_group.active_count group);
   Alcotest.(check int) "back to full quorum" 3 (Sw_vmm.Replica_group.quorum group);
   Alcotest.(check int) "one fault injected" 1 (Sw_fault.Injector.injected injector);
+  (* The ingress counts the live members as each replication's copies: all
+     three before the ejection, two while degraded, three once the restarted
+     replica is back. *)
+  let copies ~from ~until =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (fun (e : Sw_obs.Trace.entry) ->
+           match e.Sw_obs.Trace.event with
+           | Event.Ingress_replicated { copies; _ }
+             when e.at_ns >= from && e.at_ns < until ->
+               Some copies
+           | _ -> None)
+         (Sw_obs.Trace.entries trace))
+  in
+  Alcotest.(check int) "trace kept every entry" 0 (Sw_obs.Trace.dropped trace);
+  Alcotest.(check (list int)) "copies before the ejection" [ 3 ]
+    (copies ~from:0 ~until:(Time.ms 100));
+  Alcotest.(check (list int)) "copies while degraded" [ 2 ]
+    (copies ~from:(Time.ms 250) ~until:(Time.ms 380));
+  Alcotest.(check (list int)) "copies after reintegration" [ 3 ]
+    (copies ~from:(Time.ms 410) ~until:(Time.ms 600));
   (* The typed event sequence tells the whole story, in causal order. *)
   let labels =
     List.filter_map
@@ -276,7 +298,7 @@ let test_nak_abandonment () =
   let g =
     Mc.group network
       ~members:[ Addr.Vmm 0; Addr.Vmm 1 ]
-      ~nak_delay:(Time.ms 2) ~nak_retries:3 ()
+      ~nak_delay:(Time.ms 2) ()
   in
   let got = ref [] in
   let e0 =
@@ -299,9 +321,9 @@ let test_nak_abandonment () =
   send 2;
   Sw_sim.Engine.run engine ~until:(Time.ms 11);
   (* ...then is cut off again for the whole NAK budget: its NAKs (and any
-     retransmissions) are dropped, so after [nak_retries] unanswered
-     attempts it must abandon the gap and deliver the buffered mseq 2
-     instead of stalling forever. *)
+     retransmissions) are dropped, so after 5 unanswered attempts (2 to
+     32 ms apart, the gap given up at about 136 ms) it must abandon the gap
+     and deliver the buffered mseq 2 instead of stalling forever. *)
   Mc.set_partitioned e0 true;
   Sw_sim.Engine.run engine ~until:(Time.ms 200);
   Alcotest.(check bool)

@@ -385,17 +385,26 @@ let prop_mcast_order =
 let test_ingress_replicates () =
   let engine, net = setup () in
   let ingress = Sw_net.Ingress.create net in
+  let channel =
+    Sw_net.Multicast.group net
+      ~members:[ Address.Ingress; Address.Vmm 0; Address.Vmm 1; Address.Vmm 2 ]
+      ()
+  in
   let got = Hashtbl.create 4 in
   List.iter
     (fun m ->
-      Net.register net (Address.Vmm m) (fun pkt ->
-          match pkt.Packet.payload with
-          | Packet.Guest_bound { vm; ingress_seq; inner } ->
-              Hashtbl.replace got m (vm, ingress_seq, inner.Packet.payload)
-          | _ -> ()))
+      let ep =
+        Sw_net.Multicast.endpoint channel ~self:(Address.Vmm m)
+          ~deliver:(fun pkt ->
+            match pkt.Packet.payload with
+            | Packet.Guest_bound { vm; ingress_seq; inner } ->
+                Hashtbl.replace got m (vm, ingress_seq, inner.Packet.payload)
+            | _ -> ())
+          ()
+      in
+      Net.register net (Address.Vmm m) (Sw_net.Multicast.handle ep))
     [ 0; 1; 2 ];
-  Sw_net.Ingress.register_vm ingress ~vm:7
-    ~replica_vmms:[ Address.Vmm 0; Address.Vmm 1; Address.Vmm 2 ];
+  Sw_net.Ingress.register_vm ingress ~vm:7 ~channel ~replicas:3;
   send net ~src:(Address.Host 0) ~dst:(Address.Vm 7) (Packet.Background 42);
   Engine.run engine;
   List.iter
