@@ -10,12 +10,11 @@ open Sw_experiments
 module Time = Sw_sim.Time
 module Config = Sw_vmm.Config
 module Cloud = Stopwatch.Cloud
-module Job = Sw_runner.Job
 module Runner = Sw_runner.Runner
 
 let http_latency ~config ~seed =
   let o =
-    File_transfer.run ~config ~seed ~protocol:File_transfer.Http ~stopwatch:true
+    File_transfer.run ~config ~seed ~protocol:File_transfer.Http ~baseline:false
       ~size_bytes:102_400 ~runs:2 ()
   in
   (o.File_transfer.elapsed_ms, o.File_transfer.divergences)
@@ -26,9 +25,7 @@ let ft_seed = 0xF16_5L
 let delta_n_jobs =
   List.map
     (fun ms ->
-      Job.make
-        ~key:(Printf.sprintf "ablation/delta_n/%dms" ms)
-        (fun ~seed:_ ->
+      (Printf.sprintf "ablation/delta_n/%dms" ms, fun () ->
           let config = { Config.default with Config.delta_n = Time.ms ms } in
           let latency, div = http_latency ~config ~seed:ft_seed in
           [ string_of_int ms; Tables.f1 latency; string_of_int div ]))
@@ -37,11 +34,9 @@ let delta_n_jobs =
 let delta_d_jobs =
   List.map
     (fun ms ->
-      Job.make
-        ~key:(Printf.sprintf "ablation/delta_d/%dms" ms)
-        (fun ~seed:_ ->
+      (Printf.sprintf "ablation/delta_d/%dms" ms, fun () ->
           let config = { Config.default with Config.delta_d = Time.ms ms } in
-          let o = Parsec_bench.run ~config ~stopwatch:true Sw_apps.Parsec.ferret in
+          let o = Parsec_bench.run ~config ~baseline:false Sw_apps.Parsec.ferret in
           [
             string_of_int ms;
             Tables.f0 o.Parsec_bench.runtime_ms;
@@ -52,9 +47,7 @@ let delta_d_jobs =
 let quantum_jobs =
   List.map
     (fun us ->
-      Job.make
-        ~key:(Printf.sprintf "ablation/quantum/%dus" us)
-        (fun ~seed:_ ->
+      (Printf.sprintf "ablation/quantum/%dus" us, fun () ->
           let config = { Config.default with Config.quantum = Time.us us } in
           let latency, div = http_latency ~config ~seed:ft_seed in
           [ string_of_int us; Tables.f1 latency; string_of_int div ]))
@@ -63,9 +56,7 @@ let quantum_jobs =
 let replica_jobs =
   List.map
     (fun m ->
-      Job.make
-        ~key:(Printf.sprintf "ablation/replicas/%d" m)
-        (fun ~seed:_ ->
+      (Printf.sprintf "ablation/replicas/%d" m, fun () ->
           let config = { Config.default with Config.replicas = m } in
           let cloud = Cloud.create ~config ~machines:m () in
           let d =
@@ -86,9 +77,7 @@ let replica_jobs =
 let hardware_spread_jobs =
   List.map
     (fun spread ->
-      Job.make
-        ~key:(Printf.sprintf "ablation/spread/%.3f" spread)
-        (fun ~seed:_ ->
+      (Printf.sprintf "ablation/spread/%.3f" spread, fun () ->
           let cloud =
             Cloud.create ~seed:31L ~rate_spread:spread ~clock_spread:(Time.ms 1)
               ~machines:3 ()
@@ -133,14 +122,12 @@ let epoch_drift epoch =
   (drift_ms, Sw_vmm.Replica_group.epochs_resolved (Cloud.group d))
 
 let epoch_jobs =
-  Job.make ~key:"ablation/epoch/off" (fun ~seed:_ ->
+  ("ablation/epoch/off", fun () ->
       let drift, _ = epoch_drift None in
       [ "off"; Tables.f1 drift; "0" ])
   :: List.map
        (fun interval ->
-         Job.make
-           ~key:(Printf.sprintf "ablation/epoch/%d" interval)
-           (fun ~seed:_ ->
+         (Printf.sprintf "ablation/epoch/%d" interval, fun () ->
              let d, epochs =
                epoch_drift
                  (Some

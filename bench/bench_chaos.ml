@@ -114,8 +114,7 @@ let run ?pool () =
               Printf.sprintf "chaos/%s/%s" name
                 (if victim then "victim" else "no-victim")
             in
-            Sw_runner.Job.make ~key (fun ~seed:_ ->
-                Scenario.run { base with Scenario.victim; faults }))
+            (key, fun () -> Scenario.run { base with Scenario.victim; faults }))
           [ false; true ])
       levels
   in

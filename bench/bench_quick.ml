@@ -13,42 +13,50 @@ module Runner = Sw_runner.Runner
 module Report = Sw_runner.Report
 module Snapshot = Sw_obs.Snapshot
 
-let ft_group ~protocol ~stopwatch =
+let mode ~baseline = if baseline then "base" else "sw"
+
+let ft_group ~protocol ~baseline =
   ( Printf.sprintf "download/%s/%s"
       (match protocol with Ft.Http -> "http" | Ft.Udp -> "udp")
-      (if stopwatch then "sw" else "base"),
+      (mode ~baseline),
     List.map
-      (Sw_runner.Job.map (fun (ms, _div, metrics) -> (ms, metrics)))
-      (Ft.jobs ~protocol ~stopwatch ~size_bytes:102_400 ~runs:2 ()) )
+      (fun (key, f) ->
+        ( key,
+          fun () ->
+            let ms, _div, metrics = f () in
+            (ms, metrics) ))
+      (Ft.jobs ~protocol ~baseline ~size_bytes:102_400 ~runs:2 ()) )
 
-let nfs_group ~stopwatch =
-  ( Printf.sprintf "nfs/%s" (if stopwatch then "sw" else "base"),
+let nfs_group ~baseline =
+  let key, f = Nfs_bench.job ~baseline ~rate_per_s:100. ~ops:150 () in
+  ( Printf.sprintf "nfs/%s" (mode ~baseline),
     [
-      Sw_runner.Job.map
-        (fun (o : Nfs_bench.outcome) ->
-          (o.Nfs_bench.mean_latency_ms, o.Nfs_bench.metrics))
-        (Nfs_bench.job ~stopwatch ~rate_per_s:100. ~ops:150 ());
+      ( key,
+        fun () ->
+          let o = f () in
+          (o.Nfs_bench.mean_latency_ms, o.Nfs_bench.metrics) );
     ] )
 
-let parsec_group ~stopwatch =
-  ( Printf.sprintf "parsec-ferret/%s" (if stopwatch then "sw" else "base"),
+let parsec_group ~baseline =
+  let key, f = Parsec_bench.job ~baseline Sw_apps.Parsec.ferret in
+  ( Printf.sprintf "parsec-ferret/%s" (mode ~baseline),
     [
-      Sw_runner.Job.map
-        (fun (o : Parsec_bench.outcome) ->
-          (o.Parsec_bench.runtime_ms, o.Parsec_bench.metrics))
-        (Parsec_bench.job ~stopwatch Sw_apps.Parsec.ferret);
+      ( key,
+        fun () ->
+          let o = f () in
+          (o.Parsec_bench.runtime_ms, o.Parsec_bench.metrics) );
     ] )
 
 let groups =
   [
-    ft_group ~protocol:Ft.Http ~stopwatch:false;
-    ft_group ~protocol:Ft.Http ~stopwatch:true;
-    ft_group ~protocol:Ft.Udp ~stopwatch:false;
-    ft_group ~protocol:Ft.Udp ~stopwatch:true;
-    nfs_group ~stopwatch:false;
-    nfs_group ~stopwatch:true;
-    parsec_group ~stopwatch:false;
-    parsec_group ~stopwatch:true;
+    ft_group ~protocol:Ft.Http ~baseline:true;
+    ft_group ~protocol:Ft.Http ~baseline:false;
+    ft_group ~protocol:Ft.Udp ~baseline:true;
+    ft_group ~protocol:Ft.Udp ~baseline:false;
+    nfs_group ~baseline:true;
+    nfs_group ~baseline:false;
+    parsec_group ~baseline:true;
+    parsec_group ~baseline:false;
   ]
 
 let run ?pool () =

@@ -43,10 +43,7 @@ let run ?pool () =
   let specs = load_specs () in
   let jobs =
     List.map
-      (fun (key, spec) ->
-        (* The scenario's seed lives in its spec; the runner seed is unused
-           so output stays bit-compatible with the sequential harness. *)
-        Sw_runner.Job.make ~key (fun ~seed:_ -> Scenario.run spec))
+      (fun (key, spec) -> (key, fun () -> Scenario.run spec))
       specs
   in
   let on_event =

@@ -15,7 +15,7 @@ module Report = Sw_runner.Report
 
 let runs = 3
 
-type group = { protocol : Ft.protocol; size : int; stopwatch : bool }
+type group = { protocol : Ft.protocol; size : int; baseline : bool }
 
 let groups =
   List.concat_map
@@ -23,10 +23,10 @@ let groups =
       List.concat_map
         (fun size ->
           List.map
-            (fun stopwatch ->
-              ( { protocol; size; stopwatch },
-                Ft.jobs ~protocol ~stopwatch ~size_bytes:size ~runs () ))
-            [ false; true ])
+            (fun baseline ->
+              ( { protocol; size; baseline },
+                Ft.jobs ~protocol ~baseline ~size_bytes:size ~runs () ))
+            [ true; false ])
         Ft.paper_sizes)
     [ Ft.Http; Ft.Udp ]
 
@@ -79,10 +79,10 @@ let run ?pool () =
   let rows_for protocol =
     List.filter_map
       (fun size ->
-        let find stopwatch =
-          List.assoc_opt { protocol; size; stopwatch } collected
+        let find baseline =
+          List.assoc_opt { protocol; size; baseline } collected
         in
-        match (find false, find true) with
+        match (find true, find false) with
         | Some b, Some s -> Some (size, b, s)
         | _ -> None)
       Ft.paper_sizes

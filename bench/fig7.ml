@@ -25,7 +25,7 @@ let run ?pool () =
   let groups =
     List.map
       (fun (profile : Sw_apps.Parsec.profile) ->
-        (profile, [ Pb.job ~stopwatch:false profile; Pb.job ~stopwatch:true profile ]))
+        (profile, [ Pb.job ~baseline:true profile; Pb.job ~baseline:false profile ]))
       Sw_apps.Parsec.all_profiles
   in
   let on_event =

@@ -83,10 +83,7 @@ let run ?pool () =
   in
   let jobs =
     List.map
-      (fun (key, w) ->
-        (* The workload's seed is fixed in its spec; the runner seed is
-           unused so output is worker-count independent. *)
-        Sw_runner.Job.make ~key (fun ~seed:_ -> Run.run w))
+      (fun (key, w) -> (key, fun () -> Run.run w))
       variants
   in
   let on_event =

@@ -215,7 +215,7 @@ let download_cmd =
         let open Sw_experiments in
         let protocol = if udp then File_transfer.Udp else File_transfer.Http in
         let o =
-          File_transfer.run ?pool ~protocol ~stopwatch:(not baseline)
+          File_transfer.run ?pool ~protocol ~baseline
             ~size_bytes:(size_kb * 1024) ~runs ()
         in
         Printf.printf "%s %d KB, %s: %.1f ms (mean of %d runs; divergences %d)\n"
@@ -249,7 +249,7 @@ let download_cmd =
 let nfs_cmd =
   let run rate ops baseline =
     let open Sw_experiments in
-    let o = Nfs_bench.run ~stopwatch:(not baseline) ~rate_per_s:rate ~ops () in
+    let o = Nfs_bench.run ~baseline ~rate_per_s:rate ~ops () in
     Printf.printf
       "NFS @ %.0f ops/s (%s): mean %.2f ms/op, %d/%d completed, %.2f c2s pkt/op, \
        %.2f s2c pkt/op\n"
@@ -288,7 +288,7 @@ let parsec_cmd =
                 Sw_apps.Parsec.all_profiles));
         1
     | Some profile ->
-        let o = Parsec_bench.run ~stopwatch:(not baseline) profile in
+        let o = Parsec_bench.run ~baseline profile in
         Printf.printf "%s (%s): %.0f ms, %d disk interrupts, %d dd-violations\n" name
           (if baseline then "baseline" else "stopwatch")
           o.Parsec_bench.runtime_ms o.Parsec_bench.disk_interrupts
@@ -761,9 +761,8 @@ let workload_cmd =
 
 (* --- soak ----------------------------------------------------------------- *)
 
-(* Exit code of a --kill-after crash: distinctive, so harnesses (the
-   runner's resumable jobs, the @soak-smoke rule) can tell a simulated
-   crash from a real failure. *)
+(* Exit code of a --kill-after crash: distinctive, so a harness (the
+   @soak-smoke rule) can tell a simulated crash from a real failure. *)
 let killed_exit = 70
 
 let soak_cmd =

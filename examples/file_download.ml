@@ -19,10 +19,10 @@ let () =
       List.iter
         (fun size ->
           let b =
-            File_transfer.run ~protocol ~stopwatch:false ~size_bytes:size ~runs:2 ()
+            File_transfer.run ~protocol ~baseline:true ~size_bytes:size ~runs:2 ()
           in
           let s =
-            File_transfer.run ~protocol ~stopwatch:true ~size_bytes:size ~runs:2 ()
+            File_transfer.run ~protocol ~baseline:false ~size_bytes:size ~runs:2 ()
           in
           Printf.printf "%-10s %-6s %12.1f %12.1f %7.2fx\n" label
             (Printf.sprintf "%dKB" (size / 1024))

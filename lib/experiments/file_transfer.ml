@@ -1,6 +1,5 @@
 module Time = Sw_sim.Time
 module Cloud = Stopwatch.Cloud
-module Job = Sw_runner.Job
 module Runner = Sw_runner.Runner
 
 type protocol = Http | Udp
@@ -17,7 +16,7 @@ let paper_sizes = [ 1_024; 10_240; 102_400; 1_048_576; 10_485_760 ]
 
 let protocol_name = function Http -> "http" | Udp -> "udp"
 
-let one ?config ~seed ~protocol ~stopwatch ~size_bytes () =
+let one ?config ~seed ~protocol ~baseline ~size_bytes () =
   let cloud = Cloud.create ?config ~seed ~machines:3 () in
   let app =
     match protocol with
@@ -25,8 +24,8 @@ let one ?config ~seed ~protocol ~stopwatch ~size_bytes () =
     | Udp -> Sw_apps.Udp_file.server
   in
   let d =
-    if stopwatch then Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app
-    else Cloud.deploy_baseline cloud ~on:0 ~app
+    if baseline then Cloud.deploy_baseline cloud ~on:0 ~app
+    else Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app
   in
   let client = Cloud.add_host cloud () in
   let result = ref nan in
@@ -52,19 +51,18 @@ let one ?config ~seed ~protocol ~stopwatch ~size_bytes () =
   advance 0;
   (!result, Cloud.divergences d, Cloud.metrics_snapshot cloud)
 
-let jobs ?config ?(seed = 0xF16_5L) ~protocol ~stopwatch ~size_bytes ~runs () =
+let jobs ?config ?(seed = 0xF16_5L) ~protocol ~baseline ~size_bytes ~runs () =
   if runs < 1 then invalid_arg "File_transfer.jobs: need >= 1 run";
   List.init runs (fun i ->
       (* The historical per-run seed scheme, fixed per job before dispatch:
          bit-compatible with the old sequential driver. *)
-      let run_seed = Int64.add seed (Int64.of_int (i * 7919)) in
+      let seed = Int64.add seed (Int64.of_int (i * 7919)) in
       let key =
         Printf.sprintf "fig5/%s/%s/%dB/run%d" (protocol_name protocol)
-          (if stopwatch then "sw" else "base")
+          (if baseline then "base" else "sw")
           size_bytes i
       in
-      Job.make ~seed:run_seed ~key (fun ~seed ->
-          one ?config ~seed ~protocol ~stopwatch ~size_bytes ()))
+      (key, fun () -> one ?config ~seed ~protocol ~baseline ~size_bytes ()))
 
 let collect outcomes =
   let results = Runner.successes outcomes in
@@ -90,6 +88,6 @@ let collect outcomes =
         Sw_obs.Snapshot.merge_all (List.map (fun (_, _, m) -> m) results);
     }
 
-let run ?config ?seed ?pool ~protocol ~stopwatch ~size_bytes ~runs () =
+let run ?config ?seed ?pool ~protocol ~baseline ~size_bytes ~runs () =
   collect
-    (Runner.map ?pool (jobs ?config ?seed ~protocol ~stopwatch ~size_bytes ~runs ()))
+    (Runner.map ?pool (jobs ?config ?seed ~protocol ~baseline ~size_bytes ~runs ()))

@@ -9,33 +9,34 @@ type outcome = {
   runs : float list;
   divergences : int;
   failed_runs : Sw_runner.Runner.failure list;
-      (** Runs abandoned by the runner (crash or timeout); excluded from
-          [elapsed_ms] and [runs] instead of aborting the sweep. *)
+      (** Runs that raised; excluded from [elapsed_ms] and [runs] instead
+          of aborting the sweep. *)
   metrics : Sw_obs.Snapshot.t;
       (** Merged metrics snapshot over the successful runs' clouds. *)
 }
 
-(** [jobs ?config ?seed ~protocol ~stopwatch ~size_bytes ~runs ()] is the
+(** [jobs ?config ?seed ~protocol ~baseline ~size_bytes ~runs ()] is the
     replicated measurement as independent runner jobs, one per run, each
-    returning [(elapsed_ms, divergences, metrics snapshot)]. Each job's
-    cloud seed is fixed
-    at construction (derived from [seed] and the run index), so outcomes
-    are independent of worker count and dispatch order. *)
+    returning [(elapsed_ms, divergences, metrics snapshot)]. Run [i]'s
+    cloud seed, [seed + i * 7919], is fixed in its thunk at construction,
+    so outcomes are independent of worker count and dispatch order.
+    [baseline] deploys one unreplicated VM instead of a StopWatch
+    triple. *)
 val jobs :
   ?config:Sw_vmm.Config.t ->
   ?seed:int64 ->
   protocol:protocol ->
-  stopwatch:bool ->
+  baseline:bool ->
   size_bytes:int ->
   runs:int ->
   unit ->
-  (float * int * Sw_obs.Snapshot.t) Sw_runner.Job.t list
+  (string * (unit -> float * int * Sw_obs.Snapshot.t)) list
 
 (** [collect outcomes] aggregates one replicated measurement. *)
 val collect :
   (float * int * Sw_obs.Snapshot.t) Sw_runner.Runner.outcome list -> outcome
 
-(** [run ?config ?seed ?pool ~protocol ~stopwatch ~size_bytes ~runs ()]
+(** [run ?config ?seed ?pool ~protocol ~baseline ~size_bytes ~runs ()]
     performs [runs] fresh-cloud downloads — in parallel when [pool] is
     given, with identical results either way — and averages. *)
 val run :
@@ -43,7 +44,7 @@ val run :
   ?seed:int64 ->
   ?pool:Sw_runner.Pool.t ->
   protocol:protocol ->
-  stopwatch:bool ->
+  baseline:bool ->
   size_bytes:int ->
   runs:int ->
   unit ->

@@ -17,11 +17,11 @@ let nfs_config = { Sw_vmm.Config.default with Sw_vmm.Config.delta_n = Time.ms 8 
 
 let default_seed = 0x4F5_1L
 
-let run ?(config = nfs_config) ?(seed = default_seed) ~stopwatch ~rate_per_s ~ops () =
+let run ?(config = nfs_config) ?(seed = default_seed) ~baseline ~rate_per_s ~ops () =
   let cloud = Cloud.create ~config ~seed ~machines:3 () in
   let d =
-    if stopwatch then Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Nfs.server)
-    else Cloud.deploy_baseline cloud ~on:0 ~app:(Sw_apps.Nfs.server)
+    if baseline then Cloud.deploy_baseline cloud ~on:0 ~app:Sw_apps.Nfs.server
+    else Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:Sw_apps.Nfs.server
   in
   let client = Cloud.add_host cloud () in
   let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in
@@ -67,11 +67,10 @@ let run ?(config = nfs_config) ?(seed = default_seed) ~stopwatch ~rate_per_s ~op
     metrics;
   }
 
-let job ?config ?(seed = default_seed) ~stopwatch ~rate_per_s ~ops () =
+let job ?config ?(seed = default_seed) ~baseline ~rate_per_s ~ops () =
   let key =
     Printf.sprintf "fig6/%s/rate%g/ops%d"
-      (if stopwatch then "sw" else "base")
+      (if baseline then "base" else "sw")
       rate_per_s ops
   in
-  Sw_runner.Job.make ~seed ~key (fun ~seed ->
-      run ?config ~seed ~stopwatch ~rate_per_s ~ops ())
+  (key, fun () -> run ?config ~seed ~baseline ~rate_per_s ~ops ())

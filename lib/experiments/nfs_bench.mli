@@ -15,23 +15,23 @@ type outcome = {
 val run :
   ?config:Sw_vmm.Config.t ->
   ?seed:int64 ->
-  stopwatch:bool ->
+  baseline:bool ->
   rate_per_s:float ->
   ops:int ->
   unit ->
   outcome
 
-(** [job ?config ?seed ~stopwatch ~rate_per_s ~ops ()] is one Fig. 6 point
-    as a runner job (seed fixed at construction), so load sweeps can shard
-    across a {!Sw_runner.Pool}. *)
+(** [job ?config ?seed ~baseline ~rate_per_s ~ops ()] is one Fig. 6 point
+    as a runner job (its seed fixed in the thunk at construction), so load
+    sweeps can shard across a {!Sw_runner.Pool}. *)
 val job :
   ?config:Sw_vmm.Config.t ->
   ?seed:int64 ->
-  stopwatch:bool ->
+  baseline:bool ->
   rate_per_s:float ->
   ops:int ->
   unit ->
-  outcome Sw_runner.Job.t
+  string * (unit -> outcome)
 
 (** The paper's offered-load sweep (ops/s). *)
 val paper_rates : float list

@@ -16,7 +16,7 @@ let parsec_config = { Sw_vmm.Config.default with Sw_vmm.Config.delta_d = Time.ms
 
 let default_seed = 0x9A25ECL
 
-let run ?(config = parsec_config) ?(seed = default_seed) ~stopwatch profile =
+let run ?(config = parsec_config) ?(seed = default_seed) ~baseline profile =
   let cloud = Cloud.create ~config ~seed ~machines:3 () in
   let collector = Cloud.add_host cloud () in
   let done_at = ref nan in
@@ -30,8 +30,8 @@ let run ?(config = parsec_config) ?(seed = default_seed) ~stopwatch profile =
     Sw_apps.Parsec.app profile ~collector:(Stopwatch.Host.address collector)
   in
   let d =
-    if stopwatch then Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app
-    else Cloud.deploy_baseline cloud ~on:0 ~app
+    if baseline then Cloud.deploy_baseline cloud ~on:0 ~app
+    else Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app
   in
   (* Stop soon after the job reports completion instead of simulating a
      fixed horizon of idle spinning. *)
@@ -57,11 +57,10 @@ let run ?(config = parsec_config) ?(seed = default_seed) ~stopwatch profile =
     metrics;
   }
 
-let job ?config ?(seed = default_seed) ~stopwatch profile =
+let job ?config ?(seed = default_seed) ~baseline profile =
   let key =
     Printf.sprintf "fig7/%s/%s"
-      (if stopwatch then "sw" else "base")
+      (if baseline then "base" else "sw")
       profile.Sw_apps.Parsec.name
   in
-  Sw_runner.Job.make ~seed ~key (fun ~seed ->
-      run ?config ~seed ~stopwatch profile)
+  (key, fun () -> run ?config ~seed ~baseline profile)

@@ -11,15 +11,15 @@ type outcome = {
 val run :
   ?config:Sw_vmm.Config.t ->
   ?seed:int64 ->
-  stopwatch:bool ->
+  baseline:bool ->
   Sw_apps.Parsec.profile ->
   outcome
 
-(** [job ?config ?seed ~stopwatch profile] is one Fig. 7 row as a runner
-    job (seed fixed at construction). *)
+(** [job ?config ?seed ~baseline profile] is one Fig. 7 row as a runner
+    job (its seed fixed in the thunk at construction). *)
 val job :
   ?config:Sw_vmm.Config.t ->
   ?seed:int64 ->
-  stopwatch:bool ->
+  baseline:bool ->
   Sw_apps.Parsec.profile ->
-  outcome Sw_runner.Job.t
+  string * (unit -> outcome)

@@ -73,7 +73,11 @@ let handle t (pkt : Packet.t) =
                    { vm; seq = key; rank = release_rank; copies = entry.replicas });
             Network.send t.network inner
           end)
-  | _ -> Sw_obs.Registry.Counter.incr t.m_dropped
+  | Packet.Empty | Packet.Guest_bound _ | Packet.Proposal _
+  | Packet.Epoch_report _ | Packet.Background _ | Packet.Mcast_data _
+  | Packet.Mcast_nak _ | Packet.Mcast_heartbeat _ | Packet.Vmm_alive _
+  | Packet.Tcp _ | Packet.App _ ->
+      Sw_obs.Registry.Counter.incr t.m_dropped
 
 let create ?vote_expiry network =
   let metrics = Sw_sim.Engine.metrics (Network.engine network) in

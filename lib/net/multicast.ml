@@ -277,7 +277,10 @@ let handle e (pkt : Packet.t) =
         if last_mseq >= rx.next_expected then
           request_missing e pkt.src rx ~through:last_mseq
       end
-  | _ -> invalid_arg "Multicast.handle: not a multicast packet"
+  | Packet.Empty | Packet.Guest_bound _ | Packet.Proposal _
+  | Packet.Egress_tunnel _ | Packet.Epoch_report _ | Packet.Background _
+  | Packet.Vmm_alive _ | Packet.Tcp _ | Packet.App _ ->
+      invalid_arg "Multicast.handle: not a multicast packet"
 
 let retransmissions e = Sw_obs.Registry.Counter.value e.m_retransmissions
 let gaps_abandoned e = Sw_obs.Registry.Counter.value e.m_abandoned

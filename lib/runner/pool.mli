@@ -2,8 +2,7 @@
     queue.
 
     The pool is task-agnostic (it runs [unit -> unit] thunks); {!Runner}
-    layers job semantics — seeding, retry, timeout, result collection — on
-    top. Tasks must not raise: a task that does is swallowed (the worker
+    layers job semantics — crash isolation, result collection — on top. Tasks must not raise: a task that does is swallowed (the worker
     survives) but the escape is counted in {!escaped_exceptions} so bugs in
     the wrapping layer can't hide. Submitting from inside a task is
     permitted (the queue is unbounded), but waiting from inside a task for
@@ -27,7 +26,7 @@ val submit : t -> (unit -> unit) -> unit
 val shutdown : t -> unit
 
 (** Tasks whose exceptions reached the worker loop (always 0 when driven
-    by {!Runner}, which catches per-attempt). *)
+    by {!Runner}, which catches per job). *)
 val escaped_exceptions : t -> int
 
 (** [with_pool ~workers f] runs [f pool] and guarantees shutdown. *)

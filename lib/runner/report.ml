@@ -29,23 +29,7 @@ let of_summary s =
     ]
 
 let of_failure (f : Runner.failure) =
-  let status, detail, reason =
-    match f.Runner.reason with
-    | Runner.Exn msg ->
-        ("crashed", [ ("exn", String msg) ], String ("exn: " ^ msg))
-    | Runner.Timed_out s ->
-        ( "timed_out",
-          [ ("timeout_s", Float s) ],
-          String (Printf.sprintf "timeout after %.2f s" s) )
-  in
-  Obj
-    ([
-       ("key", String f.Runner.key);
-       ("status", String status);
-       ("attempts", Int f.Runner.attempts);
-     ]
-    @ detail
-    @ [ ("reason", reason) ])
+  Obj [ ("key", String f.Runner.key); ("exn", String f.Runner.exn) ]
 
 let of_metrics snapshot = Sw_obs.Export.to_json snapshot
 

@@ -26,12 +26,8 @@ val write : string -> t -> unit
     when empty). *)
 val of_summary : Sw_sim.Summary.t -> t
 
-(** A structured failure as an object:
-    [{"key", "status", "attempts", ..., "reason"}] — [status] is
-    ["crashed"] (with the printed exception under ["exn"]) or
-    ["timed_out"] (with the budget under ["timeout_s"]), [attempts] the
-    number of attempts spent; ["reason"] keeps the legacy one-line
-    rendering. *)
+(** A failed job as an object: [{"key", "exn"}], the printed exception
+    under ["exn"]. *)
 val of_failure : Runner.failure -> t
 
 (** One metrics snapshot: [Sw_obs.Export.to_json] without meta. *)

@@ -8,10 +8,10 @@
     must be owned by exactly one domain at a time. Sharing one generator
     between domains is a data race and, worse, makes draw order depend on
     scheduling, destroying reproducibility even when the race happens to be
-    benign. The supported pattern — the one [Sw_runner] enforces — is to
+    benign. The supported pattern — the one [Sw_runner] jobs follow — is to
     derive each parallel job's generator {e before} dispatch (via {!split},
-    or {!create} on a seed computed from the job's key alone) and move it to
-    the worker domain wholesale. Sibling generators obtained by [split]
+    or {!create} on a seed fixed in the job's spec) and move it to the
+    worker domain wholesale. Sibling generators obtained by [split]
     share no state, so concurrent draws from them are race-free and yield
     the same sequences as sequential draws. *)
 

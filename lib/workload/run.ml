@@ -418,11 +418,7 @@ let run ?shards ?partition (w : Dsl.workload) =
   h.finish ()
 
 let map_variants ?pool make variants =
-  let jobs =
-    List.map
-      (fun (key, v) -> Sw_runner.Job.make ~key (fun ~seed:_ -> make v))
-      variants
-  in
+  let jobs = List.map (fun (key, v) -> (key, fun () -> make v)) variants in
   List.map2
     (fun (key, _) r -> (key, Runner.get r))
     variants

@@ -115,8 +115,7 @@ let test_chaos_snapshot_bytes_j1_j4 () =
   let jobs () =
     List.map
       (fun (key, victim) ->
-        Sw_runner.Job.make ~key (fun ~seed:_ ->
-            scenario_snapshot (chaos_spec ~victim)))
+        (key, fun () -> scenario_snapshot (chaos_spec ~victim)))
       [ ("chaos/no-victim", false); ("chaos/victim", true) ]
   in
   let export outcomes =

@@ -400,8 +400,7 @@ let test_chrome_bytes_j1_j4 () =
   let jobs () =
     List.map
       (fun k ->
-        Sw_runner.Job.make ~key:(Printf.sprintf "trace/%d" k) (fun ~seed:_ ->
-            chrome_of_run ()))
+        (Printf.sprintf "trace/%d" k, chrome_of_run))
       [ 0; 1; 2; 3 ]
   in
   let seq = Runner.successes (Runner.map (jobs ())) in

@@ -324,8 +324,7 @@ let test_scenario_snapshot_bytes_j1_j4 () =
   let jobs () =
     List.map
       (fun (key, spec) ->
-        Sw_runner.Job.make ~key (fun ~seed:_ ->
-            (Scenario.run spec).Scenario.metrics))
+        (key, fun () -> (Scenario.run spec).Scenario.metrics))
       specs
   in
   let export outcomes =

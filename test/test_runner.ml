@@ -1,34 +1,13 @@
-(* Tests for sw_runner: deterministic seed derivation, the domain pool,
-   crash isolation / retry / timeout semantics, parallel-vs-sequential
-   determinism (results and aggregated JSON), cross-domain PRNG ownership,
-   and the Summary.merge partition property that parallel aggregation
-   leans on. *)
+(* Tests for sw_runner: the domain pool, crash isolation, progress events,
+   parallel-vs-sequential determinism (results and aggregated JSON),
+   cross-domain PRNG ownership, the Summary.merge partition property that
+   parallel aggregation leans on, and the report JSON bytes. *)
 
-module Seed = Sw_runner.Seed
-module Job = Sw_runner.Job
 module Pool = Sw_runner.Pool
 module Runner = Sw_runner.Runner
 module Report = Sw_runner.Report
 module Prng = Sw_sim.Prng
 module Summary = Sw_sim.Summary
-
-(* --- Seed ---------------------------------------------------------------- *)
-
-let test_seed_deterministic () =
-  Alcotest.(check int64) "same key same seed" (Seed.of_key "a") (Seed.of_key "a");
-  if Seed.of_key "a" = Seed.of_key "b" then
-    Alcotest.fail "distinct keys must give distinct seeds";
-  if Seed.of_key ~base:1L "a" = Seed.of_key ~base:2L "a" then
-    Alcotest.fail "distinct bases must give distinct seeds";
-  if Seed.nth (Seed.of_key "a") 0 = Seed.nth (Seed.of_key "a") 1 then
-    Alcotest.fail "distinct replicate indices must give distinct seeds"
-
-let test_job_seed_from_key () =
-  let j = Job.make ~key:"k" (fun ~seed -> seed) in
-  Alcotest.(check int64) "derived" (Seed.of_key "k") (Job.seed j);
-  Alcotest.(check int64) "passed to the closure" (Seed.of_key "k") (Job.run j);
-  let j' = Job.make ~seed:42L ~key:"k" (fun ~seed -> seed) in
-  Alcotest.(check int64) "explicit seed wins" 42L (Job.run j')
 
 (* --- Pool ---------------------------------------------------------------- *)
 
@@ -80,21 +59,18 @@ let test_pool_counts_escapes () =
   Alcotest.(check bool) "worker survived the raise" true (Atomic.get ran_after);
   Alcotest.(check int) "escape counted" 1 (Pool.escaped_exceptions pool)
 
-(* Runner catches per attempt, so a raising job never reaches the pool's
+(* Runner catches per job, so a raising job never reaches the pool's
    worker loop: the counter stays 0 and the failure is the job's. *)
 let test_runner_escapes_nothing () =
   let pool = Pool.create ~workers:1 () in
-  let out =
-    Runner.map ~pool ~backoff_s:0.
-      [ Job.make ~key:"boom" (fun ~seed:_ -> failwith "caught") ]
-  in
+  let out = Runner.map ~pool [ ("boom", fun () -> failwith "caught") ] in
   Pool.shutdown pool;
   Alcotest.(check int) "failure recorded" 1 (List.length (Runner.failures out));
   Alcotest.(check int) "nothing escaped" 0 (Pool.escaped_exceptions pool)
 
 (* --- Runner semantics ----------------------------------------------------- *)
 
-let int_jobs n = List.init n (fun i -> Job.make ~key:(Printf.sprintf "job%d" i) (fun ~seed:_ -> i))
+let int_jobs n = List.init n (fun i -> (Printf.sprintf "job%d" i, fun () -> i))
 
 let test_map_order_stable () =
   Pool.with_pool ~workers:4 (fun pool ->
@@ -102,98 +78,67 @@ let test_map_order_stable () =
       Alcotest.(check (list int)) "submission order" (List.init 32 Fun.id)
         (Runner.successes out))
 
-let test_crash_isolation_and_retry () =
-  let attempts = Atomic.make 0 in
+let test_crash_isolation () =
+  let runs = Atomic.make 0 in
   let jobs =
     [
-      Job.make ~key:"ok" (fun ~seed:_ -> 1);
-      Job.make ~key:"boom" (fun ~seed:_ ->
-          Atomic.incr attempts;
-          failwith "simulated crash");
-      Job.make ~key:"also-ok" (fun ~seed:_ -> 3);
+      ("ok", fun () -> 1);
+      ( "boom",
+        fun () ->
+          Atomic.incr runs;
+          failwith "simulated crash" );
+      ("also-ok", fun () -> 3);
     ]
   in
   Pool.with_pool ~workers:2 (fun pool ->
-      let out = Runner.map ~pool ~retries:2 ~backoff_s:0. jobs in
+      let out = Runner.map ~pool jobs in
+      Alcotest.(check int) "the raising closure ran once" 1 (Atomic.get runs);
       Alcotest.(check (list int)) "other jobs unaffected" [ 1; 3 ]
         (Runner.successes out);
       match Runner.failures out with
       | [ f ] ->
           Alcotest.(check string) "failure names the job" "boom" f.Runner.key;
-          Alcotest.(check int) "initial attempt + 2 retries" 3 f.Runner.attempts;
-          Alcotest.(check int) "closure really ran 3 times" 3 (Atomic.get attempts);
-          (match f.Runner.reason with
-          | Runner.Exn msg ->
-              if not (String.length msg > 0) then Alcotest.fail "empty reason"
-          | Runner.Timed_out _ -> Alcotest.fail "expected Exn reason")
+          Alcotest.(check string) "failure names the exception"
+            "Failure(\"simulated crash\")" f.Runner.exn
       | fs -> Alcotest.failf "expected exactly 1 failure, got %d" (List.length fs))
-
-let test_retry_recovers () =
-  let attempts = Atomic.make 0 in
-  let jobs =
-    [
-      Job.make ~key:"flaky" (fun ~seed:_ ->
-          if Atomic.fetch_and_add attempts 1 = 0 then failwith "transient";
-          "recovered");
-    ]
-  in
-  let out = Runner.map ~retries:1 ~backoff_s:0. jobs in
-  Alcotest.(check (list string)) "second attempt succeeded" [ "recovered" ]
-    (Runner.successes out);
-  Alcotest.(check int) "exactly two attempts" 2 (Atomic.get attempts)
-
-let test_timeout_detected () =
-  let jobs =
-    [
-      Job.make ~key:"slow" (fun ~seed:_ -> Unix.sleepf 0.05);
-      Job.make ~key:"fast" (fun ~seed:_ -> ());
-    ]
-  in
-  let out = Runner.map ~timeout_s:0.01 ~retries:0 jobs in
-  (match out with
-  | [ Error { key = "slow"; attempts = 1; reason = Runner.Timed_out t }; Ok () ] ->
-      if t < 0.01 then Alcotest.failf "reported %.3f s below the limit" t
-  | _ -> Alcotest.fail "expected slow to time out and fast to succeed");
-  (* Without a timeout the same job is fine. *)
-  match Runner.map [ List.hd jobs ] with
-  | [ Ok () ] -> ()
-  | _ -> Alcotest.fail "no-timeout run should succeed"
 
 let test_events_reported () =
   let events = ref [] in
   let jobs =
     [
-      Job.make ~key:"a" (fun ~seed:_ -> ());
-      Job.make ~key:"b" (fun ~seed:_ -> failwith "x");
+      ("a", fun () -> ());
+      ("b", fun () -> failwith "x");
     ]
   in
   Pool.with_pool ~workers:2 (fun pool ->
       ignore
-        (Runner.map ~pool ~retries:0 ~on_event:(fun e -> events := e :: !events)
-           jobs));
+        (Runner.map ~pool ~on_event:(fun e -> events := e :: !events) jobs));
   let finished =
     List.filter (function Runner.Finished _ -> true | _ -> false) !events
   in
   let failed =
-    List.filter (function Runner.Attempt_failed _ -> true | _ -> false) !events
+    List.filter (function Runner.Failed _ -> true | _ -> false) !events
   in
   Alcotest.(check int) "one finish" 1 (List.length finished);
-  Alcotest.(check int) "one failed attempt" 1 (List.length failed)
+  Alcotest.(check int) "one failure" 1 (List.length failed);
+  Alcotest.(check int) "one event per job" 2 (List.length !events)
 
 (* --- Determinism: -j 1 and -j 4 agree, byte for byte ---------------------- *)
 
 (* Pseudo-simulations: each job runs a PRNG-driven accumulation whose result
-   depends only on its pre-dispatch seed. Cheap, but exercises exactly the
-   contract real simulations rely on. *)
+   depends only on the seed fixed in its thunk before dispatch. Cheap, but
+   exercises exactly the contract real simulations rely on. *)
 let sim_jobs =
   List.init 24 (fun i ->
-      Job.make ~key:(Printf.sprintf "sim/%d" i) (fun ~seed ->
+      let seed = Int64.of_int (0x5EED + (i * 7919)) in
+      ( Printf.sprintf "sim/%d" i,
+        fun () ->
           let rng = Prng.create seed in
           let s = Summary.create () in
           for _ = 1 to 500 do
             Summary.add s (Prng.exponential rng ~rate:2.)
           done;
-          s))
+          s ))
 
 let json_of_outcomes outcomes =
   Report.to_string
@@ -230,7 +175,7 @@ let test_experiment_jobs_deterministic () =
      to identical outcomes. *)
   let module Ft = Sw_experiments.File_transfer in
   let jobs () =
-    Ft.jobs ~protocol:Ft.Http ~stopwatch:false ~size_bytes:1024 ~runs:3 ()
+    Ft.jobs ~protocol:Ft.Http ~baseline:true ~size_bytes:1024 ~runs:3 ()
   in
   let seq = Ft.collect (Runner.map (jobs ())) in
   let par =
@@ -333,6 +278,15 @@ let test_report_json () =
       | s -> Alcotest.failf "%h serialised lossily as %s" f s)
     [ 0.1; 1. /. 3.; 1e-300; 123456.789; Float.pi ]
 
+(* The failure object fig5's and quick's "failures" lists carry. *)
+let test_failure_json () =
+  match Runner.map [ ("fig5/http/base/1024B/run0", fun () -> failwith "x") ] with
+  | [ Error f ] ->
+      Alcotest.(check string) "failure bytes"
+        "{\"key\":\"fig5/http/base/1024B/run0\",\"exn\":\"Failure(\\\"x\\\")\"}"
+        (Report.to_string (Report.of_failure f))
+  | _ -> Alcotest.fail "expected one failure"
+
 let test_bench_file_shape () =
   let doc =
     Report.bench_file ~workers:4 ~wall_s:1.25
@@ -347,11 +301,6 @@ let test_bench_file_shape () =
 let () =
   Alcotest.run "sw_runner"
     [
-      ( "seed",
-        [
-          Alcotest.test_case "derivation deterministic" `Quick test_seed_deterministic;
-          Alcotest.test_case "job seed from key" `Quick test_job_seed_from_key;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "runs all tasks" `Quick test_pool_runs_all_tasks;
@@ -364,10 +313,7 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "order stable" `Quick test_map_order_stable;
-          Alcotest.test_case "crash isolation + retry" `Quick
-            test_crash_isolation_and_retry;
-          Alcotest.test_case "retry recovers" `Quick test_retry_recovers;
-          Alcotest.test_case "timeout detected" `Quick test_timeout_detected;
+          Alcotest.test_case "crash isolation" `Quick test_crash_isolation;
           Alcotest.test_case "events reported" `Quick test_events_reported;
         ] );
       ( "determinism",
@@ -384,6 +330,7 @@ let () =
       ( "report",
         [
           Alcotest.test_case "json emission" `Quick test_report_json;
+          Alcotest.test_case "failure json" `Quick test_failure_json;
           Alcotest.test_case "bench file shape" `Quick test_bench_file_shape;
         ] );
     ]

@@ -567,7 +567,7 @@ let merged_bytes ~workers =
   let w = small_workload () in
   let jobs =
     List.map
-      (fun (key, v) -> Sw_runner.Job.make ~key (fun ~seed:_ -> Run.run v))
+      (fun (key, v) -> (key, fun () -> Run.run v))
       (Dsl.workload_variants ~name:"diurnal" w)
   in
   let outcomes =
