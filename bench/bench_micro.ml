@@ -33,24 +33,15 @@ let prng =
   let rng = Sw_sim.Prng.create 42L in
   fun () -> ignore (Sw_sim.Prng.exponential rng ~rate:1.)
 
-(* The observability spine's hot-path guarantee: with no sink attached (or a
-   disabled one), an instrumentation site costs one branch — no event
-   payload is allocated and nothing is formatted. The benchmark mirrors the
-   guarded emission idiom used inside the VMM. *)
-let trace_emit_disabled =
-  let trace = Sw_obs.Trace.create ~capacity:16 () in
-  let sink = Some trace in
-  fun () ->
-    if Sw_obs.Trace.active sink then
-      Sw_obs.Trace.emit trace ~at_ns:0
-        (Sw_obs.Event.Packet_delivered
-           { vm = 0; replica = 1; seq = 2; virt_ns = 3 })
-
+(* The observability spine's hot-path guarantee: on an engine with no trace
+   attached, an instrumentation site costs one branch — no event payload is
+   allocated and nothing is formatted. The benchmark mirrors the guarded
+   emission idiom every component uses. *)
 let trace_emit_absent =
-  let sink : Sw_obs.Trace.t option = None in
+  let engine = Sw_sim.Engine.create () in
   fun () ->
-    if Sw_obs.Trace.active sink then
-      Sw_obs.Trace.emit (Option.get sink) ~at_ns:0
+    if Sw_sim.Engine.tracing engine then
+      Sw_sim.Engine.emit engine
         (Sw_obs.Event.Packet_delivered
            { vm = 0; replica = 1; seq = 2; virt_ns = 3 })
 
@@ -84,7 +75,6 @@ let tests =
       Test.make ~name:"stats/chi2-critical" (Staged.stage chi_square_critical);
       Test.make ~name:"placement/bose-sts-v5" (Staged.stage bose_sts);
       Test.make ~name:"sim/prng-exponential" (Staged.stage prng);
-      Test.make ~name:"obs/emit-disabled-sink" (Staged.stage trace_emit_disabled);
       Test.make ~name:"obs/emit-absent-sink" (Staged.stage trace_emit_absent);
       Test.make ~name:"obs/counter-incr" (Staged.stage counter_incr);
       Test.make ~name:"obs/histogram-observe" (Staged.stage histogram_observe);

@@ -17,7 +17,6 @@ let run () =
   let cloud = Cloud.create ~machines:3 () in
   let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Probe.receiver ()) in
   let trace = Trace.create () in
-  Trace.enable trace;
   (* Cloud-wide attachment: the ingress and egress edge nodes emit too, so
      the printed trace starts at the replication fan-out. *)
   Cloud.attach_trace cloud trace;

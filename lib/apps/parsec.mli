@@ -26,10 +26,7 @@ type profile = {
     streamcluster 27. *)
 val ferret : profile
 
-val blackscholes : profile
-val canneal : profile
 val dedup : profile
-val streamcluster : profile
 val all_profiles : profile list
 
 (** [app profile ~collector] builds the guest application: it starts at

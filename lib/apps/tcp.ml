@@ -84,7 +84,6 @@ let create ~config ~conn ~initiator =
     next_timer_id = 0;
   }
 
-let conn t = t.conn
 let bytes_delivered t = t.rcv_next
 let bytes_acked t = t.snd_una
 

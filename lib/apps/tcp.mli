@@ -54,7 +54,6 @@ type t
     [conn]. Exactly one side must be the initiator. *)
 val create : config:config -> conn:int -> initiator:bool -> t
 
-val conn : t -> int
 val bytes_delivered : t -> int
 val bytes_acked : t -> int
 

@@ -84,8 +84,3 @@ let send t key ~payload ~bytes =
   match Hashtbl.find_opt t.conns key with
   | None -> invalid_arg "Tcp_guest.send: unknown connection"
   | Some ep -> snd (run_outputs t key (Tcp.step ep (Tcp.Send_msg { payload; bytes })))
-
-let close t key =
-  match Hashtbl.find_opt t.conns key with
-  | None -> []
-  | Some ep -> snd (run_outputs t key (Tcp.step ep Tcp.Close))

@@ -26,5 +26,3 @@ val handle : t -> Sw_vm.App.event -> (conn_event list * Sw_vm.App.action list) o
 
 (** [send t key ~payload ~bytes] enqueues an application message. *)
 val send : t -> conn_key -> payload:Sw_net.Msg.t -> bytes:int -> Sw_vm.App.action list
-
-val close : t -> conn_key -> Sw_vm.App.action list

@@ -82,13 +82,8 @@ let run spec =
     Cloud.create ~config:spec.config ~seed:spec.seed ?profile:spec.profile
       ~machines ()
   in
-  (* Attach before deploying so the edge nodes and every replica emit into
-     the same sink; recording starts immediately. *)
-  (match spec.trace with
-  | Some tr ->
-      Cloud.attach_trace cloud tr;
-      Sw_obs.Trace.enable tr
-  | None -> ());
+  (* Attach before deploying so the whole run lands in the sink. *)
+  Option.iter (Cloud.attach_trace cloud) spec.trace;
   let deploy_guest ~on ~app =
     if spec.baseline then Cloud.deploy_baseline cloud ~on:0 ~app
     else Cloud.deploy cloud ~on ~app

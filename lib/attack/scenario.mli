@@ -23,8 +23,8 @@ type spec = {
           disables injection entirely. *)
   trace : Sw_obs.Trace.t option;
       (** Cloud-wide trace sink, attached ({!Stopwatch.Cloud.attach_trace})
-          and enabled before anything is deployed; [None] (the default)
-          records nothing and costs one branch per would-be event. *)
+          before anything is deployed; [None] (the default) records
+          nothing and costs one branch per would-be event. *)
   profile : Sw_obs.Profile.t option;
       (** Wall-clock self-profiling instance handed to the engine; [None]
           (the default) times nothing. *)
@@ -85,13 +85,6 @@ val observed_replica :
 (** Every per-(vm, mechanism) lineage observation series in a trace, keyed
     ["vm<i>/<mechanism>"] for attribution. *)
 val lineage_series : Sw_obs.Trace.t -> (string * float array) list
-
-(** Successive-difference jitter [|x(i+1) - x(i)|] — the dispersion view
-    of a timing series. A contention channel that reshapes a distribution
-    without moving its mean still moves the mean of the jitter, putting it
-    in reach of location-based detectors (Welch, Cohen's d). Empty for
-    series shorter than 2. *)
-val jitter : float array -> float array
 
 (** [leak_series spec] runs the scenario with a trace sink attached and
     distils every leak-audit observation series, keyed for lineage

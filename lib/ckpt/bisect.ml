@@ -95,7 +95,6 @@ let replay_trace path ~until =
   else begin
     let tr = Trace.create ~capacity:(1 lsl 18) () in
     Cloud.attach_trace cloud tr;
-    Trace.enable tr;
     Cloud.run cloud ~until;
     Ok (Some (Trace.entries tr))
   end

@@ -46,8 +46,6 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-val version : int
-
 (** [write ~path meta ~payload] writes atomically: the image appears under
     [path] complete or not at all. [meta.payload_digest] and
     [meta.payload_len] are recomputed from [payload] — callers cannot

@@ -35,7 +35,6 @@ type t = {
   mutable next_vm : int;
   mutable next_host : int;
   mutable deployments : deployment list;
-  mutable trace : Sw_obs.Trace.t option;
 }
 
 let sharded t = Array.length t.shards > 1
@@ -174,7 +173,6 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
       next_vm = 0;
       next_host = 0;
       deployments = [];
-      trace = None;
     }
   in
   (* Wire the cross-shard path: each network resolves a delivery target
@@ -206,22 +204,13 @@ let cross_shard_exchanged t =
 let total_fired t =
   Array.fold_left (fun acc sh -> acc + Engine.fired sh.sh_engine) 0 t.shards
 
-(* One sink for the whole cloud: the edge nodes and every replica VMM —
-   current and future deployments alike — emit into it, so lineage
-   reconstruction sees the full ingress → proposal → median → delivery →
-   egress chain. Single-shard only: a trace sink is one mutable buffer and
-   per-shard domains would race on it. *)
+(* Every component emits through the engine that drives it, so attaching
+   the sink to the one engine traces the whole cloud. Single-shard only: a
+   trace sink is one mutable buffer and per-shard domains would race on it. *)
 let attach_trace t tr =
   if sharded t then
     invalid_arg "Cloud.attach_trace: not supported on a sharded cloud";
-  t.trace <- Some tr;
-  Sw_net.Ingress.set_trace t.shards.(0).sh_ingress tr;
-  Sw_net.Egress.set_trace t.shards.(0).sh_egress tr;
-  List.iter
-    (fun d -> List.iter (fun (_, i) -> Sw_vmm.Vmm.set_trace i tr) d.instances)
-    t.deployments
-
-let trace t = t.trace
+  Engine.attach_trace t.shards.(0).sh_engine tr
 
 let engine t = t.shards.(0).sh_engine
 let network t = t.shards.(0).sh_network
@@ -236,8 +225,6 @@ let metrics_snapshot t =
            (Array.map
               (fun sh -> Sw_obs.Registry.snapshot (Engine.metrics sh.sh_engine))
               shards))
-
-let config t = t.config
 
 let machine t i =
   if i < 0 || i >= Array.length t.machines then
@@ -291,10 +278,12 @@ let deploy ?config t ~on ~app =
       ~config ~mode:Sw_vmm.Replica_group.Stopwatch ()
   in
   (* The VM's PGM-style channel: the ingress replicates inbound packets over
-     it, the VMMs exchange proposals and epoch reports on it. A receiver
-     NAKs a gap after 300 us and abandons it after the default 5 re-sends. *)
+     it, the VMMs exchange proposals and epoch reports on it. It takes the
+     VM id as its group id, so ids travel in a checkpoint with [next_vm]. A
+     receiver NAKs a gap after 300 us and abandons it after the default 5
+     re-sends. *)
   let channel =
-    Sw_net.Multicast.group sh.sh_network
+    Sw_net.Multicast.group sh.sh_network ~id:vm
       ~members:(Address.Ingress :: List.map (fun m -> Address.Vmm m) on)
       ~nak_delay:(Time.us 300)
       ?heartbeat:config.Sw_vmm.Config.mcast_heartbeat ()
@@ -326,9 +315,6 @@ let deploy ?config t ~on ~app =
     | Some _ -> Some (Sw_vmm.Watchdog.create sh.sh_engine group)
   in
   let d = { vm; group; instances; watchdog } in
-  (match t.trace with
-  | Some tr -> List.iter (fun (_, i) -> Sw_vmm.Vmm.set_trace i tr) instances
-  | None -> ());
   t.deployments <- d :: t.deployments;
   d
 
@@ -349,9 +335,6 @@ let deploy_baseline ?config t ~on ~app =
   (* Baseline traffic routes straight to the hosting machine. *)
   Sw_net.Network.set_route sh.sh_network ~dst:(Address.Vm vm) ~via:(Address.Vmm on);
   let d = { vm; group; instances = [ (on, instance) ]; watchdog = None } in
-  (match t.trace with
-  | Some tr -> Sw_vmm.Vmm.set_trace instance tr
-  | None -> ());
   t.deployments <- d :: t.deployments;
   d
 
@@ -373,7 +356,6 @@ let replica_on d ~machine =
   List.assoc_opt machine d.instances
 
 let group d = d.group
-let watchdog d = d.watchdog
 let divergences d = Sw_vmm.Replica_group.divergences d.group
 let skew_blocks d = Sw_vmm.Replica_group.skew_blocks d.group
 
@@ -499,12 +481,9 @@ let restart_replica t ~vm ~replica =
       | None -> ())
   | _ -> ()
 
-let install_faults ?trace t schedule =
+let install_faults t schedule =
   if sharded t then
     invalid_arg "Cloud.install_faults: not supported on a sharded cloud";
-  (* Fault windows land in the cloud's attached trace unless the caller
-     routes them elsewhere. *)
-  let trace = match trace with Some _ -> trace | None -> t.trace in
   let env =
     {
       Sw_fault.Injector.engine = engine t;
@@ -517,7 +496,7 @@ let install_faults ?trace t schedule =
       restart = (fun ~vm ~replica -> restart_replica t ~vm ~replica);
     }
   in
-  Sw_fault.Injector.install ?trace env schedule
+  Sw_fault.Injector.install env schedule
 
 (* --- Checkpoint / restore ---------------------------------------------- *)
 
@@ -542,13 +521,4 @@ let restore bytes =
     (Marshal.from_string bytes 0 : t * _)
   with
   | exception Failure msg -> Error (Incompatible_image msg)
-  | t, extra ->
-      (* The multicast group-id allocator is process-global, outside the
-         marshaled graph: advance it past every restored group so
-         post-restore deployments cannot collide. *)
-      Array.iter
-        (fun sh ->
-          Sw_net.Multicast.reserve_group_ids
-            (Sw_net.Ingress.max_mcast_group sh.sh_ingress))
-        t.shards;
-      Ok (t, extra)
+  | restored -> Ok restored

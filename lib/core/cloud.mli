@@ -28,10 +28,10 @@ type deployment
     indices in range; replica-group atomicity is enforced at {!deploy}
     as always). Each shard gets its own engine (and metric registry),
     network fabric, and ingress/egress pair, and {!run} drives the shards
-    concurrently (one OCaml domain each; on a host that reports a single
-    core, where a domain gang could only time-slice, the same windowed
-    protocol runs round-robin, byte-identical) under conservative
-    lookahead synchronisation — see {!Sw_sim.Conductor}. The conductor's bound is a
+    under conservative lookahead synchronisation — see
+    {!Sw_sim.Conductor}: [min(shards, cores)] workers (the calling domain
+    and [k - 1] spawned ones) each run a contiguous block of shards, and
+    every worker count gives the same bytes. The conductor's bound is a
     per-shard-pair matrix built from each fabric's
     {!Sw_net.Network.min_latency_to}. The partition cannot change
     results: per-link PRNG streams are key-derived so no draw depends on
@@ -78,14 +78,13 @@ val cross_shard_exchanged : t -> int
 (** Events fired across all shard engines. *)
 val total_fired : t -> int
 
-(** [attach_trace t tr] makes [tr] the cloud-wide trace sink: the ingress
-    and egress nodes and every replica VMM — of deployments both existing
-    and future — emit their typed events into it. The sink still starts
-    disabled; call {!Sw_obs.Trace.enable} to record. *)
+(** [attach_trace t tr] attaches [tr] to the cloud's engine
+    ({!Sw_sim.Engine.attach_trace}), so everything that engine drives
+    records into it from then on: the ingress and egress nodes, every
+    replica VMM and watchdog, of deployments both existing and future, and
+    every installed fault schedule. Raises [Invalid_argument] on a sharded
+    cloud. *)
 val attach_trace : t -> Sw_obs.Trace.t -> unit
-
-(** The cloud-wide sink, when one was attached. *)
-val trace : t -> Sw_obs.Trace.t option
 
 (** Times the skew limiter has descheduled this VM's fastest replica. *)
 val skew_blocks : deployment -> int
@@ -100,7 +99,6 @@ val metrics : t -> Sw_obs.Registry.t
 (** Deterministic snapshot of every metric in the cloud — the value the
     runner merges across jobs and the benches export. *)
 val metrics_snapshot : t -> Sw_obs.Snapshot.t
-val config : t -> Sw_vmm.Config.t
 val machine : t -> int -> Sw_vmm.Machine.t
 val ingress : t -> Sw_net.Ingress.t
 val egress : t -> Sw_net.Egress.t
@@ -132,11 +130,6 @@ val replica_on : deployment -> machine:int -> Sw_vmm.Vmm.instance option
 
 val group : deployment -> Sw_vmm.Replica_group.t
 
-(** The deployment's liveness watchdog — present iff the deploying config
-    had [Config.watchdog] set (StopWatch deployments only; baselines never
-    run one). *)
-val watchdog : deployment -> Sw_vmm.Watchdog.t option
-
 (** Synchrony violations recorded for this VM (paper footnote 4). *)
 val divergences : deployment -> int
 
@@ -167,16 +160,15 @@ val set_pair_link :
     the rest of the simulation. *)
 val start_background : t -> rate_per_s:float -> ?size:int -> unit -> unit
 
-(** [install_faults ?trace t schedule] arms a deterministic fault schedule
+(** [install_faults t schedule] arms a deterministic fault schedule
     against this cloud (see {!Sw_fault.Schedule}): every window becomes an
     engine event, machines and replicas are resolved by id, and a
     [Replica_crash] with [restart_after] is restarted by resyncing from a
     live peer ({!Sw_vmm.Vmm.reintegrate} — requires [Config.replay_log];
     without it, or without a survivor, the restart silently stays down).
-    Call after the relevant deployments exist. [trace] defaults to the
-    cloud's {!attach_trace} sink. *)
-val install_faults :
-  ?trace:Sw_obs.Trace.t -> t -> Sw_fault.Schedule.t -> Sw_fault.Injector.t
+    Call after the relevant deployments exist. Fault windows record into
+    the {!attach_trace} sink whenever one is attached. *)
+val install_faults : t -> Sw_fault.Schedule.t -> Sw_fault.Injector.t
 
 (** [run t ~until] advances the simulation. *)
 val run : t -> until:Sw_sim.Time.t -> unit
@@ -219,6 +211,6 @@ val checkpoint : t -> extra:'a -> string
     is trusted from the caller's context — feed this only bytes whose
     provenance (same binary, same scenario) has been checked, e.g. via
     [Sw_ckpt.Image]'s digest and metadata. On success the restored cloud
-    is fully live: the multicast group-id allocator is advanced past every
-    restored group. *)
+    is fully live: every counter it draws ids from (VMs, hosts, packet
+    sequence numbers, multicast groups) travels inside the image. *)
 val restore : string -> (t * 'a, restore_error) result

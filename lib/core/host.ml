@@ -39,7 +39,6 @@ let create network ~id ?(link = Sw_net.Network.wan) () =
   t
 
 let address t = t.address
-let network t = t.network
 let engine t = Sw_net.Network.engine t.network
 let now t = Engine.now (engine t)
 let set_handler t h = t.handler <- h
@@ -53,5 +52,4 @@ let send t ~dst ~size payload =
   Sw_net.Network.send t.network pkt
 
 let after t span f = ignore (Engine.schedule_after (engine t) span f)
-let received t = Sw_obs.Registry.Counter.value t.m_received
 let inter_arrival_ms t = Sw_sim.Samples.to_array t.inter_arrival

@@ -14,8 +14,6 @@ val create :
   Sw_net.Network.t -> id:int -> ?link:Sw_net.Network.link_params -> unit -> t
 
 val address : t -> Sw_net.Address.t
-val network : t -> Sw_net.Network.t
-val engine : t -> Sw_sim.Engine.t
 
 (** Current real (simulated) time — what an external observer's clock
     reads. *)
@@ -29,9 +27,6 @@ val send : t -> dst:Sw_net.Address.t -> size:int -> Sw_net.Packet.payload -> uni
 (** [after t span f] schedules [f] on the host (e.g. timeouts, open-loop
     load generation). *)
 val after : t -> Sw_sim.Time.t -> (unit -> unit) -> unit
-
-(** Packets received so far. *)
-val received : t -> int
 
 (** Real inter-arrival times (ms) of packets at this host — the external
     observer's measurements. *)

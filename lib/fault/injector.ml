@@ -18,7 +18,6 @@ type env = {
    freely. *)
 type t = {
   env : env;
-  mutable trace : Sw_obs.Trace.t option;
   link_faults : (Sw_net.Address.t option, Network.disturbance list ref) Hashtbl.t;
   slowdowns : (int, float list ref) Hashtbl.t;
   partitions : (int * int, int ref) Hashtbl.t;
@@ -28,17 +27,10 @@ type t = {
   k_restart : Engine.kind;
 }
 
-let trace_on t = Sw_obs.Trace.active t.trace
-
-let emit t event =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Sw_obs.Trace.emit tr ~at_ns:(Engine.now t.env.engine) event
-
 let emit_injected t fault ~span =
   Registry.Counter.incr t.m_injected;
-  if trace_on t then
-    emit t
+  if Engine.tracing t.env.engine then
+    Engine.emit t.env.engine
       (Event.Fault_injected
          {
            fault = Fault.label fault;
@@ -47,8 +39,8 @@ let emit_injected t fault ~span =
          })
 
 let emit_cleared t fault =
-  if trace_on t then
-    emit t
+  if Engine.tracing t.env.engine then
+    Engine.emit t.env.engine
       (Event.Fault_cleared
          { fault = Fault.label fault; target = Fault.target_string fault })
 
@@ -192,13 +184,12 @@ let open_window t (spec : Schedule.spec) =
             restart_after
       | None -> skip t)
 
-let install ?trace env schedule =
+let install env schedule =
   Schedule.validate schedule;
   let metrics = Engine.metrics env.engine in
   let t =
     {
       env;
-      trace;
       link_faults = Hashtbl.create 8;
       slowdowns = Hashtbl.create 4;
       partitions = Hashtbl.create 4;
@@ -217,6 +208,4 @@ let install ?trace env schedule =
     (Schedule.sorted schedule);
   t
 
-let set_trace t tr = t.trace <- Some tr
 let injected t = Registry.Counter.value t.m_injected
-let skipped t = Registry.Counter.value t.m_skipped

@@ -23,17 +23,11 @@ type env = {
 
 type t
 
-(** [install ?trace env schedule] validates [schedule] and arms every window
-    as an engine event. Registers [fault.injected] / [fault.skipped]
-    counters on the engine's registry and, when tracing, emits
-    [Fault_injected] / [Fault_cleared] events. *)
-val install : ?trace:Sw_obs.Trace.t -> env -> Schedule.t -> t
-
-val set_trace : t -> Sw_obs.Trace.t -> unit
+(** [install env schedule] validates [schedule] and arms every window as an
+    engine event. Registers [fault.injected] / [fault.skipped] counters on
+    the engine's registry and, when the engine has a trace attached, emits
+    [Fault_injected] / [Fault_cleared] events into it. *)
+val install : env -> Schedule.t -> t
 
 (** Windows whose open actually took effect. *)
 val injected : t -> int
-
-(** Windows whose target could not be resolved (unknown machine/replica, or
-    a partition on a baseline deployment). *)
-val skipped : t -> int

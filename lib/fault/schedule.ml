@@ -58,5 +58,3 @@ let windows ~seed ~until ~mean_gap ~mean_span ~make =
   let t = loop [] Time.zero in
   validate t;
   t
-
-let specs t = sorted t

@@ -24,9 +24,6 @@ val at : ?span:Sw_sim.Time.t -> Sw_sim.Time.t -> Fault.t -> spec
     installs windows in. *)
 val sorted : t -> t
 
-(** [specs t] = [sorted t]. *)
-val specs : t -> t
-
 (** Raises [Invalid_argument] on negative instants/spans or invalid fault
     parameters. *)
 val validate : t -> unit

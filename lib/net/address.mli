@@ -23,5 +23,4 @@ val equal : t -> t -> bool
     constructor. It is a monomorphic match, as is {!equal}. *)
 val compare : t -> t -> int
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

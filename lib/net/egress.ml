@@ -16,7 +16,6 @@ type t = {
   m_dropped : Sw_obs.Registry.Counter.t;
   m_mismatches : Sw_obs.Registry.Counter.t;
   m_expired : Sw_obs.Registry.Counter.t;
-  mutable trace : Sw_obs.Trace.t option;
 }
 
 (* Copies beyond the (m+1)/2-th only serve to retire the vote entry. The
@@ -66,9 +65,9 @@ let handle t (pkt : Packet.t) =
             schedule_expiry t entry key;
           if seen = release_rank then begin
             Sw_obs.Registry.Counter.incr t.m_forwarded;
-            if Sw_obs.Trace.active t.trace then
-              Sw_obs.Trace.emit (Option.get t.trace)
-                ~at_ns:(Sw_sim.Engine.now (Network.engine t.network))
+            let engine = Network.engine t.network in
+            if Sw_sim.Engine.tracing engine then
+              Sw_sim.Engine.emit engine
                 (Sw_obs.Event.Egress_released
                    { vm; seq = key; rank = release_rank; copies = entry.replicas });
             Network.send t.network inner
@@ -91,13 +90,10 @@ let create ?vote_expiry network =
       m_dropped = Sw_obs.Registry.counter metrics "net.egress.dropped";
       m_mismatches = Sw_obs.Registry.counter metrics "net.egress.mismatches";
       m_expired = Sw_obs.Registry.counter metrics "net.egress.expired_votes";
-      trace = None;
     }
   in
   Network.register network Address.Egress (handle t);
   t
-
-let set_trace t tr = t.trace <- Some tr
 
 let check_replicas ~fn replicas =
   if replicas < 1 || replicas mod 2 = 0 then
@@ -124,6 +120,5 @@ let pending_votes t ~vm =
   | Some entry -> Int_tbl.length entry.pending
 
 let forwarded t = Sw_obs.Registry.Counter.value t.m_forwarded
-let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
 let mismatches t = Sw_obs.Registry.Counter.value t.m_mismatches
 let expired_votes t = Sw_obs.Registry.Counter.value t.m_expired

@@ -1,7 +1,8 @@
 (** The egress node (paper Sec. VI): receives each output packet tunnelled
     from every replica of a guest VM and forwards it to its real destination
     upon the arrival of the copy exhibiting the median output timing (the
-    2nd of 3 copies; generally the (m+1)/2-th of m). *)
+    2nd of 3 copies; generally the (m+1)/2-th of m). Each release emits
+    {!Sw_obs.Event.Egress_released} through the engine's trace. *)
 
 type t
 
@@ -35,9 +36,6 @@ val pending_votes : t -> vm:int -> int
 (** Packets forwarded to their destinations so far. *)
 val forwarded : t -> int
 
-(** Copies received from VMs the egress does not know. *)
-val dropped : t -> int
-
 (** Output-vote failures: a copy of some packet disagreed with the copy the
     egress already held for the same sequence number. Deterministic replicas
     always emit identical packets, so a mismatch exposes replica-state
@@ -48,7 +46,3 @@ val mismatches : t -> int
 (** Vote entries retired by the [vote_expiry] timeout before all copies
     arrived. *)
 val expired_votes : t -> int
-
-(** Attach a trace sink: each median-timed release emits
-    {!Sw_obs.Event.Egress_released} when the sink is enabled. *)
-val set_trace : t -> Sw_obs.Trace.t -> unit

@@ -12,7 +12,6 @@ type t = {
   mcast_routes : Multicast.endpoint Int_tbl.t;  (** By group id. *)
   m_dropped : Sw_obs.Registry.Counter.t;
   m_replicated : Sw_obs.Registry.Counter.t;
-  mutable trace : Sw_obs.Trace.t option;
 }
 
 let handle t (pkt : Packet.t) =
@@ -36,9 +35,9 @@ let handle t (pkt : Packet.t) =
               let ingress_seq = entry.next_ingress_seq in
               entry.next_ingress_seq <- ingress_seq + 1;
               Sw_obs.Registry.Counter.incr t.m_replicated;
-              if Sw_obs.Trace.active t.trace then
-                Sw_obs.Trace.emit (Option.get t.trace)
-                  ~at_ns:(Sw_sim.Engine.now (Network.engine t.network))
+              let engine = Network.engine t.network in
+              if Sw_sim.Engine.tracing engine then
+                Sw_sim.Engine.emit engine
                   (Sw_obs.Event.Ingress_replicated
                      {
                        vm;
@@ -59,13 +58,10 @@ let create network =
       mcast_routes = Int_tbl.create 16;
       m_dropped = Sw_obs.Registry.counter metrics "net.ingress.dropped";
       m_replicated = Sw_obs.Registry.counter metrics "net.ingress.replicated";
-      trace = None;
     }
   in
   Network.register network Address.Ingress (handle t);
   t
-
-let set_trace t tr = t.trace <- Some tr
 
 let register_vm t ~vm ~channel ~replicas =
   if replicas < 1 then invalid_arg "Ingress.register_vm: no replicas";
@@ -88,6 +84,3 @@ let set_replicas t ~vm ~replicas =
 
 let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
 let replicated t = Sw_obs.Registry.Counter.value t.m_replicated
-
-let max_mcast_group t =
-  Int_tbl.fold (fun gid _ acc -> Int.max gid acc) t.mcast_routes 0

@@ -12,7 +12,8 @@ val create : Network.t -> t
     PGM-style multicast group whose members are the ingress and the replica
     VMMs, as the paper's OpenPGM-based replication does. [replicas] (>= 1)
     is the number of live replicas, reported as the [copies] of each
-    {!Sw_obs.Event.Ingress_replicated}. *)
+    {!Sw_obs.Event.Ingress_replicated}, the root of a packet's causal chain,
+    which the ingress emits through its engine's trace. *)
 val register_vm :
   t -> vm:int -> channel:Multicast.group -> replicas:int -> unit
 
@@ -26,13 +27,3 @@ val dropped : t -> int
 
 (** Total inbound guest packets replicated. *)
 val replicated : t -> int
-
-(** Attach a trace sink: each replication emits
-    {!Sw_obs.Event.Ingress_replicated} — the root of a packet's causal
-    chain — when the sink is enabled. *)
-val set_trace : t -> Sw_obs.Trace.t -> unit
-
-(** Highest multicast group id routed by this ingress (0 when none) — the
-    restore path advances the global group-id allocator past it so groups
-    created after a checkpoint restore cannot collide with restored ones. *)
-val max_mcast_group : t -> int

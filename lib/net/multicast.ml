@@ -38,25 +38,16 @@ type endpoint = {
   mutable next_mseq : int;
   rx_states : rx Int_tbl.t;  (** Keyed by the sender's [Address.index]. *)
   mutable partitioned : bool;
-  (* Metric paths key on the member's address, not the group id: group ids
-     come from a cross-domain atomic counter, so using them would make
-     snapshot contents depend on worker scheduling. *)
+  (* Metric paths key on the member's address, not the group id. *)
   m_retransmissions : Sw_obs.Registry.Counter.t;
   m_naks : Sw_obs.Registry.Counter.t;
   m_abandoned : Sw_obs.Registry.Counter.t;
   m_partition_drops : Sw_obs.Registry.Counter.t;
 }
 
-(* Atomic: clouds on different domains allocate groups concurrently, and a
-   plain [ref] incr could hand two groups the same id. Ids only need to be
-   distinct, so cross-domain allocation order doesn't affect determinism. *)
-let group_counter = Atomic.make 0
-
-let group network ~members ?(nak_delay = Time.us 200) ?heartbeat () =
+let group network ~id ~members ?(nak_delay = Time.us 200) ?heartbeat () =
   if List.length members < 2 then invalid_arg "Multicast.group: need >= 2 members";
-  { network;
-    group_id = 1 + Atomic.fetch_and_add group_counter 1;
-    members; nak_delay; heartbeat }
+  { network; group_id = id; members; nak_delay; heartbeat }
 
 let group_id g = g.group_id
 
@@ -286,9 +277,3 @@ let retransmissions e = Sw_obs.Registry.Counter.value e.m_retransmissions
 let gaps_abandoned e = Sw_obs.Registry.Counter.value e.m_abandoned
 let partition_drops e = Sw_obs.Registry.Counter.value e.m_partition_drops
 let set_partitioned e on = e.partitioned <- on
-let partitioned e = e.partitioned
-
-let rec reserve_group_ids n =
-  let cur = Atomic.get group_counter in
-  if cur < n && not (Atomic.compare_and_set group_counter cur n) then
-    reserve_group_ids n

@@ -11,8 +11,10 @@ type endpoint
 
 type group
 
-(** [group network ~members ?nak_delay ?heartbeat ()] declares a group over
-    the given member addresses. [nak_delay] (default 200 us) is how long a
+(** [group network ~id ~members ?nak_delay ?heartbeat ()] declares group [id]
+    over the given member addresses. [id] must differ from the id of every
+    other group on [network] (a StopWatch cloud uses the VM id: each VM has
+    one group). [nak_delay] (default 200 us) is how long a
     receiver waits before NAKing a detected gap; retries of the same gap
     back off exponentially ([nak_delay * 2^(k-1)] before attempt [k]) and
     after 5 unanswered NAKs the gap is abandoned — the receiver skips past
@@ -21,6 +23,7 @@ type group
     periodic sender heartbeats with that period. *)
 val group :
   Network.t ->
+  id:int ->
   members:Address.t list ->
   ?nak_delay:Sw_sim.Time.t ->
   ?heartbeat:Sw_sim.Time.t ->
@@ -69,14 +72,5 @@ val gaps_abandoned : endpoint -> int
     the partition heals (tail losses need the group heartbeat). *)
 val set_partitioned : endpoint -> bool -> unit
 
-val partitioned : endpoint -> bool
-
 (** Packets dropped at this endpoint by a partition window. *)
 val partition_drops : endpoint -> int
-
-(** [reserve_group_ids n] advances the global group-id allocator so every
-    future group id is [> n]. Called after a checkpoint restore with the
-    highest restored id: the allocator is process-global and not part of
-    any marshaled graph, so a freshly started process would otherwise
-    re-issue ids already taken by restored groups. *)
-val reserve_group_ids : int -> unit

@@ -118,7 +118,6 @@ let fresh_seq t =
 let register t addr handler =
   Int_tbl.replace t.handlers (Address.index addr) (addr, handler)
 
-let registered t addr = Int_tbl.mem t.handlers (Address.index addr)
 let set_route t ~dst ~via = Int_tbl.replace t.routes (Address.index dst) via
 let clear_route t ~dst = Int_tbl.remove t.routes (Address.index dst)
 

@@ -42,8 +42,6 @@ val fresh_seq : t -> int
     replaces it. *)
 val register : t -> Address.t -> (Packet.t -> unit) -> unit
 
-val registered : t -> Address.t -> bool
-
 (** [set_route t ~dst ~via] delivers packets addressed to [dst] to [via]'s
     handler instead (e.g. [Vm v] routed via [Ingress]). The packet's [dst]
     field is left untouched. *)

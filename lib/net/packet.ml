@@ -23,7 +23,3 @@ and payload =
 let make ~src ~dst ~size ~seq payload =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   { src; dst; size; seq; payload }
-
-let pp fmt t =
-  Format.fprintf fmt "%a->%a #%d (%dB)" Address.pp t.src Address.pp t.dst t.seq
-    t.size

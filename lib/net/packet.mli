@@ -40,5 +40,3 @@ and payload =
 
 (** [make ~src ~dst ~size ~seq payload]. [size] must be positive. *)
 val make : src:Address.t -> dst:Address.t -> size:int -> seq:int -> payload -> t
-
-val pp : Format.formatter -> t -> unit

@@ -3,9 +3,9 @@
     Each event is a typed variant carrying the identifying fields of the
     protocol step it records; nothing is formatted at emission time.
     Rendering happens only when a consumer prints the event (e.g. the Fig. 2
-    protocol trace), so emitting into a disabled {!Trace} costs a branch and
-    no allocation at well-written call sites (guard with {!Trace.active}
-    before constructing the payload). Timestamps and branch counts are
+    protocol trace), so an untraced run costs a branch and no allocation at
+    well-written call sites (guard with [Sw_sim.Engine.tracing] before
+    constructing the payload). Timestamps and branch counts are
     immediate [int]s — nanoseconds are the representation of
     [Sw_sim.Time.t] — so a payload holds no boxed numbers. *)
 

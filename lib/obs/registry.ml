@@ -63,14 +63,9 @@ type metric =
   | M_gauge of Gauge.t
   | M_histogram of Histogram.t
 
-(* [on] is the hot-path master switch: producers that batch several updates
-   behind one branch (e.g. the engine's per-event accounting) test it once
-   per operation instead of paying each instrument unconditionally. *)
-type t = { metrics : (string, metric) Hashtbl.t; mutable on : bool }
+type t = { metrics : (string, metric) Hashtbl.t }
 
-let create () = { metrics = Hashtbl.create 64; on = true }
-let[@inline] enabled t = t.on
-let set_enabled t on = t.on <- on
+let create () = { metrics = Hashtbl.create 64 }
 
 let valid_path_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> true

@@ -71,16 +71,6 @@ end
 
 val create : unit -> t
 
-(** Hot-path master switch, [true] at creation. Producers with several
-    instrument updates per operation test [enabled] once and skip the whole
-    block when the registry is off — one load and one branch instead of
-    unconditional metric work. Instruments obtained from a disabled registry
-    still work if bumped directly; the switch is a contract between producer
-    and registry, not a lock. *)
-val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
-
 (** [counter t path] returns the counter registered at [path], creating it on
     first use. Raises [Invalid_argument] when [path] is empty, contains
     characters outside [A-Za-z0-9._-], or is already registered as another

@@ -106,18 +106,3 @@ let merge a b =
 let merge_all = List.fold_left merge empty
 let without_sim t =
   List.filter (fun (name, _) -> not (String.starts_with ~prefix:"sim." name)) t
-
-let pp_data fmt = function
-  | Counter v -> Format.fprintf fmt "%d" v
-  | Sum v -> Format.fprintf fmt "%g" v
-  | Gauge v -> Format.fprintf fmt "%g (gauge)" v
-  | Histogram h ->
-      if h.count = 0 then Format.fprintf fmt "histogram n=0"
-      else
-        Format.fprintf fmt "histogram n=%d total=%dns min=%dns max=%dns"
-          h.count h.total h.min h.max
-
-let pp fmt t =
-  List.iter
-    (fun (name, data) -> Format.fprintf fmt "%-48s %a@." name pp_data data)
-    t

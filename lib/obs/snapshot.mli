@@ -62,5 +62,3 @@ val merge_all : t list -> t
     deterministic for a given shard layout but different across layouts.
     Comparisons across layouts use this; same-layout ones keep [sim.*]. *)
 val without_sim : t -> t
-
-val pp : Format.formatter -> t -> unit

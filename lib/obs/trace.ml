@@ -5,7 +5,6 @@ type t = {
   buffer : entry option array;
   mutable next : int;
   mutable count : int;
-  mutable enabled : bool;
   mutable dropped : int;
   m_dropped : Registry.Counter.t option;
 }
@@ -17,29 +16,22 @@ let create ?(capacity = 65536) ?metrics () =
     buffer = Array.make capacity None;
     next = 0;
     count = 0;
-    enabled = false;
     dropped = 0;
     m_dropped = Option.map (fun r -> Registry.counter r "trace.dropped") metrics;
   }
 
-let enable t = t.enabled <- true
-let enabled t = t.enabled
-let active = function Some t -> t.enabled | None -> false
-
 let emit t ~at_ns event =
-  if t.enabled then begin
-    if t.count = t.capacity then begin
-      (* The ring overwrites its oldest entry; count the loss so a truncated
-         trace is never mistaken for a complete one. *)
-      t.dropped <- t.dropped + 1;
-      match t.m_dropped with
-      | Some c -> Registry.Counter.incr c
-      | None -> ()
-    end;
-    t.buffer.(t.next) <- Some { at_ns; event };
-    t.next <- (t.next + 1) mod t.capacity;
-    if t.count < t.capacity then t.count <- t.count + 1
-  end
+  if t.count = t.capacity then begin
+    (* The ring overwrites its oldest entry; count the loss so a truncated
+       trace is never mistaken for a complete one. *)
+    t.dropped <- t.dropped + 1;
+    match t.m_dropped with
+    | Some c -> Registry.Counter.incr c
+    | None -> ()
+  end;
+  t.buffer.(t.next) <- Some { at_ns; event };
+  t.next <- (t.next + 1) mod t.capacity;
+  if t.count < t.capacity then t.count <- t.count + 1
 
 let iter t f =
   let start = if t.count < t.capacity then 0 else t.next in
@@ -73,22 +65,18 @@ let capacity t = t.capacity
 let dropped t = t.dropped
 
 let span t ~now ~name f =
-  if not t.enabled then f ()
-  else begin
-    let start = now () in
-    emit t ~at_ns:start (Event.Span_begin { name });
-    let finish result =
-      let stop = now () in
-      emit t ~at_ns:stop
-        (Event.Span_end { name; elapsed_ns = stop - start });
-      result
-    in
-    match f () with
-    | v -> finish v
-    | exception e ->
-        ignore (finish ());
-        raise e
-  end
+  let start = now () in
+  emit t ~at_ns:start (Event.Span_begin { name });
+  let finish result =
+    let stop = now () in
+    emit t ~at_ns:stop (Event.Span_end { name; elapsed_ns = stop - start });
+    result
+  in
+  match f () with
+  | v -> finish v
+  | exception e ->
+      ignore (finish ());
+      raise e
 
 let pp_entry fmt e =
   Format.fprintf fmt "[%a] %-10s %a" Event.pp_ns e.at_ns

@@ -1,17 +1,17 @@
 (** Bounded ring of structured trace events.
 
-    Replaces the string-blob trace: components emit {!Event.t} variants and
-    consumers pattern-match or pretty-print them. Tracing is disabled by
-    default; the supported emission idiom is
+    Components emit {!Event.t} variants and consumers pattern-match or
+    pretty-print them. A trace records from creation. Simulation components
+    never hold one: they emit through the engine that drives them, whose one
+    slot [Sw_sim.Engine.attach_trace] fills, with the idiom
 
     {[
-      if Trace.active trace then
-        Trace.emit_exn tr ~at_ns (Event.Packet_delivered { ... })
+      if Engine.tracing engine then
+        Engine.emit engine (Event.Packet_delivered { ... })
     ]}
 
-    (for an [t option] field) or {!emit} on a known sink — so a disabled or
-    absent sink costs one branch, with no payload allocation and no string
-    formatting. *)
+    so an untraced run costs one branch per site, with no payload
+    allocation and no string formatting. *)
 
 type t
 
@@ -24,14 +24,8 @@ type entry = { at_ns : int; event : Event.t }
     truncation. *)
 val create : ?capacity:int -> ?metrics:Registry.t -> unit -> t
 
-val enable : t -> unit
-val enabled : t -> bool
-
-(** [active trace] is true when a sink is attached and enabled — the guard
-    call sites use before building an event payload. *)
-val active : t option -> bool
-
-(** [emit t ~at_ns ev] appends when [t] is enabled, else does nothing. *)
+(** [emit t ~at_ns ev] appends [ev], overwriting the oldest entry when the
+    ring is full. *)
 val emit : t -> at_ns:int -> Event.t -> unit
 
 val iter : t -> (entry -> unit) -> unit

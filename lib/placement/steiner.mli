@@ -2,10 +2,6 @@
     (paper Thm. 2 proof), organised into the triangle groups G_0 .. G_v used
     by the capacity-constrained placement algorithm. *)
 
-(** [node ~v ~a ~layer] is the machine index of point [(a, layer)] in
-    [Q x {0,1,2}], with [a] in [[0, 2v]] and [layer] in [[0, 2]]. *)
-val node : v:int -> a:int -> layer:int -> int
-
 (** [groups ~v] returns [[| G_0; G_1; ...; G_v |]]:
     - [G_0] has [2v + 1] triangles, visiting every node exactly once;
     - each [G_t], [t >= 1], has [6v + 3] triangles, visiting every node

@@ -8,7 +8,6 @@ type t = {
   escaped : int Atomic.t;
 }
 
-let workers t = t.workers
 let escaped_exceptions t = Atomic.get t.escaped
 
 let worker_loop t =

@@ -15,8 +15,6 @@ type t
     cheap threads. *)
 val create : workers:int -> unit -> t
 
-val workers : t -> int
-
 (** [submit t task] enqueues [task]. Raises [Invalid_argument] after
     {!shutdown}. *)
 val submit : t -> (unit -> unit) -> unit

@@ -225,7 +225,6 @@ let create ?matrix ~lookahead engines =
       Sw_obs.Profile.timer (Engine.profile engines.(0)) "conductor.barrier";
   }
 
-let shards t = Array.length t.engines
 let exchanged t = t.exchanged
 let lookahead t ~src ~dst = t.matrix.(src).(dst)
 

@@ -63,8 +63,6 @@ val create :
   Engine.t array ->
   t
 
-val shards : t -> int
-
 (** Cross-shard messages exchanged so far (across all barriers). *)
 val exchanged : t -> int
 

@@ -5,10 +5,10 @@ type kind_hooks = {
   k_delay : Sw_obs.Registry.Histogram.t;
 }
 
-(* The hooks register on the first schedule with the registry enabled, so a
-   kind that is never scheduled exports nothing. Handles built from one
-   engine share its registry, and the registry hands back the cells already
-   registered under a name. *)
+(* The hooks register on the first schedule, so a kind that is never
+   scheduled exports nothing. Handles built from one engine share its
+   registry, and the registry hands back the cells already registered under
+   a name. *)
 type kind = {
   k_name : string;
   k_metrics : Sw_obs.Registry.t;
@@ -27,6 +27,7 @@ type t = {
   m_depth : Sw_obs.Registry.Gauge.t;
   profile : Sw_obs.Profile.t;
   p_dispatch : Sw_obs.Profile.timer;
+  mutable trace : Sw_obs.Trace.t option;
 }
 
 let create ?(seed = 0x5397_BA1DL) ?metrics ?profile () =
@@ -48,12 +49,20 @@ let create ?(seed = 0x5397_BA1DL) ?metrics ?profile () =
     m_depth = Sw_obs.Registry.gauge metrics "sim.queue.depth";
     profile;
     p_dispatch = Sw_obs.Profile.timer profile "engine.dispatch";
+    trace = None;
   }
 
 let now t = t.now
 let rng t = Prng.split t.root_rng
 let metrics t = t.metrics
 let profile t = t.profile
+let attach_trace t tr = t.trace <- Some tr
+let tracing t = Option.is_some t.trace
+
+let emit t event =
+  match t.trace with
+  | Some tr -> Sw_obs.Trace.emit tr ~at_ns:t.now event
+  | None -> ()
 
 let kind t name = { k_name = name; k_metrics = t.metrics; k_hooks = None }
 
@@ -81,18 +90,14 @@ let schedule_at ?kind t at fn =
          Time.pp t.now);
   let id = Wheel.add t.wheel ~key:at fn in
   t.live <- t.live + 1;
-  (* One load and one branch when the registry is disabled: no counter
-     bumps, no kind-hook lookup, no histogram observation. *)
-  if Sw_obs.Registry.enabled t.metrics then begin
-    Sw_obs.Registry.Counter.incr t.m_scheduled;
-    Sw_obs.Registry.Gauge.observe_int t.m_depth t.live;
-    match kind with
-    | None -> ()
-    | Some kind ->
-        let h = kind_hooks kind in
-        Sw_obs.Registry.Counter.incr h.k_scheduled;
-        Sw_obs.Registry.Histogram.observe h.k_delay (Time.sub at t.now)
-  end;
+  Sw_obs.Registry.Counter.incr t.m_scheduled;
+  Sw_obs.Registry.Gauge.observe_int t.m_depth t.live;
+  (match kind with
+  | None -> ()
+  | Some kind ->
+      let h = kind_hooks kind in
+      Sw_obs.Registry.Counter.incr h.k_scheduled;
+      Sw_obs.Registry.Histogram.observe h.k_delay (Time.sub at t.now));
   id
 
 let schedule_after ?kind t delay fn =
@@ -105,10 +110,8 @@ let cancel t id =
      recycled), so a late cancel cannot double-decrement [live]. *)
   if Wheel.cancel t.wheel id then begin
     t.live <- t.live - 1;
-    if Sw_obs.Registry.enabled t.metrics then begin
-      Sw_obs.Registry.Counter.incr t.m_cancelled;
-      Sw_obs.Registry.Gauge.observe_int t.m_depth t.live
-    end
+    Sw_obs.Registry.Counter.incr t.m_cancelled;
+    Sw_obs.Registry.Gauge.observe_int t.m_depth t.live
   end
 
 (* Fires the earliest pending event, due at [at]; the caller has checked
@@ -118,10 +121,8 @@ let fire t at =
   t.now <- at;
   let fn = Wheel.pop t.wheel in
   t.live <- t.live - 1;
-  if Sw_obs.Registry.enabled t.metrics then begin
-    Sw_obs.Registry.Counter.incr t.m_fired;
-    Sw_obs.Registry.Gauge.observe_int t.m_depth t.live
-  end;
+  Sw_obs.Registry.Counter.incr t.m_fired;
+  Sw_obs.Registry.Gauge.observe_int t.m_depth t.live;
   Sw_obs.Profile.time t.profile t.p_dispatch fn
 
 (* [max_int] is [Wheel.next_key]'s "nothing pending". *)

@@ -2,12 +2,9 @@
 
     The engine owns the simulated clock, the pending-event queue (a
     hierarchical timer wheel with a heap overflow tier — see {!Wheel}), and
-    the simulation's metric registry. Events scheduled for the same instant
-    fire in the order they were scheduled, so runs are deterministic.
-
-    The engine's own per-event accounting sits behind the registry's
-    {!Sw_obs.Registry.enabled} switch: one load and one branch per
-    operation when metrics are off. *)
+    the simulation's metric registry and trace sink. Events scheduled for
+    the same instant fire in the order they were scheduled, so runs are
+    deterministic. *)
 
 type t
 
@@ -44,6 +41,20 @@ val metrics : t -> Sw_obs.Registry.t
     unless one was passed to {!create} (or enabled later). *)
 val profile : t -> Sw_obs.Profile.t
 
+(** [attach_trace t tr] makes [tr] the sink every component built on [t]
+    emits its typed events into, from the next event on. An engine starts
+    with no sink. *)
+val attach_trace : t -> Sw_obs.Trace.t -> unit
+
+(** [tracing t] is true when a sink is attached: the guard a component
+    tests before building an event payload, so an untraced run allocates
+    nothing and formats nothing. *)
+val tracing : t -> bool
+
+(** [emit t ev] records [ev] in the attached sink, stamped with {!now};
+    nothing when there is none. *)
+val emit : t -> Sw_obs.Event.t -> unit
+
 (** A named class of events, for per-kind scheduling metrics. *)
 type kind
 
@@ -51,8 +62,8 @@ type kind
     segment such as ["net.deliver"]) on [t]. Build it once, when the
     scheduling component is built, and pass it to every {!schedule_at}: the
     schedule path then looks nothing up. The kind's metrics register in
-    [t]'s registry on the first schedule made with the registry enabled, so
-    a kind that is never scheduled exports no [sim.events.<name>.*] entry.
+    [t]'s registry on its first schedule, so a kind that is never scheduled
+    exports no [sim.events.<name>.*] entry.
     Two handles with the same name count into the same metrics. *)
 val kind : t -> string -> kind
 

@@ -3,9 +3,6 @@ type 'a entry = { key : int; seq : int; value : 'a }
 type 'a t = { mutable data : 'a entry array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
-let length h = h.size
-let is_empty h = h.size = 0
-
 let entry_lt a b =
   if a.key <> b.key then a.key < b.key else a.seq < b.seq
 

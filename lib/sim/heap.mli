@@ -7,8 +7,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** [push h ~key ~seq v] inserts [v] with primary key [key] and tiebreak
     [seq]. *)

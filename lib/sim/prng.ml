@@ -40,7 +40,6 @@ let int t n =
   in
   draw ()
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
 let exponential t ~rate =

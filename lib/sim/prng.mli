@@ -70,8 +70,6 @@ val float : t -> float
     [n <= 0]. *)
 val int : t -> int -> int
 
-val bool : t -> bool
-
 (** [uniform t ~lo ~hi] draws uniformly from [[lo, hi)]. *)
 val uniform : t -> lo:float -> hi:float -> float
 

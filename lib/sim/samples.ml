@@ -29,18 +29,6 @@ let mean t =
     !sum /. float_of_int t.size
   end
 
-let stddev t =
-  if t.size < 2 then 0.
-  else begin
-    let m = mean t in
-    let sum = ref 0. in
-    for i = 0 to t.size - 1 do
-      let d = t.data.(i) -. m in
-      sum := !sum +. (d *. d)
-    done;
-    Float.sqrt (!sum /. float_of_int (t.size - 1))
-  end
-
 let sorted t =
   match t.sorted_cache with
   | Some a -> a

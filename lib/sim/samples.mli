@@ -7,16 +7,12 @@ val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
-val stddev : t -> float
 
 (** [percentile t p] with [p] in [[0, 1]]; linear interpolation between order
     statistics. Raises [Invalid_argument] when empty or [p] out of range. *)
 val percentile : t -> float -> float
 
 val median : t -> float
-
-(** Sorted copy of all observations. *)
-val sorted : t -> float array
 
 (** Raw copy in insertion order. *)
 val to_array : t -> float array

@@ -53,9 +53,3 @@ let merge a b =
       total = a.total +. b.total;
     }
   end
-
-let pp fmt t =
-  if t.count = 0 then Format.fprintf fmt "n=0"
-  else
-    Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.count
-      (mean t) (stddev t) t.min t.max

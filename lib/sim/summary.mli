@@ -21,4 +21,3 @@ val max : t -> float
 
 val total : t -> float
 val merge : t -> t -> t
-val pp : Format.formatter -> t -> unit

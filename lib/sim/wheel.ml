@@ -84,8 +84,6 @@ let create () =
     overflow = Heap.create ();
   }
 
-let length t = t.stored
-
 (* --- Record pool ------------------------------------------------------- *)
 
 (* Handles pack (generation, slab index); both the index width and the

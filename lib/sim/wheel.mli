@@ -69,7 +69,3 @@ val next_key : t -> Time.t
     test for a pending event with {!next_key} instead of matching on an
     option. Raises [Invalid_argument] when nothing is pending. *)
 val pop : t -> unit -> unit
-
-(** Number of records currently held (pending plus uncollected tombstones);
-    [0] means fully drained. *)
-val length : t -> int

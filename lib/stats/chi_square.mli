@@ -14,11 +14,6 @@ val critical_value : df:int -> confidence:float -> float
     length. *)
 val statistic : expected:float array -> observed:float array -> float
 
-(** [divergence ~null_probs ~alt_probs] is the per-observation noncentrality
-    sum (q - p)^2 / p, where [p]/[q] are the bin probabilities under the null
-    and the alternative. Bins with [p = 0] are skipped. *)
-val divergence : null_probs:float array -> alt_probs:float array -> float
-
 (** [observations_needed ~null_probs ~alt_probs ~confidence] is the expected
     number of observations a distinguisher drawing from the alternative needs
     before the Pearson statistic against the null exceeds the critical value

@@ -16,12 +16,9 @@ val cdf_rank : cdfs:(float -> float) array -> r:int -> float -> float
 val median3 :
   (float -> float) -> (float -> float) -> (float -> float) -> float -> float
 
-(** [median ~cdfs] is the CDF of the median of an odd number of independent
-    variables ([r = (m+1)/2]). Raises [Invalid_argument] for even [m]. *)
-val median : cdfs:(float -> float) array -> float -> float
-
-(** [median_dist dists] packages {!median} as a {!Dist.t} whose sampler draws
-    from each component and takes the sample median. Odd length required. *)
+(** [median_dist dists] packages the CDF of the median ({!cdf_rank} at
+    [r = (m+1)/2]) as a {!Dist.t} whose sampler draws from each component
+    and takes the sample median. Odd length required. *)
 val median_dist : Dist.t array -> Dist.t
 
 (** Sample median of an odd-length array (does not modify its argument). *)

@@ -1,11 +1,6 @@
 (** Two-sample location tests: Welch's unequal-variance t-test and the
     Cohen's d standardised effect size. *)
 
-val mean : float array -> float
-
-(** Unbiased (n-1) sample variance; requires at least two samples. *)
-val variance : float array -> float
-
 type t = {
   t_stat : float;
   df : float;  (** Welch–Satterthwaite effective degrees of freedom. *)

@@ -32,8 +32,6 @@ let virt_at t instr =
           (Int64.mul delta (Int64.of_int t.slope_fp))
           fp_bits))
 
-let slope_ns_per_branch t = float_of_int t.slope_fp /. fp_scale
-
 let set_slope t ~at_instr ~slope_ns_per_branch =
   let base_virt = virt_at t at_instr in
   t.base_virt <- base_virt;

@@ -25,9 +25,6 @@ val create : start:Sw_sim.Time.t -> slope_ns_per_branch:float -> unit -> t
     parameter change. *)
 val virt_at : t -> int -> Sw_sim.Time.t
 
-(** Current slope in ns/branch (after fixed-point rounding). *)
-val slope_ns_per_branch : t -> float
-
 (** [set_slope t ~at_instr ~slope_ns_per_branch] re-parameterises: the new
     segment starts at [at_instr] with [start = virt_at t at_instr]. Raises
     [Invalid_argument] when [at_instr] precedes the previous change. *)

@@ -133,8 +133,6 @@ let set_slowdown t factor =
   if factor < 1.0 then invalid_arg "Machine.set_slowdown: factor must be >= 1";
   t.slowdown <- factor
 
-let slowdown t = t.slowdown
-
 (* Dom0 runs the device models for every resident on one shared thread; work
    is served FIFO — the queueing delay coresident VMs impose on each other
    here is a key source of the access-driven timing channel. *)

@@ -94,5 +94,3 @@ val pause_dom0 : t -> until:Sw_sim.Time.t -> unit
     slice are unchanged, so guest-visible determinism is preserved — the
     machine merely takes longer, exactly like a contended host. *)
 val set_slowdown : t -> float -> unit
-
-val slowdown : t -> float

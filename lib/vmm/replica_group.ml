@@ -71,7 +71,6 @@ let vm t = t.vm
 let mode t = t.mode
 let config t = t.config
 let replica_id m = m.replica_id
-let machine_of m = m.machine
 let member_virt m = m.virt
 let complete t = Array.length t.members = t.config.Config.replicas
 

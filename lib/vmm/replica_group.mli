@@ -36,7 +36,6 @@ val add_member :
   member
 
 val replica_id : member -> int
-val machine_of : member -> int
 
 (** The member with the given replica id, if registered. *)
 val member_by_id : t -> int -> member option

@@ -71,7 +71,6 @@ type instance = {
   mutable last_net_virt : Time.t option;
   inter_delivery : Sw_sim.Samples.t;
   h_inter : Registry.Histogram.t;
-  mutable trace : Sw_obs.Trace.t option;
   m_median_sources : Registry.Sum.t array;
       (** Per replica id: medians credited to its proposal (ties split). *)
   p_median : Sw_obs.Profile.timer;
@@ -85,8 +84,6 @@ type t = {
   m_unknown : Registry.Counter.t;
 }
 
-let machine t = t.mach
-let vm i = i.vm_id
 let replica i = Replica_group.replica_id i.member
 let member i = i.member
 let channel_endpoint i = i.channel
@@ -95,24 +92,10 @@ let metric_prefix (i : instance) =
   Printf.sprintf "vmm.%d.vm%d" (Machine.id i.mach) i.vm_id
 
 let net_deliveries i = Registry.Counter.value i.m_net
-let disk_interrupts i = Registry.Counter.value i.m_disk_irq
 let dma_interrupts i = Registry.Counter.value i.m_dma_irq
 let inter_delivery_virts_ms i = Sw_sim.Samples.to_array i.inter_delivery
-let delta_d_violations i = Registry.Counter.value i.m_delta_d
-let set_trace i tr = i.trace <- Some tr
-
 let log_op i entry =
   if i.config.Config.replay_log then i.log_rev <- entry :: i.log_rev
-
-(* Guard every emission with [trace_on] so a disabled (or absent) sink costs
-   one branch: no event payload is allocated and nothing is formatted. *)
-let trace_on i = Sw_obs.Trace.active i.trace
-
-let emit i event =
-  match i.trace with
-  | None -> ()
-  | Some tr ->
-      Sw_obs.Trace.emit tr ~at_ns:(Engine.now (Machine.engine i.mach)) event
 
 let precedes a b =
   match Time.compare a.delivery b.delivery with
@@ -183,8 +166,8 @@ let complete_inbound i ~ingress_seq entry =
       List.iter
         (fun (who, _) -> Registry.Sum.add i.m_median_sources.(who) credit)
         winners;
-      if trace_on i then
-        emit i
+      if Engine.tracing (Machine.engine i.mach) then
+        Engine.emit (Machine.engine i.mach)
           (Event.Median_adopted
              {
                vm = i.vm_id;
@@ -195,8 +178,8 @@ let complete_inbound i ~ingress_seq entry =
              });
       if Time.(delivery < Replica_group.member_virt i.member) then begin
         Replica_group.record_divergence i.group;
-        if trace_on i then
-          emit i
+        if Engine.tracing (Machine.engine i.mach) then
+          Engine.emit (Machine.engine i.mach)
             (Event.Divergence
                {
                  vm = i.vm_id;
@@ -245,8 +228,8 @@ let on_guest_bound i ~ingress_seq ~(inner : Packet.t) =
       Time.add (Replica_group.member_virt i.member) i.config.Config.delta_n
     in
     let my_id = Replica_group.replica_id i.member in
-    if trace_on i then
-      emit i
+    if Engine.tracing (Machine.engine i.mach) then
+      Engine.emit (Machine.engine i.mach)
         (Event.Packet_proposed
            {
              vm = i.vm_id;
@@ -269,8 +252,8 @@ let on_guest_bound i ~ingress_seq ~(inner : Packet.t) =
        arrival doubles as the chain's ingress stamp — there is no
        replicating ingress on the baseline path, so the hosting VMM is the
        edge that first sees the packet. *)
-    if trace_on i then
-      emit i
+    if Engine.tracing (Machine.engine i.mach) then
+      Engine.emit (Machine.engine i.mach)
         (Event.Ingress_replicated
            {
              vm = i.vm_id;
@@ -287,9 +270,9 @@ let on_guest_bound i ~ingress_seq ~(inner : Packet.t) =
       { delivery; cls = 0; key = ingress_seq; event = Sw_vm.App.Packet_in inner }
   end
 
-let on_proposal i ~ingress_seq ~proposer ~virt =
-  if trace_on i then
-    emit i
+let on_proposal (i : instance) ~ingress_seq ~proposer ~virt =
+  if Engine.tracing (Machine.engine i.mach) then
+    Engine.emit (Machine.engine i.mach)
       (Event.Packet_proposed
          {
            vm = i.vm_id;
@@ -342,8 +325,8 @@ match i.pending with
       log_op i (L_inject hd.event);
       (match hd.event with
       | Sw_vm.App.Packet_in _ ->
-          if trace_on i then
-            emit i
+          if Engine.tracing (Machine.engine i.mach) then
+            Engine.emit (Machine.engine i.mach)
               (Event.Packet_delivered
                  {
                    vm = i.vm_id;
@@ -361,8 +344,8 @@ match i.pending with
           i.last_net_virt <- Some virt
       | Sw_vm.App.Disk_done { tag } ->
           Registry.Counter.incr i.m_disk_irq;
-          if trace_on i then
-            emit i
+          if Engine.tracing (Machine.engine i.mach) then
+            Engine.emit (Machine.engine i.mach)
               (Event.Disk_irq
                  {
                    vm = i.vm_id;
@@ -372,8 +355,8 @@ match i.pending with
                  })
       | Sw_vm.App.Dma_done { tag } ->
           Registry.Counter.incr i.m_dma_irq;
-          if trace_on i then
-            emit i
+          if Engine.tracing (Machine.engine i.mach) then
+            Engine.emit (Machine.engine i.mach)
               (Event.Dma_irq
                  {
                    vm = i.vm_id;
@@ -401,8 +384,8 @@ let on_slice_end t i =
   let now = Machine.local_time t.mach in
   let virt = Sw_vm.Guest.virt_now i.guest in
   Replica_group.note_exit i.group i.member ~now ~virt ~instr:(Sw_vm.Guest.instr i.guest);
-  if trace_on i then
-    emit i
+  if Engine.tracing (Machine.engine i.mach) then
+    Engine.emit (Machine.engine i.mach)
       (Event.Vm_exit
          {
            vm = i.vm_id;
@@ -443,8 +426,8 @@ let on_disk_request t i ~kind ~bytes ~sequential ~tag =
       then begin
         Registry.Counter.incr i.m_delta_d;
         Replica_group.record_divergence i.group;
-        if trace_on i then
-          emit i
+        if Engine.tracing (Machine.engine i.mach) then
+          Engine.emit (Machine.engine i.mach)
             (Event.Divergence
                {
                  vm = i.vm_id;
@@ -476,8 +459,8 @@ let on_dma_request t i ~bytes ~tag =
       if is_stopwatch i && Time.(Sw_vm.Guest.virt_now i.guest > delivery_virt) then begin
         Registry.Counter.incr i.m_delta_d;
         Replica_group.record_divergence i.group;
-        if trace_on i then
-          emit i
+        if Engine.tracing (Machine.engine i.mach) then
+          Engine.emit (Machine.engine i.mach)
             (Event.Divergence
                {
                  vm = i.vm_id;
@@ -606,8 +589,8 @@ let crashed i = i.crashed
 let crash i =
   if not i.crashed then begin
     i.crashed <- true;
-    if trace_on i then
-      emit i
+    if Engine.tracing (Machine.engine i.mach) then
+      Engine.emit (Machine.engine i.mach)
         (Event.Fault_replica_crash
            { vm = i.vm_id; replica = Replica_group.replica_id i.member })
   end
@@ -660,11 +643,11 @@ let reintegrate i ~from =
   i.crashed <- false;
   let virt = Sw_vm.Guest.virt_now guest in
   Replica_group.reinstate i.group i.member ~now ~virt ~like:from.member;
-  if trace_on i then begin
-    emit i
+  if Engine.tracing (Machine.engine i.mach) then begin
+    Engine.emit (Machine.engine i.mach)
       (Event.Fault_replica_restart
          { vm = i.vm_id; replica = Replica_group.replica_id i.member });
-    emit i
+    Engine.emit (Machine.engine i.mach)
       (Event.Degrade_reintegrated
          {
            vm = i.vm_id;
@@ -824,7 +807,6 @@ let host ?channel ?start t ~group ~app =
       last_net_virt = None;
       inter_delivery = Sw_sim.Samples.create ();
       h_inter = Registry.histogram metrics (prefix ^ ".inter_delivery_ns");
-      trace = None;
       m_median_sources =
         Array.init config.Config.replicas (fun k ->
             Registry.sum metrics (Printf.sprintf "%s.median.source.r%d" prefix k));

@@ -13,7 +13,13 @@
 
     In [Baseline] mode (unmodified Xen), packets route directly to the
     hosting machine and interrupts are injected at the first exit after a
-    small emulation delay; no replication machinery runs. *)
+    small emulation delay; no replication machinery runs.
+
+    Replicas emit typed protocol events ({!Sw_obs.Event.Packet_proposed},
+    [Median_adopted], [Packet_delivered], [Vm_exit], [Disk_irq]/[Dma_irq],
+    [Divergence], and the crash and restart events) through their machine's
+    engine ({!Sw_sim.Engine.emit}); with no trace attached to the engine
+    nothing is allocated or formatted. *)
 
 type t
 
@@ -23,8 +29,6 @@ type instance
 (** [create machine] registers the VMM as the network handler of the
     machine's address. *)
 val create : Machine.t -> t
-
-val machine : t -> Machine.t
 
 (** [host ?channel t ~group ~app] starts the next replica of [group]'s VM
     on this machine. [channel] is the VM's PGM-style multicast group, shared
@@ -47,15 +51,11 @@ val host :
     {!Sw_obs.Snapshot.t}. *)
 val metric_prefix : instance -> string
 
-val vm : instance -> int
 val replica : instance -> int
 val guest : instance -> Sw_vm.Guest.t
 
 (** Network interrupts injected into this replica. *)
 val net_deliveries : instance -> int
-
-(** Disk interrupts injected into this replica (Fig. 7(b)'s quantity). *)
-val disk_interrupts : instance -> int
 
 (** DMA-completion interrupts injected into this replica. *)
 val dma_interrupts : instance -> int
@@ -63,16 +63,6 @@ val dma_interrupts : instance -> int
 (** Virtual inter-delivery times of network interrupts, in ms — the
     attacker-observable quantity of Fig. 4(a). *)
 val inter_delivery_virts_ms : instance -> float array
-
-(** Times data was not ready by its virtual disk-delivery time. *)
-val delta_d_violations : instance -> int
-
-(** [set_trace i tr] makes the replica emit typed protocol events
-    ({!Sw_obs.Event.Packet_proposed}, [Median_adopted], [Packet_delivered],
-    [Vm_exit], [Disk_irq]/[Dma_irq], [Divergence]) into [tr] — used by the
-    Fig. 2 reproduction and by protocol tests. Emission is lazy: with no
-    sink attached, or the sink disabled, nothing is allocated or formatted. *)
-val set_trace : instance -> Sw_obs.Trace.t -> unit
 
 (** [rebuild i] reconstructs the replica's guest by deterministic replay of
     its recorded history (requires [Config.replay_log]); the clone's branch

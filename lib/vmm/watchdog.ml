@@ -8,16 +8,7 @@ type t = {
   group : Replica_group.t;
   params : Config.watchdog;
   suspicions : (int, int) Hashtbl.t;
-  mutable stopped : bool;
-  mutable trace : Sw_obs.Trace.t option;
 }
-
-let trace_on t = Sw_obs.Trace.active t.trace
-
-let emit t event =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Sw_obs.Trace.emit tr ~at_ns:(Engine.now t.engine) event
 
 let suspicion t id =
   Option.value (Hashtbl.find_opt t.suspicions id) ~default:0
@@ -34,8 +25,9 @@ let sweep t =
           if Time.(silent > t.params.Config.timeout) then begin
             let attempt = suspicion t id + 1 in
             Hashtbl.replace t.suspicions id attempt;
-            if trace_on t then
-              emit t (Event.Degrade_suspected { vm; replica = id; attempt });
+            if Engine.tracing t.engine then
+              Engine.emit t.engine
+                (Event.Degrade_suspected { vm; replica = id; attempt });
             (* Never eject the last active member: a one-member group still
                delivers, and a future restart needs a live resync source. *)
             if
@@ -44,8 +36,8 @@ let sweep t =
             then begin
               Replica_group.eject t.group m ~now;
               Hashtbl.remove t.suspicions id;
-              if trace_on t then
-                emit t
+              if Engine.tracing t.engine then
+                Engine.emit t.engine
                   (Event.Degrade_ejected
                      { vm; replica = id; quorum = Replica_group.quorum t.group })
             end
@@ -63,28 +55,14 @@ let create engine group =
   match config.Config.watchdog with
   | None -> invalid_arg "Watchdog.create: Config.watchdog is not set"
   | Some params ->
-      let t =
-        {
-          engine;
-          group;
-          params;
-          suspicions = Hashtbl.create 8;
-          stopped = false;
-          trace = None;
-        }
-      in
+      let t = { engine; group; params; suspicions = Hashtbl.create 8 } in
       let kind = Engine.kind engine "vmm.watchdog" in
       let rec tick () =
         ignore
           (Engine.schedule_after ~kind engine
              params.Config.period (fun () ->
-               if not t.stopped then begin
-                 sweep t;
-                 tick ()
-               end))
+               sweep t;
+               tick ()))
       in
       tick ();
       t
-
-let set_trace t tr = t.trace <- Some tr
-let stop t = t.stopped <- true

@@ -18,13 +18,8 @@
 
 type t
 
-(** [create engine group] starts the sweep loop. Raises unless the group's
-    config has [watchdog] set (validation already requires [vmm_heartbeat]
-    alongside it). *)
+(** [create engine group] starts the sweep loop, which runs for the rest of
+    the simulation and emits its [Degrade_*] events through [engine]. Raises
+    unless the group's config has [watchdog] set (validation already
+    requires [vmm_heartbeat] alongside it). *)
 val create : Sw_sim.Engine.t -> Replica_group.t -> t
-
-(** Emit [Degrade_*] events into [tr]. *)
-val set_trace : t -> Sw_obs.Trace.t -> unit
-
-(** Stops the sweep loop permanently. *)
-val stop : t -> unit

@@ -153,9 +153,6 @@ val override :
 (** The shard count a workload runs on: its topology block's, else 1. *)
 val shards : workload -> int
 
-(** [scaled w m] multiplies every arrival rate by [m]. *)
-val scaled : workload -> float -> workload
-
 (** [workload_variants ~name w] expands [w.load_multipliers] into one
     scaled run per multiplier, keyed ["<name>/x<mult>"], each with a seed
     derived deterministically from [w.seed] and its position. A singleton

@@ -119,19 +119,17 @@ let on_response t ~seq ~tier =
       Hashtbl.remove t.inflight seq;
       t.completed <- t.completed + 1;
       let lat = Time.sub (Host.now t.host) issued_at in
-      if Registry.enabled t.m.registry then begin
-        Registry.Counter.incr t.m.c_completed;
-        Registry.Histogram.observe t.m.h_resp lat;
-        Registry.Histogram.observe t.m.h_cls.(cls_idx) lat;
-        if tier >= 0 then begin
-          Registry.Counter.incr t.m.c_hits;
-          Registry.Counter.incr (tier_counter t.m tier);
-          Registry.Histogram.observe t.m.h_hit lat
-        end
-        else begin
-          Registry.Counter.incr t.m.c_misses;
-          Registry.Histogram.observe t.m.h_miss lat
-        end
+      Registry.Counter.incr t.m.c_completed;
+      Registry.Histogram.observe t.m.h_resp lat;
+      Registry.Histogram.observe t.m.h_cls.(cls_idx) lat;
+      if tier >= 0 then begin
+        Registry.Counter.incr t.m.c_hits;
+        Registry.Counter.incr (tier_counter t.m tier);
+        Registry.Histogram.observe t.m.h_hit lat
+      end
+      else begin
+        Registry.Counter.incr t.m.c_misses;
+        Registry.Histogram.observe t.m.h_miss lat
       end;
       if tier >= 0 then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
       let s = t.slots.(slot_idx) in
@@ -150,7 +148,7 @@ let handle_msg t ~payload ~bytes:_ =
   | _ -> ()
 
 let open_slot t s =
-  if Registry.enabled t.m.registry then Registry.Counter.incr t.m.c_conns;
+  Registry.Counter.incr t.m.c_conns;
   let conn =
     Tcp_host.connect t.tcp ~dst:t.dst
       ~on_connected:(fun () ->
@@ -191,10 +189,8 @@ let issue t =
   in
   t.issued <- t.issued + 1;
   Hashtbl.replace t.inflight seq (Host.now t.host, cls_idx, slot_idx);
-  if Registry.enabled t.m.registry then begin
-    Registry.Counter.incr t.m.c_issued;
-    Registry.Gauge.observe_int t.m.g_inflight (Hashtbl.length t.inflight)
-  end;
+  Registry.Counter.incr t.m.c_issued;
+  Registry.Gauge.observe_int t.m.g_inflight (Hashtbl.length t.inflight);
   s.inflight <- s.inflight + 1;
   s.used <- s.used + 1;
   if s.conn = None then open_slot t s;

@@ -41,9 +41,6 @@ type config = {
   until : Sw_sim.Time.t;  (** Stop offering load at this instant. *)
 }
 
-(** Raises [Invalid_argument] on an empty/non-positive mix or pool. *)
-val validate : config -> unit
-
 type t
 
 (** [launch ?prefix ~host ~dst ~registry ~rng config] attaches a TCP

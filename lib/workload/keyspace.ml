@@ -15,9 +15,6 @@ let create ~keys ~theta =
   done;
   { keys; theta; cdf }
 
-let keys t = t.keys
-let theta t = t.theta
-
 let weight t k =
   if k < 0 || k >= t.keys then invalid_arg "Keyspace.weight: out of range";
   if k = 0 then t.cdf.(0) else t.cdf.(k) -. t.cdf.(k - 1)

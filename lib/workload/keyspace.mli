@@ -11,9 +11,6 @@ type t
 (** Raises [Invalid_argument] when [keys <= 0] or [theta < 0]. *)
 val create : keys:int -> theta:float -> t
 
-val keys : t -> int
-val theta : t -> float
-
 (** Normalised probability of key [k]. Raises [Invalid_argument] out of
     range. *)
 val weight : t -> int -> float

@@ -66,7 +66,6 @@ let prepare_single (w : Dsl.workload) =
     else begin
       let tr = Sw_obs.Trace.create ~metrics:(Cloud.metrics cloud) () in
       Cloud.attach_trace cloud tr;
-      Sw_obs.Trace.enable tr;
       Some tr
     end
   in

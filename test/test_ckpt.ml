@@ -63,6 +63,39 @@ let restore_exn image =
 
 (* --- checkpoint/restore determinism --------------------------------------- *)
 
+(* A restored cloud keeps deploying: the multicast group ids travel in the
+   image, so a VM deployed after the restore (sharing machine 2 with the
+   restored one) gets its own group and both deliver every ping. *)
+let test_deploy_after_restore () =
+  let cloud = Cloud.create ~machines:5 () in
+  let a = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Probe.receiver ()) in
+  Cloud.run cloud ~until:(Time.ms 20);
+  let cloud, a = restore_exn (Cloud.checkpoint cloud ~extra:a) in
+  let b = Cloud.deploy cloud ~on:[ 2; 3; 4 ] ~app:(Sw_apps.Probe.receiver ()) in
+  let client = Cloud.add_host cloud () in
+  let pings = 20 in
+  for n = 1 to pings do
+    Stopwatch.Host.after client (Time.ms (5 * n)) (fun () ->
+        List.iter
+          (fun d ->
+            Stopwatch.Host.send client ~dst:(Cloud.vm_address d) ~size:100
+              (Sw_net.Packet.App (Sw_net.Msg.Probe_ping n)))
+          [ a; b ])
+  done;
+  Cloud.run cloud ~until:(Time.ms 300);
+  List.iter
+    (fun (name, d) ->
+      List.iter
+        (fun i ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s replica %d delivered every ping" name
+               (Sw_vmm.Vmm.replica i))
+            pings
+            (Sw_vmm.Vmm.net_deliveries i))
+        (Cloud.replicas d);
+      Alcotest.(check int) (name ^ " divergences") 0 (Cloud.divergences d))
+    [ ("restored vm", a); ("new vm", b) ]
+
 (* One prepared scenario, three executions: straight through; paused at
    [frac] of the horizon and continued; and restored from the pause-point
    checkpoint in a fresh heap. All three must agree to the byte. *)
@@ -549,7 +582,6 @@ let test_prng_state_roundtrip () =
 let test_trace_dropped_mirror () =
   let reg = Registry.create () in
   let tr = Trace.create ~capacity:4 ~metrics:reg () in
-  Trace.enable tr;
   for i = 1 to 10 do
     Trace.emit tr ~at_ns:i
       (Event.Span_begin { name = "m" })
@@ -571,6 +603,8 @@ let () =
             test_sharded_roundtrip;
           Alcotest.test_case "payloads survive Marshal" `Quick
             test_payloads_survive_marshal;
+          Alcotest.test_case "deploy after restore" `Quick
+            test_deploy_after_restore;
         ] );
       ( "image",
         [

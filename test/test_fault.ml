@@ -1,6 +1,7 @@
 (* sw_fault: schedule determinism, the crash -> eject -> restart ->
-   reintegrate lifecycle, egress vote-table boundedness under sustained
-   tunnel loss, and bounded multicast NAK recovery. *)
+   reintegrate lifecycle, the watchdog's events in a cloud-wide trace,
+   egress vote-table boundedness under sustained tunnel loss, and bounded
+   multicast NAK recovery. *)
 
 module Time = Sw_sim.Time
 module Prng = Sw_sim.Prng
@@ -136,12 +137,9 @@ let test_crash_lifecycle () =
   let cloud = Cloud.create ~config:chaos_config ~machines:3 () in
   let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Probe.receiver ()) in
   let trace = Sw_obs.Trace.create () in
-  Sw_obs.Trace.enable trace;
-  List.iter (fun i -> Sw_vmm.Vmm.set_trace i trace) (Cloud.replicas d);
-  Option.iter (fun w -> Sw_vmm.Watchdog.set_trace w trace) (Cloud.watchdog d);
-  Sw_net.Ingress.set_trace (Cloud.ingress cloud) trace;
+  Cloud.attach_trace cloud trace;
   let injector =
-    Cloud.install_faults ~trace cloud
+    Cloud.install_faults cloud
       [
         Schedule.at (Time.ms 100)
           (Fault.Replica_crash
@@ -238,6 +236,38 @@ let test_crash_lifecycle () =
     true
     (subsequence [ "crash"; "suspect"; "eject"; "restart"; "reintegrate" ] labels)
 
+(* The watchdog emits through the engine like every other component, so a
+   sink attached to the cloud (here after the deployment exists) records the
+   suspicion and the ejection of a crashed replica. *)
+let test_watchdog_traced () =
+  let cloud = Cloud.create ~config:chaos_config ~machines:3 () in
+  ignore (Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Probe.receiver ()));
+  let trace = Sw_obs.Trace.create () in
+  Cloud.attach_trace cloud trace;
+  ignore
+    (Cloud.install_faults cloud
+       [
+         Schedule.at (Time.ms 100)
+           (Fault.Replica_crash { vm = 0; replica = 2; restart_after = None });
+       ]);
+  Cloud.run cloud ~until:(Time.ms 250);
+  let count p = List.length (List.filter p (Sw_obs.Trace.entries trace)) in
+  let suspected =
+    count (fun e ->
+        match e.Sw_obs.Trace.event with
+        | Event.Degrade_suspected { vm = 0; replica = 2; _ } -> true
+        | _ -> false)
+  and ejected =
+    count (fun e ->
+        match e.Sw_obs.Trace.event with
+        | Event.Degrade_ejected { vm = 0; replica = 2; quorum = 1 } -> true
+        | _ -> false)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Degrade_suspected recorded (%d)" suspected)
+    true (suspected > 0);
+  Alcotest.(check int) "Degrade_ejected recorded once" 1 ejected
+
 (* --- Egress boundedness under sustained tunnel loss ------------------------ *)
 
 let test_egress_bounded_under_total_loss () =
@@ -295,7 +325,7 @@ let test_nak_abandonment () =
   let module Mc = Sw_net.Multicast in
   let module Addr = Sw_net.Address in
   let g =
-    Mc.group network
+    Mc.group network ~id:0
       ~members:[ Addr.Vmm 0; Addr.Vmm 1 ]
       ~nak_delay:(Time.ms 2) ()
   in
@@ -358,6 +388,8 @@ let () =
         [
           Alcotest.test_case "crash -> eject -> restart -> reintegrate" `Quick
             test_crash_lifecycle;
+          Alcotest.test_case "watchdog events in the cloud trace" `Quick
+            test_watchdog_traced;
         ] );
       ( "egress",
         [

@@ -153,7 +153,6 @@ let delivered seq =
 let test_trace_dropped () =
   let r = Registry.create () in
   let tr = Trace.create ~capacity:4 ~metrics:r () in
-  Trace.enable tr;
   Alcotest.(check int) "capacity" 4 (Trace.capacity tr);
   for seq = 1 to 10 do
     Trace.emit tr ~at_ns:seq (delivered seq)
@@ -248,7 +247,6 @@ let prop_wellformed_stream_no_orphans =
         (list_of_size Gen.(return 3) (triple (0 -- 1000) (0 -- 1000) (0 -- 1000))))
     (fun (chains, gap_seed) ->
       let tr = Trace.create () in
-      Trace.enable tr;
       let gaps k =
         match List.nth_opt gap_seed (k mod List.length gap_seed) with
         | Some g -> g
@@ -277,7 +275,6 @@ let prop_wellformed_stream_no_orphans =
 let test_lineage_in_flight_not_orphan () =
   (* Adopted but not delivered when the trace ends: in flight, not broken. *)
   let tr = Trace.create () in
-  Trace.enable tr;
   Trace.emit tr ~at_ns:10
     (Event.Packet_proposed
        { vm = 0; observer = 0; proposer = 0; ingress_seq = 0; virt_ns = 500 });
@@ -297,7 +294,6 @@ let test_lineage_in_flight_not_orphan () =
 
 let test_lineage_orphan_kinds () =
   let tr = Trace.create () in
-  Trace.enable tr;
   (* r0 proposes but never adopts; r1 delivers without a median. *)
   Trace.emit tr ~at_ns:10
     (Event.Packet_proposed

@@ -209,7 +209,7 @@ let mcast_setup ?(loss = 0.) ?heartbeat () =
   let default = { quiet_link with Net.loss } in
   let net = Net.create engine ~default in
   let members = [ Address.Vmm 0; Address.Vmm 1; Address.Vmm 2 ] in
-  let g = Sw_net.Multicast.group net ~members ?heartbeat () in
+  let g = Sw_net.Multicast.group net ~id:0 ~members ?heartbeat () in
   let received = Hashtbl.create 8 in
   let endpoints =
     List.map
@@ -310,7 +310,8 @@ let prop_mcast_order =
       let engine, net = setup () in
       let sender = Address.Vmm 0 and receiver = Address.Vmm 1 in
       let g =
-        Sw_net.Multicast.group net ~members:[ sender; receiver; Address.Vmm 2 ] ()
+        Sw_net.Multicast.group net ~id:0
+          ~members:[ sender; receiver; Address.Vmm 2 ] ()
       in
       (* While [Some], the sender's packets are held here instead of sent. *)
       let held = ref (Some []) in
@@ -386,7 +387,7 @@ let test_ingress_replicates () =
   let engine, net = setup () in
   let ingress = Sw_net.Ingress.create net in
   let channel =
-    Sw_net.Multicast.group net
+    Sw_net.Multicast.group net ~id:0
       ~members:[ Address.Ingress; Address.Vmm 0; Address.Vmm 1; Address.Vmm 2 ]
       ()
   in

@@ -62,20 +62,6 @@ let test_gauge_observe_int () =
       Alcotest.(check (float 0.)) "snapshot sees merged watermark" 11.5 v
   | _ -> Alcotest.fail "gauge missing from snapshot"
 
-let test_enabled_switch () =
-  (* [enabled] is the one-branch producer contract: on by default, and the
-     instruments keep working either way — producers choose to skip. *)
-  let r = Registry.create () in
-  Alcotest.(check bool) "on at creation" true (Registry.enabled r);
-  Registry.set_enabled r false;
-  Alcotest.(check bool) "off" false (Registry.enabled r);
-  let c = Registry.counter r "hits" in
-  if Registry.enabled r then Registry.Counter.incr c;
-  Alcotest.(check int) "producer skipped the bump" 0 (Registry.Counter.value c);
-  Registry.set_enabled r true;
-  if Registry.enabled r then Registry.Counter.incr c;
-  Alcotest.(check int) "and takes it when on" 1 (Registry.Counter.value c)
-
 let test_histogram () =
   let r = Registry.create () in
   let h = Registry.histogram r "lat" in
@@ -245,21 +231,26 @@ let delivered seq =
   Event.Packet_delivered
     { vm = 0; replica = 0; seq; virt_ns = seq * 1000 }
 
-let test_trace_disabled_records_nothing () =
+(* Components emit through their engine: with no trace attached the guard
+   is false and an emit is dropped; once attached, entries carry the
+   engine's clock. *)
+let test_trace_lazy_emission () =
   let tr = Trace.create () in
-  Alcotest.(check bool) "fresh trace disabled" false (Trace.enabled tr);
-  Alcotest.(check bool) "absent sink inactive" false (Trace.active None);
-  Alcotest.(check bool) "disabled sink inactive" false (Trace.active (Some tr));
-  Trace.emit tr ~at_ns:1 (delivered 1);
-  Alcotest.(check int) "emit on disabled trace is a no-op" 0 (Trace.length tr);
-  Trace.enable tr;
-  Alcotest.(check bool) "enabled sink active" true (Trace.active (Some tr));
   Trace.emit tr ~at_ns:2 (delivered 2);
-  Alcotest.(check int) "enabled trace records" 1 (Trace.length tr)
+  Alcotest.(check int) "trace records" 1 (Trace.length tr);
+  let e = Sw_sim.Engine.create () in
+  Alcotest.(check bool) "absent sink inactive" false (Sw_sim.Engine.tracing e);
+  Sw_sim.Engine.emit e (delivered 3);
+  ignore (Sw_sim.Engine.schedule_at e 7 (fun () -> ()));
+  Sw_sim.Engine.run e;
+  Sw_sim.Engine.attach_trace e tr;
+  Alcotest.(check bool) "attached sink active" true (Sw_sim.Engine.tracing e);
+  Sw_sim.Engine.emit e (delivered 4);
+  Alcotest.(check (list int)) "engine stamps now" [ 2; 7 ]
+    (List.map (fun en -> en.Trace.at_ns) (Trace.entries tr))
 
 let test_trace_order_and_wraparound () =
   let tr = Trace.create ~capacity:4 () in
-  Trace.enable tr;
   for seq = 1 to 6 do
     Trace.emit tr ~at_ns:seq (delivered seq)
   done;
@@ -281,7 +272,6 @@ let test_trace_order_and_wraparound () =
 
 let test_trace_span () =
   let tr = Trace.create () in
-  Trace.enable tr;
   let clock = ref 0 in
   let now () = !clock in
   let result =
@@ -346,7 +336,6 @@ let () =
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "sum and gauge" `Quick test_sum_gauge;
           Alcotest.test_case "gauge observe_int" `Quick test_gauge_observe_int;
-          Alcotest.test_case "enabled switch" `Quick test_enabled_switch;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "path validation" `Quick test_path_validation;
         ] );
@@ -368,7 +357,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "lazy emission" `Quick
-            test_trace_disabled_records_nothing;
+            test_trace_lazy_emission;
           Alcotest.test_case "order and wraparound" `Quick
             test_trace_order_and_wraparound;
           Alcotest.test_case "span" `Quick test_trace_span;

@@ -351,22 +351,6 @@ let test_kind_same_name_shares_counter () =
   | Some h -> Alcotest.(check int) "and one delay histogram" 5 h.count
   | None -> Alcotest.fail "delay histogram missing"
 
-let test_kind_disabled_registry () =
-  let e = Engine.create () in
-  Sw_obs.Registry.set_enabled (Engine.metrics e) false;
-  let k = Engine.kind e "quiet" in
-  let fired = ref 0 in
-  for i = 1 to 4 do
-    ignore (Engine.schedule_after ~kind:k e (Time.us i) (fun () -> incr fired))
-  done;
-  Engine.run e;
-  Alcotest.(check int) "every event still fires" 4 !fired;
-  Alcotest.(check (list string)) "nothing registered" [] (kind_paths e "quiet");
-  Alcotest.(check int) "no schedule counted" 0
-    (Sw_obs.Snapshot.counter
-       (Sw_obs.Registry.snapshot (Engine.metrics e))
-       "sim.events.scheduled")
-
 (* A checkpoint marshals an engine with the components holding its kind
    handles; the restored handles must count into the restored registry. *)
 let test_kind_survives_marshal () =
@@ -851,8 +835,6 @@ let () =
             test_kind_unscheduled_exports_nothing;
           Alcotest.test_case "same-name kinds share a counter" `Quick
             test_kind_same_name_shares_counter;
-          Alcotest.test_case "kind with the registry disabled" `Quick
-            test_kind_disabled_registry;
           Alcotest.test_case "kind handles survive Marshal" `Quick
             test_kind_survives_marshal;
           QCheck_alcotest.to_alcotest prop_engine_matches_model;

@@ -2,43 +2,97 @@
 # Lists every public value and every optional argument that nothing outside
 # its own module uses, and exits 1 if there is one.
 #
-# For each `val v` in lib/**/*.mli, looks for `v` as a whole word in the
-# .ml/.mli sources of lib, bin, bench, test, examples and perfbench, leaving
-# out the module's own .ml/.mli pair. A hit counts as a use only when it is
-# qualified (`X.v`) or sits in a file that does not itself define a `v`
-# (`let`, `and` or `val`): a same-named definition elsewhere is not a
-# caller. A value with no use should be private (or deleted). Operators are
-# skipped.
+# The scan reads the .ml/.mli sources of lib, bin, bench, test, examples and
+# perfbench with comments and string literals blanked out, so a doc
+# reference or a message is never a use.
+#
+# For each `val v` in lib/**/*.mli (module M), a use is a hit in another
+# file that is
+#   - qualified (`Q.v`) by M itself, by one of M's `module S : sig`
+#     submodules, or by an alias that file binds to M (`module A = X.M`);
+#   - or unqualified (`v`) in a file that opens M (`open X.M`,
+#     `let open X.M in` or `M.( ... )`).
+# A `Y.v` hit where Y is some other module is not a use. A value with no use
+# should be private (or deleted). Operators are skipped. Two modules with
+# one name (`Sw_disk.Image`, `Sw_ckpt.Image`) qualify each other's hits.
 #
 # For each optional argument `?arg:` in lib/**/*.mli, looks for `~arg` or
-# `?arg` in the .ml sources of the same directories, again leaving out the
-# module's own pair. An argument no caller passes is a knob only its default
-# reaches: it should be a constant.
-#
-# An unqualified use of a name that another module happens to use too can
-# hide a dead value or argument, so the scan may miss some. It can flag a
-# value used only unqualified, through an `open`, in a file that defines
-# the same name; qualify that use.
+# `?arg` in the other .ml sources. An argument no caller passes is a knob
+# only its default reaches: it should be a constant.
 #
 # Run from the repository root: sh test/unused_vals.sh
 set -eu
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 sources=$(find lib bin bench test examples perfbench -name _build -prune \
-  -o \( -name '*.ml' -o -name '*.mli' \) -print)
+  -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)
+
+# Blank comments (nested, with the strings and character literals inside
+# them) and string literals ("..." and {|...|}) into a mirror tree.
+for f in $sources; do mkdir -p "$tmp/${f%/*}"; done
+# shellcheck disable=SC2086
+awk -v out="$tmp/" '
+FNR == 1 { depth = 0; instr = 0; inquoted = 0 }
+{
+  line = $0; n = length(line); o = ""; i = 1
+  while (i <= n) {
+    c = substr(line, i, 1); c2 = substr(line, i, 2)
+    if (instr) {
+      if (c == "\\") i += 2
+      else { if (c == "\"") instr = 0; i++ }
+    } else if (inquoted) {
+      if (c2 == "|}") { inquoted = 0; i += 2 } else i++
+    } else if (c2 == "(*") { depth++; i += 2
+    } else if (depth > 0 && c2 == "*)") { depth--; i += 2
+    } else if (c == "\"") { instr = 1; i++
+    } else if (depth == 0 && c2 == "{|") { inquoted = 1; i += 2
+    } else if (c == "\047" && substr(line, i + 2, 1) == "\047") { i += 3
+    } else if (c == "\047" && substr(line, i + 1, 1) == "\\") {
+      j = index(substr(line, i + 2), "\047")
+      i = j > 0 ? i + 2 + j : n + 1
+    } else {
+      if (depth == 0) o = o c
+      i++
+    }
+  }
+  print o > (out FILENAME)
+}' $sources
+cd "$tmp"
+
 dead=0
 for mli in $(find lib -name '*.mli' | sort); do
   ml=${mli%i}
+  base=${mli##*/}
+  base=${base%.mli}
+  first=$(printf '%s' "$base" | cut -c1 | tr a-z A-Z)
+  mod=$first$(printf '%s' "$base" | cut -c2-)
   others=$(printf '%s\n' $sources | grep -vx -e "$mli" -e "$ml")
+  subs=$(sed -n "s/^ *module \([A-Z][A-Za-z0-9_']*\) *: *sig.*/\1/p" "$mli")
+  quals=$(printf '%s\n' "$mod" $subs | paste -sd'|' -)
+  bind="([A-Z][A-Za-z0-9_']*\\.)*$mod\\b([^.]|\$)"
+  # One "file alias" line per alias another file binds to M.
+  # shellcheck disable=SC2086
+  aliased=$(grep -oE "module [A-Z][A-Za-z0-9_']* *= *$bind" $others |
+    sed -E "s/^([^:]*):module ([A-Z][A-Za-z0-9_']*).*/\\1 \\2/")
+  # shellcheck disable=SC2086
+  openers=$(grep -lE "\\b(let +)?open!? +$bind|\\b$mod\\.\\(" $others || true)
   for v in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
-    used=0
     # shellcheck disable=SC2086
-    for f in $(grep -lw -e "$v" $others); do
-      if grep -qE "[A-Z][A-Za-z0-9_']*\.$v\b" "$f" ||
-        ! grep -qE "^[[:space:]]*(let|and|val)([[:space:]]+rec)?[[:space:]]+$v\b" "$f"; then
+    if grep -qE "\\b($quals)\\.$v\\b" $others ||
+      { [ -n "$openers" ] && grep -qw -e "$v" $openers; }; then
+      continue
+    fi
+    used=0
+    while read -r f a; do
+      if [ -n "$f" ] && grep -qE "\\b$a\\.$v\\b" "$f"; then
         used=1
         break
       fi
-    done
+    done <<ALIASES
+$aliased
+ALIASES
     if [ "$used" -eq 0 ]; then
       echo "$mli: val $v has no caller outside its module"
       dead=$((dead + 1))
