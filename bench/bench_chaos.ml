@@ -25,8 +25,6 @@ module Runner = Sw_runner.Runner
 module Report = Sw_runner.Report
 module Snapshot = Sw_obs.Snapshot
 
-let quick = ref false
-
 (* Degradation machinery on, sized so only a real crash (restarted after
    250 ms) trips the watchdog — transient Dom0 pauses and slowdowns keep
    the engine-driven heartbeats alive. *)
@@ -71,13 +69,13 @@ let schedule ~duration ~mean_gap ~mean_span =
   :: Schedule.windows ~seed:0xC4A05FA0L ~until:duration ~mean_gap ~mean_span
        ~make:(make_fault ~machines ~replicas:m)
 
-let levels ~duration =
+let levels ~quick ~duration =
   let windowed name ~gap_ms ~span_ms =
     ( name,
       schedule ~duration ~mean_gap:(Time.ms gap_ms) ~mean_span:(Time.ms span_ms)
     )
   in
-  if !quick then
+  if quick then
     [ ("none", Schedule.empty); windowed "heavy" ~gap_ms:150 ~span_ms:40 ]
   else
     [
@@ -96,15 +94,15 @@ let sum_counters snapshot ~suffix =
     0
     (Snapshot.to_list snapshot)
 
-let run ?pool () =
+let run ?pool ~quick () =
   Tables.section
-    (if !quick then "Chaos smoke (fault sweep, quick)"
+    (if quick then "Chaos smoke (fault sweep, quick)"
      else "Chaos — fault rates vs distinguisher strength");
-  let duration = if !quick then Time.s 4 else Time.s 20 in
+  let duration = if quick then Time.s 4 else Time.s 20 in
   let base =
     { Scenario.default with Scenario.config = chaos_config; duration }
   in
-  let levels = levels ~duration in
+  let levels = levels ~quick ~duration in
   let jobs =
     List.concat_map
       (fun (name, faults) ->
@@ -197,5 +195,5 @@ let run ?pool () =
                  name (int "ejections") (int "reintegrations"))
       | _ -> ())
     entries;
-  Bench_report.add (if !quick then "chaos-quick" else "chaos")
+  Bench_report.add (if quick then "chaos-quick" else "chaos")
     (Report.Obj entries)

@@ -18,8 +18,6 @@ module Engine = Sw_sim.Engine
 module Prng = Sw_sim.Prng
 module Report = Sw_runner.Report
 
-let quick = ref false
-
 (* Recorded floor (pure-periodic events/sec) for the @perf guard. The wheel
    engine measures 7-8M events/s on the dev container (the heap engine it
    replaced did ~3.6M); the guard trips below floor/5 = 1.4M. Update when
@@ -107,8 +105,8 @@ let measure name n run =
     wall eps;
   (name, fired, wall, eps)
 
-let run ?pool:_ () =
-  let n = if !quick then 400_000 else 4_000_000 in
+let run ~quick () =
+  let n = if quick then 400_000 else 4_000_000 in
   Printf.printf "Engine micro-benchmark (%d events per workload):\n%!" n;
   (* Explicit lets force left-to-right evaluation (and output) order. *)
   let periodic = measure "pure-periodic" n pure_periodic in

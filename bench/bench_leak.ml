@@ -7,25 +7,23 @@
    pair. Printed per config: the guest-visible verdict (detectors flagging
    any attacker-observable series) and per-series p-values; the full audit
    lands in BENCH_results.json under "leakage". [-quick] shrinks the runs
-   to the CI smoke duration. *)
+   to 2 s. *)
 
 open Sw_experiments
 module Detector = Sw_leak.Detector
 module Audit = Sw_leak.Audit
-
-let quick = ref false
 
 let p_cell p =
   if Float.is_nan p then "-"
   else if p < 1e-4 then Printf.sprintf "%.0e" p
   else Printf.sprintf "%.4f" p
 
-let run ?pool () =
+let run ?pool ~quick () =
   Tables.section
-    (if !quick then "Leak audit (fig4 grid, quick)"
+    (if quick then "Leak audit (fig4 grid, quick)"
      else "Leak audit — fig4 grid through the detector battery");
   let scenario =
-    Scenarios.load ~seconds:(if !quick then 2. else 20.) "fig4.scn"
+    Scenarios.load ~seconds:(if quick then 2. else 20.) "fig4.scn"
   in
   let registry = Sw_obs.Registry.create () in
   let audits = Sw_workload.Run.audits ?pool ~registry scenario in

@@ -37,4 +37,4 @@ let write ~workers ~wall_s =
   Report.write path
     (Report.bench_file ?metrics ?perf ~workers ~wall_s
        ~timings:(List.rev !timings) ~experiments:(List.rev !entries) ());
-  Printf.printf "\n[results written to %s]\n%!" path
+  Printf.eprintf "\n[results written to %s]\n%!" path

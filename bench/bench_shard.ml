@@ -49,12 +49,6 @@ module Affinity = Sw_placement.Affinity
 module Warm = Sw_ckpt.Warm
 module Cloud = Stopwatch.Cloud
 
-let quick = ref false
-
-(* main.exe --shards N narrows the sweep to shard counts [1; N] (N > 1),
-   e.g. to probe one machine's sweet spot without paying the full ladder. *)
-let shards_override : int option ref = ref None
-
 let replicas = 3
 let warm_dir = "_warm"
 
@@ -154,10 +148,12 @@ type config = {
 (* Per configuration: the baseline single shard, then for each shard count
    contiguous blocks against affinity packing, both under the per-pair
    lookahead bound — the speedup the perf block records is between those
-   two at equal shard count. *)
-let sweep () =
+   two at equal shard count. [shards] (main.exe --shards N) narrows the
+   sweep to shard counts [1; N] (N > 1), e.g. to probe one machine's sweet
+   spot without paying the full ladder. *)
+let sweep ?shards () =
   let counts =
-    match !shards_override with Some s when s > 1 -> [ s ] | _ -> [ 2; 4 ]
+    match shards with Some s when s > 1 -> [ s ] | _ -> [ 2; 4 ]
   in
   { label = "shards1"; shards = 1; partition = `Contiguous }
   :: List.concat_map
@@ -188,11 +184,11 @@ type outcome = {
   bytes : string;
 }
 
-let run_config ~w (cfg : config) =
+let run_config ~quick ~w (cfg : config) =
   let prepare () = Run.prepare ~shards:cfg.shards ~partition:cfg.partition w in
   let t0 = Sw_obs.Profile.now_ns () in
   let handle, warm =
-    if !quick then (prepare (), "cold")
+    if quick then (prepare (), "cold")
     else begin
       (* Identity of the cached image: everything that shapes the build. *)
       let key =
@@ -273,7 +269,7 @@ let partition_stats g counts =
           ] ))
     counts
 
-let run () =
+let run ~quick ?shards () =
   (* The sharded run puts several allocating domains on one major heap; with
      the default minor arenas every minor collection is a cross-domain
      stop-the-world sync, which swamps the window compute at this event
@@ -288,7 +284,7 @@ let run () =
       Gc.minor_heap_size = 4 * 1024 * 1024;
       space_overhead = 400;
     };
-  let hosts = if !quick then 48 else 10_080 in
+  let hosts = if quick then 48 else 10_080 in
   let cells = hosts / replicas in
   (* Stride = cells/4: every east-west edge leaves its contiguous block at
      both swept shard counts, while the stride cycles (length 4) pack
@@ -306,12 +302,12 @@ let run () =
      floor instead of 2 us), and enough east-west traffic that the
      partition choice moves real cross-shard message volume. *)
   let w =
-    if !quick then workload ~hosts ~stride ~duration ()
+    if quick then workload ~hosts ~stride ~duration ()
     else
       workload ~east_west:100. ~replica_link:2. ~quantum_us:2000. ~hosts
         ~stride ~duration ()
   in
-  let configs = sweep () in
+  let configs = sweep ?shards () in
   let counts =
     List.sort_uniq compare
       (List.filter_map
@@ -326,7 +322,7 @@ let run () =
        hosts cells replicas stride);
   Tables.header ~width:12
     [ "config"; "completed"; "xshard"; "windows"; "warm"; "wall s"; "ev/s"; "same" ];
-  let outcomes = List.map (run_config ~w) configs in
+  let outcomes = List.map (run_config ~quick ~w) configs in
   let baseline =
     match outcomes with o :: _ -> o | [] -> assert false
   in
@@ -462,7 +458,7 @@ let run () =
       configs
   in
   match guarded with
-  | Some cfg when !quick ->
+  | Some cfg when quick ->
       let median xs =
         let a = Array.of_list xs in
         Array.sort compare a;
@@ -470,8 +466,8 @@ let run () =
       in
       let pairs =
         List.init guard_pairs (fun _ ->
-            let one = (run_config ~w baseline.cfg).eps in
-            (one, (run_config ~w cfg).eps))
+            let one = (run_config ~quick ~w baseline.cfg).eps in
+            (one, (run_config ~quick ~w cfg).eps))
       in
       let one_eps = median (List.map fst pairs) in
       let guarded_eps = median (List.map snd pairs) in

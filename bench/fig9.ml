@@ -17,8 +17,6 @@ module Run = Sw_workload.Run
 module Arrival = Sw_workload.Arrival
 module Time = Sw_sim.Time
 
-let quick = ref false
-
 let classes =
   [
     { Sw_workload.Flowgen.name = "page"; weight = 0.8; resp_bytes = 2048; cached = true };
@@ -65,11 +63,11 @@ let shapes duration =
         } );
   ]
 
-let run ?pool () =
+let run ?pool ~quick () =
   Tables.section
     "Fig. 9 — response-time overhead vs offered load (workload engine)";
-  let duration = if !quick then Time.of_float_s 1.5 else Time.s 3 in
-  let multipliers = if !quick then [ 1. ] else [ 0.5; 1.; 2.; 4. ] in
+  let duration = if quick then Time.of_float_s 1.5 else Time.s 3 in
+  let multipliers = if quick then [ 1. ] else [ 0.5; 1.; 2.; 4. ] in
   let variants =
     List.concat_map
       (fun (shape, arrival) ->

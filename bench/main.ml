@@ -17,30 +17,38 @@
    parallelises across variants). Every invocation also writes
    machine-readable results to BENCH_results.json. *)
 
+(* What the command line hands every experiment: the runner pool (-j),
+   the quick form (-quick) and the shard sweep override (--shards). *)
+type opts = {
+  pool : Sw_runner.Pool.t option;
+  quick : bool;
+  shards : int option;
+}
+
 let experiments =
   [
-    ("fig1", fun ~pool:_ -> Fig1.run ());
-    ("fig2", fun ~pool:_ -> Fig2.run ());
-    ("fig4", fun ~pool -> Fig4.run ?pool ());
-    ("fig5", fun ~pool -> Fig5.run ?pool ());
-    ("fig6", fun ~pool -> Fig6.run ?pool ());
-    ("fig7", fun ~pool -> Fig7.run ?pool ());
-    ("fig8", fun ~pool:_ -> Fig8.run ());
-    ("fig9", fun ~pool -> Fig9.run ?pool ());
-    ("placement", fun ~pool:_ -> Bench_placement.run ());
-    ("utilization", fun ~pool:_ -> Bench_utilization.run ());
-    ("theorems", fun ~pool:_ -> Bench_theorems.run ());
-    ("collusion", fun ~pool:_ -> Bench_collusion.run ());
-    ("ablation", fun ~pool -> Bench_ablation.run ?pool ());
-    ("scale", fun ~pool:_ -> Bench_scale.run ());
-    ("shard", fun ~pool:_ -> Bench_shard.run ());
-    ("micro", fun ~pool:_ -> Bench_micro.run ());
-    ("engine", fun ~pool:_ -> Bench_engine.run ());
-    ("alloc", fun ~pool:_ -> Bench_alloc.run ());
-    ("ckpt", fun ~pool:_ -> Bench_ckpt.run ());
-    ("chaos", fun ~pool -> Bench_chaos.run ?pool ());
-    ("leak", fun ~pool -> Bench_leak.run ?pool ());
-    ("quick", fun ~pool -> Bench_quick.run ?pool ());
+    ("fig1", fun _ -> Fig1.run ());
+    ("fig2", fun _ -> Fig2.run ());
+    ("fig4", fun o -> Fig4.run ?pool:o.pool ());
+    ("fig5", fun o -> Fig5.run ?pool:o.pool ());
+    ("fig6", fun o -> Fig6.run ?pool:o.pool ());
+    ("fig7", fun o -> Fig7.run ?pool:o.pool ());
+    ("fig8", fun _ -> Fig8.run ());
+    ("fig9", fun o -> Fig9.run ?pool:o.pool ~quick:o.quick ());
+    ("placement", fun _ -> Bench_placement.run ());
+    ("utilization", fun _ -> Bench_utilization.run ());
+    ("theorems", fun _ -> Bench_theorems.run ());
+    ("collusion", fun _ -> Bench_collusion.run ());
+    ("ablation", fun o -> Bench_ablation.run ?pool:o.pool ());
+    ("scale", fun _ -> Bench_scale.run ());
+    ("shard", fun o -> Bench_shard.run ~quick:o.quick ?shards:o.shards ());
+    ("micro", fun _ -> Bench_micro.run ());
+    ("engine", fun o -> Bench_engine.run ~quick:o.quick ());
+    ("alloc", fun _ -> Bench_alloc.run ());
+    ("ckpt", fun _ -> Bench_ckpt.run ());
+    ("chaos", fun o -> Bench_chaos.run ?pool:o.pool ~quick:o.quick ());
+    ("leak", fun o -> Bench_leak.run ?pool:o.pool ~quick:o.quick ());
+    ("quick", fun o -> Bench_quick.run ?pool:o.pool ());
   ]
 
 let default_set =
@@ -55,6 +63,8 @@ let usage () =
 
 let parse_args () =
   let jobs = ref 1 in
+  let quick = ref false in
+  let shards = ref None in
   let names = ref [] in
   let rec go = function
     | [] -> ()
@@ -70,16 +80,12 @@ let parse_args () =
         Printf.eprintf "-j expects a worker count\n";
         exit 2
     | ("-quick" | "--quick") :: rest ->
-        Bench_chaos.quick := true;
-        Bench_engine.quick := true;
-        Bench_shard.quick := true;
-        Bench_leak.quick := true;
-        Fig9.quick := true;
+        quick := true;
         go rest
     | "--shards" :: n :: rest -> (
         match int_of_string_opt n with
         | Some v when v >= 1 ->
-            Bench_shard.shards_override := Some v;
+            shards := Some v;
             go rest
         | _ ->
             Printf.eprintf "--shards expects a positive integer, got %S\n" n;
@@ -98,25 +104,28 @@ let parse_args () =
   List.iter
     (fun name -> if not (List.mem_assoc name experiments) then usage ())
     requested;
-  (!jobs, requested)
+  (!jobs, !quick, !shards, requested)
 
+(* Stdout carries the experiments' tables alone, so a run's stdout is a
+   pure function of the experiments and -quick; wall-clock lines go to
+   stderr, like the runner's progress. *)
 let () =
-  let jobs, requested = parse_args () in
+  let jobs, quick, shards, requested = parse_args () in
   let pool =
     if jobs > 1 then Some (Sw_runner.Pool.create ~workers:jobs ()) else None
   in
-  if jobs > 1 then Printf.printf "[running on %d worker domains]\n%!" jobs;
+  if jobs > 1 then Printf.eprintf "[running on %d worker domains]\n%!" jobs;
   let t0 = Sw_obs.Profile.now_ns () in
   List.iter
     (fun name ->
       let f = List.assoc name experiments in
       let t = Sw_obs.Profile.now_ns () in
-      f ~pool;
+      f { pool; quick; shards };
       let wall = float_of_int (Sw_obs.Profile.now_ns () - t) /. 1e9 in
       Bench_report.add_timing name wall;
-      Printf.printf "\n[%s done in %.1f s]\n%!" name wall)
+      Printf.eprintf "\n[%s done in %.1f s]\n%!" name wall)
     requested;
   let total = float_of_int (Sw_obs.Profile.now_ns () - t0) /. 1e9 in
   Option.iter Sw_runner.Pool.shutdown pool;
-  Printf.printf "\nTotal: %.1f s\n" total;
+  Printf.eprintf "\nTotal: %.1f s\n%!" total;
   Bench_report.write ~workers:jobs ~wall_s:total

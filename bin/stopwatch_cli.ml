@@ -78,20 +78,6 @@ let output_arg =
     & info [ "o"; "output" ] ~docv:"PATH"
         ~doc:"Write the JSON report (for $(b,trace), the export) to $(docv).")
 
-let smoke_arg =
-  Arg.(
-    value & flag
-    & info [ "smoke" ]
-        ~doc:"Check the run against the command's smoke contract and exit \
-              non-zero when it fails: $(b,trace) validates the chrome export \
-              (parses, has flow arrows, orphan count matches the fault \
-              schedule) and, with $(b,--export jsonl), that every JSONL \
-              line parses and there is one per trace entry plus the meta \
-              line; $(b,workload run) checks that the JSON report \
-              parses and every variant completed requests; $(b,leak) \
-              asserts that every baseline config pair leaks under all five \
-              detectors and every StopWatch pair under none.")
-
 let shards_arg =
   Arg.(
     value
@@ -350,31 +336,6 @@ let attack_cmd =
 
 (* --- trace -------------------------------------------------------------- *)
 
-(* One object per line: a meta header, then per entry its timestamp, kind
-   tag and the event's canonical one-line description. *)
-let jsonl_of_entries ~meta entries =
-  let module J = Sw_obs.Json in
-  let buf = Buffer.create 4096 in
-  let line json =
-    Buffer.add_string buf (J.to_string json);
-    Buffer.add_char buf '\n'
-  in
-  line (J.Obj [ ("meta", Sw_obs.Export.meta_json meta) ]);
-  List.iter
-    (fun (e : Sw_obs.Trace.entry) ->
-      line
-        (J.Obj
-           [
-             ("at_ns", J.Int e.Sw_obs.Trace.at_ns);
-             ("kind", J.String (Sw_obs.Event.label e.Sw_obs.Trace.event));
-             ( "text",
-               J.String
-                 (Format.asprintf "%a" Sw_obs.Event.pp e.Sw_obs.Trace.event)
-             );
-           ]))
-    entries;
-  Buffer.contents buf
-
 (* [--filter vm=0 --filter kind=median ...]: OR within one key, AND across
    keys. *)
 let parse_filters filters =
@@ -416,71 +377,8 @@ let parse_filters filters =
       in
       Ok pass
 
-let smoke_fail msg =
-  Printf.eprintf "trace smoke: FAIL: %s\n" msg;
-  Error ()
-
-(* Structural validation of a chrome export through the in-tree JSON
-   reader: parses, has a traceEvents array, and carries at least one
-   lineage flow edge. *)
-let smoke_check ~crash ~lineage_data json =
-  let module J = Sw_obs.Json in
-  match J.parse json with
-  | Error e -> smoke_fail ("chrome export does not parse: " ^ e)
-  | Ok root -> (
-      match J.member "traceEvents" root with
-      | Some (J.List events) ->
-          let flows =
-            List.length
-              (List.filter
-                 (fun ev -> J.member "ph" ev = Some (J.String "s"))
-                 events)
-          in
-          if flows = 0 then smoke_fail "no lineage flow arrows in export"
-          else
-            let orphans =
-              List.length (Sw_obs.Lineage.orphans lineage_data)
-            in
-            if crash && orphans = 0 then
-              smoke_fail "crash schedule produced no orphans"
-            else if (not crash) && orphans > 0 then
-              smoke_fail
-                (Printf.sprintf "fault-free run has %d orphans" orphans)
-            else begin
-              Printf.printf
-                "trace smoke OK: %d trace events, %d flow edges, %d chains, \
-                 %d orphans\n"
-                (List.length events) flows
-                (Sw_obs.Lineage.total lineage_data)
-                orphans;
-              Ok ()
-            end
-      | _ -> smoke_fail "no traceEvents array")
-
-(* The JSONL export's smoke contract: a meta line plus one line per entry,
-   each parsing through the in-tree reader. *)
-let jsonl_smoke_check ~entries jsonl =
-  (* Drop the final newline so the split leaves no empty tail. *)
-  let lines =
-    String.split_on_char '\n' (String.sub jsonl 0 (String.length jsonl - 1))
-  in
-  let n = List.length lines and expected = List.length entries + 1 in
-  match
-    List.find_map
-      (fun l ->
-        match Sw_obs.Json.parse l with Ok _ -> None | Error e -> Some e)
-      lines
-  with
-  | Some e -> smoke_fail ("jsonl line does not parse: " ^ e)
-  | None when n <> expected ->
-      smoke_fail (Printf.sprintf "%d jsonl lines, expected %d" n expected)
-  | None ->
-      Printf.printf "trace smoke OK: %d jsonl lines parse\n" n;
-      Ok ()
-
 let trace_cmd =
-  let run attack seed capacity export output lineage filters crash profile_on
-      smoke =
+  let run attack seed capacity export output lineage filters crash profile_on =
     match (attack, parse_filters filters) with
     | Error e, _ -> error e
     | _, Error f ->
@@ -513,9 +411,6 @@ let trace_cmd =
         ignore
           (Scenario.run { spec with Scenario.faults; trace = Some tr; profile });
         let entries = List.filter pass (Sw_obs.Trace.entries tr) in
-        let lineage_data =
-          Sw_obs.Lineage.of_entries ~dropped:(Sw_obs.Trace.dropped tr) entries
-        in
         let meta =
           Sw_obs.Export.meta ~seed
             ~scenario:
@@ -524,12 +419,12 @@ let trace_cmd =
                  a.Dsl.replicas spec.Scenario.baseline spec.Scenario.victim
                  spec.Scenario.colluder crash)
             ~trace_capacity:capacity
-            ~trace_dropped:(Sw_obs.Trace.dropped tr) ~registry_enabled:true ()
+            ~trace_dropped:(Sw_obs.Trace.dropped tr) ()
         in
-        let chrome () = Sw_obs.Chrome.to_json ~meta ?profile entries in
         (match export with
-        | Some `Chrome -> write_output output (chrome ())
-        | Some `Jsonl -> write_output output (jsonl_of_entries ~meta entries)
+        | Some `Chrome ->
+            write_output output (Sw_obs.Chrome.to_json ~meta ?profile entries)
+        | Some `Jsonl -> write_output output (Sw_obs.Export.jsonl ~meta entries)
         | None -> ());
         (* Keep the summary off stdout when the export already went there. *)
         let summary_fmt =
@@ -539,21 +434,9 @@ let trace_cmd =
         in
         if lineage then
           Format.fprintf summary_fmt "%a@?" Sw_obs.Lineage.pp_summary
-            lineage_data;
-        if smoke then
-          let jsonl_ok =
-            match export with
-            | Some `Jsonl ->
-                jsonl_smoke_check ~entries (jsonl_of_entries ~meta entries)
-            | Some `Chrome | None -> Ok ()
-          in
-          match
-            Result.bind jsonl_ok (fun () ->
-                smoke_check ~crash ~lineage_data (chrome ()))
-          with
-          | Ok () -> 0
-          | Error () -> 1
-        else 0
+            (Sw_obs.Lineage.of_entries ~dropped:(Sw_obs.Trace.dropped tr)
+               entries);
+        0
   in
   let seed =
     Arg.(value & opt int 0xA77ACC & info [ "seed" ] ~doc:"Simulation seed.")
@@ -608,7 +491,7 @@ let trace_cmd =
              causal lineage")
     Term.(
       const run $ attack_term ~seconds:2. $ seed $ capacity $ export
-      $ output_arg $ lineage $ filters $ crash $ profile_on $ smoke_arg)
+      $ output_arg $ lineage $ filters $ crash $ profile_on)
 
 (* --- workload ------------------------------------------------------------ *)
 
@@ -658,7 +541,7 @@ let workload_check_cmd =
 
 (* Warm start: restore the prepared t=0 cloud from the cache (or build and
    checkpoint it on first use), then advance it — byte-identical to the
-   cold path, which the warm-start smoke pins. The key is the digest of the
+   cold path, which the identity manifest pins. The key is the digest of the
    re-printed variant, which covers seed, duration, multiplier scaling and
    the (overridden) topology block, so any change to what gets built
    misses the cache. *)
@@ -678,29 +561,8 @@ let warm_run ~dir ~name (w : Dsl.workload) =
       Stopwatch.Cloud.run h.Wrun.cloud ~until:h.Wrun.until;
       h.Wrun.finish ()
 
-(* Smoke contract: the emitted JSON round-trips through the in-tree reader
-   and every variant actually served traffic. *)
-let workload_smoke report results =
-  let ok_json =
-    match Sw_obs.Json.parse report with
-    | Ok _ -> true
-    | Error e ->
-        Printf.eprintf "workload smoke: report does not parse: %s\n" e;
-        false
-  in
-  let idle = List.filter (fun (_, r) -> r.Wrun.completed = 0) results in
-  List.iter
-    (fun (key, _) ->
-      Printf.eprintf "workload smoke: %s completed 0 requests\n" key)
-    idle;
-  if ok_json && idle = [] then begin
-    Printf.printf "workload smoke OK: %d variant(s)\n" (List.length results);
-    0
-  end
-  else 1
-
 let workload_run_cmd =
-  let run file seconds jobs shards partition warm output smoke =
+  let run file seconds jobs shards partition warm output =
     with_pool jobs (fun pool ->
         match load ?seconds ?shards ?partition file with
         | Error e -> error e
@@ -715,9 +577,12 @@ let workload_run_cmd =
               Wrun.map_variants ?pool make (Dsl.workload_variants ~name w)
             in
             List.iter print_workload results;
-            let report = Report.to_string (workload_report results) in
-            Option.iter (fun path -> write_output (Some path) (report ^ "\n")) output;
-            if smoke then workload_smoke report results else 0)
+            Option.iter
+              (fun path ->
+                write_output (Some path)
+                  (Report.to_string (workload_report results) ^ "\n"))
+              output;
+            0)
   in
   let partition =
     Arg.(
@@ -751,7 +616,7 @@ let workload_run_cmd =
     (Cmd.info "run" ~doc:"Compile and run a .scn scenario")
     Term.(
       const run $ file_arg $ seconds_arg None $ jobs_arg $ shards_arg
-      $ partition $ warm $ output_arg $ smoke_arg)
+      $ partition $ warm $ output_arg)
 
 let workload_cmd =
   Cmd.group
@@ -762,7 +627,8 @@ let workload_cmd =
 (* --- soak ----------------------------------------------------------------- *)
 
 (* Exit code of a --kill-after crash: distinctive, so a harness (the
-   @soak-smoke rule) can tell a simulated crash from a real failure. *)
+   identity manifest's resumed-soak line) can tell a simulated crash from a
+   real failure. *)
 let killed_exit = 70
 
 let soak_cmd =
@@ -856,62 +722,8 @@ let soak_cmd =
 
 (* --- leak ------------------------------------------------------------------ *)
 
-(* Smoke contract: every StopWatch config hides the channel from all five
-   detectors; every baseline config is caught by all five (across the
-   attacker-observable series). *)
-let leak_smoke audits =
-  let names =
-    List.sort_uniq compare
-      (List.map (fun (d : Sw_leak.Detector.t) -> d.Sw_leak.Detector.name)
-         Sw_leak.Detector.all)
-  in
-  let failures =
-    List.filter_map
-      (fun (a : Audit.t) ->
-        let leaking = Audit.guest_leaking a in
-        (* Exact group names only ("baseline", "stopwatch", "...+colluder")
-           — the workload kind's comparison label also begins with
-           "stopwatch" but carries no masked/unmasked contrast to assert. *)
-        let is_group g =
-          a.Audit.label = g
-          || String.starts_with ~prefix:(g ^ "+") a.Audit.label
-        in
-        if is_group "baseline" then
-          if leaking <> names then
-            Some
-              (Printf.sprintf
-                 "%s: guest channel flagged by [%s], want all of [%s]"
-                 a.Audit.label
-                 (String.concat ", " leaking)
-                 (String.concat ", " names))
-          else None
-        else if is_group "stopwatch" then
-          if leaking <> [] then
-            Some
-              (Printf.sprintf "%s: guest channel flagged by [%s], want none"
-                 a.Audit.label
-                 (String.concat ", " leaking))
-          else None
-        else
-          Some
-            (Printf.sprintf
-               "%s: smoke needs an attack scenario's baseline/stopwatch \
-                config pairs"
-               a.Audit.label))
-      audits
-  in
-  if failures = [] then begin
-    Printf.printf "leak smoke OK: %d config pair(s), %d detectors\n"
-      (List.length audits) (List.length names);
-    0
-  end
-  else begin
-    List.iter (fun msg -> Printf.eprintf "leak smoke: FAIL: %s\n" msg) failures;
-    1
-  end
-
 let leak_cmd =
-  let run file seconds jobs output smoke =
+  let run file seconds jobs output =
     with_pool jobs (fun pool ->
         match load ?seconds file with
         | Error e -> error e
@@ -951,7 +763,7 @@ let leak_cmd =
                   (fun path ->
                     write_output (Some path) (Report.to_string report ^ "\n"))
                   output;
-                if smoke then leak_smoke audits else 0))
+                0))
   in
   Cmd.v
     (Cmd.info "leak"
@@ -962,8 +774,7 @@ let leak_cmd =
              series, and report per-detector p-values, effect sizes and \
              observations-needed curves")
     Term.(
-      const run $ file_arg $ seconds_arg None $ jobs_arg $ output_arg
-      $ smoke_arg)
+      const run $ file_arg $ seconds_arg None $ jobs_arg $ output_arg)
 
 (* --- bisect ---------------------------------------------------------------- *)
 

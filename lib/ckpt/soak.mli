@@ -8,7 +8,8 @@
     the outcome independent of how often the run was interrupted: a soak
     killed at any point and resumed (any number of times, in any process
     of the same binary) produces a byte-identical {!outcome} report to one
-    uninterrupted run — the property [@soak-smoke] machine-checks in CI.
+    uninterrupted run — the property the identity manifest's
+    [soak-straight]/[soak-resumed] lines machine-check in CI.
 
     Recovery rules, in order:
     - images that fail verification ({!Image.read}) are skipped, newest

@@ -10,7 +10,7 @@
     Subsequent runs of the same configuration
     [Cloud.restore] the image instead of rebuilding — the restored handle
     is fully live and byte-equivalent to a cold build, which the
-    warm-start smoke pins by diffing their reports.
+    identity manifest's [warm-*] lines pin to one report digest.
 
     Images are same-binary artifacts (Marshal with closures); a cache hit
     from a stale binary fails [Cloud.restore]'s compatibility check and

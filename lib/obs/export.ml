@@ -3,11 +3,10 @@ type meta = {
   scenario : string option;
   trace_capacity : int option;
   trace_dropped : int option;
-  registry_enabled : bool option;
 }
 
-let meta ?seed ?scenario ?trace_capacity ?trace_dropped ?registry_enabled () =
-  { seed; scenario; trace_capacity; trace_dropped; registry_enabled }
+let meta ?seed ?scenario ?trace_capacity ?trace_dropped () =
+  { seed; scenario; trace_capacity; trace_dropped }
 
 let meta_json m =
   let field name f = Option.map (fun v -> (name, f v)) in
@@ -18,7 +17,6 @@ let meta_json m =
          field "scenario" (fun s -> Json.String s) m.scenario;
          field "trace_capacity" (fun c -> Json.Int c) m.trace_capacity;
          field "trace_dropped" (fun d -> Json.Int d) m.trace_dropped;
-         field "registry_enabled" (fun b -> Json.Bool b) m.registry_enabled;
        ])
 
 let histogram_json (h : Snapshot.histogram) =
@@ -65,3 +63,22 @@ let to_json ?meta snapshot =
       Json.Obj [ ("meta", meta_json m); ("metrics", metrics) ]
 
 let to_json_string ?meta snapshot = Json.to_string (to_json ?meta snapshot)
+
+let jsonl ~meta entries =
+  let buf = Buffer.create 4096 in
+  let line json =
+    Buffer.add_string buf (Json.to_string json);
+    Buffer.add_char buf '\n'
+  in
+  line (Json.Obj [ ("meta", meta_json meta) ]);
+  List.iter
+    (fun (e : Trace.entry) ->
+      line
+        (Json.Obj
+           [
+             ("at_ns", Json.Int e.Trace.at_ns);
+             ("kind", Json.String (Event.label e.Trace.event));
+             ("text", Json.String (Format.asprintf "%a" Event.pp e.Trace.event));
+           ]))
+    entries;
+  Buffer.contents buf

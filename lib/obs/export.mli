@@ -28,7 +28,6 @@ type meta = {
   trace_dropped : int option;
       (** Entries the trace ring overwrote — nonzero means the exported
           trace is a suffix of the run ({!Trace.dropped}). *)
-  registry_enabled : bool option;
 }
 
 val meta :
@@ -36,7 +35,6 @@ val meta :
   ?scenario:string ->
   ?trace_capacity:int ->
   ?trace_dropped:int ->
-  ?registry_enabled:bool ->
   unit ->
   meta
 
@@ -54,3 +52,10 @@ val to_json : ?meta:meta -> Snapshot.t -> Json.t
 
 (** [Json.to_string (to_json ?meta snapshot)] (no trailing newline). *)
 val to_json_string : ?meta:meta -> Snapshot.t -> string
+
+(** The JSONL trace export: one object per line, first
+    [{"meta":{...}}], then per entry (in the given order)
+    [{"at_ns":N,"kind":LABEL,"text":DESCRIPTION}] with the event's
+    {!Event.label} and its canonical one-line {!Event.pp} description.
+    Every line ends with a newline. *)
+val jsonl : meta:meta -> Trace.entry list -> string

@@ -1,10 +1,9 @@
-(* Tests for the disk model (service times, FIFO queueing) and disk images
-   (replication semantics). *)
+(* Tests for the disk model: service times, FIFO queueing, sequential
+   access and accounting. *)
 
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
 module Disk = Sw_disk.Disk
-module Image = Sw_disk.Image
 
 let no_seek =
   {
@@ -78,47 +77,6 @@ let test_rejects_zero_bytes () =
       try Disk.submit disk ~vm:0 ~kind:Disk.Read ~bytes:0 ~sequential:false (fun () -> ())
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
-(* --- Image ---------------------------------------------------------------- *)
-
-let test_image_rw () =
-  let img = Image.create ~blocks:8 in
-  Alcotest.(check int) "blocks" 8 (Image.blocks img);
-  Alcotest.(check int) "zeroed" 0 (Image.read img 3);
-  Image.write img 3 42;
-  Alcotest.(check int) "written" 42 (Image.read img 3)
-
-let test_image_clone_is_deep () =
-  let img = Image.create ~blocks:4 in
-  Image.write img 0 7;
-  let copy = Image.clone img in
-  Alcotest.(check bool) "equal after clone" true (Image.equal img copy);
-  Image.write copy 0 9;
-  Alcotest.(check int) "original untouched" 7 (Image.read img 0);
-  Alcotest.(check bool) "diverged" false (Image.equal img copy)
-
-let test_image_digest () =
-  let a = Image.create ~blocks:16 and b = Image.create ~blocks:16 in
-  Image.write a 5 1;
-  Image.write b 5 1;
-  Alcotest.(check int) "same content same digest" (Image.digest a) (Image.digest b);
-  Image.write b 6 1;
-  Alcotest.(check bool) "different content" true (Image.digest a <> Image.digest b)
-
-let test_image_bounds () =
-  let img = Image.create ~blocks:2 in
-  Alcotest.check_raises "oob" (Invalid_argument "x") (fun () ->
-      try ignore (Image.read img 2) with
-      | Invalid_argument _ -> raise (Invalid_argument "x"))
-
-let prop_clone_equal =
-  QCheck.Test.make ~name:"clone equals source for any writes" ~count:100
-    QCheck.(list (pair (int_bound 31) (int_bound 1000)))
-    (fun writes ->
-      let img = Image.create ~blocks:32 in
-      List.iter (fun (i, v) -> Image.write img i v) writes;
-      let copy = Image.clone img in
-      Image.equal img copy && Image.digest img = Image.digest copy)
-
 let () =
   Alcotest.run "sw_disk"
     [
@@ -129,13 +87,5 @@ let () =
           Alcotest.test_case "sequential cheaper" `Quick test_sequential_cheaper;
           Alcotest.test_case "accounting" `Quick test_accounting;
           Alcotest.test_case "rejects zero bytes" `Quick test_rejects_zero_bytes;
-        ] );
-      ( "image",
-        [
-          Alcotest.test_case "read/write" `Quick test_image_rw;
-          Alcotest.test_case "clone is deep" `Quick test_image_clone_is_deep;
-          Alcotest.test_case "digest" `Quick test_image_digest;
-          Alcotest.test_case "bounds" `Quick test_image_bounds;
-          QCheck_alcotest.to_alcotest prop_clone_equal;
         ] );
     ]

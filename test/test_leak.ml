@@ -3,8 +3,9 @@
    information calibration (independent ≈ 0, identical ≈ H(X)), KS
    p-values, false-positive calibration of the whole battery on
    same-distribution pairs, shifted-mean detection, lineage
-   observation extraction on a synthetic trace, and the audit driver's
-   verdict, attribution and counters. *)
+   observation extraction on a synthetic trace, the audit driver's
+   verdict, attribution and counters, and the paper's verdict split on the
+   fig4 grid. *)
 
 module Special = Sw_stats.Special
 module Ttest = Sw_stats.Ttest
@@ -18,6 +19,7 @@ module Event = Sw_obs.Event
 module Lineage = Sw_obs.Lineage
 module Registry = Sw_obs.Registry
 module Snapshot = Sw_obs.Snapshot
+module Dsl = Sw_workload.Dsl
 
 let close ?(eps = 1e-6) name expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -268,6 +270,42 @@ let test_audit_report_deterministic () =
     (Sw_runner.Report.to_string (Audit.to_report a))
     (Sw_runner.Report.to_string (Audit.to_report b))
 
+(* --- The paper's verdict split ----------------------------------------------- *)
+
+(* The fig4 grid audited end to end at 2 s and the file's own seed, the way
+   `stopwatch leak examples/fig4.scn --seconds 2` runs it: the baseline
+   pair's guest-visible series are flagged by every detector, the StopWatch
+   pair's by none. At 2 s the split is a property of this seed, not of
+   every seed: the samples are small enough that other seeds miss a
+   detector on the baseline pair or flag one on the StopWatch pair. *)
+let test_fig4_verdict_split () =
+  let path =
+    (* dune runtest runs in _build/default/test; dune exec from the root. *)
+    List.find_opt Sys.file_exists [ "../examples/fig4.scn"; "examples/fig4.scn" ]
+    |> Option.value ~default:"../examples/fig4.scn"
+  in
+  let scenario =
+    match Result.bind (Dsl.load_file path) (Dsl.override ~seconds:2.) with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let audits = Sw_workload.Run.audits ~registry:(Registry.create ()) scenario in
+  let verdict label =
+    match List.find_opt (fun (a : Audit.t) -> a.Audit.label = label) audits with
+    | Some a -> Audit.guest_leaking a
+    | None -> Alcotest.failf "no %s config pair" label
+  in
+  let all =
+    List.sort_uniq compare
+      (List.map (fun (d : Detector.t) -> d.Detector.name) Detector.all)
+  in
+  Alcotest.(check int) "five detectors" 5 (List.length all);
+  Alcotest.(check int) "two config pairs" 2 (List.length audits);
+  Alcotest.(check (list string)) "baseline flagged by all" all
+    (verdict "baseline");
+  Alcotest.(check (list string)) "stopwatch flagged by none" []
+    (verdict "stopwatch")
+
 let () =
   Alcotest.run "leak"
     [
@@ -303,5 +341,6 @@ let () =
             test_audit_verdict_and_counters;
           Alcotest.test_case "deterministic report" `Quick
             test_audit_report_deterministic;
+          Alcotest.test_case "fig4 verdict split" `Slow test_fig4_verdict_split;
         ] );
     ]

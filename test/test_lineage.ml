@@ -2,7 +2,7 @@
    ring's drop accounting, export meta, lineage reconstruction (a qcheck
    property on synthetic well-formed streams, plus end-to-end runs with and
    without a replica crash), chrome-export determinism under -j 1 vs -j 4,
-   and the wall-clock profile. *)
+   the JSONL export's line contract, and the wall-clock profile. *)
 
 module Time = Sw_sim.Time
 module Trace = Sw_obs.Trace
@@ -171,11 +171,10 @@ let test_trace_dropped () =
 
 let test_export_meta_shape () =
   let m =
-    Export.meta ~seed:7L ~scenario:"x" ~trace_capacity:16 ~trace_dropped:2
-      ~registry_enabled:true ()
+    Export.meta ~seed:7L ~scenario:"x" ~trace_capacity:16 ~trace_dropped:2 ()
   in
   Alcotest.(check string) "meta object, declaration order"
-    "{\"seed\":7,\"scenario\":\"x\",\"trace_capacity\":16,\"trace_dropped\":2,\"registry_enabled\":true}"
+    "{\"seed\":7,\"scenario\":\"x\",\"trace_capacity\":16,\"trace_dropped\":2}"
     (Json.to_string (Export.meta_json m));
   Alcotest.(check string) "absent fields omitted" "{}"
     (Json.to_string (Export.meta_json (Export.meta ())));
@@ -388,6 +387,42 @@ let test_chrome_structure () =
         (Option.bind (Json.member "otherData" root) (fun m ->
              Option.bind (Json.member "seed" m) Json.to_number))
 
+(* --- JSONL export ------------------------------------------------------------ *)
+
+let test_jsonl_contract () =
+  let tr = Trace.create () in
+  ignore (Scenario.run (traced_spec ~tr ()));
+  let entries = Trace.entries tr in
+  let meta = Export.meta ~seed:Scenario.default.Scenario.seed ~scenario:"test" () in
+  let jsonl = Export.jsonl ~meta entries in
+  Alcotest.(check bool) "ends with a newline" true
+    (String.ends_with ~suffix:"\n" jsonl);
+  let lines =
+    String.split_on_char '\n' (String.sub jsonl 0 (String.length jsonl - 1))
+  in
+  Alcotest.(check int) "one meta line plus one line per entry"
+    (List.length entries + 1) (List.length lines);
+  let parsed =
+    List.map
+      (fun l ->
+        match Json.parse l with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "jsonl line does not parse: %s" e)
+      lines
+  in
+  match parsed with
+  | first :: rest ->
+      Alcotest.(check (option string)) "meta line first"
+        (Some (Json.to_string (Export.meta_json meta)))
+        (Option.map Json.to_string (Json.member "meta" first));
+      List.iter2
+        (fun (e : Trace.entry) line ->
+          Alcotest.(check (option (float 0.))) "entry timestamp"
+            (Some (float_of_int e.Trace.at_ns))
+            (Option.bind (Json.member "at_ns" line) Json.to_number))
+        entries rest
+  | [] -> Alcotest.fail "empty export"
+
 let test_chrome_bytes_j1_j4 () =
   (* Four traced runs of one fixed-seed spec: the exports must be
      byte-identical to each other and across worker counts. *)
@@ -471,7 +506,10 @@ let () =
       ( "trace",
         [ Alcotest.test_case "dropped accounting" `Quick test_trace_dropped ] );
       ( "export",
-        [ Alcotest.test_case "meta shape" `Quick test_export_meta_shape ] );
+        [
+          Alcotest.test_case "meta shape" `Quick test_export_meta_shape;
+          Alcotest.test_case "jsonl contract" `Slow test_jsonl_contract;
+        ] );
       ( "lineage",
         [
           QCheck_alcotest.to_alcotest prop_wellformed_stream_no_orphans;

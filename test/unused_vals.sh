@@ -14,7 +14,7 @@
 #     `let open X.M in` or `M.( ... )`).
 # A `Y.v` hit where Y is some other module is not a use. A value with no use
 # should be private (or deleted). Operators are skipped. Two modules with
-# one name (`Sw_disk.Image`, `Sw_ckpt.Image`) qualify each other's hits.
+# one name in different libraries would qualify each other's hits.
 #
 # For each optional argument `?arg:` in lib/**/*.mli, looks for `~arg` or
 # `?arg` in the other .ml sources. An argument no caller passes is a knob
