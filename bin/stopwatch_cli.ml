@@ -385,10 +385,14 @@ let trace_cmd =
         error
           (Printf.sprintf
              "bad --filter %S (expected vm=N, replica=N or kind=LABEL)" f)
+    | Ok _, Ok _ when export = None && not lineage ->
+        error "nothing to output: pass --export chrome|jsonl, --lineage, or both"
     | Ok a, Ok pass ->
         let seed = Int64.of_int seed in
         let spec = snd (List.hd (Dsl.attack_specs { a with Dsl.seed })) in
-        let tr = Sw_obs.Trace.create ~capacity () in
+        (* The lineage summary alone reads only lineage's events. *)
+        let keep = if export = None then Some Sw_obs.Lineage.reads else None in
+        let tr = Sw_obs.Trace.create ~capacity ?keep () in
         let profile =
           if profile_on then Some (Sw_obs.Profile.create ~enabled:true ())
           else None

@@ -166,7 +166,7 @@ let jitter xs =
 let headline_key = "attacker/ping-latency"
 
 let leak_series spec =
-  let tr = Sw_obs.Trace.create () in
+  let tr = Sw_obs.Trace.create ~keep:Sw_obs.Lineage.reads () in
   let spec = { spec with trace = Some tr } in
   let r = run spec in
   (* The attacker is deployed first, so its VM id is 0; its ingress-latency

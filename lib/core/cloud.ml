@@ -1,7 +1,7 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
 module Conductor = Sw_sim.Conductor
-module Int_tbl = Sw_sim.Int_tbl
+module Int_tbl = Sw_obs.Int_tbl
 module Address = Sw_net.Address
 
 type deployment = {

@@ -12,7 +12,7 @@ type t =
     the constructor tag in the low bits ([Vm] 1, [Vmm] 2, [Host] 3), or 4, 5
     and 6 for [Ingress], [Egress] and [Broadcast_addr]. Distinct addresses
     with non-negative ids have distinct indexes. Address-keyed tables
-    ({!Sw_sim.Int_tbl}) key on it, and keyed per-link PRNG streams derive
+    ({!Sw_obs.Int_tbl}) key on it, and keyed per-link PRNG streams derive
     from it, so changing it would change every sharded run's draws. *)
 val index : t -> int
 

@@ -1,4 +1,4 @@
-module Int_tbl = Sw_sim.Int_tbl
+module Int_tbl = Sw_obs.Int_tbl
 
 type vm_entry = {
   channel : Multicast.endpoint;

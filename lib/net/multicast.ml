@@ -1,6 +1,6 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
-module Int_tbl = Sw_sim.Int_tbl
+module Int_tbl = Sw_obs.Int_tbl
 
 (* Unanswered NAKs of one gap before the receiver abandons it. *)
 let nak_retries = 5

@@ -34,7 +34,7 @@ let combine_disturbance a b =
     extra_latency = Time.add a.extra_latency b.extra_latency;
   }
 
-module Int_tbl = Sw_sim.Int_tbl
+module Int_tbl = Sw_obs.Int_tbl
 
 (* A directed pair's key: both address indexes packed in one int, so a
    per-packet pair lookup allocates no tuple. Indexes stay below 2^31 for

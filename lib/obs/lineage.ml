@@ -94,6 +94,15 @@ let ms_of_ns v = float_of_int v /. 1e6
 
 (* --- Reconstruction ----------------------------------------------------- *)
 
+(* The kinds [of_iter] folds; a trace that keeps only these loses nothing
+   reconstruction reads. *)
+let reads = function
+  | Event.Ingress_replicated _ | Event.Packet_proposed _
+  | Event.Median_adopted _ | Event.Packet_delivered _
+  | Event.Egress_released _ ->
+      true
+  | _ -> false
+
 type builder = {
   b_vm : int;
   b_seq : int;
@@ -119,47 +128,70 @@ type t = {
   egress_gap_ms_by_vm : (int * float array) list;
 }
 
-let of_entries ?(dropped = 0) entries =
-  let builders : (int * int, builder) Hashtbl.t = Hashtbl.create 256 in
+(* Every sort below is over distinct keys, so hash-table iteration order
+   never reaches an output. *)
+let by_key (a, _) (b, _) = Int.compare a b
+
+let compare_chain a b =
+  let c = Int.compare a.vm b.vm in
+  if c <> 0 then c else Int.compare a.ingress_seq b.ingress_seq
+
+let kind_rank = function Unadopted_proposal -> 0 | Unmatched_delivery -> 1
+
+let compare_orphan a b =
+  let c = Int.compare a.o_vm b.o_vm in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.o_ingress_seq b.o_ingress_seq in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.o_replica b.o_replica in
+      if c <> 0 then c else Int.compare (kind_rank a.kind) (kind_rank b.kind)
+
+(* [cell tbl k init] is [tbl]'s cell for [k], made by [init] on first use. *)
+let cell tbl k init =
+  match Int_tbl.find_opt tbl k with
+  | Some c -> c
+  | None ->
+      let c = init () in
+      Int_tbl.add tbl k c;
+      c
+
+let push tbl k v =
+  let c = cell tbl k (fun () -> ref []) in
+  c := v :: !c
+
+(* [(k, f !cell)] for every cell of [tbl], sorted by key. *)
+let sorted_cells tbl f =
+  List.sort by_key (Int_tbl.fold (fun k c acc -> (k, f !c) :: acc) tbl [])
+
+let mem_int (r : int) l = List.exists (fun x -> x = r) l
+
+let of_iter ~dropped iter =
+  (* Chains keyed by (vm, ingress_seq) packed into one int: sequence
+     numbers stay below 2^32. *)
+  let builders : builder Int_tbl.t = Int_tbl.create 256 in
   let builder vm seq =
-    match Hashtbl.find_opt builders (vm, seq) with
-    | Some b -> b
-    | None ->
-        let b =
-          {
-            b_vm = vm;
-            b_seq = seq;
-            b_ingress = None;
-            b_proposals = [];
-            b_adoptions = [];
-            b_deliveries = [];
-          }
-        in
-        Hashtbl.add builders (vm, seq) b;
-        b
+    cell builders ((vm lsl 32) lor seq) (fun () ->
+        {
+          b_vm = vm;
+          b_seq = seq;
+          b_ingress = None;
+          b_proposals = [];
+          b_adoptions = [];
+          b_deliveries = [];
+        })
   in
   (* Per-VM accumulators outside the chain structure: egress release
      instants (which have no ingress_seq) and propose->adopt lags. *)
-  let egress_at : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  let pa_vm : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  let vm_push tbl vm v =
-    let cell =
-      match Hashtbl.find_opt tbl vm with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.add tbl vm c;
-          c
-    in
-    cell := v :: !cell
-  in
-  List.iter
-    (fun (e : Trace.entry) ->
+  let egress_at : int list ref Int_tbl.t = Int_tbl.create 8 in
+  let pa_vm : int list ref Int_tbl.t = Int_tbl.create 8 in
+  iter (fun (e : Trace.entry) ->
       let at_ns = e.Trace.at_ns in
       match e.Trace.event with
       | Event.Ingress_replicated { vm; ingress_seq; _ } ->
           let b = builder vm ingress_seq in
-          if b.b_ingress = None then b.b_ingress <- Some at_ns
+          if Option.is_none b.b_ingress then b.b_ingress <- Some at_ns
       | Event.Packet_proposed { vm; observer; proposer; ingress_seq; virt_ns }
         ->
           let b = builder vm ingress_seq in
@@ -173,13 +205,11 @@ let of_entries ?(dropped = 0) entries =
       | Event.Packet_delivered { vm; replica; seq; virt_ns } ->
           let b = builder vm seq in
           b.b_deliveries <- { replica; at_ns; virt_ns } :: b.b_deliveries
-      | Event.Egress_released { vm; _ } -> vm_push egress_at vm at_ns
-      | _ -> ())
-    entries;
+      | Event.Egress_released { vm; _ } -> push egress_at vm at_ns
+      | _ -> ());
   let chains =
-    List.sort
-      (fun a b -> compare (a.vm, a.ingress_seq) (b.vm, b.ingress_seq))
-      (Hashtbl.fold
+    List.sort compare_chain
+      (Int_tbl.fold
          (fun _ b acc ->
            {
              vm = b.b_vm;
@@ -199,7 +229,7 @@ let of_entries ?(dropped = 0) entries =
   let pa_lags = ref [] in
   let ad_lags = ref [] in
   let negative = ref 0 in
-  let credits : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
+  let credits : float ref Int_tbl.t = Int_tbl.create 8 in
   let skew = ref [] in
   let lag_push acc a b =
     let d = b - a in
@@ -207,34 +237,29 @@ let of_entries ?(dropped = 0) entries =
   in
   List.iter
     (fun c ->
-      let replicas_of f l =
-        List.sort_uniq compare (List.filter_map f l)
-      in
-      let observers =
-        replicas_of (fun (p : proposal) -> Some p.observer) c.proposals
-      in
-      let adopters =
-        replicas_of (fun (a : adoption) -> Some a.replica) c.adoptions
-      in
+      let replicas_of f l = List.sort_uniq Int.compare (List.map f l) in
+      let observers = replicas_of (fun (p : proposal) -> p.observer) c.proposals in
+      let adopters = replicas_of (fun (a : adoption) -> a.replica) c.adoptions in
       let deliverers =
-        replicas_of (fun (d : delivery) -> Some d.replica) c.deliveries
+        replicas_of (fun (d : delivery) -> d.replica) c.deliveries
       in
-      if c.adoptions <> [] && c.deliveries <> [] then incr complete
-      else if c.adoptions <> [] && c.deliveries = [] then incr in_flight;
+      (match (c.adoptions, c.deliveries) with
+      | _ :: _, _ :: _ -> incr complete
+      | _ :: _, [] -> incr in_flight
+      | [], _ -> ());
       let orphan replica kind =
         orphans :=
           { o_vm = c.vm; o_ingress_seq = c.ingress_seq; o_replica = replica; kind }
           :: !orphans
       in
       List.iter
-        (fun r -> if not (List.mem r adopters) then orphan r Unadopted_proposal)
+        (fun r -> if not (mem_int r adopters) then orphan r Unadopted_proposal)
         observers;
       List.iter
-        (fun r ->
-          if not (List.mem r adopters) then orphan r Unmatched_delivery)
+        (fun r -> if not (mem_int r adopters) then orphan r Unmatched_delivery)
         deliverers;
       (* propose -> adopt lag, anchored at the replica's own proposal (its
-         first observed one when the own proposal fell out of the ring). *)
+         first observed one when the own proposal fell out of the window). *)
       List.iter
         (fun (a : adoption) ->
           let anchor =
@@ -260,7 +285,7 @@ let of_entries ?(dropped = 0) entries =
               if d < 0 then incr negative
               else begin
                 pa_lags := d :: !pa_lags;
-                vm_push pa_vm c.vm d
+                push pa_vm c.vm d
               end
           | None -> ());
           (* Median-win credit, ties split evenly — the marginalisation view
@@ -275,15 +300,8 @@ let of_entries ?(dropped = 0) entries =
           in
           List.iter
             (fun (who, _) ->
-              let cell =
-                match Hashtbl.find_opt credits who with
-                | Some c -> c
-                | None ->
-                    let c = ref 0. in
-                    Hashtbl.add credits who c;
-                    c
-              in
-              cell := !cell +. share)
+              let c = cell credits who (fun () -> ref 0.) in
+              c := !c +. share)
             winners)
         c.adoptions;
       (* adopt -> deliver lag, per replica. *)
@@ -308,53 +326,32 @@ let of_entries ?(dropped = 0) entries =
           skew := (at_ns, hi - lo) :: !skew
       | _ -> ())
     chains;
-  let orphans =
-    List.sort
-      (fun a b ->
-        compare
-          (a.o_vm, a.o_ingress_seq, a.o_replica, a.kind)
-          (b.o_vm, b.o_ingress_seq, b.o_replica, b.kind))
-      !orphans
-  in
   {
     chains;
-    orphans;
+    orphans = List.sort compare_orphan !orphans;
     total = List.length chains;
     complete = !complete;
     in_flight = !in_flight;
     propose_to_adopt = hist_of_lags !pa_lags;
     adopt_to_deliver = hist_of_lags !ad_lags;
-    median_credits =
-      List.sort compare
-        (Hashtbl.fold (fun who c acc -> (who, !c) :: acc) credits []);
+    median_credits = sorted_cells credits Fun.id;
     skew_series = List.rev !skew;
     negative_lags = !negative;
     dropped;
     pa_ms_by_vm =
-      (let acc =
-         Hashtbl.fold
-           (fun vm cell acc ->
-             (vm, Array.of_list (List.rev_map ms_of_ns !cell)) :: acc)
-           pa_vm []
-       in
-       List.sort compare acc);
+      sorted_cells pa_vm (fun l -> Array.of_list (List.rev_map ms_of_ns l));
     egress_gap_ms_by_vm =
-      (let gaps l =
-         let rec walk acc = function
-           | a :: (b :: _ as rest) -> walk (ms_of_ns (b - a) :: acc) rest
-           | _ -> List.rev acc
-         in
-         Array.of_list (walk [] l)
+      (let rec gaps acc = function
+         | a :: (b :: _ as rest) -> gaps (ms_of_ns (b - a) :: acc) rest
+         | _ -> Array.of_list (List.rev acc)
        in
-       let acc =
-         Hashtbl.fold
-           (fun vm cell acc -> (vm, gaps (List.rev !cell)) :: acc)
-           egress_at []
-       in
-       List.sort compare acc);
+       sorted_cells egress_at (fun l -> gaps [] (List.rev l)));
   }
 
-let of_trace tr = of_entries ~dropped:(Trace.dropped tr) (Trace.entries tr)
+let of_entries ?(dropped = 0) entries =
+  of_iter ~dropped (fun f -> List.iter f entries)
+
+let of_trace tr = of_iter ~dropped:(Trace.dropped tr) (Trace.iter tr)
 
 let chains t = t.chains
 let orphans t = t.orphans
@@ -378,30 +375,19 @@ let observations t =
      (vm, ingress_seq)). This is the inter-delivery series the co-resident
      observer measures, rebuilt from the trace. *)
   let delivery_gaps =
-    let by_vm : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
-    let last : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    let by_vm : float list ref Int_tbl.t = Int_tbl.create 8 in
+    let last : int Int_tbl.t = Int_tbl.create 8 in
     List.iter
       (fun c ->
         match c.deliveries with
         | [] -> ()
         | { virt_ns; _ } :: _ ->
-            (match Hashtbl.find_opt last c.vm with
-            | Some prev ->
-                let cell =
-                  match Hashtbl.find_opt by_vm c.vm with
-                  | Some l -> l
-                  | None ->
-                      let l = ref [] in
-                      Hashtbl.add by_vm c.vm l;
-                      l
-                in
-                cell := ms_of_ns (virt_ns - prev) :: !cell
+            (match Int_tbl.find_opt last c.vm with
+            | Some prev -> push by_vm c.vm (ms_of_ns (virt_ns - prev))
             | None -> ());
-            Hashtbl.replace last c.vm virt_ns)
+            Int_tbl.replace last c.vm virt_ns)
       t.chains;
-    Hashtbl.fold
-      (fun vm cell acc -> (vm, Array.of_list (List.rev !cell)) :: acc)
-      by_vm []
+    by_vm
   in
   (* Ingress latency: per VM, ingress stamp to first delivery (virtual
      delivery instant), one sample per chain that carries both ends. The
@@ -409,26 +395,17 @@ let observations t =
      observable by the attack apparatus even though the ingress stamp is
      not guest-visible. *)
   let ingress_latency =
-    let by_vm : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
+    let by_vm : float list ref Int_tbl.t = Int_tbl.create 8 in
     List.iter
       (fun c ->
         match (c.ingress_at_ns, c.deliveries) with
         | Some t0, { virt_ns; _ } :: _ ->
-            let cell =
-              match Hashtbl.find_opt by_vm c.vm with
-              | Some l -> l
-              | None ->
-                  let l = ref [] in
-                  Hashtbl.add by_vm c.vm l;
-                  l
-            in
-            cell := ms_of_ns (virt_ns - t0) :: !cell
+            push by_vm c.vm (ms_of_ns (virt_ns - t0))
         | _ -> ())
       t.chains;
-    Hashtbl.fold
-      (fun vm cell acc -> (vm, Array.of_list (List.rev !cell)) :: acc)
-      by_vm []
+    by_vm
   in
+  let series tbl = sorted_cells tbl (fun l -> Array.of_list (List.rev l)) in
   let tag m series =
     List.filter_map
       (fun (vm, xs) -> if Array.length xs = 0 then None else Some ((vm, m), xs))
@@ -436,13 +413,14 @@ let observations t =
   in
   let all =
     tag Median_adoption t.pa_ms_by_vm
-    @ tag Delivery_gap delivery_gaps
+    @ tag Delivery_gap (series delivery_gaps)
     @ tag Egress_release t.egress_gap_ms_by_vm
-    @ tag Ingress_latency ingress_latency
+    @ tag Ingress_latency (series ingress_latency)
   in
   List.sort
     (fun ((va, ma), _) ((vb, mb), _) ->
-      compare (va, mechanism_rank ma) (vb, mechanism_rank mb))
+      let c = Int.compare va vb in
+      if c <> 0 then c else Int.compare (mechanism_rank ma) (mechanism_rank mb))
     all
 
 let median_wins t =

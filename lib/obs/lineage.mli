@@ -8,7 +8,7 @@
     (the guest sees the interrupt at the agreed virtual instant).
 
     This module folds a {!Trace} into one {!chain} per [(vm, ingress_seq)]
-    and derives the diagnosis data the raw ring cannot give directly:
+    and derives the diagnosis data the raw trace cannot give directly:
 
     - {b lag histograms} — propose→adopt (quorum gathering time) and
       adopt→deliver (virtual-time wait), on the {!Buckets} ladder;
@@ -20,7 +20,7 @@
       recorded proposals but never adopted a median
       ([Unadopted_proposal] — a crashed or quorum-starved replica), or a
       delivery with no recorded median ([Unmatched_delivery] — an emission
-      gap or a truncated ring).
+      gap or a truncated trace).
 
     A chain that was adopted but not yet delivered when the run ended is
     {e in flight}, not an orphan: the agreed virtual delivery instant
@@ -59,7 +59,7 @@ type orphan_kind =
           a median — it crashed, or its quorum never completed. *)
   | Unmatched_delivery
       (** The replica delivered the packet without a recorded median — an
-          event-coverage gap or ring truncation. *)
+          event-coverage gap or window truncation. *)
 
 type orphan = {
   o_vm : int;
@@ -96,13 +96,20 @@ type hist = {
 
 type t
 
+(** The event kinds reconstruction reads: [Ingress_replicated],
+    [Packet_proposed], [Median_adopted], [Packet_delivered] and
+    [Egress_released]. A trace created with [~keep:reads] stores only
+    these and gives the same lineage as one that keeps every entry. *)
+val reads : Event.t -> bool
+
 (** [of_entries entries] reconstructs chains from entries in emission
-    order. [dropped] (default 0) records how many entries the source ring
-    lost; it is carried into {!dropped} and the summary's truncation
-    warning. *)
+    order, in one pass. [dropped] (default 0) records how many emits the
+    source trace lost; it is carried into {!dropped} and the summary's
+    truncation warning. *)
 val of_entries : ?dropped:int -> Trace.entry list -> t
 
-(** [of_trace tr] = [of_entries ~dropped:(Trace.dropped tr) (Trace.entries tr)]. *)
+(** [of_trace tr] reconstructs chains from [tr]'s stored entries and
+    carries its {!Trace.dropped}, without building an entry list. *)
 val of_trace : Trace.t -> t
 
 (** Chains sorted by [(vm, ingress_seq)]. *)
@@ -129,15 +136,14 @@ val negative_lags : t -> int
     proposal, shares summing to 1 (ties split). *)
 val median_wins : t -> (int * float) list
 
-(** Ring drops carried from the source trace. *)
+(** Window drops carried from the source trace. *)
 val dropped : t -> int
 
 (** Per-[(vm, mechanism)] timing series (milliseconds, in trace order),
     ready for a leak detector: propose→adopt lags, inter-delivery gaps
     (successive chains' first delivery virtual times), and egress release
     gaps. Empty series are omitted; sorted by [(vm, mechanism)]. This is
-    the one extraction point — callers should not re-fold the trace
-    ring. *)
+    the one extraction point — callers should not re-fold the trace. *)
 val observations : t -> ((int * mechanism) * float array) list
 
 val pp_summary : Format.formatter -> t -> unit

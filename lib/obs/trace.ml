@@ -1,44 +1,78 @@
 type entry = { at_ns : int; event : Event.t }
 
+(* The window is the last [capacity] emits. Only the entries [keep] accepts
+   are stored, in a circular buffer that grows by doubling up to
+   [capacity]; [seqs.(i)] is the emit index of [buffer.(i)], which is how an
+   entry is known to have left the window. *)
 type t = {
   capacity : int;
-  buffer : entry option array;
-  mutable next : int;
-  mutable count : int;
-  mutable dropped : int;
+  keep : Event.t -> bool;
+  mutable buffer : entry array;
+  mutable seqs : int array;
+  mutable head : int;  (** Slot of the oldest stored entry. *)
+  mutable length : int;
+  mutable emitted : int;  (** Emits since creation or the last [clear]. *)
   m_dropped : Registry.Counter.t option;
 }
 
-let create ?(capacity = 65536) ?metrics () =
+let create ?(capacity = 65536) ?(keep = fun _ -> true) ?metrics () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   {
     capacity;
-    buffer = Array.make capacity None;
-    next = 0;
-    count = 0;
-    dropped = 0;
+    keep;
+    buffer = [||];
+    seqs = [||];
+    head = 0;
+    length = 0;
+    emitted = 0;
     m_dropped = Option.map (fun r -> Registry.counter r "trace.dropped") metrics;
   }
 
+let slot t i =
+  let j = t.head + i in
+  if j >= Array.length t.buffer then j - Array.length t.buffer else j
+
+(* Only called when the buffer is full and shorter than [capacity]: the
+   window holds at most [capacity] entries, so it never needs more. *)
+let grow t e =
+  let size = Int.min t.capacity (Int.max 16 (2 * t.length)) in
+  let buffer = Array.make size e and seqs = Array.make size 0 in
+  for i = 0 to t.length - 1 do
+    let j = slot t i in
+    buffer.(i) <- t.buffer.(j);
+    seqs.(i) <- t.seqs.(j)
+  done;
+  t.buffer <- buffer;
+  t.seqs <- seqs;
+  t.head <- 0
+
 let emit t ~at_ns event =
-  if t.count = t.capacity then begin
-    (* The ring overwrites its oldest entry; count the loss so a truncated
-       trace is never mistaken for a complete one. *)
-    t.dropped <- t.dropped + 1;
-    match t.m_dropped with
+  let seq = t.emitted in
+  t.emitted <- seq + 1;
+  if seq >= t.capacity then begin
+    (* Emit [seq - capacity] leaves the window; count the loss so a
+       truncated trace is never mistaken for a complete one, and evict it
+       when it was stored. *)
+    (match t.m_dropped with
     | Some c -> Registry.Counter.incr c
-    | None -> ()
+    | None -> ());
+    if t.length > 0 && t.seqs.(t.head) = seq - t.capacity then begin
+      t.head <- slot t 1;
+      t.length <- t.length - 1
+    end
   end;
-  t.buffer.(t.next) <- Some { at_ns; event };
-  t.next <- (t.next + 1) mod t.capacity;
-  if t.count < t.capacity then t.count <- t.count + 1
+  if t.keep event then begin
+    let e = { at_ns; event } in
+    if t.length = Array.length t.buffer then grow t e;
+    let j = slot t t.length in
+    t.buffer.(j) <- e;
+    t.seqs.(j) <- seq;
+    t.length <- t.length + 1
+  end
 
 let iter t f =
-  let start = if t.count < t.capacity then 0 else t.next in
-  for i = 0 to t.count - 1 do
-    match t.buffer.((start + i) mod t.capacity) with
-    | None -> ()
-    | Some e -> f e
+  for i = 0 to t.length - 1 do
+    f t.buffer.(slot t i)
   done
 
 let fold f acc t =
@@ -49,20 +83,21 @@ let fold f acc t =
 let entries t = List.rev (fold (fun acc e -> e :: acc) [] t)
 
 let clear t =
-  Array.fill t.buffer 0 t.capacity None;
-  t.next <- 0;
-  t.count <- 0;
-  t.dropped <- 0;
-  (* Keep the registry mirror in lockstep with the ring counter: a cleared
-     ring that leaves the mirror standing makes post-restore lineage
-     reconstruction report drops that never reached the surviving ring. *)
+  t.buffer <- [||];
+  t.seqs <- [||];
+  t.head <- 0;
+  t.length <- 0;
+  t.emitted <- 0;
+  (* Keep the registry mirror in lockstep with the window: a cleared trace
+     that leaves the mirror standing makes post-restore lineage
+     reconstruction report drops that never reached the surviving window. *)
   match t.m_dropped with
   | Some c -> Registry.Counter.reset c
   | None -> ()
 
-let length t = t.count
+let length t = t.length
 let capacity t = t.capacity
-let dropped t = t.dropped
+let dropped t = Int.max 0 (t.emitted - t.capacity)
 
 let span t ~now ~name f =
   let start = now () in

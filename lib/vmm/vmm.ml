@@ -1,6 +1,6 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
-module Int_tbl = Sw_sim.Int_tbl
+module Int_tbl = Sw_obs.Int_tbl
 module Registry = Sw_obs.Registry
 module Event = Sw_obs.Event
 module Packet = Sw_net.Packet

@@ -64,7 +64,10 @@ let prepare_single (w : Dsl.workload) =
   let trace =
     if not w.leak_audit then None
     else begin
-      let tr = Sw_obs.Trace.create ~metrics:(Cloud.metrics cloud) () in
+      let tr =
+        Sw_obs.Trace.create ~keep:Sw_obs.Lineage.reads
+          ~metrics:(Cloud.metrics cloud) ()
+      in
       Cloud.attach_trace cloud tr;
       Some tr
     end

@@ -29,6 +29,20 @@ let scn file =
   | Some p -> p
   | None -> Filename.concat "../examples" file
 
+(* A fresh, empty directory, removed when the test binary exits: a second
+   run in the same working directory finds nothing of the first. *)
+let fresh_dir name =
+  let dir = Filename.temp_dir ("test_ckpt_" ^ name) "" in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  at_exit (fun () -> if Sys.file_exists dir then remove dir);
+  dir
+
 let load file =
   match Dsl.load_file (scn file) with
   | Ok t -> t
@@ -375,7 +389,7 @@ let test_image_version_and_magic () =
 (* A crash mid-write must never cost the timeline: writes go to a temp
    file first, and recovery walks past any half-written newer image. *)
 let test_store_crash_mid_write () =
-  let dir = "store_crash" in
+  let dir = fresh_dir "store_crash" in
   (match Store.ensure_dir dir with
   | Ok () -> ()
   | Error e -> Alcotest.failf "ensure_dir: %s" (Image.error_to_string e));
@@ -418,11 +432,12 @@ let soak_exn ?kill_after ~dir scenario =
    must end with a report byte-identical to one uninterrupted run. *)
 let test_soak_survives_kills () =
   let scenario = soak_scenario ~name:"soak-kill" ~seed:11L () in
-  let uninterrupted = soak_exn ~dir:"soak_straight" scenario in
+  let uninterrupted = soak_exn ~dir:(fresh_dir "soak_straight") scenario in
+  let crashed = fresh_dir "soak_crashed" in
   let rec crash_loop n =
     if n > 50 then Alcotest.fail "soak never finished"
     else
-      match run_soak ~kill_after:1 ~dir:"soak_crashed" scenario with
+      match run_soak ~kill_after:1 ~dir:crashed scenario with
       | exception Soak.Killed _ -> crash_loop (n + 1)
       | Ok o -> o
       | Error e ->
@@ -445,7 +460,7 @@ let test_soak_survives_kills () =
    falls back to a rebuild. *)
 let test_warm_build_then_restore () =
   let w = datacenter_workload () in
-  let dir = "warm_cache" in
+  let dir = fresh_dir "warm_cache" in
   let key = "warm-test:shards=2" in
   let builds = ref 0 in
   let build () =
@@ -485,8 +500,9 @@ let test_warm_build_then_restore () =
 let test_soak_wrong_scenario () =
   let a = soak_scenario ~name:"soak-owner" ~seed:1L () in
   let b = soak_scenario ~name:"soak-owner" ~seed:2L () in
-  ignore (soak_exn ~dir:"soak_owned" a);
-  match run_soak ~dir:"soak_owned" b with
+  let dir = fresh_dir "soak_owned" in
+  ignore (soak_exn ~dir a);
+  match run_soak ~dir b with
   | Error (Soak.Wrong_scenario _) -> ()
   | Ok _ -> Alcotest.fail "foreign scenario resumed"
   | Error e ->
@@ -496,14 +512,15 @@ let test_soak_wrong_scenario () =
    back to the previous valid image and still finishes identically. *)
 let test_soak_falls_back_past_corrupt_image () =
   let scenario = soak_scenario ~name:"soak-corrupt" ~seed:3L () in
-  let reference = soak_exn ~dir:"soak_ref" scenario in
-  (match run_soak ~kill_after:3 ~dir:"soak_cut" scenario with
+  let reference = soak_exn ~dir:(fresh_dir "soak_ref") scenario in
+  let cut = fresh_dir "soak_cut" in
+  (match run_soak ~kill_after:3 ~dir:cut scenario with
   | exception Soak.Killed _ -> ()
   | _ -> Alcotest.fail "kill_after did not fire");
-  let newest = Store.path "soak_cut" ~index:2 in
+  let newest = Store.path cut ~index:2 in
   let bytes = read_file newest in
   write_file newest (String.sub bytes 0 (String.length bytes - 64));
-  let resumed = soak_exn ~dir:"soak_cut" scenario in
+  let resumed = soak_exn ~dir:cut scenario in
   Alcotest.(check (option int)) "resumed from the previous image" (Some 1)
     resumed.Soak.resumed_from;
   Alcotest.(check int) "the corrupt image was reported" 1
@@ -523,9 +540,10 @@ let test_bisect_finds_planted_divergence () =
     soak_scenario ~name ~seed:5L
       ~faults:[ slowdown ~at_ms:250 ~factor ] ()
   in
-  ignore (soak_exn ~dir:"bisect_a" (mk 1.0 "bisect"));
-  ignore (soak_exn ~dir:"bisect_b" (mk 2.0 "bisect"));
-  match Bisect.first_divergence ~a:"bisect_a" ~b:"bisect_b" with
+  let a = fresh_dir "bisect_a" and b = fresh_dir "bisect_b" in
+  ignore (soak_exn ~dir:a (mk 1.0 "bisect"));
+  ignore (soak_exn ~dir:b (mk 2.0 "bisect"));
+  match Bisect.first_divergence ~a ~b with
   | Error e ->
       Alcotest.failf "bisect: %s" (Format.asprintf "%a" Bisect.pp_error e)
   | Ok d ->
@@ -546,9 +564,10 @@ let test_bisect_finds_planted_divergence () =
 
 let test_bisect_agreement_is_not_divergence () =
   let scenario = soak_scenario ~name:"bisect-same" ~seed:9L () in
-  ignore (soak_exn ~dir:"bisect_same_a" scenario);
-  ignore (soak_exn ~dir:"bisect_same_b" scenario);
-  match Bisect.first_divergence ~a:"bisect_same_a" ~b:"bisect_same_b" with
+  let a = fresh_dir "bisect_same_a" and b = fresh_dir "bisect_same_b" in
+  ignore (soak_exn ~dir:a scenario);
+  ignore (soak_exn ~dir:b scenario);
+  match Bisect.first_divergence ~a ~b with
   | Error (Bisect.No_divergence { compared }) ->
       Alcotest.(check bool) "compared several" true (compared > 2)
   | Ok _ -> Alcotest.fail "identical runs reported divergent"

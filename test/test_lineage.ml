@@ -1,8 +1,10 @@
 (* Tests for the causal trace pipeline: the mini JSON reader, the trace
-   ring's drop accounting, export meta, lineage reconstruction (a qcheck
-   property on synthetic well-formed streams, plus end-to-end runs with and
-   without a replica crash), chrome-export determinism under -j 1 vs -j 4,
-   the JSONL export's line contract, and the wall-clock profile. *)
+   window's drop accounting, export meta, lineage reconstruction (a qcheck
+   property on synthetic well-formed streams, end-to-end runs with and
+   without a replica crash, and a lineage-filtered trace against a
+   keep-everything one on every fig4 variant), chrome-export determinism
+   under -j 1 vs -j 4, the JSONL export's line contract, and the wall-clock
+   profile. *)
 
 module Time = Sw_sim.Time
 module Trace = Sw_obs.Trace
@@ -354,6 +356,56 @@ let test_scenario_crash_orphans () =
        (fun (o : Lineage.orphan) -> o.Lineage.kind = Lineage.Unadopted_proposal)
        orphans)
 
+(* --- Lineage-filtered traces -------------------------------------------------- *)
+
+let fig4_specs ~duration =
+  let file =
+    List.find Sys.file_exists [ "../examples/fig4.scn"; "examples/fig4.scn" ]
+  in
+  match Sw_workload.Dsl.load_file file with
+  | Ok { Sw_workload.Dsl.kind = Sw_workload.Dsl.Attack a; _ } ->
+      Sw_workload.Dsl.attack_specs { a with Sw_workload.Dsl.duration }
+  | Ok _ -> Alcotest.fail "fig4.scn is not an attack scenario"
+  | Error e -> Alcotest.fail e
+
+(* A trace that keeps only what lineage reads must give the lineage of one
+   that keeps every entry, window cut included, at every capacity. *)
+let test_filtered_trace_equivalence () =
+  List.iter
+    (fun (key, spec) ->
+      List.iter
+        (fun capacity ->
+          let traced keep =
+            let tr = Trace.create ~capacity ?keep () in
+            ignore (Scenario.run { spec with Scenario.trace = Some tr });
+            tr
+          in
+          let full = traced None and kept = traced (Some Lineage.reads) in
+          let name what = Printf.sprintf "%s cap=%d: %s" key capacity what in
+          let lf = Lineage.of_trace full and lk = Lineage.of_trace kept in
+          Alcotest.(check int) (name "dropped") (Trace.dropped full)
+            (Trace.dropped kept);
+          Alcotest.(check int) (name "lineage dropped") (Lineage.dropped lf)
+            (Lineage.dropped lk);
+          Alcotest.(check bool) (name "observations") true
+            (Lineage.observations lf = Lineage.observations lk);
+          Alcotest.(check bool) (name "orphans") true
+            (Lineage.orphans lf = Lineage.orphans lk);
+          Alcotest.(check bool) (name "propose->adopt") true
+            (Lineage.propose_to_adopt lf = Lineage.propose_to_adopt lk);
+          Alcotest.(check bool) (name "adopt->deliver") true
+            (Lineage.adopt_to_deliver lf = Lineage.adopt_to_deliver lk);
+          if key = "fig4/sw/victim" && capacity = 65536 then begin
+            Alcotest.(check bool) (name "window cut") true
+              (Trace.dropped full > 0);
+            Alcotest.(check int) (name "full trace holds the window") capacity
+              (Trace.length full);
+            Alcotest.(check bool) (name "filtered trace stays small") true
+              (Trace.length kept < capacity / 2)
+          end)
+        [ 4; 1_000; 65536 ])
+    (fig4_specs ~duration:(Time.s 2))
+
 (* --- Chrome export: structure and -j determinism ---------------------------- *)
 
 let chrome_of_run () =
@@ -520,6 +572,8 @@ let () =
             test_scenario_fault_free_lineage;
           Alcotest.test_case "crash schedule: tagged orphans" `Slow
             test_scenario_crash_orphans;
+          Alcotest.test_case "filtered trace = full trace, fig4 at 2 s" `Slow
+            test_filtered_trace_equivalence;
         ] );
       ( "chrome",
         [
