@@ -20,9 +20,9 @@ module Scenario = Sw_attack.Scenario
 module Report = Sw_runner.Report
 
 (* Minor words per fired event recorded with OCaml 5.1.1 on x86-64. *)
-let kv_skew_ceiling = 10.3
-let fig4_victim_ceiling = 25.6
-let datacenter_ceiling = 19.1
+let kv_skew_ceiling = 9.0
+let fig4_victim_ceiling = 20.5
+let datacenter_ceiling = 19.0
 let slack = 1.10
 
 (* The first load-multiplier variant of a workload scenario. *)

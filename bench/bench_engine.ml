@@ -2,8 +2,8 @@
    on the three workload shapes that dominate the experiments — pure-periodic
    timers (slices, heartbeats, Δd/Δn deliveries), a mixed stream with
    exponential jitter and a far-future tail that exercises the overflow
-   tier, and a cancel-heavy stream (retransmission timers that almost always
-   get cancelled).
+   tier, and a sparse stream (about a hundred timers with periods from
+   0.1 to 10 ms, the shape of an unreplicated KV service).
 
    Throughput is wall-clock dependent, so the numbers land in the
    non-deterministic "perf" object of BENCH_results.json (next to "timing"),
@@ -39,9 +39,9 @@ let pure_periodic n =
     let period = periods.(i mod Array.length periods) in
     let rec tick () =
       incr fired;
-      if !fired < n then ignore (Engine.schedule_after e period tick)
+      if !fired < n then Engine.schedule_after e period tick
     in
-    ignore (Engine.schedule_after e period tick)
+    Engine.schedule_after e period tick
   done;
   Engine.run e;
   !fired
@@ -64,32 +64,33 @@ let mixed n =
           if !shots mod 64 = 0 then Time.s 30
           else Time.of_float_ms (Prng.exponential rng ~rate:0.5)
         in
-        ignore (Engine.schedule_after e delay (fun () -> incr fired));
-        ignore (Engine.schedule_after e period tick)
+        Engine.schedule_after e delay (fun () -> incr fired);
+        Engine.schedule_after e period tick
       end
     in
-    ignore (Engine.schedule_after e period tick)
+    Engine.schedule_after e period tick
   done;
   Engine.run e;
   !fired
 
-(* Each pop arms a victim timer and disarms it before it can fire, plus a
-   late cancel on an already-fired event (which must be a no-op). *)
-let cancel_heavy n =
+(* [sparse_timers] self-rescheduling timers, periods spread geometrically
+   over 0.1-10 ms: few events per slot, most of them filed above level 0. *)
+let sparse_timers = 100
+
+let sparse n =
   let e = Engine.create () in
   let fired = ref 0 in
-  let last = ref None in
-  let rec tick () =
-    incr fired;
-    (match !last with Some id -> Engine.cancel e id | None -> ());
-    if !fired < n then begin
-      let victim = Engine.schedule_after e (Time.us 20) (fun () -> ()) in
-      let driver = Engine.schedule_after e (Time.us 10) tick in
-      Engine.cancel e victim;
-      last := Some driver
-    end
-  in
-  ignore (Engine.schedule_after e (Time.us 10) tick);
+  for i = 0 to sparse_timers - 1 do
+    let period =
+      Time.of_float_ms
+        (0.1 *. (100. ** (float_of_int i /. float_of_int (sparse_timers - 1))))
+    in
+    let rec tick () =
+      incr fired;
+      if !fired < n then Engine.schedule_after e period tick
+    in
+    Engine.schedule_after e period tick
+  done;
   Engine.run e;
   !fired
 
@@ -111,8 +112,8 @@ let run ~quick () =
   (* Explicit lets force left-to-right evaluation (and output) order. *)
   let periodic = measure "pure-periodic" n pure_periodic in
   let mix = measure "mixed" n mixed in
-  let cancels = measure "cancel-heavy" n cancel_heavy in
-  let rows = [ periodic; mix; cancels ] in
+  let sparse = measure "sparse" n sparse in
+  let rows = [ periodic; mix; sparse ] in
   List.iter
     (fun (name, fired, wall, eps) ->
       Bench_report.add_perf name

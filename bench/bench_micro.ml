@@ -8,7 +8,7 @@ module Toolkit = Bechamel.Toolkit
 let engine_events n () =
   let engine = Sw_sim.Engine.create () in
   for i = 1 to n do
-    ignore (Sw_sim.Engine.schedule_at engine (Sw_sim.Time.us i) (fun () -> ()))
+    Sw_sim.Engine.schedule_at engine (Sw_sim.Time.us i) (fun () -> ())
   done;
   Sw_sim.Engine.run engine
 

@@ -179,19 +179,22 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
      to its owning shard; remote arrivals go through the conductor
      mailbox and are injected on the owner's engine. The conductor is
      built lazily (its lookahead depends on links installed after
-     creation), so the post hook late-binds through [t]. *)
-  Array.iteri
-    (fun self sh ->
-      Sw_net.Network.set_remote sh.sh_network ~shard:self ~locate:(locate t self)
-        ~post:(fun ~dst ~at ~target pkt ->
-          match t.conductor with
-          | Some c ->
-              Conductor.post c ~src:self ~dst ~at (fun () ->
-                  Sw_net.Network.inject t.shards.(dst).sh_network ~target pkt)
-          | None ->
-              invalid_arg
-                "Cloud: cross-shard send outside Cloud.run (no conductor)"))
-    shard_arr;
+     creation), so the post hook late-binds through [t]. One shard owns
+     every target, so its network keeps the local path and looks nothing
+     up. *)
+  if not single then
+    Array.iteri
+      (fun self sh ->
+        Sw_net.Network.set_remote sh.sh_network ~shard:self ~locate:(locate t self)
+          ~post:(fun ~dst ~at ~target pkt ->
+            match t.conductor with
+            | Some c ->
+                Conductor.post c ~src:self ~dst ~at (fun () ->
+                    Sw_net.Network.inject t.shards.(dst).sh_network ~target pkt)
+            | None ->
+                invalid_arg
+                  "Cloud: cross-shard send outside Cloud.run (no conductor)"))
+      shard_arr;
   t
 
 let shard_count t = Array.length t.shards
@@ -398,19 +401,18 @@ let start_background t ~rate_per_s ?(size = 64) () =
   let sh = t.shards.(0) in
   let rec arrival () =
     let gap = Sw_sim.Prng.exponential rng ~rate:rate_per_s in
-    ignore
-      (Engine.schedule_after sh.sh_engine (Time.of_float_s gap) (fun () ->
-           List.iter
-             (fun d ->
-               let pkt =
-                 Sw_net.Packet.make ~src:Address.Broadcast_addr
-                   ~dst:(Address.Vm d.vm) ~size
-                   ~seq:(Sw_net.Network.fresh_seq sh.sh_network)
-                   (Sw_net.Packet.Background (Sw_net.Network.fresh_seq sh.sh_network))
-               in
-               Sw_net.Network.send sh.sh_network pkt)
-             t.deployments;
-           arrival ()))
+    Engine.schedule_after sh.sh_engine (Time.of_float_s gap) (fun () ->
+        List.iter
+          (fun d ->
+            let pkt =
+              Sw_net.Packet.make ~src:Address.Broadcast_addr
+                ~dst:(Address.Vm d.vm) ~size
+                ~seq:(Sw_net.Network.fresh_seq sh.sh_network)
+                (Sw_net.Packet.Background (Sw_net.Network.fresh_seq sh.sh_network))
+            in
+            Sw_net.Network.send sh.sh_network pkt)
+          t.deployments;
+        arrival ())
   in
   arrival ()
 

@@ -51,5 +51,5 @@ let send t ~dst ~size payload =
   in
   Sw_net.Network.send t.network pkt
 
-let after t span f = ignore (Engine.schedule_after (engine t) span f)
+let after t span f = Engine.schedule_after (engine t) span f
 let inter_arrival_ms t = Sw_sim.Samples.to_array t.inter_arrival

@@ -90,11 +90,10 @@ let submit t ~vm ~kind:_ ~bytes ~sequential k =
   Registry.Counter.add t.m_busy_ns service;
   Registry.Histogram.observe t.m_service service;
   let vm_completed = vm_counter t vm in
-  ignore
-    (Engine.schedule_at ?kind:t.k_complete t.engine finish (fun () ->
-         Registry.Counter.incr t.m_completed;
-         Registry.Counter.incr vm_completed;
-         Sw_obs.Profile.time (Engine.profile t.engine) t.p_complete k))
+  Engine.schedule_at ?kind:t.k_complete t.engine finish (fun () ->
+      Registry.Counter.incr t.m_completed;
+      Registry.Counter.incr vm_completed;
+      Sw_obs.Profile.time (Engine.profile t.engine) t.p_complete k)
 
 let completed t = Registry.Counter.value t.m_completed
 

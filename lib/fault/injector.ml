@@ -71,11 +71,10 @@ let open_link t key dist ~span fault =
   l := dist :: !l;
   apply_link t key;
   emit_injected t fault ~span;
-  ignore
-    (Engine.schedule_after ~kind:t.k_close t.env.engine span (fun () ->
-         l := List.filter (fun d -> d != dist) !l;
-         apply_link t key;
-         emit_cleared t fault))
+  Engine.schedule_after ~kind:t.k_close t.env.engine span (fun () ->
+      l := List.filter (fun d -> d != dist) !l;
+      apply_link t key;
+      emit_cleared t fault)
 
 (* --- Machine disturbances ---------------------------------------------- *)
 
@@ -116,12 +115,11 @@ let open_window t (spec : Schedule.spec) =
               incr count;
               Sw_net.Multicast.set_partitioned ep true;
               emit_injected t spec.Schedule.fault ~span;
-              ignore
-                (Engine.schedule_after ~kind:t.k_close t.env.engine span
-                   (fun () ->
-                     decr count;
-                     if !count = 0 then Sw_net.Multicast.set_partitioned ep false;
-                     emit_cleared t spec.Schedule.fault))
+              Engine.schedule_after ~kind:t.k_close t.env.engine span
+                (fun () ->
+                  decr count;
+                  if !count = 0 then Sw_net.Multicast.set_partitioned ep false;
+                  emit_cleared t spec.Schedule.fault)
           | None -> skip t)
       | None -> skip t)
   | Fault.Machine_stall { machine } -> (
@@ -130,9 +128,8 @@ let open_window t (spec : Schedule.spec) =
           let until = Time.add (Engine.now t.env.engine) span in
           Sw_vmm.Machine.stall mach ~until;
           emit_injected t spec.Schedule.fault ~span;
-          ignore
-            (Engine.schedule_after ~kind:t.k_close t.env.engine span
-               (fun () -> emit_cleared t spec.Schedule.fault))
+          Engine.schedule_after ~kind:t.k_close t.env.engine span
+            (fun () -> emit_cleared t spec.Schedule.fault)
       | None -> skip t)
   | Fault.Machine_slowdown { machine; factor } -> (
       match t.env.machine_of machine with
@@ -141,25 +138,24 @@ let open_window t (spec : Schedule.spec) =
           l := factor :: !l;
           apply_slowdown t mach machine;
           emit_injected t spec.Schedule.fault ~span;
-          ignore
-            (Engine.schedule_after ~kind:t.k_close t.env.engine span
-               (fun () ->
-                 (l :=
-                    match !l with
-                    | [] -> []
-                    | _ :: _ as fs ->
-                        (* Remove one occurrence of this window's factor. *)
-                        let removed = ref false in
-                        List.filter
-                          (fun f ->
-                            if (not !removed) && f = factor then begin
-                              removed := true;
-                              false
-                            end
-                            else true)
-                          fs);
-                 apply_slowdown t mach machine;
-                 emit_cleared t spec.Schedule.fault))
+          Engine.schedule_after ~kind:t.k_close t.env.engine span
+            (fun () ->
+              (l :=
+                 match !l with
+                 | [] -> []
+                 | _ :: _ as fs ->
+                     (* Remove one occurrence of this window's factor. *)
+                     let removed = ref false in
+                     List.filter
+                       (fun f ->
+                         if (not !removed) && f = factor then begin
+                           removed := true;
+                           false
+                         end
+                         else true)
+                       fs);
+              apply_slowdown t mach machine;
+              emit_cleared t spec.Schedule.fault)
       | None -> skip t)
   | Fault.Dom0_pause { machine } -> (
       match t.env.machine_of machine with
@@ -167,9 +163,8 @@ let open_window t (spec : Schedule.spec) =
           let until = Time.add (Engine.now t.env.engine) span in
           Sw_vmm.Machine.pause_dom0 mach ~until;
           emit_injected t spec.Schedule.fault ~span;
-          ignore
-            (Engine.schedule_after ~kind:t.k_close t.env.engine span
-               (fun () -> emit_cleared t spec.Schedule.fault))
+          Engine.schedule_after ~kind:t.k_close t.env.engine span
+            (fun () -> emit_cleared t spec.Schedule.fault)
       | None -> skip t)
   | Fault.Replica_crash { vm; replica; restart_after } -> (
       match t.env.instance_of ~vm ~replica with
@@ -178,9 +173,8 @@ let open_window t (spec : Schedule.spec) =
           emit_injected t spec.Schedule.fault ~span:Time.zero;
           Option.iter
             (fun delay ->
-              ignore
-                (Engine.schedule_after ~kind:t.k_restart t.env.engine delay
-                   (fun () -> t.env.restart ~vm ~replica)))
+              Engine.schedule_after ~kind:t.k_restart t.env.engine delay
+                (fun () -> t.env.restart ~vm ~replica))
             restart_after
       | None -> skip t)
 
@@ -202,9 +196,8 @@ let install env schedule =
   let kind = Engine.kind env.engine "fault.open" in
   List.iter
     (fun (spec : Schedule.spec) ->
-      ignore
-        (Engine.schedule_at ~kind env.engine spec.Schedule.at
-           (fun () -> open_window t spec)))
+      Engine.schedule_at ~kind env.engine spec.Schedule.at
+        (fun () -> open_window t spec))
     (Schedule.sorted schedule);
   t
 

@@ -29,13 +29,12 @@ let schedule_expiry t entry key =
   | None -> ()
   | Some span ->
       let engine = Network.engine t.network in
-      ignore
-        (Sw_sim.Engine.schedule_after ?kind:t.k_expire engine span
-           (fun () ->
-             if Int_tbl.mem entry.pending key then begin
-               Int_tbl.remove entry.pending key;
-               Sw_obs.Registry.Counter.incr t.m_expired
-             end))
+      Sw_sim.Engine.schedule_after ?kind:t.k_expire engine span
+        (fun () ->
+          if Int_tbl.mem entry.pending key then begin
+            Int_tbl.remove entry.pending key;
+            Sw_obs.Registry.Counter.incr t.m_expired
+          end)
 
 let handle t (pkt : Packet.t) =
   match pkt.Packet.payload with

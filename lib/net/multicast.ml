@@ -66,16 +66,15 @@ let send_to e ~dst ~size payload =
 let start_heartbeat e period =
   let engine = Network.engine e.g.network in
   let rec tick () =
-    ignore
-      (Engine.schedule_after engine period (fun () ->
-           if e.next_mseq > 0 then
-             List.iter
-               (fun dst ->
-                 send_to e ~dst ~size:64
-                   (Packet.Mcast_heartbeat
-                      { group = e.g.group_id; last_mseq = e.next_mseq - 1 }))
-               e.peers;
-           tick ()))
+    Engine.schedule_after engine period (fun () ->
+        if e.next_mseq > 0 then
+          List.iter
+            (fun dst ->
+              send_to e ~dst ~size:64
+                (Packet.Mcast_heartbeat
+                   { group = e.g.group_id; last_mseq = e.next_mseq - 1 }))
+            e.peers;
+        tick ())
   in
   tick ()
 
@@ -183,37 +182,36 @@ let abandon_gap e rx =
 let rec nak_cycle e origin rx =
   let engine = Network.engine e.g.network in
   let delay = Time.mul_int e.g.nak_delay (1 lsl min (rx.nak_attempt - 1) 16) in
-  ignore
-    (Engine.schedule_after engine delay (fun () ->
-         if rx.next_expected > rx.nak_through then rx.nak_attempt <- 0
-         else begin
-           if rx.next_expected > rx.nak_at then begin
-             rx.nak_at <- rx.next_expected;
-             rx.nak_attempt <- 1
-           end;
-           if rx.nak_attempt > nak_retries then begin
-             abandon_gap e rx;
-             if rx.next_expected <= rx.nak_through then begin
-               rx.nak_attempt <- 1;
-               rx.nak_at <- rx.next_expected;
-               nak_cycle e origin rx
-             end
-             else rx.nak_attempt <- 0
-           end
-           else begin
-             Sw_obs.Registry.Counter.incr e.m_naks;
-             send_to e ~dst:origin ~size:64
-               (Packet.Mcast_nak
-                  {
-                    group = e.g.group_id;
-                    origin;
-                    from_mseq = rx.next_expected;
-                    to_mseq = rx.nak_through;
-                  });
-             rx.nak_attempt <- rx.nak_attempt + 1;
-             nak_cycle e origin rx
-           end
-         end))
+  Engine.schedule_after engine delay (fun () ->
+      if rx.next_expected > rx.nak_through then rx.nak_attempt <- 0
+      else begin
+        if rx.next_expected > rx.nak_at then begin
+          rx.nak_at <- rx.next_expected;
+          rx.nak_attempt <- 1
+        end;
+        if rx.nak_attempt > nak_retries then begin
+          abandon_gap e rx;
+          if rx.next_expected <= rx.nak_through then begin
+            rx.nak_attempt <- 1;
+            rx.nak_at <- rx.next_expected;
+            nak_cycle e origin rx
+          end
+          else rx.nak_attempt <- 0
+        end
+        else begin
+          Sw_obs.Registry.Counter.incr e.m_naks;
+          send_to e ~dst:origin ~size:64
+            (Packet.Mcast_nak
+               {
+                 group = e.g.group_id;
+                 origin;
+                 from_mseq = rx.next_expected;
+                 to_mseq = rx.nak_through;
+               });
+          rx.nak_attempt <- rx.nak_attempt + 1;
+          nak_cycle e origin rx
+        end
+      end)
 
 let request_missing e origin rx ~through =
   if through > rx.nak_through then rx.nak_through <- through;

@@ -212,9 +212,8 @@ let deliver_local t ~target ~arrive (pkt : Packet.t) =
   match Int_tbl.find t.handlers (Address.index target) with
   | exception Not_found -> Registry.Counter.incr t.m_undeliverable
   | _, handler ->
-      ignore
-        (Engine.schedule_at ?kind:t.k_deliver t.engine arrive (fun () ->
-             deliver_now t handler pkt))
+      Engine.schedule_at ?kind:t.k_deliver t.engine arrive (fun () ->
+          deliver_now t handler pkt)
 
 let deliver_via t ~target (pkt : Packet.t) =
   let state = link_state t ~src:pkt.src ~dst:target in

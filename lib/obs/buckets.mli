@@ -3,7 +3,8 @@
     Buckets follow a 1-2-5 progression per decade from 1 ns up to 10^12 ns
     (~16.7 simulated minutes), with a final catch-all bucket whose upper bound
     is [max_int]. Values and bounds are immediate [int] nanoseconds, so
-    filing an observation is an int binary search that allocates nothing.
+    filing an observation is a table read and one compare that allocates
+    nothing.
     Because the ladder is identical for all histograms, merging two
     histograms is exact bucket-wise addition — the property the runner's
     deterministic [-j N] aggregation relies on. *)

@@ -250,7 +250,7 @@ let run_shard t i =
     let kind = t.xshard.(i) in
     for k = 0 to b.len - 1 do
       let m = b.data.(k) in
-      ignore (Engine.schedule_at ?kind eng m.at m.fn);
+      Engine.schedule_at ?kind eng m.at m.fn;
       m.fn <- nop
     done;
     b.len <- 0;

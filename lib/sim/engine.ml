@@ -1,5 +1,3 @@
-type event_id = Wheel.handle
-
 type kind_hooks = {
   k_scheduled : Sw_obs.Registry.Counter.t;
   k_delay : Sw_obs.Registry.Histogram.t;
@@ -23,7 +21,6 @@ type t = {
   metrics : Sw_obs.Registry.t;
   m_scheduled : Sw_obs.Registry.Counter.t;
   m_fired : Sw_obs.Registry.Counter.t;
-  m_cancelled : Sw_obs.Registry.Counter.t;
   m_depth : Sw_obs.Registry.Gauge.t;
   profile : Sw_obs.Profile.t;
   p_dispatch : Sw_obs.Profile.timer;
@@ -37,6 +34,9 @@ let create ?(seed = 0x5397_BA1DL) ?metrics ?profile () =
   let profile =
     match profile with Some p -> p | None -> Sw_obs.Profile.create ()
   in
+  (* Nothing cancels an event, but metrics exports have always carried
+     this counter, so it stays registered at 0. *)
+  ignore (Sw_obs.Registry.counter metrics "sim.events.cancelled");
   {
     now = Time.zero;
     wheel = Wheel.create ();
@@ -45,7 +45,6 @@ let create ?(seed = 0x5397_BA1DL) ?metrics ?profile () =
     metrics;
     m_scheduled = Sw_obs.Registry.counter metrics "sim.events.scheduled";
     m_fired = Sw_obs.Registry.counter metrics "sim.events.fired";
-    m_cancelled = Sw_obs.Registry.counter metrics "sim.events.cancelled";
     m_depth = Sw_obs.Registry.gauge metrics "sim.queue.depth";
     profile;
     p_dispatch = Sw_obs.Profile.timer profile "engine.dispatch";
@@ -88,7 +87,7 @@ let schedule_at ?kind t at fn =
     invalid_arg
       (Format.asprintf "Engine.schedule_at: %a is before now (%a)" Time.pp at
          Time.pp t.now);
-  let id = Wheel.add t.wheel ~key:at fn in
+  Wheel.add t.wheel ~key:at fn;
   t.live <- t.live + 1;
   Sw_obs.Registry.Counter.incr t.m_scheduled;
   Sw_obs.Registry.Gauge.observe_int t.m_depth t.live;
@@ -97,22 +96,12 @@ let schedule_at ?kind t at fn =
   | Some kind ->
       let h = kind_hooks kind in
       Sw_obs.Registry.Counter.incr h.k_scheduled;
-      Sw_obs.Registry.Histogram.observe h.k_delay (Time.sub at t.now));
-  id
+      Sw_obs.Registry.Histogram.observe h.k_delay (Time.sub at t.now))
 
 let schedule_after ?kind t delay fn =
   if Time.is_negative delay then
     invalid_arg "Engine.schedule_after: negative delay";
   schedule_at ?kind t (Time.add t.now delay) fn
-
-let cancel t id =
-  (* The wheel refuses stale handles (already fired, already cancelled, or
-     recycled), so a late cancel cannot double-decrement [live]. *)
-  if Wheel.cancel t.wheel id then begin
-    t.live <- t.live - 1;
-    Sw_obs.Registry.Counter.incr t.m_cancelled;
-    Sw_obs.Registry.Gauge.observe_int t.m_depth t.live
-  end
 
 (* Fires the earliest pending event, due at [at]; the caller has checked
    there is one. The wheel hands back the bare closure, so firing allocates

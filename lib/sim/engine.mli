@@ -4,13 +4,9 @@
     hierarchical timer wheel with a heap overflow tier — see {!Wheel}), and
     the simulation's metric registry and trace sink. Events scheduled for
     the same instant fire in the order they were scheduled, so runs are
-    deterministic. *)
+    deterministic. A scheduled event cannot be cancelled: it fires. *)
 
 type t
-
-(** Packed immediate identifying one scheduled event; goes stale when the
-    event fires, so a late {!cancel} through it is a safe no-op. *)
-type event_id
 
 (** [create ~seed ~metrics ()] makes an engine whose clock starts at
     {!Time.zero} and whose root PRNG is seeded with [seed]. The engine
@@ -73,16 +69,11 @@ val kind : t -> string -> kind
     [sim.events.<name>.scheduled] and records its scheduling delay in the
     [sim.events.<name>.delay_ns] histogram. Passing a stored
     [kind option] allocates nothing; [~kind:k] boxes [k] per call. *)
-val schedule_at : ?kind:kind -> t -> Time.t -> (unit -> unit) -> event_id
+val schedule_at : ?kind:kind -> t -> Time.t -> (unit -> unit) -> unit
 
 (** [schedule_after ?kind t delay f] runs [f] after [delay] (an instant of
     [now + delay]). Raises [Invalid_argument] for negative delays. *)
-val schedule_after : ?kind:kind -> t -> Time.t -> (unit -> unit) -> event_id
-
-(** [cancel t id] prevents the event from firing; cancelling an already-fired
-    or already-cancelled event is a no-op — in particular it never perturbs
-    {!pending}. *)
-val cancel : t -> event_id -> unit
+val schedule_after : ?kind:kind -> t -> Time.t -> (unit -> unit) -> unit
 
 (** [step t] fires the next event; [false] when no events remain. *)
 val step : t -> bool
@@ -93,7 +84,7 @@ val step : t -> bool
     clock never moves backwards. *)
 val run : ?until:Time.t -> t -> unit
 
-(** Number of pending (uncancelled) events. *)
+(** Number of pending events. *)
 val pending : t -> int
 
 (** Total events fired since creation (the [sim.events.fired] counter). *)

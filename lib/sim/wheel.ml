@@ -8,10 +8,9 @@
 
    Invariants, maintained by every operation:
 
-   - [horizon] is a multiple of the level-0 granule. Every pending or
-     tombstoned record with [key < horizon] sits in the ready heap; the
-     wheel slots and the overflow heap only hold records with
-     [key >= horizon].
+   - [horizon] is a multiple of the level-0 granule. Every pending record
+     with [key < horizon] sits in the ready heap; the wheel slots and the
+     overflow heap only hold records with [key >= horizon].
    - An event files at the finest level [l] whose cursor tick it is within
      [slots] ticks of, so at every level the live ticks span at most one
      rotation: the absolute tick of an occupied slot is recoverable from the
@@ -22,177 +21,158 @@
      so draining one level-0 slot and advancing [horizon] to its end cannot
      step over a coarser slot's start.
 
-   The ready heap compares [(key, seq)] directly on the pooled records, so
-   no ordering responsibility rests on slot chain order — chains are
+   The ready heap compares [(key, seq)] read straight from the int arrays,
+   so no ordering responsibility rests on slot chain order — chains are
    prepend-only and cascades may reverse them freely. *)
-
-type ev = {
-  mutable key : int;
-  mutable seq : int;
-  mutable gen : int;
-  mutable state : int;
-  mutable fn : unit -> unit;
-  mutable next : int;  (* slot chain / free list link; -1 terminates *)
-}
-
-type handle = int
-
-(* States. [s_free] records are on the free list; [s_cancelled] are lazy
-   tombstones awaiting collection. *)
-let s_free = 0
-
-let s_pending = 1
-let s_cancelled = 2
-let dummy_fn () = ()
 
 let slot_bits = 5
 let slots = 1 lsl slot_bits
 let slot_mask = slots - 1
-let g0_bits = 9 (* level-0 granule: 512 ns *)
-let levels = 6 (* top level span: 2^(9 + 5*6) ns ~ 550 s *)
+let g0_bits = 13 (* level-0 granule: 8192 ns *)
+let levels = 6 (* top level span: 2^(13 + 5*6) ns ~ 2.4 h *)
 let shift l = g0_bits + (slot_bits * l)
+let dummy_fn () = ()
 
+(* Record [i] is [key.(i)], [seq.(i)], [next.(i)] and [fn.(i)]: parallel
+   arrays, so the ints are read without touching a block and a record
+   costs no header. *)
 type t = {
-  mutable slab : ev array;
-  mutable slab_len : int;
+  mutable key : int array;
+  mutable seq : int array;
+  mutable next : int array;  (* slot chain / free list link; -1 terminates *)
+  mutable fn : (unit -> unit) array;
+  mutable records : int;  (* records ever handed out: a prefix of the arrays *)
   mutable free_head : int;
-  mutable seq : int;
-  mutable stored : int;  (* pending + uncollected tombstones, all tiers *)
+  mutable next_seq : int;
   mutable horizon : int;
   slot_head : int array;  (* levels * slots chain heads, -1 = empty *)
   occ : int array;  (* per-level occupancy bitmask over slot indices *)
-  mutable ready : int array;  (* binary heap of slab indices *)
+  mutable occ_levels : int;  (* bit [l] set iff [occ.(l) <> 0] *)
+  mutable ready : int array;  (* binary heap of record indices *)
   mutable ready_len : int;
   overflow : int Heap.t;
+  mutable overflow_len : int;
 }
-
-let mk_ev () =
-  { key = 0; seq = 0; gen = 0; state = s_free; fn = dummy_fn; next = -1 }
 
 let create () =
   {
-    slab = [||];
-    slab_len = 0;
+    key = [||];
+    seq = [||];
+    next = [||];
+    fn = [||];
+    records = 0;
     free_head = -1;
-    seq = 0;
-    stored = 0;
+    next_seq = 0;
     horizon = 0;
     slot_head = Array.make (levels * slots) (-1);
     occ = Array.make levels 0;
+    occ_levels = 0;
     ready = Array.make 64 (-1);
     ready_len = 0;
     overflow = Heap.create ();
+    overflow_len = 0;
   }
 
 (* --- Record pool ------------------------------------------------------- *)
 
-(* Handles pack (generation, slab index); both the index width and the
-   generation wrap fit comfortably in OCaml's 63-bit immediates. *)
-let idx_bits = 31
-
-let idx_mask = (1 lsl idx_bits) - 1
-let gen_mask = (1 lsl 30) - 1
-let handle_of i gen = (gen lsl idx_bits) lor i
-let index_of h = h land idx_mask
-let gen_of h = h lsr idx_bits
-
-let grow t =
-  let cap = Array.length t.slab in
-  let cap' = Stdlib.max 64 (2 * cap) in
-  (* Array.make shares one record across the fresh tail; give every new
-     cell (past the first) its own. *)
-  let slab' = Array.make cap' (mk_ev ()) in
-  Array.blit t.slab 0 slab' 0 cap;
-  for i = cap + 1 to cap' - 1 do
-    slab'.(i) <- mk_ev ()
-  done;
-  t.slab <- slab'
+let extend a cap fill =
+  let a' = Array.make cap fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 let acquire t =
   if t.free_head >= 0 then begin
     let i = t.free_head in
-    t.free_head <- t.slab.(i).next;
+    t.free_head <- t.next.(i);
     i
   end
   else begin
-    if t.slab_len >= Array.length t.slab then grow t;
-    let i = t.slab_len in
-    t.slab_len <- t.slab_len + 1;
+    if t.records = Array.length t.key then begin
+      let cap = Stdlib.max 64 (2 * t.records) in
+      t.key <- extend t.key cap 0;
+      t.seq <- extend t.seq cap 0;
+      t.next <- extend t.next cap (-1);
+      t.fn <- extend t.fn cap dummy_fn
+    end;
+    let i = t.records in
+    t.records <- i + 1;
     i
   end
 
-(* Recycle a record: bump the generation so outstanding handles go stale,
-   drop the closure so it can be collected, and chain onto the free list. *)
+(* Recycle a record: drop the closure so it can be collected, and chain
+   onto the free list. *)
 let release t i =
-  let e = t.slab.(i) in
-  e.state <- s_free;
-  e.fn <- dummy_fn;
-  e.gen <- (e.gen + 1) land gen_mask;
-  e.next <- t.free_head;
-  t.free_head <- i;
-  t.stored <- t.stored - 1
+  t.fn.(i) <- dummy_fn;
+  t.next.(i) <- t.free_head;
+  t.free_head <- i
 
-(* --- Ready heap (slab indices ordered by (key, seq)) ------------------- *)
+(* --- Ready heap (record indices ordered by (key, seq)) ----------------- *)
 
-let[@inline] ev_lt slab i j =
-  let a = slab.(i) and b = slab.(j) in
-  if a.key <> b.key then a.key < b.key else a.seq < b.seq
+let[@inline] before t i j =
+  let ki = t.key.(i) and kj = t.key.(j) in
+  ki < kj || (ki = kj && t.seq.(i) < t.seq.(j))
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if ev_lt t.slab t.ready.(i) t.ready.(p) then begin
-      let tmp = t.ready.(i) in
-      t.ready.(i) <- t.ready.(p);
-      t.ready.(p) <- tmp;
-      sift_up t p
+(* The sifts move a hole instead of swapping: [sift_up] writes [i] once,
+   where the hole stops. *)
+let rec sift_up t i h =
+  if h > 0 then begin
+    let p = (h - 1) / 2 in
+    let j = t.ready.(p) in
+    if before t i j then begin
+      t.ready.(h) <- j;
+      sift_up t i p
     end
+    else t.ready.(h) <- i
   end
+  else t.ready.(h) <- i
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let s = ref i in
-  if l < t.ready_len && ev_lt t.slab t.ready.(l) t.ready.(!s) then s := l;
-  if r < t.ready_len && ev_lt t.slab t.ready.(r) t.ready.(!s) then s := r;
-  if !s <> i then begin
-    let tmp = t.ready.(i) in
-    t.ready.(i) <- t.ready.(!s);
-    t.ready.(!s) <- tmp;
-    sift_down t !s
+(* Pop's half (Floyd's bottom-up variant): walk the hole from [h] down to
+   a leaf along the lesser children, one compare per level, and return the
+   leaf; the popped heap's last record then sifts up from there, which is
+   rarely more than a level or two. *)
+let rec hole_down t h =
+  let c = (2 * h) + 1 in
+  if c >= t.ready_len then h
+  else begin
+    let c =
+      if c + 1 < t.ready_len && before t t.ready.(c + 1) t.ready.(c) then c + 1
+      else c
+    in
+    t.ready.(h) <- t.ready.(c);
+    hole_down t c
   end
 
 let ready_push t i =
-  if t.ready_len >= Array.length t.ready then begin
-    let r' = Array.make (2 * t.ready_len) (-1) in
-    Array.blit t.ready 0 r' 0 t.ready_len;
-    t.ready <- r'
-  end;
-  t.ready.(t.ready_len) <- i;
+  if t.ready_len = Array.length t.ready then
+    t.ready <- extend t.ready (2 * t.ready_len) (-1);
   t.ready_len <- t.ready_len + 1;
-  sift_up t (t.ready_len - 1)
+  sift_up t i (t.ready_len - 1)
 
 let ready_pop t =
   let i = t.ready.(0) in
   t.ready_len <- t.ready_len - 1;
-  t.ready.(0) <- t.ready.(t.ready_len);
-  if t.ready_len > 0 then sift_down t 0;
+  if t.ready_len > 0 then sift_up t t.ready.(t.ready_len) (hole_down t 0);
   i
 
 (* --- Wheel filing ------------------------------------------------------ *)
 
 let slot_insert t l s i =
   let idx = (l lsl slot_bits) lor s in
-  t.slab.(i).next <- t.slot_head.(idx);
+  t.next.(i) <- t.slot_head.(idx);
   t.slot_head.(idx) <- i;
-  t.occ.(l) <- t.occ.(l) lor (1 lsl s)
+  t.occ.(l) <- t.occ.(l) lor (1 lsl s);
+  t.occ_levels <- t.occ_levels lor (1 lsl l)
 
-(* File a live record by its key: ready heap when the horizon already
-   passed it, else the finest wheel level whose window reaches it, else the
+(* File a record by its key: ready heap when the horizon already passed
+   it, else the finest wheel level whose window reaches it, else the
    overflow heap. The helpers that walk levels and chains here and in
    [refill] are top-level functions, not local closures over [t]: filing
    and draining run for every event and allocate nothing. *)
 let rec file_from t i key l =
-  if l >= levels then Heap.push t.overflow ~key ~seq:t.slab.(i).seq i
+  if l >= levels then begin
+    Heap.push t.overflow ~key ~seq:t.seq.(i) i;
+    t.overflow_len <- t.overflow_len + 1
+  end
   else begin
     let sh = shift l in
     let kt = key lsr sh in
@@ -202,7 +182,7 @@ let rec file_from t i key l =
   end
 
 let insert t i =
-  let key = t.slab.(i).key in
+  let key = t.key.(i) in
   if key < t.horizon then ready_push t i else file_from t i key 0
 
 (* --- Cursor advance ---------------------------------------------------- *)
@@ -219,161 +199,118 @@ let[@inline] ctz32 m = debruijn.(((m land -m) * 0x077CB531) lsr 27 land 31)
 (* Rotate a 32-bit mask right so the cursor's slot lands at bit 0. *)
 let[@inline] rotr32 m r = ((m lsr r) lor (m lsl (slots - r))) land 0xFFFFFFFF
 
-(* Start time of the first occupied slot at level [l] — the occupied slot
-   whose tick is nearest the cursor going forward; [max_int] when the level
-   is empty. The one-rotation invariant makes the reconstruction exact, and
-   the slot index is recoverable as [(start lsr shift l) land slot_mask]. *)
-let level_candidate t l =
-  let m = t.occ.(l) in
-  if m = 0 then max_int
-  else begin
-    let sh = shift l in
-    let cursor = t.horizon lsr sh in
-    let c = cursor land slot_mask in
-    let d = ctz32 (rotr32 m c) in
-    (cursor + d) lsl sh
-  end
+(* Start time of the first occupied slot at non-empty level [l] — the
+   occupied slot whose tick is nearest the cursor going forward. The
+   one-rotation invariant makes the reconstruction exact, and the slot
+   index is recoverable as [(start lsr shift l) land slot_mask]. *)
+let level_start t l =
+  let sh = shift l in
+  let cursor = t.horizon lsr sh in
+  let d = ctz32 (rotr32 t.occ.(l) (cursor land slot_mask)) in
+  (cursor + d) lsl sh
 
 let take_slot t l s =
   let idx = (l lsl slot_bits) lor s in
   let head = t.slot_head.(idx) in
   t.slot_head.(idx) <- -1;
-  t.occ.(l) <- t.occ.(l) land lnot (1 lsl s);
+  let m = t.occ.(l) land lnot (1 lsl s) in
+  t.occ.(l) <- m;
+  if m = 0 then t.occ_levels <- t.occ_levels land lnot (1 lsl l);
   head
 
 (* Move a drained level-0 chain into the ready heap. *)
 let rec drain t i =
   if i >= 0 then begin
-    let e = t.slab.(i) in
-    let nx = e.next in
-    e.next <- -1;
-    if e.state = s_cancelled then release t i else ready_push t i;
+    let nx = t.next.(i) in
+    ready_push t i;
     drain t nx
   end
 
 (* Re-file a cascaded coarse chain at finer levels. *)
 let rec redistribute t i =
   if i >= 0 then begin
-    let e = t.slab.(i) in
-    let nx = e.next in
-    e.next <- -1;
-    if e.state = s_cancelled then release t i else insert t i;
+    let nx = t.next.(i) in
+    insert t i;
     redistribute t nx
   end
 
+(* The overflow heap's least key, [max_int] when it is empty. *)
+let overflow_min t =
+  if t.overflow_len = 0 then max_int
+  else match Heap.peek_min t.overflow with Some (k, _, _) -> k | None -> max_int
+
+let overflow_pop t =
+  match Heap.pop_min t.overflow with
+  | Some (_, _, i) ->
+      t.overflow_len <- t.overflow_len - 1;
+      i
+  | None -> assert false
+
 (* Pull the overflow keys below the horizon into the ready heap. *)
 let rec sweep_overflow t =
-  match Heap.peek_min t.overflow with
-  | Some (k, _, i) when k < t.horizon ->
-      ignore (Heap.pop_min t.overflow);
-      if t.slab.(i).state = s_cancelled then release t i else ready_push t i;
-      sweep_overflow t
-  | _ -> ()
+  if overflow_min t < t.horizon then begin
+    ready_push t (overflow_pop t);
+    sweep_overflow t
+  end
 
 (* Move events into the ready heap until it is non-empty or nothing is left
    anywhere. Each round either drains the earliest level-0 slot (advancing
    the horizon past it and sweeping overflow keys the new horizon covers),
    cascades the earliest coarse slot into finer levels, or pulls the next
-   overflow event in. Tombstones met along the way are collected. *)
+   overflow event in. Only the non-empty levels are visited. *)
 let rec refill t =
   let best_start = ref max_int and best_level = ref (-1) in
-  for l = 0 to levels - 1 do
-    let start = level_candidate t l in
-    (* <=: on equal starts the coarser level must cascade first, since its
-       slot covers (a superset of) the finer slot's span. [max_int] can
-       never win because a real start fits in 62 bits. *)
-    if start <> max_int && start <= !best_start then begin
+  let m = ref t.occ_levels in
+  while !m <> 0 do
+    let l = ctz32 !m in
+    m := !m land (!m - 1);
+    let start = level_start t l in
+    (* <=, visiting levels finest first: on equal starts the coarser level
+       must cascade first, since its slot covers (a superset of) the finer
+       slot's span. *)
+    if start <= !best_start then begin
       best_start := start;
       best_level := l
     end
   done;
-  let best_slot =
-    if !best_level < 0 then 0
-    else (!best_start lsr shift !best_level) land slot_mask
-  in
-  let ovf_first =
-    match Heap.peek_min t.overflow with
-    | Some (k, _, _) -> k < !best_start
-    | None -> false
-  in
-  if ovf_first then begin
-    match Heap.pop_min t.overflow with
-    | Some (k, _, i) ->
-        let e = t.slab.(i) in
-        if e.state = s_cancelled then begin
-          release t i;
-          if t.stored > 0 then refill t
-        end
-        else if k < t.horizon then ready_push t i
-        else begin
-          (* Jump the cursor to the event's own granule; re-filing then
-             lands it at level 0 and the next round drains it. Safe because
-             this key is strictly below every occupied slot's start. *)
-          t.horizon <- (k lsr g0_bits) lsl g0_bits;
-          insert t i;
-          refill t
-        end
-    | None -> assert false
-  end
-  else if !best_level < 0 then ()
-  else if !best_level = 0 then begin
-    drain t (take_slot t 0 best_slot);
-    t.horizon <- !best_start + (1 lsl g0_bits);
-    (* Overflow keys inside the drained granule belong to this round too. *)
-    sweep_overflow t;
-    if t.ready_len = 0 && t.stored > 0 then refill t
-  end
-  else begin
-    (* Cascade: advance the cursor to the coarse slot's start and re-file
-       its chain; every event lands at a finer level (or in ready). *)
-    t.horizon <- !best_start;
-    redistribute t (take_slot t !best_level best_slot);
-    if t.stored > 0 then refill t else ()
-  end
-
-(* Collect tombstones surfacing at the ready heap's root, then refill if
-   the heap ran dry. Post-condition: the root is a live event, or the wheel
-   is completely empty. *)
-let rec ensure_ready t =
-  if t.ready_len > 0 then begin
-    let i = t.ready.(0) in
-    if t.slab.(i).state = s_cancelled then begin
-      ignore (ready_pop t);
-      release t i;
-      ensure_ready t
+  let l = !best_level and start = !best_start in
+  if overflow_min t < start then begin
+    let i = overflow_pop t in
+    let k = t.key.(i) in
+    if k < t.horizon then ready_push t i
+    else begin
+      (* Jump the cursor to the event's own granule; re-filing then lands
+         it at level 0 and the next round drains it. Safe because this key
+         is strictly below every occupied slot's start. *)
+      t.horizon <- (k lsr g0_bits) lsl g0_bits;
+      insert t i;
+      refill t
     end
   end
-  else if t.stored > 0 then begin
-    refill t;
-    ensure_ready t
+  else if l = 0 then begin
+    (* A drained slot is never empty, so the ready heap is filled. *)
+    drain t (take_slot t 0 ((start lsr g0_bits) land slot_mask));
+    t.horizon <- start + (1 lsl g0_bits);
+    (* Overflow keys inside the drained granule belong to this round too. *)
+    sweep_overflow t
+  end
+  else if l > 0 then begin
+    (* Cascade: advance the cursor to the coarse slot's start and re-file
+       its chain; every event lands at a finer level (or in ready). *)
+    t.horizon <- start;
+    redistribute t (take_slot t l ((start lsr shift l) land slot_mask));
+    refill t
   end
 
 (* --- Public API -------------------------------------------------------- *)
 
 let add t ~key fn =
   let i = acquire t in
-  let e = t.slab.(i) in
-  e.key <- key;
-  e.seq <- t.seq;
-  t.seq <- t.seq + 1;
-  e.state <- s_pending;
-  e.fn <- fn;
-  e.next <- -1;
-  t.stored <- t.stored + 1;
-  insert t i;
-  handle_of i e.gen
-
-let cancel t h =
-  let i = index_of h in
-  if i < t.slab_len then begin
-    let e = t.slab.(i) in
-    if e.gen = gen_of h && e.state = s_pending then begin
-      e.state <- s_cancelled;
-      true
-    end
-    else false
-  end
-  else false
+  t.key.(i) <- key;
+  t.seq.(i) <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  t.fn.(i) <- fn;
+  insert t i
 
 let advance t now =
   (* Only when fully drained: with events stored, jumping the cursor would
@@ -384,20 +321,19 @@ let advance t now =
      horizon and, past the top level's span, spill it into the overflow
      heap. Snapping the horizon to the parked clock keeps barrier-window
      scheduling on the O(1) wheel path. *)
-  if t.stored = 0 && t.ready_len = 0 then begin
+  if t.ready_len = 0 && t.occ_levels = 0 && t.overflow_len = 0 then begin
     let h = (now lsr g0_bits) lsl g0_bits in
     if h > t.horizon then t.horizon <- h
   end
 
 let next_key t =
-  ensure_ready t;
-  if t.ready_len = 0 then max_int else t.slab.(t.ready.(0)).key
+  if t.ready_len = 0 && (t.occ_levels <> 0 || t.overflow_len > 0) then
+    refill t;
+  if t.ready_len = 0 then max_int else t.key.(t.ready.(0))
 
 let pop t =
-  ensure_ready t;
-  if t.ready_len = 0 then invalid_arg "Wheel.pop: nothing pending";
+  if next_key t = max_int then invalid_arg "Wheel.pop: nothing pending";
   let i = ready_pop t in
-  let e = t.slab.(i) in
-  let fn = e.fn in
+  let fn = t.fn.(i) in
   release t i;
   fn

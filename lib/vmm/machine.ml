@@ -88,7 +88,7 @@ let slice_loop t rs =
       if t.slowdown = 1.0 then t.slice_wall else Time.scale t.slice_wall t.slowdown
     in
     let finish = Time.add (Time.max slice_start t.stalled_until) wall in
-    ignore (Engine.schedule_at ?kind:t.k_slice t.engine finish rs.slice_end)
+    Engine.schedule_at ?kind:t.k_slice t.engine finish rs.slice_end
   end
   else rs.running <- false
 
@@ -142,7 +142,7 @@ let dom0_execute t ~cost k =
   let finish = Time.add start cost in
   t.dom0_busy_until <- finish;
   Registry.Counter.add t.m_dom0_ns cost;
-  ignore (Engine.schedule_at ?kind:t.k_dom0 t.engine finish k)
+  Engine.schedule_at ?kind:t.k_dom0 t.engine finish k
 
 let dom0_work t span = dom0_execute t ~cost:span (fun () -> ())
 
@@ -161,9 +161,8 @@ let transmit t pkt =
       in
       let depart = Time.add (Time.max now t.nic_busy_until) serialisation in
       t.nic_busy_until <- depart;
-      ignore
-        (Engine.schedule_at t.engine depart (fun () ->
-             Sw_net.Network.send t.network pkt)))
+      Engine.schedule_at t.engine depart (fun () ->
+          Sw_net.Network.send t.network pkt))
 
 let dma_execute t ~bytes k =
   if bytes <= 0 then invalid_arg "Machine.dma_execute: bytes must be positive";
@@ -176,4 +175,4 @@ let dma_execute t ~bytes k =
   in
   let finish = Time.add (Time.max now t.dma_busy_until) transfer in
   t.dma_busy_until <- finish;
-  ignore (Engine.schedule_at t.engine finish k)
+  Engine.schedule_at t.engine finish k

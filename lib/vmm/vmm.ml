@@ -667,16 +667,15 @@ let start_heartbeat (i : instance) period =
   let my_id = Replica_group.replica_id i.member in
   let kind = Engine.kind engine "vmm.heartbeat" in
   let rec tick () =
-    ignore
-      (Engine.schedule_after ~kind engine period (fun () ->
-           if not i.crashed then begin
-             let payload = Packet.Vmm_alive { vm = i.vm_id; replica = my_id } in
-             (match i.channel with
-             | Some ep -> Sw_net.Multicast.publish ep ~size:64 payload
-             | None -> ());
-             Replica_group.note_seen i.group i.member ~now:(Engine.now engine)
-           end;
-           tick ()))
+    Engine.schedule_after ~kind engine period (fun () ->
+        if not i.crashed then begin
+          let payload = Packet.Vmm_alive { vm = i.vm_id; replica = my_id } in
+          (match i.channel with
+          | Some ep -> Sw_net.Multicast.publish ep ~size:64 payload
+          | None -> ());
+          Replica_group.note_seen i.group i.member ~now:(Engine.now engine)
+        end;
+        tick ())
   in
   tick ()
 

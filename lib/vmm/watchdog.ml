@@ -58,11 +58,10 @@ let create engine group =
       let t = { engine; group; params; suspicions = Hashtbl.create 8 } in
       let kind = Engine.kind engine "vmm.watchdog" in
       let rec tick () =
-        ignore
-          (Engine.schedule_after ~kind engine
-             params.Config.period (fun () ->
-               sweep t;
-               tick ()))
+        Engine.schedule_after ~kind engine
+          params.Config.period (fun () ->
+            sweep t;
+            tick ())
       in
       tick ();
       t

@@ -535,7 +535,7 @@ let test_profile_via_engine () =
   (* The engine times dispatches into the profile it was created with. *)
   let p = Profile.create ~enabled:true () in
   let e = Sw_sim.Engine.create ~profile:p () in
-  ignore (Sw_sim.Engine.schedule_after e (Time.ms 1) (fun () -> ()));
+  Sw_sim.Engine.schedule_after e (Time.ms 1) (fun () -> ());
   Sw_sim.Engine.run e;
   match Profile.to_list p with
   | [ ("engine.dispatch", _, 1) ] -> ()

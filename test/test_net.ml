@@ -443,12 +443,10 @@ let test_egress_releases_on_second_copy () =
   (* Copies from the three replicas at 0, 5 and 9 ms: the median (2nd) copy
      at 5 ms must trigger the single forward. *)
   egress_copy net ~vm:7 ~replica:0 ~seq:0 (Packet.Background 1);
-  ignore
-    (Engine.schedule_at engine (Time.ms 5) (fun () ->
-         egress_copy net ~vm:7 ~replica:1 ~seq:0 (Packet.Background 1)));
-  ignore
-    (Engine.schedule_at engine (Time.ms 9) (fun () ->
-         egress_copy net ~vm:7 ~replica:2 ~seq:0 (Packet.Background 1)));
+  Engine.schedule_at engine (Time.ms 5) (fun () ->
+      egress_copy net ~vm:7 ~replica:1 ~seq:0 (Packet.Background 1));
+  Engine.schedule_at engine (Time.ms 9) (fun () ->
+      egress_copy net ~vm:7 ~replica:2 ~seq:0 (Packet.Background 1));
   Engine.run engine;
   (match !arrivals with
   | [ (at, Packet.Background 1) ] ->
@@ -464,9 +462,8 @@ let test_egress_five_replicas () =
   let count = ref 0 in
   Net.register net (Address.Host 1) (fun _ -> incr count);
   for r = 0 to 4 do
-    ignore
-      (Engine.schedule_at engine (Time.ms r) (fun () ->
-           egress_copy net ~vm:7 ~replica:r ~seq:0 (Packet.Background 1)))
+    Engine.schedule_at engine (Time.ms r) (fun () ->
+        egress_copy net ~vm:7 ~replica:r ~seq:0 (Packet.Background 1))
   done;
   Engine.run engine;
   Alcotest.(check int) "one release from five copies" 1 !count

@@ -241,7 +241,7 @@ let test_trace_lazy_emission () =
   let e = Sw_sim.Engine.create () in
   Alcotest.(check bool) "absent sink inactive" false (Sw_sim.Engine.tracing e);
   Sw_sim.Engine.emit e (delivered 3);
-  ignore (Sw_sim.Engine.schedule_at e 7 (fun () -> ()));
+  Sw_sim.Engine.schedule_at e 7 (fun () -> ());
   Sw_sim.Engine.run e;
   Sw_sim.Engine.attach_trace e tr;
   Alcotest.(check bool) "attached sink active" true (Sw_sim.Engine.tracing e);
