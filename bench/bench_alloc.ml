@@ -20,9 +20,9 @@ module Scenario = Sw_attack.Scenario
 module Report = Sw_runner.Report
 
 (* Minor words per fired event recorded with OCaml 5.1.1 on x86-64. *)
-let kv_skew_ceiling = 9.0
-let fig4_victim_ceiling = 20.5
-let datacenter_ceiling = 19.0
+let kv_skew_ceiling = 7.04
+let fig4_victim_ceiling = 20.39
+let datacenter_ceiling = 15.26
 let slack = 1.10
 
 (* The first load-multiplier variant of a workload scenario. *)
@@ -81,7 +81,7 @@ let run ?pool:_ () =
       (fun (name, measure, ceiling) ->
         let words, fired = measure () in
         let per_event = words /. float_of_int fired in
-        Printf.printf "  %-12s %9d events  %7.2f words/event  (ceiling %.1f)\n%!"
+        Printf.printf "  %-12s %9d events  %7.2f words/event  (ceiling %.2f)\n%!"
           name fired per_event ceiling;
         Bench_report.add_perf ("alloc_" ^ name)
           (Report.Obj

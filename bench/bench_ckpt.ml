@@ -3,9 +3,14 @@
    phase, and assert the determinism contract the whole subsystem rests on
    (the restored run finishes byte-identical to the uninterrupted one).
 
-   The numbers are wall-clock and machine-dependent; what the bench pins
-   is that a checkpoint stays (a) cheap relative to re-simulation and
-   (b) correct. *)
+   The times are wall-clock and machine-dependent; what the bench pins
+   is that a checkpoint stays (a) cheap relative to re-simulation, (b)
+   correct and (c) bounded: image bytes are a deterministic function of
+   the binary, and the @perf alias fails when the image at the 2000 ms
+   run's cut is more than [growth_ceiling] times the one at the 1000 ms
+   run's cut. Keeping every multicast packet for NAKs made it 1.35
+   (110.2 / 81.9 KB); the bounded transmit window makes it 1.14 (69.0 /
+   60.5 KB). *)
 
 module Time = Sw_sim.Time
 module Cloud = Stopwatch.Cloud
@@ -22,6 +27,8 @@ let workload duration_ms =
   | _ -> failwith "kv_skew.scn: expected kind = \"workload\""
 
 let bytes_of (r : Run.result) = Export.to_json_string r.Run.metrics
+
+let growth_ceiling = 1.20
 
 let run () =
   Tables.section "Checkpoint/restore: capture cost vs simulation state size";
@@ -65,6 +72,13 @@ let run () =
         (duration_ms, kb, ckpt_ms, restore_ms))
       [ 250; 1000; 2000 ]
   in
+  let kb_at ms =
+    let _, kb, _, _ = List.find (fun (d, _, _, _) -> d = ms) rows in
+    kb
+  in
+  let growth = kb_at 2000 /. kb_at 1000 in
+  Printf.printf "  image growth 1000 -> 2000 ms: %.3fx (ceiling %.2fx)\n%!" growth
+    growth_ceiling;
   Bench_report.add "ckpt"
     (Sw_runner.Report.Obj
        (List.map
@@ -76,4 +90,12 @@ let run () =
                   ("checkpoint_ms", Sw_runner.Report.Float ckpt_ms);
                   ("restore_ms", Sw_runner.Report.Float restore_ms);
                 ] ))
-          rows))
+          rows
+       @ [ ("image_growth", Sw_runner.Report.Float growth) ]));
+  if growth > growth_ceiling then begin
+    Printf.eprintf
+      "CHECKPOINT GROWTH: the image at the 2000 ms cut is %.3fx the 1000 ms \
+       one, above the %.2fx ceiling\n%!"
+      growth growth_ceiling;
+    exit 1
+  end

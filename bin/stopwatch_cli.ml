@@ -377,6 +377,16 @@ let parse_filters filters =
       in
       Ok pass
 
+(* The profile's timers as a table on stderr, for outputs that have no
+   counter tracks to carry them. *)
+let print_profile p =
+  prerr_endline "profile (wall clock, inclusive):";
+  List.iter
+    (fun (name, ns, calls) ->
+      Printf.eprintf "  %-20s %10.3f ms %10d calls\n" name
+        (float_of_int ns /. 1e6) calls)
+    (Sw_obs.Profile.to_list p)
+
 let trace_cmd =
   let run attack seed capacity export output lineage filters crash profile_on =
     match (attack, parse_filters filters) with
@@ -430,6 +440,10 @@ let trace_cmd =
             write_output output (Sw_obs.Chrome.to_json ~meta ?profile entries)
         | Some `Jsonl -> write_output output (Sw_obs.Export.jsonl ~meta entries)
         | None -> ());
+        (* Only a Chrome export carries the profile; print it otherwise. *)
+        (match (profile, export) with
+        | Some p, (Some `Jsonl | None) -> print_profile p
+        | Some _, Some `Chrome | None, _ -> ());
         (* Keep the summary off stdout when the export already went there. *)
         let summary_fmt =
           if lineage && export <> None && output = None then
@@ -486,8 +500,9 @@ let trace_cmd =
       value & flag
       & info [ "profile" ]
           ~doc:"Enable wall-clock self-profiling; timers export as counter \
-                tracks. Non-deterministic — leave off when comparing \
-                exports byte for byte.")
+                tracks of a $(b,chrome) export, and print as a table on \
+                stderr otherwise. Non-deterministic — leave off when \
+                comparing exports byte for byte.")
   in
   Cmd.v
     (Cmd.info "trace"

@@ -8,7 +8,7 @@ let nak_retries = 5
 type group = {
   network : Network.t;
   group_id : int;
-  members : Address.t list;
+  members : Address.t array;
   nak_delay : Time.t;
   heartbeat : Time.t option;
 }
@@ -26,17 +26,31 @@ type rx = {
   mutable nak_through : int;  (** Highest mseq known to exist from this sender. *)
 }
 
+(* The transmit window. [history] is a ring holding, for each mseq in
+   [[pruned, next_mseq)], one of its copies (a retransmission keeps only
+   its size and payload) at index [mseq land (capacity - 1)]; the capacity
+   is a power of two and doubles when the window fills. A NAK asks from
+   the receiver's [next_expected], which only moves forward, and every
+   [Mcast_data] carries its publisher's [next_expected] for each member
+   (its receive horizon). So once every peer has reported a horizon past
+   [mseq], no NAK can ask for it again, and the window slides past it.
+   [acked] holds, by member position, the highest horizon that member has
+   reported for this endpoint ([max_int] at [self], which reports
+   nothing). A member that crashes, is partitioned off or never publishes
+   keeps its last report, which only holds entries longer. *)
 type endpoint = {
   g : group;
   self : Address.t;
+  self_pos : int;  (** [self]'s position in the member array. *)
   peers : Address.t list;  (** The other members, in member-list order. *)
   transmit : Packet.t -> unit;
   deliver : Packet.t -> unit;
-  (* Sent history for retransmission, keyed by mseq: one of the mseq's
-     copies, since a retransmission keeps only its size and payload. *)
-  history : Packet.t Int_tbl.t;
+  mutable history : Packet.t array;
+  mutable pruned : int;  (** Lowest mseq still in [history]. *)
   mutable next_mseq : int;
-  rx_states : rx Int_tbl.t;  (** Keyed by the sender's [Address.index]. *)
+  acked : int array;
+  rx_states : rx option array;
+      (** By the sender's member position; made on its first packet. *)
   mutable partitioned : bool;
   (* Metric paths key on the member's address, not the group id. *)
   m_retransmissions : Sw_obs.Registry.Counter.t;
@@ -47,9 +61,23 @@ type endpoint = {
 
 let group network ~id ~members ?(nak_delay = Time.us 200) ?heartbeat () =
   if List.length members < 2 then invalid_arg "Multicast.group: need >= 2 members";
-  { network; group_id = id; members; nak_delay; heartbeat }
+  { network; group_id = id; members = Array.of_list members; nak_delay; heartbeat }
 
 let group_id g = g.group_id
+
+(* [a]'s position in [members] at or after [i], or -1: a top-level loop, so
+   the per-packet lookup builds no closure. *)
+let rec position members a i =
+  if i = Array.length members then -1
+  else if Address.equal members.(i) a then i
+  else position members a (i + 1)
+
+(* What a pruned ring slot holds, so [Marshal] cannot reach the packet. *)
+let vacant =
+  Packet.make ~src:Address.Ingress ~dst:Address.Ingress ~size:1 ~seq:0
+    Packet.Empty
+
+let initial_window = 16
 
 (* All outgoing traffic funnels through here so a partition window can cut
    the endpoint off in one place. *)
@@ -79,8 +107,8 @@ let start_heartbeat e period =
   tick ()
 
 let endpoint g ~self ?transmit ~deliver () =
-  if not (List.exists (Address.equal self) g.members) then
-    invalid_arg "Multicast.endpoint: self not a group member";
+  let self_pos = position g.members self 0 in
+  if self_pos < 0 then invalid_arg "Multicast.endpoint: self not a group member";
   let transmit =
     match transmit with Some f -> f | None -> Network.send g.network
   in
@@ -90,12 +118,18 @@ let endpoint g ~self ?transmit ~deliver () =
     {
       g;
       self;
-      peers = List.filter (fun a -> not (Address.equal a self)) g.members;
+      self_pos;
+      peers =
+        List.filter (fun a -> not (Address.equal a self)) (Array.to_list g.members);
       transmit;
       deliver;
-      history = Int_tbl.create 64;
+      history = Array.make initial_window vacant;
+      pruned = 0;
       next_mseq = 0;
-      rx_states = Int_tbl.create 8;
+      acked =
+        Array.init (Array.length g.members) (fun i ->
+            if i = self_pos then max_int else 0);
+      rx_states = Array.make (Array.length g.members) None;
       partitioned = false;
       m_retransmissions =
         Sw_obs.Registry.counter metrics
@@ -120,10 +154,72 @@ let rec publish_to e ~size wrapped = function
       send_to e ~dst ~size wrapped;
       publish_to e ~size wrapped rest
 
+(* This endpoint's receive horizon, by member position: 0 for [self] and
+   for a member nothing has arrived from yet. *)
+let horizon e =
+  let h = Array.make (Array.length e.rx_states) 0 in
+  for i = 0 to Array.length h - 1 do
+    match e.rx_states.(i) with
+    | Some rx -> h.(i) <- rx.next_expected
+    | None -> ()
+  done;
+  h
+
+let rx_state e from =
+  match e.rx_states.(from) with
+  | Some rx -> rx
+  | None ->
+      let rx =
+        { next_expected = 0; buffered = Int_tbl.create 8;
+          nak_attempt = 0; nak_at = 0; nak_through = -1 }
+      in
+      e.rx_states.(from) <- Some rx;
+      rx
+
+(* Double the ring, keeping each live entry at its new index. *)
+let grow e =
+  let old = e.history in
+  let cap = 2 * Array.length old in
+  let ring = Array.make cap vacant in
+  for mseq = e.pruned to e.next_mseq - 1 do
+    ring.(mseq land (cap - 1)) <- old.(mseq land (Array.length old - 1))
+  done;
+  e.history <- ring
+
+let record e mseq pkt =
+  if mseq - e.pruned = Array.length e.history then grow e;
+  e.history.(mseq land (Array.length e.history - 1)) <- pkt
+
+(* Slide the window up to the lowest horizon any peer has reported. Every
+   [acked] entry and [next_mseq] only grow, so the minimum never falls
+   below [pruned]. *)
+let prune e =
+  let low = ref e.next_mseq in
+  for i = 0 to Array.length e.acked - 1 do
+    if e.acked.(i) < !low then low := e.acked.(i)
+  done;
+  let mask = Array.length e.history - 1 in
+  for mseq = e.pruned to !low - 1 do
+    e.history.(mseq land mask) <- vacant
+  done;
+  e.pruned <- !low
+
+let note_horizon e ~from horizon =
+  if Array.length horizon = Array.length e.acked then begin
+    let reported = horizon.(e.self_pos) in
+    if reported > e.acked.(from) then begin
+      e.acked.(from) <- reported;
+      prune e
+    end
+  end
+
 let publish e ~size payload =
   let mseq = e.next_mseq in
   e.next_mseq <- mseq + 1;
-  let wrapped = Packet.Mcast_data { group = e.g.group_id; mseq; inner = payload } in
+  let wrapped =
+    Packet.Mcast_data
+      { group = e.g.group_id; mseq; horizon = horizon e; inner = payload }
+  in
   match e.peers with
   | [] -> ()
   | dst :: rest ->
@@ -131,21 +227,9 @@ let publish e ~size payload =
         Packet.make ~src:e.self ~dst ~size ~seq:(Network.fresh_seq e.g.network)
           wrapped
       in
-      Int_tbl.replace e.history mseq pkt;
+      record e mseq pkt;
       xmit e pkt;
       publish_to e ~size wrapped rest
-
-let rx_state e origin =
-  let key = Address.index origin in
-  match Int_tbl.find e.rx_states key with
-  | rx -> rx
-  | exception Not_found ->
-      let rx =
-        { next_expected = 0; buffered = Int_tbl.create 8;
-          nak_attempt = 0; nak_at = 0; nak_through = -1 }
-      in
-      Int_tbl.add e.rx_states key rx;
-      rx
 
 (* Deliver any in-order buffered packets for this sender. *)
 let rec flush e rx =
@@ -228,10 +312,12 @@ let handle e (pkt : Packet.t) =
   if e.partitioned then Sw_obs.Registry.Counter.incr e.m_partition_drops
   else
   match pkt.payload with
-  | Packet.Mcast_data { group; mseq; inner } ->
-      if group <> e.g.group_id then ()
+  | Packet.Mcast_data { group; mseq; horizon; inner } ->
+      let from = position e.g.members pkt.src 0 in
+      if group <> e.g.group_id || from < 0 then ()
       else begin
-        let rx = rx_state e pkt.src in
+        note_horizon e ~from horizon;
+        let rx = rx_state e from in
         if mseq < rx.next_expected then () (* duplicate *)
         else if mseq = rx.next_expected then begin
           (* In order: deliver it, then whatever it unblocks. [buffered]
@@ -248,21 +334,21 @@ let handle e (pkt : Packet.t) =
   | Packet.Mcast_nak { group; from_mseq; to_mseq; _ } ->
       if group <> e.g.group_id then ()
       else
-        for mseq = from_mseq to to_mseq do
-          match Int_tbl.find_opt e.history mseq with
-          | None -> ()
-          | Some original ->
-              Sw_obs.Registry.Counter.incr e.m_retransmissions;
-              let pkt' =
-                Packet.make ~src:e.self ~dst:pkt.src ~size:original.Packet.size
-                  ~seq:(Network.fresh_seq e.g.network) original.Packet.payload
-              in
-              xmit e pkt'
+        (* Below [pruned], the asker has since received everything. *)
+        for mseq = max from_mseq e.pruned to min to_mseq (e.next_mseq - 1) do
+          let original = e.history.(mseq land (Array.length e.history - 1)) in
+          Sw_obs.Registry.Counter.incr e.m_retransmissions;
+          let pkt' =
+            Packet.make ~src:e.self ~dst:pkt.src ~size:original.Packet.size
+              ~seq:(Network.fresh_seq e.g.network) original.Packet.payload
+          in
+          xmit e pkt'
         done
   | Packet.Mcast_heartbeat { group; last_mseq } ->
-      if group <> e.g.group_id then ()
+      let from = position e.g.members pkt.src 0 in
+      if group <> e.g.group_id || from < 0 then ()
       else begin
-        let rx = rx_state e pkt.src in
+        let rx = rx_state e from in
         if last_mseq >= rx.next_expected then
           request_missing e pkt.src rx ~through:last_mseq
       end

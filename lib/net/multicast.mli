@@ -5,7 +5,16 @@
     Each member owns an {!endpoint}. Data published by one member reaches
     every other member exactly once and in per-sender order; gaps detected by
     a receiver trigger negative acknowledgements and retransmission. Optional
-    heartbeats recover tail losses. *)
+    heartbeats recover tail losses.
+
+    A sender keeps a bounded transmit window, as PGM does. Every
+    [Mcast_data] carries its publisher's receive horizon (the next mseq it
+    expects from each member), and a sender drops a packet from its
+    window once every peer has reported a horizon past it. A NAK asks from
+    the receiver's next expected mseq, which only moves forward, so no
+    dropped packet can be asked for again. A member that is crashed,
+    partitioned off or silent keeps its last report, which holds the
+    window open longer; the window only shrinks on what peers reported. *)
 
 type endpoint
 
@@ -49,14 +58,17 @@ val endpoint :
   unit ->
   endpoint
 
-(** [publish e ~size payload] multicasts [payload] to all other members.
-    The delivered packets have [src = self] and the given payload. *)
+(** [publish e ~size payload] multicasts [payload] to all other members,
+    with [e]'s receive horizon attached, and keeps one copy in [e]'s
+    transmit window for NAKs. The delivered packets have [src = self] and
+    the given payload; [size] is the wire size, horizon included. *)
 val publish : endpoint -> size:int -> Packet.payload -> unit
 
 (** [handle e pkt] must be called by the owner's network handler for every
     incoming multicast protocol packet ([Mcast_data], [Mcast_nak],
-    [Mcast_heartbeat]) of [e]'s group. One of another group is ignored; any
-    other payload is rejected with [Invalid_argument]. *)
+    [Mcast_heartbeat]) of [e]'s group. One of another group, and data or a
+    heartbeat from a non-member, is ignored; any other payload is rejected
+    with [Invalid_argument]. *)
 val handle : endpoint -> Packet.t -> unit
 
 (** Number of retransmissions this endpoint has served (test observability). *)

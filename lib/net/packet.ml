@@ -13,7 +13,7 @@ and payload =
   | Egress_tunnel of { vm : int; replica : int; inner : t }
   | Epoch_report of { vm : int; replica : int; epoch : int; d : Sw_sim.Time.t; r : Sw_sim.Time.t }
   | Background of int
-  | Mcast_data of { group : int; mseq : int; inner : payload }
+  | Mcast_data of { group : int; mseq : int; horizon : int array; inner : payload }
   | Mcast_nak of { group : int; origin : Address.t; from_mseq : int; to_mseq : int }
   | Mcast_heartbeat of { group : int; last_mseq : int }
   | Vmm_alive of { vm : int; replica : int }

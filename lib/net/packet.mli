@@ -27,8 +27,11 @@ and payload =
   | Epoch_report of { vm : int; replica : int; epoch : int; d : Sw_sim.Time.t; r : Sw_sim.Time.t }
       (** Per-epoch (duration, real time) report for virtual-time resync. *)
   | Background of int  (** Subnet broadcast noise (ARP-like). *)
-  | Mcast_data of { group : int; mseq : int; inner : payload }
-      (** A payload published on a {!Multicast} group. *)
+  | Mcast_data of { group : int; mseq : int; horizon : int array; inner : payload }
+      (** A payload published on a {!Multicast} group. [horizon] is the
+          publisher's receive horizon: by member position, the next mseq it
+          expects from that member. One array is shared by every copy of a
+          publish and never mutated. *)
   | Mcast_nak of { group : int; origin : Address.t; from_mseq : int; to_mseq : int }
   | Mcast_heartbeat of { group : int; last_mseq : int }
   | Vmm_alive of { vm : int; replica : int }

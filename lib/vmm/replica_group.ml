@@ -134,6 +134,19 @@ let quorum_ids t =
     t.members;
   List.rev !ids
 
+(* The test [quorum_ids] implies, with no list: a member's replica id is
+   its index, and the voters are the first [quorum] active members. *)
+let is_voter t ~quorum id =
+  id >= 0
+  && id < Array.length t.members
+  && t.members.(id).active
+  &&
+  let before = ref 0 in
+  for k = 0 to id - 1 do
+    if t.members.(k).active then incr before
+  done;
+  !before < quorum
+
 let blocked _t m = m.blocked_skew || m.blocked_epoch
 
 (* The largest virtual-time lead the fastest replica may hold over the

@@ -105,9 +105,10 @@ val active_count : t -> int
     members ([0] when none are active). *)
 val quorum : t -> int
 
-(** Replica ids of the current voters — the [quorum t] active members with
-    the lowest ids, ascending. *)
-val quorum_ids : t -> int list
+(** [is_voter t ~quorum id] is whether replica [id] votes when the quorum
+    is [quorum]: the voters are the [quorum] active members with the lowest
+    replica ids. Pass [quorum t]; allocates nothing. *)
+val is_voter : t -> quorum:int -> int -> bool
 
 (** [eject t m ~now] removes [m] from the voting population: recomputes skew
     over the survivors, re-attempts epoch resolution over the new quorum, and

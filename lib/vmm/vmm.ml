@@ -117,55 +117,78 @@ let is_stopwatch i =
 
 (* --- Network device model ------------------------------------------- *)
 
+(* Replica-id lookup, monomorphic and closure-free. *)
+let rec has_proposal (id : int) = function
+  | [] -> false
+  | (who, _) :: rest -> who = id || has_proposal id rest
+
+(* Walks over the voters' proposals, in [proposals] order: top-level and
+   closure-free, so resolving a delivery builds no list. *)
+let rec count_votes g ~quorum n = function
+  | [] -> n
+  | (who, _) :: rest ->
+      count_votes g ~quorum
+        (if Replica_group.is_voter g ~quorum who then n + 1 else n)
+        rest
+
+(* The [k]-th vote (from 0); there are at least [k + 1]. *)
+let rec nth_vote g ~quorum k = function
+  | [] -> invalid_arg "Vmm.nth_vote: too few votes"
+  | (who, v) :: rest ->
+      if not (Replica_group.is_voter g ~quorum who) then nth_vote g ~quorum k rest
+      else if k = 0 then v
+      else nth_vote g ~quorum (k - 1) rest
+
+let rec count_winners g ~quorum delivery n = function
+  | [] -> n
+  | (who, v) :: rest ->
+      count_winners g ~quorum delivery
+        (if Time.equal v delivery && Replica_group.is_voter g ~quorum who then
+           n + 1
+         else n)
+        rest
+
+let rec credit_winners i ~quorum delivery credit = function
+  | [] -> ()
+  | (who, v) :: rest ->
+      if Time.equal v delivery && Replica_group.is_voter i.group ~quorum who
+      then Registry.Sum.add i.m_median_sources.(who) credit;
+      credit_winners i ~quorum delivery credit rest
+
 (* A delivery time resolves once every current quorum voter has proposed;
    the median is taken over the voters' proposals only. With a full group
    that is all replicas, as in the paper; a degraded group medians over the
    surviving odd quorum, and proposals from ejected (non-voting) members are
    recorded but carry no vote. *)
-(* Replica-id lookups, monomorphic and closure-free. *)
-let rec mem_id (id : int) = function
-  | [] -> false
-  | x :: rest -> x = id || mem_id id rest
-
-let rec has_proposal (id : int) = function
-  | [] -> false
-  | (who, _) :: rest -> who = id || has_proposal id rest
-
 let complete_inbound i ~ingress_seq entry =
-  let voters = Replica_group.quorum_ids i.group in
-  let votes =
-    List.filter (fun (who, _) -> mem_id who voters) entry.proposals
-  in
-  let quorum = List.length voters in
+  let quorum = Replica_group.quorum i.group in
   match entry.packet with
-  | Some inner when quorum > 0 && List.length votes = quorum ->
+  | Some inner
+    when quorum > 0 && count_votes i.group ~quorum 0 entry.proposals = quorum ->
       Sw_obs.Profile.time
         (Engine.profile (Machine.engine i.mach))
         i.p_median
         (fun () ->
       Int_tbl.remove i.inbound ingress_seq;
+      let proposals = entry.proposals in
       let delivery =
         (* Three voters is the steady state (paper Sec. IV); take its median
            straight off the list through the branch network. Other quorum
-           sizes fill one array in a single pass. *)
-        match votes with
-        | [ (_, a); (_, b); (_, c) ] ->
-            Sw_stats.Order_stats.median3_int a b c
-        | _ ->
-            let arr = Array.make (List.length votes) Time.zero in
-            List.iteri (fun k (_, v) -> arr.(k) <- v) votes;
-            Replica_group.median_time arr
+           sizes fill one array. *)
+        if quorum = 3 then
+          Sw_stats.Order_stats.median3_int
+            (nth_vote i.group ~quorum 0 proposals)
+            (nth_vote i.group ~quorum 1 proposals)
+            (nth_vote i.group ~quorum 2 proposals)
+        else
+          Replica_group.median_time
+            (Array.init quorum (fun k -> nth_vote i.group ~quorum k proposals))
       in
       (* Credit the proposers whose value the median adopted, splitting ties
          evenly — Sec. IX's marginalisation is visible here: a loaded
          replica's (late, hence larger) proposals stop being adopted. *)
-      let winners =
-        List.filter (fun (_, v) -> Time.equal v delivery) votes
-      in
-      let credit = 1. /. float_of_int (List.length winners) in
-      List.iter
-        (fun (who, _) -> Registry.Sum.add i.m_median_sources.(who) credit)
-        winners;
+      let winners = count_winners i.group ~quorum delivery 0 proposals in
+      credit_winners i ~quorum delivery (1. /. float_of_int winners) proposals;
       if Engine.tracing (Machine.engine i.mach) then
         Engine.emit (Machine.engine i.mach)
           (Event.Median_adopted

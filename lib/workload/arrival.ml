@@ -128,6 +128,10 @@ let mean_count t ~until =
       in
       go 0. points
 
+(* One step forward: a gap that rounds to 0 ns would repeat the previous
+   instant, so every step is at least 1 ns. *)
+let step now gap_s = Time.add now (Time.max (Time.of_float_s gap_s) (Time.ns 1))
+
 type gen = {
   arr : t;
   rng : Prng.t;
@@ -150,19 +154,16 @@ let next g =
     in
     match g.arr with
     | Constant { rate_per_s } ->
-        let gap = Time.of_float_s (1. /. rate_per_s) in
-        g.now <- Time.add g.now gap;
+        g.now <- step g.now (1. /. rate_per_s);
         if Time.compare g.now g.until >= 0 then stop () else Some g.now
     | Poisson { rate_per_s } ->
-        let gap = Prng.exponential g.rng ~rate:rate_per_s in
-        g.now <- Time.add g.now (Time.of_float_s gap);
+        g.now <- step g.now (Prng.exponential g.rng ~rate:rate_per_s);
         if Time.compare g.now g.until >= 0 then stop () else Some g.now
     | _ ->
         (* Lewis–Shedler thinning: candidates from a homogeneous process at
            the envelope rate, each kept with probability rate/envelope. *)
         let rec refine () =
-          let gap = Prng.exponential g.rng ~rate:g.envelope in
-          g.now <- Time.add g.now (Time.of_float_s gap);
+          g.now <- step g.now (Prng.exponential g.rng ~rate:g.envelope);
           if Time.compare g.now g.until >= 0 then stop ()
           else if Prng.float g.rng *. g.envelope <= rate_at g.arr g.now then
             Some g.now

@@ -2,7 +2,8 @@
    is byte-identical to run-straight-through, per shard layout and across
    them), image framing hardening (truncation, corruption, version skew),
    crash-recovery of the store and the soak driver, and divergence
-   bisection over two checkpoint timelines. Plus the satellites: PRNG
+   bisection over two checkpoint timelines, and the multicast transmit
+   window keeping a soak's checkpoints bounded. Plus the satellites: PRNG
    stream state round-trips and the trace ring's dropped-counter mirror. *)
 
 module Time = Sw_sim.Time
@@ -277,6 +278,7 @@ let test_payloads_survive_marshal () =
               {
                 group = 1;
                 mseq = 2;
+                horizon = [| 0; 3; 1; 4 |];
                 inner =
                   Guest_bound
                     { vm = 1; ingress_seq = 2; inner = packet (seg ~msg_end:m Data) };
@@ -574,6 +576,40 @@ let test_bisect_agreement_is_not_divergence () =
   | Error e ->
       Alcotest.failf "bisect: %s" (Format.asprintf "%a" Bisect.pp_error e)
 
+(* --- bounded multicast window ---------------------------------------------- *)
+
+(* A 32 s kv_skew soak. What a checkpoint marshals may grow with the run
+   (sample series, table capacities), but not by a copy of every multicast
+   packet: between the 8 s cut and the end, the words reachable from the
+   cloud and its handle grow by under 20 per inbound packet the ingress
+   replicated. A sender that kept every packet for NAKs grows them by
+   about 100 (the ingress copy and each replica's proposal, each with its
+   packet, envelope and payload). *)
+let test_window_bounded_soak () =
+  let w =
+    match load "kv_skew.scn" with
+    | { Dsl.name; kind = Dsl.Workload w } -> (
+        match Dsl.workload_variants ~name { w with Dsl.duration = Time.s 32 } with
+        | (_, w) :: _ -> w
+        | [] -> Alcotest.fail "kv_skew.scn: no variant")
+    | _ -> Alcotest.fail "kv_skew.scn is not a workload"
+  in
+  let h = Run.prepare w in
+  let measure until =
+    Cloud.run h.Run.cloud ~until;
+    ( Obj.reachable_words (Obj.repr (h.Run.cloud, h)),
+      Snapshot.counter (Cloud.metrics_snapshot h.Run.cloud) "net.ingress.replicated" )
+  in
+  let words0, packets0 = measure (Time.div_int h.Run.until 4) in
+  let words1, packets1 = measure h.Run.until in
+  let packets = packets1 - packets0 in
+  Alcotest.(check bool) "the soak replicates traffic" true (packets > 1000);
+  let per_packet = float_of_int (words1 - words0) /. float_of_int packets in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per replicated packet (%d -> %d)" per_packet
+       words0 words1)
+    true (per_packet < 20.)
+
 (* --- satellites ------------------------------------------------------------ *)
 
 let test_prng_state_roundtrip () =
@@ -655,6 +691,11 @@ let () =
             test_bisect_finds_planted_divergence;
           Alcotest.test_case "agreement is not divergence" `Slow
             test_bisect_agreement_is_not_divergence;
+        ] );
+      ( "window",
+        [
+          Alcotest.test_case "history bounded on a kv_skew soak" `Quick
+            test_window_bounded_soak;
         ] );
       ( "satellites",
         [

@@ -108,6 +108,19 @@ let test_arrival_determinism () =
   Alcotest.(check bool) "different seed, different instants" false
     (enumerate 42L = enumerate 43L)
 
+(* An exponential gap can round to 0 ns. Under this seed, draws 472 and
+   473 (from 0) of a 99/s Poisson process would both land at 4,702,453,568
+   ns; every step is at least 1 ns, so the instants stay strictly
+   increasing. *)
+let test_zero_gap_seed () =
+  let t = Arrival.Poisson { rate_per_s = 99. } in
+  let seed = -7406911992168698275L and until = Time.s 10 in
+  let gen = Arrival.generator t ~rng:(Prng.create seed) ~until in
+  let draws = Array.init 474 (fun _ -> Option.get (Arrival.next gen)) in
+  Alcotest.(check bool) "draw 473 after draw 472" true
+    Time.(draws.(473) > draws.(472));
+  Alcotest.(check bool) "count within the band" true (check_count t ~seed ~until)
+
 (* --- keyspace ------------------------------------------------------------- *)
 
 let test_zipf_weights () =
@@ -747,6 +760,8 @@ let () =
           Alcotest.test_case "constant is exact" `Quick test_constant_exact;
           Alcotest.test_case "replay integral" `Quick test_replay_mean;
           Alcotest.test_case "seed-deterministic" `Quick test_arrival_determinism;
+          Alcotest.test_case "zero-ns gap stays increasing" `Quick
+            test_zero_gap_seed;
         ] );
       ( "keyspace",
         [
