@@ -3,6 +3,7 @@
    bechamel micro-benchmarks.
 
    Usage: main.exe [-j N] [-quick] [--shards N] [experiment ...]
+      or: main.exe pcprof SCN [-ops N]   (exact-PC profile, bench_pcprof.ml)
    where experiment is one of fig1 fig2 fig4 fig5 fig6 fig7 fig8 fig9
    placement utilization theorems collusion ablation scale shard micro ckpt
    chaos leak quick, or nothing / "all" for everything except chaos and quick.
@@ -110,6 +111,11 @@ let parse_args () =
    pure function of the experiments and -quick; wall-clock lines go to
    stderr, like the runner's progress. *)
 let () =
+  (match Array.to_list Sys.argv with
+  | _ :: "pcprof" :: args ->
+      Bench_pcprof.main args;
+      exit 0
+  | _ -> ());
   let jobs, quick, shards, requested = parse_args () in
   let pool =
     if jobs > 1 then Some (Sw_runner.Pool.create ~workers:jobs ()) else None

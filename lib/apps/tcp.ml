@@ -95,10 +95,10 @@ let pump t =
   let outputs = ref [] in
   let continue = ref t.established in
   while !continue do
-    let window = Stdlib.min t.cwnd t.config.max_window in
+    let window = Int.min t.cwnd t.config.max_window in
     let in_flight = t.snd_sent - t.snd_una in
     let available = t.snd_enqueued - t.snd_sent in
-    let len = Stdlib.min t.config.mss (Stdlib.min available (window - in_flight)) in
+    let len = Int.min t.config.mss (Int.min available (window - in_flight)) in
     let nagle_hold =
       t.config.nagle && len < t.config.mss && len = available && in_flight > 0
     in
@@ -135,7 +135,7 @@ let handle_ack t ack =
     let newly = ack - t.snd_una in
     t.snd_una <- ack;
     (* Slow start: grow by one MSS per MSS acknowledged, up to the cap. *)
-    t.cwnd <- Stdlib.min t.config.max_window (t.cwnd + Stdlib.min newly t.config.mss)
+    t.cwnd <- Int.min t.config.max_window (t.cwnd + Int.min newly t.config.mss)
   end
 
 (* Deliver message payloads whose boundary we have now passed; in-order

@@ -1,5 +1,6 @@
 module Host = Stopwatch.Host
 module Packet = Sw_net.Packet
+module Int_tbl = Sw_obs.Int_tbl
 
 type conn = {
   registry : t;
@@ -13,7 +14,7 @@ type conn = {
 and t = {
   host : Host.t;
   config : Tcp.config;
-  conns : (int, conn) Hashtbl.t;
+  conns : conn Int_tbl.t;
   mutable next_conn : int;
 }
 
@@ -30,19 +31,19 @@ let rec run_outputs c outputs =
           Host.after c.registry.host after (fun () ->
               run_outputs c (Tcp.step c.ep (Tcp.Timer_fired id)))
       | Tcp.Connected -> c.on_connected ()
-      | Tcp.Closed -> Hashtbl.remove c.registry.conns c.id)
+      | Tcp.Closed -> Int_tbl.remove c.registry.conns c.id)
     outputs
 
 let handle t pkt =
   match pkt.Packet.payload with
   | Packet.Tcp seg -> (
-      match Hashtbl.find_opt t.conns seg.conn with
+      match Int_tbl.find_opt t.conns seg.conn with
       | Some c -> run_outputs c (Tcp.step c.ep (Tcp.Seg_in seg))
       | None -> () (* Late segment for a closed connection. *))
   | _ -> ()
 
 let attach host ?(config = Tcp.default_config) () =
-  let t = { host; config; conns = Hashtbl.create 8; next_conn = 1 } in
+  let t = { host; config; conns = Int_tbl.create 8; next_conn = 1 } in
   Host.set_handler host (handle t);
   t
 
@@ -53,7 +54,7 @@ let connect t ~dst ?(on_connected = fun () -> ()) ~on_msg () =
   t.next_conn <- id + 1;
   let ep = Tcp.create ~config:t.config ~conn:id ~initiator:true in
   let c = { registry = t; id; dst; ep; on_connected; on_msg } in
-  Hashtbl.add t.conns id c;
+  Int_tbl.add t.conns id c;
   run_outputs c (Tcp.step ep Tcp.Open);
   c
 

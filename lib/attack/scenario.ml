@@ -96,6 +96,9 @@ let run spec =
       ~on:(List.init m (fun i -> i))
       ~app:(Probe.receiver ~echo_to:(Host.address observer) ~echo_every:1 ())
   in
+  let instance = observed_replica attacker ~baseline:spec.baseline ~replicas:m in
+  Sw_vmm.Vmm.record_inter_delivery instance;
+  Host.record_inter_arrival observer;
   if spec.victim then begin
     let on = List.init m (fun i -> m - 1 + i) in
     ignore
@@ -123,7 +126,6 @@ let run spec =
   start_pings pinger ~dst:(Cloud.vm_address attacker) ~seed:spec.seed
     ~rate_per_s:spec.ping_rate_per_s;
   Cloud.run cloud ~until:spec.duration;
-  let instance = observed_replica attacker ~baseline:spec.baseline ~replicas:m in
   let metrics = Cloud.metrics_snapshot cloud in
   let prefix = Sw_vmm.Vmm.metric_prefix instance in
   let median_share =

@@ -7,9 +7,10 @@ type t = {
   mutable handler : Sw_net.Packet.t -> unit;
   m_received : Sw_obs.Registry.Counter.t;
   mutable last_arrival : Time.t option;
-  inter_arrival : Sw_sim.Samples.t;
+  mutable inter_arrival : Sw_sim.Samples.t option;
       (** Raw samples (not a metric): the attack distinguishers need the
-          full empirical distribution, not bucketised counts. *)
+          full empirical distribution, not bucketised counts. Kept only
+          once {!record_inter_arrival} asks. *)
 }
 
 let create network ~id ?(link = Sw_net.Network.wan) () =
@@ -24,17 +25,20 @@ let create network ~id ?(link = Sw_net.Network.wan) () =
         Sw_obs.Registry.counter metrics
           (Printf.sprintf "host.%s.received" (Sw_net.Address.to_string address));
       last_arrival = None;
-      inter_arrival = Sw_sim.Samples.create ();
+      inter_arrival = None;
     }
   in
   Sw_net.Network.set_node_link network address link;
   Sw_net.Network.register network address (fun pkt ->
       let now = Engine.now (Sw_net.Network.engine network) in
       Sw_obs.Registry.Counter.incr t.m_received;
-      (match t.last_arrival with
-      | Some prev -> Sw_sim.Samples.add t.inter_arrival (Time.to_float_ms (Time.sub now prev))
+      (match t.inter_arrival with
+      | Some series ->
+          (match t.last_arrival with
+          | Some prev -> Sw_sim.Samples.add series (Time.to_float_ms (Time.sub now prev))
+          | None -> ());
+          t.last_arrival <- Some now
       | None -> ());
-      t.last_arrival <- Some now;
       t.handler pkt);
   t
 
@@ -52,4 +56,11 @@ let send t ~dst ~size payload =
   Sw_net.Network.send t.network pkt
 
 let after t span f = Engine.schedule_after (engine t) span f
-let inter_arrival_ms t = Sw_sim.Samples.to_array t.inter_arrival
+let record_inter_arrival t =
+  if Option.is_none t.inter_arrival then
+    t.inter_arrival <- Some (Sw_sim.Samples.create ())
+
+let inter_arrival_ms t =
+  match t.inter_arrival with
+  | Some s -> Sw_sim.Samples.to_array s
+  | None -> invalid_arg "Host.inter_arrival_ms: record_inter_arrival was not called"

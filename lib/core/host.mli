@@ -28,6 +28,11 @@ val send : t -> dst:Sw_net.Address.t -> size:int -> Sw_net.Packet.payload -> uni
     load generation). *)
 val after : t -> Sw_sim.Time.t -> (unit -> unit) -> unit
 
+(** [record_inter_arrival t] makes [t] keep every real gap between the
+    packets that arrive from now on; hosts keep none unless asked. *)
+val record_inter_arrival : t -> unit
+
 (** Real inter-arrival times (ms) of packets at this host — the external
-    observer's measurements. *)
+    observer's measurements. Raises [Invalid_argument] unless
+    {!record_inter_arrival} was called on [t]. *)
 val inter_arrival_ms : t -> float array

@@ -1,6 +1,7 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
 module Registry = Sw_obs.Registry
+module Int_tbl = Sw_obs.Int_tbl
 
 type params = {
   max_seek : Time.t;
@@ -26,7 +27,7 @@ type t = {
   rng : Sw_sim.Prng.t;
   mutable free_at : Time.t;  (** When the head becomes available. *)
   m_completed : Registry.Counter.t;
-  per_vm : (int, Registry.Counter.t) Hashtbl.t;
+  per_vm : Registry.Counter.t Int_tbl.t;
   m_busy_ns : Registry.Counter.t;
   m_service : Registry.Histogram.t;
   p_complete : Sw_obs.Profile.timer;
@@ -42,7 +43,7 @@ let create engine ?(params = default_params) ?(path = "disk") () =
     rng = Engine.rng engine;
     free_at = Time.zero;
     m_completed = Registry.counter metrics (path ^ ".completed");
-    per_vm = Hashtbl.create 8;
+    per_vm = Int_tbl.create 8;
     m_busy_ns = Registry.counter metrics (path ^ ".busy_ns");
     m_service = Registry.histogram metrics (path ^ ".service_ns");
     p_complete = Sw_obs.Profile.timer (Engine.profile engine) "disk.complete";
@@ -50,14 +51,14 @@ let create engine ?(params = default_params) ?(path = "disk") () =
   }
 
 let vm_counter t vm =
-  match Hashtbl.find_opt t.per_vm vm with
+  match Int_tbl.find_opt t.per_vm vm with
   | Some c -> c
   | None ->
       let c =
         Registry.counter (Engine.metrics t.engine)
           (Printf.sprintf "%s.vm%d.completed" t.path vm)
       in
-      Hashtbl.add t.per_vm vm c;
+      Int_tbl.add t.per_vm vm c;
       c
 
 let draw_upto rng limit =
@@ -93,12 +94,13 @@ let submit t ~vm ~kind:_ ~bytes ~sequential k =
   Engine.schedule_at ?kind:t.k_complete t.engine finish (fun () ->
       Registry.Counter.incr t.m_completed;
       Registry.Counter.incr vm_completed;
-      Sw_obs.Profile.time (Engine.profile t.engine) t.p_complete k)
+      let p = Engine.profile t.engine in
+      if Sw_obs.Profile.enabled p then Sw_obs.Profile.time p t.p_complete k else k ())
 
 let completed t = Registry.Counter.value t.m_completed
 
 let completed_for t ~vm =
-  match Hashtbl.find_opt t.per_vm vm with
+  match Int_tbl.find_opt t.per_vm vm with
   | Some c -> Registry.Counter.value c
   | None -> 0
 

@@ -192,8 +192,12 @@ let pair_counter t ~src ~dst =
 let deliver_now t handler (pkt : Packet.t) =
   Registry.Counter.incr t.m_delivered;
   Registry.Counter.incr (pair_counter t ~src:pkt.src ~dst:pkt.dst);
-  Sw_obs.Profile.time (Engine.profile t.engine) t.p_deliver (fun () ->
-      handler pkt)
+  (* The handler is called directly unless profiling is on, so a delivery
+     builds no closure for [Profile.time]. *)
+  let p = Engine.profile t.engine in
+  if Sw_obs.Profile.enabled p then
+    Sw_obs.Profile.time p t.p_deliver (fun () -> handler pkt)
+  else handler pkt
 
 (* Hand a packet to its target's handler at the current instant, with the
    delivery-side accounting. Local deliveries reach this inside their

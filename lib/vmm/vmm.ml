@@ -69,7 +69,8 @@ type instance = {
   m_dma_irq : Registry.Counter.t;
   m_delta_d : Registry.Counter.t;
   mutable last_net_virt : Time.t option;
-  inter_delivery : Sw_sim.Samples.t;
+  mutable inter_delivery : Sw_sim.Samples.t option;
+      (** Recorded only once {!record_inter_delivery} asks. *)
   h_inter : Registry.Histogram.t;
   m_median_sources : Registry.Sum.t array;
       (** Per replica id: medians credited to its proposal (ties split). *)
@@ -93,7 +94,17 @@ let metric_prefix (i : instance) =
 
 let net_deliveries i = Registry.Counter.value i.m_net
 let dma_interrupts i = Registry.Counter.value i.m_dma_irq
-let inter_delivery_virts_ms i = Sw_sim.Samples.to_array i.inter_delivery
+let record_inter_delivery i =
+  if Option.is_none i.inter_delivery then
+    i.inter_delivery <- Some (Sw_sim.Samples.create ())
+
+let inter_delivery_virts_ms i =
+  match i.inter_delivery with
+  | Some s -> Sw_sim.Samples.to_array s
+  | None ->
+      invalid_arg
+        "Vmm.inter_delivery_virts_ms: record_inter_delivery was not called"
+
 let log_op i entry =
   if i.config.Config.replay_log then i.log_rev <- entry :: i.log_rev
 
@@ -361,7 +372,9 @@ match i.pending with
           (match i.last_net_virt with
           | Some prev ->
               let gap = Time.sub virt prev in
-              Sw_sim.Samples.add i.inter_delivery (Time.to_float_ms gap);
+              (match i.inter_delivery with
+              | Some s -> Sw_sim.Samples.add s (Time.to_float_ms gap)
+              | None -> ());
               Registry.Histogram.observe i.h_inter gap
           | None -> ());
           i.last_net_virt <- Some virt
@@ -827,7 +840,7 @@ let host ?channel ?start t ~group ~app =
       m_dma_irq = Registry.counter metrics (prefix ^ ".dma_interrupts");
       m_delta_d = Registry.counter metrics (prefix ^ ".delta_d_violations");
       last_net_virt = None;
-      inter_delivery = Sw_sim.Samples.create ();
+      inter_delivery = None;
       h_inter = Registry.histogram metrics (prefix ^ ".inter_delivery_ns");
       m_median_sources =
         Array.init config.Config.replicas (fun k ->

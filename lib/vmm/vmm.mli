@@ -60,8 +60,15 @@ val net_deliveries : instance -> int
 (** DMA-completion interrupts injected into this replica. *)
 val dma_interrupts : instance -> int
 
+(** [record_inter_delivery i] makes [i] keep every virtual gap between its
+    network-interrupt deliveries from now on; instances keep none unless
+    asked. Call it before the run whose series {!inter_delivery_virts_ms}
+    will read. *)
+val record_inter_delivery : instance -> unit
+
 (** Virtual inter-delivery times of network interrupts, in ms — the
-    attacker-observable quantity of Fig. 4(a). *)
+    attacker-observable quantity of Fig. 4(a). Raises [Invalid_argument]
+    unless {!record_inter_delivery} was called on [i]. *)
 val inter_delivery_virts_ms : instance -> float array
 
 (** [rebuild i] reconstructs the replica's guest by deterministic replay of

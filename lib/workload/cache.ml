@@ -1,4 +1,5 @@
 module Time = Sw_sim.Time
+module Int_tbl = Sw_obs.Int_tbl
 
 type tier = { capacity : int; hit_cost : Time.t }
 type config = { tiers : tier list; origin_cost : Time.t }
@@ -29,7 +30,7 @@ type dll = {
 type t = {
   tiers : tier array;
   lists : dll array;
-  index : (int, node) Hashtbl.t;
+  index : node Int_tbl.t;
   origin_cost : Time.t;
   mutable hits : int;
   mutable misses : int;
@@ -43,7 +44,7 @@ let create config =
   {
     tiers;
     lists = Array.init (Array.length tiers) (fun _ -> { head = None; tail = None; size = 0 });
-    index = Hashtbl.create 256;
+    index = Int_tbl.create 256;
     origin_cost = config.origin_cost;
     hits = 0;
     misses = 0;
@@ -80,7 +81,7 @@ let cascade t =
       match pop_tail t.lists.(i) with
       | None -> assert false
       | Some n ->
-          if i = last then Hashtbl.remove t.index n.key
+          if i = last then Int_tbl.remove t.index n.key
           else begin
             n.tier <- i + 1;
             push_front t.lists.(i + 1) n
@@ -89,7 +90,7 @@ let cascade t =
   done
 
 let access t key =
-  match Hashtbl.find_opt t.index key with
+  match Int_tbl.find_opt t.index key with
   | Some n ->
       let found = n.tier in
       unlink t.lists.(found) n;
@@ -100,7 +101,7 @@ let access t key =
       Hit { tier = found; cost = t.tiers.(found).hit_cost }
   | None ->
       let n = { key; tier = 0; prev = None; next = None } in
-      Hashtbl.replace t.index key n;
+      Int_tbl.replace t.index key n;
       push_front t.lists.(0) n;
       cascade t;
       t.misses <- t.misses + 1;
@@ -108,4 +109,4 @@ let access t key =
 
 let hits t = t.hits
 let misses t = t.misses
-let population t = Hashtbl.length t.index
+let population t = Int_tbl.length t.index

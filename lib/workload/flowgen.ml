@@ -3,6 +3,7 @@ module Prng = Sw_sim.Prng
 module Host = Stopwatch.Host
 module Tcp_host = Sw_apps.Tcp_host
 module Registry = Sw_obs.Registry
+module Int_tbl = Sw_obs.Int_tbl
 
 type cls = { name : string; weight : float; resp_bytes : int; cached : bool }
 
@@ -55,7 +56,7 @@ type meters = {
   h_hit : Registry.Histogram.t;
   h_miss : Registry.Histogram.t;
   h_cls : Registry.Histogram.t array;
-  tier_hits : (int, Registry.Counter.t) Hashtbl.t;
+  tier_hits : Registry.Counter.t Int_tbl.t;
   registry : Registry.t;
 }
 
@@ -69,7 +70,7 @@ type t = {
   rng : Prng.t;
   gen : Arrival.gen;
   slots : slot array;
-  inflight : (int, Time.t * int * int) Hashtbl.t;
+  inflight : (Time.t * int * int) Int_tbl.t;
       (** seq -> (issue instant, class index, slot index). *)
   m : meters;
   mutable next_seq : int;
@@ -97,26 +98,26 @@ let meters registry ~prefix classes =
       Array.map
         (fun cl -> h (Printf.sprintf ".cls.%s.response_ns" cl.name))
         classes;
-    tier_hits = Hashtbl.create 4;
+    tier_hits = Int_tbl.create 4;
     registry;
   }
 
 let tier_counter m tier =
-  match Hashtbl.find_opt m.tier_hits tier with
+  match Int_tbl.find_opt m.tier_hits tier with
   | Some c -> c
   | None ->
       let c =
         Registry.counter m.registry
           (Printf.sprintf "%s.hits.tier%d" m.prefix tier)
       in
-      Hashtbl.replace m.tier_hits tier c;
+      Int_tbl.replace m.tier_hits tier c;
       c
 
 let on_response t ~seq ~tier =
-  match Hashtbl.find_opt t.inflight seq with
+  match Int_tbl.find_opt t.inflight seq with
   | None -> ()
   | Some (issued_at, cls_idx, slot_idx) ->
-      Hashtbl.remove t.inflight seq;
+      Int_tbl.remove t.inflight seq;
       t.completed <- t.completed + 1;
       let lat = Time.sub (Host.now t.host) issued_at in
       Registry.Counter.incr t.m.c_completed;
@@ -188,9 +189,9 @@ let issue t =
       { cls = cls_idx; key; seq; resp_bytes = cl.resp_bytes; cached = cl.cached }
   in
   t.issued <- t.issued + 1;
-  Hashtbl.replace t.inflight seq (Host.now t.host, cls_idx, slot_idx);
+  Int_tbl.replace t.inflight seq (Host.now t.host, cls_idx, slot_idx);
   Registry.Counter.incr t.m.c_issued;
-  Registry.Gauge.observe_int t.m.g_inflight (Hashtbl.length t.inflight);
+  Registry.Gauge.observe_int t.m.g_inflight (Int_tbl.length t.inflight);
   s.inflight <- s.inflight + 1;
   s.used <- s.used + 1;
   if s.conn = None then open_slot t s;
@@ -241,7 +242,7 @@ let launch ?(prefix = "workload") ~host ~dst ~registry ~rng config =
               retiring = false;
               backlog = Queue.create ();
             });
-      inflight = Hashtbl.create 256;
+      inflight = Int_tbl.create 256;
       m = meters registry ~prefix classes;
       next_seq = 0;
       issued = 0;

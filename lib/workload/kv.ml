@@ -2,6 +2,7 @@ module App = Sw_vm.App
 module Time = Sw_sim.Time
 module Tcp_guest = Sw_apps.Tcp_guest
 module Msg = Sw_net.Msg
+module Int_tbl = Sw_obs.Int_tbl
 
 type config = {
   cache : Cache.config;
@@ -43,7 +44,7 @@ type pending = {
 type state = {
   tcp : Tcp_guest.t;
   cache : Cache.t;
-  pending : (int, pending) Hashtbl.t;
+  pending : pending Int_tbl.t;
   mutable next_tag : int;
   config : config;
 }
@@ -58,7 +59,7 @@ let server (config : config) () =
     {
       tcp = Tcp_guest.create ?config:config.tcp ();
       cache = Cache.create config.cache;
-      pending = Hashtbl.create 64;
+      pending = Int_tbl.create 64;
       next_tag = 0;
       config;
     }
@@ -68,11 +69,11 @@ let server (config : config) () =
     (* Stay below [Tcp_guest.tag_base]; at one slot per in-flight request a
        collision would need ~10^6 simultaneous requests. *)
     st.next_tag <- (tag + 1) mod Tcp_guest.tag_base;
-    Hashtbl.replace st.pending tag p;
+    Int_tbl.replace st.pending tag p;
     tag
   in
   let respond tag p ~tier =
-    Hashtbl.remove st.pending tag;
+    Int_tbl.remove st.pending tag;
     Tcp_guest.send st.tcp p.conn
       ~payload:(Msg.Wl_resp { seq = p.seq; tier })
       ~bytes:(p.resp_bytes + st.config.header_bytes)
@@ -103,7 +104,7 @@ let server (config : config) () =
   in
   let own_event = function
     | App.Timer { tag } -> (
-        match Hashtbl.find_opt st.pending tag with
+        match Int_tbl.find_opt st.pending tag with
         | None -> []
         | Some p -> (
             match p.phase with
@@ -116,7 +117,7 @@ let server (config : config) () =
                 ]
             | Reading -> []))
     | App.Disk_done { tag } -> (
-        match Hashtbl.find_opt st.pending tag with
+        match Int_tbl.find_opt st.pending tag with
         | Some ({ phase = Reading; _ } as p) -> respond tag p ~tier:(-1)
         | Some _ | None -> [])
     | _ -> []

@@ -101,7 +101,12 @@ let prepare_single (w : Dsl.workload) =
         in
         Scenario.start_pings pinger ~dst:(Cloud.vm_address attacker) ~seed:w.seed
           ~rate_per_s:ping_rate_per_s;
-        Some attacker
+        let observed =
+          Scenario.observed_replica attacker ~baseline:(not w.stopwatch)
+            ~replicas:m
+        in
+        Sw_vmm.Vmm.record_inter_delivery observed;
+        Some observed
   in
   if w.faults <> [] then ignore (Cloud.install_faults cloud w.faults);
   let client = Cloud.add_host cloud () in
@@ -122,10 +127,7 @@ let prepare_single (w : Dsl.workload) =
   let attacker_series () =
     match probe with
     | None -> [||]
-    | Some attacker ->
-        Sw_vmm.Vmm.inter_delivery_virts_ms
-          (Scenario.observed_replica attacker ~baseline:(not w.stopwatch)
-             ~replicas:m)
+    | Some observed -> Sw_vmm.Vmm.inter_delivery_virts_ms observed
   in
   (* The leak-observation extraction: the probe's guest-visible series plus
      every per-(vm, mechanism) lineage series, keyed for attribution. Safe

@@ -579,12 +579,14 @@ let test_bisect_agreement_is_not_divergence () =
 (* --- bounded multicast window ---------------------------------------------- *)
 
 (* A 32 s kv_skew soak. What a checkpoint marshals may grow with the run
-   (sample series, table capacities), but not by a copy of every multicast
-   packet: between the 8 s cut and the end, the words reachable from the
-   cloud and its handle grow by under 20 per inbound packet the ingress
-   replicated. A sender that kept every packet for NAKs grows them by
-   about 100 (the ingress copy and each replica's proposal, each with its
-   packet, envelope and payload). *)
+   (metric histograms, table capacities), but not by a copy of every
+   multicast packet, nor by a gap series no reader asked for: between the
+   8 s cut and the end, the words reachable from the cloud and its handle
+   grow by under 4 per inbound packet the ingress replicated (2.6 when
+   measured). A sender that kept every packet for NAKs grows them by about
+   100 (the ingress copy and each replica's proposal, each with its packet,
+   envelope and payload); recording every replica's inter-delivery gaps and
+   every host's inter-arrival gaps, by 6.8. *)
 let test_window_bounded_soak () =
   let w =
     match load "kv_skew.scn" with
@@ -608,7 +610,7 @@ let test_window_bounded_soak () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per replicated packet (%d -> %d)" per_packet
        words0 words1)
-    true (per_packet < 20.)
+    true (per_packet < 4.)
 
 (* --- satellites ------------------------------------------------------------ *)
 

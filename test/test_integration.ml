@@ -35,6 +35,7 @@ let ping_run ?(machines = 3) ?(pings = 20) ?(deploy = `Stopwatch) ?(seed = 1L) (
     | `Stopwatch -> Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:echo_app
     | `Baseline -> Cloud.deploy_baseline cloud ~on:0 ~app:echo_app
   in
+  List.iter Sw_vmm.Vmm.record_inter_delivery (Cloud.replicas d);
   let client = Cloud.add_host cloud () in
   let pongs = ref [] in
   Host.set_handler client (fun pkt ->
@@ -154,6 +155,7 @@ let prop_lockstep_any_seed =
     (fun seed ->
       let cloud = Cloud.create ~seed:(Int64.of_int seed) ~machines:3 () in
       let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:echo_app in
+      List.iter Sw_vmm.Vmm.record_inter_delivery (Cloud.replicas d);
       let client = Cloud.add_host cloud () in
       for n = 1 to 5 do
         Host.after client (Time.ms (30 * n)) (fun () ->
@@ -404,6 +406,7 @@ let test_heterogeneous_hardware () =
      still delivers everything deterministically and exactly once. *)
   let cloud = Cloud.create ~seed:9L ~rate_spread:0.01 ~machines:3 () in
   let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:echo_app in
+  List.iter Sw_vmm.Vmm.record_inter_delivery (Cloud.replicas d);
   let client = Cloud.add_host cloud () in
   let pongs = ref [] in
   Host.set_handler client (fun pkt ->

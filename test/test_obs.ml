@@ -1,5 +1,6 @@
 (* Tests for sw_obs: registry semantics (counter/sum/gauge/histogram, path
-   validation), bucket indexing, the snapshot partition-merge property that
+   validation), bucket indexing, [Int_tbl]'s iteration order against
+   Stdlib's [Hashtbl.Make], the snapshot partition-merge property that
    parallel benches lean on, deterministic JSON export, the trace ring
    (ordering, wraparound, lazy emission, spans), and a fig4-style end-to-end
    check that merged snapshots are byte-identical under -j 1 and -j 4. *)
@@ -10,6 +11,7 @@ module Buckets = Sw_obs.Buckets
 module Event = Sw_obs.Event
 module Trace = Sw_obs.Trace
 module Export = Sw_obs.Export
+module Int_tbl = Sw_obs.Int_tbl
 
 (* --- Registry ------------------------------------------------------------- *)
 
@@ -116,6 +118,70 @@ let prop_bucket_index =
       let upper_ok = n <= Buckets.bound i in
       let lower_ok = i = 0 || Buckets.bound (i - 1) < n in
       upper_ok && lower_ok)
+
+(* --- Int_tbl: Stdlib's order --------------------------------------------- *)
+
+(* [Int_tbl] keeps Stdlib's layout, so reports that walk one come out in
+   the order [Hashtbl.Make] with the same hash would give. *)
+module Ref_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x2545_F491_4F6C_DD1D in
+    h lxor (h lsr 32)
+end)
+
+type tbl_op = Add of int * int | Replace of int * int | Remove of int | Reset
+
+let tbl_op_gen =
+  QCheck.Gen.(
+    (* Mostly a small key range, so chains collide and keys repeat, plus
+       keys that differ only in high bits or are negative. *)
+    let key =
+      frequency
+        [ (8, int_bound 150); (1, map (fun k -> k lsl 40) (int_bound 7)); (1, map Int.neg (int_bound 50)) ]
+    in
+    frequency
+      [
+        (6, map2 (fun k v -> Add (k, v)) key nat);
+        (6, map2 (fun k v -> Replace (k, v)) key nat);
+        (3, map (fun k -> Remove k) key);
+        (1, return Reset);
+      ])
+
+let prop_int_tbl_order =
+  QCheck.Test.make ~count:300
+    ~name:"Int_tbl iterates, folds and counts as Hashtbl.Make does"
+    QCheck.(
+      pair (int_bound 64)
+        (make ~print:(fun ops -> string_of_int (List.length ops))
+           (Gen.list_size Gen.(0 -- 400) tbl_op_gen)))
+    (fun (size, ops) ->
+      let t = Int_tbl.create size and r = Ref_tbl.create size in
+      List.iter
+        (function
+          | Add (k, v) -> Int_tbl.add t k v; Ref_tbl.add r k v
+          | Replace (k, v) -> Int_tbl.replace t k v; Ref_tbl.replace r k v
+          | Remove k -> Int_tbl.remove t k; Ref_tbl.remove r k
+          | Reset -> Int_tbl.reset t; Ref_tbl.reset r)
+        ops;
+      let walked iter tbl =
+        let acc = ref [] in
+        iter (fun k v -> acc := (k, v) :: !acc) tbl;
+        !acc
+      in
+      let folded fold tbl = fold (fun k v acc -> (k, v) :: acc) tbl [] in
+      let keys = List.init 160 (fun k -> k - 10) in
+      walked Int_tbl.iter t = walked Ref_tbl.iter r
+      && folded Int_tbl.fold t = folded Ref_tbl.fold r
+      && Int_tbl.length t = Ref_tbl.length r
+      && List.for_all
+           (fun k ->
+             Int_tbl.find_opt t k = Ref_tbl.find_opt r k
+             && Int_tbl.mem t k = Ref_tbl.mem r k)
+           keys)
 
 (* --- Snapshot merge: arbitrary partitions --------------------------------- *)
 
@@ -344,6 +410,7 @@ let () =
           Alcotest.test_case "bounds monotone" `Quick test_bucket_bounds_monotone;
           QCheck_alcotest.to_alcotest prop_bucket_index;
         ] );
+      ("int_tbl", [ QCheck_alcotest.to_alcotest prop_int_tbl_order ]);
       ( "merge",
         [
           QCheck_alcotest.to_alcotest prop_snapshot_merge_partitions;
