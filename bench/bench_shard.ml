@@ -25,11 +25,12 @@
      build/restore times go to the "perf" object (non-deterministic by
      nature), along with the host's core count and the conductor's worker
      count at the guarded shard count. The @perf alias runs the quick form
-     and fails if the guarded configuration drops more than 5x below the
-     recorded floor, or below half the shards1 rate — a sharded run slower
-     than one shard means the workers are fighting over too few cores. Both
-     guards read the medians of shards1 and guarded runs timed in
-     alternation.
+     and fails if a row's deterministic counts move (see
+     [quick_completed]), or if the guarded configuration drops more than
+     5x below the recorded floor, or below half the shards1 rate — a
+     sharded run slower than one shard means the workers are fighting over
+     too few cores. Both wall-clock guards read the medians of shards1 and
+     guarded runs timed in alternation.
 
    The full form runs a 10,080-host topology and goes through the
    [Sw_ckpt.Warm] cache: the first invocation builds each configuration
@@ -62,6 +63,24 @@ let min_speedup = 0.5
 (* The guards compare medians over this many (shards1, guarded) pairs, each
    pair timed back to back in this process. *)
 let guard_pairs = 5
+
+(* Deterministic counts of the quick sweep, which the @perf alias checks
+   exactly: requests completed in every configuration, barrier windows in
+   every sharded one, and cross-shard posts per configuration (shard counts
+   outside this table are not checked for posts). Unlike the wall-clock
+   guards they cannot trip on host load, and they catch a conductor or
+   partitioner change that moves work between shards. *)
+let quick_completed = 186
+let quick_windows = 1600
+
+let quick_cross_shard =
+  [
+    ("shards1", 0);
+    ("shards2_contiguous", 116);
+    ("shards2_affinity", 0);
+    ("shards4_contiguous", 404);
+    ("shards4_affinity", 0);
+  ]
 
 let classes =
   [
@@ -183,6 +202,23 @@ type outcome = {
   barrier_share : float;
   bytes : string;
 }
+
+(* The quick sweep's count mismatches, one line each. *)
+let count_mismatches outcomes =
+  List.concat_map
+    (fun o ->
+      let check what expected got =
+        if got = expected then []
+        else
+          [ Printf.sprintf "%s: %s %d, expected %d" o.cfg.label what got expected ]
+      in
+      check "completed" quick_completed o.r.Run.completed
+      @ (if o.cfg.shards > 1 then check "windows" quick_windows o.windows else [])
+      @
+      match List.assoc_opt o.cfg.label quick_cross_shard with
+      | Some posts -> check "cross-shard posts" posts o.r.Run.cross_shard
+      | None -> [])
+    outcomes
 
 let run_config ~quick ~w (cfg : config) =
   let prepare () = Run.prepare ~shards:cfg.shards ~partition:cfg.partition w in
@@ -444,6 +480,11 @@ let run ~quick ?shards () =
   let any_broken = List.exists (fun (_, id) -> not id) rows in
   if any_broken then begin
     Printf.eprintf "shard-scale FAILED: the configuration changed the results\n%!";
+    exit 1
+  end;
+  let mismatches = if quick then count_mismatches outcomes else [] in
+  if mismatches <> [] then begin
+    List.iter (Printf.eprintf "shard-scale count changed: %s\n%!") mismatches;
     exit 1
   end;
   (* Floor and oversubscription guards on the fast-path configuration at

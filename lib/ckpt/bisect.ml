@@ -18,6 +18,7 @@ type divergence = {
   sim_ns : Sw_sim.Time.t;
   last_common : int option;
   metric_diff : metric_diff list;
+  unrestored : string option;
   first_event :
     (int * Sw_obs.Trace.entry option * Sw_obs.Trace.entry option) option;
   chain : Sw_obs.Lineage.chain option;
@@ -28,8 +29,6 @@ type error =
   | No_common_index
   | Grid_mismatch of { index : int; a_ns : Sw_sim.Time.t; b_ns : Sw_sim.Time.t }
   | No_divergence of { compared : int }
-  | Image_error of { path : string; error : Image.error }
-  | Unloadable of { path : string; reason : string }
 
 let pp_error fmt = function
   | Empty_timeline dir -> Format.fprintf fmt "no readable image in %s" dir
@@ -42,24 +41,20 @@ let pp_error fmt = function
         index a_ns b_ns
   | No_divergence { compared } ->
       Format.fprintf fmt "all %d shared checkpoints agree" compared
-  | Image_error { path; error } ->
-      Format.fprintf fmt "%s: %a" path Image.pp_error error
-  | Unloadable { path; reason } ->
-      Format.fprintf fmt "cannot restore %s: %s" path reason
 
 let ( let* ) = Result.bind
 
+(* The restored cloud, or why [path] does not restore in this binary. *)
 let load_cloud path =
-  let* _meta, payload =
-    Result.map_error (fun e -> Image_error { path; error = e })
-      (Image.read ~path)
-  in
-  match Cloud.restore payload with
-  | Ok (cloud, _extra) -> Ok cloud
-  | Error e ->
-      Error
-        (Unloadable
-           { path; reason = Format.asprintf "%a" Cloud.pp_restore_error e })
+  match Image.read ~path with
+  | Error e -> Error (Format.asprintf "%s: %a" path Image.pp_error e)
+  | Ok (_meta, payload) -> (
+      match Cloud.restore payload with
+      | Ok (cloud, _extra) -> Ok cloud
+      | Error e ->
+          Error
+            (Format.asprintf "cannot restore %s: %a" path
+               Cloud.pp_restore_error e))
 
 let render_data = function
   | Snapshot.Counter n -> string_of_int n
@@ -192,13 +187,20 @@ let first_divergence ~a ~b =
         let i, _, _ = arr.(!lo - 1) in
         Some i
     in
-    let* cloud_a = load_cloud ea.path in
-    let* cloud_b = load_cloud eb.path in
-    let metric_diff =
-      diff_snapshots (observational cloud_a) (observational cloud_b)
+    (* The index above came from image metadata alone. Restoring is
+       best-effort from here on: an image this binary cannot restore (one
+       another build wrote, say) degrades the answer to the index, with the
+       reason; a missing ancestor or a sharded side degrades it to the
+       metric diff. Neither fails the bisection. *)
+    let metric_diff, unrestored =
+      match load_cloud ea.path with
+      | Error reason -> ([], Some reason)
+      | Ok cloud_a -> (
+          match load_cloud eb.path with
+          | Error reason -> ([], Some reason)
+          | Ok cloud_b ->
+              (diff_snapshots (observational cloud_a) (observational cloud_b), None))
     in
-    (* Window replay is best-effort: a missing ancestor or a sharded side
-       degrades to the metric diff, never to a failed bisection. *)
     let first_event, chain =
       match last_common with
       | None -> (None, None)
@@ -224,6 +226,7 @@ let first_divergence ~a ~b =
         sim_ns = Int64.to_int ea.meta.Image.sim_ns;
         last_common;
         metric_diff;
+        unrestored;
         first_event;
         chain;
       }
@@ -244,6 +247,9 @@ let pp_divergence fmt d =
   | Some i -> Format.fprintf fmt " (last agreement: #%d)" i
   | None -> Format.fprintf fmt " (no prior agreement)");
   Format.pp_print_newline fmt ();
+  Option.iter
+    (Format.fprintf fmt "  index only, from image metadata: %s@.")
+    d.unrestored;
   let shown = List.filteri (fun i _ -> i < 20) d.metric_diff in
   List.iter
     (fun (name, va, vb) ->
@@ -254,7 +260,8 @@ let pp_divergence fmt d =
   (match d.first_event with
   | None ->
       Format.fprintf fmt
-        "  (window not replayed: no common ancestor or a sharded side)@."
+        "  (window not replayed: no common ancestor, a sharded side or an \
+         image that does not restore)@."
   | Some (pos, ea, eb) ->
       Format.fprintf fmt "  first divergent event (position %d):@." pos;
       Format.fprintf fmt "    A: %a@." pp_entry_opt ea;

@@ -8,7 +8,9 @@
     index whose fingerprints disagree, then narrows the window further:
 
     - it restores both sides' divergent images and reports exactly which
-      (non-[sim.*]) metrics differ and how;
+      (non-[sim.*]) metrics differ and how; when an image does not restore
+      in this binary (another build wrote it), the answer keeps the index
+      alone and says why;
     - when both sides are single-shard and a common ancestor image exists,
       it replays the divergent window on each side with a structured trace
       attached and reports the {e first trace event} where the two
@@ -37,15 +39,20 @@ type divergence = {
   last_common : int option;
       (** Newest index where both sides still agreed; [None] when they
           disagree from the very first shared checkpoint. *)
-  metric_diff : metric_diff list;  (** Ascending by name. *)
+  metric_diff : metric_diff list;
+      (** Ascending by name; empty when [unrestored] is set. *)
+  unrestored : string option;
+      (** Why a divergent image could not be restored, when one could not
+          (for example, another binary wrote it): the answer is then the
+          index and its neighbours alone, read from image metadata. *)
   first_event :
     (int * Sw_obs.Trace.entry option * Sw_obs.Trace.entry option) option;
       (** [(position, a, b)]: the first position in the replayed divergent
           window where the two traces disagree, with each side's entry at
           that position ([None] = that side's trace ended first). [None]
           when the window could not be replayed (no common ancestor, a
-          sharded side, or an unloadable image — the metric diff above
-          still stands). *)
+          sharded side, or an ancestor image that does not restore — the
+          fields above still stand). *)
   chain : Sw_obs.Lineage.chain option;
       (** Side A's causal chain for the packet behind the first divergent
           event, when the event names one. *)
@@ -61,8 +68,6 @@ type error =
   | No_divergence of { compared : int }
       (** Every shared checkpoint agrees — the runs are (so far)
           observationally identical. *)
-  | Image_error of { path : string; error : Image.error }
-  | Unloadable of { path : string; reason : string }
 
 val pp_error : Format.formatter -> error -> unit
 

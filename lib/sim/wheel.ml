@@ -15,11 +15,21 @@
      [slots] ticks of, so at every level the live ticks span at most one
      rotation: the absolute tick of an occupied slot is recoverable from the
      cursor and the slot index alone.
-   - [horizon] never passes the start of a non-empty slot or an overflow
-     key without first moving its events into finer levels or the ready
-     heap. Slot starts at every level are multiples of the level-0 granule,
-     so draining one level-0 slot and advancing [horizon] to its end cannot
-     step over a coarser slot's start.
+   - Boundary invariant: every record at a level [l >= 1] sits in a slot
+     that starts at or after the horizon's next level-[l] boundary (the
+     first multiple of [2^(shift l)] above [horizon]). Filing gives it,
+     since a key inside the cursor's own level-[l] tick is within [slots]
+     level-[(l-1)] ticks of the cursor and so files finer. Moving the
+     horizon breaks it only where the horizon reaches an occupied slot's
+     start, and it never steps past one: a level-0 drain stops at the
+     next level-1 boundary at most, and a jump lands on the earliest slot
+     start or below it (an overflow key's granule). Landing on a boundary
+     cascades, at each level it is a boundary of, the slot that starts
+     exactly there ([cascade_at]).
+   - Hence the level-0 slots between the horizon and the next level-1
+     boundary hold the earliest wheel records, and a refill that finds one
+     occupied looks at no other level. [first.(l)] caches the start of
+     level [l]'s first occupied slot for the other refills.
 
    The ready heap compares [(key, seq)] read straight from the int arrays,
    so no ordering responsibility rests on slot chain order — chains are
@@ -31,6 +41,7 @@ let slot_mask = slots - 1
 let g0_bits = 13 (* level-0 granule: 8192 ns *)
 let levels = 6 (* top level span: 2^(13 + 5*6) ns ~ 2.4 h *)
 let shift l = g0_bits + (slot_bits * l)
+let level1_mask = (1 lsl shift 1) - 1
 let dummy_fn () = ()
 
 (* Record [i] is [key.(i)], [seq.(i)], [next.(i)] and [fn.(i)]: parallel
@@ -47,7 +58,9 @@ type t = {
   mutable horizon : int;
   slot_head : int array;  (* levels * slots chain heads, -1 = empty *)
   occ : int array;  (* per-level occupancy bitmask over slot indices *)
-  mutable occ_levels : int;  (* bit [l] set iff [occ.(l) <> 0] *)
+  first : int array;
+      (* [first.(l)], [l >= 1]: start of level [l]'s first occupied slot,
+         [max_int] when the level is empty; [first.(0)] is unused *)
   mutable ready : int array;  (* binary heap of record indices *)
   mutable ready_len : int;
   overflow : int Heap.t;
@@ -66,7 +79,7 @@ let create () =
     horizon = 0;
     slot_head = Array.make (levels * slots) (-1);
     occ = Array.make levels 0;
-    occ_levels = 0;
+    first = Array.make levels max_int;
     ready = Array.make 64 (-1);
     ready_len = 0;
     overflow = Heap.create ();
@@ -160,15 +173,14 @@ let slot_insert t l s i =
   let idx = (l lsl slot_bits) lor s in
   t.next.(i) <- t.slot_head.(idx);
   t.slot_head.(idx) <- i;
-  t.occ.(l) <- t.occ.(l) lor (1 lsl s);
-  t.occ_levels <- t.occ_levels lor (1 lsl l)
+  t.occ.(l) <- t.occ.(l) lor (1 lsl s)
 
 (* File a record by its key: ready heap when the horizon already passed
    it, else the finest wheel level whose window reaches it, else the
    overflow heap. The helpers that walk levels and chains here and in
    [refill] are top-level functions, not local closures over [t]: filing
    and draining run for every event and allocate nothing. *)
-let rec file_from t i key l =
+let rec file_coarse t i key l =
   if l >= levels then begin
     Heap.push t.overflow ~key ~seq:t.seq.(i) i;
     t.overflow_len <- t.overflow_len + 1
@@ -176,14 +188,23 @@ let rec file_from t i key l =
   else begin
     let sh = shift l in
     let kt = key lsr sh in
-    if kt - (t.horizon lsr sh) < slots then
-      slot_insert t l (kt land slot_mask) i
-    else file_from t i key (l + 1)
+    if kt - (t.horizon lsr sh) < slots then begin
+      slot_insert t l (kt land slot_mask) i;
+      let start = kt lsl sh in
+      if start < t.first.(l) then t.first.(l) <- start
+    end
+    else file_coarse t i key (l + 1)
   end
 
 let insert t i =
   let key = t.key.(i) in
-  if key < t.horizon then ready_push t i else file_from t i key 0
+  if key < t.horizon then ready_push t i
+  else begin
+    let kt = key lsr g0_bits in
+    if kt - (t.horizon lsr g0_bits) < slots then
+      slot_insert t 0 (kt land slot_mask) i
+    else file_coarse t i key 1
+  end
 
 (* --- Cursor advance ---------------------------------------------------- *)
 
@@ -201,8 +222,8 @@ let[@inline] rotr32 m r = ((m lsr r) lor (m lsl (slots - r))) land 0xFFFFFFFF
 
 (* Start time of the first occupied slot at non-empty level [l] — the
    occupied slot whose tick is nearest the cursor going forward. The
-   one-rotation invariant makes the reconstruction exact, and the slot
-   index is recoverable as [(start lsr shift l) land slot_mask]. *)
+   one-rotation invariant makes the reconstruction exact. Only a take at a
+   coarse level calls it, to refresh [first.(l)]. *)
 let level_start t l =
   let sh = shift l in
   let cursor = t.horizon lsr sh in
@@ -213,9 +234,7 @@ let take_slot t l s =
   let idx = (l lsl slot_bits) lor s in
   let head = t.slot_head.(idx) in
   t.slot_head.(idx) <- -1;
-  let m = t.occ.(l) land lnot (1 lsl s) in
-  t.occ.(l) <- m;
-  if m = 0 then t.occ_levels <- t.occ_levels land lnot (1 lsl l);
+  t.occ.(l) <- t.occ.(l) land lnot (1 lsl s);
   head
 
 (* Move a drained level-0 chain into the ready heap. *)
@@ -253,54 +272,91 @@ let rec sweep_overflow t =
     sweep_overflow t
   end
 
-(* Move events into the ready heap until it is non-empty or nothing is left
-   anywhere. Each round either drains the earliest level-0 slot (advancing
-   the horizon past it and sweeping overflow keys the new horizon covers),
-   cascades the earliest coarse slot into finer levels, or pulls the next
-   overflow event in. Only the non-empty levels are visited. *)
+(* The horizon has just landed on [h]: for each level [l >= 1] that [h] is
+   a boundary of, re-file at finer levels the slot that starts exactly at
+   [h], which restores the boundary invariant. Every re-filed key is at or
+   above [h], so nothing reaches the ready heap, and nothing lands in a
+   slot this walk has yet to visit (a key in level [l]'s tick at [h] files
+   below [l]). *)
+let rec cascade_at t h l =
+  if l < levels && h land ((1 lsl shift l) - 1) = 0 then begin
+    if t.first.(l) = h then begin
+      let head = take_slot t l ((h lsr shift l) land slot_mask) in
+      t.first.(l) <- (if t.occ.(l) = 0 then max_int else level_start t l);
+      redistribute t head
+    end;
+    cascade_at t h (l + 1)
+  end
+
+(* Drain level-0 slot [s], which starts at [start] and holds the earliest
+   pending records, into the (empty) ready heap, then advance the horizon
+   past it. *)
+let drain_slot t s start =
+  let head = take_slot t 0 s in
+  if t.next.(head) < 0 then begin
+    (* A lone record is the heap. *)
+    t.ready.(0) <- head;
+    t.ready_len <- 1
+  end
+  else drain t head;
+  let h = start + (1 lsl g0_bits) in
+  t.horizon <- h;
+  (* Overflow keys inside the drained granule belong to this round too. *)
+  if t.overflow_len > 0 then sweep_overflow t;
+  if h land level1_mask = 0 then cascade_at t h 1
+
+(* The least of [acc] and the cached first-slot starts of levels [l] up. *)
+let rec min_first t l acc =
+  if l >= levels then acc
+  else min_first t (l + 1) (if t.first.(l) < acc then t.first.(l) else acc)
+
+(* Move events into the ready heap, which is empty on entry, until it is
+   non-empty or nothing is left anywhere.
+
+   Fast path: an occupied level-0 slot before the next level-1 boundary is
+   the earliest in the wheel (boundary invariant); they are the slot
+   indices from the cursor's up to [slots - 1], so masking the cursor's
+   lower indices off and one ctz find it. Otherwise every wheel record
+   starts at or after that boundary, and the slow path jumps the horizon
+   to the earliest start of any level — level 0's next-rotation slots, in
+   index order, or a cached [first] — cascades what starts there, and
+   goes round again. An overflow key below the candidate start is pulled
+   in first. *)
 let rec refill t =
-  let best_start = ref max_int and best_level = ref (-1) in
-  let m = ref t.occ_levels in
-  while !m <> 0 do
-    let l = ctz32 !m in
-    m := !m land (!m - 1);
-    let start = level_start t l in
-    (* <=, visiting levels finest first: on equal starts the coarser level
-       must cascade first, since its slot covers (a superset of) the finer
-       slot's span. *)
-    if start <= !best_start then begin
-      best_start := start;
-      best_level := l
-    end
-  done;
-  let l = !best_level and start = !best_start in
-  if overflow_min t < start then begin
-    let i = overflow_pop t in
-    let k = t.key.(i) in
-    if k < t.horizon then ready_push t i
-    else begin
-      (* Jump the cursor to the event's own granule; re-filing then lands
-         it at level 0 and the next round drains it. Safe because this key
-         is strictly below every occupied slot's start. *)
-      t.horizon <- (k lsr g0_bits) lsl g0_bits;
-      insert t i;
+  let c0 = t.horizon lsr g0_bits in
+  let near = t.occ.(0) land (-1 lsl (c0 land slot_mask)) in
+  if near <> 0 then begin
+    let s = ctz32 near in
+    let start = ((c0 land lnot slot_mask) lor s) lsl g0_bits in
+    if t.overflow_len > 0 && overflow_min t < start then pull_overflow t
+    else drain_slot t s start
+  end
+  else begin
+    let start =
+      min_first t 1
+        (if t.occ.(0) = 0 then max_int
+         else ((c0 lor slot_mask) + 1 + ctz32 t.occ.(0)) lsl g0_bits)
+    in
+    if t.overflow_len > 0 && overflow_min t < start then pull_overflow t
+    else if start < max_int then begin
+      (* No key lies in [horizon, start): the jump steps over no record and
+         over no boundary whose slot holds one. *)
+      t.horizon <- start;
+      cascade_at t start 1;
       refill t
     end
   end
-  else if l = 0 then begin
-    (* A drained slot is never empty, so the ready heap is filled. *)
-    drain t (take_slot t 0 ((start lsr g0_bits) land slot_mask));
-    t.horizon <- start + (1 lsl g0_bits);
-    (* Overflow keys inside the drained granule belong to this round too. *)
-    sweep_overflow t
-  end
-  else if l > 0 then begin
-    (* Cascade: advance the cursor to the coarse slot's start and re-file
-       its chain; every event lands at a finer level (or in ready). *)
-    t.horizon <- start;
-    redistribute t (take_slot t l ((start lsr shift l) land slot_mask));
-    refill t
-  end
+
+(* Bring the least overflow event in by jumping the cursor to its own
+   granule (overflow keys are never below the horizon) and re-filing it
+   there, at level 0, for the next round to drain. The caller checked that
+   its key is strictly below every occupied slot's start, so the jump
+   lands on no occupied slot's start. *)
+and pull_overflow t =
+  let i = overflow_pop t in
+  t.horizon <- (t.key.(i) lsr g0_bits) lsl g0_bits;
+  insert t i;
+  refill t
 
 (* --- Public API -------------------------------------------------------- *)
 
@@ -321,18 +377,20 @@ let advance t now =
      horizon and, past the top level's span, spill it into the overflow
      heap. Snapping the horizon to the parked clock keeps barrier-window
      scheduling on the O(1) wheel path. *)
-  if t.ready_len = 0 && t.occ_levels = 0 && t.overflow_len = 0 then begin
+  if
+    t.ready_len = 0 && t.overflow_len = 0
+    && Array.for_all (fun m -> m = 0) t.occ
+  then begin
     let h = (now lsr g0_bits) lsl g0_bits in
     if h > t.horizon then t.horizon <- h
   end
 
 let next_key t =
-  if t.ready_len = 0 && (t.occ_levels <> 0 || t.overflow_len > 0) then
-    refill t;
+  if t.ready_len = 0 then refill t;
   if t.ready_len = 0 then max_int else t.key.(t.ready.(0))
 
 let pop t =
-  if next_key t = max_int then invalid_arg "Wheel.pop: nothing pending";
+  if t.ready_len = 0 then invalid_arg "Wheel.pop: no event found by next_key";
   let i = ready_pop t in
   let fn = t.fn.(i) in
   release t i;

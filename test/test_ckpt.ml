@@ -564,6 +564,47 @@ let test_bisect_finds_planted_divergence () =
       (* The printed report renders without raising. *)
       ignore (Format.asprintf "%a" Bisect.pp_divergence d)
 
+(* Images another binary wrote carry readable metadata but a payload this
+   one cannot restore. Bisection still finds the first divergent index
+   from the metadata and answers with it alone, naming why, instead of
+   failing. Side B's payloads are all replaced, as a foreign build's
+   would be, so the window replay has no ancestor to start from either. *)
+let test_bisect_degrades_on_unrestorable_images () =
+  let mk factor =
+    soak_scenario ~name:"bisect-foreign" ~seed:5L
+      ~faults:[ slowdown ~at_ms:250 ~factor ] ()
+  in
+  let a = fresh_dir "bisect_foreign_a" and b = fresh_dir "bisect_foreign_b" in
+  ignore (soak_exn ~dir:a (mk 1.0));
+  ignore (soak_exn ~dir:b (mk 2.0));
+  let entries, _ = Store.list b in
+  List.iter
+    (fun (e : Store.entry) ->
+      match Image.write ~path:e.Store.path e.Store.meta ~payload:"planted" with
+      | Ok () -> ()
+      | Error err -> Alcotest.failf "plant: %a" Image.pp_error err)
+    entries;
+  match Bisect.first_divergence ~a ~b with
+  | Error e ->
+      Alcotest.failf "bisect: %s" (Format.asprintf "%a" Bisect.pp_error e)
+  | Ok d ->
+      Alcotest.(check int) "first divergent checkpoint" 2 d.Bisect.index;
+      Alcotest.(check (option int)) "last agreement" (Some 1)
+        d.Bisect.last_common;
+      Alcotest.(check int) "no metric diff" 0 (List.length d.Bisect.metric_diff);
+      Alcotest.(check bool) "no replayed window" true (d.Bisect.first_event = None);
+      (match d.Bisect.unrestored with
+      | None -> Alcotest.fail "the restore failure was not reported"
+      | Some reason ->
+          let path = Store.path b ~index:2 in
+          Alcotest.(check bool)
+            (Printf.sprintf "reason names the image (%s)" reason)
+            true
+            (String.length reason > String.length path
+            && String.sub reason 0 (String.length path + 15)
+               = "cannot restore " ^ path));
+      ignore (Format.asprintf "%a" Bisect.pp_divergence d)
+
 let test_bisect_agreement_is_not_divergence () =
   let scenario = soak_scenario ~name:"bisect-same" ~seed:9L () in
   let a = fresh_dir "bisect_same_a" and b = fresh_dir "bisect_same_b" in
@@ -691,6 +732,8 @@ let () =
         [
           Alcotest.test_case "finds a planted divergence" `Slow
             test_bisect_finds_planted_divergence;
+          Alcotest.test_case "bisect degrades to the index" `Quick
+            test_bisect_degrades_on_unrestorable_images;
           Alcotest.test_case "agreement is not divergence" `Slow
             test_bisect_agreement_is_not_divergence;
         ] );

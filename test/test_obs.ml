@@ -2,8 +2,8 @@
    validation), bucket indexing, [Int_tbl]'s iteration order against
    Stdlib's [Hashtbl.Make], the snapshot partition-merge property that
    parallel benches lean on, deterministic JSON export, the trace ring
-   (ordering, wraparound, lazy emission, spans), and a fig4-style end-to-end
-   check that merged snapshots are byte-identical under -j 1 and -j 4. *)
+   (ordering, wraparound, lazy emission, spans), the profiler's own
+   allocation, and a fig4-style end-to-end check that merged snapshots are byte-identical under -j 1 and -j 4. *)
 
 module Registry = Sw_obs.Registry
 module Snapshot = Sw_obs.Snapshot
@@ -394,6 +394,24 @@ let test_scenario_snapshot_bytes_j1_j4 () =
     (String.equal seq (Export.to_json_string Snapshot.empty));
   Alcotest.(check string) "merged snapshot bytes identical under -j 4" seq par
 
+(* --- Profile ---------------------------------------------------------------- *)
+
+(* An enabled timer is two clock reads and an add around the call: 1,000
+   timed calls of a preallocated thunk allocate no minor words, so a traced
+   run's words per event count the simulator, not its profiler. *)
+let test_profile_time_allocates_nothing () =
+  let p = Sw_obs.Profile.create ~enabled:true () in
+  let tm = Sw_obs.Profile.timer p "engine.dispatch" in
+  let f () = () in
+  Sw_obs.Profile.time p tm f;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Sw_obs.Profile.time p tm f
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 1,000 timed calls" 0. words;
+  Alcotest.(check int) "every call counted" 1001 (Sw_obs.Profile.count tm)
+
 let () =
   Alcotest.run "sw_obs"
     [
@@ -411,6 +429,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_bucket_index;
         ] );
       ("int_tbl", [ QCheck_alcotest.to_alcotest prop_int_tbl_order ]);
+      ( "profile",
+        [
+          Alcotest.test_case "enabled time allocates nothing" `Quick
+            test_profile_time_allocates_nothing;
+        ] );
       ( "merge",
         [
           QCheck_alcotest.to_alcotest prop_snapshot_merge_partitions;

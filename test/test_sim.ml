@@ -343,89 +343,101 @@ let test_kind_survives_marshal () =
     (kind_paths e "fresh")
 
 (* Model test: the wheel + overflow engine against a naive sorted-list
-   scheduler, over random interleavings of schedule (near and far), step,
-   and bounded run. Firing order, final clock and pending count must agree
-   exactly. *)
+   scheduler, over random interleavings of schedule, step, and bounded
+   run. Firing order, final clock and pending count must agree exactly.
+   [key now tag payload] is the instant a schedule op files at and [limit
+   now payload] a bounded run's limit. *)
+let engine_matches_model ~key ~limit ops =
+  let e = Engine.create () in
+  let elog = ref [] and mlog = ref [] in
+  let mnow = ref 0 in
+  (* Model queue: (key, id) pending, FIFO by id on equal keys since ids
+     are issued in schedule order. *)
+  let mq = ref [] in
+  let next_id = ref 0 in
+  let mmin () =
+    List.fold_left
+      (fun acc (k, i) ->
+        match acc with
+        | None -> Some (k, i)
+        | Some (k', i') ->
+            if k < k' || (k = k' && i < i') then Some (k, i) else acc)
+      None !mq
+  in
+  (* Fire the model's earliest event when it is due by [lim]. *)
+  let mpop lim =
+    match mmin () with
+    | Some (k, i) when k <= lim ->
+        mq := List.filter (fun (_, j) -> j <> i) !mq;
+        mnow := k;
+        mlog := i :: !mlog;
+        true
+    | _ -> false
+  in
+  List.iter
+    (fun (tag, payload) ->
+      match tag with
+      | 0 | 1 ->
+          let at = key (Engine.now e) tag payload in
+          let id = !next_id in
+          incr next_id;
+          Engine.schedule_at e at (fun () -> elog := id :: !elog);
+          mq := (at, id) :: !mq
+      | 2 ->
+          ignore (Engine.step e);
+          ignore (mpop max_int)
+      | _ ->
+          let lim = limit (Engine.now e) payload in
+          Engine.run ~until:lim e;
+          while mpop lim do () done;
+          if lim > !mnow then mnow := lim)
+    ops;
+  Engine.run e;
+  while mpop max_int do () done;
+  List.rev !elog = List.rev !mlog && Engine.pending e = 0 && Engine.now e = !mnow
+
+let model_ops =
+  QCheck.(list_of_size Gen.(int_range 1 120) (pair (int_bound 4) (int_bound 1_000_000)))
+
 let prop_engine_matches_model =
-  let open QCheck in
-  QCheck.Test.make ~name:"engine matches sorted-list model" ~count:120
-    (list_of_size Gen.(int_range 1 120) (pair (int_bound 4) (int_bound 1_000_000)))
-    (fun ops ->
-      let e = Engine.create () in
-      let elog = ref [] and mlog = ref [] in
-      let mnow = ref 0 in
-      (* Model queue: (key, id) pending, FIFO by id on equal keys since ids
-         are issued in schedule order. *)
-      let mq = ref [] in
-      let next_id = ref 0 in
-      let mpop () =
-        let min =
-          List.fold_left
-            (fun acc (k, i) ->
-              match acc with
-              | None -> Some (k, i)
-              | Some (k', i') ->
-                  if k < k' || (k = k' && i < i') then Some (k, i) else acc)
-            None !mq
-        in
-        match min with
-        | None -> None
-        | Some (k, i) ->
-            mq := List.filter (fun (_, j) -> j <> i) !mq;
-            mnow := k;
-            mlog := i :: !mlog;
-            Some k
-      in
-      List.iter
-        (fun (tag, payload) ->
-          match tag with
-          | 0 | 1 ->
-              (* Near schedule: up to 2 ms out. Far schedule: whole seconds,
-                 up to 10,000 s so the overflow tier (past 2^43 ns, ~8796 s)
-                 participates. *)
-              let delay =
-                if tag = 1 && payload mod 7 = 0 then
-                  Time.s (1 + (payload mod 10_000))
-                else Time.ns (payload mod 2_000_000)
-              in
-              let at = Time.add (Engine.now e) delay in
-              let id = !next_id in
-              incr next_id;
-              Engine.schedule_at e at (fun () -> elog := id :: !elog);
-              mq := (at, id) :: !mq
-          | 2 ->
-              ignore (Engine.step e);
-              ignore (mpop ())
-          | _ ->
-              let lim = Time.add (Engine.now e) (Time.ns payload) in
-              Engine.run ~until:lim e;
-              let rec go () =
-                match
-                  List.fold_left
-                    (fun acc (k, i) ->
-                      match acc with
-                      | None -> Some (k, i)
-                      | Some (k', i') ->
-                          if k < k' || (k = k' && i < i') then Some (k, i)
-                          else acc)
-                    None !mq
-                with
-                | Some (k, i) when k <= lim ->
-                    mq := List.filter (fun (_, j) -> j <> i) !mq;
-                    mnow := k;
-                    mlog := i :: !mlog;
-                    go ()
-                | _ -> ()
-              in
-              go ();
-              if lim > !mnow then mnow := lim)
-        ops;
-      Engine.run e;
-      let rec drain () = match mpop () with Some _ -> drain () | None -> () in
-      drain ();
-      List.rev !elog = List.rev !mlog
-      && Engine.pending e = 0
-      && Engine.now e = !mnow)
+  QCheck.Test.make ~name:"engine matches sorted-list model" ~count:120 model_ops
+    (engine_matches_model
+       ~key:(fun now tag payload ->
+         (* Near schedule: up to 2 ms out. Far schedule: whole seconds, up
+            to 10,000 s so the overflow tier (past 2^43 ns, ~8796 s)
+            participates. *)
+         let delay =
+           if tag = 1 && payload mod 7 = 0 then Time.s (1 + (payload mod 10_000))
+           else Time.ns (payload mod 2_000_000)
+         in
+         Time.add now delay)
+       ~limit:(fun now payload -> Time.add now (Time.ns payload)))
+
+(* An instant on or next to a coarse wheel boundary: a multiple of level
+   l's slot width 2^(13 + 5l) ns (l = 1..5, 2^18 ns up to 2^38 ns ≈ 275 s),
+   one to three widths past [now]'s, nudged by -1 granule (8192 ns), -1 ns,
+   0, +1 ns or +1 granule, and never before [now]. *)
+let near_boundary now payload =
+  let l = 1 + (payload mod 5) in
+  let w = 1 lsl (13 + (5 * l)) in
+  let b = ((now / w) + 1 + (payload / 5 mod 3)) * w in
+  let nudge = [| -8192; -1; 0; 1; 8192 |].(payload / 15 mod 5) in
+  Stdlib.max now (b + nudge)
+
+(* The same model with keys and run limits on level boundaries, where a
+   refill's horizon lands on nested boundaries and must cascade what
+   starts there. Half the schedules stay near (up to 2 ms out) so level-0
+   traffic interleaves with the cascades. *)
+let prop_engine_matches_model_on_boundaries =
+  QCheck.Test.make ~name:"engine matches sorted-list model on level boundaries"
+    ~count:200 model_ops
+    (engine_matches_model
+       ~key:(fun now tag payload ->
+         if tag = 0 && payload land 1 = 0 then Time.add now (Time.ns (payload mod 2_000_000))
+         else near_boundary now payload)
+       ~limit:(fun now payload ->
+         if payload land 1 = 0 then near_boundary now (payload / 2)
+         else Time.add now (Time.ns payload)))
 
 (* --- Summary / Samples --------------------------------------------------- *)
 
@@ -790,6 +802,7 @@ let () =
           Alcotest.test_case "kind handles survive Marshal" `Quick
             test_kind_survives_marshal;
           QCheck_alcotest.to_alcotest prop_engine_matches_model;
+          QCheck_alcotest.to_alcotest prop_engine_matches_model_on_boundaries;
         ] );
       ( "collectors",
         [
