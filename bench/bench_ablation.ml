@@ -95,10 +95,16 @@ let hardware_spread_jobs =
           in
           ping 1;
           Cloud.run cloud ~until:(Time.s 5);
+          let snap = Cloud.metrics_snapshot cloud in
+          let count metric =
+            string_of_int
+              (Sw_obs.Snapshot.counter snap
+                 (Printf.sprintf "vm%d.%s" (Cloud.vm_id d) metric))
+          in
           [
             Printf.sprintf "%.1f" (spread *. 100.);
-            string_of_int (Cloud.skew_blocks d);
-            string_of_int (Cloud.divergences d);
+            count "skew_blocks";
+            count "divergences";
           ]))
     [ 0.0; 0.001; 0.01; 0.03 ]
 

@@ -21,12 +21,11 @@ type profile = {
   write_fraction : float;  (** Fraction of writes among requests. *)
 }
 
+val ferret : profile
+
 (** The five applications used in the paper, with Fig. 7(b)'s interrupt
     counts: ferret 31, blackscholes 38, canneal 183, dedup 293,
     streamcluster 27. *)
-val ferret : profile
-
-val dedup : profile
 val all_profiles : profile list
 
 (** [app profile ~collector] builds the guest application: it starts at

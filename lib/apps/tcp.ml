@@ -84,9 +84,6 @@ let create ~config ~conn ~initiator =
     next_timer_id = 0;
   }
 
-let bytes_delivered t = t.rcv_next
-let bytes_acked t = t.snd_una
-
 let mk t kind ~seq ~len ~msg_end =
   { conn = t.conn; kind; seq; len; ack = t.rcv_next; msg_end }
 

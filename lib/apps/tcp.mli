@@ -54,8 +54,5 @@ type t
     [conn]. Exactly one side must be the initiator. *)
 val create : config:config -> conn:int -> initiator:bool -> t
 
-val bytes_delivered : t -> int
-val bytes_acked : t -> int
-
 (** Drive the machine; outputs must be performed in order. *)
 val step : t -> input -> output list

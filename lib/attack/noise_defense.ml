@@ -69,12 +69,12 @@ let median_victim ~lambda ~lambda' =
   let e' = Dist.exponential ~rate:lambda' in
   Order_stats.median_dist [| e'; e; e |]
 
-let compare ~lambda ~lambda' ?confidences () =
+(* The paper's confidence grid for Fig. 8. *)
+let confidences = [ 0.70; 0.80; 0.90; 0.99 ]
+
+let compare ~lambda ~lambda' () =
   if lambda <= 0. || lambda' <= 0. then
     invalid_arg "Noise_defense.compare: rates must be positive";
-  let confidences =
-    match confidences with Some c -> c | None -> [ 0.70; 0.80; 0.90; 0.99 ]
-  in
   let delta_n = delta_n_for ~lambda ~lambda' ~coverage:0.9999 in
   let null_sw = median_null ~lambda in
   let alt_sw = median_victim ~lambda ~lambda' in

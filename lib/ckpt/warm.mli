@@ -20,9 +20,6 @@ type status =
   | Built  (** Cache miss (or unreadable image): built fresh, image written. *)
   | Restored  (** Cache hit: handle restored from the image. *)
 
-(** Where [load_or_build] keeps the image for [key] inside [dir]. *)
-val image_path : dir:string -> key:string -> string
-
 (** [load_or_build ~dir ~key ~seed ~shards ~build] returns a ready-to-run
     handle for the configuration identified by [key]: restored from a
     valid cached image when one exists, otherwise built by [build ()] and

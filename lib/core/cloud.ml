@@ -234,9 +234,6 @@ let machine t i =
     invalid_arg "Cloud.machine: index out of range";
   t.machines.(i)
 
-let ingress t = t.shards.(0).sh_ingress
-let egress t = t.shards.(0).sh_egress
-
 let fresh_vm_id t =
   let id = t.next_vm in
   t.next_vm <- id + 1;
@@ -359,8 +356,6 @@ let replica_on d ~machine =
   List.assoc_opt machine d.instances
 
 let group d = d.group
-let divergences d = Sw_vmm.Replica_group.divergences d.group
-let skew_blocks d = Sw_vmm.Replica_group.skew_blocks d.group
 
 let add_host t ?(link = Sw_net.Network.wan) ?(shard = 0) () =
   if shard < 0 || shard >= Array.length t.shards then

@@ -86,11 +86,7 @@ val total_fired : t -> int
     cloud. *)
 val attach_trace : t -> Sw_obs.Trace.t -> unit
 
-(** Times the skew limiter has descheduled this VM's fastest replica. *)
-val skew_blocks : deployment -> int
-
 val engine : t -> Sw_sim.Engine.t
-val network : t -> Sw_net.Network.t
 
 (** The simulation-wide metrics registry (owned by the engine); every
     component of this cloud records into it. *)
@@ -99,9 +95,6 @@ val metrics : t -> Sw_obs.Registry.t
 (** Deterministic snapshot of every metric in the cloud — the value the
     runner merges across jobs and the benches export. *)
 val metrics_snapshot : t -> Sw_obs.Snapshot.t
-val machine : t -> int -> Sw_vmm.Machine.t
-val ingress : t -> Sw_net.Ingress.t
-val egress : t -> Sw_net.Egress.t
 
 (** [deploy t ?config ~on ~app] starts a guest VM under StopWatch with one
     replica per machine in [on] (length must equal the configured replica
@@ -129,9 +122,6 @@ val replicas : deployment -> Sw_vmm.Vmm.instance list
 val replica_on : deployment -> machine:int -> Sw_vmm.Vmm.instance option
 
 val group : deployment -> Sw_vmm.Replica_group.t
-
-(** Synchrony violations recorded for this VM (paper footnote 4). *)
-val divergences : deployment -> int
 
 (** [add_host t ?link ?shard ()] creates an external host with a fresh id,
     attached to [shard]'s fabric (default 0). Packets it sends to VMs or

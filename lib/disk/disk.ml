@@ -96,16 +96,3 @@ let submit t ~vm ~kind:_ ~bytes ~sequential k =
       Registry.Counter.incr vm_completed;
       let p = Engine.profile t.engine in
       if Sw_obs.Profile.enabled p then Sw_obs.Profile.time p t.p_complete k else k ())
-
-let completed t = Registry.Counter.value t.m_completed
-
-let completed_for t ~vm =
-  match Int_tbl.find_opt t.per_vm vm with
-  | Some c -> Registry.Counter.value c
-  | None -> 0
-
-let busy_time t = Time.ns (Registry.Counter.value t.m_busy_ns)
-
-let max_service_time t =
-  let m = Registry.Histogram.max t.m_service in
-  if m = min_int then Time.zero else m

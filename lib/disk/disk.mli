@@ -31,16 +31,3 @@ type kind = Read | Write
     [k] at its completion time. [vm] tags the requester for accounting. *)
 val submit :
   t -> vm:int -> kind:kind -> bytes:int -> sequential:bool -> (unit -> unit) -> unit
-
-(** Completed request count. *)
-val completed : t -> int
-
-(** Completed request count for one VM. *)
-val completed_for : t -> vm:int -> int
-
-(** Time the disk has spent busy. *)
-val busy_time : t -> Sw_sim.Time.t
-
-(** Largest observed single-request service time (queueing excluded) — the
-    quantity an operator would use to provision Δd. *)
-val max_service_time : t -> Sw_sim.Time.t

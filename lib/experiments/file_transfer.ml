@@ -49,7 +49,10 @@ let one ?config ~seed ~protocol ~baseline ~size_bytes () =
     end
   in
   advance 0;
-  (!result, Cloud.divergences d, Cloud.metrics_snapshot cloud)
+  let snap = Cloud.metrics_snapshot cloud in
+  ( !result,
+    Sw_obs.Snapshot.counter snap (Printf.sprintf "vm%d.divergences" (Cloud.vm_id d)),
+    snap )
 
 let jobs ?config ?(seed = 0xF16_5L) ~protocol ~baseline ~size_bytes ~runs () =
   if runs < 1 then invalid_arg "File_transfer.jobs: need >= 1 run";

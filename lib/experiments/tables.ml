@@ -1,22 +1,22 @@
-let row ?(fmt = Format.std_formatter) ~width cells =
-  Format.fprintf fmt "%s@."
+let row ~width cells =
+  Format.printf "%s@."
     (String.concat "  "
        (List.map (fun c -> Printf.sprintf "%*s" width c) cells))
 
-let header ?(fmt = Format.std_formatter) ~width cells =
-  row ~fmt ~width cells;
+let header ~width cells =
+  row ~width cells;
   let dashes =
     List.map
       (fun c -> String.make (Stdlib.min width (String.length c + 2)) '-')
       cells
   in
-  row ~fmt ~width dashes
+  row ~width dashes
 
-let section ?(fmt = Format.std_formatter) title =
-  Format.fprintf fmt "@\n%s@\n%s@." title (String.make (String.length title) '=')
+let section title =
+  Format.printf "@\n%s@\n%s@." title (String.make (String.length title) '=')
 
-let subsection ?(fmt = Format.std_formatter) title =
-  Format.fprintf fmt "@\n%s@\n%s@." title (String.make (String.length title) '-')
+let subsection title =
+  Format.printf "@\n%s@\n%s@." title (String.make (String.length title) '-')
 
 let f2 x = Printf.sprintf "%.2f" x
 let f1 x = Printf.sprintf "%.1f" x

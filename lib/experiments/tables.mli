@@ -1,18 +1,15 @@
-(** Small helpers for printing aligned benchmark tables.
-
-    Every printer takes an optional [?fmt] formatter (default
-    [Format.std_formatter]) so tests can capture table output with
-    [Format.str_formatter] instead of scraping stdout. *)
+(** Small helpers for printing aligned benchmark tables on standard output
+    (through [Format.std_formatter]). *)
 
 (** [row cells] prints one row of fixed-width cells. *)
-val row : ?fmt:Format.formatter -> width:int -> string list -> unit
+val row : width:int -> string list -> unit
 
-val header : ?fmt:Format.formatter -> width:int -> string list -> unit
+val header : width:int -> string list -> unit
 
 (** [section title] prints a banner. *)
-val section : ?fmt:Format.formatter -> string -> unit
+val section : string -> unit
 
-val subsection : ?fmt:Format.formatter -> string -> unit
+val subsection : string -> unit
 
 (** Format a float compactly. *)
 val f2 : float -> string

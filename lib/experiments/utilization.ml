@@ -38,8 +38,14 @@ let run ?config ?(seed = 0x07117AL) ~machines ~capacity ~vms ~file_bytes ~durati
       download ())
     deployments;
   Cloud.run cloud ~until:duration;
+  let snap = Cloud.metrics_snapshot cloud in
   let divergences =
-    List.fold_left (fun acc d -> acc + Cloud.divergences d) 0 deployments
+    List.fold_left
+      (fun acc d ->
+        acc
+        + Sw_obs.Snapshot.counter snap
+            (Printf.sprintf "vm%d.divergences" (Cloud.vm_id d)))
+      0 deployments
   in
   {
     vms;

@@ -200,5 +200,3 @@ let install env schedule =
         (fun () -> open_window t spec))
     (Schedule.sorted schedule);
   t
-
-let injected t = Registry.Counter.value t.m_injected

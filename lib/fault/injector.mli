@@ -28,6 +28,3 @@ type t
     the engine's registry and, when the engine has a trace attached, emits
     [Fault_injected] / [Fault_cleared] events into it. *)
 val install : env -> Schedule.t -> t
-
-(** Windows whose open actually took effect. *)
-val injected : t -> int

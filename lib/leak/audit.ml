@@ -89,9 +89,6 @@ let guest_leaking t =
 
 let leak t = List.exists (fun f -> f.leaking <> []) t.findings
 
-let find t key =
-  List.find_opt (fun f -> String.equal f.f_key key) t.findings
-
 let report_of_verdict (r : Detector.report) =
   Report.Obj
     [

@@ -61,8 +61,6 @@ val guest_leaking : t -> string list
 (** True when any series leaked under any detector. *)
 val leak : t -> bool
 
-val find : t -> string -> finding option
-
 (** The ["leakage"] JSON object: label, overall verdict, attribution
     list, and per-series detector reports (p-values, effect sizes,
     observations-needed curves). Byte-stable. *)

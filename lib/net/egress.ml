@@ -112,12 +112,3 @@ let set_replicas t ~vm ~replicas =
   match Int_tbl.find_opt t.vms vm with
   | None -> invalid_arg "Egress.set_replicas: unknown vm"
   | Some entry -> entry.replicas <- replicas
-
-let pending_votes t ~vm =
-  match Int_tbl.find_opt t.vms vm with
-  | None -> 0
-  | Some entry -> Int_tbl.length entry.pending
-
-let forwarded t = Sw_obs.Registry.Counter.value t.m_forwarded
-let mismatches t = Sw_obs.Registry.Counter.value t.m_mismatches
-let expired_votes t = Sw_obs.Registry.Counter.value t.m_expired

@@ -2,7 +2,13 @@
     from every replica of a guest VM and forwards it to its real destination
     upon the arrival of the copy exhibiting the median output timing (the
     2nd of 3 copies; generally the (m+1)/2-th of m). Each release emits
-    {!Sw_obs.Event.Egress_released} through the engine's trace. *)
+    {!Sw_obs.Event.Egress_released} through the engine's trace and counts
+    in [net.egress.forwarded].
+
+    Output vote: deterministic replicas always emit identical packets, so a
+    copy that disagrees with the one held for the same sequence number
+    exposes replica-state divergence (the deterministic-output property of
+    Sec. VI); it counts in [net.egress.mismatches]. *)
 
 type t
 
@@ -28,21 +34,3 @@ val register_vm : t -> vm:int -> replicas:int -> unit
     smaller quorum (or recovers). Entries already released under the old
     population are left to complete or expire. *)
 val set_replicas : t -> vm:int -> replicas:int -> unit
-
-(** Number of in-flight vote entries held for [vm] (test observability —
-    the boundedness property under loss asserts on this). *)
-val pending_votes : t -> vm:int -> int
-
-(** Packets forwarded to their destinations so far. *)
-val forwarded : t -> int
-
-(** Output-vote failures: a copy of some packet disagreed with the copy the
-    egress already held for the same sequence number. Deterministic replicas
-    always emit identical packets, so a mismatch exposes replica-state
-    divergence (the vote of Sec. II / the deterministic-output property of
-    Sec. VI). *)
-val mismatches : t -> int
-
-(** Vote entries retired by the [vote_expiry] timeout before all copies
-    arrived. *)
-val expired_votes : t -> int

@@ -81,6 +81,3 @@ let set_replicas t ~vm ~replicas =
   match Int_tbl.find_opt t.vms vm with
   | None -> invalid_arg "Ingress.set_replicas: unknown vm"
   | Some entry -> entry.replicas <- replicas
-
-let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
-let replicated t = Sw_obs.Registry.Counter.value t.m_replicated

@@ -1,6 +1,8 @@
 (** The ingress node (paper Sec. V): replicates every packet destined to a
     guest VM to all machines hosting that VM's replicas, stamping a shared
-    [ingress_seq] so the VMMs can match delivery-time proposals. *)
+    [ingress_seq] so the VMMs can match delivery-time proposals. Counts
+    [net.ingress.replicated] and, for VMs it does not know,
+    [net.ingress.dropped]. *)
 
 type t
 
@@ -21,9 +23,3 @@ val register_vm :
     VM's replica group ejects or reintegrates a member. Copies keep flowing
     group-wide; only the traced count changes. *)
 val set_replicas : t -> vm:int -> replicas:int -> unit
-
-(** Packets arriving for VMs the ingress does not know. *)
-val dropped : t -> int
-
-(** Total inbound guest packets replicated. *)
-val replicated : t -> int

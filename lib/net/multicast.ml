@@ -357,7 +357,4 @@ let handle e (pkt : Packet.t) =
   | Packet.Vmm_alive _ | Packet.Tcp _ | Packet.App _ ->
       invalid_arg "Multicast.handle: not a multicast packet"
 
-let retransmissions e = Sw_obs.Registry.Counter.value e.m_retransmissions
-let gaps_abandoned e = Sw_obs.Registry.Counter.value e.m_abandoned
-let partition_drops e = Sw_obs.Registry.Counter.value e.m_partition_drops
 let set_partitioned e on = e.partitioned <- on

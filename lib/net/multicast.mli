@@ -71,18 +71,9 @@ val publish : endpoint -> size:int -> Packet.payload -> unit
     with [Invalid_argument]. *)
 val handle : endpoint -> Packet.t -> unit
 
-(** Number of retransmissions this endpoint has served (test observability). *)
-val retransmissions : endpoint -> int
-
-(** Number of gaps this endpoint has abandoned after exhausting NAK retries. *)
-val gaps_abandoned : endpoint -> int
-
 (** [set_partitioned e on] cuts the endpoint off from the group (fault
     injection): while set, every outgoing protocol packet and every incoming
     [handle]d packet is dropped and counted in
     [net.mcast.<addr>.partition_drops]. NAK recovery repairs the backlog once
     the partition heals (tail losses need the group heartbeat). *)
 val set_partitioned : endpoint -> bool -> unit
-
-(** Packets dropped at this endpoint by a partition window. *)
-val partition_drops : endpoint -> int

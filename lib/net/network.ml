@@ -119,7 +119,6 @@ let register t addr handler =
   Int_tbl.replace t.handlers (Address.index addr) (addr, handler)
 
 let set_route t ~dst ~via = Int_tbl.replace t.routes (Address.index dst) via
-let clear_route t ~dst = Int_tbl.remove t.routes (Address.index dst)
 
 let set_link t ~src ~dst params =
   Int_tbl.replace t.link_overrides (pair_key src dst) (dst, params)
@@ -318,21 +317,3 @@ let send t (pkt : Packet.t) =
   match pkt.dst with
   | Address.Broadcast_addr -> broadcast t pkt
   | dst -> deliver_via t ~target:(route t dst) pkt
-
-let count t ~src ~dst =
-  match Int_tbl.find_opt t.counters (pair_key src dst) with
-  | Some c -> Registry.Counter.value c
-  | None -> 0
-
-let delivered t = Registry.Counter.value t.m_delivered
-let undeliverable t = Registry.Counter.value t.m_undeliverable
-let lost t = Registry.Counter.value t.m_lost
-
-let reset_counters t =
-  (* Reset handles in place: the registry keeps the same counter cells, so
-     cached handles and future snapshots stay coherent. *)
-  Int_tbl.iter (fun _ c -> Registry.Counter.reset c) t.counters;
-  Registry.Counter.reset t.m_delivered;
-  Registry.Counter.reset t.m_undeliverable;
-  Registry.Counter.reset t.m_lost;
-  Registry.Counter.reset t.m_fault_lost

@@ -47,8 +47,6 @@ val register : t -> Address.t -> (Packet.t -> unit) -> unit
     field is left untouched. *)
 val set_route : t -> dst:Address.t -> via:Address.t -> unit
 
-val clear_route : t -> dst:Address.t -> unit
-
 (** [set_link t ~src ~dst params] overrides the parameters of the directed
     link [src -> dst]. *)
 val set_link : t -> src:Address.t -> dst:Address.t -> link_params -> unit
@@ -123,18 +121,7 @@ val min_latency_to :
     undeliverable and dropped. *)
 val send : t -> Packet.t -> unit
 
-(** Delivered-packet count for the directed pair, since the last reset.
-    Counts use the packet's original [src]/[dst] fields. *)
-val count : t -> src:Address.t -> dst:Address.t -> int
-
 (** [pair_metric ~src ~dst] is the registry path the pair's delivered-packet
     counter lives under ([net.link.<src>.<dst>.delivered]), for reading the
     same count out of a metrics snapshot. *)
 val pair_metric : src:Address.t -> dst:Address.t -> string
-
-(** Total delivered packets since the last reset. *)
-val delivered : t -> int
-
-val undeliverable : t -> int
-val lost : t -> int
-val reset_counters : t -> unit

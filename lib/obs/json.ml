@@ -190,10 +190,6 @@ let parse s =
   | v -> Ok v
   | exception Error msg -> Error msg
 
-let member name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
 let to_number = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f

@@ -34,9 +34,6 @@ type t =
     ["expected ',' or '}' at line 3, column 7 (offset 41)"]. *)
 val parse : string -> (t, string) result
 
-(** [member name v] is field [name] when [v] is an object containing it. *)
-val member : string -> t -> t option
-
 (** [to_number v] is the value of an [Int] or [Float]. *)
 val to_number : t -> float option
 

@@ -54,7 +54,6 @@ let time t tm f =
   end
 
 let total_ns tm = tm.total_ns
-let count tm = tm.count
 
 let to_list t =
   List.sort
@@ -62,10 +61,3 @@ let to_list t =
     (Hashtbl.fold
        (fun name tm acc -> (name, tm.total_ns, tm.count) :: acc)
        t.timers [])
-
-let reset t =
-  Hashtbl.iter
-    (fun _ tm ->
-      tm.total_ns <- 0;
-      tm.count <- 0)
-    t.timers

@@ -46,10 +46,6 @@ val now_ns : unit -> int
 val record_ns : timer -> int -> unit
 
 val total_ns : timer -> int
-val count : timer -> int
 
 (** All timers as [(name, total_ns, count)], ascending name order. *)
 val to_list : t -> (string * int * int) list
-
-(** Zero every accumulator in place (handles stay valid). *)
-val reset : t -> unit

@@ -11,7 +11,6 @@ module Sum = struct
   type t = { mutable v : float }
 
   let add t x = t.v <- t.v +. x
-  let value t = t.v
 end
 
 module Gauge = struct
@@ -50,11 +49,6 @@ module Histogram = struct
     t.total <- t.total + v;
     if v < t.min then t.min <- v;
     if v > t.max then t.max <- v
-
-  let count t = t.count
-  let total t = t.total
-  let max t = t.max
-  let min t = t.min
 end
 
 type metric =

@@ -15,6 +15,12 @@
       [int]s, so an observation is a bucket search and four stores with no
       allocation.
 
+    Reading a metric: components write through their handles and never read
+    them back; reports, benches and tests read numbers from a {!snapshot}
+    by registered name ({!Snapshot.counter} and friends). The one handle
+    read is {!Counter.value}, for a count a caller needs inside a measured
+    window without building a snapshot (the engine's fired-event count).
+
     Registries are single-domain objects: a simulation's registry lives and
     dies with its job, and only {!Snapshot} values cross domains. *)
 
@@ -27,8 +33,9 @@ module Counter : sig
   val add : t -> int -> unit
   val value : t -> int
 
-  (** Reset to zero (for measurement-window style uses, e.g.
-      [Network.reset_counters]). *)
+  (** Reset to zero, in place: cached handles and later snapshots keep
+      sharing the cell (a trace's drop count restarts this way when the
+      trace is cleared). *)
   val reset : t -> unit
 end
 
@@ -36,7 +43,6 @@ module Sum : sig
   type t
 
   val add : t -> float -> unit
-  val value : t -> float
 end
 
 module Gauge : sig
@@ -46,11 +52,9 @@ module Gauge : sig
   val observe : t -> float -> unit
 
   (** Unboxed fast path: like {!observe} but an int compare-and-store, no
-      float conversion or boxing. The watermark reported by {!value} is the
-      max across both paths. *)
+      float conversion or boxing. The snapshot reports the max across both
+      paths. *)
   val observe_int : t -> int -> unit
-
-  val value : t -> float
 end
 
 module Histogram : sig
@@ -58,15 +62,6 @@ module Histogram : sig
 
   (** [observe h v] records the value [v], in ns. *)
   val observe : t -> int -> unit
-
-  val count : t -> int
-  val total : t -> int
-
-  (** Largest observed value; [min_int] before any observation. *)
-  val max : t -> int
-
-  (** Smallest observed value; [max_int] before any observation. *)
-  val min : t -> int
 end
 
 val create : unit -> t

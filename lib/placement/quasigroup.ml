@@ -6,37 +6,7 @@ let create n =
   (* (n + 1) / 2 is the multiplicative inverse of 2 mod n. *)
   { n; half = (n + 1) / 2 }
 
-let order t = t.n
-
 let op t x y =
   if x < 0 || x >= t.n || y < 0 || y >= t.n then
     invalid_arg "Quasigroup.op: element out of range";
   (x + y) * t.half mod t.n
-
-let is_idempotent t =
-  let ok = ref true in
-  for x = 0 to t.n - 1 do
-    if op t x x <> x then ok := false
-  done;
-  !ok
-
-let is_commutative t =
-  let ok = ref true in
-  for x = 0 to t.n - 1 do
-    for y = 0 to t.n - 1 do
-      if op t x y <> op t y x then ok := false
-    done
-  done;
-  !ok
-
-let is_latin_square t =
-  let ok = ref true in
-  for x = 0 to t.n - 1 do
-    let row_seen = Array.make t.n false and col_seen = Array.make t.n false in
-    for y = 0 to t.n - 1 do
-      let r = op t x y and c = op t y x in
-      if row_seen.(r) then ok := false else row_seen.(r) <- true;
-      if col_seen.(c) then ok := false else col_seen.(c) <- true
-    done
-  done;
-  !ok

@@ -8,15 +8,6 @@ type t
     [Invalid_argument] for even or non-positive [n]. *)
 val create : int -> t
 
-val order : t -> int
-
 (** [op q x y] applies the quasigroup operation. Arguments must lie in
     [[0, order)]. *)
 val op : t -> int -> int -> int
-
-(** Structural checks (each element once per row/column, commutative,
-    idempotent) — used by tests and by {!create}'s own assertion. *)
-val is_idempotent : t -> bool
-
-val is_commutative : t -> bool
-val is_latin_square : t -> bool

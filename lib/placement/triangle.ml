@@ -10,7 +10,6 @@ let make x y z =
 
 let vertices t = [ t.a; t.b; t.c ]
 let edges t = [ (t.a, t.b); (t.a, t.c); (t.b, t.c) ]
-let mem v t = v = t.a || v = t.b || v = t.c
 
 let edge_disjoint ts =
   let seen = Hashtbl.create 64 in

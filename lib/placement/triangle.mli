@@ -16,8 +16,6 @@ val vertices : t -> int list
 (** The three edges, each as an ordered pair [(lo, hi)]. *)
 val edges : t -> (int * int) list
 
-val mem : int -> t -> bool
-
 (** [edge_disjoint ts] checks pairwise edge-disjointness of a whole list in
     O(total edges). *)
 val edge_disjoint : t list -> bool

@@ -24,7 +24,6 @@ let[@inline] next_int64 t =
   mix64 s
 
 let split t = of_state (next_int64 t)
-let copy t = of_state (get t)
 
 (* Key derivation: fold each key into the state through one SplitMix64
    round. Unlike [split] this consumes no draws from any shared stream, so
@@ -75,13 +74,3 @@ let choose t = function
   | [] -> invalid_arg "Prng.choose: empty list"
   | l -> List.nth l (int t (List.length l))
 
-type state = int64
-
-let export = get
-let import = of_state
-let state_to_string = Int64.to_string
-
-let state_of_string s =
-  match Int64.of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "Prng.state_of_string: %S is not a state" s)

@@ -17,38 +17,10 @@
 
 type t
 
-(** The full state of a generator, as an abstract serializable value:
-    checkpointing code captures it with {!export} and rebuilds the stream
-    with {!import} instead of reaching into generator internals. A [state]
-    is immutable plain data — safe to marshal, hash, compare, or ship
-    across domains. The domain-ownership contract above transfers with it:
-    {!import} mints a fresh generator owned by the importing domain, and a
-    generator restored from the [state] of a live [t] replays exactly the
-    draws [t] would have made — use it for replay, not for concurrent
-    draws alongside the original. *)
-type state
-
-(** [export t] captures [t]'s current position in its stream. [t] is not
-    advanced. *)
-val export : t -> state
-
-(** [import s] rebuilds a generator at position [s]:
-    [import (export t)] draws the same sequence as [t]. *)
-val import : state -> t
-
-(** Round-trippable textual form, for embedding states in reports or
-    checkpoint metadata. *)
-val state_to_string : state -> string
-
-val state_of_string : string -> (state, string) result
-
 val create : int64 -> t
 
 (** [split t] derives an independent generator, advancing [t]. *)
 val split : t -> t
-
-(** [copy t] duplicates the generator's current state. *)
-val copy : t -> t
 
 (** [mix seed key] folds [key] into [seed] through one SplitMix64 round.
     Pure; used to build stream keys from structured identities. *)
@@ -60,8 +32,6 @@ val mix : int64 -> int64 -> int64
     discipline sharded simulations rely on for partition-independent
     draws. *)
 val derive : seed:int64 -> int64 list -> t
-
-val next_int64 : t -> int64
 
 (** [float t] draws uniformly from [[0, 1)]. *)
 val float : t -> float

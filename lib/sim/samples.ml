@@ -53,8 +53,6 @@ let percentile t p =
     a.(i) +. (frac *. (a.(i + 1) -. a.(i)))
   end
 
-let median t = percentile t 0.5
-
 let histogram t ~bins ~lo ~hi =
   if bins <= 0 then invalid_arg "Samples.histogram: bins must be positive";
   if hi <= lo then invalid_arg "Samples.histogram: empty range";
@@ -66,18 +64,3 @@ let histogram t ~bins ~lo ~hi =
     counts.(b) <- counts.(b) + 1
   done;
   counts
-
-let ecdf t x =
-  if t.size = 0 then 0.
-  else begin
-    let a = sorted t in
-    (* Binary search for the number of elements <= x. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if a.(mid) <= x then search (mid + 1) hi else search lo mid
-      end
-    in
-    float_of_int (search 0 (Array.length a)) /. float_of_int (Array.length a)
-  end

@@ -12,14 +12,9 @@ val mean : t -> float
     statistics. Raises [Invalid_argument] when empty or [p] out of range. *)
 val percentile : t -> float -> float
 
-val median : t -> float
-
 (** Raw copy in insertion order. *)
 val to_array : t -> float array
 
 (** [histogram t ~bins ~lo ~hi] counts observations per equal-width bin over
     [[lo, hi]]; values outside are clamped into the end bins. *)
 val histogram : t -> bins:int -> lo:float -> hi:float -> int array
-
-(** [ecdf t x] is the fraction of observations [<= x]. *)
-val ecdf : t -> float -> float

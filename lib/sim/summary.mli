@@ -7,10 +7,8 @@ val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
 
-(** Sample variance (unbiased, n-1 denominator); [0.] for fewer than two
-    observations. *)
-val variance : t -> float
-
+(** Sample standard deviation, from the unbiased (n-1 denominator)
+    variance; [0.] for fewer than two observations. *)
 val stddev : t -> float
 
 (** Raises [Invalid_argument] when empty. *)

@@ -77,37 +77,3 @@ let against_labels ~null ~alt =
     [| Chi_square.bin_counts ~edges null; Chi_square.bin_counts ~edges alt |]
   in
   of_counts ~bins counts
-
-let paired x y =
-  let n = Array.length x in
-  if n = 0 || Array.length y <> n then
-    invalid_arg "Mutual_info.paired: need equal non-empty samples";
-  let ex = Chi_square.empirical_edges x ~bins
-  and ey = Chi_square.empirical_edges y ~bins in
-  let index edges v =
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if edges.(mid) <= v then search (mid + 1) hi else search lo mid
-      end
-    in
-    search 0 (Array.length edges)
-  in
-  let counts = Array.make_matrix bins bins 0. in
-  for i = 0 to n - 1 do
-    let a = index ex x.(i) and b = index ey y.(i) in
-    counts.(a).(b) <- counts.(a).(b) +. 1.
-  done;
-  of_counts ~bins counts
-
-let entropy_bits x =
-  if Array.length x = 0 then invalid_arg "Mutual_info.entropy_bits: empty sample";
-  let edges = Chi_square.empirical_edges x ~bins in
-  let counts = Chi_square.bin_counts ~edges x in
-  let n = float_of_int (Array.length x) in
-  let acc = ref 0. in
-  Array.iter
-    (fun c -> if c > 0. then acc := !acc -. (c /. n *. Float.log (c /. n)))
-    counts;
-  !acc /. Float.log 2.

@@ -21,11 +21,3 @@ type t = {
 (** MI between the sample label and the observed value: columns are
     quantile bins of the pooled sample, rows are {null, alt}. *)
 val against_labels : null:float array -> alt:float array -> t
-
-(** MI between two paired series of equal length; each axis is binned into
-    8 bins by its own sample quantiles. *)
-val paired : float array -> float array -> t
-
-(** Plugin entropy (bits) of a sample under its own quantile binning —
-    the H(X) that {!paired} of a stream with itself approaches. *)
-val entropy_bits : float array -> float

@@ -21,15 +21,9 @@ val median3 :
     and takes the sample median. Odd length required. *)
 val median_dist : Dist.t array -> Dist.t
 
-(** Sample median of an odd-length array (does not modify its argument). *)
-val sample_median : float array -> float
-
 (** Median of three via a branch network of int compares (no allocation,
     no polymorphic compare). *)
 val median3_int : int -> int -> int -> int
-
-(** Median of five via a 6-compare network (no allocation). *)
-val median5_int : int -> int -> int -> int -> int -> int
 
 (** Sample median of an odd-length int array. Lengths 1, 3 and 5 — the
     replica vote counts — go through the branch networks without touching

@@ -1,8 +1,5 @@
 (** Special functions needed by the statistical machinery. *)
 
-(** Natural log of the gamma function (Lanczos approximation), for [x > 0]. *)
-val log_gamma : float -> float
-
 (** Regularised lower incomplete gamma [P(a, x)], for [a > 0], [x >= 0]. *)
 val gamma_p : float -> float -> float
 
@@ -11,15 +8,10 @@ val gamma_p : float -> float -> float
     p-values. *)
 val betai : float -> float -> float -> float
 
-(** Error function. *)
-val erf : float -> float
-
-(** Standard normal CDF, via {!erf}. *)
-val norm_cdf : float -> float
-
-(** Standard normal quantile (inverse of {!norm_cdf}), for [p] in (0, 1);
-    found by bisection, so exactly as accurate as the {!erf}
-    approximation. *)
+(** Standard normal quantile, for [p] in (0, 1): the inverse of the
+    normal CDF [(1 + erf (x / sqrt 2)) / 2], found by bisection, so exactly
+    as accurate as the erf approximation (Abramowitz & Stegun 7.1.26,
+    absolute error under 1.5e-7). *)
 val probit : float -> float
 
 (** Binomial coefficient as a float (exact for small arguments). *)

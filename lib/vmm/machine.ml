@@ -72,8 +72,6 @@ let address t = Sw_net.Address.Vmm t.id
 let engine t = t.engine
 let network t = t.network
 let disk t = t.disk
-let slices t = Registry.Counter.value t.m_slices
-let dom0_time t = Time.ns (Registry.Counter.value t.m_dom0_ns)
 
 (* Each guest has its own core (the paper's machines have 16 cores for at
    most (n-1)/2 guests), so resident slice loops run independently; a

@@ -24,7 +24,9 @@ type resident = {
     VM-exit grid — but take [quantum / rate_multiplier] of wall time, so
     replicas on machines of different speeds skew in real time exactly as on
     heterogeneous hardware). [clock_offset] models the machine's real-time
-    clock error (NTP-scale); it offsets {!local_time}. *)
+    clock error (NTP-scale); it offsets {!local_time}. Counts the guest
+    slices granted in [vmm.<id>.slices] and Dom0 CPU time in
+    [vmm.<id>.dom0_ns]. *)
 val create :
   Sw_sim.Engine.t ->
   Sw_net.Network.t ->
@@ -67,12 +69,6 @@ val transmit : t -> Sw_net.Packet.t -> unit
     (FIFO, 8 Gb/s); [k] runs at completion. Coresident VMs' transfers
     queue behind each other, like the disk. *)
 val dma_execute : t -> bytes:int -> (unit -> unit) -> unit
-
-(** Guest slices granted so far. *)
-val slices : t -> int
-
-(** Total Dom0 CPU time consumed. *)
-val dom0_time : t -> Sw_sim.Time.t
 
 (** {1 Fault-injection hooks}
 

@@ -284,8 +284,6 @@ let receive_report t ~at ~from_replica ~epoch ~d ~r =
       end
 
 let record_divergence t = Registry.Counter.incr t.m_divergences
-let skew_blocks t = Registry.Counter.value t.m_skew_blocks
-let divergences t = Registry.Counter.value t.m_divergences
 
 let epochs_resolved t =
   let resolved = ref max_int and any = ref false in
@@ -311,12 +309,6 @@ let note_degraded_transition t ~now =
       Registry.Sum.add t.m_degraded_ns (float_of_int (Time.sub now since));
       t.degraded_since <- None
   | _ -> ()
-
-let degraded_ns t ~now =
-  let closed = Registry.Sum.value t.m_degraded_ns in
-  match t.degraded_since with
-  | Some since -> closed +. float_of_int (Time.sub now since)
-  | None -> closed
 
 (* After any membership change the survivors must re-evaluate everything the
    old membership was gating: the skew frontier shrank or grew, and epochs
@@ -363,6 +355,3 @@ let reinstate t m ~now ~virt ~like =
   Hashtbl.iter (fun k v -> Hashtbl.replace m.reports k v) like.reports;
   note_degraded_transition t ~now;
   fire_membership_change t
-
-let ejections t = Registry.Counter.value t.m_ejections
-let reintegrations t = Registry.Counter.value t.m_reintegrations

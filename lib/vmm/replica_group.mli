@@ -12,10 +12,11 @@ type mode = Stopwatch | Baseline
 type t
 type member
 
-(** [create ?metrics ~vm ~config ~mode ()] registers the group's divergence
-    and skew-block counters ([vm<id>.divergences], [vm<id>.skew_blocks]) in
-    [metrics] — the simulation registry when deployed by the cloud, a private
-    one when omitted (standalone tests). *)
+(** [create ?metrics ~vm ~config ~mode ()] registers the group's counters
+    ([vm<id>.divergences], [vm<id>.skew_blocks], [vm<id>.ejections],
+    [vm<id>.reintegrations]) and the [vm<id>.degraded_ns] sum of closed
+    degraded-mode windows in [metrics] — the simulation registry when
+    deployed by the cloud, a private one when omitted (standalone tests). *)
 val create :
   ?metrics:Sw_obs.Registry.t -> vm:int -> config:Config.t -> mode:mode -> unit -> t
 val vm : t -> int
@@ -70,13 +71,8 @@ val receive_report :
     paper footnote 4). *)
 val record_divergence : t -> unit
 
-val divergences : t -> int
-
 (** Epochs fully resolved so far (minimum over members). *)
 val epochs_resolved : t -> int
-
-(** Times the skew limiter has descheduled a (newly) fastest replica. *)
-val skew_blocks : t -> int
 
 (** Median of an odd-length array of times. *)
 val median_time : Sw_sim.Time.t array -> Sw_sim.Time.t
@@ -127,14 +123,3 @@ val reinstate :
     {!reinstate}, once group state is consistent. Listeners run in
     registration order. *)
 val on_membership_change : t -> (unit -> unit) -> unit
-
-(** Members ejected so far ([vm<id>.ejections]). *)
-val ejections : t -> int
-
-(** Members reinstated so far ([vm<id>.reintegrations]). *)
-val reintegrations : t -> int
-
-(** Total real time the group has spent with at least one ejected member,
-    in nanoseconds, including the currently open window (the closed-window
-    total lives in the [vm<id>.degraded_ns] sum). *)
-val degraded_ns : t -> now:Sw_sim.Time.t -> float

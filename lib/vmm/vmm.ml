@@ -92,8 +92,6 @@ let guest i = i.guest
 let metric_prefix (i : instance) =
   Printf.sprintf "vmm.%d.vm%d" (Machine.id i.mach) i.vm_id
 
-let net_deliveries i = Registry.Counter.value i.m_net
-let dma_interrupts i = Registry.Counter.value i.m_dma_irq
 let record_inter_delivery i =
   if Option.is_none i.inter_delivery then
     i.inter_delivery <- Some (Sw_sim.Samples.create ())

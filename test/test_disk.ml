@@ -65,10 +65,12 @@ let test_accounting () =
   Disk.submit disk ~vm:3 ~kind:Disk.Read ~bytes:500 ~sequential:true (fun () -> ());
   Disk.submit disk ~vm:4 ~kind:Disk.Read ~bytes:500 ~sequential:true (fun () -> ());
   Engine.run engine;
-  Alcotest.(check int) "completed" 3 (Disk.completed disk);
-  Alcotest.(check int) "per-vm" 2 (Disk.completed_for disk ~vm:3);
-  Alcotest.(check int) "busy time" (Time.us 1500) (Disk.busy_time disk);
-  Alcotest.(check int) "max service" (Time.us 500) (Disk.max_service_time disk)
+  let snap = Sw_obs.Registry.snapshot (Engine.metrics engine) in
+  Alcotest.(check int) "completed" 3 (Metric.counter snap "disk.completed");
+  Alcotest.(check int) "per-vm" 2 (Metric.counter snap "disk.vm3.completed");
+  Alcotest.(check int) "busy time" (Time.us 1500) (Metric.counter snap "disk.busy_ns");
+  Alcotest.(check int) "max service" (Time.us 500)
+    (Metric.histogram snap "disk.service_ns").max
 
 let test_rejects_zero_bytes () =
   let engine = Engine.create () in

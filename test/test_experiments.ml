@@ -57,10 +57,15 @@ let test_parsec_baselines_match_paper () =
     Sw_apps.Parsec.all_profiles
     [ 171.; 177.; 1530.; 3730.; 290. ]
 
+let dedup =
+  List.find
+    (fun p -> p.Sw_apps.Parsec.name = "dedup")
+    Sw_apps.Parsec.all_profiles
+
 let test_parsec_overhead_shape () =
   (* Max overhead at most ~2.6x (paper: 2.3x at blackscholes), and overhead
      correlates with disk interrupts. *)
-  let profiles = [ Sw_apps.Parsec.ferret; Sw_apps.Parsec.dedup ] in
+  let profiles = [ Sw_apps.Parsec.ferret; dedup ] in
   List.iter
     (fun profile ->
       let b = Pb.run ~baseline:true profile in
@@ -81,29 +86,12 @@ let test_parsec_overhead_correlates_with_interrupts () =
     s.Pb.runtime_ms -. b.Pb.runtime_ms
   in
   let ferret = extra Sw_apps.Parsec.ferret in
-  let dedup = extra Sw_apps.Parsec.dedup in
+  let dedup = extra dedup in
   (* dedup has ~9.5x the interrupts of ferret; its absolute penalty must be
      several times larger. *)
   if not (dedup > 4. *. ferret) then
     Alcotest.failf "absolute penalty must scale with interrupts (%f vs %f)" dedup
       ferret
-
-let test_tables_capture () =
-  (* The printers take ?fmt, so output is assertable without scraping
-     stdout. *)
-  let module Tables = Sw_experiments.Tables in
-  let buf = Buffer.create 128 in
-  let fmt = Format.formatter_of_buffer buf in
-  Tables.row ~fmt ~width:6 [ "a"; "bb" ];
-  Tables.header ~fmt ~width:4 [ "x" ];
-  Format.pp_print_flush fmt ();
-  let out = Buffer.contents buf in
-  if not (String.length out > 0 && String.contains out 'a') then
-    Alcotest.fail "row output missing";
-  (* Header underlines with dashes. *)
-  if not (String.contains out '-') then Alcotest.fail "header rule missing";
-  (* Default formatter still works (smoke; goes to stdout). *)
-  Tables.subsection "capture check"
 
 let test_outcome_metrics_snapshot () =
   (* Experiment outcomes expose the cloud's metrics snapshot; the bespoke
@@ -112,9 +100,9 @@ let test_outcome_metrics_snapshot () =
   let m = o.Nb.metrics in
   if Sw_obs.Snapshot.is_empty m then Alcotest.fail "metrics snapshot empty";
   Alcotest.(check bool) "sim event counter present" true
-    (Sw_obs.Snapshot.counter m "sim.events.fired" > 0);
+    (Metric.counter m "sim.events.fired" > 0);
   Alcotest.(check bool) "network deliveries present" true
-    (Sw_obs.Snapshot.counter m "net.delivered" > 0)
+    (Metric.counter m "net.delivered" > 0)
 
 let () =
   Alcotest.run "sw_experiments"
@@ -131,8 +119,6 @@ let () =
         [ Alcotest.test_case "ratio shape" `Slow test_nfs_ratio_shape ] );
       ( "observability",
         [
-          Alcotest.test_case "tables capture via ?fmt" `Quick
-            test_tables_capture;
           Alcotest.test_case "outcome carries metrics snapshot" `Quick
             test_outcome_metrics_snapshot;
         ] );

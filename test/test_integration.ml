@@ -49,20 +49,31 @@ let ping_run ?(machines = 3) ?(pings = 20) ?(deploy = `Stopwatch) ?(seed = 1L) (
   Cloud.run cloud ~until:(Time.s 3);
   (cloud, d, List.rev !pongs)
 
+(* Counts are read from the cloud's metrics snapshot by registered name:
+   cloud-wide ([net.egress.forwarded]), per VM ([vm<id>.divergences]) and
+   per replica ([vmm.<m>.vm<id>.net_deliveries]). *)
+let counter cloud name = Metric.counter (Cloud.metrics_snapshot cloud) name
+
+let vm_counter cloud d name =
+  counter cloud (Printf.sprintf "vm%d.%s" (Cloud.vm_id d) name)
+
+let replica_counter cloud r name =
+  counter cloud (Sw_vmm.Vmm.metric_prefix r ^ "." ^ name)
+
 let test_all_pings_answered () =
-  let _, d, pongs = ping_run () in
+  let cloud, d, pongs = ping_run () in
   Alcotest.(check (list int)) "all pongs, in order"
     (List.init 20 (fun i -> i + 1))
     (List.map fst pongs);
-  Alcotest.(check int) "no divergences" 0 (Cloud.divergences d)
+  Alcotest.(check int) "no divergences" 0 (vm_counter cloud d "divergences")
 
 let test_replicas_in_lockstep () =
-  let _, d, _ = ping_run () in
+  let cloud, d, _ = ping_run () in
   let replicas = Cloud.replicas d in
   Alcotest.(check int) "three replicas" 3 (List.length replicas);
   let virt r = Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest r) in
   let sent r = Sw_vm.Guest.sent_packets (Sw_vmm.Vmm.guest r) in
-  let deliveries r = Sw_vmm.Vmm.net_deliveries r in
+  let deliveries r = replica_counter cloud r "net_deliveries" in
   match replicas with
   | first :: rest ->
       List.iter
@@ -87,13 +98,12 @@ let test_replicas_observe_identical_interdeliveries () =
   | [] -> Alcotest.fail "no replicas"
 
 let test_egress_exactly_once () =
-  let cloud, d, pongs = ping_run () in
+  let cloud, _, pongs = ping_run () in
   Alcotest.(check int) "client got each pong once" 20 (List.length pongs);
   Alcotest.(check int) "egress forwarded exactly the pongs" 20
-    (Sw_net.Egress.forwarded (Cloud.egress cloud));
+    (counter cloud "net.egress.forwarded");
   Alcotest.(check int) "ingress replicated each ping" 20
-    (Sw_net.Ingress.replicated (Cloud.ingress cloud));
-  ignore d
+    (counter cloud "net.ingress.replicated")
 
 let test_reproducible_runs () =
   let _, _, a = ping_run ~seed:42L () in
@@ -140,7 +150,7 @@ let test_background_noise_keeps_determinism () =
     done;
     Cloud.run cloud ~until:(Time.s 2);
     let virt r = Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest r) in
-    (!pongs, List.map virt (Cloud.replicas d), Cloud.divergences d)
+    (!pongs, List.map virt (Cloud.replicas d), vm_counter cloud d "divergences")
   in
   let pongs, virts, div = run () in
   Alcotest.(check int) "pongs under noise" 10 pongs;
@@ -169,7 +179,7 @@ let prop_lockstep_any_seed =
           List.for_all
             (fun r -> Time.equal (virt first) (virt r) && obs first = obs r)
             rest
-          && Cloud.divergences d = 0
+          && vm_counter cloud d "divergences" = 0
       | [] -> false)
 
 let test_deploy_validation () =
@@ -221,7 +231,7 @@ let test_five_replicas_end_to_end () =
   done;
   Cloud.run cloud ~until:(Time.s 2);
   Alcotest.(check int) "pongs with 5 replicas" 5 !pongs;
-  Alcotest.(check int) "exactly once" 5 (Sw_net.Egress.forwarded (Cloud.egress cloud))
+  Alcotest.(check int) "exactly once" 5 (counter cloud "net.egress.forwarded")
 
 let test_divergence_on_tiny_delta_n () =
   (* A delta_n far below the proposal round-trip forces synchrony
@@ -241,7 +251,7 @@ let test_divergence_on_tiny_delta_n () =
         Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
   done;
   Cloud.run cloud ~until:(Time.s 2);
-  if Cloud.divergences d = 0 then
+  if vm_counter cloud d "divergences" = 0 then
     Alcotest.fail "expected synchrony violations with a 100 us delta_n";
   Alcotest.(check int) "pings still delivered" 10 !pongs
 
@@ -289,10 +299,11 @@ let test_dma_end_to_end () =
       List.iter
         (fun r ->
           Alcotest.(check int) "same dma interrupts"
-            (Sw_vmm.Vmm.dma_interrupts first) (Sw_vmm.Vmm.dma_interrupts r))
+            (replica_counter cloud first "dma_interrupts")
+            (replica_counter cloud r "dma_interrupts"))
         rest
   | [] -> ());
-  Alcotest.(check int) "no divergences" 0 (Cloud.divergences d)
+  Alcotest.(check int) "no divergences" 0 (vm_counter cloud d "divergences")
 
 let test_lossy_fabric_pgm_recovery () =
   (* 5% loss on every cloud-internal link. The PGM channel (with heartbeats)
@@ -326,11 +337,11 @@ let test_lossy_fabric_pgm_recovery () =
   | first :: rest ->
       Alcotest.(check int)
         "every ping delivered to every replica despite loss" pings
-        (Sw_vmm.Vmm.net_deliveries first);
+        (replica_counter cloud first "net_deliveries");
       List.iter
         (fun r ->
           Alcotest.(check int) "replica deliveries equal" pings
-            (Sw_vmm.Vmm.net_deliveries r);
+            (replica_counter cloud r "net_deliveries");
           Alcotest.(check int) "lockstep under loss"
             (Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest first))
             (Sw_vm.Guest.virt_now (Sw_vmm.Vmm.guest r)))
@@ -396,7 +407,7 @@ let test_nondeterministic_app_caught_by_vote () =
   Host.set_handler client (fun _ -> ());
   Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping 1);
   Cloud.run cloud ~until:(Time.ms 500);
-  if Sw_net.Egress.mismatches (Cloud.egress cloud) = 0 then
+  if counter cloud "net.egress.mismatches" = 0 then
     Alcotest.fail "output vote must catch a nondeterministic guest"
 
 let test_heterogeneous_hardware () =
@@ -421,9 +432,9 @@ let test_heterogeneous_hardware () =
   Alcotest.(check (list int)) "all pongs in order"
     (List.init 20 (fun i -> i + 1))
     (List.rev !pongs);
-  Alcotest.(check int) "exactly once" 20 (Sw_net.Egress.forwarded (Cloud.egress cloud));
-  Alcotest.(check int) "no divergences" 0 (Cloud.divergences d);
-  if Cloud.skew_blocks d = 0 then
+  Alcotest.(check int) "exactly once" 20 (counter cloud "net.egress.forwarded");
+  Alcotest.(check int) "no divergences" 0 (vm_counter cloud d "divergences");
+  if vm_counter cloud d "skew_blocks" = 0 then
     Alcotest.fail "the skew limiter should have fired on 1% speed spread";
   (* The paper's invariant: the two fastest replicas stay within the bound
      (up to one slice of overshoot); the third may lag. *)
@@ -463,7 +474,7 @@ let test_clock_offsets_start_negotiation () =
   done;
   Cloud.run cloud ~until:(Time.s 1);
   Alcotest.(check int) "all pongs" 10 !pongs;
-  Alcotest.(check int) "no divergences" 0 (Cloud.divergences d);
+  Alcotest.(check int) "no divergences" 0 (vm_counter cloud d "divergences");
   match Cloud.replicas d with
   | a :: rest ->
       List.iter
@@ -478,23 +489,29 @@ let test_hardware_spread_draws () =
   (* A one-shard cloud draws each machine's speed multiplier and clock error
      from the engine's first PRNG split, in machine-id order. Existing seeds
      depend on that order, so the draws are pinned here: the clock errors
-     directly, the speeds through the slices an idle guest gets in 100 ms
-     (500 at 1x speed). *)
+     through the virtual clock a lone replica starts at (its machine's
+     clock reading), the speeds through the slices an idle guest gets in
+     100 ms (500 at 1x speed). *)
   let cloud =
     Cloud.create ~seed:7L ~rate_spread:0.2 ~clock_spread:(Time.ms 3)
       ~machines:4 ()
   in
   let machines = [ 0; 1; 2; 3 ] in
-  let machine m = Cloud.machine cloud m in
+  let guests =
+    List.map
+      (fun m ->
+        let d = Cloud.deploy_baseline cloud ~on:m ~app:App.idle in
+        Sw_vmm.Vmm.guest (List.hd (Cloud.replicas d)))
+      machines
+  in
   Alcotest.(check (list int)) "clock offsets"
     [ -527_323; 587_909; -617_643; -1_852_444 ]
-    (List.map (fun m -> Sw_vmm.Machine.local_time (machine m)) machines);
-  List.iter
-    (fun m -> ignore (Cloud.deploy_baseline cloud ~on:m ~app:App.idle))
-    machines;
+    (List.map Sw_vm.Guest.virt_now guests);
   Cloud.run cloud ~until:(Time.ms 100);
   Alcotest.(check (list int)) "slices per machine" [ 545; 510; 470; 584 ]
-    (List.map (fun m -> Sw_vmm.Machine.slices (machine m)) machines)
+    (List.map
+       (fun m -> counter cloud (Printf.sprintf "vmm.%d.slices" m))
+       machines)
 
 let test_replay_recovery () =
   (* Run traffic, rebuild one replica from its log mid-run, swap it in, and
@@ -528,7 +545,7 @@ let test_replay_recovery () =
   Cloud.run cloud ~until:(Time.s 2);
   Alcotest.(check int) "all pongs (recovered replica kept up)" 20 !pongs;
   Alcotest.(check int) "no output-vote mismatches" 0
-    (Sw_net.Egress.mismatches (Cloud.egress cloud));
+    (counter cloud "net.egress.mismatches");
   match Cloud.replicas d with
   | a :: rest ->
       List.iter
@@ -586,8 +603,8 @@ let prop_random_apps_stay_in_lockstep =
             Host.send client ~dst:(Cloud.vm_address d) ~size:100 (ping n))
       done;
       Cloud.run cloud ~until:(Time.ms (17 * pings) |> Time.add (Time.ms 400));
-      Sw_net.Egress.mismatches (Cloud.egress cloud) = 0
-      && Cloud.divergences d = 0
+      counter cloud "net.egress.mismatches" = 0
+      && vm_counter cloud d "divergences" = 0
       &&
       match Cloud.replicas d with
       | a :: rest ->

@@ -47,12 +47,14 @@ let test_betai () =
   close ~eps:1e-10 "I_.25(1,2)" (1. -. (0.75 *. 0.75)) (Special.betai 1. 2. 0.25)
 
 let test_probit () =
-  close ~eps:1e-9 "norm_cdf 0" 0.5 (Special.norm_cdf 0.);
-  close ~eps:2e-7 "norm_cdf 1.96" 0.975 (Special.norm_cdf 1.959964);
+  close ~eps:1e-9 "probit 0.5" 0. (Special.probit 0.5);
+  close ~eps:2e-6 "probit 0.975" 1.959964 (Special.probit 0.975);
   List.iter
-    (fun x -> close ~eps:1e-6 "probit roundtrip" x
-        (Special.probit (Special.norm_cdf x)))
-    [ -2.3; -0.5; 0.; 1.3; 3.1 ]
+    (fun p ->
+      close ~eps:1e-9 "probit is odd about 0.5"
+        (-.Special.probit p)
+        (Special.probit (1. -. p)))
+    [ 0.001; 0.2; 0.4 ]
 
 (* --- Welch / Cohen ------------------------------------------------------- *)
 
@@ -93,14 +95,16 @@ let test_mi_independent () =
     true (m.Mi.p_value > 0.01)
 
 let test_mi_identical () =
-  (* A stream paired with itself carries its full entropy. *)
+  (* The same sample under both labels: every bin holds equal counts in
+     both rows, so the label carries exactly nothing. *)
   let rng = Prng.create 11L in
   let x = draw rng 512 ~mean:0. ~stddev:1. in
-  let m = Mi.paired x x in
-  let h = Mi.entropy_bits x in
-  close ~eps:1e-9 "I(X;X) = H(X)" h m.Mi.plugin_bits;
-  Alcotest.(check bool) "entropy near log2 bins" true
-    (h > 0.9 *. Float.log2 (float_of_int m.Mi.bins))
+  let m = Mi.against_labels ~null:x ~alt:x in
+  close ~eps:1e-12 "plugin I(C;X) = 0" 0. m.Mi.plugin_bits;
+  Alcotest.(check int) "both rows counted" 1024 m.Mi.n;
+  Alcotest.(check bool)
+    (Printf.sprintf "p = 1 (%g)" m.Mi.p_value)
+    true (m.Mi.p_value > 0.999)
 
 let test_mi_separated () =
   let rng = Prng.create 13L in
@@ -248,17 +252,19 @@ let test_audit_verdict_and_counters () =
   | att ->
       Alcotest.failf "attribution shape: [%s]"
         (String.concat "; " (List.map fst att)));
-  (match Audit.find audit "clean" with
+  (match
+     List.find_opt (fun f -> f.Audit.f_key = "clean") audit.Audit.findings
+   with
   | Some f -> Alcotest.(check (list string)) "clean series" [] f.Audit.leaking
   | None -> Alcotest.fail "clean series missing");
   let snap = Registry.snapshot registry in
-  Alcotest.(check int) "series counter" 3 (Snapshot.counter snap "leak.detector.series");
+  Alcotest.(check int) "series counter" 3 (Metric.counter snap "leak.detector.series");
   Alcotest.(check int) "verdict counter" 15
-    (Snapshot.counter snap "leak.detector.verdicts");
+    (Metric.counter snap "leak.detector.verdicts");
   (* The short series is skipped by all five detectors; each skip counts
      its n_null + n_alt = 2 samples. *)
   Alcotest.(check int) "dropped counter" 10
-    (Snapshot.counter snap "leak.detector.samples_dropped")
+    (Metric.counter snap "leak.detector.samples_dropped")
 
 let test_audit_report_deterministic () =
   let rng = Prng.create 0xF00DL in

@@ -19,11 +19,15 @@ module Scenario = Sw_attack.Scenario
 
 (* --- Json ----------------------------------------------------------------- *)
 
+let member name = function
+  | Json.Obj fields -> List.assoc_opt name fields
+  | _ -> None
+
 let test_json_parse () =
   (match Json.parse {| {"a":[1,2.5,-3e2],"b":"x\n\"y","c":true,"d":null} |} with
   | Error e -> Alcotest.fail ("valid JSON rejected: " ^ e)
   | Ok v ->
-      (match Json.member "a" v with
+      (match member "a" v with
       | Some (Json.List [ x; y; z ]) ->
           Alcotest.(check bool) "int literal stays exact" true (x = Json.Int 1);
           Alcotest.(check (option (float 0.))) "int" (Some 1.) (Json.to_number x);
@@ -32,10 +36,10 @@ let test_json_parse () =
             (Json.to_number z)
       | _ -> Alcotest.fail "array shape");
       Alcotest.(check bool) "escapes" true
-        (Json.member "b" v = Some (Json.String "x\n\"y"));
+        (member "b" v = Some (Json.String "x\n\"y"));
       Alcotest.(check bool) "bool member" true
-        (Json.member "c" v = Some (Json.Bool true));
-      Alcotest.(check bool) "null member" true (Json.member "d" v = Some Json.Null));
+        (member "c" v = Some (Json.Bool true));
+      Alcotest.(check bool) "null member" true (member "d" v = Some Json.Null));
   (* Integers wider than [int] fall back to a float; finite only. *)
   Alcotest.(check bool) "wide integer" true
     (Json.parse "9223372036854775807" = Ok (Json.Float 9223372036854775807.));
@@ -140,11 +144,11 @@ let test_json_roundtrips_export () =
   | Error e -> Alcotest.fail ("export does not parse: " ^ e)
   | Ok v ->
       Alcotest.(check bool) "meta.seed" true
-        (Option.bind (Json.member "meta" v) (Json.member "seed")
+        (Option.bind (member "meta" v) (member "seed")
         = Some (Json.Int 42));
       Alcotest.(check bool) "metrics present" true
         (Option.is_some
-           (Option.bind (Json.member "metrics" v) (Json.member "net.delivered")))
+           (Option.bind (member "metrics" v) (member "net.delivered")))
 
 (* --- Trace drops ---------------------------------------------------------- *)
 
@@ -161,7 +165,7 @@ let test_trace_dropped () =
   done;
   Alcotest.(check int) "dropped counts overwrites" 6 (Trace.dropped tr);
   Alcotest.(check int) "registry mirror" 6
-    (Sw_obs.Snapshot.counter (Registry.snapshot r) "trace.dropped");
+    (Metric.counter (Registry.snapshot r) "trace.dropped");
   Trace.clear tr;
   Alcotest.(check int) "clear resets dropped" 0 (Trace.dropped tr);
   (* The truncation state rides into lineage and its summary. *)
@@ -190,7 +194,7 @@ let test_export_meta_shape () =
         printed;
       Alcotest.(check (option int64)) "wide seed reads back" (Some seed)
         (match Json.parse printed with
-        | Ok v -> Option.bind (Json.member "seed" v) Json.to_int64
+        | Ok v -> Option.bind (member "seed" v) Json.to_int64
         | Error e -> Alcotest.fail e))
     [
       (9007199254740993L, "9007199254740993");
@@ -423,11 +427,11 @@ let test_chrome_structure () =
   | Error e -> Alcotest.fail ("chrome export does not parse: " ^ e)
   | Ok root ->
       let events =
-        match Json.member "traceEvents" root with
+        match member "traceEvents" root with
         | Some (Json.List l) -> l
         | _ -> Alcotest.fail "no traceEvents"
       in
-      let ph p ev = Json.member "ph" ev = Some (Json.String p) in
+      let ph p ev = member "ph" ev = Some (Json.String p) in
       let count p = List.length (List.filter (ph p) events) in
       Alcotest.(check bool) "has process metadata" true (count "M" > 0);
       Alcotest.(check bool) "has protocol slices" true (count "X" > 0);
@@ -436,8 +440,8 @@ let test_chrome_structure () =
       Alcotest.(check int) "every flow start has its finish" starts ends;
       Alcotest.(check (option (float 0.))) "meta rides in otherData"
         (Some (Int64.to_float Scenario.default.Scenario.seed))
-        (Option.bind (Json.member "otherData" root) (fun m ->
-             Option.bind (Json.member "seed" m) Json.to_number))
+        (Option.bind (member "otherData" root) (fun m ->
+             Option.bind (member "seed" m) Json.to_number))
 
 (* --- JSONL export ------------------------------------------------------------ *)
 
@@ -466,12 +470,12 @@ let test_jsonl_contract () =
   | first :: rest ->
       Alcotest.(check (option string)) "meta line first"
         (Some (Json.to_string (Export.meta_json meta)))
-        (Option.map Json.to_string (Json.member "meta" first));
+        (Option.map Json.to_string (member "meta" first));
       List.iter2
         (fun (e : Trace.entry) line ->
           Alcotest.(check (option (float 0.))) "entry timestamp"
             (Some (float_of_int e.Trace.at_ns))
-            (Option.bind (Json.member "at_ns" line) Json.to_number))
+            (Option.bind (member "at_ns" line) Json.to_number))
         entries rest
   | [] -> Alcotest.fail "empty export"
 
@@ -511,25 +515,29 @@ let test_chrome_bytes_j1_j4 () =
 
 (* --- Profile ---------------------------------------------------------------- *)
 
+(* Calls recorded by the profile's one timer. *)
+let calls p =
+  match Profile.to_list p with
+  | [ (_, _, n) ] -> n
+  | _ -> Alcotest.fail "one timer expected"
+
 let test_profile () =
   let p = Profile.create () in
   Alcotest.(check bool) "off by default" false (Profile.enabled p);
   let tm = Profile.timer p "engine.dispatch" in
   Alcotest.(check int) "disabled time records nothing" 17
     (Profile.time p tm (fun () -> 17));
-  Alcotest.(check int) "no calls" 0 (Profile.count tm);
+  Alcotest.(check int) "no calls" 0 (calls p);
   Profile.set_enabled p true;
   ignore (Profile.time p tm (fun () -> 1));
   (try Profile.time p tm (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "records through raise" 2 (Profile.count tm);
+  Alcotest.(check int) "records through raise" 2 (calls p);
   Alcotest.(check bool) "total non-negative" true (Profile.total_ns tm >= 0);
   Profile.record_ns tm 5;
-  Alcotest.(check int) "external record" 3 (Profile.count tm);
-  (match Profile.to_list p with
+  Alcotest.(check int) "external record" 3 (calls p);
+  match Profile.to_list p with
   | [ ("engine.dispatch", _, 3) ] -> ()
-  | _ -> Alcotest.fail "to_list shape");
-  Profile.reset p;
-  Alcotest.(check int) "reset zeroes in place" 0 (Profile.count tm)
+  | _ -> Alcotest.fail "to_list shape"
 
 let test_profile_via_engine () =
   (* The engine times dispatches into the profile it was created with. *)

@@ -22,66 +22,59 @@ let test_counter () =
   Registry.Counter.add c 41;
   Alcotest.(check int) "value" 42 (Registry.Counter.value c);
   Alcotest.(check int) "snapshot" 42
-    (Snapshot.counter (Registry.snapshot r) "a.b.count");
+    (Metric.counter (Registry.snapshot r) "a.b.count");
   (* Handles are create-or-return: same path, same cell. *)
   Registry.Counter.incr (Registry.counter r "a.b.count");
   Alcotest.(check int) "shared cell" 43 (Registry.Counter.value c);
   Registry.Counter.reset c;
   Alcotest.(check int) "reset in place" 0 (Registry.Counter.value c);
   Alcotest.(check int) "snapshot after reset" 0
-    (Snapshot.counter (Registry.snapshot r) "a.b.count")
+    (Metric.counter (Registry.snapshot r) "a.b.count")
 
 let test_sum_gauge () =
   let r = Registry.create () in
   let s = Registry.sum r "credits" in
   Registry.Sum.add s 0.5;
   Registry.Sum.add s 0.25;
-  Alcotest.(check (float 0.)) "sum accumulates" 0.75 (Registry.Sum.value s);
+  Alcotest.(check (float 0.)) "sum accumulates" 0.75
+    (Metric.sum (Registry.snapshot r) "credits");
   let g = Registry.gauge r "depth" in
   Registry.Gauge.observe g 3.;
   Registry.Gauge.observe g 7.;
   Registry.Gauge.observe g 5.;
   Alcotest.(check (float 0.)) "gauge is a watermark" 7.
-    (Registry.Gauge.value g)
+    (Metric.gauge (Registry.snapshot r) "depth")
 
 let test_gauge_observe_int () =
   (* The unboxed int path and the float path share one watermark; snapshots
      report the max across both. *)
   let r = Registry.create () in
   let g = Registry.gauge r "depth" in
+  let depth () = Metric.gauge (Registry.snapshot r) "depth" in
   Registry.Gauge.observe_int g 4;
   Registry.Gauge.observe_int g 9;
   Registry.Gauge.observe_int g 2;
-  Alcotest.(check (float 0.)) "int watermark" 9. (Registry.Gauge.value g);
+  Alcotest.(check (float 0.)) "int watermark" 9. (depth ());
   Registry.Gauge.observe g 11.5;
-  Alcotest.(check (float 0.)) "float path can raise it" 11.5
-    (Registry.Gauge.value g);
+  Alcotest.(check (float 0.)) "float path can raise it" 11.5 (depth ());
   Registry.Gauge.observe_int g 11;
-  Alcotest.(check (float 0.)) "lower int does not" 11.5
-    (Registry.Gauge.value g);
-  match Sw_obs.Snapshot.find (Registry.snapshot r) "depth" with
-  | Some (Sw_obs.Snapshot.Gauge v) ->
-      Alcotest.(check (float 0.)) "snapshot sees merged watermark" 11.5 v
-  | _ -> Alcotest.fail "gauge missing from snapshot"
+  Alcotest.(check (float 0.)) "lower int does not" 11.5 (depth ())
 
 let test_histogram () =
   let r = Registry.create () in
   let h = Registry.histogram r "lat" in
-  Alcotest.(check int) "max sentinel" min_int (Registry.Histogram.max h);
-  Alcotest.(check int) "min sentinel" max_int (Registry.Histogram.min h);
+  let lat () = Metric.histogram (Registry.snapshot r) "lat" in
+  Alcotest.(check int) "empty" 0 (lat ()).Snapshot.count;
   List.iter (Registry.Histogram.observe h) [ 10; 1_000; 10; 999_999 ];
-  Alcotest.(check int) "count" 4 (Registry.Histogram.count h);
-  Alcotest.(check int) "total" 1_001_019 (Registry.Histogram.total h);
-  Alcotest.(check int) "max" 999_999 (Registry.Histogram.max h);
-  Alcotest.(check int) "min" 10 (Registry.Histogram.min h);
-  match Snapshot.histogram (Registry.snapshot r) "lat" with
-  | None -> Alcotest.fail "histogram missing from snapshot"
-  | Some hist ->
-      Alcotest.(check int) "snapshot count" 4 hist.Snapshot.count;
-      let bucket_total =
-        List.fold_left (fun acc (_, n) -> acc + n) 0 hist.Snapshot.buckets
-      in
-      Alcotest.(check int) "buckets cover every observation" 4 bucket_total
+  let hist = lat () in
+  Alcotest.(check int) "count" 4 hist.Snapshot.count;
+  Alcotest.(check int) "total" 1_001_019 hist.Snapshot.total;
+  Alcotest.(check int) "max" 999_999 hist.Snapshot.max;
+  Alcotest.(check int) "min" 10 hist.Snapshot.min;
+  let bucket_total =
+    List.fold_left (fun acc (_, n) -> acc + n) 0 hist.Snapshot.buckets
+  in
+  Alcotest.(check int) "buckets cover every observation" 4 bucket_total
 
 let test_path_validation () =
   let r = Registry.create () in
@@ -410,7 +403,9 @@ let test_profile_time_allocates_nothing () =
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.)) "minor words for 1,000 timed calls" 0. words;
-  Alcotest.(check int) "every call counted" 1001 (Sw_obs.Profile.count tm)
+  match Sw_obs.Profile.to_list p with
+  | [ (_, _, calls) ] -> Alcotest.(check int) "every call counted" 1001 calls
+  | _ -> Alcotest.fail "one timer expected"
 
 let () =
   Alcotest.run "sw_obs"

@@ -10,12 +10,41 @@ module Pl = Sw_placement.Placement
 
 (* --- Quasigroup ----------------------------------------------------------- *)
 
+(* Structural checks of a quasigroup of order [n]: idempotent, commutative,
+   each element once per row and column. *)
+let is_idempotent q n =
+  let ok = ref true in
+  for x = 0 to n - 1 do
+    if Q.op q x x <> x then ok := false
+  done;
+  !ok
+
+let is_commutative q n =
+  let ok = ref true in
+  for x = 0 to n - 1 do
+    for y = 0 to n - 1 do
+      if Q.op q x y <> Q.op q y x then ok := false
+    done
+  done;
+  !ok
+
+let is_latin_square q n =
+  let ok = ref true in
+  for x = 0 to n - 1 do
+    let row_seen = Array.make n false and col_seen = Array.make n false in
+    for y = 0 to n - 1 do
+      let r = Q.op q x y and c = Q.op q y x in
+      if row_seen.(r) then ok := false else row_seen.(r) <- true;
+      if col_seen.(c) then ok := false else col_seen.(c) <- true
+    done
+  done;
+  !ok
+
 let test_quasigroup_basic () =
   let q = Q.create 7 in
-  Alcotest.(check int) "order" 7 (Q.order q);
-  Alcotest.(check bool) "idempotent" true (Q.is_idempotent q);
-  Alcotest.(check bool) "commutative" true (Q.is_commutative q);
-  Alcotest.(check bool) "latin" true (Q.is_latin_square q)
+  Alcotest.(check bool) "idempotent" true (is_idempotent q 7);
+  Alcotest.(check bool) "commutative" true (is_commutative q 7);
+  Alcotest.(check bool) "latin" true (is_latin_square q 7)
 
 let test_quasigroup_even_rejected () =
   Alcotest.check_raises "even order" (Invalid_argument "x") (fun () ->
@@ -28,15 +57,13 @@ let prop_quasigroup_properties =
     (fun k ->
       let n = (2 * k) + 1 in
       let q = Q.create n in
-      Q.is_idempotent q && Q.is_commutative q && Q.is_latin_square q)
+      is_idempotent q n && is_commutative q n && is_latin_square q n)
 
 (* --- Triangle -------------------------------------------------------------- *)
 
 let test_triangle_normalisation () =
   let t = Tri.make 5 1 3 in
   Alcotest.(check (list int)) "sorted vertices" [ 1; 3; 5 ] (Tri.vertices t);
-  Alcotest.(check bool) "mem" true (Tri.mem 3 t);
-  Alcotest.(check bool) "not mem" false (Tri.mem 2 t);
   Alcotest.(check int) "edges" 3 (List.length (Tri.edges t))
 
 let test_triangle_degenerate () =

@@ -194,12 +194,17 @@ let test_prng_sibling_splits_across_domains () =
      drawn concurrently on two domains, exactly the sequences they produce
      sequentially — i.e. sibling splits share no state. *)
   let draws = 10_000 in
-  let sequence g = Array.init draws (fun _ -> Prng.next_int64 g) in
-  let root = Prng.create 0xD0_0D_1EL in
-  let g1 = Prng.split root in
-  let g2 = Prng.split root in
-  let expect1 = sequence (Prng.copy g1) in
-  let expect2 = sequence (Prng.copy g2) in
+  let sequence g = Array.init draws (fun _ -> Prng.float g) in
+  let siblings () =
+    let root = Prng.create 0xD0_0D_1EL in
+    let g1 = Prng.split root in
+    (g1, Prng.split root)
+  in
+  let expect1, expect2 =
+    let g1, g2 = siblings () in
+    (sequence g1, sequence g2)
+  in
+  let g1, g2 = siblings () in
   let d1 = Domain.spawn (fun () -> sequence g1) in
   let d2 = Domain.spawn (fun () -> sequence g2) in
   let got1 = Domain.join d1 and got2 = Domain.join d2 in
@@ -249,7 +254,7 @@ let prop_summary_merge_partitions =
       let close a b = Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs a) in
       Summary.count merged = Summary.count whole
       && close (Summary.mean merged) (Summary.mean whole)
-      && close (Summary.variance merged) (Summary.variance whole)
+      && close (Summary.stddev merged) (Summary.stddev whole)
       && close (Summary.total merged) (Summary.total whole)
       && Summary.min merged = Summary.min whole
       && Summary.max merged = Summary.max whole)

@@ -84,7 +84,7 @@ let prop_heap_sorted =
 let test_prng_deterministic () =
   let a = Prng.create 42L and b = Prng.create 42L in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Prng.next_int64 a) (Prng.next_int64 b)
+    Alcotest.(check (float 0.)) "same stream" (Prng.float a) (Prng.float b)
   done
 
 let test_prng_split_independent () =
@@ -92,7 +92,7 @@ let test_prng_split_independent () =
   let a = Prng.split root in
   let b = Prng.split root in
   Alcotest.(check bool) "split streams differ" true
-    (Prng.next_int64 a <> Prng.next_int64 b)
+    (Prng.float a <> Prng.float b)
 
 let test_prng_float_range () =
   let rng = Prng.create 7L in
@@ -264,13 +264,15 @@ let test_engine_depth_gauge () =
   (* sim.queue.depth is a high-watermark over the live count, kept accurate
      through schedule and fire. *)
   let e = Engine.create () in
-  let g = Sw_obs.Registry.gauge (Engine.metrics e) "sim.queue.depth" in
+  let depth () =
+    Metric.gauge (Sw_obs.Registry.snapshot (Engine.metrics e)) "sim.queue.depth"
+  in
   for i = 1 to 5 do
     Engine.schedule_at e (Time.ms i) (fun () -> ())
   done;
-  Alcotest.(check (float 0.)) "peak after schedules" 5. (Sw_obs.Registry.Gauge.value g);
+  Alcotest.(check (float 0.)) "peak after schedules" 5. (depth ());
   Engine.run e;
-  Alcotest.(check (float 0.)) "watermark survives drain" 5. (Sw_obs.Registry.Gauge.value g);
+  Alcotest.(check (float 0.)) "watermark survives drain" 5. (depth ());
   Alcotest.(check int) "drained" 0 (Engine.pending e)
 
 (* --- Event kind handles --- *)
@@ -283,7 +285,7 @@ let kind_paths e name =
     (Sw_obs.Snapshot.to_list (Sw_obs.Registry.snapshot (Engine.metrics e)))
 
 let scheduled e name =
-  Sw_obs.Snapshot.counter
+  Metric.counter
     (Sw_obs.Registry.snapshot (Engine.metrics e))
     ("sim.events." ^ name ^ ".scheduled")
 
@@ -311,13 +313,11 @@ let test_kind_same_name_shares_counter () =
   schedule_n e b 3;
   Alcotest.(check int) "both handles count into one counter" 5
     (scheduled e "twin");
-  match
-    Sw_obs.Snapshot.histogram
-      (Sw_obs.Registry.snapshot (Engine.metrics e))
-      "sim.events.twin.delay_ns"
-  with
-  | Some h -> Alcotest.(check int) "and one delay histogram" 5 h.count
-  | None -> Alcotest.fail "delay histogram missing"
+  Alcotest.(check int) "and one delay histogram" 5
+    (Metric.histogram
+       (Sw_obs.Registry.snapshot (Engine.metrics e))
+       "sim.events.twin.delay_ns")
+      .count
 
 (* A checkpoint marshals an engine with the components holding its kind
    handles; the restored handles must count into the restored registry. *)
@@ -449,7 +449,7 @@ let test_summary_basic () =
   check_float "min" 1. (Sw_sim.Summary.min s);
   check_float "max" 4. (Sw_sim.Summary.max s);
   check_float "total" 10. (Sw_sim.Summary.total s);
-  Alcotest.(check (float 1e-9)) "variance" (5. /. 3.) (Sw_sim.Summary.variance s)
+  Alcotest.(check (float 1e-9)) "stddev" (Float.sqrt (5. /. 3.)) (Sw_sim.Summary.stddev s)
 
 let prop_summary_merge =
   QCheck.Test.make ~name:"Summary.merge equals combined stream" ~count:200
@@ -470,7 +470,7 @@ let prop_summary_merge =
         ys;
       let m = Sw_sim.Summary.merge a b in
       Float.abs (Sw_sim.Summary.mean m -. Sw_sim.Summary.mean c) < 1e-6
-      && Float.abs (Sw_sim.Summary.variance m -. Sw_sim.Summary.variance c) < 1e-6
+      && Float.abs (Sw_sim.Summary.stddev m -. Sw_sim.Summary.stddev c) < 1e-6
       && Sw_sim.Summary.count m = Sw_sim.Summary.count c)
 
 let test_samples_percentiles () =
@@ -478,10 +478,9 @@ let test_samples_percentiles () =
   for i = 1 to 100 do
     Sw_sim.Samples.add s (float_of_int i)
   done;
-  check_float "median" 50.5 (Sw_sim.Samples.median s);
+  check_float "median" 50.5 (Sw_sim.Samples.percentile s 0.5);
   check_float "p0" 1. (Sw_sim.Samples.percentile s 0.);
-  check_float "p100" 100. (Sw_sim.Samples.percentile s 1.);
-  check_float "ecdf" 0.5 (Sw_sim.Samples.ecdf s 50.)
+  check_float "p100" 100. (Sw_sim.Samples.percentile s 1.)
 
 let test_samples_histogram () =
   let s = Sw_sim.Samples.create () in

@@ -15,13 +15,25 @@ let close ?(eps = 1e-6) name expected actual =
 
 (* --- Special functions -------------------------------------------------- *)
 
+(* log_gamma is reached through gamma_p, which scales both its series
+   (x < a + 1) and its continued fraction by exp (-. log_gamma a): the
+   closed forms P(a, x) = 1 - e^-x sum_{k<a} x^k / k! pin lgamma(2) = 0
+   and lgamma(5) = ln 24 on both branches. *)
 let test_log_gamma () =
-  close "lgamma(1)" 0. (Special.log_gamma 1.);
-  close "lgamma(2)" 0. (Special.log_gamma 2.);
-  close "lgamma(5) = ln 24" (Float.log 24.) (Special.log_gamma 5.);
-  close ~eps:1e-9 "lgamma(0.5) = ln sqrt(pi)"
-    (0.5 *. Float.log Float.pi)
-    (Special.log_gamma 0.5)
+  let closed_form a x =
+    let rec sum k term acc =
+      if k = a then acc
+      else sum (k + 1) (term *. x /. float_of_int (k + 1)) (acc +. term)
+    in
+    1. -. (Float.exp (-.x) *. sum 0 1. 0.)
+  in
+  List.iter
+    (fun (a, x) ->
+      close ~eps:1e-9
+        (Printf.sprintf "P(%d, %g)" a x)
+        (closed_form a x)
+        (Special.gamma_p (float_of_int a) x))
+    [ (2, 0.7); (2, 4.); (5, 3.); (5, 9.) ]
 
 let test_gamma_p () =
   (* P(1, x) = 1 - e^-x *)
@@ -31,10 +43,15 @@ let test_gamma_p () =
   close "chi2 df=2 at 4" (1. -. Float.exp (-2.)) (Special.gamma_p 1. 2.);
   close "P(a,0)" 0. (Special.gamma_p 3. 0.)
 
+(* erf is reached through probit, which inverts (1 + erf (x / sqrt 2)) / 2:
+   erf(0) = 0 and erf(+-1) = +-0.8427007929 put probit at 0 and +-sqrt 2.
+   The 1.5e-7 erf error moves x by under 1e-6 there. *)
 let test_erf () =
-  close ~eps:1e-6 "erf(0)" 0. (Special.erf 0.);
-  close ~eps:2e-7 "erf(1)" 0.8427007929 (Special.erf 1.);
-  close ~eps:2e-7 "erf(-1)" (-0.8427007929) (Special.erf (-1.))
+  close ~eps:1e-9 "erf(0)" 0. (Special.probit 0.5);
+  close ~eps:1e-6 "erf(1)" (Float.sqrt 2.)
+    (Special.probit ((1. +. 0.8427007929) /. 2.));
+  close ~eps:1e-6 "erf(-1)" (-.Float.sqrt 2.)
+    (Special.probit ((1. -. 0.8427007929) /. 2.))
 
 let test_choose () =
   close "C(5,2)" 10. (Special.choose 5 2);
@@ -113,19 +130,22 @@ let test_cdf_rank_median_matches_median3 () =
         (Os.cdf_rank ~cdfs:[| f1; f2; f3 |] ~r:2 x))
     [ 0.2; 0.8; 1.5; 3.0 ]
 
+(* The sample median is the median distribution's sampler: one draw from
+   each component, then the middle value. *)
 let test_sample_median () =
-  close "median of 5" 3. (Os.sample_median [| 5.; 1.; 3.; 2.; 9. |]);
+  let d = Os.median_dist (Array.map Dist.constant [| 5.; 1.; 3.; 2.; 9. |]) in
+  close "median of 5" 3. (d.Dist.sample (Sw_sim.Prng.create 1L));
   Alcotest.check_raises "even count" (Invalid_argument "x") (fun () ->
-      try ignore (Os.sample_median [| 1.; 2. |]) with
+      try ignore (Os.median_dist (Array.map Dist.constant [| 1.; 2. |])) with
       | Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let test_median_int_networks () =
   (* The branch networks against hand cases, duplicates included. *)
   Alcotest.(check int) "median3" 2 (Os.median3_int 3 1 2);
   Alcotest.(check int) "median3 dup" 5 (Os.median3_int 5 5 1);
-  Alcotest.(check int) "median5" 3 (Os.median5_int 5 1 3 2 9);
-  Alcotest.(check int) "median5 dup max" 4 (Os.median5_int 9 9 4 1 2);
-  Alcotest.(check int) "median5 all equal" 7 (Os.median5_int 7 7 7 7 7);
+  Alcotest.(check int) "median5" 3 (Os.median_int [| 5; 1; 3; 2; 9 |]);
+  Alcotest.(check int) "median5 dup max" 4 (Os.median_int [| 9; 9; 4; 1; 2 |]);
+  Alcotest.(check int) "median5 all equal" 7 (Os.median_int [| 7; 7; 7; 7; 7 |]);
   Alcotest.(check int) "length 1" 42 (Os.median_int [| 42 |]);
   Alcotest.check_raises "even count" (Invalid_argument "x") (fun () ->
       try ignore (Os.median_int [| 1; 2 |]) with

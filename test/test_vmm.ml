@@ -54,7 +54,8 @@ let test_dom0_fifo () =
     "fifo completion"
     [ (1, Time.ms 1); (2, Time.ms 3) ]
     (List.rev !log);
-  Alcotest.(check int) "total accounted" (Time.ms 3) (Machine.dom0_time mach)
+  Alcotest.(check int) "total accounted" (Time.ms 3)
+    (Metric.counter (Sw_obs.Registry.snapshot (Engine.metrics engine)) "vmm.0.dom0_ns")
 
 let test_slice_loop () =
   let engine, _, mach = machine_setup () in
@@ -246,11 +247,17 @@ let test_epoch_out_of_order_reports () =
   Alcotest.(check int) "nothing resolved" 0 (Rg.epochs_resolved group)
 
 let test_divergence_counter () =
-  let group = Rg.create ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch () in
-  Alcotest.(check int) "zero" 0 (Rg.divergences group);
+  let metrics = Sw_obs.Registry.create () in
+  let group =
+    Rg.create ~metrics ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch ()
+  in
+  let divergences () =
+    Metric.counter (Sw_obs.Registry.snapshot metrics) "vm0.divergences"
+  in
+  Alcotest.(check int) "zero" 0 (divergences ());
   Rg.record_divergence group;
   Rg.record_divergence group;
-  Alcotest.(check int) "counted" 2 (Rg.divergences group)
+  Alcotest.(check int) "counted" 2 (divergences ())
 
 let test_group_full () =
   let group = Rg.create ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch () in

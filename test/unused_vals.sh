@@ -1,6 +1,14 @@
 #!/bin/sh
-# Lists every public value and every optional argument that nothing outside
-# its own module uses, and exits 1 if there is one.
+# Checks the public surface of lib/**/*.mli twice and exits 1 on a finding.
+#
+# 1. Every public value and every optional argument needs a use outside its
+#    own module; the script lists those that have none.
+# 2. A public value or optional argument that only test/ or examples/ reach
+#    must be listed in test/test_only_vals.txt (one entry per line, as the
+#    script prints it; # starts a comment). The script lists the ones
+#    missing from that allowlist and the allowlist entries that are no
+#    longer test-only, so a diff that adds or retires a test-only value
+#    says so.
 #
 # The scan reads the .ml/.mli sources of lib, bin, bench, test, examples and
 # perfbench with comments and string literals blanked out, so a doc
@@ -59,55 +67,87 @@ FNR == 1 { depth = 0; instr = 0; inquoted = 0 }
   }
   print o > (out FILENAME)
 }' $sources
+allowlist=$(pwd)/test/test_only_vals.txt
 cd "$tmp"
 
-dead=0
-for mli in $(find lib -name '*.mli' | sort); do
-  ml=${mli%i}
-  base=${mli##*/}
-  base=${base%.mli}
-  first=$(printf '%s' "$base" | cut -c1 | tr a-z A-Z)
-  mod=$first$(printf '%s' "$base" | cut -c2-)
-  others=$(printf '%s\n' $sources | grep -vx -e "$mli" -e "$ml")
-  subs=$(sed -n "s/^ *module \([A-Z][A-Za-z0-9_']*\) *: *sig.*/\1/p" "$mli")
-  quals=$(printf '%s\n' "$mod" $subs | paste -sd'|' -)
-  bind="([A-Z][A-Za-z0-9_']*\\.)*$mod\\b([^.]|\$)"
-  # One "file alias" line per alias another file binds to M.
-  # shellcheck disable=SC2086
-  aliased=$(grep -oE "module [A-Z][A-Za-z0-9_']* *= *$bind" $others |
-    sed -E "s/^([^:]*):module ([A-Z][A-Za-z0-9_']*).*/\\1 \\2/")
-  # shellcheck disable=SC2086
-  openers=$(grep -lE "\\b(let +)?open!? +$bind|\\b$mod\\.\\(" $others || true)
-  for v in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
+# unused SOURCES: prints `<mli>: val <v>` for each public value and
+# `<mli>: ?<arg>` for each optional argument that no file of SOURCES outside
+# its own module uses.
+unused() {
+  for mli in $(find lib -name '*.mli' | sort); do
+    ml=${mli%i}
+    base=${mli##*/}
+    base=${base%.mli}
+    first=$(printf '%s' "$base" | cut -c1 | tr a-z A-Z)
+    mod=$first$(printf '%s' "$base" | cut -c2-)
     # shellcheck disable=SC2086
-    if grep -qE "\\b($quals)\\.$v\\b" $others ||
-      { [ -n "$openers" ] && grep -qw -e "$v" $openers; }; then
-      continue
-    fi
-    used=0
-    while read -r f a; do
-      if [ -n "$f" ] && grep -qE "\\b$a\\.$v\\b" "$f"; then
-        used=1
-        break
+    others=$(printf '%s\n' $1 | grep -vx -e "$mli" -e "$ml")
+    subs=$(sed -n "s/^ *module \([A-Z][A-Za-z0-9_']*\) *: *sig.*/\1/p" "$mli")
+    quals=$(printf '%s\n' "$mod" $subs | paste -sd'|' -)
+    bind="([A-Z][A-Za-z0-9_']*\\.)*$mod\\b([^.]|\$)"
+    # One "file alias" line per alias another file binds to M.
+    # shellcheck disable=SC2086
+    aliased=$(grep -oE "module [A-Z][A-Za-z0-9_']* *= *$bind" $others |
+      sed -E "s/^([^:]*):module ([A-Z][A-Za-z0-9_']*).*/\\1 \\2/")
+    # shellcheck disable=SC2086
+    openers=$(grep -lE "\\b(let +)?open!? +$bind|\\b$mod\\.\\(" $others || true)
+    for v in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
+      # shellcheck disable=SC2086
+      if grep -qE "\\b($quals)\\.$v\\b" $others ||
+        { [ -n "$openers" ] && grep -qw -e "$v" $openers; }; then
+        continue
       fi
-    done <<ALIASES
+      used=0
+      while read -r f a; do
+        if [ -n "$f" ] && grep -qE "\\b$a\\.$v\\b" "$f"; then
+          used=1
+          break
+        fi
+      done <<ALIASES
 $aliased
 ALIASES
-    if [ "$used" -eq 0 ]; then
-      echo "$mli: val $v has no caller outside its module"
-      dead=$((dead + 1))
-    fi
+      if [ "$used" -eq 0 ]; then
+        echo "$mli: val $v"
+      fi
+    done
+    other_ml=$(printf '%s\n' $others | grep '\.ml$')
+    for a in $(grep -o '?[a-z_][A-Za-z0-9_]*:' "$mli" | tr -d '?:' | sort -u); do
+      # shellcheck disable=SC2086
+      if ! grep -qE -e "[~?]$a\\b" $other_ml; then
+        echo "$mli: ?$a"
+      fi
+    done
   done
-  other_ml=$(printf '%s\n' $others | grep '\.ml$')
-  for a in $(grep -o '?[a-z_][A-Za-z0-9_]*:' "$mli" | tr -d '?:' | sort -u); do
-    # shellcheck disable=SC2086
-    if ! grep -qE -e "[~?]$a\\b" $other_ml; then
-      echo "$mli: ?$a is passed by no caller outside its module"
-      dead=$((dead + 1))
-    fi
-  done
-done
-if [ "$dead" -ne 0 ]; then
-  echo "$dead unused public value(s) or optional argument(s)"
+}
+
+unused "$sources" >"$tmp/.dead"
+# shellcheck disable=SC2086
+unused "$(printf '%s\n' $sources | grep -v -e '^test/' -e '^examples/')" \
+  >"$tmp/.outside_tests"
+grep -vxF -f "$tmp/.dead" "$tmp/.outside_tests" >"$tmp/.test_only" || true
+grep -v -e '^#' -e '^ *$' "$allowlist" | sort >"$tmp/.allowed" || true
+
+findings=0
+while read -r entry; do
+  case $entry in
+  *": val "*) echo "$entry has no caller outside its module" ;;
+  *) echo "$entry is passed by no caller outside its module" ;;
+  esac
+  findings=$((findings + 1))
+done <"$tmp/.dead"
+while read -r entry; do
+  if ! grep -qxF "$entry" "$tmp/.allowed"; then
+    echo "$entry is reached only from test/ or examples/ and is not in test/test_only_vals.txt"
+    findings=$((findings + 1))
+  fi
+done <"$tmp/.test_only"
+while read -r entry; do
+  if ! grep -qxF "$entry" "$tmp/.test_only"; then
+    echo "test/test_only_vals.txt: $entry is no longer test-only"
+    findings=$((findings + 1))
+  fi
+done <"$tmp/.allowed"
+if [ "$findings" -ne 0 ]; then
+  echo "$findings unused or unlisted test-only public value(s) or optional argument(s)"
   exit 1
 fi
