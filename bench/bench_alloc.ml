@@ -21,9 +21,9 @@ module Report = Sw_runner.Report
 
 (* Minor words per fired event recorded with OCaml 5.1.1 on x86-64, in the
    release profile (the default build). *)
-let kv_skew_ceiling = 6.52
-let fig4_victim_ceiling = 18.63
-let datacenter_ceiling = 14.20
+let kv_skew_ceiling = 6.43
+let fig4_victim_ceiling = 18.04
+let datacenter_ceiling = 14.03
 let slack = 1.10
 
 (* The first load-multiplier variant of a workload scenario. *)
@@ -76,7 +76,8 @@ let fig4_victim () =
   (words, Sw_obs.Snapshot.counter r.Scenario.metrics "sim.events.fired")
 
 let run ?pool:_ () =
-  Printf.printf "Allocation guard (minor words per fired event):\n%!";
+  Printf.printf "Allocation guard (minor words per fired event; %s profile, OCaml %s):\n%!"
+    Build_profile.name Sys.ocaml_version;
   let failed =
     List.filter
       (fun (name, measure, ceiling) ->

@@ -153,8 +153,9 @@ let main args =
   let share k = if n = 0 then 0. else 100. *. float_of_int k /. float_of_int n in
   Printf.printf
     "pcprof %s: %d ops, %d samples (one per %d us of CPU time asked; the \
-     kernel's tick may space them wider), %d dropped\n"
-    (Filename.basename file) ops n interval_us (taken - n);
+     kernel's tick may space them wider), %d dropped; %s profile, OCaml %s\n"
+    (Filename.basename file) ops n interval_us (taken - n) Build_profile.name
+    Sys.ocaml_version;
   Printf.printf "%7s %8s  %s\n" "self" "samples" "symbol";
   let rows =
     List.sort

@@ -1,10 +1,11 @@
 module Int_tbl = Sw_obs.Int_tbl
 
+(* One open vote: the copies received so far and the first copy. *)
+type vote = { mutable seen : int; first : Packet.t }
+
 type vm_entry = {
   mutable replicas : int;
-  (* Copies received so far and the first copy, keyed by the guest's
-     deterministic packet sequence number. *)
-  pending : (int * Packet.t) Int_tbl.t;
+  pending : vote Int_tbl.t;  (* by the guest's deterministic sequence number *)
 }
 
 type t = {
@@ -43,25 +44,30 @@ let handle t (pkt : Packet.t) =
       | exception Not_found -> Sw_obs.Registry.Counter.incr t.m_dropped
       | entry ->
           let key = inner.Packet.seq in
-          let seen, first =
+          let vote =
             match Int_tbl.find entry.pending key with
-            | n, first -> (n, first)
-            | exception Not_found -> (0, inner)
+            | v -> v
+            | exception Not_found -> { seen = 0; first = inner }
           in
+          let first = vote.first in
           (* Output vote: replicas are deterministic, so all copies of one
              sequence number must be structurally identical. Payloads are
-             immutable, function-free data, so [=] compares them whole. *)
+             immutable, function-free, float-free data, so [<>] compares
+             them whole, and the first copy needs no compare at all. *)
           if
-            (not (Address.equal inner.Packet.dst first.Packet.dst))
-            || inner.Packet.size <> first.Packet.size
-            || inner.Packet.payload <> first.Packet.payload
+            inner != first
+            && ((not (Address.equal inner.Packet.dst first.Packet.dst))
+               || inner.Packet.size <> first.Packet.size
+               || inner.Packet.payload <> first.Packet.payload)
           then Sw_obs.Registry.Counter.incr t.m_mismatches;
-          let seen = seen + 1 in
+          let seen = vote.seen + 1 in
+          vote.seen <- seen;
           let release_rank = (entry.replicas + 1) / 2 in
           if seen >= entry.replicas then Int_tbl.remove entry.pending key
-          else Int_tbl.replace entry.pending key (seen, first);
-          if seen = 1 && seen < entry.replicas then
-            schedule_expiry t entry key;
+          else if seen = 1 then begin
+            Int_tbl.add entry.pending key vote;
+            schedule_expiry t entry key
+          end;
           if seen = release_rank then begin
             Sw_obs.Registry.Counter.incr t.m_forwarded;
             let engine = Network.engine t.network in

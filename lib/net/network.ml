@@ -62,8 +62,8 @@ type t = {
   routes : Address.t Int_tbl.t;
   link_overrides : (Address.t * link_params) Int_tbl.t;
   node_overrides : (Address.t * link_params) Int_tbl.t;
-  link_states : link_state Int_tbl.t;
-  counters : Registry.Counter.t Int_tbl.t;
+  link_states : link_state Int_tbl.t;  (* by (src, routed target) *)
+  links : link Int_tbl.t;  (* by (src, dst) as addressed; see [link] *)
   mutable seq : int;
   (* Fault-injection state: an optional fabric-wide disturbance plus
      per-delivery-target disturbances, applied on top of the link's own
@@ -78,6 +78,21 @@ type t = {
   m_fault_lost : Registry.Counter.t;
   p_deliver : Sw_obs.Profile.timer;
   k_deliver : Engine.kind option;  (* boxed once, not per schedule *)
+}
+
+(* A directed (src, dst) pair resolved once: everything [send] would
+   otherwise look up per packet. [state] is shared through [link_states]
+   by every pair routed to the same target, so they keep one FIFO. The
+   table of links is dropped by [register] and [set_route], whose results
+   it caches; a delivery already scheduled keeps the link it was sent on. *)
+and link = {
+  net : t;
+  target : Address.t;  (* [dst]'s route, or [dst] itself *)
+  state : link_state;
+  handler : (Packet.t -> unit) option;  (* [None]: undeliverable *)
+  mutable delivered : Registry.Counter.t option;
+      (* [net.link.<src>.<dst>.delivered], registered at the first
+         delivery, so a pair that never delivers exports no counter. *)
 }
 
 let pair_metric ~src ~dst =
@@ -97,7 +112,7 @@ let create ?stream_seed engine ~default =
     link_overrides = Int_tbl.create 64;
     node_overrides = Int_tbl.create 16;
     link_states = Int_tbl.create 64;
-    counters = Int_tbl.create 64;
+    links = Int_tbl.create 64;
     seq = 0;
     fault_all = None;
     fault_to = Int_tbl.create 4;
@@ -115,10 +130,17 @@ let fresh_seq t =
   t.seq <- t.seq + 1;
   t.seq
 
-let register t addr handler =
-  Int_tbl.replace t.handlers (Address.index addr) (addr, handler)
+(* [register] and [set_route] are setup-time calls, most of them made
+   before any traffic, so the usual drop finds the table empty. *)
+let drop_links t = if Int_tbl.length t.links > 0 then Int_tbl.reset t.links
 
-let set_route t ~dst ~via = Int_tbl.replace t.routes (Address.index dst) via
+let register t addr handler =
+  Int_tbl.replace t.handlers (Address.index addr) (addr, handler);
+  drop_links t
+
+let set_route t ~dst ~via =
+  Int_tbl.replace t.routes (Address.index dst) via;
+  drop_links t
 
 let set_link t ~src ~dst params =
   Int_tbl.replace t.link_overrides (pair_key src dst) (dst, params)
@@ -132,11 +154,15 @@ let set_fault_to t addr = function
   | Some d -> Int_tbl.replace t.fault_to (Address.index addr) d
   | None -> Int_tbl.remove t.fault_to (Address.index addr)
 
-let disturbance_for t target_key =
-  match (t.fault_all, Int_tbl.find_opt t.fault_to target_key) with
-  | None, None -> None
-  | (Some _ as d), None | None, (Some _ as d) -> d
-  | Some a, Some b -> Some (combine_disturbance a b)
+(* A fault-free run takes the first branch and looks nothing up. *)
+let disturbance_for t target =
+  match t.fault_all with
+  | None when Int_tbl.length t.fault_to = 0 -> None
+  | all -> (
+      match (all, Int_tbl.find_opt t.fault_to (Address.index target)) with
+      | None, None -> None
+      | (Some _ as d), None | None, (Some _ as d) -> d
+      | Some a, Some b -> Some (combine_disturbance a b))
 
 (* The effective target of a packet addressed to [dst]: its route, if one
    is set (e.g. [Vm v -> Ingress]), else [dst] itself. *)
@@ -179,18 +205,35 @@ let link_state t ~src ~dst =
       Int_tbl.add t.link_states key s;
       s
 
-let pair_counter t ~src ~dst =
+let new_link t ~src ~target ~handler =
+  { net = t; target; state = link_state t ~src ~dst:target; handler; delivered = None }
+
+let link t ~src ~dst =
   let key = pair_key src dst in
-  match Int_tbl.find t.counters key with
-  | c -> c
+  match Int_tbl.find t.links key with
+  | l -> l
   | exception Not_found ->
-      let c = Registry.counter (Engine.metrics t.engine) (pair_metric ~src ~dst) in
-      Int_tbl.add t.counters key c;
+      let target = route t dst in
+      let handler = Option.map snd (Int_tbl.find_opt t.handlers (Address.index target)) in
+      let l = new_link t ~src ~target ~handler in
+      Int_tbl.add t.links key l;
+      l
+
+let pair_counter l (pkt : Packet.t) =
+  match l.delivered with
+  | Some c -> c
+  | None ->
+      let c =
+        Registry.counter (Engine.metrics l.net.engine)
+          (pair_metric ~src:pkt.src ~dst:pkt.dst)
+      in
+      l.delivered <- Some c;
       c
 
-let deliver_now t handler (pkt : Packet.t) =
+let deliver_now l handler (pkt : Packet.t) =
+  let t = l.net in
   Registry.Counter.incr t.m_delivered;
-  Registry.Counter.incr (pair_counter t ~src:pkt.src ~dst:pkt.dst);
+  Registry.Counter.incr (pair_counter l pkt);
   (* The handler is called directly unless profiling is on, so a delivery
      builds no closure for [Profile.time]. *)
   let p = Engine.profile t.engine in
@@ -209,19 +252,24 @@ let inject t ~target (pkt : Packet.t) =
      [Vm v -> Ingress] — before the handler lookup, as [send] would. *)
   match Int_tbl.find t.handlers (Address.index (route t target)) with
   | exception Not_found -> Registry.Counter.incr t.m_undeliverable
-  | _, handler -> deliver_now t handler pkt
+  | _, handler -> deliver_now (link t ~src:pkt.src ~dst:pkt.dst) handler pkt
 
-let deliver_local t ~target ~arrive (pkt : Packet.t) =
-  match Int_tbl.find t.handlers (Address.index target) with
-  | exception Not_found -> Registry.Counter.incr t.m_undeliverable
-  | _, handler ->
+let deliver l (pkt : Packet.t) =
+  match l.handler with Some h -> deliver_now l h pkt | None -> ()
+
+let deliver_local l ~arrive (pkt : Packet.t) =
+  let t = l.net in
+  match l.handler with
+  | None -> Registry.Counter.incr t.m_undeliverable
+  | Some _ ->
       Engine.schedule_at ?kind:t.k_deliver t.engine arrive (fun () ->
-          deliver_now t handler pkt)
+          deliver l pkt)
 
-let deliver_via t ~target (pkt : Packet.t) =
-  let state = link_state t ~src:pkt.src ~dst:target in
+let transmit l (pkt : Packet.t) =
+  let t = l.net in
+  let state = l.state in
   let p = state.params in
-  let dist = disturbance_for t (Address.index target) in
+  let dist = disturbance_for t l.target in
   if p.loss > 0. && Sw_sim.Prng.float state.rng < p.loss then
     Registry.Counter.incr t.m_lost
   else if
@@ -258,11 +306,11 @@ let deliver_via t ~target (pkt : Packet.t) =
        so a cross-shard hop changes only where the handler runs, never the
        arrival instant. *)
     match t.remote with
-    | None -> deliver_local t ~target ~arrive pkt
+    | None -> deliver_local l ~arrive pkt
     | Some r ->
-        let owner = r.locate target in
-        if owner <> r.shard then r.post ~dst:owner ~at:arrive ~target pkt
-        else deliver_local t ~target ~arrive pkt
+        let owner = r.locate l.target in
+        if owner <> r.shard then r.post ~dst:owner ~at:arrive ~target:l.target pkt
+        else deliver_local l ~arrive pkt
   end
 
 let set_remote t ~shard ~locate ~post =
@@ -301,19 +349,22 @@ let min_latency_to t ~locate ~self ~shards =
   floor
 
 (* The broadcast walk is the one address-table walk whose order reaches the
-   simulation (link state, draws, event order), so it sorts by index. *)
+   simulation (link state, draws, event order), so it sorts by index. Each
+   copy travels on an uncached link of its own: its target is not the
+   packet's [dst], and its counter is the (src, broadcast) pair's. *)
 let broadcast t (pkt : Packet.t) =
   let src = Address.index pkt.src in
   let targets =
     Int_tbl.fold
-      (fun key (addr, _) acc -> if key = src then acc else (key, addr) :: acc)
+      (fun key (addr, h) acc -> if key = src then acc else (key, addr, h) :: acc)
       t.handlers []
   in
   List.iter
-    (fun (_, target) -> deliver_via t ~target pkt)
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) targets)
+    (fun (_, target, h) ->
+      transmit (new_link t ~src:pkt.src ~target ~handler:(Some h)) pkt)
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) targets)
 
 let send t (pkt : Packet.t) =
   match pkt.dst with
   | Address.Broadcast_addr -> broadcast t pkt
-  | dst -> deliver_via t ~target:(route t dst) pkt
+  | dst -> transmit (link t ~src:pkt.src ~dst) pkt

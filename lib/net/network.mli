@@ -39,12 +39,15 @@ val engine : t -> Sw_sim.Engine.t
 val fresh_seq : t -> int
 
 (** [register t addr handler] sets the delivery handler; re-registering
-    replaces it. *)
+    replaces it. It takes effect for packets sent after the call: a packet
+    already in flight reaches the handler that was registered when it was
+    sent. *)
 val register : t -> Address.t -> (Packet.t -> unit) -> unit
 
 (** [set_route t ~dst ~via] delivers packets addressed to [dst] to [via]'s
     handler instead (e.g. [Vm v] routed via [Ingress]). The packet's [dst]
-    field is left untouched. *)
+    field is left untouched. It takes effect for packets sent after the
+    call; packets already in flight keep the route they were sent on. *)
 val set_route : t -> dst:Address.t -> via:Address.t -> unit
 
 (** [set_link t ~src ~dst params] overrides the parameters of the directed

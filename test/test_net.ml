@@ -150,6 +150,95 @@ let test_node_link_override () =
   Engine.run engine;
   Alcotest.(check int) "node override used" (Time.ms 10) !arrival
 
+(* --- Resolved links ---------------------------------------------------------- *)
+
+(* [send] caches each (src, dst) pair's route, link state and handler;
+   [register] and [set_route] must reach packets sent after them, while a
+   packet already in flight keeps the handler it was sent to. *)
+let test_reregister_after_traffic () =
+  let engine, net = setup () in
+  let old_got = ref [] and new_got = ref [] in
+  let record r pkt =
+    match pkt.Packet.payload with Packet.Background n -> r := n :: !r | _ -> ()
+  in
+  Net.register net (Address.Host 1) (record old_got);
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 1);
+  Engine.run engine;
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 2);
+  Net.register net (Address.Host 1) (record new_got);
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 3);
+  Engine.run engine;
+  Alcotest.(check (list int)) "old handler: sent before the call" [ 1; 2 ]
+    (List.rev !old_got);
+  Alcotest.(check (list int)) "new handler: sent after the call" [ 3 ]
+    (List.rev !new_got)
+
+let test_route_after_traffic () =
+  let engine, net = setup () in
+  let at_host = ref 0 and at_ingress = ref 0 in
+  Net.register net (Address.Host 1) (fun _ -> incr at_host);
+  Net.register net Address.Ingress (fun _ -> incr at_ingress);
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 1);
+  Engine.run engine;
+  Net.set_route net ~dst:(Address.Host 1) ~via:Address.Ingress;
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background 2);
+  Engine.run engine;
+  Alcotest.(check int) "before the route: direct" 1 !at_host;
+  Alcotest.(check int) "after the route: via ingress" 1 !at_ingress;
+  Alcotest.(check int) "both counted on the addressed pair" 2
+    (counter engine (Net.pair_metric ~src:(Address.Host 0) ~dst:(Address.Host 1)))
+
+(* Two destinations routed to one target are one pipe: 1000-byte packets
+   at 8 Mb/s serialise in 1 ms each, so interleaved sends to vm1 and vm2
+   arrive 1 ms apart, not in two parallel queues. *)
+let test_routed_pairs_share_fifo () =
+  let engine = Engine.create () in
+  let default =
+    { Net.latency = Time.zero; jitter = Time.zero; bandwidth_bps = 8_000_000; loss = 0. }
+  in
+  let net = Net.create engine ~default in
+  let arrivals = ref [] in
+  Net.register net Address.Ingress (fun pkt ->
+      arrivals := (Address.to_string pkt.Packet.dst, Engine.now engine) :: !arrivals);
+  Net.set_route net ~dst:(Address.Vm 1) ~via:Address.Ingress;
+  Net.set_route net ~dst:(Address.Vm 2) ~via:Address.Ingress;
+  List.iter
+    (fun (vm, n) ->
+      send net ~src:(Address.Host 0) ~dst:(Address.Vm vm) ~size:1000
+        (Packet.Background n))
+    [ (1, 1); (2, 2); (1, 3) ];
+  Engine.run engine;
+  Alcotest.(check (list (pair string int))) "one FIFO"
+    [ ("vm1", Time.ms 1); ("vm2", Time.ms 2); ("vm1", Time.ms 3) ]
+    (List.rev !arrivals)
+
+(* A pair's counter is registered at its first delivery: lost and
+   undeliverable packets leave none behind. *)
+let test_no_counter_without_delivery () =
+  let engine, net = setup () in
+  Net.register net (Address.Host 1) (fun _ -> ());
+  Net.register net (Address.Host 2) (fun _ -> ());
+  Net.set_link net ~src:(Address.Host 0) ~dst:(Address.Host 1)
+    { quiet_link with Net.loss = 1.0 };
+  for n = 1 to 3 do
+    send net ~src:(Address.Host 0) ~dst:(Address.Host 1) (Packet.Background n);
+    send net ~src:(Address.Host 0) ~dst:(Address.Host 9) (Packet.Background n)
+  done;
+  send net ~src:(Address.Host 0) ~dst:(Address.Host 2) (Packet.Background 4);
+  Engine.run engine;
+  let snap = Sw_obs.Registry.snapshot (Engine.metrics engine) in
+  let links =
+    List.filter_map
+      (fun (name, _) ->
+        if String.starts_with ~prefix:"net.link." name then Some name else None)
+      (Sw_obs.Snapshot.to_list snap)
+  in
+  Alcotest.(check (list string)) "only the delivering pair"
+    [ Net.pair_metric ~src:(Address.Host 0) ~dst:(Address.Host 2) ]
+    links;
+  Alcotest.(check int) "lost" 3 (counter engine "net.lost");
+  Alcotest.(check int) "undeliverable" 3 (counter engine "net.undeliverable")
+
 (* --- Addresses ------------------------------------------------------------------ *)
 
 (* All six constructors; ids are often tiny so that equal pairs turn up. *)
@@ -731,6 +820,16 @@ let () =
           Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "broadcast order" `Quick test_broadcast_order;
           Alcotest.test_case "node link override" `Quick test_node_link_override;
+        ] );
+      ( "resolved links",
+        [
+          Alcotest.test_case "re-register after traffic" `Quick
+            test_reregister_after_traffic;
+          Alcotest.test_case "route after traffic" `Quick test_route_after_traffic;
+          Alcotest.test_case "routed pairs share a FIFO" `Quick
+            test_routed_pairs_share_fifo;
+          Alcotest.test_case "no counter without a delivery" `Quick
+            test_no_counter_without_delivery;
         ] );
       ( "multicast",
         [
