@@ -19,7 +19,7 @@ let http_latency ~config ~seed =
   in
   (o.File_transfer.elapsed_ms, o.File_transfer.divergences)
 
-(* Default seed of the pre-runner sequential harness, kept bit-compatible. *)
+(* Every HTTP ablation point runs with File_transfer's default seed. *)
 let ft_seed = 0xF16_5L
 
 let delta_n_jobs =

@@ -1,12 +1,14 @@
 (* Sec. IX: collaborating attacker VMs. A colluder loads one of the attacker
    replicas' machines to marginalise it from the median; increasing the
-   replica count from 3 to 5 blunts the technique. *)
+   replica count from 3 to 5 blunts the technique. The quick form runs each
+   simulation for 2 simulated seconds instead of 25. *)
 
 open Sw_experiments
 
-let run () =
+let run ~quick () =
   Tables.section "Sec. IX — collaborating attacker VMs (simulated)";
-  let rows = Sw_attack.Collusion.table ~duration:(Sw_sim.Time.s 25) () in
+  let duration = Sw_sim.Time.s (if quick then 2 else 25) in
+  let rows = Sw_attack.Collusion.table ~duration in
   Tables.header ~width:12 [ "conf"; "r=3"; "r=3+col"; "r=5+col" ];
   (match rows with
   | [ a; b; c ] ->

@@ -1,14 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's per-experiment index), plus ablations and
-   bechamel micro-benchmarks.
+   evaluation (see DESIGN.md's per-experiment index), plus ablations and the
+   simulator's own performance guards.
 
    Usage: main.exe [-j N] [-quick] [--shards N] [experiment ...]
       or: main.exe pcprof SCN [-ops N]   (exact-PC profile, bench_pcprof.ml)
    where experiment is one of fig1 fig2 fig4 fig5 fig6 fig7 fig8 fig9
-   placement utilization theorems collusion ablation scale shard micro ckpt
-   chaos leak quick, or nothing / "all" for everything except chaos and quick.
-   [-quick] shrinks the chaos, engine, fig9, leak, and shard sweeps to their
-   CI smoke forms.
+   placement utilization theorems collusion ablation shard engine alloc ckpt
+   chaos leak, or nothing / "all" for everything except chaos.
+   [-quick] shrinks the chaos, collusion, engine, fig9, leak, and shard
+   sweeps to their CI smoke forms.
 
    -j / --jobs N shards each experiment's independent simulations across N
    worker domains via sw_runner; results are identical to -j 1 (per-job
@@ -39,22 +39,18 @@ let experiments =
     ("placement", fun _ -> Bench_placement.run ());
     ("utilization", fun _ -> Bench_utilization.run ());
     ("theorems", fun _ -> Bench_theorems.run ());
-    ("collusion", fun _ -> Bench_collusion.run ());
+    ("collusion", fun o -> Bench_collusion.run ~quick:o.quick ());
     ("ablation", fun o -> Bench_ablation.run ?pool:o.pool ());
-    ("scale", fun _ -> Bench_scale.run ());
     ("shard", fun o -> Bench_shard.run ~quick:o.quick ?shards:o.shards ());
-    ("micro", fun _ -> Bench_micro.run ());
     ("engine", fun o -> Bench_engine.run ~quick:o.quick ());
     ("alloc", fun _ -> Bench_alloc.run ());
     ("ckpt", fun _ -> Bench_ckpt.run ());
     ("chaos", fun o -> Bench_chaos.run ?pool:o.pool ~quick:o.quick ());
     ("leak", fun o -> Bench_leak.run ?pool:o.pool ~quick:o.quick ());
-    ("quick", fun o -> Bench_quick.run ?pool:o.pool ());
   ]
 
 let default_set =
-  List.filter (fun (name, _) -> name <> "quick" && name <> "chaos") experiments
-  |> List.map fst
+  List.filter (fun (name, _) -> name <> "chaos") experiments |> List.map fst
 
 let usage () =
   Printf.eprintf

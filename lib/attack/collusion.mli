@@ -22,7 +22,8 @@ type row = {
           (1/m expected when unloaded; below that = marginalised). *)
 }
 
-(** [table ?duration ()] runs the three comparisons: 3 replicas without
-    collusion, 3 with, 5 with, each at the default attack's 40 pings/s.
-    Each entry needs two simulations (victim present / absent). *)
-val table : ?duration:Sw_sim.Time.t -> unit -> row list
+(** [table ~duration] runs the three comparisons: 3 replicas without
+    collusion, 3 with, 5 with, each at the default attack's 40 pings/s for
+    [duration] of simulated time. Each entry needs two simulations (victim
+    present / absent). *)
+val table : duration:Sw_sim.Time.t -> row list

@@ -57,8 +57,7 @@ let one ?config ~seed ~protocol ~baseline ~size_bytes () =
 let jobs ?config ?(seed = 0xF16_5L) ~protocol ~baseline ~size_bytes ~runs () =
   if runs < 1 then invalid_arg "File_transfer.jobs: need >= 1 run";
   List.init runs (fun i ->
-      (* The historical per-run seed scheme, fixed per job before dispatch:
-         bit-compatible with the old sequential driver. *)
+      (* Each run's seed is fixed in its job before dispatch. *)
       let seed = Int64.add seed (Int64.of_int (i * 7919)) in
       let key =
         Printf.sprintf "fig5/%s/%s/%dB/run%d" (protocol_name protocol)

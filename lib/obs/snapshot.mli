@@ -4,8 +4,7 @@
     snapshot of its simulation's registry, and the driver merges them in job
     order. Merging is exact (integer sums, float sums in a fixed order,
     watermark maxima, bucket-wise histogram addition), so a [-j N] sweep
-    merges to byte-identical results with a [-j 1] run — the same contract as
-    [Sw_sim.Summary.merge]. *)
+    merges to byte-identical results with a [-j 1] run. *)
 
 type histogram = {
   count : int;

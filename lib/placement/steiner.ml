@@ -26,8 +26,6 @@ let groups ~v =
   in
   Array.init (v + 1) (fun t -> if t = 0 then g0 else gt t)
 
-let system ~v = List.concat (Array.to_list (groups ~v))
-
 let partial_gv ~v =
   if v < 1 then invalid_arg "Steiner.partial_gv: v must be >= 1";
   let q = (2 * v) + 1 in

@@ -10,10 +10,6 @@
     Raises [Invalid_argument] for [v < 1]. *)
 val groups : v:int -> Triangle.t list array
 
-(** The full Steiner triple system on [n = 6v + 3] points: the union of all
-    groups, [n (n - 1) / 6] triples covering every edge exactly once. *)
-val system : v:int -> Triangle.t list
-
 (** [partial_gv ~v] is the sub-family of [G_v] from the Thm. 2 proof's
     [c = 2 mod 3] case: [v] triangles that visit each node at most once. *)
 val partial_gv : v:int -> Triangle.t list

@@ -15,19 +15,6 @@ let write path json =
       output_string oc (to_string json);
       output_char oc '\n')
 
-let of_summary s =
-  let module Summary = Sw_sim.Summary in
-  let bound f = if Summary.count s = 0 then Null else Float (f s) in
-  Obj
-    [
-      ("count", Int (Summary.count s));
-      ("mean", Float (Summary.mean s));
-      ("stddev", Float (Summary.stddev s));
-      ("min", bound Summary.min);
-      ("max", bound Summary.max);
-      ("total", Float (Summary.total s));
-    ]
-
 let of_failure (f : Runner.failure) =
   Obj [ ("key", String f.Runner.key); ("exn", String f.Runner.exn) ]
 

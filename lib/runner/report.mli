@@ -21,11 +21,6 @@ val to_string : t -> string
 (** [write path json] writes [to_string json] plus a trailing newline. *)
 val write : string -> t -> unit
 
-(** Summary statistics as an object:
-    [{"count", "mean", "stddev", "min", "max", "total"}] (min/max [Null]
-    when empty). *)
-val of_summary : Sw_sim.Summary.t -> t
-
 (** A failed job as an object: [{"key", "exn"}], the printed exception
     under ["exn"]. *)
 val of_failure : Runner.failure -> t

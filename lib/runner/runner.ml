@@ -92,10 +92,6 @@ let successes outcomes =
 let failures outcomes =
   List.filter_map (function Ok _ -> None | Error f -> Some f) outcomes
 
-let merge_summaries outcomes =
-  List.fold_left Sw_sim.Summary.merge (Sw_sim.Summary.create ())
-    (successes outcomes)
-
 let get = function
   | Ok v -> v
   | Error f -> failwith (Format.asprintf "%a" pp_failure f)

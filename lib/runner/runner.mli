@@ -58,10 +58,6 @@ val successes : 'a outcome list -> 'a list
 
 val failures : 'a outcome list -> failure list
 
-(** [merge_summaries outcomes] folds {!Sw_sim.Summary.merge} over the
-    successful per-job summaries — the parallel aggregation path. *)
-val merge_summaries : Sw_sim.Summary.t outcome list -> Sw_sim.Summary.t
-
 (** [get outcome] unwraps, raising [Failure] with the formatted failure —
     for callers whose jobs must not fail (e.g. regression drivers). *)
 val get : 'a outcome -> 'a

@@ -28,12 +28,6 @@ type inbound_entry = {
   mutable proposals : (int * Time.t) list;  (** (replica_id, proposed virt) *)
 }
 
-type disk_entry = {
-  tag : int;
-  delivery_virt : Time.t;
-  mutable ready : bool;
-}
-
 (* Execution history for deterministic replay: exactly the operations the
    VMM performed on the guest, in order. *)
 type log_entry =
@@ -63,7 +57,10 @@ type instance = {
   config : Config.t;
   inbound : inbound_entry Int_tbl.t;  (** By ingress sequence number. *)
   mutable pending : pending list;  (** Sorted by (delivery, cls, key). *)
-  mutable disk_waiting : disk_entry list;
+  disk_waiting : Time.t Int_tbl.t;
+      (** In-flight disk requests: tag -> virtual delivery time. A tag the
+          app reuses while a request is in flight has one binding per
+          request; the first completion of a tag removes them all. *)
   m_net : Registry.Counter.t;
   m_disk_irq : Registry.Counter.t;
   m_dma_irq : Registry.Counter.t;
@@ -442,21 +439,20 @@ let on_disk_request t i ~kind ~bytes ~sequential ~tag =
     if is_stopwatch i then i.config.Config.delta_d
     else baseline_inject_delay
   in
-  let entry = { tag; delivery_virt = Time.add virt_issue offset; ready = false } in
-  i.disk_waiting <- i.disk_waiting @ [ entry ];
+  let delivery_virt = Time.add virt_issue offset in
+  Int_tbl.add i.disk_waiting tag delivery_virt;
   let disk_kind =
     match kind with `Read -> Sw_disk.Disk.Read | `Write -> Sw_disk.Disk.Write
   in
   Sw_disk.Disk.submit (Machine.disk t.mach) ~vm:i.vm_id ~kind:disk_kind ~bytes
     ~sequential (fun () ->
       Machine.dom0_work t.mach Config.dom0_per_packet;
-      entry.ready <- true;
       (* The transfer must have completed by the virtual delivery time; if
          the guest's clock has already passed it, that's a Δd violation. *)
       if
         (not i.crashed)
         && is_stopwatch i
-        && Time.(Sw_vm.Guest.virt_now i.guest > entry.delivery_virt)
+        && Time.(Sw_vm.Guest.virt_now i.guest > delivery_virt)
       then begin
         Registry.Counter.incr i.m_delta_d;
         Replica_group.record_divergence i.group;
@@ -469,14 +465,16 @@ let on_disk_request t i ~kind ~bytes ~sequential ~tag =
                  kind = Event.Delta_d_violation;
                })
       end;
-      i.disk_waiting <- List.filter (fun e -> e.tag <> entry.tag) i.disk_waiting;
+      while Int_tbl.mem i.disk_waiting tag do
+        Int_tbl.remove i.disk_waiting tag
+      done;
       if not i.crashed then
         insert_pending i
           {
-            delivery = entry.delivery_virt;
+            delivery = delivery_virt;
             cls = 1;
-            key = entry.tag;
-            event = Sw_vm.App.Disk_done { tag = entry.tag };
+            key = tag;
+            event = Sw_vm.App.Disk_done { tag };
           })
 
 let on_dma_request t i ~bytes ~tag =
@@ -660,19 +658,15 @@ let reintegrate i ~from =
   i.last_net_virt <- from.last_net_virt;
   (* The survivor's in-flight disk transfers have deterministic virtual
      delivery slots — mirror them directly so both replicas inject the same
-     interrupts at the same virtual times. (In-flight DMA completions carry
+     interrupts at the same virtual times; [insert_pending] sorts, so the
+     table's walk order does not matter. (In-flight DMA completions carry
      no waiting record and are not recoverable; guests with outstanding DMA
      across a crash-restart boundary will diverge.) *)
-  i.disk_waiting <- [];
-  List.iter
-    (fun (e : disk_entry) ->
+  Int_tbl.reset i.disk_waiting;
+  Int_tbl.iter
+    (fun tag delivery ->
       insert_pending i
-        {
-          delivery = e.delivery_virt;
-          cls = 1;
-          key = e.tag;
-          event = Sw_vm.App.Disk_done { tag = e.tag };
-        })
+        { delivery; cls = 1; key = tag; event = Sw_vm.App.Disk_done { tag } })
     from.disk_waiting;
   i.crashed <- false;
   let virt = Sw_vm.Guest.virt_now guest in
@@ -832,7 +826,7 @@ let host ?channel ?start t ~group ~app =
       config;
       inbound = Int_tbl.create 32;
       pending = [];
-      disk_waiting = [];
+      disk_waiting = Int_tbl.create 8;
       m_net = Registry.counter metrics (prefix ^ ".net_deliveries");
       m_disk_irq = Registry.counter metrics (prefix ^ ".disk_interrupts");
       m_dma_irq = Registry.counter metrics (prefix ^ ".dma_interrupts");

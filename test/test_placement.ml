@@ -80,11 +80,14 @@ let test_edge_disjoint () =
 
 let sts_size n = n * (n - 1) / 6
 
+(* The full Steiner triple system on 6v + 3 points: the union of its groups. *)
+let system ~v = List.concat (Array.to_list (St.groups ~v))
+
 let test_bose_sizes () =
   List.iter
     (fun v ->
       let n = (6 * v) + 3 in
-      let sys = St.system ~v in
+      let sys = system ~v in
       Alcotest.(check int)
         (Printf.sprintf "STS(%d) size" n)
         (sts_size n) (List.length sys);
@@ -98,7 +101,7 @@ let test_bose_covers_all_edges () =
   let seen = Hashtbl.create 256 in
   List.iter
     (fun t -> List.iter (fun e -> Hashtbl.replace seen e ()) (Tri.edges t))
-    (St.system ~v);
+    (system ~v);
   Alcotest.(check int) "all edges covered" (n * (n - 1) / 2) (Hashtbl.length seen)
 
 let test_groups_structure () =
@@ -136,7 +139,7 @@ let prop_bose_edge_disjoint =
   QCheck.Test.make ~name:"Bose STS is edge-disjoint for all v" ~count:8
     QCheck.(int_range 1 8)
     (fun v ->
-      let sys = St.system ~v in
+      let sys = system ~v in
       Tri.edge_disjoint sys
       && List.length sys = sts_size ((6 * v) + 3))
 

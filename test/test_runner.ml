@@ -1,13 +1,11 @@
 (* Tests for sw_runner: the domain pool, crash isolation, progress events,
    parallel-vs-sequential determinism (results and aggregated JSON),
-   cross-domain PRNG ownership, the Summary.merge partition property that
-   parallel aggregation leans on, and the report JSON bytes. *)
+   cross-domain PRNG ownership, and the report JSON bytes. *)
 
 module Pool = Sw_runner.Pool
 module Runner = Sw_runner.Runner
 module Report = Sw_runner.Report
 module Prng = Sw_sim.Prng
-module Summary = Sw_sim.Summary
 
 (* --- Pool ---------------------------------------------------------------- *)
 
@@ -134,22 +132,24 @@ let sim_jobs =
       ( Printf.sprintf "sim/%d" i,
         fun () ->
           let rng = Prng.create seed in
-          let s = Summary.create () in
+          let total = ref 0. in
           for _ = 1 to 500 do
-            Summary.add s (Prng.exponential rng ~rate:2.)
+            total := !total +. Prng.exponential rng ~rate:2.
           done;
-          s ))
+          !total /. 500. ))
 
 let json_of_outcomes outcomes =
   Report.to_string
     (Report.Obj
        [
-         ("merged", Report.of_summary (Runner.merge_summaries outcomes));
+         ( "merged",
+           Report.Float
+             (List.fold_left ( +. ) 0. (Runner.successes outcomes)) );
          ( "per_job",
            Report.List
              (List.map
                 (function
-                  | Ok s -> Report.of_summary s
+                  | Ok x -> Report.Float x
                   | Error f -> Report.of_failure f)
                 outcomes) );
        ])
@@ -212,52 +212,6 @@ let test_prng_sibling_splits_across_domains () =
   Alcotest.(check bool) "domain 2 sequence unperturbed" true (expect2 = got2);
   Alcotest.(check bool) "siblings are independent streams" false
     (expect1 = expect2)
-
-(* --- Summary.merge: arbitrary partitions --------------------------------- *)
-
-let prop_summary_merge_partitions =
-  QCheck.Test.make ~count:300
-    ~name:"merging any partition of a stream equals the single-stream summary"
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 60) (float_bound_inclusive 1000.))
-        (list_of_size Gen.(0 -- 6) (int_bound 10)))
-    (fun (xs, cut_sizes) ->
-      (* Split xs into chunks sized by cut_sizes (remainder in a tail
-         chunk), summarise each independently, merge left to right. *)
-      let whole = Summary.create () in
-      List.iter (Summary.add whole) xs;
-      let chunks =
-        let rec take n = function
-          | [] -> ([], [])
-          | l when n = 0 -> ([], l)
-          | x :: tl ->
-              let a, b = take (n - 1) tl in
-              (x :: a, b)
-        in
-        let rec go rest = function
-          | [] -> [ rest ]
-          | n :: ns ->
-              let chunk, rest = take n rest in
-              chunk :: go rest ns
-        in
-        go xs cut_sizes
-      in
-      let merged =
-        List.fold_left
-          (fun acc chunk ->
-            let s = Summary.create () in
-            List.iter (Summary.add s) chunk;
-            Summary.merge acc s)
-          (Summary.create ()) chunks
-      in
-      let close a b = Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs a) in
-      Summary.count merged = Summary.count whole
-      && close (Summary.mean merged) (Summary.mean whole)
-      && close (Summary.stddev merged) (Summary.stddev whole)
-      && close (Summary.total merged) (Summary.total whole)
-      && Summary.min merged = Summary.min whole
-      && Summary.max merged = Summary.max whole)
 
 (* --- Report JSON ---------------------------------------------------------- *)
 
@@ -330,8 +284,6 @@ let () =
           Alcotest.test_case "prng sibling splits across domains" `Quick
             test_prng_sibling_splits_across_domains;
         ] );
-      ( "aggregation",
-        [ QCheck_alcotest.to_alcotest prop_summary_merge_partitions ] );
       ( "report",
         [
           Alcotest.test_case "json emission" `Quick test_report_json;

@@ -1,6 +1,6 @@
 (* Tests for the VMM layer: configuration validation, the machine's Dom0
-   FIFO and NIC, replica-group skew limiting, epoch resynchronisation, and
-   the median helper. *)
+   FIFO and NIC, replica-group skew limiting, epoch resynchronisation, the
+   median helper, and a replica reintegrated with disk requests in flight. *)
 
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
@@ -267,6 +267,83 @@ let test_group_full () =
   Alcotest.(check bool) "complete" true (Rg.complete group);
   expect_invalid "overfull" (fun () -> ignore (add_member group ~machine:3))
 
+(* --- Reintegration with disk requests in flight ---------------------------- *)
+
+(* Once a 20 ms timer fires, the guest reads with tags 9, 7, 7, 3, computing
+   between the reads, then stays busy so that every injection lands at the
+   first exit after its virtual delivery slot. Replica 1 crashes before the
+   timer and so issues none of the reads. It is reintegrated from replica 0
+   when the read of 9 has completed and the other three are in flight; the
+   in-flight table walks those as 7, 7, 3 with the later 7 first, so the
+   walk is not issue order. Replica 1 must then inject replica 0's Disk_done
+   events, both 7s included, at replica 0's virtual times. *)
+let test_reintegrate_mirrors_disk_in_flight () =
+  let config = { Config.default with Config.replay_log = true } in
+  let cloud = Stopwatch.Cloud.create ~config ~machines:3 () in
+  let app =
+    Sw_vm.App.stateful ~init:() ~handle:(fun () ~virt_now:_ -> function
+      | Sw_vm.App.Boot ->
+          ((), [ Sw_vm.App.Set_timer { after = Time.ms 20; tag = 0 } ])
+      | Sw_vm.App.Timer _ ->
+          let read ~sequential tag =
+            Sw_vm.App.Disk_read { bytes = 65_536; sequential; tag }
+          in
+          let compute n = Sw_vm.App.Compute n in
+          ( (),
+            [
+              read ~sequential:false 9;
+              compute 100_000;
+              read ~sequential:true 7;
+              compute 100_000;
+              read ~sequential:true 7;
+              compute 100_000;
+              read ~sequential:true 3;
+              compute 50_000_000;
+            ] )
+      | _ -> ((), []))
+  in
+  let d = Stopwatch.Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app in
+  let trace = Sw_obs.Trace.create () in
+  Stopwatch.Cloud.attach_trace cloud trace;
+  let survivor, restarted =
+    match Stopwatch.Cloud.replicas d with
+    | [ a; b; _ ] -> (a, b)
+    | _ -> Alcotest.fail "expected three replicas"
+  in
+  let completed machine =
+    Metric.counter
+      (Stopwatch.Cloud.metrics_snapshot cloud)
+      (Printf.sprintf "vmm.%d.disk.completed" machine)
+  in
+  let irqs replica =
+    List.filter_map
+      (fun (e : Sw_obs.Trace.entry) ->
+        match e.Sw_obs.Trace.event with
+        | Sw_obs.Event.Disk_irq { replica = r; tag; virt_ns; _ } when r = replica
+          ->
+            Some (tag, virt_ns)
+        | _ -> None)
+      (Sw_obs.Trace.entries trace)
+  in
+  let id = Sw_vmm.Vmm.replica in
+  Stopwatch.Cloud.run cloud ~until:(Time.ms 10);
+  Sw_vmm.Vmm.crash restarted;
+  Stopwatch.Cloud.run cloud ~until:(Time.ms 23);
+  Alcotest.(check int) "only the first read completed at the resync" 1
+    (completed 0);
+  Alcotest.(check int) "nothing injected before the resync" 0
+    (List.length (irqs (id survivor)));
+  Sw_vmm.Vmm.reintegrate restarted ~from:survivor;
+  Stopwatch.Cloud.run cloud ~until:(Time.ms 200);
+  Alcotest.(check int) "the restarted replica issued no read itself" 0
+    (completed 1);
+  let expected = irqs (id survivor) in
+  Alcotest.(check (list int)) "survivor injects in issue order" [ 9; 7; 7; 3 ]
+    (List.map fst expected);
+  Alcotest.(check (list (pair int int)))
+    "same tags at the same virtual times" expected
+    (irqs (id restarted))
+
 let () =
   Alcotest.run "sw_vmm"
     [
@@ -294,5 +371,10 @@ let () =
             test_epoch_out_of_order_reports;
           Alcotest.test_case "divergence counter" `Quick test_divergence_counter;
           Alcotest.test_case "group capacity" `Quick test_group_full;
+        ] );
+      ( "reintegrate",
+        [
+          Alcotest.test_case "disk requests in flight mirrored" `Quick
+            test_reintegrate_mirrors_disk_in_flight;
         ] );
     ]
