@@ -8,10 +8,6 @@
 
 type op = Sw_net.Msg.nfs_op = Setattr | Lookup | Write | Getattr | Read | Create
 
-(** The paper's extracted mix: 11.37% setattr, 24.07% lookup, 11.92% write,
-    7.93% getattr, 32.34% read, 12.37% create. *)
-val paper_mix : (op * float) list
-
 (** Server guest application. Reads fetch 8 KiB from disk on a buffer-cache
     miss (70% hit rate, deterministic per xid); writes/creates/setattrs
     journal their payload sequentially and reply write-behind;
@@ -31,8 +27,10 @@ type client_stats = {
 
 (** [run_client t ~dst ~rate_per_s ~procs ~ops ?seed ()] starts the
     load: [ops] operations spread over [procs] connections at aggregate
-    [rate_per_s], ops drawn from {!paper_mix} with a deterministic PRNG
-    seeded by [seed]. Returns a handle to poll after the simulation has run. *)
+    [rate_per_s], ops drawn from the paper's extracted mix (11.37% setattr,
+    24.07% lookup, 11.92% write, 7.93% getattr, 32.34% read, 12.37% create)
+    with a deterministic PRNG seeded by [seed]. Returns a handle to poll
+    after the simulation has run. *)
 val run_client :
   Tcp_host.t ->
   dst:Sw_net.Address.t ->

@@ -6,8 +6,3 @@ let analytic ~null ~alt ~confidence =
   let null_probs = Chi_square.bin_probs ~edges null.Dist.cdf in
   let alt_probs = Chi_square.bin_probs ~edges alt.Dist.cdf in
   Chi_square.observations_needed ~null_probs ~alt_probs ~confidence
-
-let sweep_analytic ~null ~alt =
-  List.map
-    (fun c -> (c, analytic ~null ~alt ~confidence:c))
-    Sw_leak.Detector.confidence_grid

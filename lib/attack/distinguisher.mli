@@ -9,7 +9,3 @@
     chi-square rejection of the null when sampling from [alt]. *)
 val analytic :
   null:Sw_stats.Dist.t -> alt:Sw_stats.Dist.t -> confidence:float -> float
-
-(** {!analytic} over {!Sw_leak.Detector.confidence_grid}. *)
-val sweep_analytic :
-  null:Sw_stats.Dist.t -> alt:Sw_stats.Dist.t -> (float * float) list

@@ -20,9 +20,10 @@ let abs_diff_cdf ~lambda ~lambda' d =
     -. (lambda' /. (lambda +. lambda') *. Float.exp (-.lambda *. d))
     -. (lambda /. (lambda +. lambda') *. Float.exp (-.lambda' *. d))
 
-let delta_n_for ~lambda ~lambda' ~coverage =
-  if coverage <= 0. || coverage >= 1. then
-    invalid_arg "Noise_defense.delta_n_for: coverage must be in (0, 1)";
+(* delta_n: the smallest d with P(|X1 - X'1| <= d) >= 0.9999, the paper's
+   coverage. *)
+let delta_n_for ~lambda ~lambda' =
+  let coverage = 0.9999 in
   let rec widen hi =
     if abs_diff_cdf ~lambda ~lambda' hi < coverage then widen (hi *. 2.) else hi
   in
@@ -75,7 +76,7 @@ let confidences = [ 0.70; 0.80; 0.90; 0.99 ]
 let compare ~lambda ~lambda' () =
   if lambda <= 0. || lambda' <= 0. then
     invalid_arg "Noise_defense.compare: rates must be positive";
-  let delta_n = delta_n_for ~lambda ~lambda' ~coverage:0.9999 in
+  let delta_n = delta_n_for ~lambda ~lambda' in
   let null_sw = median_null ~lambda in
   let alt_sw = median_victim ~lambda ~lambda' in
   let delay_stopwatch = Dist.mean null_sw +. delta_n in

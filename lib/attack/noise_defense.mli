@@ -18,12 +18,9 @@ type row = {
   delay_noise_victim : float;  (** E[X'_1 + XN]. *)
 }
 
-(** [delta_n_for ~lambda ~lambda' ~coverage] is the smallest d with
-    P(|X1 - X'1| <= d) >= coverage for X1 ~ Exp(lambda), X'1 ~ Exp(lambda')
-    independent — the paper sets coverage = 0.9999. *)
-val delta_n_for : lambda:float -> lambda':float -> coverage:float -> float
-
 (** [compare ~lambda ~lambda' ()] computes one row per confidence of the
     paper's grid for Fig. 8 (0.70, 0.80, 0.90, 0.99), with the attacker's
-    chi-square test over 10 equiprobable bins. *)
+    chi-square test over 10 equiprobable bins. StopWatch's delays add
+    delta_n, the smallest d with P(|X1 - X'1| <= d) >= 0.9999 for
+    X1 ~ Exp(lambda), X'1 ~ Exp(lambda') independent. *)
 val compare : lambda:float -> lambda':float -> unit -> row list

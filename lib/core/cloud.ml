@@ -429,7 +429,7 @@ let conductor t =
             Sw_net.Network.min_latency_to t.shards.(j).sh_network
               ~locate:(locate t j) ~self:j ~shards:n)
       in
-      let c = Conductor.create ~matrix ~lookahead:Time.zero engines in
+      let c = Conductor.create ~matrix engines in
       t.conductor <- Some c;
       c
 

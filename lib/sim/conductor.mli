@@ -12,8 +12,8 @@
     departs at or after [horizon j] and so arrives at or after
     [horizon j + L(j,i)] — never inside a window already running. Shards
     separated by slow links synchronise rarely; only genuinely close pairs
-    pay a tight cadence. A uniform matrix (the [~lookahead] scalar)
-    recovers the classic global-minimum protocol.
+    pay a tight cadence. A uniform matrix recovers the classic
+    global-minimum protocol.
 
     {b Determinism.} Shard execution within a round touches no state shared
     with other shards; the only inter-shard channel is {!post}. At each
@@ -51,23 +51,14 @@
 
 type t
 
-(** [create ?matrix ~lookahead engines] builds a conductor over the shards
-    [engines]. [matrix.(j).(i)] bounds hops from shard [j] into shard [i]
-    (the diagonal is ignored); without [matrix], a uniform matrix is built
-    from the scalar [lookahead]. Off-diagonal entries (or [lookahead], when
-    it is the source) must be positive when there is more than one
-    shard. *)
-val create :
-  ?matrix:Time.t array array ->
-  lookahead:Time.t ->
-  Engine.t array ->
-  t
+(** [create ~matrix engines] builds a conductor over the shards [engines].
+    [matrix.(j).(i)] bounds hops from shard [j] into shard [i]; it must be
+    n x n, and its off-diagonal entries positive (the diagonal is
+    ignored). *)
+val create : matrix:Time.t array array -> Engine.t array -> t
 
 (** Cross-shard messages exchanged so far (across all barriers). *)
 val exchanged : t -> int
-
-(** The lookahead bound in force for [src -> dst] hops. *)
-val lookahead : t -> src:int -> dst:int -> Time.t
 
 (** [post t ~src ~dst ~at fn] queues [fn] for injection into shard [dst]'s
     engine at absolute time [at] (scheduled there under kind ["xshard"]).

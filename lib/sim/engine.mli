@@ -75,9 +75,6 @@ val schedule_at : ?kind:kind -> t -> Time.t -> (unit -> unit) -> unit
     [now + delay]). Raises [Invalid_argument] for negative delays. *)
 val schedule_after : ?kind:kind -> t -> Time.t -> (unit -> unit) -> unit
 
-(** [step t] fires the next event; [false] when no events remain. *)
-val step : t -> bool
-
 (** [run ?until t] fires events until the queue drains or the clock would
     pass [until] (events at exactly [until] do fire). With [until] the clock
     then parks exactly at [until], even when the queue drained early; the

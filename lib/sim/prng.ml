@@ -56,21 +56,3 @@ let exponential t ~rate =
   if rate <= 0. then invalid_arg "Prng.exponential: rate must be positive";
   let u = 1. -. float t in
   -.Float.log u /. rate
-
-let normal t ~mean ~stddev =
-  let u1 = 1. -. float t and u2 = float t in
-  let z = Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2) in
-  mean +. (stddev *. z)
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let choose t = function
-  | [] -> invalid_arg "Prng.choose: empty list"
-  | l -> List.nth l (int t (List.length l))
-

@@ -45,13 +45,3 @@ val uniform : t -> lo:float -> hi:float -> float
 
 (** [exponential t ~rate] draws from Exp(rate) (mean [1/rate]). *)
 val exponential : t -> rate:float -> float
-
-(** [normal t ~mean ~stddev] draws from a Gaussian (Box–Muller). *)
-val normal : t -> mean:float -> stddev:float -> float
-
-(** [shuffle t a] permutes [a] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit
-
-(** [choose t l] picks a uniformly random element. Raises [Invalid_argument]
-    on the empty list. *)
-val choose : t -> 'a list -> 'a

@@ -52,15 +52,3 @@ let percentile t p =
     let frac = pos -. float_of_int i in
     a.(i) +. (frac *. (a.(i + 1) -. a.(i)))
   end
-
-let histogram t ~bins ~lo ~hi =
-  if bins <= 0 then invalid_arg "Samples.histogram: bins must be positive";
-  if hi <= lo then invalid_arg "Samples.histogram: empty range";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  for i = 0 to t.size - 1 do
-    let b = int_of_float (Float.floor ((t.data.(i) -. lo) /. width)) in
-    let b = Stdlib.max 0 (Stdlib.min (bins - 1) b) in
-    counts.(b) <- counts.(b) + 1
-  done;
-  counts

@@ -14,7 +14,3 @@ val percentile : t -> float -> float
 
 (** Raw copy in insertion order. *)
 val to_array : t -> float array
-
-(** [histogram t ~bins ~lo ~hi] counts observations per equal-width bin over
-    [[lo, hi]]; values outside are clamped into the end bins. *)
-val histogram : t -> bins:int -> lo:float -> hi:float -> int array

@@ -101,12 +101,3 @@ let bin_counts ~edges samples =
       counts.(i) <- counts.(i) +. 1.)
     samples;
   counts
-
-let goodness_of_fit ~edges ~null_probs ~samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Chi_square.goodness_of_fit: empty sample";
-  let observed = bin_counts ~edges samples in
-  let expected = Array.map (fun p -> p *. float_of_int n) null_probs in
-  let stat = statistic ~expected ~observed in
-  let df = Array.length null_probs - 1 in
-  1. -. cdf ~df stat

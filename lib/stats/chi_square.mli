@@ -41,9 +41,3 @@ val bin_probs : edges:float array -> (float -> float) -> float array
 (** [bin_counts ~edges samples] bins raw observations with the same edge
     convention as {!bin_probs}. *)
 val bin_counts : edges:float array -> float array -> float array
-
-(** [goodness_of_fit ~edges ~null_probs ~samples] runs the Pearson test of
-    [samples] against the binned null and returns the p-value
-    (small = reject the null). *)
-val goodness_of_fit :
-  edges:float array -> null_probs:float array -> samples:float array -> float

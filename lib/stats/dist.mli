@@ -20,16 +20,6 @@ val uniform : lo:float -> hi:float -> t
 (** Point mass at [x]. *)
 val constant : float -> t
 
-(** [shift d c] is the distribution of [X + c] for [X ~ d]. *)
-val shift : t -> float -> t
-
-(** [add d1 d2] is the distribution of [X1 + X2] for independent Xi; the CDF
-    is computed by numeric convolution on a grid of 512 points. *)
-val add : t -> t -> t
-
-(** Empirical distribution of a sample (step CDF, resampling sampler). *)
-val of_samples : float array -> t
-
 (** Mean by the trapezoidal rule on a grid of 4096 points. *)
 val mean : t -> float
 val quantile : t -> float -> float

@@ -13,9 +13,9 @@ let elementary_symmetric values l =
   done;
   e.(l)
 
+(* F_(r:m)(x), 1 <= r <= m; see [median_dist] in the .mli. *)
 let cdf_rank ~cdfs ~r x =
   let m = Array.length cdfs in
-  if r < 1 || r > m then invalid_arg "Order_stats.cdf_rank: rank out of range";
   let values = Array.map (fun f -> f x) cdfs in
   let acc = ref 0. in
   for l = r to m do
@@ -28,7 +28,9 @@ let cdf_rank ~cdfs ~r x =
 
 let median3 f1 f2 f3 x =
   let a = f1 x and b = f2 x and c = f3 x in
-  (a *. b) +. (a *. c) +. (b *. c) -. (2. *. a *. b *. c)
+  let v = (a *. b) +. (a *. c) +. (b *. c) -. (2. *. a *. b *. c) in
+  (* Near 1 the sum rounds to 1 + ulp; a CDF stays within [0, 1]. *)
+  Float.max 0. (Float.min 1. v)
 
 let median ~cdfs x =
   let m = Array.length cdfs in

@@ -2,23 +2,19 @@
     variables — the machinery behind StopWatch's median analysis
     (paper Appendix, citing Güngör et al., Result 2.4). *)
 
-(** [cdf_rank ~cdfs ~r] is the CDF of the [r]-th smallest of the [m]
-    independent variables whose CDFs are [cdfs] (1-indexed rank):
+(** Closed-form CDF of the median of three independent variables:
+    F1 F2 + F1 F3 + F2 F3 - 2 F1 F2 F3, clamped to [[0, 1]]. *)
+val median3 :
+  (float -> float) -> (float -> float) -> (float -> float) -> float -> float
+
+(** [median_dist dists] packages the CDF of the median of [m] independent
+    variables as a {!Dist.t} whose sampler draws from each component and
+    takes the sample median. The CDF is the rank [r = (m+1)/2] case of
 
     F_(r:m)(x) = sum over l = r..m of (-1)^(l-r) C(l-1, r-1)
                  times the sum over size-l subsets I of prod_(i in I) F_i(x)
 
-    Raises [Invalid_argument] unless [1 <= r <= m]. *)
-val cdf_rank : cdfs:(float -> float) array -> r:int -> float -> float
-
-(** Closed-form CDF of the median of three independent variables:
-    F1 F2 + F1 F3 + F2 F3 - 2 F1 F2 F3. *)
-val median3 :
-  (float -> float) -> (float -> float) -> (float -> float) -> float -> float
-
-(** [median_dist dists] packages the CDF of the median ({!cdf_rank} at
-    [r = (m+1)/2]) as a {!Dist.t} whose sampler draws from each component
-    and takes the sample median. Odd length required. *)
+    and {!median3} when [m = 3]. Odd length required. *)
 val median_dist : Dist.t array -> Dist.t
 
 (** Median of three via a branch network of int compares (no allocation,

@@ -150,13 +150,6 @@ let run_branches t n =
           process_immediate t
   done
 
-let next_timer_virt t =
-  let one_shot = match t.timers with [] -> None | (d, _) :: _ -> Some d in
-  match (one_shot, t.next_tick) with
-  | None, None -> None
-  | Some d, None | None, Some d -> Some d
-  | Some a, Some b -> Some (Time.min a b)
-
 (* A top-level recursion rather than a local [loop] closure over [t]: it
    runs at every VM exit and allocates nothing when no timer is due. *)
 let rec deliver_due_timers t =

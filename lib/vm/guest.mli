@@ -66,9 +66,6 @@ val run_branches : t -> int -> unit
     at the current branch count. *)
 val inject : t -> App.event -> unit
 
-(** Earliest pending timer/tick deadline (virtual), if any. *)
-val next_timer_virt : t -> Sw_sim.Time.t option
-
 (** Delivers every timer and PIT tick whose deadline has been reached. *)
 val deliver_due_timers : t -> unit
 

@@ -17,8 +17,8 @@ let slope_to_fp slope_ns_per_branch =
 let create ~start ~slope_ns_per_branch () =
   { base_virt = start; base_instr = 0; slope_fp = slope_to_fp slope_ns_per_branch }
 
-(* The two products below can pass 2^62 while their int64 result is still
-   defined, so each is computed in a function-local int64 expression, which
+(* The product below can pass 2^62 while its int64 result is still
+   defined, so it is computed in a function-local int64 expression, which
    ocamlopt keeps unboxed: no allocation, and the same bits as a clock kept
    in int64 throughout. *)
 
@@ -37,18 +37,6 @@ let set_slope t ~at_instr ~slope_ns_per_branch =
   t.base_virt <- base_virt;
   t.base_instr <- at_instr;
   t.slope_fp <- slope_to_fp slope_ns_per_branch
-
-let instr_for_virt t v =
-  if Time.(v <= t.base_virt) then t.base_instr
-  else if t.slope_fp = 0 then max_int
-  else begin
-    (* Smallest d with (d * slope_fp) >> fp_bits >= delta_virt: ceiling
-       division of delta_virt << fp_bits by slope_fp. *)
-    let slope = Int64.of_int t.slope_fp in
-    let num = Int64.shift_left (Int64.of_int (Time.sub v t.base_virt)) fp_bits in
-    let d = Int64.div (Int64.add num (Int64.sub slope 1L)) slope in
-    Int64.to_int (Int64.add (Int64.of_int t.base_instr) d)
-  end
 
 let clamped_slope ~l ~u x =
   if l > u then invalid_arg "Virtual_time.clamped_slope: l > u";

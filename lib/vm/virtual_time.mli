@@ -5,14 +5,13 @@
     computed in fixed point (nanoseconds scaled by 2^20 per branch) so that
     all replicas derive bit-identical virtual times from the same branch
     count. Branch counts, the slope and virtual times are immediate [int]s.
-    The two products that can pass [2^62], [delta * slope] in {!virt_at}
-    and [delta_virt lsl 20] in {!instr_for_virt}, are computed exactly in
-    a function-local 64-bit expression that the compiler keeps unboxed:
-    the results are a 64-bit clock's, bit for bit, and nothing is
-    allocated. Epoch resynchronisation replaces the parameters at an exact
-    branch-count boundary: the new [start] is the old clock's value there, so
-    the clock stays continuous and monotone while [slope] is clamped to the
-    configured [[l, u]] range. *)
+    The product that can pass [2^62], [delta * slope] in {!virt_at}, is
+    computed exactly in a function-local 64-bit expression that the
+    compiler keeps unboxed: the result is a 64-bit clock's, bit for bit,
+    and nothing is allocated. Epoch resynchronisation replaces the
+    parameters at an exact branch-count boundary: the new [start] is the
+    old clock's value there, so the clock stays continuous and monotone
+    while [slope] is clamped to the configured [[l, u]] range. *)
 
 type t
 
@@ -29,11 +28,6 @@ val virt_at : t -> int -> Sw_sim.Time.t
     segment starts at [at_instr] with [start = virt_at t at_instr]. Raises
     [Invalid_argument] when [at_instr] precedes the previous change. *)
 val set_slope : t -> at_instr:int -> slope_ns_per_branch:float -> unit
-
-(** [instr_for_virt t v] is the smallest branch count whose virtual time is
-    [>= v], relative to the current parameter segment (used to plan wakeups);
-    [max_int] when the slope is 0. *)
-val instr_for_virt : t -> Sw_sim.Time.t -> int
 
 (** [clamped_slope ~l ~u x] applies the paper's [[l, u]] clamp. *)
 val clamped_slope : l:float -> u:float -> float -> float

@@ -44,9 +44,6 @@ val member_by_id : t -> int -> member option
 (** Latest virtual time reported by this member (its last VM exit). *)
 val member_virt : member -> Sw_sim.Time.t
 
-(** Whether the group has all [config.replicas] members. *)
-val complete : t -> bool
-
 (** [note_exit t m ~now ~virt ~instr] records a VM exit: updates skew
     blocking across the group and, when [instr] crosses an epoch boundary,
     emits this member's epoch report and blocks it until the epoch

@@ -46,6 +46,9 @@ type instance = {
       (** A crashed replica stops slicing, heartbeating, and reacting to
           packets; its VMM and machine keep running (process death, not
           machine death). *)
+  mutable crashes : int;
+      (** Crashes so far: a disk completion issued under an earlier count
+          is for a guest that no longer exists. *)
   app_factory : Sw_vm.App.factory;
   sinks : Sw_vm.Guest.sinks;
   vt_start : Time.t;
@@ -82,7 +85,6 @@ type t = {
   m_unknown : Registry.Counter.t;
 }
 
-let replica i = Replica_group.replica_id i.member
 let member i = i.member
 let channel_endpoint i = i.channel
 let guest i = i.guest
@@ -430,45 +432,53 @@ let on_slice_end t i =
 
 (* --- Disk device model ------------------------------------------------ *)
 
-let on_disk_request t i ~kind ~bytes ~sequential ~tag =
+(* The virtual time at which an interrupt for a transfer issued now is
+   injected: Δd after the issue in StopWatch mode. *)
+let device_delivery_virt i =
+  let offset =
+    if is_stopwatch i then i.config.Config.delta_d else baseline_inject_delay
+  in
+  Time.add (Sw_vm.Guest.virt_now i.guest) offset
+
+(* The transfer must have completed by its virtual delivery time; if the
+   guest's clock has already passed it, that's a Δd violation. *)
+let check_delta_d i delivery_virt =
+  if is_stopwatch i && Time.(Sw_vm.Guest.virt_now i.guest > delivery_virt)
+  then begin
+    Registry.Counter.incr i.m_delta_d;
+    Replica_group.record_divergence i.group;
+    if Engine.tracing (Machine.engine i.mach) then
+      Engine.emit (Machine.engine i.mach)
+        (Event.Divergence
+           {
+             vm = i.vm_id;
+             replica = Replica_group.replica_id i.member;
+             kind = Event.Delta_d_violation;
+           })
+  end
+
+let on_disk_request (i : instance) ~kind ~bytes ~sequential ~tag =
   (* The disk device model's request and completion handling also run on the
      machine's Dom0 thread. *)
-  Machine.dom0_work t.mach Config.dom0_per_packet;
-  let virt_issue = Sw_vm.Guest.virt_now i.guest in
-  let offset =
-    if is_stopwatch i then i.config.Config.delta_d
-    else baseline_inject_delay
-  in
-  let delivery_virt = Time.add virt_issue offset in
+  Machine.dom0_work i.mach Config.dom0_per_packet;
+  let delivery_virt = device_delivery_virt i in
+  let crashes = i.crashes in
   Int_tbl.add i.disk_waiting tag delivery_virt;
   let disk_kind =
     match kind with `Read -> Sw_disk.Disk.Read | `Write -> Sw_disk.Disk.Write
   in
-  Sw_disk.Disk.submit (Machine.disk t.mach) ~vm:i.vm_id ~kind:disk_kind ~bytes
+  Sw_disk.Disk.submit (Machine.disk i.mach) ~vm:i.vm_id ~kind:disk_kind ~bytes
     ~sequential (fun () ->
-      Machine.dom0_work t.mach Config.dom0_per_packet;
-      (* The transfer must have completed by the virtual delivery time; if
-         the guest's clock has already passed it, that's a Δd violation. *)
-      if
-        (not i.crashed)
-        && is_stopwatch i
-        && Time.(Sw_vm.Guest.virt_now i.guest > delivery_virt)
-      then begin
-        Registry.Counter.incr i.m_delta_d;
-        Replica_group.record_divergence i.group;
-        if Engine.tracing (Machine.engine i.mach) then
-          Engine.emit (Machine.engine i.mach)
-            (Event.Divergence
-               {
-                 vm = i.vm_id;
-                 replica = Replica_group.replica_id i.member;
-                 kind = Event.Delta_d_violation;
-               })
-      end;
+      Machine.dom0_work i.mach Config.dom0_per_packet;
+      (* A request issued before a crash belongs to a guest that is gone:
+         the rebuilt one gets this interrupt from the survivor's mirror or
+         from its replayed log, never from here. *)
+      let live = (not i.crashed) && i.crashes = crashes in
+      if live then check_delta_d i delivery_virt;
       while Int_tbl.mem i.disk_waiting tag do
         Int_tbl.remove i.disk_waiting tag
       done;
-      if not i.crashed then
+      if live then
         insert_pending i
           {
             delivery = delivery_virt;
@@ -477,36 +487,19 @@ let on_disk_request t i ~kind ~bytes ~sequential ~tag =
             event = Sw_vm.App.Disk_done { tag };
           })
 
-let on_dma_request t i ~bytes ~tag =
-  Machine.dom0_work t.mach Config.dom0_per_packet;
-  let virt_issue = Sw_vm.Guest.virt_now i.guest in
-  let offset =
-    if is_stopwatch i then i.config.Config.delta_d
-    else baseline_inject_delay
-  in
-  let delivery_virt = Time.add virt_issue offset in
-  Machine.dma_execute t.mach ~bytes (fun () ->
-      if i.crashed then ()
-      else begin
-      if is_stopwatch i && Time.(Sw_vm.Guest.virt_now i.guest > delivery_virt) then begin
-        Registry.Counter.incr i.m_delta_d;
-        Replica_group.record_divergence i.group;
-        if Engine.tracing (Machine.engine i.mach) then
-          Engine.emit (Machine.engine i.mach)
-            (Event.Divergence
-               {
-                 vm = i.vm_id;
-                 replica = Replica_group.replica_id i.member;
-                 kind = Event.Delta_d_violation;
-               })
-      end;
-      insert_pending i
-        {
-          delivery = delivery_virt;
-          cls = 2;
-          key = tag;
-          event = Sw_vm.App.Dma_done { tag };
-        }
+let on_dma_request (i : instance) ~bytes ~tag =
+  Machine.dom0_work i.mach Config.dom0_per_packet;
+  let delivery_virt = device_delivery_virt i in
+  Machine.dma_execute i.mach ~bytes (fun () ->
+      if not i.crashed then begin
+        check_delta_d i delivery_virt;
+        insert_pending i
+          {
+            delivery = delivery_virt;
+            cls = 2;
+            key = tag;
+            event = Sw_vm.App.Dma_done { tag };
+          }
       end)
 
 (* --- Construction ----------------------------------------------------- *)
@@ -621,6 +614,7 @@ let crashed i = i.crashed
 let crash i =
   if not i.crashed then begin
     i.crashed <- true;
+    i.crashes <- i.crashes + 1;
     if Engine.tracing (Machine.engine i.mach) then
       Engine.emit (Machine.engine i.mach)
         (Event.Fault_replica_crash
@@ -760,12 +754,12 @@ let host ?channel ?start t ~group ~app =
   let instance_holder = ref None in
   let disk_cb ~kind ~bytes ~sequential ~tag =
     match !instance_holder with
-    | Some i -> on_disk_request t i ~kind ~bytes ~sequential ~tag
+    | Some i -> on_disk_request i ~kind ~bytes ~sequential ~tag
     | None -> invalid_arg "Vmm: disk request before instance ready"
   in
   let dma_cb ~bytes ~tag =
     match !instance_holder with
-    | Some i -> on_dma_request t i ~bytes ~tag
+    | Some i -> on_dma_request i ~bytes ~tag
     | None -> invalid_arg "Vmm: dma request before instance ready"
   in
   let member_ref =
@@ -817,6 +811,7 @@ let host ?channel ?start t ~group ~app =
       guest;
       vt;
       crashed = false;
+      crashes = 0;
       app_factory = app;
       sinks;
       vt_start = start;

@@ -51,7 +51,6 @@ val host :
     {!Sw_obs.Snapshot.t}. *)
 val metric_prefix : instance -> string
 
-val replica : instance -> int
 val guest : instance -> Sw_vm.Guest.t
 
 (** [record_inter_delivery i] makes [i] keep every virtual gap between its

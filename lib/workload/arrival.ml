@@ -79,55 +79,6 @@ let peak_rate = function
   | Flash { peak_per_s; _ } -> peak_per_s
   | Replay { points } -> List.fold_left (fun m (_, r) -> Float.max m r) 0. points
 
-(* Integral over [0, horizon] of one linear segment [(t0, v0) -> (t1, v1)],
-   clipped. All in seconds. *)
-let clip_trapezoid ~horizon (t0, t1, v0, v1) =
-  let lo = Float.max t0 0. and hi = Float.min t1 horizon in
-  if hi <= lo then 0.
-  else
-    let v at =
-      if t1 = t0 then v0 else v0 +. ((v1 -. v0) *. (at -. t0) /. (t1 -. t0))
-    in
-    (v lo +. v hi) /. 2. *. (hi -. lo)
-
-let mean_count t ~until =
-  let horizon = Time.to_float_s until in
-  match t with
-  | Constant { rate_per_s } | Poisson { rate_per_s } -> rate_per_s *. horizon
-  | Diurnal { base_per_s; amplitude; period } ->
-      let p = Time.to_float_s period in
-      let swing =
-        base_per_s *. amplitude *. (p /. (2. *. pi))
-        *. (1. -. cos (2. *. pi *. horizon /. p))
-      in
-      (base_per_s *. horizon) +. swing
-  | Flash { base_per_s; peak_per_s; at; ramp; hold } ->
-      let t0 = Time.to_float_s at and r = Time.to_float_s ramp in
-      let h = Time.to_float_s hold in
-      let d = peak_per_s -. base_per_s in
-      let pulse =
-        [
-          (t0, t0 +. r, 0., d);
-          (t0 +. r, t0 +. r +. h, d, d);
-          (t0 +. r +. h, t0 +. r +. h +. r, d, 0.);
-        ]
-      in
-      (base_per_s *. horizon)
-      +. List.fold_left (fun acc seg -> acc +. clip_trapezoid ~horizon seg) 0. pulse
-  | Replay { points } ->
-      let rec go acc = function
-        | [] -> acc
-        | (from, r) :: rest ->
-            let from = Time.to_float_s from in
-            let upto =
-              match rest with
-              | (t', _) :: _ -> Time.to_float_s t'
-              | [] -> Float.max horizon from
-            in
-            go (acc +. clip_trapezoid ~horizon (from, upto, r, r)) rest
-      in
-      go 0. points
-
 (* One step forward: a gap that rounds to 0 ns would repeat the previous
    instant, so every step is at least 1 ns. *)
 let step now gap_s = Time.add now (Time.max (Time.of_float_s gap_s) (Time.ns 1))

@@ -43,11 +43,6 @@ type t =
     [peak < base], negative spans, or a non-increasing replay table. *)
 val validate : t -> unit
 
-(** [mean_count t ~until] is the exact expected number of arrivals in
-    [[0, until)) — the analytic integral of the instantaneous rate, the
-    reference the property tests compare sampled counts against. *)
-val mean_count : t -> until:Sw_sim.Time.t -> float
-
 (** A stateful enumerator of arrival instants. *)
 type gen
 

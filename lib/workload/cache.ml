@@ -32,8 +32,6 @@ type t = {
   lists : dll array;
   index : node Int_tbl.t;
   origin_cost : Time.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 type outcome = Hit of { tier : int; cost : Time.t } | Miss of { cost : Time.t }
@@ -46,8 +44,6 @@ let create config =
     lists = Array.init (Array.length tiers) (fun _ -> { head = None; tail = None; size = 0 });
     index = Int_tbl.create 256;
     origin_cost = config.origin_cost;
-    hits = 0;
-    misses = 0;
   }
 
 let unlink l n =
@@ -97,16 +93,11 @@ let access t key =
       n.tier <- 0;
       push_front t.lists.(0) n;
       cascade t;
-      t.hits <- t.hits + 1;
       Hit { tier = found; cost = t.tiers.(found).hit_cost }
   | None ->
       let n = { key; tier = 0; prev = None; next = None } in
       Int_tbl.replace t.index key n;
       push_front t.lists.(0) n;
       cascade t;
-      t.misses <- t.misses + 1;
       Miss { cost = t.origin_cost }
 
-let hits t = t.hits
-let misses t = t.misses
-let population t = Int_tbl.length t.index

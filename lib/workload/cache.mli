@@ -39,8 +39,3 @@ val create : config -> t
     where it was found. *)
 val access : t -> int -> outcome
 
-val hits : t -> int
-val misses : t -> int
-
-(** Currently resident keys, over all tiers. *)
-val population : t -> int

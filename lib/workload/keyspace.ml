@@ -1,4 +1,4 @@
-type t = { keys : int; theta : float; cdf : float array }
+type t = { keys : int; cdf : float array }
 
 let create ~keys ~theta =
   if keys <= 0 then invalid_arg "Keyspace.create: keys <= 0";
@@ -13,11 +13,7 @@ let create ~keys ~theta =
   for k = 0 to keys - 1 do
     cdf.(k) <- cdf.(k) /. total
   done;
-  { keys; theta; cdf }
-
-let weight t k =
-  if k < 0 || k >= t.keys then invalid_arg "Keyspace.weight: out of range";
-  if k = 0 then t.cdf.(0) else t.cdf.(k) -. t.cdf.(k - 1)
+  { keys; cdf }
 
 let sample t rng =
   let u = Sw_sim.Prng.float rng in

@@ -11,9 +11,5 @@ type t
 (** Raises [Invalid_argument] when [keys <= 0] or [theta < 0]. *)
 val create : keys:int -> theta:float -> t
 
-(** Normalised probability of key [k]. Raises [Invalid_argument] out of
-    range. *)
-val weight : t -> int -> float
-
 (** Draws a key in [[0, keys)]. *)
 val sample : t -> Sw_sim.Prng.t -> int

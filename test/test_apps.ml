@@ -238,10 +238,55 @@ let test_nfs_ops_complete () =
     (fun l -> if l <= 0. then Alcotest.fail "non-positive latency")
     stats.Sw_apps.Nfs.latencies_ms
 
+(* A server that answers every NFS call at once and counts the ops it
+   sees; each replica counts, which leaves the shares unchanged. *)
+let counting_nfs_server counts () =
+  let tcpd = Sw_apps.Tcp_guest.create () in
+  let on_conn = function
+    | Sw_apps.Tcp_guest.Msg { key; payload = Msg.Nfs_call { xid; op }; _ } ->
+        Hashtbl.replace counts op
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts op));
+        Sw_apps.Tcp_guest.send tcpd key
+          ~payload:(Msg.Nfs_reply { xid; op })
+          ~bytes:160
+    | _ -> []
+  in
+  {
+    App.handle =
+      (fun ~virt_now:_ event ->
+        match Sw_apps.Tcp_guest.handle tcpd event with
+        | Some (conn_events, actions) ->
+            actions @ List.concat_map on_conn conn_events
+        | None -> []);
+  }
+
 let test_nfs_mix_probabilities () =
-  (* The op mix must sum to 1 and the picker must roughly respect it. *)
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. Sw_apps.Nfs.paper_mix in
-  Alcotest.(check (float 1e-6)) "mix sums to 1" 1.0 total
+  (* The client's ops follow the paper's extracted mix. *)
+  let counts = Hashtbl.create 8 in
+  let cloud = Cloud.create ~machines:3 () in
+  let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:(counting_nfs_server counts) in
+  let client = Cloud.add_host cloud () in
+  let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in
+  let get =
+    Sw_apps.Nfs.run_client tcp ~dst:(Cloud.vm_address d) ~rate_per_s:400.
+      ~procs:5 ~ops:1000 ()
+  in
+  Cloud.run cloud ~until:(Time.s 5);
+  Alcotest.(check int) "all completed" 1000 (get ()).Sw_apps.Nfs.completed;
+  let total = Hashtbl.fold (fun _ n acc -> acc + n) counts 0 in
+  List.iter
+    (fun (op, share, name) ->
+      let seen = Option.value ~default:0 (Hashtbl.find_opt counts op) in
+      Alcotest.(check (float 0.05)) name share
+        (float_of_int seen /. float_of_int total))
+    [
+      (Msg.Setattr, 0.1137, "setattr");
+      (Msg.Lookup, 0.2407, "lookup");
+      (Msg.Write, 0.1192, "write");
+      (Msg.Getattr, 0.0793, "getattr");
+      (Msg.Read, 0.3234, "read");
+      (Msg.Create, 0.1237, "create");
+    ]
 
 let test_parsec_app_phases () =
   let sends = ref 0 and disk_reqs = ref 0 in

@@ -55,8 +55,9 @@ let test_sweep_shapes () =
   Alcotest.(check int) "grid size" 7 (List.length grid);
   let null = Dist.exponential ~rate:1. in
   let alt = Dist.exponential ~rate:0.6 in
-  let sweep = D.sweep_analytic ~null ~alt in
-  let values = List.map snd sweep in
+  let values =
+    List.map (fun confidence -> D.analytic ~null ~alt ~confidence) grid
+  in
   let rec increasing = function
     | a :: (b :: _ as rest) -> a <= b && increasing rest
     | _ -> true
@@ -65,21 +66,37 @@ let test_sweep_shapes () =
 
 (* --- Noise defence ------------------------------------------------------------ *)
 
+(* [compare]'s StopWatch delays are the median's mean plus delta_n, the
+   smallest d with P(|X1 - X'1| <= d) >= 0.9999. Read delta_n back from a
+   row and check it against the closed form of that probability and a
+   Monte-Carlo estimate. *)
 let test_abs_diff_cdf_properties () =
-  let d9999 = Nd.delta_n_for ~lambda:1. ~lambda':0.5 ~coverage:0.9999 in
-  let d99 = Nd.delta_n_for ~lambda:1. ~lambda':0.5 ~coverage:0.99 in
-  if not (d9999 > d99) then Alcotest.fail "more coverage needs larger delta_n";
-  (* Monte-Carlo check of the closed form. *)
+  let lambda = 1. and lambda' = 0.5 in
+  let e = Dist.exponential ~rate:lambda and e' = Dist.exponential ~rate:lambda' in
+  let median dists = Dist.mean (Sw_stats.Order_stats.median_dist dists) in
+  let r = List.hd (Nd.compare ~lambda ~lambda' ()) in
+  let d = r.Nd.delay_stopwatch -. median [| e; e; e |] in
+  Alcotest.(check (float 1e-9)) "victim delay adds the same delta_n" d
+    (r.Nd.delay_stopwatch_victim -. median [| e'; e; e |]);
+  (* P(X - X' > d) = l'/(l+l') e^(-l d), and symmetrically. *)
+  let abs_diff_cdf d =
+    1.
+    -. (lambda' /. (lambda +. lambda') *. Float.exp (-.lambda *. d))
+    -. (lambda /. (lambda +. lambda') *. Float.exp (-.lambda' *. d))
+  in
+  Alcotest.(check (float 1e-9)) "coverage at delta_n" 0.9999 (abs_diff_cdf d);
+  if abs_diff_cdf (d -. 1e-6) >= 0.9999 then
+    Alcotest.fail "a smaller delta_n already covers 0.9999";
   let rng = Sw_sim.Prng.create 11L in
   let n = 100_000 in
   let hits = ref 0 in
   for _ = 1 to n do
-    let x = Sw_sim.Prng.exponential rng ~rate:1. in
-    let x' = Sw_sim.Prng.exponential rng ~rate:0.5 in
-    if Float.abs (x -. x') <= d99 then incr hits
+    let x = Sw_sim.Prng.exponential rng ~rate:lambda in
+    let x' = Sw_sim.Prng.exponential rng ~rate:lambda' in
+    if Float.abs (x -. x') <= d then incr hits
   done;
   let p = float_of_int !hits /. float_of_int n in
-  if Float.abs (p -. 0.99) > 0.005 then
+  if Float.abs (p -. 0.9999) > 0.0002 then
     Alcotest.failf "closed form disagrees with simulation: %f" p
 
 (* The comparison's row at confidence 0.90. *)

@@ -105,7 +105,7 @@ let test_deploy_after_restore () =
         (fun i ->
           Alcotest.(check int)
             (Printf.sprintf "%s replica %d delivered every ping" name
-               (Sw_vmm.Vmm.replica i))
+               (Sw_vmm.Replica_group.replica_id (Sw_vmm.Vmm.member i)))
             pings
             (Metric.counter snap (Sw_vmm.Vmm.metric_prefix i ^ ".net_deliveries")))
         (Cloud.replicas d);
@@ -258,7 +258,9 @@ let test_payloads_survive_marshal () =
       Wl_get { cls = 0; key = 1; seq = 2; resp_bytes = 3; cached = true };
       Wl_resp { seq = 5; tier = -1 };
     ]
-    @ List.map (fun (op, _) -> M.Nfs_call { xid = 3; op }) Sw_apps.Nfs.paper_mix
+    @ List.map
+        (fun op -> M.Nfs_call { xid = 3; op })
+        [ Setattr; Lookup; Write; Getattr; Read; Create ]
   in
   let cases =
     [

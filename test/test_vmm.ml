@@ -261,13 +261,27 @@ let test_divergence_counter () =
 
 let test_group_full () =
   let group = Rg.create ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch () in
-  ignore (add_member group ~machine:0);
-  ignore (add_member group ~machine:1);
-  ignore (add_member group ~machine:2);
-  Alcotest.(check bool) "complete" true (Rg.complete group);
+  let ids =
+    List.map
+      (fun machine -> Rg.replica_id (add_member group ~machine))
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check (list int)) "ids in order" [ 0; 1; 2 ] ids;
   expect_invalid "overfull" (fun () -> ignore (add_member group ~machine:3))
 
 (* --- Reintegration with disk requests in flight ---------------------------- *)
+
+(* The (tag, virtual time) of each disk interrupt [replica] injected, in
+   trace order. *)
+let disk_irqs trace replica =
+  List.filter_map
+    (fun (e : Sw_obs.Trace.entry) ->
+      match e.Sw_obs.Trace.event with
+      | Sw_obs.Event.Disk_irq { replica = r; tag; virt_ns; _ } when r = replica
+        ->
+          Some (tag, virt_ns)
+      | _ -> None)
+    (Sw_obs.Trace.entries trace)
 
 (* Once a 20 ms timer fires, the guest reads with tags 9, 7, 7, 3, computing
    between the reads, then stays busy so that every injection lands at the
@@ -315,17 +329,8 @@ let test_reintegrate_mirrors_disk_in_flight () =
       (Stopwatch.Cloud.metrics_snapshot cloud)
       (Printf.sprintf "vmm.%d.disk.completed" machine)
   in
-  let irqs replica =
-    List.filter_map
-      (fun (e : Sw_obs.Trace.entry) ->
-        match e.Sw_obs.Trace.event with
-        | Sw_obs.Event.Disk_irq { replica = r; tag; virt_ns; _ } when r = replica
-          ->
-            Some (tag, virt_ns)
-        | _ -> None)
-      (Sw_obs.Trace.entries trace)
-  in
-  let id = Sw_vmm.Vmm.replica in
+  let irqs = disk_irqs trace in
+  let id i = Rg.replica_id (Sw_vmm.Vmm.member i) in
   Stopwatch.Cloud.run cloud ~until:(Time.ms 10);
   Sw_vmm.Vmm.crash restarted;
   Stopwatch.Cloud.run cloud ~until:(Time.ms 23);
@@ -343,6 +348,47 @@ let test_reintegrate_mirrors_disk_in_flight () =
   Alcotest.(check (list (pair int int)))
     "same tags at the same virtual times" expected
     (irqs (id restarted))
+
+(* A read replica 1 issued before it crashed completes after the replica is
+   reintegrated. The rebuilt guest gets that interrupt from the survivor's
+   mirror of the in-flight table; the old completion belongs to the guest
+   that crashed and must not inject a second copy. The guest reads tag 9 at
+   boot, replica 1 crashes at 0 ms and is reintegrated from replica 0 at
+   1 ms, before the read completes. *)
+let test_reintegrate_drops_precrash_disk_completion () =
+  let config = { Config.default with Config.replay_log = true } in
+  let cloud = Stopwatch.Cloud.create ~config ~machines:3 () in
+  let app =
+    Sw_vm.App.stateful ~init:() ~handle:(fun () ~virt_now:_ -> function
+      | Sw_vm.App.Boot ->
+          ( (),
+            [
+              Sw_vm.App.Disk_read { bytes = 65_536; sequential = false; tag = 9 };
+              Sw_vm.App.Compute 50_000_000;
+            ] )
+      | _ -> ((), []))
+  in
+  let d = Stopwatch.Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app in
+  let trace = Sw_obs.Trace.create () in
+  Stopwatch.Cloud.attach_trace cloud trace;
+  let replicas = Stopwatch.Cloud.replicas d in
+  let survivor, restarted =
+    match replicas with
+    | [ a; b; _ ] -> (a, b)
+    | _ -> Alcotest.fail "expected three replicas"
+  in
+  Sw_vmm.Vmm.crash restarted;
+  Stopwatch.Cloud.run cloud ~until:(Time.ms 1);
+  Sw_vmm.Vmm.reintegrate restarted ~from:survivor;
+  Stopwatch.Cloud.run cloud ~until:(Time.ms 100);
+  List.iter
+    (fun i ->
+      let id = Rg.replica_id (Sw_vmm.Vmm.member i) in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "replica %d injects Disk_done 9 once" id)
+        [ (9, Time.ms 12) ]
+        (disk_irqs trace id))
+    replicas
 
 let () =
   Alcotest.run "sw_vmm"
@@ -376,5 +422,7 @@ let () =
         [
           Alcotest.test_case "disk requests in flight mirrored" `Quick
             test_reintegrate_mirrors_disk_in_flight;
+          Alcotest.test_case "pre-crash disk completion dropped"
+            `Quick test_reintegrate_drops_precrash_disk_completion;
         ] );
     ]

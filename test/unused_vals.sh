@@ -14,6 +14,9 @@
 # perfbench with comments and string literals blanked out, so a doc
 # reference or a message is never a use.
 #
+# It ends by printing three counts: public values in lib/**/*.mli, optional
+# arguments there, and allowlist entries.
+#
 # For each `val v` in lib/**/*.mli (module M), a use is a hit in another
 # file that is
 #   - qualified (`Q.v`) by M itself, by one of M's `module S : sig`
@@ -147,6 +150,14 @@ while read -r entry; do
     findings=$((findings + 1))
   fi
 done <"$tmp/.allowed"
+# The surface's size, for change notes to cite: public values, optional
+# arguments (each `?arg:` of a signature) and allowlist entries.
+mlis=$(find lib -name '*.mli')
+# shellcheck disable=SC2086
+echo "public vals: $(cat $mlis | grep -c '^ *val ')"
+# shellcheck disable=SC2086
+echo "optional arguments: $(cat $mlis | grep -o '?[a-z_][A-Za-z0-9_]*:' | wc -l)"
+echo "allowlist entries: $(wc -l <"$tmp/.allowed")"
 if [ "$findings" -ne 0 ]; then
   echo "$findings unused or unlisted test-only public value(s) or optional argument(s)"
   exit 1
