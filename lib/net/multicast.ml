@@ -231,15 +231,18 @@ let publish e ~size payload =
       xmit e pkt;
       publish_to e ~size wrapped rest
 
-(* Deliver any in-order buffered packets for this sender. *)
+(* Deliver any in-order buffered packets for this sender. An in-order
+   arrival usually finds nothing buffered, so test that before the lookup
+   rather than raise [Not_found] once per data packet. *)
 let rec flush e rx =
-  match Int_tbl.find rx.buffered rx.next_expected with
-  | exception Not_found -> ()
-  | pkt ->
-      Int_tbl.remove rx.buffered rx.next_expected;
-      rx.next_expected <- rx.next_expected + 1;
-      e.deliver pkt;
-      flush e rx
+  if Int_tbl.length rx.buffered > 0 then
+    match Int_tbl.find rx.buffered rx.next_expected with
+    | exception Not_found -> ()
+    | pkt ->
+        Int_tbl.remove rx.buffered rx.next_expected;
+        rx.next_expected <- rx.next_expected + 1;
+        e.deliver pkt;
+        flush e rx
 
 (* Give up on the leading gap: skip [next_expected] forward to the smallest
    buffered mseq (or just past the known high-water mark if nothing is

@@ -41,7 +41,7 @@ let first =
    consecutive 1-2-5 bounds are at least 2x apart, so the bound after
    [first.(p)] is at least 2^(p+1). One table read and one compare, no
    search and no allocation. *)
-let index v =
+let[@inline] index v =
   if v <= 1 then 0
   else if v > top then count - 1
   else begin

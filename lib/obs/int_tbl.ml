@@ -90,8 +90,10 @@ let rec find_in key = function
   | Cons c -> if c.key = key then c.data else find_in key c.next
 
 (* [find] and [find_opt] test a chain's first cell before the loop: most
-   lookups end there, without a call. *)
-let find t key =
+   lookups end there, without a call. They, [mem] and [index] are marked
+   [@inline] because they run per event, while the rest of sw_obs is cold
+   and is compiled without the event-path libraries' -inline 200. *)
+let[@inline] find t key =
   match t.data.(index t.data key) with
   | Empty -> raise Not_found
   | Cons c -> if c.key = key then c.data else find_in key c.next
@@ -100,7 +102,7 @@ let rec find_opt_in key = function
   | Empty -> None
   | Cons c -> if c.key = key then Some c.data else find_opt_in key c.next
 
-let find_opt t key =
+let[@inline] find_opt t key =
   match t.data.(index t.data key) with
   | Empty -> None
   | Cons c -> if c.key = key then Some c.data else find_opt_in key c.next
@@ -109,7 +111,7 @@ let rec mem_in key = function
   | Empty -> false
   | Cons c -> c.key = key || mem_in key c.next
 
-let mem t key = mem_in key t.data.(index t.data key)
+let[@inline] mem t key = mem_in key t.data.(index t.data key)
 
 (* Overwrites the first binding of [key] and returns [false], or returns
    [true] when the chain has none. *)

@@ -42,7 +42,7 @@ module Histogram = struct
       max = min_int;
     }
 
-  let observe t (v : int) =
+  let[@inline] observe t (v : int) =
     let i = Buckets.index v in
     t.buckets.(i) <- t.buckets.(i) + 1;
     t.count <- t.count + 1;
