@@ -12,22 +12,19 @@ module Config = Sw_vmm.Config
 module Cloud = Stopwatch.Cloud
 module Runner = Sw_runner.Runner
 
-let http_latency ~config ~seed =
+let http_latency ~config =
   let o =
-    File_transfer.run ~config ~seed ~protocol:File_transfer.Http ~baseline:false
+    File_transfer.run ~config ~protocol:File_transfer.Http ~baseline:false
       ~size_bytes:102_400 ~runs:2 ()
   in
   (o.File_transfer.elapsed_ms, o.File_transfer.divergences)
-
-(* Every HTTP ablation point runs with File_transfer's default seed. *)
-let ft_seed = 0xF16_5L
 
 let delta_n_jobs =
   List.map
     (fun ms ->
       (Printf.sprintf "ablation/delta_n/%dms" ms, fun () ->
           let config = { Config.default with Config.delta_n = Time.ms ms } in
-          let latency, div = http_latency ~config ~seed:ft_seed in
+          let latency, div = http_latency ~config in
           [ string_of_int ms; Tables.f1 latency; string_of_int div ]))
     [ 2; 5; 10; 20 ]
 
@@ -49,7 +46,7 @@ let quantum_jobs =
     (fun us ->
       (Printf.sprintf "ablation/quantum/%dus" us, fun () ->
           let config = { Config.default with Config.quantum = Time.us us } in
-          let latency, div = http_latency ~config ~seed:ft_seed in
+          let latency, div = http_latency ~config in
           [ string_of_int us; Tables.f1 latency; string_of_int div ]))
     [ 50; 100; 200; 500; 1000 ]
 

@@ -26,7 +26,11 @@ let run ?pool ~quick () =
     Scenarios.load ~seconds:(if quick then 2. else 20.) "fig4.scn"
   in
   let registry = Sw_obs.Registry.create () in
-  let audits = Sw_workload.Run.audits ?pool ~registry scenario in
+  let audits =
+    match Sw_workload.Run.audits ?pool ~registry scenario with
+    | Ok audits -> audits
+    | Error e -> failwith e
+  in
   let detector_names =
     List.map (fun (d : Detector.t) -> d.Detector.name) Detector.all
   in

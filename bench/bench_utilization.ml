@@ -13,7 +13,7 @@ let run () =
     (fun vms ->
       let o =
         Utilization.run ~machines:9 ~capacity:4 ~vms ~file_bytes:102_400
-          ~duration:(Sw_sim.Time.s 10) ()
+          ~duration:(Sw_sim.Time.s 10)
       in
       Tables.row ~width:12
         [

@@ -28,17 +28,30 @@ let run () =
   Trace.span trace ~now ~name:"fig2.simulation" (fun () ->
       Cloud.run cloud ~until:(Time.ms 400));
   (* Keep the protocol steps (proposals, median adoption, delivery) and the
-     surrounding span; drop device interrupts, faults and degradation events. *)
+     surrounding span; drop device interrupts, faults and degradation events.
+     Each kept step is also a report row. *)
+  let steps = ref [] in
   Trace.iter trace (fun entry ->
       match entry.Trace.event with
       | Event.Packet_proposed _ | Event.Median_adopted _
       | Event.Packet_delivered _ | Event.Ingress_replicated _
       | Event.Egress_released _ | Event.Divergence _ | Event.Span_begin _
       | Event.Span_end _ ->
-          Format.printf "%a@." Trace.pp_entry entry
+          Format.printf "%a@." Trace.pp_entry entry;
+          steps :=
+            Sw_runner.Report.Obj
+              [
+                ("at_ns", Sw_runner.Report.Int entry.Trace.at_ns);
+                ("kind", Sw_runner.Report.String (Event.label entry.Trace.event));
+                ( "text",
+                  Sw_runner.Report.String
+                    (Format.asprintf "%a" Event.pp entry.Trace.event) );
+              ]
+            :: !steps
       | Event.Vm_exit _ | Event.Disk_irq _ | Event.Dma_irq _
       | Event.Fault_injected _ | Event.Fault_cleared _
       | Event.Fault_replica_crash _ | Event.Fault_replica_restart _
       | Event.Degrade_suspected _ | Event.Degrade_ejected _
       | Event.Degrade_reintegrated _ ->
-          ())
+          ());
+  Bench_report.add "fig2" (Sw_runner.Report.List (List.rev !steps))

@@ -25,7 +25,7 @@ let groups =
           List.map
             (fun baseline ->
               ( { protocol; size; baseline },
-                Ft.jobs ~protocol ~baseline ~size_bytes:size ~runs () ))
+                Ft.jobs ~protocol ~baseline ~size_bytes:size ~runs ))
             [ true; false ])
         Ft.paper_sizes)
     [ Ft.Http; Ft.Udp ]

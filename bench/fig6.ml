@@ -20,8 +20,8 @@ let run ?pool () =
       (fun rate ->
         ( rate,
           [
-            Nb.job ~baseline:true ~rate_per_s:rate ~ops ();
-            Nb.job ~baseline:false ~rate_per_s:rate ~ops ();
+            Nb.job ~baseline:true ~rate_per_s:rate ~ops;
+            Nb.job ~baseline:false ~rate_per_s:rate ~ops;
           ] ))
       Nb.paper_rates
   in

@@ -6,12 +6,13 @@
 
 open Sw_experiments
 module Nd = Sw_attack.Noise_defense
+module Report = Sw_runner.Report
 
 let table ~lambda' ~label =
   Tables.subsection label;
   Tables.header ~width:12
     [ "confidence"; "E[X+XN]"; "E[X'+XN]"; "E[X23+Dn]"; "E[X'23+Dn]"; "b"; "obs" ];
-  List.iter
+  List.map
     (fun (r : Nd.row) ->
       Tables.row ~width:12
         [
@@ -22,11 +23,25 @@ let table ~lambda' ~label =
           Tables.f1 r.Nd.delay_stopwatch_victim;
           Tables.f1 r.Nd.b;
           Tables.f0 r.Nd.observations;
+        ];
+      Report.Obj
+        [
+          ("lambda_prime", Report.Float lambda');
+          ("confidence", Report.Float r.Nd.confidence);
+          ("delay_noise", Report.Float r.Nd.delay_noise);
+          ("delay_noise_victim", Report.Float r.Nd.delay_noise_victim);
+          ("delay_stopwatch", Report.Float r.Nd.delay_stopwatch);
+          ("delay_stopwatch_victim", Report.Float r.Nd.delay_stopwatch_victim);
+          ("noise_bound", Report.Float r.Nd.b);
+          ("observations", Report.Float r.Nd.observations);
         ])
     (Nd.compare ~lambda:1.0 ~lambda' ())
 
 let run () =
   Tables.section
     "Fig. 8 — expected delay: StopWatch vs uniform noise (equal protection)";
-  table ~lambda':0.5 ~label:"(a) lambda' = 1/2  (delays in virtual time units)";
-  table ~lambda':(10. /. 11.) ~label:"(b) lambda' = 10/11"
+  let a =
+    table ~lambda':0.5 ~label:"(a) lambda' = 1/2  (delays in virtual time units)"
+  in
+  let b = table ~lambda':(10. /. 11.) ~label:"(b) lambda' = 10/11" in
+  Bench_report.add "fig8" (Report.List (a @ b))

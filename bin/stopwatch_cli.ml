@@ -235,7 +235,7 @@ let download_cmd =
 let nfs_cmd =
   let run rate ops baseline =
     let open Sw_experiments in
-    let o = Nfs_bench.run ~baseline ~rate_per_s:rate ~ops () in
+    let o = Nfs_bench.run ~baseline ~rate_per_s:rate ~ops in
     Printf.printf
       "NFS @ %.0f ops/s (%s): mean %.2f ms/op, %d/%d completed, %.2f c2s pkt/op, \
        %.2f s2c pkt/op\n"
@@ -749,12 +749,13 @@ let leak_cmd =
         | Ok t -> (
             let registry = Sw_obs.Registry.create () in
             match Wrun.audits ?pool ~registry t with
-            | [] ->
+            | Error e -> error (file ^ ": " ^ e)
+            | Ok [] ->
                 error
                   (file
                  ^ " has no auditable config pair (need both a victim and a \
                     no-victim variant)")
-            | audits ->
+            | Ok audits ->
                 List.iter
                   (fun (a : Audit.t) ->
                     Printf.printf "%s: %s\n" a.Audit.label

@@ -19,7 +19,7 @@ let run ~stopwatch =
   let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in
   let get =
     Sw_apps.Nfs.run_client tcp ~dst:(Cloud.vm_address d) ~rate_per_s:100. ~procs:5
-      ~ops:500 ()
+      ~ops:500 ~seed:0x4E_F5L
   in
   Cloud.run cloud ~until:(Time.s 10);
   (get ()).Sw_apps.Nfs.latencies_ms

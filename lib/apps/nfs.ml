@@ -107,7 +107,7 @@ let pick_op rng =
   in
   walk 0. paper_mix
 
-let run_client t ~dst ~rate_per_s ~procs ~ops ?(seed = 0x4E_F5L) () =
+let run_client t ~dst ~rate_per_s ~procs ~ops ~seed =
   if rate_per_s <= 0. then invalid_arg "Nfs.run_client: rate must be positive";
   if procs < 1 then invalid_arg "Nfs.run_client: need >= 1 process";
   let host = Tcp_host.host t in

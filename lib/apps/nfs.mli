@@ -25,7 +25,7 @@ type client_stats = {
   latencies_ms : float array;  (** Per completed op. *)
 }
 
-(** [run_client t ~dst ~rate_per_s ~procs ~ops ?seed ()] starts the
+(** [run_client t ~dst ~rate_per_s ~procs ~ops ~seed] starts the
     load: [ops] operations spread over [procs] connections at aggregate
     [rate_per_s], ops drawn from the paper's extracted mix (11.37% setattr,
     24.07% lookup, 11.92% write, 7.93% getattr, 32.34% read, 12.37% create)
@@ -37,6 +37,5 @@ val run_client :
   rate_per_s:float ->
   procs:int ->
   ops:int ->
-  ?seed:int64 ->
-  unit ->
+  seed:int64 ->
   (unit -> client_stats)

@@ -94,7 +94,7 @@ let run spec =
   let attacker =
     deploy_guest
       ~on:(List.init m (fun i -> i))
-      ~app:(Probe.receiver ~echo_to:(Host.address observer) ~echo_every:1 ())
+      ~app:(Probe.receiver ~echo_to:(Host.address observer) ())
   in
   let instance = observed_replica attacker ~baseline:spec.baseline ~replicas:m in
   Sw_vmm.Vmm.record_inter_delivery instance;
@@ -106,20 +106,15 @@ let run spec =
          ~app:
            (Probe.streamer
               ~sink:(Host.address victim_sink)
-              ~period:(Time.ms 5) ~burst:72 ~bytes_per_packet:1400 ~disk_every:2 ()))
+              ~period:(Time.ms 5) ~burst:72 ~bytes_per_packet:1400))
   end;
   if spec.colluder then begin
     let on = 0 :: List.init (m - 1) (fun i -> (2 * m) - 1 + i) in
-    (* Sec. IX's collaborator, the paper's one design point: 18 packets per
-       1 ms through machine 0's device models, sized to out-load the
-       victim's 72 per 5 ms so that machine 0's replica is the one
-       marginalised from the median. *)
+    (* Sec. IX's collaborator loads machine 0's device models, so that
+       machine 0's replica is the one marginalised from the median. *)
     ignore
       (deploy_guest ~on
-         ~app:
-           (Probe.load_generator
-              ~sink:(Host.address victim_sink)
-              ~period:(Time.ms 1) ~burst:18 ~disk_every:1 ()))
+         ~app:(Probe.load_generator ~sink:(Host.address victim_sink)))
   end;
   if spec.faults <> Sw_fault.Schedule.empty then
     ignore (Cloud.install_faults cloud spec.faults);

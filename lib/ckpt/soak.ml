@@ -38,8 +38,7 @@ let ( let* ) = Result.bind
 
 let now_ns cloud = Sw_sim.Engine.now (Cloud.engine cloud)
 
-let run ~scenario ~dir ~every ?kill_after ?keep
-    ?(on_event = fun (_ : event) -> ()) () =
+let run ~scenario ~dir ~every ?kill_after ?keep ~on_event () =
   let w =
     match scenario.Dsl.kind with
     | Dsl.Workload w -> w

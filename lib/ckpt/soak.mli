@@ -63,7 +63,7 @@ type outcome = {
     {!run} again to exercise resumption. *)
 exception Killed of { checkpoints : int; sim_ns : Sw_sim.Time.t }
 
-(** [run ~scenario ~dir ~every ()] drives [scenario] (which must be a
+(** [run ~scenario ~dir ~every ~on_event ()] drives [scenario] (which must be a
     [Workload]; [Invalid_argument] otherwise) to completion with a
     checkpoint every [every] of simulated time (the run end is always
     aligned to the scenario's own horizon, not to the grid).
@@ -76,13 +76,14 @@ exception Killed of { checkpoints : int; sim_ns : Sw_sim.Time.t }
     [kill_after n] aborts the process-visible run by raising {!Killed}
     after the [n]-th checkpoint {e written by this process}.
     [keep] (at least 1) prunes the timeline to the newest [keep] images
-    after each write (default: keep everything). [on_event] observes progress. *)
+    after each write (default: keep everything). [on_event] observes
+    progress. *)
 val run :
   scenario:Sw_workload.Dsl.t ->
   dir:string ->
   every:Sw_sim.Time.t ->
   ?kill_after:int ->
   ?keep:int ->
-  ?on_event:(event -> unit) ->
+  on_event:(event -> unit) ->
   unit ->
   (outcome, error) result

@@ -155,7 +155,7 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
         in
         let sh = shard_arr.(block.(id)) in
         Sw_vmm.Machine.create sh.sh_engine sh.sh_network ~id ~config
-          ~rate_multiplier ~clock_offset ())
+          ~rate_multiplier ~clock_offset)
   in
   let vmms = Array.map Sw_vmm.Vmm.create machine_arr in
   let t =
@@ -259,9 +259,8 @@ let deployment_shard t ~on =
         rest;
       s
 
-let deploy ?config t ~on ~app =
-  let config = match config with Some c -> c | None -> t.config in
-  Sw_vmm.Config.validate config;
+let deploy t ~on ~app =
+  let config = t.config in
   if List.length on <> config.Sw_vmm.Config.replicas then
     invalid_arg
       (Printf.sprintf "Cloud.deploy: expected %d machines, got %d"
@@ -275,17 +274,14 @@ let deploy ?config t ~on ~app =
   Int_tbl.replace t.vm_shard vm shard;
   let group =
     Sw_vmm.Replica_group.create ~metrics:(Engine.metrics sh.sh_engine) ~vm
-      ~config ~mode:Sw_vmm.Replica_group.Stopwatch ()
+      ~config ~mode:Sw_vmm.Replica_group.Stopwatch
   in
   (* The VM's PGM-style channel: the ingress replicates inbound packets over
      it, the VMMs exchange proposals and epoch reports on it. It takes the
-     VM id as its group id, so ids travel in a checkpoint with [next_vm]. A
-     receiver NAKs a gap after 300 us and abandons it after the default 5
-     re-sends. *)
+     VM id as its group id, so ids travel in a checkpoint with [next_vm]. *)
   let channel =
     Sw_net.Multicast.group sh.sh_network ~id:vm
       ~members:(Address.Ingress :: List.map (fun m -> Address.Vmm m) on)
-      ~nak_delay:(Time.us 300)
       ?heartbeat:config.Sw_vmm.Config.mcast_heartbeat ()
   in
   (* Start negotiation (Sec. IV-A): the hosting VMMs exchange their clock
@@ -318,10 +314,8 @@ let deploy ?config t ~on ~app =
   t.deployments <- d :: t.deployments;
   d
 
-let deploy_baseline ?config t ~on ~app =
-  let config = match config with Some c -> c | None -> t.config in
-  let config = { config with Sw_vmm.Config.replicas = 1 } in
-  Sw_vmm.Config.validate config;
+let deploy_baseline t ~on ~app =
+  let config = { t.config with Sw_vmm.Config.replicas = 1 } in
   ignore (machine t on);
   let shard = t.block.(on) in
   let sh = t.shards.(shard) in
@@ -329,7 +323,7 @@ let deploy_baseline ?config t ~on ~app =
   Int_tbl.replace t.vm_shard vm shard;
   let group =
     Sw_vmm.Replica_group.create ~metrics:(Engine.metrics sh.sh_engine) ~vm
-      ~config ~mode:Sw_vmm.Replica_group.Baseline ()
+      ~config ~mode:Sw_vmm.Replica_group.Baseline
   in
   let instance = Sw_vmm.Vmm.host t.vmms.(on) ~group ~app in
   (* Baseline traffic routes straight to the hosting machine. *)
@@ -363,7 +357,7 @@ let add_host t ?(link = Sw_net.Network.wan) ?(shard = 0) () =
   let id = t.next_host in
   t.next_host <- id + 1;
   Int_tbl.replace t.host_shard id shard;
-  let host = Host.create t.shards.(shard).sh_network ~id ~link () in
+  let host = Host.create t.shards.(shard).sh_network ~id ~link in
   (* Every shard must see the host's access-link override: cross-shard
      sends compute the arrival on the *sender's* network, and a remote
      sender falling back to the fabric default would give the same packet
@@ -384,7 +378,7 @@ let set_pair_link t ~src ~dst params =
   let owner = locate t 0 src in
   Sw_net.Network.set_link t.shards.(owner).sh_network ~src ~dst params
 
-let start_background t ~rate_per_s ?(size = 64) () =
+let start_background t ~rate_per_s =
   if rate_per_s <= 0. then invalid_arg "Cloud.start_background: rate must be positive";
   (* Sharded clouds draw the arrival process from a keyed stream and emit
      from shard 0; packets to remote VMs take the cross-shard path. *)
@@ -401,7 +395,7 @@ let start_background t ~rate_per_s ?(size = 64) () =
           (fun d ->
             let pkt =
               Sw_net.Packet.make ~src:Address.Broadcast_addr
-                ~dst:(Address.Vm d.vm) ~size
+                ~dst:(Address.Vm d.vm) ~size:64
                 ~seq:(Sw_net.Network.fresh_seq sh.sh_network)
                 (Sw_net.Packet.Background (Sw_net.Network.fresh_seq sh.sh_network))
             in

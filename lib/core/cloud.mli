@@ -96,17 +96,15 @@ val metrics : t -> Sw_obs.Registry.t
     runner merges across jobs and the benches export. *)
 val metrics_snapshot : t -> Sw_obs.Snapshot.t
 
-(** [deploy t ?config ~on ~app] starts a guest VM under StopWatch with one
-    replica per machine in [on] (length must equal the configured replica
+(** [deploy t ~on ~app] starts a guest VM under StopWatch with one
+    replica per machine in [on] (length must equal the cloud's replica
     count, machines distinct). Returns the deployment handle; the VM's
     address is [Address.Vm (vm_id d)]. *)
-val deploy :
-  ?config:Sw_vmm.Config.t -> t -> on:int list -> app:Sw_vm.App.factory -> deployment
+val deploy : t -> on:int list -> app:Sw_vm.App.factory -> deployment
 
-(** [deploy_baseline t ?config ~on ~app] starts an unreplicated guest on
+(** [deploy_baseline t ~on ~app] starts an unreplicated guest on
     machine [on] over the unmodified-Xen baseline. *)
-val deploy_baseline :
-  ?config:Sw_vmm.Config.t -> t -> on:int -> app:Sw_vm.App.factory -> deployment
+val deploy_baseline : t -> on:int -> app:Sw_vm.App.factory -> deployment
 
 (** [deploy_plan t ~plan ~app] deploys one StopWatch VM per triangle of a
     placement plan (all with the same app factory); returns deployments in
@@ -144,11 +142,11 @@ val set_pair_link :
   Sw_net.Network.link_params ->
   unit
 
-(** [start_background t ~rate_per_s ~size ()] emits ARP-like broadcast noise:
+(** [start_background t ~rate_per_s] emits ARP-like broadcast noise: 64-byte
     Poisson arrivals addressed to every deployed VM (replicated through the
     ingress exactly like guest traffic, as in the paper's testbed). Runs for
     the rest of the simulation. *)
-val start_background : t -> rate_per_s:float -> ?size:int -> unit -> unit
+val start_background : t -> rate_per_s:float -> unit
 
 (** [install_faults t schedule] arms a deterministic fault schedule
     against this cloud (see {!Sw_fault.Schedule}): every window becomes an

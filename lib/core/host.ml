@@ -13,7 +13,7 @@ type t = {
           once {!record_inter_arrival} asks. *)
 }
 
-let create network ~id ?(link = Sw_net.Network.wan) () =
+let create network ~id ~link =
   let address = Sw_net.Address.Host id in
   let metrics = Engine.metrics (Sw_net.Network.engine network) in
   let t =

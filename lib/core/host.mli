@@ -6,12 +6,11 @@
 
 type t
 
-(** [create network ~id ~link ()] registers the host. [link] configures its
-    access link in both directions (default {!Sw_net.Network.wan}). The
-    handler is installed with {!set_handler} (hosts usually need a reference
-    to themselves to reply). *)
-val create :
-  Sw_net.Network.t -> id:int -> ?link:Sw_net.Network.link_params -> unit -> t
+(** [create network ~id ~link] registers the host. [link] configures its
+    access link in both directions. The handler is installed with
+    {!set_handler} (hosts usually need a reference to themselves to
+    reply). *)
+val create : Sw_net.Network.t -> id:int -> link:Sw_net.Network.link_params -> t
 
 val address : t -> Sw_net.Address.t
 

@@ -34,7 +34,7 @@ type t = {
   k_complete : Engine.kind option;  (* boxed once, not per request *)
 }
 
-let create engine ?(params = default_params) ?(path = "disk") () =
+let create engine ~params ~path =
   let metrics = Engine.metrics engine in
   {
     engine;

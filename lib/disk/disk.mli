@@ -19,11 +19,11 @@ val default_params : params
 
 type t
 
-(** [create engine ?params ?path ()] models one disk. [path] (default
-    ["disk"]) prefixes the disk's metrics in the engine's registry:
+(** [create engine ~params ~path] models one disk. [path] prefixes the
+    disk's metrics in the engine's registry:
     [<path>.completed], [<path>.vm<v>.completed], [<path>.busy_ns] and the
     [<path>.service_ns] histogram. *)
-val create : Sw_sim.Engine.t -> ?params:params -> ?path:string -> unit -> t
+val create : Sw_sim.Engine.t -> params:params -> path:string -> t
 
 type kind = Read | Write
 

@@ -54,17 +54,20 @@ let one ?config ~seed ~protocol ~baseline ~size_bytes () =
     Sw_obs.Snapshot.counter snap (Printf.sprintf "vm%d.divergences" (Cloud.vm_id d)),
     snap )
 
-let jobs ?config ?(seed = 0xF16_5L) ~protocol ~baseline ~size_bytes ~runs () =
+let jobs_under ?config ~protocol ~baseline ~size_bytes ~runs () =
   if runs < 1 then invalid_arg "File_transfer.jobs: need >= 1 run";
   List.init runs (fun i ->
       (* Each run's seed is fixed in its job before dispatch. *)
-      let seed = Int64.add seed (Int64.of_int (i * 7919)) in
+      let seed = Int64.add 0xF16_5L (Int64.of_int (i * 7919)) in
       let key =
         Printf.sprintf "fig5/%s/%s/%dB/run%d" (protocol_name protocol)
           (if baseline then "base" else "sw")
           size_bytes i
       in
       (key, fun () -> one ?config ~seed ~protocol ~baseline ~size_bytes ()))
+
+let jobs ~protocol ~baseline ~size_bytes ~runs =
+  jobs_under ~protocol ~baseline ~size_bytes ~runs ()
 
 let collect outcomes =
   let results = Runner.successes outcomes in
@@ -90,6 +93,6 @@ let collect outcomes =
         Sw_obs.Snapshot.merge_all (List.map (fun (_, _, m) -> m) results);
     }
 
-let run ?config ?seed ?pool ~protocol ~baseline ~size_bytes ~runs () =
+let run ?config ?pool ~protocol ~baseline ~size_bytes ~runs () =
   collect
-    (Runner.map ?pool (jobs ?config ?seed ~protocol ~baseline ~size_bytes ~runs ()))
+    (Runner.map ?pool (jobs_under ?config ~protocol ~baseline ~size_bytes ~runs ()))

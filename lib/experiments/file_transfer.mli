@@ -15,33 +15,30 @@ type outcome = {
       (** Merged metrics snapshot over the successful runs' clouds. *)
 }
 
-(** [jobs ?config ?seed ~protocol ~baseline ~size_bytes ~runs ()] is the
-    replicated measurement as independent runner jobs, one per run, each
-    returning [(elapsed_ms, divergences, metrics snapshot)]. Run [i]'s
-    cloud seed, [seed + i * 7919], is fixed in its thunk at construction,
-    so outcomes are independent of worker count and dispatch order.
-    [baseline] deploys one unreplicated VM instead of a StopWatch
+(** [jobs ~protocol ~baseline ~size_bytes ~runs] is the replicated
+    measurement at the default config as independent runner jobs, one per
+    run, each returning [(elapsed_ms, divergences, metrics snapshot)]. Run
+    [i]'s cloud seed, [0xF165 + i * 7919], is fixed in its thunk at
+    construction, so outcomes are independent of worker count and dispatch
+    order. [baseline] deploys one unreplicated VM instead of a StopWatch
     triple. *)
 val jobs :
-  ?config:Sw_vmm.Config.t ->
-  ?seed:int64 ->
   protocol:protocol ->
   baseline:bool ->
   size_bytes:int ->
   runs:int ->
-  unit ->
   (string * (unit -> float * int * Sw_obs.Snapshot.t)) list
 
 (** [collect outcomes] aggregates one replicated measurement. *)
 val collect :
   (float * int * Sw_obs.Snapshot.t) Sw_runner.Runner.outcome list -> outcome
 
-(** [run ?config ?seed ?pool ~protocol ~baseline ~size_bytes ~runs ()]
-    performs [runs] fresh-cloud downloads — in parallel when [pool] is
-    given, with identical results either way — and averages. *)
+(** [run ?config ?pool ~protocol ~baseline ~size_bytes ~runs ()] performs
+    the {!jobs} downloads under [config] (default {!Sw_vmm.Config.default})
+    — in parallel when [pool] is given, with identical results either way
+    — and averages. *)
 val run :
   ?config:Sw_vmm.Config.t ->
-  ?seed:int64 ->
   ?pool:Sw_runner.Pool.t ->
   protocol:protocol ->
   baseline:bool ->

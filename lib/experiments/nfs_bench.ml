@@ -15,10 +15,10 @@ let paper_rates = [ 25.; 50.; 100.; 200.; 400. ]
 
 let nfs_config = { Sw_vmm.Config.default with Sw_vmm.Config.delta_n = Time.ms 8 }
 
-let default_seed = 0x4F5_1L
+let seed = 0x4F5_1L
 
-let run ?(config = nfs_config) ?(seed = default_seed) ~baseline ~rate_per_s ~ops () =
-  let cloud = Cloud.create ~config ~seed ~machines:3 () in
+let run ~baseline ~rate_per_s ~ops =
+  let cloud = Cloud.create ~config:nfs_config ~seed ~machines:3 () in
   let d =
     if baseline then Cloud.deploy_baseline cloud ~on:0 ~app:Sw_apps.Nfs.server
     else Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:Sw_apps.Nfs.server
@@ -27,7 +27,7 @@ let run ?(config = nfs_config) ?(seed = default_seed) ~baseline ~rate_per_s ~ops
   let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in
   let get =
     Sw_apps.Nfs.run_client tcp ~dst:(Cloud.vm_address d) ~rate_per_s ~procs:5 ~ops
-      ~seed ()
+      ~seed
   in
   let horizon = Time.of_float_s ((float_of_int ops /. rate_per_s) +. 5.) in
   Cloud.run cloud ~until:horizon;
@@ -67,10 +67,10 @@ let run ?(config = nfs_config) ?(seed = default_seed) ~baseline ~rate_per_s ~ops
     metrics;
   }
 
-let job ?config ?(seed = default_seed) ~baseline ~rate_per_s ~ops () =
+let job ~baseline ~rate_per_s ~ops =
   let key =
     Printf.sprintf "fig6/%s/rate%g/ops%d"
       (if baseline then "base" else "sw")
       rate_per_s ops
   in
-  (key, fun () -> run ?config ~seed ~baseline ~rate_per_s ~ops ())
+  (key, fun () -> run ~baseline ~rate_per_s ~ops)

@@ -12,26 +12,14 @@ type outcome = {
   metrics : Sw_obs.Snapshot.t;  (** Full cloud metrics snapshot. *)
 }
 
-val run :
-  ?config:Sw_vmm.Config.t ->
-  ?seed:int64 ->
-  baseline:bool ->
-  rate_per_s:float ->
-  ops:int ->
-  unit ->
-  outcome
+(** [run ~baseline ~rate_per_s ~ops] runs one Fig. 6 point under
+    {!nfs_config} with a fixed seed. *)
+val run : baseline:bool -> rate_per_s:float -> ops:int -> outcome
 
-(** [job ?config ?seed ~baseline ~rate_per_s ~ops ()] is one Fig. 6 point
-    as a runner job (its seed fixed in the thunk at construction), so load
+(** [job ~baseline ~rate_per_s ~ops] is {!run} as a runner job, so load
     sweeps can shard across a {!Sw_runner.Pool}. *)
 val job :
-  ?config:Sw_vmm.Config.t ->
-  ?seed:int64 ->
-  baseline:bool ->
-  rate_per_s:float ->
-  ops:int ->
-  unit ->
-  string * (unit -> outcome)
+  baseline:bool -> rate_per_s:float -> ops:int -> string * (unit -> outcome)
 
 (** The paper's offered-load sweep (ops/s). *)
 val paper_rates : float list

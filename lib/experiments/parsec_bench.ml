@@ -14,9 +14,9 @@ type outcome = {
    mostly-small requests. *)
 let parsec_config = { Sw_vmm.Config.default with Sw_vmm.Config.delta_d = Time.ms 8 }
 
-let default_seed = 0x9A25ECL
+let seed = 0x9A25ECL
 
-let run ?(config = parsec_config) ?(seed = default_seed) ~baseline profile =
+let run ?(config = parsec_config) ~baseline profile =
   let cloud = Cloud.create ~config ~seed ~machines:3 () in
   let collector = Cloud.add_host cloud () in
   let done_at = ref nan in
@@ -57,10 +57,10 @@ let run ?(config = parsec_config) ?(seed = default_seed) ~baseline profile =
     metrics;
   }
 
-let job ?config ?(seed = default_seed) ~baseline profile =
+let job ~baseline profile =
   let key =
     Printf.sprintf "fig7/%s/%s"
       (if baseline then "base" else "sw")
       profile.Sw_apps.Parsec.name
   in
-  (key, fun () -> run ?config ~seed ~baseline profile)
+  (key, fun () -> run ~baseline profile)

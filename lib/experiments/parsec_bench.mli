@@ -8,18 +8,12 @@ type outcome = {
   metrics : Sw_obs.Snapshot.t;  (** Full cloud metrics snapshot. *)
 }
 
+(** [run ?config ~baseline profile] runs one Fig. 7 row with a fixed seed;
+    [config] defaults to the paper's delta_d = 8 ms (the ablation sweeps
+    it). *)
 val run :
-  ?config:Sw_vmm.Config.t ->
-  ?seed:int64 ->
-  baseline:bool ->
-  Sw_apps.Parsec.profile ->
-  outcome
+  ?config:Sw_vmm.Config.t -> baseline:bool -> Sw_apps.Parsec.profile -> outcome
 
-(** [job ?config ?seed ~baseline profile] is one Fig. 7 row as a runner
-    job (its seed fixed in the thunk at construction). *)
-val job :
-  ?config:Sw_vmm.Config.t ->
-  ?seed:int64 ->
-  baseline:bool ->
-  Sw_apps.Parsec.profile ->
-  string * (unit -> outcome)
+(** [job ~baseline profile] is {!run} at the default config as a runner
+    job. *)
+val job : baseline:bool -> Sw_apps.Parsec.profile -> string * (unit -> outcome)

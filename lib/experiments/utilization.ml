@@ -10,14 +10,13 @@ type outcome = {
   divergences : int;
 }
 
-let run ?config ?(seed = 0x07117AL) ~machines ~capacity ~vms ~file_bytes ~duration
-    () =
+let run ~machines ~capacity ~vms ~file_bytes ~duration =
   let plan =
     match Sw_placement.Placement.theorem2_place ~n:machines ~c:capacity ~k:vms with
     | Ok plan -> plan
     | Error reason -> invalid_arg ("Utilization.run: " ^ reason)
   in
-  let cloud = Cloud.create ?config ~seed ~machines () in
+  let cloud = Cloud.create ~seed:0x07117AL ~machines () in
   let deployments = Cloud.deploy_plan cloud ~plan ~app:(Sw_apps.Http.server) in
   let latencies = Sw_sim.Samples.create () in
   let completed = ref 0 in

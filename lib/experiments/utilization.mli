@@ -18,15 +18,13 @@ type outcome = {
   divergences : int;
 }
 
-(** [run ?config ?seed ~machines ~capacity ~vms ~file_bytes ~duration ()].
-    Requires [machines = 3 mod 6] and [vms] within the Theorem 2 bound. *)
+(** [run ~machines ~capacity ~vms ~file_bytes ~duration], at the default
+    config with a fixed seed. Requires [machines = 3 mod 6] and [vms] within
+    the Theorem 2 bound. *)
 val run :
-  ?config:Sw_vmm.Config.t ->
-  ?seed:int64 ->
   machines:int ->
   capacity:int ->
   vms:int ->
   file_bytes:int ->
   duration:Sw_sim.Time.t ->
-  unit ->
   outcome

@@ -7,7 +7,7 @@ type t = spec list
 
 let empty = []
 
-let at ?(span = Time.zero) time fault = { at = time; span; fault }
+let at time fault = { at = time; span = Time.zero; fault }
 
 (* Stable order: (at, label, target) — insertion order breaks remaining
    ties, so equal schedules install identically however they were built. *)

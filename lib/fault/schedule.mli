@@ -16,9 +16,10 @@ type t = spec list
 
 val empty : t
 
-(** [at ?span time fault] builds one window ([span] defaults to zero —
-    meaningful for [Replica_crash], whose span is irrelevant). *)
-val at : ?span:Sw_sim.Time.t -> Sw_sim.Time.t -> Fault.t -> spec
+(** [at time fault] is the zero-span window at [time], for faults such as
+    [Replica_crash] whose span is irrelevant; a window with a span is a
+    {!spec} record. *)
+val at : Sw_sim.Time.t -> Fault.t -> spec
 
 (** Stable sort by (start, kind label, target) — the order the injector
     installs windows in. *)

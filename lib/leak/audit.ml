@@ -13,12 +13,8 @@ type finding = {
 
 type t = { label : string; findings : finding list }
 
-let run ?registry ~label series =
-  let bump path n =
-    match registry with
-    | None -> ()
-    | Some reg -> Registry.Counter.add (Registry.counter reg path) n
-  in
+let run ~registry ~label series =
+  let bump path n = Registry.Counter.add (Registry.counter registry path) n in
   bump "leak.detector.series" (List.length series);
   let findings =
     List.map
@@ -72,7 +68,8 @@ let split_half ~label series =
         end)
       series
   in
-  run ~label halves
+  (* The drift probe's detector counters go nowhere. *)
+  run ~registry:(Registry.create ()) ~label halves
 
 let attribution t =
   List.filter_map

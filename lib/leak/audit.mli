@@ -25,12 +25,12 @@ type finding = {
 
 type t = { label : string; findings : finding list }
 
-(** [run ~label series] sweeps {!Detector.all} over every series, in
-    order. When [registry] is given, bumps the
-    [leak.detector.series] / [leak.detector.verdicts] /
-    [leak.detector.samples_dropped] counters. *)
+(** [run ~registry ~label series] sweeps {!Detector.all} over every
+    series, in order, and bumps the [leak.detector.series] /
+    [leak.detector.verdicts] / [leak.detector.samples_dropped] counters in
+    [registry]. *)
 val run :
-  ?registry:Sw_obs.Registry.t ->
+  registry:Sw_obs.Registry.t ->
   label:string ->
   series list ->
   t

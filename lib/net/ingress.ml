@@ -68,7 +68,8 @@ let register_vm t ~vm ~channel ~replicas =
   (* The ingress delivers nothing itself: VMM coordination traffic on the
      shared group is irrelevant to it. *)
   let ep =
-    Multicast.endpoint channel ~self:Address.Ingress ~deliver:(fun _ -> ()) ()
+    Multicast.endpoint channel ~self:Address.Ingress
+      ~transmit:(Network.send t.network) ~deliver:(fun _ -> ())
   in
   Int_tbl.replace t.mcast_routes (Multicast.group_id channel) ep;
   Int_tbl.replace t.vms vm { channel = ep; next_ingress_seq = 0; replicas };

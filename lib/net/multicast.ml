@@ -5,6 +5,13 @@ module Int_tbl = Sw_obs.Int_tbl
 (* Unanswered NAKs of one gap before the receiver abandons it. *)
 let nak_retries = 5
 
+(* How long a receiver waits by default before NAKing a detected gap;
+   retries double it. Every cloud channel uses it. With backoff, repairing
+   a lost proposal or copy can outlast delta_n, so a median can land in a
+   replica's past (ROADMAP item 14, "NAK repair that outlasts delta_n",
+   from the FOUND line on it in CHANGES.md). *)
+let default_nak_delay = Time.us 300
+
 type group = {
   network : Network.t;
   group_id : int;
@@ -59,7 +66,7 @@ type endpoint = {
   m_partition_drops : Sw_obs.Registry.Counter.t;
 }
 
-let group network ~id ~members ?(nak_delay = Time.us 200) ?heartbeat () =
+let group network ~id ~members ?(nak_delay = default_nak_delay) ?heartbeat () =
   if List.length members < 2 then invalid_arg "Multicast.group: need >= 2 members";
   { network; group_id = id; members = Array.of_list members; nak_delay; heartbeat }
 
@@ -106,12 +113,9 @@ let start_heartbeat e period =
   in
   tick ()
 
-let endpoint g ~self ?transmit ~deliver () =
+let endpoint g ~self ~transmit ~deliver =
   let self_pos = position g.members self 0 in
   if self_pos < 0 then invalid_arg "Multicast.endpoint: self not a group member";
-  let transmit =
-    match transmit with Some f -> f | None -> Network.send g.network
-  in
   let metrics = Engine.metrics (Network.engine g.network) in
   let addr = Address.to_string self in
   let e =

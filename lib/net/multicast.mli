@@ -20,14 +20,14 @@ type endpoint
 
 type group
 
-(** [group network ~id ~members ?nak_delay ?heartbeat ()] declares group [id]
-    over the given member addresses. [id] must differ from the id of every
-    other group on [network] (a StopWatch cloud uses the VM id: each VM has
-    one group). [nak_delay] (default 200 us) is how long a
-    receiver waits before NAKing a detected gap; retries of the same gap
-    back off exponentially ([nak_delay * 2^(k-1)] before attempt [k]) and
-    after 5 unanswered NAKs the gap is abandoned — the receiver skips past
-    it rather than stalling forever, counted in
+(** [group network ~id ~members ?nak_delay ?heartbeat ()] declares group
+    [id] over the given member addresses. [id] must differ from the id of
+    every other group on [network] (a StopWatch cloud uses the VM id: each
+    VM has one group). [nak_delay] (default 300 us, what every cloud uses)
+    is how long a receiver waits before NAKing a detected gap; retries of
+    the same gap back off exponentially ([nak_delay * 2^(k-1)] before
+    attempt [k]) and after 5 unanswered NAKs the gap is abandoned — the
+    receiver skips past it rather than stalling forever, counted in
     [net.mcast.<addr>.gaps_abandoned]. [heartbeat] (default none) enables
     periodic sender heartbeats with that period. *)
 val group :
@@ -44,18 +44,17 @@ val group :
     endpoints can route incoming packets. *)
 val group_id : group -> int
 
-(** [endpoint g ~self ?transmit ~deliver ()] creates the member endpoint for
+(** [endpoint g ~self ~transmit ~deliver] creates the member endpoint for
     address [self] (which must be in the group's member list). [deliver] is
-    invoked for each published payload, in per-sender order. [transmit]
-    overrides how protocol packets enter the network (default
-    [Network.send]); a VMM passes its machine's NIC-transmit so multicast
-    traffic pays the same serialisation as everything else. *)
+    invoked for each published payload, in per-sender order. [transmit] is
+    how protocol packets enter the network: the ingress passes
+    [Network.send], a VMM its machine's NIC-transmit so multicast traffic
+    pays the same serialisation as everything else. *)
 val endpoint :
   group ->
   self:Address.t ->
-  ?transmit:(Packet.t -> unit) ->
+  transmit:(Packet.t -> unit) ->
   deliver:(Packet.t -> unit) ->
-  unit ->
   endpoint
 
 (** [publish e ~size payload] multicasts [payload] to all other members,

@@ -48,21 +48,11 @@ let data_json = function
       Json.Obj [ ("kind", Json.String "gauge"); ("value", Json.Float v) ]
   | Snapshot.Histogram h -> histogram_json h
 
-let to_json ?meta snapshot =
-  let metrics =
-    Json.Obj
-      (List.map
-         (fun (name, data) -> (name, data_json data))
-         (Snapshot.to_list snapshot))
-  in
-  match meta with
-  | None -> metrics
-  | Some m ->
-      (* Self-describing form: the metric object moves under "metrics" and
-         the run's identity rides along. *)
-      Json.Obj [ ("meta", meta_json m); ("metrics", metrics) ]
+let to_json snapshot =
+  Json.Obj
+    (List.map (fun (name, data) -> (name, data_json data)) (Snapshot.to_list snapshot))
 
-let to_json_string ?meta snapshot = Json.to_string (to_json ?meta snapshot)
+let to_json_string snapshot = Json.to_string (to_json snapshot)
 
 let jsonl ~meta entries =
   let buf = Buffer.create 4096 in

@@ -43,15 +43,12 @@ val meta :
     [otherData] and the JSONL trace export's first line. *)
 val meta_json : meta -> Json.t
 
-(** The one snapshot encoder. Without [meta] the result is the flat metric
-    object documented above; with [meta] it becomes
-    [{"meta":{...},"metrics":{<flat object>}}], so artifacts carry their
-    seed, scenario and truncation state. [Sw_runner.Report.of_metrics] is
-    this function without [meta]. *)
-val to_json : ?meta:meta -> Snapshot.t -> Json.t
+(** The one snapshot encoder: the flat metric object documented above.
+    [Sw_runner.Report.of_metrics] is this function. *)
+val to_json : Snapshot.t -> Json.t
 
-(** [Json.to_string (to_json ?meta snapshot)] (no trailing newline). *)
-val to_json_string : ?meta:meta -> Snapshot.t -> string
+(** [Json.to_string (to_json snapshot)] (no trailing newline). *)
+val to_json_string : Snapshot.t -> string
 
 (** The JSONL trace export: one object per line, first
     [{"meta":{...}}], then per entry (in the given order)

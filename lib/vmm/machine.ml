@@ -39,8 +39,7 @@ type t = {
   k_dom0 : Engine.kind option;
 }
 
-let create engine network ~id ~config ?(rate_multiplier = 1.0)
-    ?(clock_offset = Time.zero) () =
+let create engine network ~id ~config ~rate_multiplier ~clock_offset =
   Config.validate config;
   if rate_multiplier <= 0. then
     invalid_arg "Machine.create: rate_multiplier must be positive";
@@ -53,7 +52,7 @@ let create engine network ~id ~config ?(rate_multiplier = 1.0)
     clock_offset;
     disk =
       Sw_disk.Disk.create engine ~params:config.Config.disk
-        ~path:(Printf.sprintf "vmm.%d.disk" id) ();
+        ~path:(Printf.sprintf "vmm.%d.disk" id);
     residents = [||];
     dom0_busy_until = Time.zero;
     nic_busy_until = Time.zero;

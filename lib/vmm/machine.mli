@@ -18,23 +18,22 @@ type resident = {
           guest-caused VM exit point). *)
 }
 
-(** [create engine network ~id ~config ?rate_multiplier ?clock_offset ()]:
+(** [create engine network ~id ~config ~rate_multiplier ~clock_offset]:
     [rate_multiplier] scales this machine's execution speed (guest slices
     still retire [Config.slice_branches] branches — the guest-deterministic
     VM-exit grid — but take [quantum / rate_multiplier] of wall time, so
     replicas on machines of different speeds skew in real time exactly as on
     heterogeneous hardware). [clock_offset] models the machine's real-time
-    clock error (NTP-scale); it offsets {!local_time}. Counts the guest
-    slices granted in [vmm.<id>.slices] and Dom0 CPU time in
-    [vmm.<id>.dom0_ns]. *)
+    clock error (NTP-scale); it offsets {!local_time}. Identical machines
+    pass [1.0] and [Time.zero]. Counts the guest slices granted in
+    [vmm.<id>.slices] and Dom0 CPU time in [vmm.<id>.dom0_ns]. *)
 val create :
   Sw_sim.Engine.t ->
   Sw_net.Network.t ->
   id:int ->
   config:Config.t ->
-  ?rate_multiplier:float ->
-  ?clock_offset:Sw_sim.Time.t ->
-  unit ->
+  rate_multiplier:float ->
+  clock_offset:Sw_sim.Time.t ->
   t
 
 val id : t -> int

@@ -43,13 +43,8 @@ type t = {
   m_degraded_ns : Registry.Sum.t;
 }
 
-let create ?metrics ~vm ~config ~mode () =
+let create ~metrics ~vm ~config ~mode =
   Config.validate config;
-  (* Standalone groups (unit tests) get a private registry; the cloud passes
-     its simulation-wide one. *)
-  let metrics =
-    match metrics with Some m -> m | None -> Registry.create ()
-  in
   {
     vm;
     config;

@@ -12,13 +12,12 @@ type mode = Stopwatch | Baseline
 type t
 type member
 
-(** [create ?metrics ~vm ~config ~mode ()] registers the group's counters
+(** [create ~metrics ~vm ~config ~mode] registers the group's counters
     ([vm<id>.divergences], [vm<id>.skew_blocks], [vm<id>.ejections],
     [vm<id>.reintegrations]) and the [vm<id>.degraded_ns] sum of closed
-    degraded-mode windows in [metrics] — the simulation registry when
-    deployed by the cloud, a private one when omitted (standalone tests). *)
+    degraded-mode windows in [metrics], the simulation's registry. *)
 val create :
-  ?metrics:Sw_obs.Registry.t -> vm:int -> config:Config.t -> mode:mode -> unit -> t
+  metrics:Sw_obs.Registry.t -> vm:int -> config:Config.t -> mode:mode -> t
 val vm : t -> int
 val mode : t -> mode
 val config : t -> Config.t

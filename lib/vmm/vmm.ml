@@ -741,7 +741,7 @@ let host ?channel ?start t ~group ~app =
     | Some g ->
         let ep =
           Sw_net.Multicast.endpoint g ~self:(Machine.address t.mach)
-            ~transmit:(Machine.transmit t.mach) ~deliver:(on_channel t) ()
+            ~transmit:(Machine.transmit t.mach) ~deliver:(on_channel t)
         in
         Int_tbl.replace t.mcast_routes (Sw_net.Multicast.group_id g) ep;
         Some ep

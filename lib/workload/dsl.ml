@@ -118,14 +118,23 @@ let seed =
       | None, _ -> bad p "expected a seed (number or string)")
     Json.of_int64
 
-let time of_float to_float =
+(* A time is int nanoseconds below 2^62, the timer wheel's bound: a larger
+   value, an infinity or NaN would wrap silently, so [to_time] refuses it
+   naming the value as given, in [ns_per_unit] units. *)
+let to_time ns_per_unit of_float path x =
+  if Float.abs (x *. ns_per_unit) < 0x1p62 then of_float x
+  else
+    bad path
+      (Printf.sprintf "must be finite and below 2^62 ns, about 146 years (got %g)" x)
+
+let time ns_per_unit of_float to_float =
   value
-    (fun p v -> of_float (number.decode p v))
+    (fun p v -> to_time ns_per_unit of_float p (number.decode p v))
     (fun t -> number.encode (to_float t))
 
-let seconds = time Time.of_float_s Time.to_float_s
-let millis = time Time.of_float_ms Time.to_float_ms
-let micros = time (fun f -> Time.of_float_s (f /. 1e6)) Time.to_float_us
+let seconds = time 1e9 Time.of_float_s Time.to_float_s
+let millis = time 1e6 Time.of_float_ms Time.to_float_ms
+let micros = time 1e3 (fun f -> Time.of_float_s (f /. 1e6)) Time.to_float_us
 
 (* A closed set of JSON literals; [error] words the rejection of any other. *)
 let enum ~error alts =
@@ -622,26 +631,29 @@ let attack_specs (a : attack) =
     a.variants
 
 let override ?seconds ?shards ?partition t =
-  let duration d =
-    match seconds with None -> d | Some s -> Time.of_float_s s
-  in
-  let kind =
-    match t.kind with
-    | Attack a -> Attack { a with duration = duration a.duration }
-    | Workload w ->
-        let topology =
-          Option.map
-            (fun (topo : topology) ->
-              {
-                topo with
-                shards = Option.value shards ~default:topo.shards;
-                partition = Option.value partition ~default:topo.partition;
-              })
-            w.topology
-        in
-        Workload { w with duration = duration w.duration; topology }
-  in
-  validate { t with kind }
+  match
+    Option.map (to_time 1e9 Time.of_float_s (sub root "duration_s")) seconds
+  with
+  | exception Bad msg -> Error msg
+  | seconds ->
+      let duration d = Option.value seconds ~default:d in
+      let kind =
+        match t.kind with
+        | Attack a -> Attack { a with duration = duration a.duration }
+        | Workload w ->
+            let topology =
+              Option.map
+                (fun (topo : topology) ->
+                  {
+                    topo with
+                    shards = Option.value shards ~default:topo.shards;
+                    partition = Option.value partition ~default:topo.partition;
+                  })
+                w.topology
+            in
+            Workload { w with duration = duration w.duration; topology }
+      in
+      validate { t with kind }
 
 let shards (w : workload) =
   match w.topology with Some t -> t.shards | None -> 1

@@ -97,7 +97,7 @@ let prepare_single (w : Dsl.workload) =
         let observer = Cloud.add_host cloud () in
         let attacker =
           deploy_guest
-            ~app:(Probe.receiver ~echo_to:(Host.address observer) ~echo_every:1 ())
+            ~app:(Probe.receiver ~echo_to:(Host.address observer) ())
         in
         Scenario.start_pings pinger ~dst:(Cloud.vm_address attacker) ~seed:w.seed
           ~rate_per_s:ping_rate_per_s;
@@ -416,8 +416,8 @@ let prepare ?shards ?partition (w : Dsl.workload) =
       | Some topo -> prepare_datacenter ?assign w topo
       | None -> prepare_single w)
 
-let run ?shards ?partition (w : Dsl.workload) =
-  let h = prepare ?shards ?partition w in
+let run (w : Dsl.workload) =
+  let h = prepare w in
   Cloud.run h.cloud ~until:h.until;
   h.finish ()
 
@@ -462,21 +462,27 @@ let attack_audits ?pool ~registry (a : Dsl.attack) =
 
 let audits ?pool ~registry (t : Dsl.t) =
   match t.Dsl.kind with
-  | Dsl.Attack a -> attack_audits ?pool ~registry a
+  | Dsl.Attack a -> Ok (attack_audits ?pool ~registry a)
   | Dsl.Workload w -> (
       let w = { w with Dsl.leak_audit = true } in
-      let series =
-        map_variants ?pool
-          (fun w -> (run w).leak_series)
-          [
-            ("leak/stopwatch-on", { w with Dsl.stopwatch = true });
-            ("leak/stopwatch-off", { w with Dsl.stopwatch = false });
-          ]
-      in
-      match series with
-      | [ (_, null); (_, alt) ] ->
-          [
-            Audit.run ~registry ~label:"stopwatch-off vs stopwatch-on"
-              (Audit.pair ~null ~alt);
-          ]
-      | _ -> [])
+      (* Forcing [leak_audit] on can break the partition rule (no leak
+         audit on a sharded run): check before any job runs. *)
+      match Dsl.override { t with Dsl.kind = Dsl.Workload w } with
+      | Error _ as e -> e
+      | Ok _ -> (
+          let series =
+            map_variants ?pool
+              (fun w -> (run w).leak_series)
+              [
+                ("leak/stopwatch-on", { w with Dsl.stopwatch = true });
+                ("leak/stopwatch-off", { w with Dsl.stopwatch = false });
+              ]
+          in
+          match series with
+          | [ (_, null); (_, alt) ] ->
+              Ok
+                [
+                  Audit.run ~registry ~label:"stopwatch-off vs stopwatch-on"
+                    (Audit.pair ~null ~alt);
+                ]
+          | _ -> Ok []))

@@ -62,7 +62,13 @@ val traffic_graph : Dsl.workload -> Sw_placement.Affinity.graph
 
 (** [prepare ?shards ?partition w] builds the scenario without
     advancing it; see {!run} for the scenario semantics and {!handle} for
-    what to do next. *)
+    what to do next. [?shards] overrides the topology block's shard count
+    from the command line, [?partition] likewise overrides the block's
+    cell placement ([`Assign a] additionally accepts an arbitrary explicit
+    cell-to-shard map, the hook the partition-independence property test
+    drives with random maps). Both go through {!Dsl.override}; raises
+    [Invalid_argument] when it rejects the (possibly overridden) workload
+    or an [`Assign] map is malformed. *)
 val prepare :
   ?shards:int ->
   ?partition:[ `Contiguous | `Affinity | `Assign of int array ] ->
@@ -74,23 +80,13 @@ val prepare :
     into [hosts/replicas] service cells (each its own replica group, KV
     server, client host, and optional east-west flow toward the cell
     [east_west_stride] further on), simulated over [topology.shards]
-    conservative shards — [?shards] overrides the block's count from the
-    command line, [?partition] likewise overrides the block's cell
-    placement ([`Assign a] additionally accepts an arbitrary explicit
-    cell-to-shard map — the hook the partition-independence property test
-    drives with random maps). The conductor bounds each shard pair by its
-    own latency floor ({!Stopwatch.Cloud.create}). The scenario is
-    zero-draw (no jitter, no loss, no disk seek) and every generator is
-    key-derived, so the result is byte-identical across shard counts and
-    partitions outside the [sim.*] metric namespace. [?shards] and
-    [?partition] go through {!Dsl.override}; raises [Invalid_argument]
-    when it rejects the (possibly overridden) workload or an [`Assign] map
-    is malformed. *)
-val run :
-  ?shards:int ->
-  ?partition:[ `Contiguous | `Affinity | `Assign of int array ] ->
-  Dsl.workload ->
-  result
+    conservative shards. The conductor bounds each shard pair by its own
+    latency floor ({!Stopwatch.Cloud.create}). The scenario is zero-draw
+    (no jitter, no loss, no disk seek) and every generator is key-derived,
+    so the result is byte-identical across shard counts and partitions
+    (see {!prepare}) outside the [sim.*] metric namespace. Raises
+    [Invalid_argument] when {!Dsl.override} rejects the workload. *)
+val run : Dsl.workload -> result
 
 (** [map_variants ?pool f variants] runs [f] over keyed variants as
     independent runner jobs (sharded over [pool] when given), keeping the
@@ -106,9 +102,11 @@ val map_variants :
     against on (null) with [leak_audit] forced on, labelled
     ["stopwatch-off vs stopwatch-on"]. Series pair by key
     ({!Sw_leak.Audit.pair}); [registry] receives the detector counters.
-    Empty when no group has both sides. *)
+    Empty when no group has both sides. [Error] (a {!Dsl.override}
+    field-path message, before anything runs) when the workload with
+    [leak_audit] on is invalid: a sharded topology does not trace. *)
 val audits :
   ?pool:Sw_runner.Pool.t ->
   registry:Sw_obs.Registry.t ->
   Dsl.t ->
-  Sw_leak.Audit.t list
+  (Sw_leak.Audit.t list, string) Stdlib.result

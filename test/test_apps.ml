@@ -228,7 +228,7 @@ let test_nfs_ops_complete () =
   let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in
   let get =
     Sw_apps.Nfs.run_client tcp ~dst:(Cloud.vm_address d) ~rate_per_s:100. ~procs:5
-      ~ops:100 ()
+      ~ops:100 ~seed:0x4E_F5L
   in
   Cloud.run cloud ~until:(Time.s 10);
   let stats = get () in
@@ -269,7 +269,7 @@ let test_nfs_mix_probabilities () =
   let tcp = Sw_apps.Tcp_host.attach client ~config:Sw_apps.Nfs.client_tcp_config () in
   let get =
     Sw_apps.Nfs.run_client tcp ~dst:(Cloud.vm_address d) ~rate_per_s:400.
-      ~procs:5 ~ops:1000 ()
+      ~procs:5 ~ops:1000 ~seed:0x4E_F5L
   in
   Cloud.run cloud ~until:(Time.s 5);
   Alcotest.(check int) "all completed" 1000 (get ()).Sw_apps.Nfs.completed;

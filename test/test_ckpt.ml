@@ -427,7 +427,7 @@ let soak_scenario ?(faults = []) ~name ~seed () =
   { Dsl.name; kind = Dsl.Workload { w with Dsl.seed; faults } }
 
 let run_soak ?kill_after ~dir scenario =
-  Soak.run ~scenario ~dir ~every:(Time.ms 100) ?kill_after ()
+  Soak.run ~scenario ~dir ~every:(Time.ms 100) ?kill_after ~on_event:ignore ()
 
 let soak_exn ?kill_after ~dir scenario =
   match run_soak ?kill_after ~dir scenario with

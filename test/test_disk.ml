@@ -15,7 +15,7 @@ let no_seek =
 
 let test_transfer_time () =
   let engine = Engine.create () in
-  let disk = Disk.create engine ~params:no_seek () in
+  let disk = Disk.create engine ~params:no_seek ~path:"disk" in
   let finished = ref Time.zero in
   (* 1000 bytes at 1 MB/s = 1 ms. *)
   Disk.submit disk ~vm:0 ~kind:Disk.Read ~bytes:1000 ~sequential:false (fun () ->
@@ -25,7 +25,7 @@ let test_transfer_time () =
 
 let test_fifo_queueing () =
   let engine = Engine.create () in
-  let disk = Disk.create engine ~params:no_seek () in
+  let disk = Disk.create engine ~params:no_seek ~path:"disk" in
   let finishes = ref [] in
   for i = 1 to 3 do
     Disk.submit disk ~vm:i ~kind:Disk.Read ~bytes:1000 ~sequential:false (fun () ->
@@ -39,7 +39,7 @@ let test_fifo_queueing () =
 
 let test_sequential_cheaper () =
   let engine = Engine.create () in
-  let disk = Disk.create engine () in
+  let disk = Disk.create engine ~params:Disk.default_params ~path:"disk" in
   (* Total elapsed ms of the sequential and the random requests; each kind
      is half of the 400. *)
   let seq = ref 0. and random = ref 0. in
@@ -63,7 +63,7 @@ let test_sequential_cheaper () =
 
 let test_accounting () =
   let engine = Engine.create () in
-  let disk = Disk.create engine ~params:no_seek () in
+  let disk = Disk.create engine ~params:no_seek ~path:"disk" in
   Disk.submit disk ~vm:3 ~kind:Disk.Write ~bytes:500 ~sequential:true (fun () -> ());
   Disk.submit disk ~vm:3 ~kind:Disk.Read ~bytes:500 ~sequential:true (fun () -> ());
   Disk.submit disk ~vm:4 ~kind:Disk.Read ~bytes:500 ~sequential:true (fun () -> ());
@@ -77,7 +77,7 @@ let test_accounting () =
 
 let test_rejects_zero_bytes () =
   let engine = Engine.create () in
-  let disk = Disk.create engine () in
+  let disk = Disk.create engine ~params:Disk.default_params ~path:"disk" in
   Alcotest.check_raises "zero bytes" (Invalid_argument "x") (fun () ->
       try Disk.submit disk ~vm:0 ~kind:Disk.Read ~bytes:0 ~sequential:false (fun () -> ())
       with Invalid_argument _ -> raise (Invalid_argument "x"))

@@ -36,8 +36,8 @@ let test_runs_averaging () =
   Alcotest.(check (float 1e-9)) "mean" mean o.Ft.elapsed_ms
 
 let test_nfs_ratio_shape () =
-  let b = Nb.run ~baseline:true ~rate_per_s:50. ~ops:200 () in
-  let s = Nb.run ~baseline:false ~rate_per_s:50. ~ops:200 () in
+  let b = Nb.run ~baseline:true ~rate_per_s:50. ~ops:200 in
+  let s = Nb.run ~baseline:false ~rate_per_s:50. ~ops:200 in
   Alcotest.(check int) "baseline completes" 200 b.Nb.completed;
   Alcotest.(check int) "stopwatch completes" 200 s.Nb.completed;
   let ratio = s.Nb.mean_latency_ms /. b.Nb.mean_latency_ms in
@@ -96,7 +96,7 @@ let test_parsec_overhead_correlates_with_interrupts () =
 let test_outcome_metrics_snapshot () =
   (* Experiment outcomes expose the cloud's metrics snapshot; the bespoke
      counters they used to carry are now served from it. *)
-  let o = Nb.run ~baseline:false ~rate_per_s:50. ~ops:40 () in
+  let o = Nb.run ~baseline:false ~rate_per_s:50. ~ops:40 in
   let m = o.Nb.metrics in
   if Sw_obs.Snapshot.is_empty m then Alcotest.fail "metrics snapshot empty";
   Alcotest.(check bool) "sim event counter present" true

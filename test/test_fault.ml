@@ -286,7 +286,7 @@ let test_egress_bounded_under_total_loss () =
   let d =
     Cloud.deploy cloud ~on:[ 0; 1; 2 ]
       ~app:
-        (Sw_apps.Probe.receiver ~echo_to:(Host.address sink) ~echo_every:1 ())
+        (Sw_apps.Probe.receiver ~echo_to:(Host.address sink) ())
   in
   (* Sustained heavy loss on every replica->egress tunnel from 50 ms to the
      end of the run: most packets land with fewer than 3 copies (many with
@@ -295,7 +295,11 @@ let test_egress_bounded_under_total_loss () =
   ignore
     (Cloud.install_faults cloud
        [
-         Schedule.at ~span:(Time.s 10) (Time.ms 50) (Fault.egress_drop ~p:0.7);
+         {
+           Schedule.at = Time.ms 50;
+           span = Time.s 10;
+           fault = Fault.egress_drop ~p:0.7;
+         };
        ]);
   let client = Cloud.add_host cloud () in
   let n = ref 0 in
@@ -339,18 +343,14 @@ let test_nak_abandonment () =
   let network = Sw_net.Network.create engine ~default:Sw_net.Network.lan in
   let module Mc = Sw_net.Multicast in
   let module Addr = Sw_net.Address in
-  let g =
-    Mc.group network ~id:0
-      ~members:[ Addr.Vmm 0; Addr.Vmm 1 ]
-      ~nak_delay:(Time.ms 2) ()
-  in
+  let g = Mc.group network ~id:0 ~members:[ Addr.Vmm 0; Addr.Vmm 1 ] () in
+  let transmit = Sw_net.Network.send network in
   let got = ref [] in
   let e0 =
-    Mc.endpoint g ~self:(Addr.Vmm 0)
+    Mc.endpoint g ~self:(Addr.Vmm 0) ~transmit
       ~deliver:(fun pkt -> got := pkt.Sw_net.Packet.payload :: !got)
-      ()
   in
-  let e1 = Mc.endpoint g ~self:(Addr.Vmm 1) ~deliver:(fun _ -> ()) () in
+  let e1 = Mc.endpoint g ~self:(Addr.Vmm 1) ~transmit ~deliver:(fun _ -> ()) in
   Sw_net.Network.register network (Addr.Vmm 0) (fun pkt -> Mc.handle e0 pkt);
   Sw_net.Network.register network (Addr.Vmm 1) (fun pkt -> Mc.handle e1 pkt);
   let send i = Mc.publish e1 ~size:64 (Sw_net.Packet.Background i) in
@@ -360,14 +360,15 @@ let test_nak_abandonment () =
   Mc.set_partitioned e0 true;
   send 1;
   Sw_sim.Engine.run engine ~until:(Time.ms 10);
-  (* ...heals, receives mseq 2, and detects the gap... *)
+  (* ...heals, receives mseq 2 about 100 us later, and detects the gap... *)
   Mc.set_partitioned e0 false;
   send 2;
-  Sw_sim.Engine.run engine ~until:(Time.ms 11);
-  (* ...then is cut off again for the whole NAK budget: its NAKs (and any
-     retransmissions) are dropped, so after 5 unanswered attempts (2 to
-     32 ms apart, the gap given up at about 136 ms) it must abandon the gap
-     and deliver the buffered mseq 2 instead of stalling forever. *)
+  Sw_sim.Engine.run engine ~until:(Time.us 10_200);
+  (* ...then is cut off again, before its first NAK is due 300 us after the
+     gap, for the whole NAK budget: its NAKs (and any retransmissions) are
+     dropped, so after 5 unanswered attempts (0.3 to 4.8 ms apart, the gap
+     given up at about 29 ms) it must abandon the gap and deliver the
+     buffered mseq 2 instead of stalling forever. *)
   Mc.set_partitioned e0 true;
   Sw_sim.Engine.run engine ~until:(Time.ms 200);
   let counter name =

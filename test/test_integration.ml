@@ -137,7 +137,7 @@ let test_background_noise_keeps_determinism () =
   let run () =
     let cloud = Cloud.create ~seed:7L ~machines:3 () in
     let d = Cloud.deploy cloud ~on:[ 0; 1; 2 ] ~app:echo_app in
-    Cloud.start_background cloud ~rate_per_s:100. ();
+    Cloud.start_background cloud ~rate_per_s:100.;
     let client = Cloud.add_host cloud () in
     let pongs = ref 0 in
     Host.set_handler client (fun pkt ->

@@ -277,7 +277,8 @@ let test_audit_report_deterministic () =
   let null = draw rng 64 ~mean:1. ~stddev:0.2 in
   let alt = draw rng 64 ~mean:2. ~stddev:0.2 in
   let series = [ { Audit.key = "k"; null; alt } ] in
-  let a = Audit.run ~label:"x" series and b = Audit.run ~label:"x" series in
+  let audit () = Audit.run ~registry:(Registry.create ()) ~label:"x" series in
+  let a = audit () and b = audit () in
   Alcotest.(check string) "byte-identical report"
     (Sw_runner.Report.to_string (Audit.to_report a))
     (Sw_runner.Report.to_string (Audit.to_report b))
@@ -290,18 +291,23 @@ let test_audit_report_deterministic () =
    pair's by none. At 2 s the split is a property of this seed, not of
    every seed: the samples are small enough that other seeds miss a
    detector on the baseline pair or flag one on the StopWatch pair. *)
-let test_fig4_verdict_split () =
+let example ~seconds name =
   let path =
     (* dune runtest runs in _build/default/test; dune exec from the root. *)
-    List.find_opt Sys.file_exists [ "../examples/fig4.scn"; "examples/fig4.scn" ]
-    |> Option.value ~default:"../examples/fig4.scn"
+    List.find_opt Sys.file_exists [ "../examples/" ^ name; "examples/" ^ name ]
+    |> Option.value ~default:("../examples/" ^ name)
   in
-  let scenario =
-    match Result.bind (Dsl.load_file path) (Dsl.override ~seconds:2.) with
-    | Ok t -> t
+  match Result.bind (Dsl.load_file path) (Dsl.override ~seconds) with
+  | Ok t -> t
+  | Error e -> Alcotest.fail e
+
+let test_fig4_verdict_split () =
+  let scenario = example ~seconds:2. "fig4.scn" in
+  let audits =
+    match Sw_workload.Run.audits ~registry:(Registry.create ()) scenario with
+    | Ok audits -> audits
     | Error e -> Alcotest.fail e
   in
-  let audits = Sw_workload.Run.audits ~registry:(Registry.create ()) scenario in
   let verdict label =
     match List.find_opt (fun (a : Audit.t) -> a.Audit.label = label) audits with
     | Some a -> Audit.guest_leaking a
@@ -317,6 +323,19 @@ let test_fig4_verdict_split () =
     (verdict "baseline");
   Alcotest.(check (list string)) "stopwatch flagged by none" []
     (verdict "stopwatch")
+
+(* A workload's audit forces leak_audit on, which a sharded topology
+   refuses: the audit says so with the field path instead of failing
+   inside a job. *)
+let test_sharded_audit_refused () =
+  let scenario = example ~seconds:0.01 "datacenter.scn" in
+  match Sw_workload.Run.audits ~registry:(Registry.create ()) scenario with
+  | Ok _ -> Alcotest.fail "a sharded workload audited"
+  | Error e ->
+      Alcotest.(check string) "field-path error"
+        "scenario.topology: leak audits (which trace) are not supported on a \
+         sharded run"
+        e
 
 let () =
   Alcotest.run "leak"
@@ -354,5 +373,7 @@ let () =
           Alcotest.test_case "deterministic report" `Quick
             test_audit_report_deterministic;
           Alcotest.test_case "fig4 verdict split" `Slow test_fig4_verdict_split;
+          Alcotest.test_case "sharded workload refused" `Quick
+            test_sharded_audit_refused;
         ] );
     ]

@@ -138,17 +138,19 @@ let test_json_roundtrips_export () =
   let r = Registry.create () in
   Registry.Counter.add (Registry.counter r "net.delivered") 3;
   Registry.Histogram.observe (Registry.histogram r "lat") 12_345;
+  let parse s =
+    match Json.parse s with
+    | Error e -> Alcotest.fail ("export does not parse: " ^ e)
+    | Ok v -> v
+  in
   let meta = Export.meta ~seed:42L ~scenario:"t" ~trace_dropped:0 () in
-  let s = Export.to_json_string ~meta (Registry.snapshot r) in
-  match Json.parse s with
-  | Error e -> Alcotest.fail ("export does not parse: " ^ e)
-  | Ok v ->
-      Alcotest.(check bool) "meta.seed" true
-        (Option.bind (member "meta" v) (member "seed")
-        = Some (Json.Int 42));
-      Alcotest.(check bool) "metrics present" true
-        (Option.is_some
-           (Option.bind (member "metrics" v) (member "net.delivered")))
+  let first_line = List.hd (String.split_on_char '\n' (Export.jsonl ~meta [])) in
+  Alcotest.(check bool) "meta.seed" true
+    (Option.bind (member "meta" (parse first_line)) (member "seed")
+    = Some (Json.Int 42));
+  Alcotest.(check bool) "metrics present" true
+    (Option.is_some
+       (member "net.delivered" (parse (Export.to_json_string (Registry.snapshot r)))))
 
 (* --- Trace drops ---------------------------------------------------------- *)
 
@@ -203,13 +205,11 @@ let test_export_meta_shape () =
   let r = Registry.create () in
   Registry.Counter.incr (Registry.counter r "a");
   let flat = Export.to_json_string (Registry.snapshot r) in
-  Alcotest.(check string) "no meta: flat object unchanged"
+  Alcotest.(check string) "flat metric object"
     "{\"a\":{\"kind\":\"counter\",\"value\":1}}" flat;
-  Alcotest.(check string) "with meta: wrapped"
-    (Printf.sprintf "{\"meta\":%s,\"metrics\":%s}"
-       (Json.to_string (Export.meta_json m))
-       flat)
-    (Export.to_json_string ~meta:m (Registry.snapshot r))
+  Alcotest.(check string) "JSONL export: meta line first"
+    (Printf.sprintf "{\"meta\":%s}\n" (Json.to_string (Export.meta_json m)))
+    (Export.jsonl ~meta:m [])
 
 (* --- Lineage: synthetic well-formed streams -------------------------------- *)
 

@@ -175,7 +175,7 @@ let test_experiment_jobs_deterministic () =
      to identical outcomes. *)
   let module Ft = Sw_experiments.File_transfer in
   let jobs () =
-    Ft.jobs ~protocol:Ft.Http ~baseline:true ~size_bytes:1024 ~runs:3 ()
+    Ft.jobs ~protocol:Ft.Http ~baseline:true ~size_bytes:1024 ~runs:3
   in
   let seq = Ft.collect (Runner.map (jobs ())) in
   let par =

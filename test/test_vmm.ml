@@ -8,6 +8,9 @@ module Config = Sw_vmm.Config
 module Machine = Sw_vmm.Machine
 module Rg = Sw_vmm.Replica_group
 
+let standalone_group ~config ~mode =
+  Rg.create ~metrics:(Sw_obs.Registry.create ()) ~vm:0 ~config ~mode
+
 (* --- Config ------------------------------------------------------------------ *)
 
 let expect_invalid name f =
@@ -39,7 +42,8 @@ let test_slice_branches () =
 let machine_setup () =
   let engine = Engine.create () in
   let net = Sw_net.Network.create engine ~default:Sw_net.Network.lan in
-  let mach = Machine.create engine net ~id:0 ~config:Config.default () in
+  let mach = Machine.create engine net ~id:0 ~config:Config.default ~rate_multiplier:1.0
+      ~clock_offset:Time.zero in
   (engine, net, mach)
 
 let test_dom0_fifo () =
@@ -138,7 +142,7 @@ let test_median_time () =
       ignore (Rg.median_time [| Time.ms 1; Time.ms 2 |]))
 
 let test_skew_blocks_fastest () =
-  let group = Rg.create ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch () in
+  let group = standalone_group ~config:Config.default ~mode:Rg.Stopwatch in
   let woken = ref 0 in
   let m0 = add_member group ~machine:0 in
   let m1 = add_member group ~machine:1 in
@@ -155,7 +159,7 @@ let test_skew_blocks_fastest () =
   Alcotest.(check int) "woken once" 1 !woken
 
 let test_skew_ties_do_not_block () =
-  let group = Rg.create ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch () in
+  let group = standalone_group ~config:Config.default ~mode:Rg.Stopwatch in
   let m0 = add_member group ~machine:0 in
   let m1 = add_member group ~machine:1 in
   let m2 = add_member group ~machine:2 in
@@ -169,7 +173,7 @@ let test_skew_ties_do_not_block () =
 
 let test_baseline_mode_inert () =
   let config = { Config.default with Config.replicas = 1 } in
-  let group = Rg.create ~vm:0 ~config ~mode:Rg.Baseline () in
+  let group = standalone_group ~config ~mode:Rg.Baseline in
   let m0 = add_member group ~machine:0 in
   Rg.note_exit group m0 ~now:(Time.ms 1) ~virt:(Time.ms 99) ~instr:1;
   Alcotest.(check bool) "never blocked" false (Rg.blocked group m0)
@@ -182,7 +186,7 @@ let epoch_config =
   }
 
 let test_epoch_resolution () =
-  let group = Rg.create ~vm:0 ~config:epoch_config ~mode:Rg.Stopwatch () in
+  let group = standalone_group ~config:epoch_config ~mode:Rg.Stopwatch in
   let applied = ref [] in
   let sent = ref [] in
   let mk machine =
@@ -235,7 +239,7 @@ let test_epoch_resolution () =
 let test_epoch_out_of_order_reports () =
   (* A fast peer's epoch-1 report arriving while we are still in epoch 0 must
      be buffered, not dropped. *)
-  let group = Rg.create ~vm:0 ~config:epoch_config ~mode:Rg.Stopwatch () in
+  let group = standalone_group ~config:epoch_config ~mode:Rg.Stopwatch in
   let m0 = add_member group ~machine:0 in
   let _m1 = add_member group ~machine:1 in
   let _m2 = add_member group ~machine:2 in
@@ -249,7 +253,7 @@ let test_epoch_out_of_order_reports () =
 let test_divergence_counter () =
   let metrics = Sw_obs.Registry.create () in
   let group =
-    Rg.create ~metrics ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch ()
+    Rg.create ~metrics ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch
   in
   let divergences () =
     Metric.counter (Sw_obs.Registry.snapshot metrics) "vm0.divergences"
@@ -260,7 +264,7 @@ let test_divergence_counter () =
   Alcotest.(check int) "counted" 2 (divergences ())
 
 let test_group_full () =
-  let group = Rg.create ~vm:0 ~config:Config.default ~mode:Rg.Stopwatch () in
+  let group = standalone_group ~config:Config.default ~mode:Rg.Stopwatch in
   let ids =
     List.map
       (fun machine -> Rg.replica_id (add_member group ~machine))

@@ -399,6 +399,23 @@ let test_error_positions () =
     (workload {|"duration_s": 0,|});
   expect_error ~substring:"scenario.duration_s: must be > 0"
     (workload {|"duration_s": -1,|});
+  (* Past Time's 2^62 ns a duration would wrap: the error names the value
+     as written, not the wrapped one. *)
+  let out_of_range = "must be finite and below 2^62 ns, about 146 years" in
+  expect_error
+    ~substring:("scenario.duration_s: " ^ out_of_range ^ " (got 1e+10)")
+    (workload {|"duration_s": 1e10,|});
+  expect_error
+    ~substring:("scenario.duration_s: " ^ out_of_range ^ " (got -1e+10)")
+    (attack {|"duration_s": -1e10,|});
+  expect_error
+    ~substring:("scenario.arrival.period_s: " ^ out_of_range ^ " (got 5e+09)")
+    {|{ "name": "x", "kind": "workload",
+       "arrival": { "process": "diurnal", "base_per_s": 10, "period_s": 5e9 } }|};
+  expect_error
+    ~substring:("scenario.faults[0].at_ms: " ^ out_of_range ^ " (got 1e+13)")
+    (workload
+       {|"faults": [ { "at_ms": 1e13, "kind": "link-loss", "p": 0.5 } ],|});
   expect_error ~substring:"scenario.replicas" (workload {|"replicas": 4,|});
   expect_error ~substring:"scenario.arrival.rate_per_s"
     {|{ "name": "x", "kind": "workload",
@@ -437,7 +454,16 @@ let test_error_positions () =
       | Error e ->
           if not (String.starts_with ~prefix:"scenario.duration_s" e) then
             Alcotest.failf "%s: %S does not name the field" file e)
-    [ ("fig4.scn", 0.); ("diurnal.scn", -1.); ("kv_skew.scn", 0.) ]
+    [ ("fig4.scn", 0.); ("diurnal.scn", -1.); ("kv_skew.scn", 0.) ];
+  List.iter
+    (fun (seconds, shown) ->
+      match Dsl.override ~seconds (load "diurnal.scn") with
+      | Ok _ -> Alcotest.failf "--seconds %g accepted" seconds
+      | Error e ->
+          Alcotest.(check string) "out-of-range --seconds named as given"
+            ("scenario.duration_s: " ^ out_of_range ^ " (got " ^ shown ^ ")")
+            e)
+    [ (5e9, "5e+09"); (Float.nan, "nan"); (Float.infinity, "inf") ]
 
 (* The printed form of a scenario is its soak image identity and its
    warm-cache key, so a reordered or reformatted field would orphan every
@@ -716,10 +742,17 @@ let datacenter_workload () =
     topology = Some (topo ~hosts:12 ~shards:1 ~east_west_rate_per_s:40. ());
   }
 
+(* [Run.run] with the shard count or partition overridden, as the CLI
+   flags override them through [Run.prepare]. *)
+let run_with ?shards ?partition w =
+  let h = Run.prepare ?shards ?partition w in
+  Stopwatch.Cloud.run h.Run.cloud ~until:h.Run.until;
+  h.Run.finish ()
+
 let test_shards_1_vs_4_bytes () =
   let w = datacenter_workload () in
   let run shards =
-    let r = Run.run ~shards w in
+    let r = run_with ~shards w in
     Alcotest.(check bool) "served traffic" true (r.Run.completed > 0);
     (r, contract_bytes r.Run.metrics)
   in
@@ -748,9 +781,9 @@ let test_partition_bytes () =
              ~east_west_rate_per_s:40. ());
     }
   in
-  let r1 = Run.run ~shards:1 w in
-  let contiguous = Run.run ~partition:`Contiguous w in
-  let affinity = Run.run ~partition:`Affinity w in
+  let r1 = run_with ~shards:1 w in
+  let contiguous = run_with ~partition:`Contiguous w in
+  let affinity = run_with ~partition:`Affinity w in
   Alcotest.(check bool) "served traffic" true (r1.Run.completed > 0);
   Alcotest.(check string) "contiguous bytes"
     (contract_bytes r1.Run.metrics)
@@ -780,12 +813,12 @@ let prop_any_partition_same_bytes =
              ~east_west_rate_per_s:40. ());
     }
   in
-  let baseline = lazy (contract_bytes (Run.run ~shards:1 w).Run.metrics) in
+  let baseline = lazy (contract_bytes (run_with ~shards:1 w).Run.metrics) in
   QCheck.Test.make ~name:"random cell maps are byte-identical to shards=1"
     ~count:6
     QCheck.(array_of_size (QCheck.Gen.return 4) (int_range 0 1))
     (fun assign ->
-      let r = Run.run ~partition:(`Assign assign) w in
+      let r = run_with ~partition:(`Assign assign) w in
       String.equal (Lazy.force baseline) (contract_bytes r.Run.metrics))
 
 (* Without a topology block the legacy single-cell path runs and [?shards]
@@ -794,7 +827,7 @@ let prop_any_partition_same_bytes =
    engine. *)
 let test_shards_noop_without_topology () =
   let w = { (small_workload ()) with Dsl.load_multipliers = [ 1. ] } in
-  let r1 = Run.run w and r4 = Run.run ~shards:4 w in
+  let r1 = Run.run w and r4 = run_with ~shards:4 w in
   Alcotest.(check bool) "served traffic" true (r1.Run.completed > 0);
   Alcotest.(check int) "cross-shard traffic" 0 r4.Run.cross_shard;
   Alcotest.(check string) "full metrics bytes (sim.* included)"

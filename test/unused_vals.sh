@@ -27,18 +27,32 @@
 # should be private (or deleted). Operators are skipped. Two modules with
 # one name in different libraries would qualify each other's hits.
 #
-# For each optional argument `?arg:` in lib/**/*.mli, looks for `~arg` or
-# `?arg` in the other .ml sources. An argument no caller passes is a knob
-# only its default reaches: it should be a constant.
+# Each optional argument `?arg:` of `val v` in lib/**/*.mli is checked per
+# function: it is used only where a call of v outside M passes `~arg` or
+# `?arg`. A call of v is a hit found as for values above (qualified by M, a
+# submodule or an alias, or bare in a file that opens M), and its arguments
+# are what follows up to a closing bracket, a binary operator or a keyword
+# that ends an application (`in`, `then`, `with`, ...), nested brackets
+# skipped. So `~arg` passed to some other function is not a use. An
+# argument no call passes is a knob only its default reaches: it should be
+# a constant. One that only test/ or examples/ pass is listed as
+# `<mli>: v ?arg`.
 #
-# Run from the repository root: sh test/unused_vals.sh
+# Run from the repository root: sh test/unused_vals.sh [ROOT]. ROOT (default
+# .) is the tree to check; test/unused_vals_fixture is one with a single
+# planted finding, which dune runtest checks the script reports.
 set -eu
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-sources=$(find lib bin bench test examples perfbench -name _build -prune \
-  -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)
+cd "${1:-.}"
+dirs=$(for d in lib bin bench test examples perfbench; do
+  if [ -d "$d" ]; then echo "$d"; fi
+done)
+# shellcheck disable=SC2086
+sources=$(find $dirs -name _build -prune -o -path test/unused_vals_fixture \
+  -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)
 
 # Blank comments (nested, with the strings and character literals inside
 # them) and string literals ("..." and {|...|}) into a mirror tree.
@@ -73,10 +87,86 @@ FNR == 1 { depth = 0; instr = 0; inquoted = 0 }
 allowlist=$(pwd)/test/test_only_vals.txt
 cd "$tmp"
 
-# unused SOURCES: prints `<mli>: val <v>` for each public value and
-# `<mli>: ?<arg>` for each optional argument that no file of SOURCES outside
-# its own module uses.
+# Argument pass of unused(): reads the call table (`arg M v a`, `own M F`,
+# `qual M Q`, `alias M F A`, `open M F`, M an .mli and F an .ml), then the
+# .ml sources as tokens, and records the labels each call of v passes (the
+# call as the header defines it). Prints `M: v ?a` for each `arg` no call
+# passes.
+passes='
+function scan(f,    i, j, k, x, m, q, t, u, depth, ms) {
+  for (i = 1; i <= n; i++) {
+    t = tok[i]
+    if (!(t in valmods)) continue
+    k = split(valmods[t], ms, " ")
+    for (x = 1; x <= k; x++) {
+      m = ms[x]
+      if ((m, f) in own) continue
+      if (tok[i - 1] == ".") {
+        q = tok[i - 2]
+        if (!((m, q) in qual) && !((m, f, q) in alias)) continue
+      } else if (!((m, f) in opener) || tok[i - 1] in definer) continue
+      depth = 0
+      for (j = i + 1; j <= n; j++) {
+        u = tok[j]
+        if (u ~ /^[([{]$/ || u == "begin") depth++
+        else if (u ~ /^[])}]$/ || u == "end") {
+          if (depth == 0) break
+          depth--
+        } else if (depth > 0) continue
+        else if (u ~ /^[~?][a-z_]/) {
+          sub(/:$/, "", u)
+          passed[m, t, substr(u, 2)] = 1
+        } else if (u in ender) break
+        else if (u ~ /^[-+*\/=<>@^|&$%:;,#]/ && tok[j - 1] !~ /^[~?].*:$/) break
+      }
+    }
+  }
+  n = 0
+}
+FILENAME == table {
+  if ($1 == "arg") {
+    if (!(($2, $3) in seen)) valmods[$3] = valmods[$3] " " $2
+    seen[$2, $3] = 1
+    order[++args] = $2 ": " $3 " ?" $4
+    key[args] = $2 SUBSEP $3 SUBSEP $4
+  } else if ($1 == "own") own[$2, $3] = 1
+  else if ($1 == "qual") qual[$2, $3] = 1
+  else if ($1 == "alias") alias[$2, $3, $4] = 1
+  else if ($1 == "open") opener[$2, $3] = 1
+  next
+}
+FNR == 1 { if (file != "") scan(file); file = FILENAME }
+{
+  line = $0
+  while (line != "") {
+    if (match(line, /^[ \t]+/)) { line = substr(line, RLENGTH + 1); continue }
+    if (!match(line, /^[~?][a-z_][A-Za-z0-9_\047]*:?/) &&
+        !match(line, /^[A-Za-z0-9_][A-Za-z0-9_\047]*/) &&
+        !match(line, /^[-+*\/=<>@^|&$%!:;,.#]+/))
+      match(line, /^./)
+    tok[++n] = substr(line, 1, RLENGTH)
+    line = substr(line, RLENGTH + 1)
+  }
+}
+END {
+  if (file != "") scan(file)
+  for (i = 1; i <= args; i++) if (!(key[i] in passed)) print order[i]
+}
+BEGIN {
+  split("let and rec val external method mutable", w, " ")
+  for (i in w) definer[w[i]] = 1
+  split("in let then else do done with and of to downto match if when fun " \
+    "function try val type module open struct sig object external " \
+    "exception include method", w, " ")
+  for (i in w) ender[w[i]] = 1
+}'
+
+# unused SOURCES: prints `<mli>: val <v>` for each public value that no
+# file of SOURCES outside its own module uses, and `<mli>: <v> ?<arg>` for
+# each optional argument of v that no call of v in SOURCES outside its own
+# module passes.
 unused() {
+  : >"$tmp/.calls"
   for mli in $(find lib -name '*.mli' | sort); do
     ml=${mli%i}
     base=${mli##*/}
@@ -113,14 +203,30 @@ ALIASES
         echo "$mli: val $v"
       fi
     done
-    other_ml=$(printf '%s\n' $others | grep '\.ml$')
-    for a in $(grep -o '?[a-z_][A-Za-z0-9_]*:' "$mli" | tr -d '?:' | sort -u); do
-      # shellcheck disable=SC2086
-      if ! grep -qE -e "[~?]$a\\b" $other_ml; then
-        echo "$mli: ?$a"
-      fi
-    done
+    # `v a` for each `?a:` in the declaration of `val v`.
+    args=$(awk '
+      /^ *(type|module|end|exception|include|external|class|open)([ :]|$)/ { v = "" }
+      /^ *val / { v = $2; sub(/:.*/, "", v) }
+      v != "" {
+        s = $0
+        while (match(s, /[?][a-z_][A-Za-z0-9_]*:/)) {
+          print v, substr(s, RSTART + 1, RLENGTH - 2)
+          s = substr(s, RSTART + RLENGTH)
+        }
+      }' "$mli")
+    if [ -n "$args" ]; then
+      {
+        printf '%s\n' "$args" | sed "s|^|arg $mli |"
+        echo "own $mli $ml"
+        printf "qual $mli %s\\n" "$mod" $subs
+        printf '%s\n' "$aliased" | sed -n "s|^\\(..*\\)|alias $mli \\1|p"
+        for f in $openers; do echo "open $mli $f"; done
+      } >>"$tmp/.calls"
+    fi
   done
+  # shellcheck disable=SC2086
+  awk -v table="$tmp/.calls" "$passes" "$tmp/.calls" \
+    $(printf '%s\n' $1 | grep '\.ml$')
 }
 
 unused "$sources" >"$tmp/.dead"
@@ -128,7 +234,10 @@ unused "$sources" >"$tmp/.dead"
 unused "$(printf '%s\n' $sources | grep -v -e '^test/' -e '^examples/')" \
   >"$tmp/.outside_tests"
 grep -vxF -f "$tmp/.dead" "$tmp/.outside_tests" >"$tmp/.test_only" || true
-grep -v -e '^#' -e '^ *$' "$allowlist" | sort >"$tmp/.allowed" || true
+: >"$tmp/.allowed"
+if [ -f "$allowlist" ]; then
+  grep -v -e '^#' -e '^ *$' "$allowlist" | sort >"$tmp/.allowed" || true
+fi
 
 findings=0
 while read -r entry; do
